@@ -16,8 +16,10 @@
 # critical-path blame smoke (EXT-16, asserts BENCH_blame.json is produced
 # with the exposed-communication claim holding), and a telemetry-off
 # byte-identity check (fresh weak-scaling CSVs must match the committed
-# results/ bodies exactly). Run from the repo root. Fails fast on the
-# first broken step.
+# results/ bodies exactly), and the benchmark package's own tests plus its
+# smoke run (so a refactor that breaks the API surface benchmark/ pins fails
+# here, not at the benchmark gate). Run from the repo root. Fails fast on
+# the first broken step.
 set -eu
 
 cargo fmt --all -- --check
@@ -34,6 +36,10 @@ cargo clippy -p emb-retrieval -p rayon --all-targets --offline -- \
     -D clippy::cloned_instead_of_copied \
     -D clippy::inefficient_to_string
 cargo run --release -p bench-harness --offline -- serve --smoke
+# The benchmark is its own package (own workspace, path deps on crates/*):
+# build it against this tree, run its unit tests and one smoke pass.
+cargo test --manifest-path benchmark/Cargo.toml --offline
+bash benchmark/run.sh --smoke > /dev/null
 
 wc_dir=$(mktemp -d)
 trap 'rm -rf "$wc_dir"' EXIT

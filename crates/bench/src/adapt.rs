@@ -28,7 +28,7 @@
 
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    baseline_batch, pgas_batch, plan_for_batch, DegradedFill, PlannedBatch, ResiliencePolicy,
+    execute_batch, plan_for_batch, DegradedFill, Exchange, PlannedBatch, ResiliencePolicy,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
 use emb_serve::{
@@ -402,10 +402,12 @@ pub fn adapt_sweep(gpus: usize, scale: usize, batches_per_phase: usize, seed: u6
     let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
     let batch = SparseBatch::generate_counts_only(&base.batch_spec(), base.batch_seed(0));
     let pb = PlannedBatch::new(&m, plan_for_batch(&base, &batch, m.spec(0)));
+    let collective = Exchange::Collective(CollectiveConfig::default());
     let baseline_service =
-        baseline_batch(&mut m, &CollectiveConfig::default(), &pb, SimTime::ZERO).service();
+        execute_batch(&mut m, &collective, &pb, SimTime::ZERO, None, None).service();
     let mut mp = Machine::new(MachineConfig::dgx_v100(gpus));
-    let pgas_service = pgas_batch(&mut mp, PgasConfig::default(), &pb, SimTime::ZERO).service();
+    let one_sided = Exchange::OneSided(PgasConfig::default());
+    let pgas_service = execute_batch(&mut mp, &one_sided, &pb, SimTime::ZERO, None, None).service();
 
     let capacity_qps = base.batch_size as f64 / baseline_service.as_secs_f64();
     let y = Yardstick {

@@ -7,11 +7,21 @@
 //! hot-path run (`steady_allocs` in `BENCH_wallclock.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so a measured region is not charged for what concurrently
+    // running threads (other tests in the same binary) allocate. Const-init
+    // and `Drop`-free: touching it never allocates or registers a dtor.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// [`System`] plus a process-wide counter of allocation entry points
+fn count_call() {
+    // `try_with`: the allocator is still called during thread teardown.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// [`System`] plus a per-thread counter of allocation entry points
 /// (`alloc`, `alloc_zeroed`, `realloc`). Frees are not counted: the claim
 /// under test is "no new memory requested per batch".
 pub struct CountingAlloc;
@@ -20,7 +30,7 @@ pub struct CountingAlloc;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,12 +39,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,10 +52,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation calls made by the process so far. Subtract two readings to
-/// count allocations across a region.
+/// Allocation calls made by the calling thread so far. Subtract two
+/// readings to count allocations across a region it executes.
 pub fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 #[cfg(test)]

@@ -179,15 +179,9 @@ fn comm_volume(cfg: &EmbLayerConfig, bucket: Dur, chaos: Option<(u64, f64)>) -> 
         m
     };
     let mut mp = mk();
-    let p = if chaos.is_some() {
-        ResilientBackend::new()
-            .run(&mut mp, cfg, ExecMode::Timing)
-            .report
-    } else {
-        PgasFusedBackend::new()
-            .run(&mut mp, cfg, ExecMode::Timing)
-            .report
-    };
+    let p = PgasFusedBackend::new()
+        .run(&mut mp, cfg, ExecMode::Timing)
+        .report;
     let mut mb = mk();
     let b = BaselineBackend::new()
         .run(&mut mb, cfg, ExecMode::Timing)
@@ -242,7 +236,7 @@ pub fn comm_volume_strong_4gpu(scale: usize, batches: usize) -> CommVolumeResult
 }
 
 /// [`comm_volume_weak_2gpu`] on a faulty fabric: the fault-window column
-/// becomes nonzero and the PGAS side runs through the resilient backend.
+/// becomes nonzero and both backends retry through the faults.
 pub fn comm_volume_weak_2gpu_chaos(
     scale: usize,
     batches: usize,
@@ -1274,7 +1268,7 @@ pub fn serve_load_sweep(
     seed: u64,
     multipliers: &[f64],
 ) -> ServeSweep {
-    use emb_retrieval::backend::{baseline_batch, plan_for_batch, PlannedBatch};
+    use emb_retrieval::backend::{execute_batch, plan_for_batch, Exchange, PlannedBatch};
     use emb_serve::{ArrivalProcess, EmbServer, ServeBackendKind, ServeConfig};
 
     let cfg = scaled(EmbLayerConfig::paper_weak_scaling(gpus), scale, 1);
@@ -1283,8 +1277,9 @@ pub fn serve_load_sweep(
     let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
     let batch = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.batch_seed(0));
     let pb = PlannedBatch::new(&m, plan_for_batch(&cfg, &batch, m.spec(0)));
+    let collective = Exchange::Collective(CollectiveConfig::default());
     let baseline_service =
-        baseline_batch(&mut m, &CollectiveConfig::default(), &pb, SimTime::ZERO).service();
+        execute_batch(&mut m, &collective, &pb, SimTime::ZERO, None, None).service();
     let slo = baseline_service * 4u64;
     let capacity_qps = cfg.batch_size as f64 / baseline_service.as_secs_f64();
     let n_requests = batches_per_point.max(1) * cfg.batch_size;
@@ -1627,9 +1622,7 @@ fn blame_cell(
     backend: &'static str,
     cfg: &EmbLayerConfig,
 ) -> BlameCell {
-    use emb_retrieval::backend::{
-        baseline_batch, pgas_batch, pgas_batch_gateway, plan_for_batch, PlannedBatch,
-    };
+    use emb_retrieval::backend::{execute_batch, plan_for_batch, Exchange, PlannedBatch};
     let g = nodes * per_node;
     let mut m = if nodes == 1 {
         Machine::new(MachineConfig::dgx_v100(g))
@@ -1649,15 +1642,14 @@ fn blame_cell(
     } else {
         Algorithm::Hierarchical
     });
+    let exchange = match backend {
+        "baseline" => Exchange::Collective(cc),
+        "pgas" => Exchange::OneSided(PgasConfig::default()),
+        _ => Exchange::Gateway(GatewayConfig::default()),
+    };
     let mut at = SimTime::ZERO;
     for i in 0..cfg.n_batches {
-        let pb = &planned[i % distinct];
-        let run = match backend {
-            "baseline" => baseline_batch(&mut m, &cc, pb, at),
-            "pgas" => pgas_batch(&mut m, PgasConfig::default(), pb, at),
-            _ => pgas_batch_gateway(&mut m, GatewayConfig::default(), pb, at),
-        };
-        at = run.end;
+        at = execute_batch(&mut m, &exchange, &planned[i % distinct], at, None, None).end;
     }
     let graph = m.blame().expect("blame recorder was enabled");
     BlameCell {

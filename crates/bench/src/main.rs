@@ -102,6 +102,43 @@ struct Args {
     csv: Option<PathBuf>,
 }
 
+/// Every experiment `all` runs, in dispatch order.
+const IN_ALL: [&str; 21] = [
+    "table1",
+    "fig5",
+    "fig6",
+    "table2",
+    "fig8",
+    "fig9",
+    "fig7",
+    "fig10",
+    "backward",
+    "multinode",
+    "ablation-msgsize",
+    "ablation-sharding",
+    "whatif",
+    "chaos",
+    "serve",
+    "adapt",
+    "pods",
+    "pipeline",
+    "blame",
+    "netutil",
+    "ablation-zipf",
+];
+
+/// Experiments that only run when named.
+const STANDALONE: [&str; 2] = ["skew", "wallclock"];
+
+/// Whether this invocation runs (any of) the experiments `names` — the one
+/// place dispatch arms and the name check meet, so neither can drift.
+fn selected(e: &str, names: &[&str]) -> bool {
+    debug_assert!(names
+        .iter()
+        .all(|n| IN_ALL.contains(n) || STANDALONE.contains(n)));
+    names.contains(&e) || (e == "all" && names.iter().all(|n| IN_ALL.contains(n)))
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         experiment: "all".to_string(),
@@ -133,6 +170,15 @@ fn parse_args() -> Args {
             other => panic!("unknown flag {other}"),
         }
     }
+    let e = args.experiment.as_str();
+    if e != "all" && !IN_ALL.contains(&e) && !STANDALONE.contains(&e) {
+        eprintln!(
+            "unknown experiment {e:?}; valid names: all, {}, {}",
+            IN_ALL.join(", "),
+            STANDALONE.join(", ")
+        );
+        std::process::exit(2);
+    }
     args
 }
 
@@ -159,10 +205,10 @@ fn main() {
     let e = args.experiment.as_str();
     let fig_batches = args.batches.min(4); // volume plots show a few batches
 
-    if matches!(e, "table1" | "fig5" | "fig6" | "all") {
+    if selected(e, &["table1", "fig5", "fig6"]) {
         let _t = HostTimer::new("weak-scaling-family");
         let r = weak_scaling(args.gpus, args.scale, args.batches);
-        if matches!(e, "table1" | "all") {
+        if selected(e, &["table1"]) {
             emit(
                 &args,
                 "table1",
@@ -175,14 +221,14 @@ fn main() {
                 validate_scaling_json,
             );
         }
-        if matches!(e, "fig5" | "all") {
+        if selected(e, &["fig5"]) {
             emit(
                 &args,
                 "fig5",
                 &scaling_factor_series(&r, "Fig 5: weak scaling factor (1 = ideal)", false),
             );
         }
-        if matches!(e, "fig6" | "all") {
+        if selected(e, &["fig6"]) {
             emit(
                 &args,
                 "fig6",
@@ -190,10 +236,10 @@ fn main() {
             );
         }
     }
-    if matches!(e, "table2" | "fig8" | "fig9" | "all") {
+    if selected(e, &["table2", "fig8", "fig9"]) {
         let _t = HostTimer::new("strong-scaling-family");
         let r = strong_scaling(args.gpus, args.scale, args.batches);
-        if matches!(e, "table2" | "all") {
+        if selected(e, &["table2"]) {
             emit(
                 &args,
                 "table2",
@@ -206,14 +252,14 @@ fn main() {
                 validate_scaling_json,
             );
         }
-        if matches!(e, "fig8" | "all") {
+        if selected(e, &["fig8"]) {
             emit(
                 &args,
                 "fig8",
                 &scaling_factor_series(&r, "Fig 8: strong scaling factor (ideal = #GPUs)", true),
             );
         }
-        if matches!(e, "fig9" | "all") {
+        if selected(e, &["fig9"]) {
             emit(
                 &args,
                 "fig9",
@@ -221,7 +267,7 @@ fn main() {
             );
         }
     }
-    if matches!(e, "fig7" | "all") {
+    if selected(e, &["fig7"]) {
         let _t = HostTimer::new("fig7");
         let r = comm_volume_weak_2gpu(args.scale, fig_batches);
         emit(
@@ -230,7 +276,7 @@ fn main() {
             &comm_volume_series(&r, "Fig 7: comm volume over time (weak, 2 GPUs)", 400),
         );
     }
-    if matches!(e, "fig10" | "all") {
+    if selected(e, &["fig10"]) {
         let _t = HostTimer::new("fig10");
         let r = comm_volume_strong_4gpu(args.scale, fig_batches);
         emit(
@@ -239,7 +285,7 @@ fn main() {
             &comm_volume_series(&r, "Fig 10: comm volume over time (strong, 4 GPUs)", 400),
         );
     }
-    if matches!(e, "backward" | "all") {
+    if selected(e, &["backward"]) {
         let _t = HostTimer::new("backward");
         let mut s = String::from("== EXT-1: EMB backward pass (gradient exchange) ==\n");
         s.push_str("gpus,baseline_ms,pgas_ms,speedup\n");
@@ -254,7 +300,7 @@ fn main() {
         }
         emit(&args, "backward", &s);
     }
-    if matches!(e, "multinode" | "all") {
+    if selected(e, &["multinode"]) {
         let _t = HostTimer::new("multinode");
         let mut s = String::from("== EXT-2: multi-node aggregator (IB link) ==\n");
         s.push_str("rows,span_us,naive_us,aggregated_us,naive_msgs,agg_msgs\n");
@@ -270,7 +316,7 @@ fn main() {
         }
         emit(&args, "multinode", &s);
     }
-    if matches!(e, "ablation-msgsize" | "all") {
+    if selected(e, &["ablation-msgsize"]) {
         let _t = HostTimer::new("ablation-msgsize");
         let mut s = String::from("== EXT-3: coalesced-payload ablation (PGAS, 2 GPUs) ==\n");
         s.push_str("max_payload_bytes,total_ms,header_overhead\n");
@@ -284,7 +330,7 @@ fn main() {
         }
         emit(&args, "ablation-msgsize", &s);
     }
-    if matches!(e, "ablation-sharding" | "all") {
+    if selected(e, &["ablation-sharding"]) {
         let _t = HostTimer::new("ablation-sharding");
         let a = sharding_ablation(args.gpus.max(2), args.scale, args.batches);
         let s = format!(
@@ -305,7 +351,7 @@ fn main() {
         );
         emit(&args, "ablation-sharding", &s);
     }
-    if matches!(e, "whatif" | "all") {
+    if selected(e, &["whatif"]) {
         let _t = HostTimer::new("whatif");
         let mut s = String::from("== EXT-6: beyond the testbed (weak scaling) ==\n");
         s.push_str("machine,baseline_ms,pgas_ms,speedup\n");
@@ -319,7 +365,7 @@ fn main() {
         }
         emit(&args, "whatif", &s);
     }
-    if matches!(e, "chaos" | "all") {
+    if selected(e, &["chaos"]) {
         let _t = HostTimer::new("chaos");
         let pts = if args.smoke {
             chaos_sweep(
@@ -351,7 +397,7 @@ fn main() {
             ),
         );
     }
-    if matches!(e, "serve" | "all") {
+    if selected(e, &["serve"]) {
         let _t = HostTimer::new("serve");
         let gpus = args.gpus.max(2);
         let sweep = if args.smoke {
@@ -377,7 +423,7 @@ fn main() {
             ),
         );
     }
-    if matches!(e, "adapt" | "all") {
+    if selected(e, &["adapt"]) {
         let _t = HostTimer::new("adapt");
         let gpus = args.gpus.max(2);
         let sweep = if args.smoke {
@@ -400,7 +446,7 @@ fn main() {
             validate_adapt_json(j)
         });
     }
-    if matches!(e, "pods" | "all") {
+    if selected(e, &["pods"]) {
         let _t = HostTimer::new("pods");
         let r = if args.smoke {
             pods_sweep(&[(2, 2)], &[256], 1 << 20)
@@ -423,7 +469,7 @@ fn main() {
             validate_pods_json(j)
         });
     }
-    if matches!(e, "pipeline" | "all") {
+    if selected(e, &["pipeline"]) {
         let _t = HostTimer::new("pipeline");
         let r = if args.smoke {
             pipeline_sweep(
@@ -454,7 +500,7 @@ fn main() {
             validate_pipeline_json(j)
         });
     }
-    if matches!(e, "blame" | "all") {
+    if selected(e, &["blame"]) {
         let _t = HostTimer::new("blame");
         // Blame always runs at paper scale: the claim is about where paper-
         // scale batch time goes, and shrunk workloads are dominated by fixed
@@ -487,7 +533,7 @@ fn main() {
             fs::write(dir.join("blame_folded.txt"), folded).expect("write folded stacks");
         }
     }
-    if matches!(e, "netutil" | "all") {
+    if selected(e, &["netutil"]) {
         let _t = HostTimer::new("netutil");
         let r = if args.smoke {
             netutil_sweep(2, args.scale.max(512), args.batches.min(2))
@@ -510,7 +556,7 @@ fn main() {
             validate_netutil_json(j)
         });
     }
-    if matches!(e, "ablation-zipf" | "all") {
+    if selected(e, &["ablation-zipf"]) {
         let _t = HostTimer::new("ablation-zipf");
         let (u, z) = zipf_ablation(args.gpus.max(2), args.scale, args.batches);
         let s = format!(
@@ -524,7 +570,7 @@ fn main() {
         );
         emit(&args, "ablation-zipf", &s);
     }
-    if e == "skew" {
+    if selected(e, &["skew"]) {
         let _t = HostTimer::new("skew");
         let gpus = args.gpus.max(2);
         let (scale, batches) = if args.smoke {
@@ -545,7 +591,7 @@ fn main() {
             validate_skew_json(j)
         });
     }
-    if e == "wallclock" {
+    if selected(e, &["wallclock"]) {
         let _t = HostTimer::new("wallclock");
         let r = run_wallclock(args.smoke);
         let json = wallclock_json(&r);

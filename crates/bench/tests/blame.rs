@@ -4,12 +4,13 @@
 //! is an exact integer-nanosecond partition of its batch window.
 
 use bench_harness::scaled;
-use desim::SimTime;
+use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    baseline_batch, pgas_batch, pgas_batch_gateway, plan_for_batch, BatchRun, PlannedBatch,
+    execute_batch, plan_for_batch, BatchRun, Exchange, ExecMode, PgasFusedBackend, PlannedBatch,
+    ResiliencePolicy, ResilienceReport, ResilientBackend, RetrievalBackend,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
-use gpusim::{Machine, MachineConfig};
+use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_rt::{GatewayConfig, PgasConfig};
 use proptest::prelude::*;
 use simccl::{Algorithm, CollectiveConfig};
@@ -19,6 +20,9 @@ const BACKENDS: [&str; 3] = ["baseline", "pgas", "pgas_gateway"];
 
 /// Run `batches` batches of one backend on a fresh machine, optionally with
 /// the blame recorder on; returns the runs and the recorder's final graph.
+/// `chaos: Some(seed)` installs a `FaultSpec::chaos(0.8)` plan and serves
+/// the batches the way `emb-serve` drives a [`ResilientBackend`] with a
+/// 5 ms deadline (`backend` then only picks the topology).
 fn run_backend(
     backend: &str,
     nodes: usize,
@@ -26,6 +30,7 @@ fn run_backend(
     scale: usize,
     batches: usize,
     blame: bool,
+    chaos: Option<u64>,
 ) -> (Vec<BatchRun>, Option<SpanGraph>) {
     let g = nodes * per_node;
     let cfg = scaled(EmbLayerConfig::paper_weak_scaling(g), scale, batches);
@@ -44,13 +49,28 @@ fn run_backend(
     } else {
         Algorithm::Hierarchical
     });
+    let exchange = match backend {
+        "baseline" => Exchange::Collective(cc),
+        "pgas" => Exchange::OneSided(PgasConfig::default()),
+        _ => Exchange::Gateway(GatewayConfig::default()),
+    };
+    let resilient = ResilientBackend::new().with_policy(ResiliencePolicy {
+        batch_deadline: Some(Dur::from_ms(5)),
+        ..ResiliencePolicy::default()
+    });
+    if let Some(seed) = chaos {
+        m.install_faults(FaultPlan::generate(seed, g, FaultSpec::chaos(0.8)));
+    }
+    let mut books = ResilienceReport::default();
     let mut at = SimTime::ZERO;
     let mut runs = Vec::new();
     for _ in 0..batches {
-        let run = match backend {
-            "baseline" => baseline_batch(&mut m, &cc, &pb, at),
-            "pgas" => pgas_batch(&mut m, PgasConfig::default(), &pb, at),
-            _ => pgas_batch_gateway(&mut m, GatewayConfig::default(), &pb, at),
+        let run = if chaos.is_some() {
+            let exchange = resilient.exchange_at(&m, at);
+            let degrade = resilient.policy.degrade(at, &mut books);
+            execute_batch(&mut m, &exchange, &pb, at, None, Some(degrade))
+        } else {
+            execute_batch(&mut m, &exchange, &pb, at, None, None)
         };
         at = run.end;
         runs.push(run);
@@ -68,8 +88,8 @@ fn blame_recorder_does_not_perturb_execution() {
         } else {
             (1, 4)
         };
-        let (off, graph_off) = run_backend(backend, nodes, per_node, 512, 2, false);
-        let (on, graph_on) = run_backend(backend, nodes, per_node, 512, 2, true);
+        let (off, graph_off) = run_backend(backend, nodes, per_node, 512, 2, false, None);
+        let (on, graph_on) = run_backend(backend, nodes, per_node, 512, 2, true, None);
         assert!(graph_off.is_none());
         let graph_on = graph_on.expect("recorder was enabled");
         assert_eq!(off, on, "{backend}: recorder perturbed execution");
@@ -88,7 +108,7 @@ fn blame_is_identical_across_thread_widths() {
                 .num_threads(w)
                 .build()
                 .unwrap();
-            pool.install(|| run_backend(backend, 1, 4, 512, 2, true).1.unwrap())
+            pool.install(|| run_backend(backend, 1, 4, 512, 2, true, None).1.unwrap())
         };
         let (g1, g4) = (run_at(1), run_at(4));
         assert_eq!(g1.total(), g4.total(), "{backend}: blame vector diverged");
@@ -101,24 +121,49 @@ fn blame_is_identical_across_thread_widths() {
     }
 }
 
+/// The resilient backend records blame like every other: one `BatchBlame`
+/// per batch, and on a clean fabric exactly the PGAS fused backend's.
+#[test]
+fn resilient_backend_blame_matches_pgas_on_clean_fabric() {
+    let cfg = scaled(EmbLayerConfig::paper_weak_scaling(4), 512, 3);
+    let blame_of = |be: &dyn RetrievalBackend| {
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        m.enable_blame();
+        be.run(&mut m, &cfg, ExecMode::Timing);
+        m.blame().expect("recorder was enabled").batches().to_vec()
+    };
+    let resilient = blame_of(&ResilientBackend::new());
+    assert_eq!(resilient.len(), cfg.n_batches);
+    assert_eq!(resilient, blame_of(&PgasFusedBackend::new()));
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Partition invariant: every batch's critical-path segments tile
     /// `[start, end]` exactly — contiguous, in order, gap-free — and the
     /// blame vector sums to the batch wall time in integer nanoseconds.
+    /// Holds on a clean fabric and under chaos with a deadline (retries,
+    /// outages waited out, deadline-abandoned fences), where in addition no
+    /// recorded span may end before it starts.
     #[test]
     fn critical_path_partitions_batch_time(
         backend_ix in 0usize..3,
         gpus in 2usize..5,
         scale_ix in 0usize..3,
+        fabric in 0u64..128,
     ) {
+        // Half the cases run clean, half under a seeded chaos plan.
+        let chaos = (fabric % 2 == 1).then_some(fabric / 2);
         let scale = [256usize, 512, 1024][scale_ix];
         let backend = BACKENDS[backend_ix];
         let (nodes, per_node) = if backend == "pgas_gateway" { (2, gpus.max(2) / 2 * 2 / 2) } else { (1, gpus) };
         let per_node = per_node.max(1);
-        let (runs, graph) = run_backend(backend, nodes, per_node, scale, 2, true);
+        let (runs, graph) = run_backend(backend, nodes, per_node, scale, 2, true, chaos);
         let graph = graph.unwrap();
+        for s in graph.spans() {
+            prop_assert!(s.ready <= s.start && s.start <= s.end, "span runs backwards: {:?}", s);
+        }
         prop_assert_eq!(graph.batches().len(), runs.len());
         for (b, run) in graph.batches().iter().zip(&runs) {
             prop_assert_eq!(b.start, run.start);

@@ -1,6 +1,8 @@
 //! `all_to_all_single` — the baseline's layout-conversion collective.
 
-use desim::SimTime;
+use std::convert::Infallible;
+
+use desim::{Interval, SimTime};
 use gpusim::{FabricError, Machine};
 
 use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle, ELEM_BYTES};
@@ -74,38 +76,94 @@ pub fn all_to_all_varied(
 /// Timing-only `all_to_all`: simulate the wire traffic for a byte matrix
 /// (`send_bytes[i][j]` bytes from device `i` to device `j`) without moving
 /// any functional data. Used by paper-scale runs where materializing the
-/// buffers would be wasteful.
+/// buffers would be wasteful. Fault-blind: every transfer is booked
+/// straight on the fabric.
 pub fn all_to_all_timed(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
 ) -> WorkHandle {
+    let eff = cfg.protocol_efficiency;
+    let mut send = |m: &mut Machine, src, dst, bytes, msgs, at| {
+        Ok::<_, Infallible>(m.send_throttled(src, dst, bytes, msgs, at, eff))
+    };
+    match run_schedule(machine, cfg, send_bytes, ready, &mut send) {
+        Ok(done) => WorkHandle::new(done),
+        Err(never) => match never {},
+    }
+}
+
+/// Fault-aware [`all_to_all_timed`]: every chunk is retried under the
+/// config's retry policy when its link is down or the chunk is dropped; the
+/// collective fails with [`FabricError::RetryExhausted`] only once a chunk's
+/// retry budget is spent. Both entries drive the same schedules, so on a
+/// clean fabric (or with no fault plan installed) timing, traffic and blame
+/// spans are identical to the infallible path.
+pub fn try_all_to_all_timed(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    send_bytes: &[Vec<u64>],
+    ready: &[SimTime],
+) -> Result<WorkHandle, FabricError> {
+    let (eff, retry) = (cfg.protocol_efficiency, cfg.retry);
+    let mut retries = 0u64;
+    let mut send = |m: &mut Machine, src, dst, bytes, msgs, at| {
+        let (iv, attempts) = m.try_send_retry(src, dst, bytes, msgs, at, eff, retry)?;
+        retries += u64::from(attempts - 1);
+        Ok::<_, FabricError>(iv)
+    };
+    let done = run_schedule(machine, cfg, send_bytes, ready, &mut send)?;
+    Ok(WorkHandle::with_retries(done, retries))
+}
+
+/// One wire transfer of a schedule — `(machine, src, dst, bytes, messages,
+/// ready) -> wire interval` — the only thing the infallible and the
+/// fault-aware entry do differently.
+trait ChunkSend<E>:
+    FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E>
+{
+}
+
+impl<E, F> ChunkSend<E> for F where
+    F: FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E>
+{
+}
+
+/// Validate the byte matrix, run `cfg.algorithm`'s schedule over `send` and
+/// record the call's telemetry. Returns per-device completion instants.
+fn run_schedule<E>(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    send_bytes: &[Vec<u64>],
+    ready: &[SimTime],
+    send: &mut impl ChunkSend<E>,
+) -> Result<Vec<SimTime>, E> {
     let n = machine.n_gpus();
     assert_eq!(send_bytes.len(), n, "one byte row per device");
     assert_eq!(ready.len(), n, "one ready time per device");
     for (i, row) in send_bytes.iter().enumerate() {
         assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
     }
-    let work = match cfg.algorithm {
-        Algorithm::Direct => timed_direct(machine, cfg, send_bytes, ready),
-        Algorithm::Ring => timed_ring(machine, cfg, send_bytes, ready),
-        Algorithm::Hierarchical => timed_hierarchical(machine, cfg, send_bytes, ready),
-    };
-    record_collective_span(machine, ready, &work);
-    work
+    let done = match cfg.algorithm {
+        Algorithm::Direct => direct_schedule(machine, cfg, send_bytes, ready, send),
+        Algorithm::Ring => ring_schedule(machine, cfg, send_bytes, ready, send),
+        Algorithm::Hierarchical => hierarchical_schedule(machine, cfg, send_bytes, ready, send),
+    }?;
+    record_collective_span(machine, ready, &done);
+    Ok(done)
 }
 
 /// Telemetry: one collective call plus its phase span (earliest participant
 /// ready → last delivery). No-op when the machine's registry is disabled.
-fn record_collective_span(machine: &mut Machine, ready: &[SimTime], work: &WorkHandle) {
+fn record_collective_span(machine: &mut Machine, ready: &[SimTime], done: &[SimTime]) {
     let m = machine.metrics_mut();
     if !m.is_enabled() {
         return;
     }
     m.incr("collective_calls", 0, 0);
-    let start = ready.iter().copied().fold(work.all_done(), SimTime::min);
-    let end = work.all_done();
+    let end = done.iter().copied().fold(SimTime::ZERO, SimTime::max);
+    let start = ready.iter().copied().fold(end, SimTime::min);
     m.span("collective_span_ns", 0, 0, start, end);
     if end > start {
         m.observe(
@@ -116,32 +174,6 @@ fn record_collective_span(machine: &mut Machine, ready: &[SimTime], work: &WorkH
             end.since(start).as_ns() / 1_000,
         );
     }
-}
-
-/// Fault-aware [`all_to_all_timed`]: every chunk is retried under the
-/// config's retry policy when its link is down or the chunk is dropped; the
-/// collective fails with [`FabricError::RetryExhausted`] only once a chunk's
-/// retry budget is spent. On a clean fabric (or with no fault plan
-/// installed) timing is bit-identical to the infallible path.
-pub fn try_all_to_all_timed(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let n = machine.n_gpus();
-    assert_eq!(send_bytes.len(), n, "one byte row per device");
-    assert_eq!(ready.len(), n, "one ready time per device");
-    for (i, row) in send_bytes.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
-    }
-    let work = match cfg.algorithm {
-        Algorithm::Direct => try_timed_direct(machine, cfg, send_bytes, ready),
-        Algorithm::Ring => try_timed_ring(machine, cfg, send_bytes, ready),
-        Algorithm::Hierarchical => try_timed_hierarchical(machine, cfg, send_bytes, ready),
-    }?;
-    record_collective_span(machine, ready, &work);
-    Ok(work)
 }
 
 /// Fault-aware [`all_to_all_varied`]: same functional output, fallible
@@ -204,136 +236,66 @@ fn shuffle_functional(inputs: &[Vec<f32>], send_counts: &[Vec<usize>]) -> Vec<Ve
         .collect()
 }
 
-/// Pairwise schedule: each device pushes its per-destination segment
-/// straight to the peer, chunked; the self segment is a device-local copy.
-fn timed_direct(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> WorkHandle {
-    let n = machine.n_gpus();
-    let mut done = vec![SimTime::ZERO; n];
-    for src in 0..n {
-        let t0 = ready[src] + cfg.call_overhead;
-        for dst in 0..n {
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local_done = t0 + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local_done);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0);
-                continue;
-            }
-            // Chunked pipeline: each chunk is one message on the wire.
-            let mut remaining = bytes;
-            let mut last_end = t0;
-            while remaining > 0 {
-                let this = remaining.min(cfg.chunk_bytes);
-                let iv = machine.send_throttled(src, dst, this, 1, t0, cfg.protocol_efficiency);
-                last_end = last_end.max(iv.end);
-                remaining -= this;
-            }
-            done[dst] = done[dst].max(last_end);
-            done[src] = done[src].max(last_end);
-        }
-    }
-    WorkHandle::new(done)
-}
-
-/// Fault-aware pairwise schedule: [`timed_direct`] with each chunk retried
-/// under `cfg.retry`.
-fn try_timed_direct(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let n = machine.n_gpus();
-    let mut done = vec![SimTime::ZERO; n];
-    let mut retries = 0u64;
-    for src in 0..n {
-        let t0 = ready[src] + cfg.call_overhead;
-        for dst in 0..n {
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local_done = t0 + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local_done);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0);
-                continue;
-            }
-            let mut remaining = bytes;
-            let mut last_end = t0;
-            while remaining > 0 {
-                let this = remaining.min(cfg.chunk_bytes);
-                let (iv, attempts) = machine.try_send_retry(
-                    src,
-                    dst,
-                    this,
-                    1,
-                    t0,
-                    cfg.protocol_efficiency,
-                    cfg.retry,
-                )?;
-                retries += u64::from(attempts - 1);
-                last_end = last_end.max(iv.end);
-                remaining -= this;
-            }
-            done[dst] = done[dst].max(last_end);
-            done[src] = done[src].max(last_end);
-        }
-    }
-    Ok(WorkHandle::with_retries(done, retries))
-}
-
 /// Pipeline-chunked transfer of `bytes` from `src` to `dst`, every chunk
-/// ready at `at`; returns the last delivery time.
-fn send_chunked(
+/// (one wire message each) ready at `at`; returns the last delivery time.
+fn chunked<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
-    src: usize,
-    dst: usize,
+    send: &mut impl ChunkSend<E>,
+    (src, dst): (usize, usize),
     bytes: u64,
     at: SimTime,
-) -> SimTime {
+) -> Result<SimTime, E> {
     let mut remaining = bytes;
     let mut last = at;
     while remaining > 0 {
         let this = remaining.min(cfg.chunk_bytes);
-        let iv = machine.send_throttled(src, dst, this, 1, at, cfg.protocol_efficiency);
-        last = last.max(iv.end);
+        last = last.max(send(machine, src, dst, this, 1, at)?.end);
         remaining -= this;
     }
-    last
+    Ok(last)
 }
 
-/// Fault-aware [`send_chunked`]: each chunk retried under `cfg.retry`;
-/// returns the last delivery time and the retries spent.
-fn try_send_chunked(
+/// The direct schedule restricted to the pairs `pair` admits: each device
+/// pushes its per-destination segment straight to the peer, chunked; the
+/// self segment is a device-local copy.
+fn pairwise<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
-    src: usize,
-    dst: usize,
-    bytes: u64,
-    at: SimTime,
-) -> Result<(SimTime, u64), FabricError> {
-    let mut remaining = bytes;
-    let mut last = at;
-    let mut retries = 0u64;
-    while remaining > 0 {
-        let this = remaining.min(cfg.chunk_bytes);
-        let (iv, attempts) =
-            machine.try_send_retry(src, dst, this, 1, at, cfg.protocol_efficiency, cfg.retry)?;
-        retries += u64::from(attempts - 1);
-        last = last.max(iv.end);
-        remaining -= this;
+    send_bytes: &[Vec<u64>],
+    t0: &[SimTime],
+    done: &mut [SimTime],
+    send: &mut impl ChunkSend<E>,
+    pair: impl Fn(usize, usize) -> bool,
+) -> Result<(), E> {
+    let n = t0.len();
+    for src in 0..n {
+        for dst in (0..n).filter(|&dst| pair(src, dst)) {
+            let bytes = send_bytes[src][dst];
+            let end = if dst == src {
+                t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
+            } else {
+                chunked(machine, cfg, send, (src, dst), bytes, t0[src])?
+            };
+            done[dst] = done[dst].max(end);
+            done[src] = done[src].max(end);
+        }
     }
-    Ok((last, retries))
+    Ok(())
+}
+
+/// Pairwise schedule over every device pair.
+fn direct_schedule<E>(
+    machine: &mut Machine,
+    cfg: &CollectiveConfig,
+    send_bytes: &[Vec<u64>],
+    ready: &[SimTime],
+    send: &mut impl ChunkSend<E>,
+) -> Result<Vec<SimTime>, E> {
+    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
+    let mut done = vec![SimTime::ZERO; t0.len()];
+    pairwise(machine, cfg, send_bytes, &t0, &mut done, send, |_, _| true)?;
+    Ok(done)
 }
 
 /// Two-level pod schedule. Intra-node pairs follow the direct pairwise
@@ -345,42 +307,26 @@ fn try_send_chunked(
 /// per-message cost once per node pair instead of once per GPU pair — and
 /// the destination gateway scatters each source-node's bundle to its final
 /// devices over the crossbar. On a single-node topology this is exactly
-/// [`timed_direct`], bit for bit.
-fn timed_hierarchical(
+/// [`direct_schedule`], bit for bit.
+fn hierarchical_schedule<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-) -> WorkHandle {
+    send: &mut impl ChunkSend<E>,
+) -> Result<Vec<SimTime>, E> {
     let topo = machine.topology().clone();
     if topo.nodes() == 1 {
-        return timed_direct(machine, cfg, send_bytes, ready);
+        return direct_schedule(machine, cfg, send_bytes, ready, send);
     }
     let n = machine.n_gpus();
     let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
     let mut done = vec![SimTime::ZERO; n];
 
     // Intra-node traffic and self-copies: the direct schedule within a node.
-    for src in 0..n {
-        for dst in 0..n {
-            if !topo.same_node(src, dst) {
-                continue;
-            }
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local = t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0[src]);
-                continue;
-            }
-            let last = send_chunked(machine, cfg, src, dst, bytes, t0[src]);
-            done[dst] = done[dst].max(last);
-            done[src] = done[src].max(last);
-        }
-    }
+    pairwise(machine, cfg, send_bytes, &t0, &mut done, send, |s, d| {
+        topo.same_node(s, d)
+    })?;
 
     // Cross-node traffic: gather → one aggregate inter-node transfer per
     // ordered node pair → scatter. The hops are issued as *global phases*
@@ -390,20 +336,15 @@ fn timed_hierarchical(
     // ratchet a gateway's injection horizon with one pair's late scatter
     // before the reverse pair's gather was even issued, serializing
     // traffic that physically overlaps.
-    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, send_chunked);
+    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, send)?;
     // Inter-node transfers, earliest-ready first — the order a real NIC
     // would drain its send queue.
     pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
     for p in &mut pairs {
         // Blame: the aggregate transfer is gated by the gather hop landing
         // on the source gateway, not by the gateway's own kernel.
-        if let Some(b) = machine.blame_mut() {
-            let inbound = b.last_inbound(p.gw_s as u32);
-            if inbound.is_some() {
-                b.set_device_cause(p.gw_s as u32, inbound);
-            }
-        }
-        let arrive = send_chunked(machine, cfg, p.gw_s, p.gw_d, p.total, p.agg_ready);
+        blame_gate_on_inbound(machine, p.gw_s);
+        let arrive = chunked(machine, cfg, send, (p.gw_s, p.gw_d), p.total, p.agg_ready)?;
         done[p.gw_s] = done[p.gw_s].max(arrive);
         p.arrive = arrive;
     }
@@ -412,12 +353,7 @@ fn timed_hierarchical(
     for p in &pairs {
         // Blame: scatters are gated by the aggregate landing on the
         // destination gateway.
-        if let Some(b) = machine.blame_mut() {
-            let inbound = b.last_inbound(p.gw_d as u32);
-            if inbound.is_some() {
-                b.set_device_cause(p.gw_d as u32, inbound);
-            }
-        }
+        blame_gate_on_inbound(machine, p.gw_d);
         for &d in &p.dst_members {
             let bytes = p.per_dst[d];
             if bytes == 0 {
@@ -426,13 +362,24 @@ fn timed_hierarchical(
             let end = if d == p.gw_d {
                 p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
             } else {
-                send_chunked(machine, cfg, p.gw_d, d, bytes, p.arrive)
+                chunked(machine, cfg, send, (p.gw_d, d), bytes, p.arrive)?
             };
             done[p.gw_d] = done[p.gw_d].max(end);
             done[d] = done[d].max(end);
         }
     }
-    WorkHandle::new(done)
+    Ok(done)
+}
+
+/// Blame: re-anchor `gw`'s emitted data on the latest transfer that landed
+/// on it (when there is one), so the next hop chains through the previous.
+fn blame_gate_on_inbound(machine: &mut Machine, gw: usize) {
+    if let Some(b) = machine.blame_mut() {
+        let inbound = b.last_inbound(gw as u32);
+        if inbound.is_some() {
+            b.set_device_cause(gw as u32, inbound);
+        }
+    }
 }
 
 /// The staged state of one ordered node pair between the hierarchical
@@ -453,16 +400,15 @@ struct PairPlan {
 
 /// Phase one of the hierarchical schedule: every source forwards its
 /// cross-node segments to its node's gateway. Returns one [`PairPlan`] per
-/// ordered node pair with traffic; `send` abstracts over the plain and
-/// fault-aware chunked senders.
-fn gather_phase(
+/// ordered node pair with traffic.
+fn gather_phase<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
-    mut send: impl FnMut(&mut Machine, &CollectiveConfig, usize, usize, u64, SimTime) -> SimTime,
-) -> Vec<PairPlan> {
+    send: &mut impl ChunkSend<E>,
+) -> Result<Vec<PairPlan>, E> {
     let topo = machine.topology().clone();
     let n = machine.n_gpus();
     let nodes = topo.nodes();
@@ -493,7 +439,7 @@ fn gather_phase(
                 let arrive = if src == gw_s {
                     t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
                 } else {
-                    send(machine, cfg, src, gw_s, bytes, t0[src])
+                    chunked(machine, cfg, send, (src, gw_s), bytes, t0[src])?
                 };
                 done[src] = done[src].max(arrive);
                 agg_ready = agg_ready.max(arrive);
@@ -512,181 +458,22 @@ fn gather_phase(
             });
         }
     }
-    pairs
-}
-
-/// Fault-aware [`timed_hierarchical`]: every hop's chunks retried under
-/// `cfg.retry`. Delegates to [`try_timed_direct`] on single-node topologies.
-fn try_timed_hierarchical(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let topo = machine.topology().clone();
-    if topo.nodes() == 1 {
-        return try_timed_direct(machine, cfg, send_bytes, ready);
-    }
-    let n = machine.n_gpus();
-    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
-    let mut done = vec![SimTime::ZERO; n];
-    let mut retries = 0u64;
-
-    for src in 0..n {
-        for dst in 0..n {
-            if !topo.same_node(src, dst) {
-                continue;
-            }
-            let bytes = send_bytes[src][dst];
-            if dst == src {
-                let local = t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-                done[src] = done[src].max(local);
-                continue;
-            }
-            if bytes == 0 {
-                done[dst] = done[dst].max(t0[src]);
-                continue;
-            }
-            let (last, r) = try_send_chunked(machine, cfg, src, dst, bytes, t0[src])?;
-            retries += r;
-            done[dst] = done[dst].max(last);
-            done[src] = done[src].max(last);
-        }
-    }
-
-    // Same three global phases as [`timed_hierarchical`] (see the booking
-    // rationale there); the fault-aware sender records retries and parks
-    // the first fabric error for propagation after each phase.
-    let mut err: Option<FabricError> = None;
-    let mut pairs = gather_phase(
-        machine,
-        cfg,
-        send_bytes,
-        &t0,
-        &mut done,
-        |m, c, s, d, b, at| match try_send_chunked(m, c, s, d, b, at) {
-            Ok((last, r)) => {
-                retries += r;
-                last
-            }
-            Err(e) => {
-                err.get_or_insert(e);
-                at
-            }
-        },
-    );
-    if let Some(e) = err {
-        return Err(e);
-    }
-    pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
-    for p in &mut pairs {
-        let (arrive, r) = try_send_chunked(machine, cfg, p.gw_s, p.gw_d, p.total, p.agg_ready)?;
-        retries += r;
-        done[p.gw_s] = done[p.gw_s].max(arrive);
-        p.arrive = arrive;
-    }
-    pairs.sort_by_key(|p| (p.arrive, p.gw_s, p.gw_d));
-    for p in &pairs {
-        for &d in &p.dst_members {
-            let bytes = p.per_dst[d];
-            if bytes == 0 {
-                continue;
-            }
-            let end = if d == p.gw_d {
-                p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
-            } else {
-                let (last, r) = try_send_chunked(machine, cfg, p.gw_d, d, bytes, p.arrive)?;
-                retries += r;
-                last
-            };
-            done[p.gw_d] = done[p.gw_d].max(end);
-            done[d] = done[d].max(end);
-        }
-    }
-    Ok(WorkHandle::with_retries(done, retries))
-}
-
-/// Fault-aware ring schedule: [`timed_ring`] with each hop retried under
-/// `cfg.retry`.
-fn try_timed_ring(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-) -> Result<WorkHandle, FabricError> {
-    let n = machine.n_gpus();
-    if n == 1 {
-        return Ok(WorkHandle::new(vec![ready[0] + cfg.call_overhead]));
-    }
-    let mut held: Vec<Vec<(usize, u64)>> = (0..n)
-        .map(|src| {
-            (0..n)
-                .filter(|&d| d != src)
-                .map(|d| (d, send_bytes[src][d]))
-                .filter(|&(_, b)| b > 0)
-                .collect()
-        })
-        .collect();
-    let mut t: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
-    let mut done = t.clone();
-    let mut retries = 0u64;
-    for src in 0..n {
-        let bytes = send_bytes[src][src];
-        let local = t[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw);
-        done[src] = done[src].max(local);
-    }
-    for _step in 1..n {
-        let mut arriving: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        let mut arrive_time = vec![SimTime::ZERO; n];
-        for src in 0..n {
-            let next = (src + 1) % n;
-            let parcels = std::mem::take(&mut held[src]);
-            if parcels.is_empty() {
-                continue;
-            }
-            let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let (iv, attempts) = machine.try_send_retry(
-                src,
-                next,
-                bytes,
-                cfg.n_chunks(bytes),
-                t[src],
-                cfg.protocol_efficiency,
-                cfg.retry,
-            )?;
-            retries += u64::from(attempts - 1);
-            done[src] = done[src].max(iv.end);
-            arrive_time[next] = arrive_time[next].max(iv.end);
-            arriving[next].extend(parcels);
-        }
-        for rank in 0..n {
-            let mut keep = Vec::new();
-            for (dst, bytes) in arriving[rank].drain(..) {
-                if dst == rank {
-                    done[rank] = done[rank].max(arrive_time[rank]);
-                } else {
-                    keep.push((dst, bytes));
-                }
-            }
-            held[rank] = keep;
-            t[rank] = t[rank].max(arrive_time[rank]);
-        }
-    }
-    Ok(WorkHandle::with_retries(done, retries))
+    Ok(pairs)
 }
 
 /// Ring schedule: `n − 1` neighbor steps; parcels hop until they reach their
 /// destination. Total wire volume exceeds the direct schedule (multi-hop),
 /// which is why NCCL prefers peer-to-peer on a crossbar.
-fn timed_ring(
+fn ring_schedule<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-) -> WorkHandle {
+    send: &mut impl ChunkSend<E>,
+) -> Result<Vec<SimTime>, E> {
     let n = machine.n_gpus();
     if n == 1 {
-        return WorkHandle::new(vec![ready[0] + cfg.call_overhead]);
+        return Ok(vec![ready[0] + cfg.call_overhead]);
     }
     // Parcels held at each rank: (dst, bytes).
     let mut held: Vec<Vec<(usize, u64)>> = (0..n)
@@ -716,14 +503,7 @@ fn timed_ring(
                 continue;
             }
             let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let iv = machine.send_throttled(
-                src,
-                next,
-                bytes,
-                cfg.n_chunks(bytes),
-                t[src],
-                cfg.protocol_efficiency,
-            );
+            let iv = send(machine, src, next, bytes, cfg.n_chunks(bytes), t[src])?;
             done[src] = done[src].max(iv.end);
             arrive_time[next] = arrive_time[next].max(iv.end);
             arriving[next].extend(parcels);
@@ -741,7 +521,7 @@ fn timed_ring(
             t[rank] = t[rank].max(arrive_time[rank]);
         }
     }
-    WorkHandle::new(done)
+    Ok(done)
 }
 
 #[cfg(test)]
@@ -1032,17 +812,38 @@ mod tests {
 
     #[test]
     fn try_hierarchical_without_faults_matches_timed() {
-        let bytes: Vec<Vec<u64>> = (0..8).map(|_| vec![1 << 14; 8]).collect();
-        let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
-        let mut m1 = Machine::new(MachineConfig::pod_v100(2, 4));
-        let a = all_to_all_timed(&mut m1, &cfg, &bytes, &ready(8));
-        let mut m2 = Machine::new(MachineConfig::pod_v100(2, 4));
-        let b = try_all_to_all_timed(&mut m2, &cfg, &bytes, &ready(8)).expect("clean");
-        for dev in 0..8 {
-            assert_eq!(a.done_at(dev), b.done_at(dev), "dev {dev}");
+        // Timing, traffic and the recorded cause chain (gather → aggregate
+        // → scatter) must not depend on which entry drove the schedule.
+        for (nodes, per_node) in [(2usize, 4usize), (2, 2)] {
+            let n = nodes * per_node;
+            let bytes: Vec<Vec<u64>> = (0..n).map(|_| vec![1 << 14; n]).collect();
+            let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
+            let mut m1 = Machine::new(MachineConfig::pod_v100(nodes, per_node));
+            m1.enable_blame();
+            let a = all_to_all_timed(&mut m1, &cfg, &bytes, &ready(n));
+            let mut m2 = Machine::new(MachineConfig::pod_v100(nodes, per_node));
+            m2.enable_blame();
+            let b = try_all_to_all_timed(&mut m2, &cfg, &bytes, &ready(n)).expect("clean");
+            for dev in 0..n {
+                assert_eq!(a.done_at(dev), b.done_at(dev), "dev {dev}");
+            }
+            assert_eq!(b.retries(), 0);
+            assert_eq!(m1.traffic_stats(), m2.traffic_stats());
+            // Close the window on the last delivery and compare the walks.
+            let blame_of = |m: &mut Machine, end: SimTime| {
+                let g = m.blame_mut().expect("recorder on");
+                let last = (0..n as u32)
+                    .filter_map(|d| g.last_inbound(d))
+                    .max_by_key(|&s| g.spans()[s].end);
+                g.end_batch(SimTime::ZERO, end, last);
+                (g.spans().to_vec(), g.total())
+            };
+            let (spans_a, vec_a) = blame_of(&mut m1, a.all_done());
+            let (spans_b, vec_b) = blame_of(&mut m2, b.all_done());
+            assert_eq!(vec_a, vec_b, "{nodes}x{per_node}: blame vector diverged");
+            assert_eq!(spans_a, spans_b, "{nodes}x{per_node}: cause chain diverged");
+            assert!(vec_a.get(telemetry::causal::BlameCategory::WireInter) > 0);
         }
-        assert_eq!(b.retries(), 0);
-        assert_eq!(m1.traffic_stats(), m2.traffic_stats());
     }
 
     #[test]

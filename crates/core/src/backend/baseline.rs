@@ -6,14 +6,11 @@
 //! §IV), with `wait()` called to synchronize, followed by the data
 //! rearrangement into the layout the next layer consumes.
 
-use desim::SimTime;
 use gpusim::Machine;
-use rayon::prelude::*;
 use simccl::CollectiveConfig;
 
-use crate::backend::single::{baseline_batch, PlannedBatch};
-use crate::backend::{prepare_batches, BackendResult, ExecMode, RetrievalBackend};
-use crate::{EmbLayerConfig, RunReport, TimeBreakdown};
+use crate::backend::{run_closed_loop, BackendResult, Exchange, ExecMode, RetrievalBackend};
+use crate::EmbLayerConfig;
 
 /// Baseline NCCL-style retrieval.
 #[derive(Clone, Debug, Default)]
@@ -42,44 +39,8 @@ impl RetrievalBackend for BaselineBackend {
     }
 
     fn run(&self, machine: &mut Machine, cfg: &EmbLayerConfig, mode: ExecMode) -> BackendResult {
-        let n = machine.n_gpus();
-        assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-        let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
-
-        // Per distinct batch, precompute block durations and the all-to-all
-        // byte matrix — they do not change across repetitions.
-        let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
-            .into_par_iter()
-            .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
-            .collect();
-
-        let mut breakdown = TimeBreakdown::default();
-        let mut batch_start = SimTime::ZERO;
-        for batch_idx in 0..cfg.n_batches {
-            let which = batch_idx % planned.len();
-            let run = baseline_batch(machine, &self.collectives, &planned[which], batch_start);
-            breakdown.accumulate(&run.breakdown);
-            batch_start = run.end;
-        }
-
-        // --- Functional outputs (small-scale verification runs). ---
-        let outputs = match mode {
-            ExecMode::Timing => None,
-            ExecMode::Functional => {
-                Some(crate::backend::final_batch_outputs(cfg, &prepared, false))
-            }
-        };
-
-        BackendResult {
-            report: RunReport {
-                batches: cfg.n_batches,
-                breakdown,
-                total: breakdown.total(),
-                traffic: machine.traffic_stats(),
-                comm_series: machine.total_traffic(),
-            },
-            outputs,
-        }
+        let exchange = Exchange::Collective(self.collectives);
+        run_closed_loop(machine, cfg, mode, |_, _, _| exchange, None)
     }
 }
 

@@ -20,19 +20,16 @@ pub use pgas::PgasFusedBackend;
 pub use resilient::{
     DegradedFill, ResiliencePolicy, ResilienceReport, ResilientBackend, ResilientResult,
 };
-pub use single::{
-    baseline_batch, baseline_batch_logged, pgas_batch, pgas_batch_gateway, pgas_batch_logged,
-    ArrivalLog, BatchRun, PlannedBatch,
-};
+pub use single::{execute_batch, ArrivalLog, BatchRun, Degrade, Exchange, PlannedBatch};
 
 pub use crate::cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
 
-use desim::Dur;
-use gpusim::{GpuSpec, KernelShape};
+use desim::{Dur, SimTime};
+use gpusim::{GpuSpec, KernelShape, Machine};
 use rayon::prelude::*;
 use simtensor::Tensor;
 
-use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch};
+use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch, TimeBreakdown};
 
 /// Whether a run materializes weights and produces outputs, or only times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,6 +216,63 @@ pub fn prepare_batches(cfg: &EmbLayerConfig, mode: ExecMode, gpu: &GpuSpec) -> P
         batches,
         plans,
         planner,
+    }
+}
+
+/// The closed loop behind every backend's `run`: prepare and plan the
+/// distinct batches, chain `cfg.n_batches` [`execute_batch`] calls back to
+/// back from t = 0, and report. `exchange_for(machine, batch_idx, start)`
+/// picks each batch's exchange. With `policy` the loop is degradable: each
+/// batch runs under the policy's deadline/device-fill strictness, the books
+/// accumulate, and functional outputs carry the policy's fill on the final
+/// batch's degraded rows; `None` is the strict loop of the plain backends.
+pub(crate) fn run_closed_loop(
+    machine: &mut Machine,
+    cfg: &EmbLayerConfig,
+    mode: ExecMode,
+    mut exchange_for: impl FnMut(&Machine, usize, SimTime) -> Exchange,
+    mut policy: Option<(&ResiliencePolicy, &mut ResilienceReport)>,
+) -> BackendResult {
+    let n = machine.n_gpus();
+    assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
+    let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
+
+    // Per distinct batch, precompute block durations and the all-to-all
+    // byte matrix — they do not change across repetitions.
+    let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
+        .into_par_iter()
+        .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
+        .collect();
+
+    let mut breakdown = TimeBreakdown::default();
+    let mut batch_start = SimTime::ZERO;
+    let mut via_pgas = true;
+    for batch_idx in 0..cfg.n_batches {
+        let pb = &planned[batch_idx % planned.len()];
+        let exchange = exchange_for(machine, batch_idx, batch_start);
+        via_pgas = !matches!(exchange, Exchange::Collective(_));
+        let degrade = policy
+            .as_mut()
+            .map(|(p, report)| p.degrade(batch_start, report));
+        let run = execute_batch(machine, &exchange, pb, batch_start, None, degrade);
+        breakdown.accumulate(&run.breakdown);
+        batch_start = run.end;
+    }
+
+    // --- Functional outputs (small-scale verification runs), through the
+    // data-movement code of the exchange that served the final batch. ---
+    let outputs = (mode == ExecMode::Functional).then(|| {
+        let mut outs = final_batch_outputs(cfg, &prepared, via_pgas);
+        if let Some((p, report)) = &policy {
+            for (out, &degraded) in outs.iter_mut().zip(&report.degraded_by_dst) {
+                resilient::apply_fill(p.fill, out, degraded, cfg.dim);
+            }
+        }
+        outs
+    });
+    BackendResult {
+        report: RunReport::new(machine, cfg.n_batches, breakdown),
+        outputs,
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! Production recommenders cannot return an error to the ranking stage just
 //! because a link flapped: they serve *something* for every request, at
-//! degraded quality if need be. This wrapper drives the PGAS fused path
-//! through the fallible runtime APIs and applies a [`ResiliencePolicy`]:
+//! degraded quality if need be. The batch executor is always fault-aware
+//! ([`execute_batch`](crate::backend::execute_batch)); this backend is that
+//! executor under a [`ResiliencePolicy`] instead of the plain backends'
+//! strict one:
 //!
 //! * **Failover** — once any directed link has flapped (gone down and come
 //!   back) more than a configured number of times, the remaining batches run
@@ -17,21 +19,20 @@
 //!   retry budget degrades only the rows it carried; the batch still
 //!   completes.
 //!
-//! On a clean fabric (no fault plan, or a trivial one) the wrapper is
-//! bit-identical in both timing and functional output to
-//! [`PgasFusedBackend`] — resilience costs nothing until something breaks.
+//! On a clean fabric (no fault plan, or a trivial one) the policy has
+//! nothing to act on: runs are bit-identical in both timing and functional
+//! output to [`PgasFusedBackend`](crate::backend::PgasFusedBackend) —
+//! resilience costs nothing until something breaks.
 
 use desim::{Dur, SimTime};
 use gpusim::Machine;
-use pgas_rt::{OneSided, PgasConfig};
-use simccl::{try_all_to_all_timed, CollectiveConfig};
+use pgas_rt::PgasConfig;
+use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
-use crate::arena;
-use crate::backend::pgas::stream_releases_into;
-use crate::backend::single::{BatchRun, PlannedBatch};
-use crate::backend::{functional, prepare_batches, BackendResult, ExecMode, RetrievalBackend};
-use crate::{EmbLayerConfig, ForwardPlan, RunReport, TimeBreakdown};
+use crate::backend::single::{Degrade, Exchange};
+use crate::backend::{run_closed_loop, BackendResult, ExecMode, RetrievalBackend};
+use crate::EmbLayerConfig;
 
 /// What to serve in place of a pooled row that missed its deadline or whose
 /// transfer exhausted its retries.
@@ -62,12 +63,25 @@ pub struct ResiliencePolicy {
     /// When a whole device (and the shard it owns) is lost at batch start
     /// ([`gpusim::FabricError::DeviceLost`]), serve its rows immediately:
     /// the fraction resident in the hot-cache replicas
-    /// ([`ForwardPlan::measured_hit`]) is served from the replicas, the
+    /// ([`crate::ForwardPlan::measured_hit`]) is served from the replicas, the
     /// rest from the degradation fill — instead of stalling the batch until
     /// the device recovers. `false` (the default, and what a policy-free
     /// static stack does) waits out the outage: the lost device's kernel
     /// cannot start before `up_at`.
     pub device_fill: bool,
+}
+
+impl ResiliencePolicy {
+    /// This policy's strictness for one batch starting at `start`, recorded
+    /// in `report`: what [`execute_batch`](crate::backend::execute_batch)
+    /// takes as its degradation argument.
+    pub fn degrade<'a>(&self, start: SimTime, report: &'a mut ResilienceReport) -> Degrade<'a> {
+        Degrade {
+            deadline: self.batch_deadline.map(|d| start + d),
+            device_fill: self.device_fill,
+            report,
+        }
+    }
 }
 
 impl Default for ResiliencePolicy {
@@ -110,6 +124,9 @@ pub struct ResilienceReport {
     pub replica_rows: u64,
     /// Wall time of each batch, in execution order (for p50/p99 latency).
     pub batch_latencies: Vec<Dur>,
+    /// Per-destination degraded rows of the most recent batch — the ones
+    /// the functional fill applies to.
+    pub degraded_by_dst: Vec<u64>,
 }
 
 impl ResilienceReport {
@@ -179,501 +196,43 @@ impl ResilientBackend {
         cfg: &EmbLayerConfig,
         mode: ExecMode,
     ) -> ResilientResult {
-        let n = machine.n_gpus();
-        assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-        let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
-
-        let planned: Vec<PlannedBatch> = prepared
-            .plans
-            .iter()
-            .map(|plan| PlannedBatch::new(machine, plan.clone()))
-            .collect();
-
-        let mut rep = ResilienceReport::default();
-        let mut breakdown = TimeBreakdown::default();
-        let mut batch_start = SimTime::ZERO;
-        let mut failed_over = self.policy.baseline_only;
-        // Per-destination degraded rows of the most recent batch — the ones
-        // the functional fill applies to.
-        let mut final_degraded = vec![0u64; n];
-        for batch_idx in 0..cfg.n_batches {
-            let which = batch_idx % planned.len();
-            let pb = &planned[which];
-            final_degraded.iter_mut().for_each(|d| *d = 0);
-
-            if !failed_over && self.policy.failover_flaps > 0 && self.tripped(machine, batch_start)
-            {
-                failed_over = true;
-                rep.failover_at = Some(batch_idx);
-            }
-
-            let deadline = self.policy.batch_deadline.map(|d| batch_start + d);
-            rep.total_rows += pb.total_rows();
-
-            let batch_end = if failed_over {
-                rep.baseline_batches += 1;
-                self.baseline_batch(
-                    machine,
-                    pb.plan(),
-                    pb.durations(),
-                    pb.byte_matrix(),
-                    batch_start,
-                    deadline,
-                    &mut rep,
-                    &mut breakdown,
-                    &mut final_degraded,
-                )
-            } else {
-                rep.pgas_batches += 1;
-                self.pgas_batch(
-                    machine,
-                    pb.plan(),
-                    pb.durations(),
-                    batch_start,
-                    deadline,
-                    &mut rep,
-                    &mut breakdown,
-                    &mut final_degraded,
-                )
-            };
-            rep.batch_latencies.push(batch_end - batch_start);
-            let m = machine.metrics_mut();
-            if m.is_enabled() {
-                let b = super::single::BACKEND_RESILIENT;
-                m.incr("batches_run", b, 0);
-                m.observe(
-                    "batch_service_us",
-                    b,
-                    0,
-                    telemetry::US_BOUNDS,
-                    (batch_end - batch_start).as_ns() / 1_000,
-                );
-            }
-            batch_start = batch_end;
-        }
-        {
-            // Phase split across the whole closed loop (the fallible batch
-            // paths accumulate one breakdown for the run).
-            let m = machine.metrics_mut();
-            if m.is_enabled() {
-                let b = super::single::BACKEND_RESILIENT;
-                m.add("phase_lookup_pack_ns", b, 0, breakdown.compute.as_ns());
-                m.add("phase_comm_ns", b, 0, breakdown.communication.as_ns());
-                m.add("phase_unpack_pool_ns", b, 0, breakdown.sync_unpack.as_ns());
-            }
-        }
-
-        let outputs = match mode {
-            ExecMode::Timing => None,
-            ExecMode::Functional => {
-                let which = (cfg.n_batches.saturating_sub(1)) % prepared.plans.len();
-                let plan = &prepared.plans[which];
-                let batch = &prepared.batches[which];
-                let shards = functional::materialize_shards(plan, cfg.table_spec(), cfg.seed);
-                let pooled: Vec<Vec<f32>> = plan
-                    .devices
-                    .iter()
-                    .map(|dp| {
-                        let mut buf = arena::take_f32();
-                        functional::compute_pooled_rows_into(
-                            dp,
-                            plan,
-                            batch,
-                            &shards[dp.device],
-                            cfg.seed,
-                            &mut buf,
-                        );
-                        buf
-                    })
-                    .collect();
-                let mut outs = if failed_over {
-                    functional::exchange_and_unpack(plan, &pooled)
-                } else {
-                    functional::scatter_via_symmetric_heap(plan, &pooled)
-                };
-                for buf in pooled {
-                    arena::put_f32(buf);
+        let mut resilience = ResilienceReport::default();
+        let mut failover_at = None;
+        let result = run_closed_loop(
+            machine,
+            cfg,
+            mode,
+            |machine, batch_idx, start| {
+                let exchange = self.exchange_at(machine, start);
+                if !self.policy.baseline_only && matches!(exchange, Exchange::Collective(_)) {
+                    failover_at.get_or_insert(batch_idx);
                 }
-                if let Some(cache) = prepared.planner.as_ref().and_then(|p| p.cache()) {
-                    let replicas =
-                        crate::HotReplicas::materialize(cache, cfg.table_spec(), cfg.seed);
-                    functional::apply_hot_imports(
-                        plan,
-                        batch,
-                        &replicas,
-                        cfg.table_rows,
-                        &mut outs,
-                        cfg.seed,
-                    );
-                }
-                for (out, &deg) in outs.iter_mut().zip(&final_degraded) {
-                    apply_fill(self.policy.fill, out, deg, cfg.dim);
-                }
-                Some(outs)
-            }
-        };
-
-        ResilientResult {
-            result: BackendResult {
-                report: RunReport {
-                    batches: cfg.n_batches,
-                    breakdown,
-                    total: breakdown.total(),
-                    traffic: machine.traffic_stats(),
-                    comm_series: machine.total_traffic(),
-                },
-                outputs,
+                exchange
             },
-            resilience: rep,
-        }
+            Some((&self.policy, &mut resilience)),
+        );
+        resilience.failover_at = failover_at;
+        ResilientResult { result, resilience }
     }
 
-    /// True if any directed link has completed at least
-    /// `policy.failover_flaps` down/up flaps by instant `at`.
-    fn tripped(&self, machine: &Machine, at: SimTime) -> bool {
+    /// The exchange a batch starting at `at` is served over — what the
+    /// online serving layer (`emb-serve`) asks before each
+    /// [`execute_batch`](crate::backend::execute_batch): the collective when
+    /// the policy is `baseline_only` or any directed link has completed at
+    /// least `policy.failover_flaps` down/up flaps by `at`, else one-sided.
+    /// Flap counts only grow, so once a run fails over it stays failed over.
+    pub fn exchange_at(&self, machine: &Machine, at: SimTime) -> Exchange {
         let n = machine.n_gpus();
-        machine.faults().is_some_and(|fp| {
-            (0..n).any(|s| {
-                (0..n).any(|d| s != d && fp.flap_count(s, d, at) >= self.policy.failover_flaps)
-            })
-        })
-    }
-
-    /// Execute **one** batch at `start` with the full degradation policy —
-    /// the per-batch entry point the online serving layer (`emb-serve`)
-    /// drives. Failover is evaluated against the fabric's flap history at
-    /// `start` (each served batch decides independently; `baseline_only`
-    /// forces the collective path), the batch deadline is `start +
-    /// policy.batch_deadline`, and `rep` accumulates degradation statistics
-    /// across calls exactly as a closed-loop run would.
-    pub fn serve_batch(
-        &self,
-        machine: &mut Machine,
-        pb: &PlannedBatch,
-        start: SimTime,
-        rep: &mut ResilienceReport,
-    ) -> BatchRun {
-        let n = machine.n_gpus();
-        let mut final_degraded = arena::take_u64();
-        final_degraded.resize(n, 0);
-        let mut breakdown = TimeBreakdown::default();
-        let deadline = self.policy.batch_deadline.map(|d| start + d);
-        rep.total_rows += pb.total_rows();
-        let use_baseline = self.policy.baseline_only
-            || (self.policy.failover_flaps > 0 && self.tripped(machine, start));
-        let end = if use_baseline {
-            rep.baseline_batches += 1;
-            self.baseline_batch(
-                machine,
-                pb.plan(),
-                pb.durations(),
-                pb.byte_matrix(),
-                start,
-                deadline,
-                rep,
-                &mut breakdown,
-                &mut final_degraded,
-            )
+        let flaps = self.policy.failover_flaps;
+        let tripped = flaps > 0
+            && machine.faults().is_some_and(|fp| {
+                (0..n).any(|s| (0..n).any(|d| s != d && fp.flap_count(s, d, at) >= flaps))
+            });
+        if self.policy.baseline_only || tripped {
+            Exchange::Collective(self.collectives)
         } else {
-            rep.pgas_batches += 1;
-            self.pgas_batch(
-                machine,
-                pb.plan(),
-                pb.durations(),
-                start,
-                deadline,
-                rep,
-                &mut breakdown,
-                &mut final_degraded,
-            )
-        };
-        arena::put_u64(final_degraded);
-        rep.batch_latencies.push(end - start);
-        let run = BatchRun {
-            start,
-            end,
-            breakdown,
-        };
-        super::single::record_batch_metrics(machine, super::single::BACKEND_RESILIENT, &run);
-        run
-    }
-
-    /// One batch on the PGAS fused path through the fallible put/quiet
-    /// APIs. Returns the instant the batch completes on every device.
-    #[allow(clippy::too_many_arguments)]
-    fn pgas_batch(
-        &self,
-        machine: &mut Machine,
-        plan: &ForwardPlan,
-        durs_all: &[Vec<Dur>],
-        batch_start: SimTime,
-        deadline: Option<SimTime>,
-        rep: &mut ResilienceReport,
-        breakdown: &mut TimeBreakdown,
-        final_degraded: &mut [u64],
-    ) -> SimTime {
-        let n = machine.n_gpus();
-        let row_bytes = (plan.dim * 4) as u32;
-        let mut k_end = arena::take_time();
-        k_end.resize(n, SimTime::ZERO);
-        let mut proceed = arena::take_time();
-        proceed.resize(n, SimTime::ZERO);
-        let mut releases = arena::take_release();
-        // Rows whose delivery lands past the deadline: degraded only if the
-        // quiet actually abandons them (it always observes them).
-        let mut late_by_dst = arena::take_u64();
-        let mut missed = false;
-        let mut any_lost = false;
-        for dp in &plan.devices {
-            let durs = &durs_all[dp.device];
-            let kernel_start = match machine.device_down_until(dp.device, batch_start) {
-                Some(up_at) => {
-                    any_lost = true;
-                    if self.policy.device_fill {
-                        // Serve the lost shard now: the hot fraction comes
-                        // from the replicas other devices hold, the rest
-                        // from the fill. No kernel, no puts, no stall.
-                        k_end[dp.device] = batch_start;
-                        proceed[dp.device] = batch_start;
-                        for (g, deg) in final_degraded.iter_mut().enumerate().take(n) {
-                            let rows = dp.rows_to(g);
-                            let replica = (rows as f64 * plan.measured_hit) as u64;
-                            rep.replica_rows += replica;
-                            rep.degraded_rows += rows - replica;
-                            *deg += rows - replica;
-                        }
-                        continue;
-                    }
-                    // Without device fill the shard is simply unavailable:
-                    // the lost device's kernel (and so the whole batch)
-                    // waits out the outage.
-                    up_at
-                }
-                None => batch_start,
-            };
-            let run = machine.run_kernel_varied(dp.device, durs, kernel_start);
-            k_end[dp.device] = run.interval.end;
-            stream_releases_into(dp, durs, &run, &mut releases);
-            let mut os = OneSided::with_config(machine, self.pgas);
-            late_by_dst.clear();
-            late_by_dst.resize(n, 0);
-            for &(ready, dst, rows) in releases.iter() {
-                match os.try_put_rows_nbi(dp.device, dst, rows, row_bytes, ready) {
-                    Ok(d) => {
-                        if deadline.is_some_and(|dl| d.interval.end > dl) {
-                            late_by_dst[dst] += rows;
-                        }
-                    }
-                    Err(_) => {
-                        rep.degraded_rows += rows;
-                        final_degraded[dst] += rows;
-                    }
-                }
-            }
-            let st = os.retry_stats();
-            rep.retried_puts += st.retried_puts;
-            rep.retries += st.retries;
-            rep.exhausted_puts += st.exhausted;
-            proceed[dp.device] = match deadline {
-                Some(dl) => match os.try_quiet(dp.device, run.interval.end, dl) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        missed = true;
-                        for (dst, &late) in late_by_dst.iter().enumerate() {
-                            rep.degraded_rows += late;
-                            final_degraded[dst] += late;
-                        }
-                        dl
-                    }
-                },
-                None => os.quiet(dp.device, run.interval.end),
-            };
+            Exchange::OneSided(self.pgas)
         }
-        arena::put_u64(late_by_dst);
-        arena::put_release(releases);
-        if missed {
-            rep.deadline_missed_batches += 1;
-        }
-        if any_lost {
-            rep.device_loss_batches += 1;
-        }
-        let k_max = machine.barrier(&k_end);
-        arena::put_time(k_end);
-        let mut os = OneSided::with_config(machine, self.pgas);
-        let bar = os.barrier_all(&proceed);
-        let mut end = arena::take_time();
-        end.extend((0..n).map(|d| machine.stream_sync(d, bar)));
-        let batch_end = machine.barrier(&end);
-        arena::put_time(end);
-        arena::put_time(proceed);
-        breakdown.accumulate(&TimeBreakdown {
-            compute: k_max - batch_start,
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        });
-        batch_end
-    }
-
-    /// One batch on the baseline collective path (after failover), through
-    /// the fallible collective with per-device deadline waits.
-    #[allow(clippy::too_many_arguments)]
-    fn baseline_batch(
-        &self,
-        machine: &mut Machine,
-        plan: &ForwardPlan,
-        durs_all: &[Vec<Dur>],
-        bytes: &[Vec<u64>],
-        batch_start: SimTime,
-        deadline: Option<SimTime>,
-        rep: &mut ResilienceReport,
-        breakdown: &mut TimeBreakdown,
-        final_degraded: &mut [u64],
-    ) -> SimTime {
-        let n = machine.n_gpus();
-        let row_bytes = (plan.dim * 4) as u64;
-        let mut k_end = arena::take_time();
-        k_end.resize(n, SimTime::ZERO);
-        let mut any_lost = false;
-        let mut skipped = arena::take_bool();
-        skipped.resize(n, false);
-        for dp in &plan.devices {
-            let kernel_start = match machine.device_down_until(dp.device, batch_start) {
-                Some(up_at) => {
-                    any_lost = true;
-                    if self.policy.device_fill {
-                        // Serve the lost shard from replicas + fill; the
-                        // device contributes nothing to the exchange.
-                        skipped[dp.device] = true;
-                        k_end[dp.device] = batch_start;
-                        for (g, deg) in final_degraded.iter_mut().enumerate().take(n) {
-                            let rows = dp.rows_to(g);
-                            let replica = (rows as f64 * plan.measured_hit) as u64;
-                            rep.replica_rows += replica;
-                            rep.degraded_rows += rows - replica;
-                            *deg += rows - replica;
-                        }
-                        continue;
-                    }
-                    up_at
-                }
-                None => batch_start,
-            };
-            let run = machine.run_kernel_varied(dp.device, &durs_all[dp.device], kernel_start);
-            k_end[dp.device] = run.interval.end;
-        }
-        if any_lost {
-            rep.device_loss_batches += 1;
-        }
-        let k_max = machine.barrier(&k_end);
-        // Rows destined to `d` from producers that actually transmitted
-        // this batch (lost devices' rows were already accounted above).
-        let remote_rows = |d: usize| -> u64 {
-            plan.devices
-                .iter()
-                .filter(|dp| dp.device != d && !skipped[dp.device])
-                .map(|dp| dp.rows_to(d))
-                .sum()
-        };
-        // A lost device neither sends nor receives: zero its outbound byte
-        // row and every producer's column to it, so the collective never
-        // models traffic touching the dead device (its completion time
-        // would otherwise leak into the barrier no live device waits on).
-        let bytes_owned: Vec<Vec<u64>>;
-        let bytes: &[Vec<u64>] = if skipped.iter().any(|&s| s) {
-            let mut b = bytes.to_vec();
-            for (d, &sk) in skipped.iter().enumerate() {
-                if sk {
-                    b[d].iter_mut().for_each(|v| *v = 0);
-                    for row in b.iter_mut() {
-                        row[d] = 0;
-                    }
-                }
-            }
-            bytes_owned = b;
-            &bytes_owned
-        } else {
-            bytes
-        };
-        let batch_end = match try_all_to_all_timed(machine, &self.collectives, bytes, &k_end) {
-            Ok(work) => {
-                rep.retries += work.retries();
-                let mut c_end = arena::take_time();
-                c_end.extend((0..n).map(|d| work.done_at(d)));
-                let c_max = machine.barrier(&c_end).max(k_max);
-                arena::put_time(c_end);
-                let mut end = arena::take_time();
-                end.resize(n, SimTime::ZERO);
-                let mut missed = false;
-                for d in 0..n {
-                    if skipped[d] {
-                        // Lost device: no inbound wait, no unpack kernel.
-                        end[d] = batch_start;
-                        continue;
-                    }
-                    let waited = match deadline {
-                        Some(dl) => match work.wait_deadline(machine, d, k_end[d], dl) {
-                            Ok(t) => t,
-                            Err(_) => {
-                                // Serve the fill for everything remote; no
-                                // unpack of data that never arrived.
-                                missed = true;
-                                let r = remote_rows(d);
-                                rep.degraded_rows += r;
-                                final_degraded[d] += r;
-                                end[d] = machine.stream_sync(d, dl);
-                                continue;
-                            }
-                        },
-                        None => work.wait(machine, d, k_end[d]),
-                    };
-                    let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
-                    let dur = Dur::from_secs_f64(unpack_bytes as f64 / super::baseline::UNPACK_BW);
-                    let run = machine.run_kernel_varied(d, &[dur], waited);
-                    end[d] = machine.stream_sync(d, run.interval.end);
-                }
-                if missed {
-                    rep.deadline_missed_batches += 1;
-                }
-                let batch_end = machine.barrier(&end);
-                arena::put_time(end);
-                breakdown.accumulate(&TimeBreakdown {
-                    compute: k_max - batch_start,
-                    communication: c_max - k_max,
-                    // `batch_end` can land before `c_max` when every live
-                    // device hit its deadline (or was skipped) while some
-                    // transfer was still in flight.
-                    sync_unpack: if batch_end > c_max {
-                        batch_end - c_max
-                    } else {
-                        Dur::ZERO
-                    },
-                });
-                batch_end
-            }
-            Err(e) => {
-                // The collective itself exhausted its retries: this batch's
-                // remote rows are all served from the fill.
-                for (d, fd) in final_degraded.iter_mut().enumerate() {
-                    let r = remote_rows(d);
-                    rep.degraded_rows += r;
-                    *fd += r;
-                }
-                let at = e.observed_at();
-                let mut end = arena::take_time();
-                end.extend((0..n).map(|d| machine.stream_sync(d, k_end[d].max(at))));
-                let batch_end = machine.barrier(&end);
-                arena::put_time(end);
-                breakdown.accumulate(&TimeBreakdown {
-                    compute: k_max - batch_start,
-                    communication: batch_end - k_max,
-                    sync_unpack: Dur::ZERO,
-                });
-                batch_end
-            }
-        };
-        arena::put_bool(skipped);
-        arena::put_time(k_end);
-        batch_end
     }
 }
 
@@ -724,7 +283,9 @@ pub(crate) fn apply_fill(fill: DegradedFill, out: &mut Tensor, degraded: u64, di
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::PgasFusedBackend;
+    use crate::backend::{
+        execute_batch, prepare_batches, BatchRun, PgasFusedBackend, PlannedBatch,
+    };
     use gpusim::{FaultPlan, FaultSpec, MachineConfig};
 
     fn tiny_cfg(g: usize) -> EmbLayerConfig {
@@ -853,33 +414,52 @@ mod tests {
         assert_eq!(r.resilience.failover_at, None);
     }
 
+    /// Blame stays well-formed under degradation: one exact partition per
+    /// batch, and no recorded span runs backwards.
+    fn assert_blame_well_formed(m: &Machine, batches: usize) {
+        let g = m.blame().expect("recorder was enabled");
+        for s in g.spans() {
+            assert!(s.ready <= s.start && s.start <= s.end, "backwards: {s:?}");
+        }
+        assert_eq!(g.batches().len(), batches);
+        for b in g.batches() {
+            assert_eq!(b.vec.total_ns(), (b.end - b.start).as_ns());
+        }
+    }
+
     #[test]
     fn impossible_deadline_degrades_but_always_returns() {
         let cfg = tiny_cfg(2);
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let policy = ResiliencePolicy {
-            batch_deadline: Some(Dur::from_ns(1)),
-            ..ResiliencePolicy::default()
-        };
-        let r = ResilientBackend::new().with_policy(policy).run_resilient(
-            &mut m,
-            &cfg,
-            ExecMode::Functional,
-        );
-        let res = &r.resilience;
-        assert_eq!(res.deadline_missed_batches, cfg.n_batches);
-        assert!(res.degraded_rows > 0, "late rows must be counted");
-        assert!(res.degraded_fraction() > 0.0 && res.degraded_fraction() <= 1.0);
-        // Inference still returns outputs, with the tail rows zero-filled.
-        let outs = r.result.outputs.expect("outputs always produced");
-        let dim = cfg.dim;
-        let out0 = &outs[0];
-        let rows = out0.data().len() / dim;
-        let tail = &out0.data()[(rows - 1) * dim..];
-        assert!(
-            tail.iter().all(|&v| v == 0.0),
-            "degraded tail must be filled"
-        );
+        // Over both exchanges: abandoned fences and abandoned waits.
+        for baseline_only in [false, true] {
+            let mut m = Machine::new(MachineConfig::dgx_v100(2));
+            m.enable_blame();
+            let policy = ResiliencePolicy {
+                batch_deadline: Some(Dur::from_ns(1)),
+                baseline_only,
+                ..ResiliencePolicy::default()
+            };
+            let r = ResilientBackend::new().with_policy(policy).run_resilient(
+                &mut m,
+                &cfg,
+                ExecMode::Functional,
+            );
+            let res = &r.resilience;
+            assert_eq!(res.deadline_missed_batches, cfg.n_batches);
+            assert!(res.degraded_rows > 0, "late rows must be counted");
+            assert!(res.degraded_fraction() > 0.0 && res.degraded_fraction() <= 1.0);
+            // Inference still returns outputs, with the tail rows zero-filled.
+            let outs = r.result.outputs.expect("outputs always produced");
+            let dim = cfg.dim;
+            let out0 = &outs[0];
+            let rows = out0.data().len() / dim;
+            let tail = &out0.data()[(rows - 1) * dim..];
+            assert!(
+                tail.iter().all(|&v| v == 0.0),
+                "degraded tail must be filled"
+            );
+            assert_blame_well_formed(&m, cfg.n_batches);
+        }
     }
 
     #[test]
@@ -948,6 +528,25 @@ mod tests {
         }
     }
 
+    /// One batch at `start` the way the serving layer drives `be`.
+    fn serve(
+        be: &ResilientBackend,
+        m: &mut Machine,
+        pb: &PlannedBatch,
+        start: SimTime,
+        rep: &mut ResilienceReport,
+    ) -> BatchRun {
+        let exchange = be.exchange_at(m, start);
+        execute_batch(
+            m,
+            &exchange,
+            pb,
+            start,
+            None,
+            Some(be.policy.degrade(start, rep)),
+        )
+    }
+
     /// A spec whose only fault is device loss, with windows long enough
     /// that a batch started just inside one either completes inside it
     /// (device_fill) or demonstrably waits it out (no device_fill).
@@ -981,6 +580,7 @@ mod tests {
         let mk = || {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.install_faults(FaultPlan::generate(seed, 2, loss_only_spec()));
+            m.enable_blame();
             m
         };
         let mut m = mk();
@@ -996,7 +596,7 @@ mod tests {
             ..ResiliencePolicy::default()
         });
         let mut rep = ResilienceReport::default();
-        let run = fill.serve_batch(&mut m, &pb, start, &mut rep);
+        let run = serve(&fill, &mut m, &pb, start, &mut rep);
         assert_eq!(rep.device_loss_batches, 1);
         assert_eq!(
             rep.replica_rows + rep.degraded_rows,
@@ -1009,13 +609,14 @@ mod tests {
             run.end,
             w.end
         );
+        assert_blame_well_formed(&m, 1);
 
         // Without device_fill the lost device's kernel cannot start before
         // recovery, so the batch stalls past the window end.
         let strict = ResilientBackend::new();
         let mut m2 = mk();
         let mut rep2 = ResilienceReport::default();
-        let run2 = strict.serve_batch(&mut m2, &pb, start, &mut rep2);
+        let run2 = serve(&strict, &mut m2, &pb, start, &mut rep2);
         assert_eq!(rep2.device_loss_batches, 1);
         assert_eq!(rep2.degraded_rows, 0, "strict policy serves real data");
         assert!(
@@ -1024,6 +625,7 @@ mod tests {
             run2.end,
             w.end
         );
+        assert_blame_well_formed(&m2, 1);
     }
 
     #[test]
@@ -1033,6 +635,7 @@ mod tests {
         let start = w.start + Dur::from_us(1);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         m.install_faults(FaultPlan::generate(seed, 2, loss_only_spec()));
+        m.enable_blame();
         let prepared = prepare_batches(&cfg, ExecMode::Timing, &m.spec(0).clone());
         let pb = PlannedBatch::new(&m, prepared.plans[0].clone());
         let lost_rows: u64 = (0..2).map(|g| pb.plan().devices[1].rows_to(g)).sum();
@@ -1042,11 +645,12 @@ mod tests {
             ..ResiliencePolicy::default()
         });
         let mut rep = ResilienceReport::default();
-        let run = be.serve_batch(&mut m, &pb, start, &mut rep);
+        let run = serve(&be, &mut m, &pb, start, &mut rep);
         assert_eq!(rep.device_loss_batches, 1);
         assert_eq!(rep.baseline_batches, 1);
         assert_eq!(rep.replica_rows + rep.degraded_rows, lost_rows);
         assert!(run.end < w.end, "collective path must not stall either");
+        assert_blame_well_formed(&m, 1);
     }
 
     #[test]

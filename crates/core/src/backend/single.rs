@@ -1,27 +1,31 @@
-//! Per-batch execution surface: run *one* batch of either backend at an
+//! Per-batch execution surface: run *one* batch over any exchange at an
 //! arbitrary start instant.
 //!
 //! The closed-loop backends ([`crate::backend::BaselineBackend`],
-//! [`crate::backend::PgasFusedBackend`]) chain these per-batch functions
-//! back-to-back; the online serving layer (`emb-serve`) invokes them at the
-//! instants its micro-batcher closes batches. Because both paths share the
-//! same functions, a batch of identical composition costs identical
-//! simulated time whether it was replayed in a closed loop or assembled
-//! from queued requests — which is what lets serving latencies be compared
-//! against the paper's Table I timings directly.
+//! [`crate::backend::PgasFusedBackend`], [`crate::backend::ResilientBackend`])
+//! chain [`execute_batch`] back-to-back; the online serving layer
+//! (`emb-serve`) invokes it at the instants its micro-batcher closes
+//! batches, and the dlrm pipeline engine interleaves it with its own stream
+//! work. Because every path shares the one function, a batch of identical
+//! composition costs identical simulated time whether it was replayed in a
+//! closed loop or assembled from queued requests — which is what lets
+//! serving latencies be compared against the paper's Table I timings
+//! directly — and the only thing that differs between the paper's two
+//! systems is the [`Exchange`].
 
 use desim::{Dur, SimTime};
-use gpusim::Machine;
+use gpusim::{KernelRun, Machine};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
-use simccl::{all_to_all_timed, CollectiveConfig};
+use simccl::{try_all_to_all_timed, CollectiveConfig};
 use telemetry::causal::{BlameCategory, Lane};
 
 use crate::arena;
 use crate::backend::baseline::UNPACK_BW;
 use crate::backend::lookup_block_durations;
 use crate::backend::pgas::stream_releases_into;
-use crate::{ForwardPlan, TimeBreakdown};
+use crate::backend::resilient::ResilienceReport;
+use crate::{DevicePlan, ForwardPlan, TimeBreakdown};
 
 /// A batch plus everything precomputed for executing it on a machine:
 /// per-device block durations and the all-to-all byte matrix. Build once,
@@ -95,18 +99,19 @@ impl PlannedBatch {
 /// consumers, exposed so an executed pipeline schedule can gate downstream
 /// (interaction/MLP) chunks on actual data availability.
 ///
-/// Semantics per backend:
-/// - **PGAS** ([`pgas_batch_logged`]): one entry per one-sided put at its
-///   wire-delivery instant, plus local rows at their producing block's
-///   retirement and hot-cache import blocks at theirs — rows become
-///   consumable *before* the quiet/barrier tail, which is exactly the
-///   overlap the fused schedule converts into end-to-end speedup.
-/// - **Baseline** ([`baseline_batch_logged`]): a single entry per device at
-///   its post-unpack stream-sync — the bulk-synchronous collective releases
-///   everything at once.
+/// Semantics per [`Exchange`]:
+/// - **One-sided**: one entry per one-sided put at its wire-delivery
+///   instant, plus local rows at their producing block's retirement and
+///   hot-cache import blocks at theirs — rows become consumable *before*
+///   the quiet/barrier tail, which is exactly the overlap the fused
+///   schedule converts into end-to-end speedup.
+/// - **Collective**: a single entry per device at its post-unpack
+///   stream-sync — the bulk-synchronous collective releases everything at
+///   once.
+/// - **Gateway**: left empty — the proxy delivers staged rows at flush
+///   time, which a put cannot report.
 ///
-/// Observation only: the logged variants are bit-identical in timing and
-/// traffic to their plain counterparts.
+/// Observation only: passing a log changes neither timing nor traffic.
 #[derive(Clone, Debug, Default)]
 pub struct ArrivalLog {
     /// `arrivals[dst]` = `(instant, rows)` entries, sorted by instant after
@@ -115,7 +120,7 @@ pub struct ArrivalLog {
 }
 
 impl ArrivalLog {
-    /// An empty log; sized on first use by a logged batch function.
+    /// An empty log; sized on first use by [`execute_batch`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -198,157 +203,675 @@ impl BatchRun {
     }
 }
 
-/// Execute one batch on the baseline collective path: lookup kernels →
-/// `all_to_all_single` → per-device wait + unpack kernel → barrier.
-pub fn baseline_batch(
-    machine: &mut Machine,
-    collectives: &CollectiveConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-) -> BatchRun {
-    baseline_batch_inner(machine, collectives, pb, start, None)
+/// When a batch's pooled rows hit the wire — the one thing the paper's two
+/// systems (and the pod extension) do differently. Everything else about a
+/// batch (plan, kernels, machine, observers) is shared by [`execute_batch`].
+#[derive(Clone, Copy, Debug)]
+pub enum Exchange {
+    /// After the kernel: `all_to_all_single`, then a per-device wait and
+    /// unpack kernel (the baseline).
+    Collective(CollectiveConfig),
+    /// Per thread block, while it executes: fused one-sided stores, then a
+    /// `quiet` per PE and a barrier (the paper's contribution).
+    OneSided(PgasConfig),
+    /// Per staged flush: the one-sided schedule with cross-node stores
+    /// routed through a [`GatewayPut`] proxy that coalesces rows bound for
+    /// a remote node into one aggregate message per destination node
+    /// (flushed on size/age), scattered intra-node by the destination
+    /// gateway. On a single-node topology every put bypasses the proxy, so
+    /// this is bit-identical to [`Exchange::OneSided`]. The proxy has no
+    /// fallible API: its wire path ignores fault plans and deadlines.
+    Gateway(GatewayConfig),
 }
 
-/// [`baseline_batch`] recording the per-device output-availability schedule
-/// into `log` (reset to this batch). Timing and traffic are bit-identical
-/// to the plain function — the log is pure observation.
-pub fn baseline_batch_logged(
-    machine: &mut Machine,
-    collectives: &CollectiveConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-    log: &mut ArrivalLog,
-) -> BatchRun {
-    baseline_batch_inner(machine, collectives, pb, start, Some(log))
+/// How much degradation a caller accepts for one batch, and the books it is
+/// recorded in. Build one per batch from a policy with
+/// [`ResiliencePolicy::degrade`](crate::backend::ResiliencePolicy::degrade).
+/// Passing `None` to [`execute_batch`] is the strict policy: no deadline,
+/// lost devices are waited out, and nothing is accounted.
+#[derive(Debug)]
+pub struct Degrade<'a> {
+    /// Absolute completion deadline. Rows still in flight when it expires
+    /// are abandoned (served from the fill) instead of stalling the batch.
+    pub deadline: Option<SimTime>,
+    /// Serve a device lost at batch start from hot-cache replicas + fill
+    /// immediately instead of stalling until it recovers.
+    pub device_fill: bool,
+    /// Accumulates across batches exactly as a closed-loop run would.
+    pub report: &'a mut ResilienceReport,
 }
 
-fn baseline_batch_inner(
+/// Telemetry backend ids used as the `i` label of per-batch metrics:
+/// collective, one-sided (flat or gateway), and any batch executed with
+/// degradation books.
+const BACKEND_BASELINE: u32 = 0;
+const BACKEND_PGAS: u32 = 1;
+const BACKEND_RESILIENT: u32 = 2;
+
+/// Execute one batch at `start` over `exchange` — the single per-batch entry
+/// point every closed loop, the serving layer and the pipeline engine drive.
+///
+/// Always fault-aware: transfers go through the fallible fabric APIs, which
+/// on a machine without a non-trivial fault plan are exactly the infallible
+/// ones, so a clean fabric is simply the zero-fault case. Blame spans, trace
+/// flows and telemetry are recorded whenever the machine has them on.
+/// `log` (reset to this batch) receives the output-availability schedule
+/// and `degrade` the degradation policy and books; both are pure
+/// observation on a clean fabric.
+pub fn execute_batch(
     machine: &mut Machine,
-    collectives: &CollectiveConfig,
+    exchange: &Exchange,
     pb: &PlannedBatch,
     start: SimTime,
-    mut log: Option<&mut ArrivalLog>,
+    log: Option<&mut ArrivalLog>,
+    degrade: Option<Degrade<'_>>,
 ) -> BatchRun {
-    let plan = pb.plan();
-    let n = plan.n_devices;
-    let row_bytes = plan.row_bytes() as u64;
+    let mut b = Batch::begin(machine, pb, start, log, degrade);
+    // `comm_end`: when communication ended. One-sided stores are fused into
+    // the kernels, so whatever follows them is the quiet/barrier tail.
+    let comm_end = match *exchange {
+        Exchange::Collective(cc) => Some(b.collective(&cc)),
+        Exchange::OneSided(pgas) => {
+            let fences = b.one_sided(pgas);
+            b.completion_tail(pgas, fences);
+            None
+        }
+        Exchange::Gateway(gw) => {
+            let fences = b.gateway(gw);
+            b.completion_tail(gw.pgas, fences);
+            None
+        }
+    };
+    b.finish(comm_end)
+}
 
-    // --- Phase 1: lookup kernels, one per device, concurrent. ---
-    // Per-batch scratch (kernel-end, collective-end, batch-end instants)
-    // comes from the batch arena: serving loops execute this function per
-    // micro-batch, and warm slabs make it allocation-free.
-    let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
-    if let Some(b) = machine.blame_mut() {
-        b.set_kind(BlameCategory::GatherPool);
-        b.set_cause(None);
-    }
-    for dp in &plan.devices {
-        let run = machine.run_kernel_varied(dp.device, &pb.durations()[dp.device], start);
-        k_end[dp.device] = run.interval.end;
-        // Data the collective emits from this device was produced by its
-        // lookup kernel: anchor wire-span causes on it.
-        let last = machine.blame_last_span();
+/// Per-PE completion fences of a one-sided exchange: the `quiet` instants
+/// and, when blame is on, the span recorded for each.
+struct Fences {
+    at: Vec<SimTime>,
+    spans: Vec<Option<usize>>,
+}
+
+/// One batch in flight: the state the shared prologue sets up, the exchange
+/// bodies fill in and the shared epilogue turns into a [`BatchRun`].
+/// Per-device scratch comes from the batch arena — serving loops execute a
+/// batch per micro-batch, and warm slabs make that allocation-free.
+struct Batch<'a, 'r> {
+    machine: &'a mut Machine,
+    pb: &'a PlannedBatch,
+    start: SimTime,
+    log: Option<&'a mut ArrivalLog>,
+    degrade: Option<Degrade<'r>>,
+    /// Lookup-kernel retirement per device (`start` for a filled device).
+    k_end: Vec<SimTime>,
+    /// Blame span of each device's lookup kernel (empty when blame is off).
+    kernel_spans: Vec<Option<usize>>,
+    /// Devices lost at `start` whose shard was served from replicas + fill:
+    /// they launch no kernel and take no part in the exchange.
+    filled: Vec<bool>,
+    /// Host-visible completion per device, set by the exchange body.
+    end: Vec<SimTime>,
+    /// Each device's last blame span; the latest finisher's terminates the
+    /// batch's critical-path walk (empty when blame is off).
+    end_spans: Vec<Option<usize>>,
+    any_lost: bool,
+    missed_deadline: bool,
+}
+
+impl<'a, 'r> Batch<'a, 'r> {
+    /// Batch-level prologue: scratch, observer resets, blame cursor.
+    fn begin(
+        machine: &'a mut Machine,
+        pb: &'a PlannedBatch,
+        start: SimTime,
+        mut log: Option<&'a mut ArrivalLog>,
+        mut degrade: Option<Degrade<'r>>,
+    ) -> Self {
+        let n = pb.plan().n_devices;
+        if let Some(l) = log.as_deref_mut() {
+            l.reset(n);
+        }
+        if let Some(g) = &mut degrade {
+            g.report.degraded_by_dst.clear();
+            g.report.degraded_by_dst.resize(n, 0);
+        }
+        let (mut kernel_spans, mut end_spans) = (Vec::new(), Vec::new());
         if let Some(b) = machine.blame_mut() {
-            b.set_device_cause(dp.device as u32, last);
+            b.set_kind(BlameCategory::GatherPool);
+            b.set_cause(None);
+            kernel_spans.resize(n, None);
+            end_spans.resize(n, None);
+        }
+        let mut k_end = arena::take_time();
+        k_end.resize(n, start);
+        let mut filled = arena::take_bool();
+        filled.resize(n, false);
+        let mut end = arena::take_time();
+        end.resize(n, start);
+        Batch {
+            machine,
+            pb,
+            start,
+            log,
+            degrade,
+            k_end,
+            kernel_spans,
+            filled,
+            end,
+            end_spans,
+            any_lost: false,
+            missed_deadline: false,
         }
     }
-    let k_max = machine.barrier(&k_end);
 
-    // --- Phase 2: all_to_all_single(async_op=True). ---
-    let work = all_to_all_timed(machine, collectives, pb.byte_matrix(), &k_end);
-    let mut c_end = arena::take_time();
-    c_end.extend((0..n).map(|d| work.done_at(d)));
-    let c_max = machine.barrier(&c_end).max(k_max);
-
-    // --- Phase 3: wait() + unpack kernel. ---
-    if let Some(l) = log.as_deref_mut() {
-        l.reset(n);
+    fn deadline(&self) -> Option<SimTime> {
+        self.degrade.as_ref().and_then(|g| g.deadline)
     }
-    let mut end = arena::take_time();
-    end.resize(n, SimTime::ZERO);
-    // Per-device post-sync blame span ids; the latest-finishing device's
-    // span is the batch's critical-path terminal.
-    let mut sync_spans: Vec<Option<usize>> = Vec::new();
-    for d in 0..n {
-        let waited = work.wait(machine, d, k_end[d]);
-        if let Some(b) = machine.blame_mut() {
-            // The unpack kernel waits on the last transfer landing on d
-            // (its own kernel when nothing crossed the wire).
-            b.set_kind(BlameCategory::Unpack);
-            let cause = b
-                .last_inbound(d as u32)
-                .or_else(|| b.device_cause(d as u32));
-            b.set_cause(cause);
+
+    /// Per-device prologue: launch `dp`'s lookup kernel and anchor the
+    /// device's wire-span causes on it. A device lost at `start` either has
+    /// its shard served right away (`device_fill`: the hot fraction from
+    /// the replicas other devices hold, the rest from the fill — no kernel,
+    /// no transfers, no stall; returns `None`) or its kernel, and so the
+    /// whole batch, waits out the outage.
+    fn launch(&mut self, dp: &DevicePlan) -> Option<KernelRun> {
+        let d = dp.device;
+        let mut ready = self.start;
+        if let Some(up_at) = self.machine.device_down_until(d, self.start) {
+            self.any_lost = true;
+            if self.degrade.as_ref().is_some_and(|g| g.device_fill) {
+                self.filled[d] = true;
+                let plan = self.pb.plan();
+                for dst in 0..plan.n_devices {
+                    let rows = dp.rows_to(dst);
+                    let replica = (rows as f64 * plan.measured_hit) as u64;
+                    if let Some(g) = &mut self.degrade {
+                        g.report.replica_rows += replica;
+                    }
+                    shed(&mut self.degrade, dst, rows - replica);
+                }
+                return None;
+            }
+            ready = up_at;
         }
-        // Rearrangement touches every *received* byte twice (read
-        // source-major, write [mb, S, dim]); the local chunk was already
-        // written in place by the lookup kernel. `unpack_rows` equals
-        // `mb_sizes[d] × remote_features` on plain plans and subtracts
-        // cache-exported and dedup-collapsed rows on annotated ones.
-        let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
-        let dur = Dur::from_secs_f64(unpack_bytes as f64 / UNPACK_BW);
-        let run = machine.run_kernel_varied(d, &[dur], waited);
-        end[d] = machine.stream_sync(d, run.interval.end);
-        let unpack_span = machine.blame_last_span();
-        if let Some(b) = machine.blame_mut() {
-            sync_spans.resize(n, None);
-            sync_spans[d] = Some(b.record(
+        let run = self
+            .machine
+            .run_kernel_varied(d, &self.pb.durations()[d], ready);
+        self.k_end[d] = run.interval.end;
+        let span = self.machine.blame_last_span();
+        if let Some(b) = self.machine.blame_mut() {
+            b.set_device_cause(d as u32, span);
+            self.kernel_spans[d] = span;
+        }
+        Some(run)
+    }
+
+    /// Collective exchange: lookup kernels → `all_to_all_single` →
+    /// per-device wait + unpack kernel. Returns the instant communication
+    /// ended.
+    fn collective(&mut self, cc: &CollectiveConfig) -> SimTime {
+        let plan = self.pb.plan();
+        let n = plan.n_devices;
+        let row_bytes = plan.row_bytes() as u64;
+        for dp in &plan.devices {
+            self.launch(dp);
+        }
+        let k_max = self.machine.barrier(&self.k_end);
+        let deadline = self.deadline();
+        // Rows destined to `d` from producers that actually transmitted
+        // (filled devices' rows were accounted at launch).
+        let remote_rows = |filled: &[bool], d: usize| -> u64 {
+            plan.devices
+                .iter()
+                .filter(|dp| dp.device != d && !filled[dp.device])
+                .map(|dp| dp.rows_to(d))
+                .sum()
+        };
+        // A filled device neither sends nor receives: zero its outbound
+        // byte row and every producer's column to it, so the collective
+        // never models traffic touching the dead device (its completion
+        // time would otherwise leak into a barrier no live device waits
+        // on).
+        let masked: Vec<Vec<u64>>;
+        let bytes = if self.filled.contains(&true) {
+            masked = (0..n)
+                .map(|s| {
+                    (0..n)
+                        .map(|d| {
+                            if self.filled[s] || self.filled[d] {
+                                0
+                            } else {
+                                self.pb.byte_matrix()[s][d]
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            &masked[..]
+        } else {
+            self.pb.byte_matrix()
+        };
+        let work = match try_all_to_all_timed(self.machine, cc, bytes, &self.k_end) {
+            Ok(work) => work,
+            Err(e) => {
+                // The collective itself exhausted its retries: all of this
+                // batch's remote rows are served from the fill, and every
+                // device proceeds once it has observed the failure.
+                let at = e.observed_at();
+                for d in 0..n {
+                    shed(&mut self.degrade, d, remote_rows(&self.filled, d));
+                    self.end[d] = self.machine.stream_sync(d, self.k_end[d].max(at));
+                    self.blame_sync(d, self.k_end[d], false);
+                }
+                return self.machine.barrier(&self.end);
+            }
+        };
+        if let Some(g) = &mut self.degrade {
+            g.report.retries += work.retries();
+        }
+        let mut c_end = arena::take_time();
+        c_end.extend((0..n).map(|d| work.done_at(d)));
+        let c_max = self.machine.barrier(&c_end).max(k_max);
+        arena::put_time(c_end);
+
+        for d in 0..n {
+            if self.filled[d] {
+                // Lost device: no inbound wait, no unpack kernel.
+                continue;
+            }
+            let waited = match deadline {
+                None => work.wait(self.machine, d, self.k_end[d]),
+                Some(dl) => match work.wait_deadline(self.machine, d, self.k_end[d], dl) {
+                    Ok(t) => t,
+                    Err(_) => {
+                        // Serve the fill for everything remote; no unpack
+                        // of data that never arrived.
+                        self.missed_deadline = true;
+                        shed(&mut self.degrade, d, remote_rows(&self.filled, d));
+                        self.end[d] = self.machine.stream_sync(d, dl);
+                        self.blame_sync(d, self.k_end[d], false);
+                        continue;
+                    }
+                },
+            };
+            if let Some(b) = self.machine.blame_mut() {
+                // The unpack kernel waits on the last transfer landing on d
+                // (its own kernel when nothing crossed the wire).
+                b.set_kind(BlameCategory::Unpack);
+                let cause = b
+                    .last_inbound(d as u32)
+                    .or_else(|| b.device_cause(d as u32));
+                b.set_cause(cause);
+            }
+            // Rearrangement touches every *received* byte twice (read
+            // source-major, write [mb, S, dim]); the local chunk was already
+            // written in place by the lookup kernel. `unpack_rows` equals
+            // `mb_sizes[d] × remote_features` on plain plans and subtracts
+            // cache-exported and dedup-collapsed rows on annotated ones.
+            let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
+            let dur = Dur::from_secs_f64(unpack_bytes as f64 / UNPACK_BW);
+            let run = self.machine.run_kernel_varied(d, &[dur], waited);
+            self.end[d] = self.machine.stream_sync(d, run.interval.end);
+            self.blame_sync(d, run.interval.end, true);
+            if let Some(l) = self.log.as_deref_mut() {
+                // Bulk-synchronous release: every pooled row of d's output
+                // becomes consumable at once, after wait + unpack + sync.
+                l.push(d, self.end[d], (plan.mb_sizes[d] * plan.n_features) as u64);
+            }
+        }
+        c_max
+    }
+
+    /// Blame: `d`'s final stream sync, `[from, end[d]]`, caused by its
+    /// unpack kernel (the span recorded last) — or, when the wait was
+    /// abandoned and nothing was `unpacked`, by its lookup kernel.
+    fn blame_sync(&mut self, d: usize, from: SimTime, unpacked: bool) {
+        let last = self.machine.blame_last_span();
+        if let Some(b) = self.machine.blame_mut() {
+            let cause = if unpacked { last } else { self.kernel_spans[d] };
+            self.end_spans[d] = Some(b.record(
                 BlameCategory::Sync,
                 Lane::Gpu(d as u32),
-                run.interval.end,
-                run.interval.end,
-                end[d],
-                unpack_span,
+                from,
+                from,
+                self.end[d],
+                cause,
                 false,
             ));
         }
-        if let Some(l) = log.as_deref_mut() {
-            // Bulk-synchronous release: every pooled row of d's output
-            // becomes consumable at once, after wait + unpack + sync.
-            l.push(d, end[d], (plan.mb_sizes[d] * plan.n_features) as u64);
+    }
+
+    /// One-sided exchange: fused kernels whose stores stream onto the wire
+    /// *while each block executes* (paper Listing 2), so a block's remote
+    /// rows are spread across its execution interval rather than released
+    /// in a burst at retirement; then a `quiet` per PE.
+    fn one_sided(&mut self, pgas: PgasConfig) -> Fences {
+        let plan = self.pb.plan();
+        let n = plan.n_devices;
+        let row_bytes = plan.row_bytes();
+        let deadline = self.deadline();
+        let mut fences = self.fences();
+        let mut releases = arena::take_release();
+        // Rows whose delivery lands past the deadline: degraded only if the
+        // quiet actually abandons them (it always observes them).
+        let mut late_by_dst = arena::take_u64();
+        for dp in &plan.devices {
+            let src = dp.device;
+            let Some(run) = self.launch(dp) else { continue };
+            stream_releases_into(dp, &self.pb.durations()[src], &run, &mut releases);
+            if let Some(l) = self.log.as_deref_mut() {
+                log_local_rows(l, dp, plan.bags_per_block, &run);
+            }
+            if deadline.is_some() {
+                late_by_dst.clear();
+                late_by_dst.resize(n, 0);
+            }
+            let mut os = OneSided::with_config(self.machine, pgas);
+            for &(ready, dst, rows) in releases.iter() {
+                let Ok(put) = os.try_put_rows_nbi(src, dst, rows, row_bytes, ready) else {
+                    // Retry budget exhausted: only these rows degrade.
+                    shed(&mut self.degrade, dst, rows);
+                    continue;
+                };
+                let iv = put.interval;
+                if deadline.is_some_and(|dl| iv.end > dl) {
+                    late_by_dst[dst] += rows;
+                }
+                if let Some(l) = self.log.as_deref_mut() {
+                    // The remote rows are consumable once the put delivers.
+                    l.push(dst, iv.end, rows);
+                }
+                // When tracing, tie the remote put's wire span to the pooled
+                // write landing on the destination device's track.
+                if iv.end > iv.start {
+                    if let Some(t) = os.machine().trace_mut() {
+                        t.record_flow(
+                            "pooled write",
+                            format!("link{src}->{dst}"),
+                            iv.start,
+                            format!("gpu{dst}"),
+                            iv.end,
+                        );
+                    }
+                }
+            }
+            if let Some(g) = &mut self.degrade {
+                let st = os.retry_stats();
+                g.report.retried_puts += st.retried_puts;
+                g.report.retries += st.retries;
+                g.report.exhausted_puts += st.exhausted;
+            }
+            let k_end = run.interval.end;
+            let mut abandoned = false;
+            fences.at[src] = match deadline {
+                None => os.quiet(src, k_end),
+                Some(dl) => os.try_quiet(src, k_end, dl).unwrap_or_else(|_| {
+                    abandoned = true;
+                    dl
+                }),
+            };
+            if abandoned {
+                self.missed_deadline = true;
+                for (dst, &late) in late_by_dst.iter().enumerate() {
+                    shed(&mut self.degrade, dst, late);
+                }
+            }
+            self.blame_fence(&mut fences, src, abandoned);
+        }
+        arena::put_u64(late_by_dst);
+        arena::put_release(releases);
+        fences
+    }
+
+    /// Gateway exchange: the one-sided release schedule of every device fed
+    /// through one shared [`GatewayPut`] proxy.
+    fn gateway(&mut self, cfg: GatewayConfig) -> Fences {
+        let plan = self.pb.plan();
+        let n = plan.n_devices;
+        let row_bytes = plan.row_bytes();
+        // --- Fused kernels; collect every device's store releases. ---
+        let mut events = arena::take_event();
+        let mut releases = arena::take_release();
+        for dp in &plan.devices {
+            let Some(run) = self.launch(dp) else { continue };
+            stream_releases_into(dp, &self.pb.durations()[dp.device], &run, &mut releases);
+            events.extend(
+                releases
+                    .iter()
+                    .map(|&(ready, dst, rows)| (ready, dp.device, dst, rows)),
+            );
+        }
+        arena::put_release(releases);
+        // --- One shared proxy, fed in global simulated-time order. The
+        // fabric books wire intervals FIFO in *call* order, and gateway
+        // scatters put traffic on links owned by a different GPU than the
+        // origin — issuing per-device (as the flat exchange does) would
+        // book one origin's whole timeline before the next origin's earlier
+        // stores and serialize them artificially. Sorting by (ready, src,
+        // dst) keeps call order aligned with simulated time. Each origin
+        // drains at its own kernel-retirement instant, merged into the same
+        // ordering. ---
+        events.sort_unstable_by_key(|&(t, src, dst, _)| (t, src, dst));
+        let mut fences = self.fences();
+        let mut drained = arena::take_bool();
+        drained.resize(n, false);
+        let mut gw = GatewayPut::new(self.machine, cfg);
+        for &(ready, src, dst, rows) in events.iter() {
+            for (d, &t) in self.k_end.iter().enumerate() {
+                if !drained[d] && t < ready {
+                    gw.drain_src(d, t);
+                    drained[d] = true;
+                }
+            }
+            gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
+        }
+        for (d, &t) in self.k_end.iter().enumerate() {
+            gw.drain_src(d, t);
+        }
+        for d in 0..n {
+            if !self.filled[d] {
+                fences.at[d] = gw.quiet(d, self.k_end[d]);
+            }
+        }
+        drop(gw);
+        arena::put_bool(drained);
+        arena::put_event(events);
+        for d in 0..n {
+            if !self.filled[d] {
+                self.blame_fence(&mut fences, d, false);
+            }
+        }
+        fences
+    }
+
+    /// Fences at `start` for every PE (what a filled device keeps).
+    fn fences(&self) -> Fences {
+        let mut at = arena::take_time();
+        at.resize(self.k_end.len(), self.start);
+        Fences {
+            at,
+            spans: vec![None; self.kernel_spans.len()],
         }
     }
-    if let Some(l) = log {
-        l.finish();
+
+    /// Blame span for `dev`'s `quiet` fence: from the later of its kernel
+    /// end and its last put's delivery, to the fence's completion. The
+    /// cause is whichever of the two actually gated it — an outstanding put
+    /// tail makes the fence's wait walk into the wire spans (exposed
+    /// communication); a compute-bound device chains straight to its
+    /// kernel. A fence `abandoned` at the deadline was gated by neither the
+    /// tail nor its completion: it spans kernel end → deadline.
+    fn blame_fence(&mut self, fences: &mut Fences, dev: usize, abandoned: bool) {
+        let (k_end, fence) = (self.k_end[dev], fences.at[dev]);
+        let Some(b) = self.machine.blame_mut() else {
+            return;
+        };
+        let (cause, ready) = match b.last_outbound(dev as u32) {
+            Some(w) if !abandoned && b.spans()[w].end > k_end => (Some(w), b.spans()[w].end),
+            _ => (self.kernel_spans[dev], k_end.min(fence)),
+        };
+        fences.spans[dev] = Some(b.record(
+            BlameCategory::Sync,
+            Lane::Gpu(dev as u32),
+            ready,
+            ready,
+            fence,
+            cause,
+            false,
+        ));
     }
-    let batch_end = machine.barrier(&end);
-    if machine.blame_enabled() {
-        let term = (0..n).max_by_key(|&d| end[d]).and_then(|d| sync_spans[d]);
+
+    /// Completion shared by the flat and gateway one-sided exchanges: a
+    /// barrier over the per-PE fences, then one host stream synchronization
+    /// per device (`PGAS_EMB_forward`'s final sync). Blame: one host-lane
+    /// barrier span caused by the latest-quiescing PE's fence, then one
+    /// stream-sync span per device caused by the barrier (or by the
+    /// device's own kernel when that outran an abandoned fence).
+    fn completion_tail(&mut self, pgas: PgasConfig, fences: Fences) {
+        let n = self.k_end.len();
+        let bar = OneSided::with_config(self.machine, pgas).barrier_all(&fences.at);
+        for d in 0..n {
+            self.end[d] = self.machine.stream_sync(d, bar);
+        }
+        if let Some(b) = self.machine.blame_mut() {
+            let last = (0..n).max_by_key(|&d| fences.at[d]).unwrap_or(0);
+            let q_max = fences.at[last];
+            let bar_span = b.record(
+                BlameCategory::Sync,
+                Lane::Host,
+                q_max,
+                q_max,
+                bar,
+                fences.spans[last],
+                false,
+            );
+            for d in 0..n {
+                let (from, cause) = if self.k_end[d] > bar {
+                    (self.k_end[d], self.kernel_spans[d])
+                } else {
+                    (bar, Some(bar_span))
+                };
+                self.end_spans[d] = Some(b.record(
+                    BlameCategory::Sync,
+                    Lane::Gpu(d as u32),
+                    from,
+                    from,
+                    self.end[d],
+                    cause,
+                    false,
+                ));
+            }
+        }
+        arena::put_time(fences.at);
+    }
+
+    /// Shared epilogue: barrier over the devices, blame terminal, the
+    /// caller's books, telemetry, and the [`BatchRun`]. `comm_end` is the
+    /// instant a separate communication phase ended (`None`: fused).
+    fn finish(self, comm_end: Option<SimTime>) -> BatchRun {
+        let Batch {
+            machine,
+            pb,
+            start,
+            log,
+            degrade,
+            k_end,
+            filled,
+            end,
+            end_spans,
+            any_lost,
+            missed_deadline,
+            ..
+        } = self;
+        let k_max = machine.barrier(&k_end);
+        let c_max = comm_end.unwrap_or(k_max);
+        let collective = comm_end.is_some();
+        let batch_end = machine.barrier(&end);
         if let Some(b) = machine.blame_mut() {
+            // The latest-finishing device's last span terminates the walk.
+            let term = (0..end.len())
+                .max_by_key(|&d| end[d])
+                .and_then(|d| end_spans[d]);
             b.end_batch(start, batch_end, term);
         }
+        arena::put_time(end);
+        arena::put_bool(filled);
+        arena::put_time(k_end);
+        if let Some(l) = log {
+            l.finish();
+        }
+        let run = BatchRun {
+            start,
+            end: batch_end,
+            breakdown: TimeBreakdown {
+                compute: k_max - start,
+                communication: c_max - k_max,
+                // `batch_end` can land before `c_max` when every live device
+                // hit its deadline (or was filled) with transfers in flight.
+                sync_unpack: if batch_end > c_max {
+                    batch_end - c_max
+                } else {
+                    Dur::ZERO
+                },
+            },
+        };
+        let backend = match (&degrade, collective) {
+            (Some(_), _) => BACKEND_RESILIENT,
+            (None, true) => BACKEND_BASELINE,
+            (None, false) => BACKEND_PGAS,
+        };
+        if let Some(g) = degrade {
+            let rep = g.report;
+            rep.total_rows += pb.total_rows();
+            if collective {
+                rep.baseline_batches += 1;
+            } else {
+                rep.pgas_batches += 1;
+            }
+            rep.deadline_missed_batches += usize::from(missed_deadline);
+            rep.device_loss_batches += usize::from(any_lost);
+            rep.batch_latencies.push(run.service());
+        }
+        record_batch_metrics(machine, backend, &run);
+        run
     }
-    arena::put_time(end);
-    arena::put_time(c_end);
-    arena::put_time(k_end);
-
-    let run = BatchRun {
-        start,
-        end: batch_end,
-        breakdown: TimeBreakdown {
-            compute: k_max - start,
-            communication: c_max - k_max,
-            sync_unpack: batch_end - c_max,
-        },
-    };
-    record_batch_metrics(machine, BACKEND_BASELINE, &run);
-    run
 }
 
-/// Telemetry backend ids used as the `i` label of per-batch metrics.
-pub const BACKEND_BASELINE: u32 = 0;
-/// PGAS fused backend id.
-pub const BACKEND_PGAS: u32 = 1;
-/// Resilient (fallible, degradable) backend id.
-pub const BACKEND_RESILIENT: u32 = 2;
+/// Account `rows` pooled rows bound for `dst` as served from the fill.
+fn shed(degrade: &mut Option<Degrade<'_>>, dst: usize, rows: u64) {
+    if let Some(g) = degrade {
+        g.report.degraded_rows += rows;
+        g.report.degraded_by_dst[dst] += rows;
+    }
+}
+
+/// Arrival log: rows pooled for a device's own output are consumable the
+/// instant their producing block retires — no wire involved — and hot-cache
+/// import blocks (appended after the regular blocks) pool one local row per
+/// imported bag.
+fn log_local_rows(log: &mut ArrivalLog, dp: &DevicePlan, bags_per_block: usize, run: &KernelRun) {
+    for (blk, &end) in dp.blocks.iter().zip(&run.block_ends) {
+        for &(dst, rows) in &blk.dest_rows {
+            if dst == dp.device {
+                log.push(dst, end, rows);
+            }
+        }
+    }
+    for (chunk, &end) in dp
+        .imported_bags
+        .chunks(bags_per_block)
+        .zip(&run.block_ends[dp.blocks.len()..])
+    {
+        log.push(dp.device, end, chunk.len() as u64);
+    }
+}
 
 /// Telemetry: per-batch phase breakdown and service-time histogram,
-/// labelled by backend id. For the baseline, `lookup` covers lookup+pack
-/// (one fused kernel) and `sync_unpack` covers wait+unpack+pool; for the
-/// PGAS path pack/pool are fused into the kernel and the tail is the
-/// quiet/barrier drain. No-op when the registry is disabled.
-pub fn record_batch_metrics(machine: &mut Machine, backend: u32, run: &BatchRun) {
+/// labelled by backend id. For the collective exchange, `lookup` covers
+/// lookup+pack (one fused kernel) and `sync_unpack` covers wait+unpack+pool;
+/// for the one-sided ones pack/pool are fused into the kernel and the tail
+/// is the quiet/barrier drain. No-op when the registry is disabled.
+fn record_batch_metrics(machine: &mut Machine, backend: u32, run: &BatchRun) {
     let m = machine.metrics_mut();
     if !m.is_enabled() {
         return;
@@ -381,347 +904,6 @@ pub fn record_batch_metrics(machine: &mut Machine, backend: u32, run: &BatchRun)
     );
 }
 
-/// Execute one batch on the PGAS fused path: per-device fused kernels whose
-/// one-sided stores stream onto the wire as blocks retire, a `quiet` per
-/// PE, a barrier over quiets, one stream sync.
-pub fn pgas_batch(
-    machine: &mut Machine,
-    pgas: PgasConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-) -> BatchRun {
-    pgas_batch_inner(machine, pgas, pb, start, None)
-}
-
-/// [`pgas_batch`] recording the fused-emission arrival schedule into `log`
-/// (reset to this batch): every one-sided put at its wire-delivery instant,
-/// local and import rows at their producing block's retirement. Timing and
-/// traffic are bit-identical to the plain function.
-pub fn pgas_batch_logged(
-    machine: &mut Machine,
-    pgas: PgasConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-    log: &mut ArrivalLog,
-) -> BatchRun {
-    pgas_batch_inner(machine, pgas, pb, start, Some(log))
-}
-
-fn pgas_batch_inner(
-    machine: &mut Machine,
-    pgas: PgasConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-    mut log: Option<&mut ArrivalLog>,
-) -> BatchRun {
-    let plan = pb.plan();
-    let n = plan.n_devices;
-    let row_bytes = plan.row_bytes();
-    if let Some(l) = log.as_deref_mut() {
-        l.reset(n);
-    }
-
-    // --- Fused kernel per device; every thread's one-sided store issues
-    // *while the block executes* (paper Listing 2), so a block's remote
-    // rows are streamed across its execution interval rather than
-    // released in a burst at retirement. ---
-    let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
-    let mut quiet = arena::take_time();
-    quiet.resize(n, SimTime::ZERO);
-    let mut quiet_spans: Vec<Option<usize>> = Vec::new();
-    if let Some(b) = machine.blame_mut() {
-        b.set_kind(BlameCategory::GatherPool);
-        b.set_cause(None);
-        quiet_spans.resize(n, None);
-    }
-    let mut releases = arena::take_release();
-    for dp in &plan.devices {
-        let durs = &pb.durations()[dp.device];
-        let run = machine.run_kernel_varied(dp.device, durs, start);
-        k_end[dp.device] = run.interval.end;
-        let kernel_span = machine.blame_last_span();
-        if let Some(b) = machine.blame_mut() {
-            // Puts issued below carry rows this kernel produced.
-            b.set_device_cause(dp.device as u32, kernel_span);
-        }
-        stream_releases_into(dp, durs, &run, &mut releases);
-        if let Some(l) = log.as_deref_mut() {
-            // Rows pooled for this device's own output are consumable the
-            // instant their producing block retires — no wire involved.
-            for (blk, &end) in dp.blocks.iter().zip(&run.block_ends) {
-                for &(dst, rows) in &blk.dest_rows {
-                    if dst == dp.device {
-                        l.push(dst, end, rows);
-                    }
-                }
-            }
-            // Hot-cache import blocks (appended after the regular blocks)
-            // pool one local row per imported bag.
-            for (chunk, &end) in dp
-                .imported_bags
-                .chunks(plan.bags_per_block)
-                .zip(&run.block_ends[dp.blocks.len()..])
-            {
-                l.push(dp.device, end, chunk.len() as u64);
-            }
-        }
-        let mut os = OneSided::with_config(machine, pgas);
-        for &(ready, dst, rows) in releases.iter() {
-            let iv = os.put_rows_nbi(dp.device, dst, rows, row_bytes, ready);
-            if let Some(l) = log.as_deref_mut() {
-                // The remote rows are consumable once the put delivers.
-                l.push(dst, iv.end, rows);
-            }
-            // When tracing, tie the remote put's wire span to the pooled
-            // write landing on the destination device's track.
-            if iv.end > iv.start {
-                let src = dp.device;
-                if let Some(t) = os.machine().trace_mut() {
-                    t.record_flow(
-                        "pooled write",
-                        format!("link{src}->{dst}"),
-                        iv.start,
-                        format!("gpu{dst}"),
-                        iv.end,
-                    );
-                }
-            }
-        }
-        quiet[dp.device] = os.quiet(dp.device, run.interval.end);
-        if !quiet_spans.is_empty() {
-            quiet_spans[dp.device] = blame_quiet_span(
-                machine,
-                dp.device,
-                kernel_span,
-                run.interval.end,
-                quiet[dp.device],
-            );
-        }
-    }
-    if let Some(l) = log {
-        l.finish();
-    }
-    arena::put_release(releases);
-    let k_max = machine.barrier(&k_end);
-    arena::put_time(k_end);
-
-    // --- Completion: barrier over per-PE quiets, then one host stream
-    // synchronization (PGAS_EMB_forward's final sync). ---
-    let mut os = OneSided::with_config(machine, pgas);
-    let bar = os.barrier_all(&quiet);
-    let mut end = arena::take_time();
-    end.extend((0..n).map(|d| machine.stream_sync(d, bar)));
-    let batch_end = machine.barrier(&end);
-    blame_completion_tail(machine, start, &quiet, &quiet_spans, bar, &end, batch_end);
-    arena::put_time(end);
-    arena::put_time(quiet);
-
-    let run = BatchRun {
-        start,
-        end: batch_end,
-        breakdown: TimeBreakdown {
-            compute: k_max - start,
-            // Communication is fused into the kernel: anything left is the
-            // drain/quiet/barrier tail, reported as sync time.
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        },
-    };
-    record_batch_metrics(machine, BACKEND_PGAS, &run);
-    run
-}
-
-/// Blame span for one PE's `quiet` fence: from the later of its kernel end
-/// and its last put's delivery, to the fence's completion. The cause is
-/// whichever of the two actually gated it — an outstanding put tail makes
-/// the fence's wait walk into the wire spans (exposed communication); a
-/// compute-bound device chains straight to its kernel.
-fn blame_quiet_span(
-    machine: &mut Machine,
-    dev: usize,
-    kernel_span: Option<usize>,
-    k_end: SimTime,
-    quiet_end: SimTime,
-) -> Option<usize> {
-    let b = machine.blame_mut()?;
-    let (cause, ready) = match b.last_outbound(dev as u32) {
-        Some(w) if b.spans()[w].end > k_end => (Some(w), b.spans()[w].end),
-        _ => (kernel_span, k_end),
-    };
-    Some(b.record(
-        BlameCategory::Sync,
-        Lane::Gpu(dev as u32),
-        ready,
-        ready,
-        quiet_end,
-        cause,
-        false,
-    ))
-}
-
-/// Blame spans for the PGAS completion tail shared by the flat and gateway
-/// paths: one host-lane barrier span caused by the latest-quiescing PE's
-/// fence, then one per-device stream-sync span caused by the barrier; the
-/// latest-finishing device's span terminates the batch walk.
-fn blame_completion_tail(
-    machine: &mut Machine,
-    start: SimTime,
-    quiet: &[SimTime],
-    quiet_spans: &[Option<usize>],
-    bar: SimTime,
-    end: &[SimTime],
-    batch_end: SimTime,
-) {
-    if !machine.blame_enabled() {
-        return;
-    }
-    let n = quiet.len();
-    let q_argmax = (0..n).max_by_key(|&d| quiet[d]).unwrap_or(0);
-    let q_max = quiet[q_argmax];
-    let term = {
-        let Some(b) = machine.blame_mut() else { return };
-        let bar_span = b.record(
-            BlameCategory::Sync,
-            Lane::Host,
-            q_max,
-            q_max,
-            bar,
-            quiet_spans.get(q_argmax).copied().flatten(),
-            false,
-        );
-        let mut term = None;
-        let mut latest = SimTime::ZERO;
-        for (d, &e) in end.iter().enumerate() {
-            let id = b.record(
-                BlameCategory::Sync,
-                Lane::Gpu(d as u32),
-                bar,
-                bar,
-                e,
-                Some(bar_span),
-                false,
-            );
-            if term.is_none() || e >= latest {
-                term = Some(id);
-                latest = e;
-            }
-        }
-        term
-    };
-    if let Some(b) = machine.blame_mut() {
-        b.end_batch(start, batch_end, term);
-    }
-}
-
-/// Execute one batch on the PGAS fused path with **gateway aggregation** of
-/// cross-node stores: same fused-emission schedule as [`pgas_batch`], but
-/// one-sided puts route through a [`GatewayPut`] proxy that coalesces rows
-/// bound for remote nodes into one aggregate message per destination node
-/// (flushed on size/age), scattered intra-node by the destination gateway.
-/// On a single-node topology every put bypasses the proxy, so this is
-/// bit-identical to [`pgas_batch`].
-pub fn pgas_batch_gateway(
-    machine: &mut Machine,
-    cfg: GatewayConfig,
-    pb: &PlannedBatch,
-    start: SimTime,
-) -> BatchRun {
-    let plan = pb.plan();
-    let n = plan.n_devices;
-    let row_bytes = plan.row_bytes();
-
-    // --- Phase 1: fused kernels; collect every device's store releases. ---
-    let mut k_end = arena::take_time();
-    k_end.resize(n, SimTime::ZERO);
-    let mut events = arena::take_event();
-    let mut releases = arena::take_release();
-    let mut kernel_spans: Vec<Option<usize>> = Vec::new();
-    let mut quiet_spans: Vec<Option<usize>> = Vec::new();
-    if let Some(b) = machine.blame_mut() {
-        b.set_kind(BlameCategory::GatherPool);
-        b.set_cause(None);
-        kernel_spans.resize(n, None);
-        quiet_spans.resize(n, None);
-    }
-    for dp in &plan.devices {
-        let durs = &pb.durations()[dp.device];
-        let run = machine.run_kernel_varied(dp.device, durs, start);
-        k_end[dp.device] = run.interval.end;
-        let kernel_span = machine.blame_last_span();
-        if let Some(b) = machine.blame_mut() {
-            // Gateway traffic below originates from this kernel's stores.
-            b.set_device_cause(dp.device as u32, kernel_span);
-            kernel_spans[dp.device] = kernel_span;
-        }
-        stream_releases_into(dp, durs, &run, &mut releases);
-        events.extend(
-            releases
-                .iter()
-                .map(|&(ready, dst, rows)| (ready, dp.device, dst, rows)),
-        );
-    }
-    arena::put_release(releases);
-    // --- Phase 2: one shared proxy, fed in global simulated-time order.
-    // The fabric books wire intervals FIFO in *call* order, and gateway
-    // scatters put traffic on links owned by a different GPU than the
-    // origin — issuing per-device (as the flat path does) would book one
-    // origin's whole timeline before the next origin's earlier stores and
-    // serialize them artificially. Sorting by (ready, src, dst) keeps call
-    // order aligned with simulated time. Each origin drains at its own
-    // kernel-retirement instant, merged into the same ordering.
-    events.sort_unstable_by_key(|&(t, src, dst, _)| (t, src, dst));
-    let mut gw = GatewayPut::new(machine, cfg);
-    let mut drained = arena::take_bool();
-    drained.resize(n, false);
-    let mut quiet = arena::take_time();
-    quiet.resize(n, SimTime::ZERO);
-    for &(ready, src, dst, rows) in events.iter() {
-        for d in 0..n {
-            if !drained[d] && k_end[d] < ready {
-                gw.drain_src(d, k_end[d]);
-                drained[d] = true;
-            }
-        }
-        gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
-    }
-    for (d, &t) in k_end.iter().enumerate() {
-        gw.drain_src(d, t);
-    }
-    for d in 0..n {
-        quiet[d] = gw.quiet(d, k_end[d]);
-        if !quiet_spans.is_empty() {
-            quiet_spans[d] = blame_quiet_span(gw.machine(), d, kernel_spans[d], k_end[d], quiet[d]);
-        }
-    }
-    drop(gw);
-    arena::put_event(events);
-    arena::put_bool(drained);
-    let k_max = machine.barrier(&k_end);
-    arena::put_time(k_end);
-
-    let mut os = OneSided::with_config(machine, cfg.pgas);
-    let bar = os.barrier_all(&quiet);
-    let mut end = arena::take_time();
-    end.extend((0..n).map(|d| machine.stream_sync(d, bar)));
-    let batch_end = machine.barrier(&end);
-    blame_completion_tail(machine, start, &quiet, &quiet_spans, bar, &end, batch_end);
-    arena::put_time(end);
-    arena::put_time(quiet);
-
-    let run = BatchRun {
-        start,
-        end: batch_end,
-        breakdown: TimeBreakdown {
-            compute: k_max - start,
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        },
-    };
-    record_batch_metrics(machine, BACKEND_PGAS, &run);
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,6 +916,18 @@ mod tests {
         c.n_batches = 3;
         c.distinct_batches = 2;
         c
+    }
+
+    fn pgas() -> Exchange {
+        Exchange::OneSided(PgasConfig::default())
+    }
+
+    fn baseline() -> Exchange {
+        Exchange::Collective(CollectiveConfig::default())
+    }
+
+    fn run(m: &mut Machine, exchange: Exchange, pb: &PlannedBatch, at: SimTime) -> BatchRun {
+        execute_batch(m, &exchange, pb, at, None, None)
     }
 
     fn planned(machine: &Machine, cfg: &EmbLayerConfig, seed_idx: usize) -> PlannedBatch {
@@ -750,17 +944,16 @@ mod tests {
         let cfg = tiny_cfg(2);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let pb = planned(&m, &cfg, 0);
-        let a = pgas_batch(&mut m, PgasConfig::default(), &pb, SimTime::ZERO);
+        let a = run(&mut m, pgas(), &pb, SimTime::ZERO);
         let late = a.end + Dur::from_us(37);
-        let b = pgas_batch(&mut m, PgasConfig::default(), &pb, late);
+        let b = run(&mut m, pgas(), &pb, late);
         assert_eq!(a.service(), b.service());
         assert_eq!(a.breakdown, b.breakdown);
 
         let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
-        let cc = CollectiveConfig::default();
-        let a = baseline_batch(&mut m2, &cc, &pb, SimTime::ZERO);
+        let a = run(&mut m2, baseline(), &pb, SimTime::ZERO);
         let late = a.end + Dur::from_us(101);
-        let b = baseline_batch(&mut m2, &cc, &pb, late);
+        let b = run(&mut m2, baseline(), &pb, late);
         assert_eq!(a.service(), b.service());
         assert_eq!(a.breakdown, b.breakdown);
     }
@@ -786,13 +979,13 @@ mod tests {
     }
 
     #[test]
-    fn pgas_batch_is_faster_than_baseline_batch() {
+    fn one_sided_batch_is_faster_than_collective_batch() {
         let cfg = tiny_cfg(2);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let pb = planned(&m, &cfg, 0);
-        let p = pgas_batch(&mut m, PgasConfig::default(), &pb, SimTime::ZERO);
+        let p = run(&mut m, pgas(), &pb, SimTime::ZERO);
         let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
-        let b = baseline_batch(&mut m2, &CollectiveConfig::default(), &pb, SimTime::ZERO);
+        let b = run(&mut m2, baseline(), &pb, SimTime::ZERO);
         assert!(
             p.service() < b.service(),
             "pgas {} vs {}",
@@ -809,9 +1002,14 @@ mod tests {
             let cfg = tiny_cfg(n);
             let mut m = Machine::new(MachineConfig::dgx_v100(n));
             let pb = planned(&m, &cfg, 0);
-            let plain = pgas_batch(&mut m, PgasConfig::default(), &pb, SimTime::ZERO);
+            let plain = run(&mut m, pgas(), &pb, SimTime::ZERO);
             let mut m2 = Machine::new(MachineConfig::dgx_v100(n));
-            let gw = pgas_batch_gateway(&mut m2, GatewayConfig::default(), &pb, SimTime::ZERO);
+            let gw = run(
+                &mut m2,
+                Exchange::Gateway(GatewayConfig::default()),
+                &pb,
+                SimTime::ZERO,
+            );
             assert_eq!(plain, gw, "width {n}: proxy must be a no-op");
             assert_eq!(m.traffic_stats(), m2.traffic_stats(), "width {n}");
         }
@@ -829,7 +1027,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
         m.enable_telemetry();
         let pb = planned(&m, &cfg, 0);
-        let flat = pgas_batch(&mut m, PgasConfig::default(), &pb, SimTime::ZERO);
+        let flat = run(&mut m, pgas(), &pb, SimTime::ZERO);
         let flat_msgs = m.metrics().counter("fabric_tier_messages", 1, 0);
 
         let mut m2 = Machine::new(MachineConfig::pod_v100(2, 2));
@@ -842,7 +1040,7 @@ mod tests {
                 max_wait: Dur::from_us(5),
             },
         };
-        let gw = pgas_batch_gateway(&mut m2, gw_cfg, &pb, SimTime::ZERO);
+        let gw = run(&mut m2, Exchange::Gateway(gw_cfg), &pb, SimTime::ZERO);
         let gw_msgs = m2.metrics().counter("fabric_tier_messages", 1, 0);
 
         assert!(
@@ -858,25 +1056,19 @@ mod tests {
     }
 
     #[test]
-    fn logged_variants_are_bit_identical_to_plain() {
+    fn arrival_log_is_pure_observation() {
         let cfg = tiny_cfg(2);
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let pb = planned(&m, &cfg, 0);
-        let plain = pgas_batch(&mut m, PgasConfig::default(), &pb, SimTime::ZERO);
-        let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
         let mut log = ArrivalLog::new();
-        let logged =
-            pgas_batch_logged(&mut m2, PgasConfig::default(), &pb, SimTime::ZERO, &mut log);
-        assert_eq!(plain, logged);
-        assert_eq!(m.traffic_stats(), m2.traffic_stats());
-
-        let cc = CollectiveConfig::default();
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let plain = baseline_batch(&mut m, &cc, &pb, SimTime::ZERO);
-        let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
-        let logged = baseline_batch_logged(&mut m2, &cc, &pb, SimTime::ZERO, &mut log);
-        assert_eq!(plain, logged);
-        assert_eq!(m.traffic_stats(), m2.traffic_stats());
+        for exchange in [pgas(), baseline()] {
+            let mut m = Machine::new(MachineConfig::dgx_v100(2));
+            let pb = planned(&m, &cfg, 0);
+            let plain = run(&mut m, exchange, &pb, SimTime::ZERO);
+            let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
+            let logged =
+                execute_batch(&mut m2, &exchange, &pb, SimTime::ZERO, Some(&mut log), None);
+            assert_eq!(plain, logged);
+            assert_eq!(m.traffic_stats(), m2.traffic_stats());
+        }
     }
 
     #[test]
@@ -885,15 +1077,16 @@ mod tests {
         let mut m = Machine::new(MachineConfig::dgx_v100(4));
         let pb = planned(&m, &cfg, 0);
         let mut plog = ArrivalLog::new();
-        let prun = pgas_batch_logged(&mut m, PgasConfig::default(), &pb, SimTime::ZERO, &mut plog);
+        let prun = execute_batch(&mut m, &pgas(), &pb, SimTime::ZERO, Some(&mut plog), None);
         let mut m2 = Machine::new(MachineConfig::dgx_v100(4));
         let mut blog = ArrivalLog::new();
-        let brun = baseline_batch_logged(
+        let brun = execute_batch(
             &mut m2,
-            &CollectiveConfig::default(),
+            &baseline(),
             &pb,
             SimTime::ZERO,
-            &mut blog,
+            Some(&mut blog),
+            None,
         );
         let plan = pb.plan();
         for d in 0..4 {

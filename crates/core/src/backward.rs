@@ -218,13 +218,7 @@ pub fn baseline_backward(
     });
 
     BackwardResult {
-        report: RunReport {
-            batches: cfg.n_batches,
-            breakdown,
-            total: breakdown.total(),
-            traffic: machine.traffic_stats(),
-            comm_series: machine.total_traffic(),
-        },
+        report: RunReport::new(machine, cfg.n_batches, breakdown),
         grads,
     }
 }
@@ -242,12 +236,17 @@ pub fn pgas_backward(
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
     let row_bytes = (cfg.dim * 4) as u32;
+    // Feature → owning device, once per plan (a bag's gradient goes to its
+    // feature's owner).
+    let owners: Vec<Vec<usize>> = prepared.plans.iter().map(feature_owners).collect();
 
     let mut breakdown = TimeBreakdown::default();
     let mut batch_start = SimTime::ZERO;
+    let mut per_owner = vec![0u64; n];
     for batch_idx in 0..cfg.n_batches {
         let which = batch_idx % prepared.plans.len();
         let plan = &prepared.plans[which];
+        let owner_of = &owners[which];
 
         // Fused gradient kernel on each device: mb × S bag-gradient rows in
         // blocks; each block pushes its remote rows at retirement.
@@ -278,13 +277,11 @@ pub fn pgas_backward(
             for (b, &ready) in run.block_ends.iter().enumerate() {
                 let first = b * plan.bags_per_block;
                 let count = plan.bags_per_block.min(n_bags - first);
-                let mut per_owner = vec![0u64; n];
+                per_owner.fill(0);
                 for bag in first..first + count {
-                    let f = bag / mb;
-                    let owner = plan.devices.iter().position(|dp| dp.features.contains(&f));
-                    per_owner[owner.expect("every feature has an owner")] += 1;
+                    per_owner[owner_of[bag / mb]] += 1;
                 }
-                for (owner, rows) in per_owner.into_iter().enumerate() {
+                for (owner, &rows) in per_owner.iter().enumerate() {
                     if owner != d && rows > 0 {
                         os.atomic_add_rows_nbi(d, owner, rows, row_bytes, ready);
                     }
@@ -320,15 +317,24 @@ pub fn pgas_backward(
     });
 
     BackwardResult {
-        report: RunReport {
-            batches: cfg.n_batches,
-            breakdown,
-            total: breakdown.total(),
-            traffic: machine.traffic_stats(),
-            comm_series: machine.total_traffic(),
-        },
+        report: RunReport::new(machine, cfg.n_batches, breakdown),
         grads,
     }
+}
+
+/// `owner[f]` = the (first) device whose shard holds feature `f`'s table.
+fn feature_owners(plan: &ForwardPlan) -> Vec<usize> {
+    let mut owner = vec![usize::MAX; plan.n_features];
+    for dp in plan.devices.iter().rev() {
+        for &f in &dp.features {
+            owner[f] = dp.device;
+        }
+    }
+    assert!(
+        owner.iter().all(|&o| o != usize::MAX),
+        "every feature has an owner"
+    );
+    owner
 }
 
 /// Apply SGD to a shard given its per-table gradients: `w -= lr * g`.

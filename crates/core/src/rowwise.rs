@@ -321,13 +321,7 @@ fn finish(
         }
     };
     BackendResult {
-        report: RunReport {
-            batches: cfg.n_batches,
-            breakdown,
-            total: breakdown.total(),
-            traffic: machine.traffic_stats(),
-            comm_series: machine.total_traffic(),
-        },
+        report: RunReport::new(machine, cfg.n_batches, breakdown),
         outputs,
     }
 }

@@ -1,7 +1,7 @@
 //! Timing reports: the paper's three runtime components.
 
 use desim::{Dur, TimeSeries};
-use gpusim::TrafficStats;
+use gpusim::{Machine, TrafficStats};
 
 /// The paper's Fig. 6/9 decomposition of one EMB forward pass.
 ///
@@ -49,6 +49,18 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Report `batches` batches with accumulated `breakdown`, embedding
+    /// `machine`'s whole-run wire statistics and traffic series.
+    pub fn new(machine: &Machine, batches: usize, breakdown: TimeBreakdown) -> Self {
+        RunReport {
+            batches,
+            breakdown,
+            total: breakdown.total(),
+            traffic: machine.traffic_stats(),
+            comm_series: machine.total_traffic(),
+        }
+    }
+
     /// Mean wall time per batch.
     pub fn per_batch(&self) -> Dur {
         if self.batches == 0 {

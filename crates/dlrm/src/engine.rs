@@ -29,8 +29,8 @@
 
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    baseline_batch_logged, final_batch_outputs, pgas_batch_logged, prepare_batches, ArrivalLog,
-    ExecMode, PlannedBatch,
+    execute_batch, final_batch_outputs, prepare_batches, ArrivalLog, Exchange, ExecMode,
+    PlannedBatch,
 };
 use emb_retrieval::{RunReport, TimeBreakdown};
 use gpusim::{Event, Machine, StageChunk, StreamId};
@@ -181,6 +181,10 @@ impl<'a> PipelineEngine<'a> {
         // running the EMB chain exactly as the serial backends do.
         let streams: Vec<StreamId> = (0..n).map(|d| machine.add_stream(d)).collect();
 
+        let exchange = match backend {
+            EngineBackend::Baseline(c) => Exchange::Collective(*c),
+            EngineBackend::Pgas(p) => Exchange::OneSided(*p),
+        };
         let mut log = ArrivalLog::new();
         let mut breakdown = TimeBreakdown::default();
         let mut batch_start = SimTime::ZERO;
@@ -191,14 +195,14 @@ impl<'a> PipelineEngine<'a> {
             // The EMB stage for batch k admits at the previous batch's
             // barrier — the identical chain the serial backends execute —
             // while the head streams may still be draining batch k-1.
-            let run = match backend {
-                EngineBackend::Baseline(c) => {
-                    baseline_batch_logged(machine, c, &planned[which], batch_start, &mut log)
-                }
-                EngineBackend::Pgas(p) => {
-                    pgas_batch_logged(machine, *p, &planned[which], batch_start, &mut log)
-                }
-            };
+            let run = execute_batch(
+                machine,
+                &exchange,
+                &planned[which],
+                batch_start,
+                Some(&mut log),
+                None,
+            );
             breakdown.accumulate(&run.breakdown);
 
             for d in 0..n {
@@ -237,13 +241,7 @@ impl<'a> PipelineEngine<'a> {
             batch_start = run.end;
         }
 
-        let emb = RunReport {
-            batches: cfg.emb.n_batches,
-            breakdown,
-            total: breakdown.total(),
-            traffic: machine.traffic_stats(),
-            comm_series: machine.total_traffic(),
-        };
+        let emb = RunReport::new(machine, cfg.emb.n_batches, breakdown);
         let finish = head_end.iter().copied().fold(batch_start, SimTime::max);
         let total = finish - SimTime::ZERO;
         let serial_total = costs.completion(emb.per_batch()) * cfg.emb.n_batches as u64;

@@ -269,8 +269,9 @@ impl Machine {
         self.faults.as_ref()
     }
 
-    /// True if a non-trivial fault plan is installed.
-    fn faults_active(&self) -> bool {
+    /// True if a non-trivial fault plan is installed — otherwise every
+    /// fallible fabric call is exactly its infallible counterpart.
+    pub fn faults_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|p| !p.is_trivial())
     }
 

@@ -210,6 +210,18 @@ impl<'m> OneSided<'m> {
         }
         self.record_put_batch(src, &batch);
         let on_wire = ready + self.cfg.issue_overhead * batch.messages;
+        if !self.machine.faults_active() {
+            // Clean fabric: nothing to retry and no error to plumb. The batch
+            // executor issues every store through this call, so the common
+            // case must cost what the infallible put costs.
+            let interval = self
+                .machine
+                .send(src, dst, batch.payload, batch.messages, on_wire);
+            return Ok(Delivery {
+                interval,
+                attempts: 1,
+            });
+        }
         let policy = self.cfg.retry;
         match self.machine.try_send_retry(
             src,

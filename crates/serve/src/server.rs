@@ -6,8 +6,8 @@ use std::fmt;
 use desim::{Dur, SimTime};
 use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline};
 use emb_retrieval::backend::{
-    baseline_batch, pgas_batch, plan_with_planner, BatchRun, DegradedFill, HotCachePlanner,
-    PlannedBatch, ResiliencePolicy, ResilienceReport, ResilientBackend,
+    execute_batch, plan_with_planner, DegradedFill, Exchange, HotCachePlanner, PlannedBatch,
+    ResiliencePolicy, ResilienceReport, ResilientBackend,
 };
 use emb_retrieval::{arena, BatchAssemblyError, EmbLayerConfig, SparseBatch};
 use gpusim::{Machine, NoLink};
@@ -122,6 +122,9 @@ pub enum ServeError {
     NoRoute(NoLink),
     /// A closed batch could not be assembled into a sparse batch.
     Assembly(BatchAssemblyError),
+    /// [`EmbServer::run_controlled`] was called without `cfg.slo`: the
+    /// control plane steers against the SLO and has nothing to aim at.
+    MissingSlo,
 }
 
 impl fmt::Display for ServeError {
@@ -132,6 +135,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::NoRoute(e) => write!(f, "serving preflight failed: {e}"),
             ServeError::Assembly(e) => write!(f, "batch assembly failed: {e}"),
+            ServeError::MissingSlo => write!(f, "controlled serving needs cfg.slo set"),
         }
     }
 }
@@ -301,26 +305,26 @@ impl EmbServer {
     /// executes, driving the execution tier, micro-batch deadline,
     /// admission bound, and hot-cache size. The controller is passed in by
     /// the caller so its state (breaker cooldowns, ladder counters)
-    /// persists across the phases of a scenario. Requires `cfg.slo`.
+    /// persists across the phases of a scenario. Requires `cfg.slo`
+    /// ([`ServeError::MissingSlo`] otherwise).
     pub fn run_controlled(
         &self,
         machine: &mut Machine,
         ctrl: &mut Controller,
     ) -> Result<ServeReport, ServeError> {
-        assert!(
-            self.cfg.slo.is_some(),
-            "controlled serving needs cfg.slo set"
-        );
-        self.serve_loop(machine, Some(ctrl))
+        let slo = self.cfg.slo.ok_or(ServeError::MissingSlo)?;
+        self.serve_loop(machine, Some((ctrl, slo)))
     }
 
     /// The serving loop. With `ctrl: None` this is exactly the historical
     /// static loop — no extra machine interaction, bit-identical artifacts.
+    /// A controller comes with the SLO it steers against.
     fn serve_loop(
         &self,
         machine: &mut Machine,
-        mut ctrl: Option<&mut Controller>,
+        ctrl: Option<(&mut Controller, Dur)>,
     ) -> Result<ServeReport, ServeError> {
+        let (mut ctrl, ctrl_slo) = ctrl.unzip();
         let cfg = &self.cfg;
         let n = cfg.emb.n_gpus;
         if machine.n_gpus() != n {
@@ -354,7 +358,6 @@ impl EmbServer {
         let mut emb = cfg.emb.clone();
         let mut planner = HotCachePlanner::new(&emb, machine.spec(0));
 
-        let resilient = ResilientBackend::new().with_policy(cfg.policy);
         let mut resilience = ResilienceReport::default();
         let pipeline_model = cfg.with_pipeline.then(|| {
             Dlrm::new(DlrmConfig {
@@ -444,30 +447,28 @@ impl EmbServer {
             if pb.plan().cache_rows > 0 {
                 last_hit = Some(pb.plan().measured_hit);
             }
-            let run: BatchRun = if ctrl.is_some() {
-                // Controlled runs always execute through the resilient
-                // per-batch surface with the tier-mapped policy; on a
-                // clean fabric the Pgas tier is bit-identical to the
-                // uncontrolled PGAS path.
-                let be = ResilientBackend {
+            // Controlled runs always execute under the tier-mapped policy,
+            // static ones under `cfg.policy` (resilient) or strictly (plain
+            // backends); on a clean fabric the Pgas tier is bit-identical to
+            // the uncontrolled PGAS path.
+            let policy = match (ctrl_slo, cfg.backend) {
+                (Some(slo), _) => Some(tier_policy(tier, slo)),
+                (None, ServeBackendKind::Resilient) => Some(cfg.policy),
+                (None, _) => None,
+            };
+            let at = closed.close_at;
+            let exchange = match (policy, cfg.backend) {
+                (Some(policy), _) => ResilientBackend {
                     pgas: cfg.pgas,
                     collectives: cfg.collectives,
-                    policy: tier_policy(tier, cfg.slo.expect("controlled runs carry an SLO")),
-                };
-                be.serve_batch(machine, &pb, closed.close_at, &mut resilience)
-            } else {
-                match cfg.backend {
-                    ServeBackendKind::Baseline => {
-                        baseline_batch(machine, &cfg.collectives, &pb, closed.close_at)
-                    }
-                    ServeBackendKind::PgasFused => {
-                        pgas_batch(machine, cfg.pgas, &pb, closed.close_at)
-                    }
-                    ServeBackendKind::Resilient => {
-                        resilient.serve_batch(machine, &pb, closed.close_at, &mut resilience)
-                    }
+                    policy,
                 }
+                .exchange_at(machine, at),
+                (None, ServeBackendKind::Baseline) => Exchange::Collective(cfg.collectives),
+                (None, _) => Exchange::OneSided(cfg.pgas),
             };
+            let degrade = policy.as_ref().map(|p| p.degrade(at, &mut resilience));
+            let run = execute_batch(machine, &exchange, &pb, at, None, degrade);
             // The retrieval occupies the machine; the MLP head (if any)
             // runs on separate streams and only extends request latency.
             t_free = run.end;
@@ -600,7 +601,7 @@ impl EmbServer {
             && reqs.windows(2).all(|w| w[1].id == w[0].id + 1);
         if aligned {
             let (which, _) = generator.deal_of(reqs[0].id);
-            if canonical[which].is_none() {
+            return Ok(Planned::Cached(canonical[which].get_or_insert_with(|| {
                 // Cache/dedup profiling needs the raw indices, so cached
                 // configs materialize the canonical batch in full.
                 let batch = if planner.is_some() {
@@ -609,11 +610,8 @@ impl EmbServer {
                     SparseBatch::generate_counts_only(&emb.batch_spec(), emb.batch_seed(which))
                 };
                 let plan = plan_with_planner(emb, &batch, machine.spec(0), planner);
-                canonical[which] = Some(PlannedBatch::new(machine, plan));
-            }
-            return Ok(Planned::Cached(
-                canonical[which].as_ref().expect("just built"),
-            ));
+                PlannedBatch::new(machine, plan)
+            })));
         }
 
         // Partial/misaligned batch: assemble from the actual requests,
@@ -748,6 +746,24 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("2 GPUs"));
+    }
+
+    #[test]
+    fn controlled_run_without_slo_is_a_typed_error() {
+        use crate::control::ControlConfig;
+        let cfg = serve_cfg(ServeBackendKind::Resilient, 1e5);
+        assert!(cfg.slo.is_none());
+        let mut ctrl = Controller::new(
+            ControlConfig::for_slo(Dur::from_ms(1), &cfg.batcher),
+            &cfg.batcher,
+            cfg.emb.hot_cache_rows,
+        );
+        let mut m = Machine::new(MachineConfig::dgx_v100(2));
+        let err = EmbServer::new(cfg)
+            .run_controlled(&mut m, &mut ctrl)
+            .unwrap_err();
+        assert!(matches!(err, ServeError::MissingSlo));
+        assert!(err.to_string().contains("cfg.slo"));
     }
 
     #[test]
