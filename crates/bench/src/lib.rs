@@ -1,42 +1,24 @@
 //! # bench-harness — regenerate every table and figure of the paper
 //!
 //! One function per experiment in the paper's evaluation (§IV), plus the
-//! §V-derived extensions. Each returns structured results; the `reproduce`
-//! binary formats them as the paper's tables/series and writes CSVs.
-//!
-//! | Paper artifact | Function |
-//! |---|---|
-//! | Table I (weak-scaling speedup) | [`weak_scaling`] |
-//! | Fig. 5 (weak-scaling factor) | [`weak_scaling`] |
-//! | Fig. 6 (weak runtime breakdown) | [`weak_scaling`] |
-//! | Fig. 7 (comm volume over time, 2 GPUs) | [`comm_volume_weak_2gpu`] |
-//! | Table II (strong-scaling speedup) | [`strong_scaling`] |
-//! | Fig. 8 (strong-scaling factor) | [`strong_scaling`] |
-//! | Fig. 9 (strong runtime breakdown) | [`strong_scaling`] |
-//! | Fig. 10 (comm volume over time, 4 GPUs) | [`comm_volume_strong_4gpu`] |
-//! | EXT-1 backward pass | [`backward_comparison`] |
-//! | EXT-2 multi-node aggregator | [`multinode_aggregator`] |
-//! | EXT-3 message-size ablation | [`message_size_ablation`] |
-//! | EXT-4 sharding ablation | [`sharding_ablation`] |
-//! | EXT-5 skew ablation | [`zipf_ablation`] |
-//! | EXT-7 fault-injection sweep | [`chaos_sweep`] |
-//! | EXT-8 online-serving load sweep | [`serve_load_sweep`] |
-//! | EXT-9 hot-row cache × index-skew grid | [`skew_sweep`] |
-//! | EXT-10 link-utilization timelines | [`netutil_sweep`] |
-//! | EXT-13 adaptive-vs-static resilience suite | [`adapt_sweep`] |
-//! | EXT-15 executed pipeline engine (fusion + software pipelining) | [`pipeline_sweep`] |
-//! | EXT-16 critical-path blame decomposition (causal span graph) | [`blame_sweep`] |
+//! §V-derived extensions, each returning structured results with its claims
+//! as methods. [`EXPERIMENTS`] is the one table mapping every artifact name
+//! to the function that runs its sweep and describes the artifact as a
+//! [`Doc`]; the `reproduce` binary loops over it (`reproduce --help` prints
+//! it), and [`Doc`] owns the CSV/JSON rendering and the claim check.
 
 #![warn(missing_docs)]
 
 mod adapt;
 mod counting_alloc;
+pub mod doc;
 mod experiments;
-mod format;
+mod registry;
 mod wallclock;
 
 pub use adapt::*;
 pub use counting_alloc::*;
+pub use doc::Doc;
 pub use experiments::*;
-pub use format::*;
+pub use registry::*;
 pub use wallclock::*;

@@ -7,9 +7,9 @@
 //! the best-of-R wall time per width, and asserts the results are
 //! bit-identical across widths (the engine's determinism contract).
 //!
-//! The output is `BENCH_wallclock.json`, the perf-trajectory artifact: a
-//! hand-rolled JSON document (validated by [`validate_wallclock_json`])
-//! with per-benchmark times and self-speedups relative to one thread.
+//! The output is `BENCH_wallclock.json`, the perf-trajectory artifact
+//! ([`wallclock_doc`]): per-benchmark times and self-speedups relative to
+//! one thread, gated by the report's claims.
 
 use std::time::Instant;
 
@@ -22,6 +22,7 @@ use gpusim::{Machine, MachineConfig};
 use rayon::ThreadPoolBuilder;
 use simtensor::Tensor;
 
+use crate::doc::{claim, list, plain, text, Doc, Item, Layout};
 use crate::scaled;
 
 /// One microbenchmark's wall-clock measurements across pool widths.
@@ -148,6 +149,9 @@ fn sweep(
     }
 }
 
+/// Shrink factor of the `--smoke` workloads.
+const SMOKE_SCALE: usize = 256;
+
 /// Measure the four hot-path microbenches (embedding lookup+pool, matmul,
 /// end-to-end functional batch, batch-prep dedup) at widths {1, 2, 4}.
 /// `smoke` shrinks the
@@ -155,7 +159,7 @@ fn sweep(
 /// scale-down of the paper config that fits comfortably in host memory.
 pub fn run_wallclock(smoke: bool) -> WallclockReport {
     let threads = vec![1usize, 2, 4];
-    let (scale, reps) = if smoke { (256, 2) } else { (16, 3) };
+    let (scale, reps) = if smoke { (SMOKE_SCALE, 2) } else { (16, 3) };
 
     let mut benches = Vec::new();
 
@@ -356,121 +360,131 @@ pub fn run_wallclock(smoke: bool) -> WallclockReport {
     }
 }
 
-/// Serialize a report as the `BENCH_wallclock.json` document.
-pub fn wallclock_json(r: &WallclockReport) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        r.threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("  \"scale\": {},\n", r.scale));
-    s.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        r.host_parallelism
-    ));
-    s.push_str("  \"benchmarks\": [\n");
-    for (bi, b) in r.benches.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", b.name));
-        s.push_str(&format!(
-            "      \"best_secs\": [{}],\n",
-            b.best_secs
-                .iter()
-                .map(|t| format!("{t:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "      \"speedup_vs_1\": [{}],\n",
-            (0..b.best_secs.len())
-                .map(|i| format!("{:.3}", b.speedup(i)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "      \"inline_degraded\": [{}],\n",
-            b.inline_degraded
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+/// Serial `end_to_end_batch` time of the pre-overhaul seed at smoke scale;
+/// the smoke run must stay under it.
+const E2E_SEED_SERIAL_SECS: f64 = 0.000906;
+
+/// Describe a report as the `BENCH_wallclock.json` document. Its claims are
+/// checks on members the document prints anyway: every bench bit-identical
+/// across widths; a warmed `arena_reuse` repetition allocating nothing;
+/// and, for `end_to_end_batch`, no width slower than serial (inline
+/// degradation makes that exact on small hosts) and — at smoke scale, the
+/// only one with a seed time on record — the serial time under the seed's.
+pub fn wallclock_doc(r: &WallclockReport) -> Doc {
+    let rows = r.benches.iter().map(|b| {
+        let e2e = b.name == "end_to_end_batch";
+        let speedups: Vec<f64> = (0..b.best_secs.len()).map(|i| b.speedup(i)).collect();
+        let mut cells = vec![
+            text("name", b.name),
+            list("best_secs", b.best_secs.iter().map(|t| format!("{t:.6}"))).must(
+                !(e2e && r.scale == SMOKE_SCALE) || b.best_secs[0] < E2E_SEED_SERIAL_SECS,
+                "end_to_end_batch serial time is not under the pre-overhaul seed's",
+            ),
+            list("speedup_vs_1", speedups.iter().map(|s| format!("{s:.3}"))).must(
+                !e2e || speedups.iter().all(|&s| s >= 1.0),
+                "end_to_end_batch got slower when the pool widened",
+            ),
+            list(
+                "inline_degraded",
+                b.inline_degraded.iter().map(bool::to_string),
+            ),
+        ];
         if let Some(a) = b.steady_allocs {
-            s.push_str(&format!("      \"steady_allocs\": {a},\n"));
+            cells.push(plain("steady_allocs", a).must(
+                a == 0,
+                "a warmed arena_reuse repetition allocated from the heap",
+            ));
         }
-        s.push_str(&format!("      \"bit_identical\": {}\n", b.bit_identical));
-        s.push_str(if bi + 1 < r.benches.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Minimal structural validation of a `BENCH_wallclock.json` document:
-/// [`validate_json_doc`] with the wallclock report's required keys.
-pub fn validate_wallclock_json(s: &str) -> Result<(), String> {
-    validate_json_doc(
-        s,
-        &[
-            "\"threads\"",
-            "\"scale\"",
-            "\"host_parallelism\"",
-            "\"benchmarks\"",
-            "\"name\"",
-            "\"best_secs\"",
-            "\"speedup_vs_1\"",
-            "\"inline_degraded\"",
-            "\"bit_identical\"",
+        cells.push(claim(
+            "bit_identical",
+            b.bit_identical,
+            "a wider pool's result diverged from the serial one",
+        ));
+        cells
+    });
+    Doc {
+        name: "wallclock",
+        title: None,
+        items: vec![
+            Item::Fields(vec![
+                list("threads", r.threads.iter().map(usize::to_string)),
+                plain("scale", r.scale),
+                plain("host_parallelism", r.host_parallelism),
+            ]),
+            Item::Table(Some("benchmarks"), Layout::Expanded, rows.collect()),
         ],
-    )
+        attachments: Vec::new(),
+    }
 }
-
-/// Minimal structural validation shared by every hand-rolled `BENCH_*.json`
-/// artifact; the implementation lives in the `telemetry` crate (which also
-/// validates its own snapshot/trace exports) and is re-exported here.
-pub use telemetry::validate_json_doc;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn bench(name: &'static str, best_secs: Vec<f64>) -> WallclockBench {
+        WallclockBench {
+            name,
+            best_secs,
+            bit_identical: true,
+            inline_degraded: vec![true, false, false],
+            steady_allocs: None,
+        }
+    }
+
+    fn report(benches: Vec<WallclockBench>) -> WallclockReport {
+        WallclockReport {
+            threads: vec![1, 2, 4],
+            scale: SMOKE_SCALE,
+            host_parallelism: 1,
+            benches,
+        }
+    }
+
     #[test]
     fn json_round_trip_is_well_formed() {
-        let r = WallclockReport {
-            threads: vec![1, 2, 4],
-            scale: 256,
-            host_parallelism: 1,
-            benches: vec![WallclockBench {
-                name: "lookup_pool",
-                best_secs: vec![0.4, 0.25, 0.2],
-                bit_identical: true,
-                inline_degraded: vec![true, false, false],
-                steady_allocs: Some(0),
-            }],
-        };
-        let s = wallclock_json(&r);
-        validate_wallclock_json(&s).expect("valid");
-        assert!(s.contains("\"lookup_pool\""));
+        let mut lookup = bench("lookup_pool", vec![0.4, 0.25, 0.2]);
+        lookup.steady_allocs = Some(0);
+        let r = report(vec![lookup]);
+        let doc = wallclock_doc(&r);
+        let s = doc.json().expect("the report is a JSON document");
+        telemetry::validate_json_doc(&s, &[]).expect("valid");
+        assert!(s.starts_with("{\n  \"threads\": [1, 2, 4],\n  \"scale\": 256,\n"));
+        assert!(s.contains("\"name\": \"lookup_pool\""));
+        assert!(s.contains("\"best_secs\": [0.400000, 0.250000, 0.200000]"));
         assert!(s.contains("\"speedup_vs_1\": [1.000, 1.600, 2.000]"));
         assert!(s.contains("\"inline_degraded\": [true, false, false]"));
-        assert!(s.contains("\"steady_allocs\": 0"));
+        assert!(s.contains("\"steady_allocs\": 0,\n      \"bit_identical\": true"));
+        assert!(doc.failed_claims().is_empty());
+        assert_eq!(doc.csv(), None, "stdout shows the JSON itself");
         assert_eq!(r.speedup_at_4("lookup_pool"), Some(2.0));
         assert_eq!(r.speedup_at_4("missing"), None);
     }
 
+    /// The gates `ci.sh` used to `awk`/`grep` out of the JSON are claims:
+    /// each one, broken, is reported under the member it checks.
     #[test]
-    fn validator_rejects_malformed_documents() {
-        assert!(validate_wallclock_json("{\"threads\": [1, 2}").is_err());
-        assert!(validate_wallclock_json("{}").is_err());
-        assert!(validate_wallclock_json("{\"threads\": [NaN]}").is_err());
-        assert!(validate_wallclock_json("\"unterminated").is_err());
+    fn each_broken_gate_is_a_named_failed_claim() {
+        let failed = |b: WallclockBench| wallclock_doc(&report(vec![b])).failed_claims();
+        let e2e = |secs: Vec<f64>| bench("end_to_end_batch", secs);
+        assert!(failed(e2e(vec![0.0006, 0.0006, 0.0005])).is_empty());
+        let slow_serial = failed(e2e(vec![0.000906, 0.0009, 0.0009]));
+        assert_eq!(slow_serial.len(), 1);
+        assert!(slow_serial[0].starts_with("best_secs: end_to_end_batch serial time"));
+        let slower_wide = failed(e2e(vec![0.0006, 0.0006, 0.0007]));
+        assert_eq!(slower_wide.len(), 1);
+        assert!(slower_wide[0].starts_with("speedup_vs_1: end_to_end_batch got slower"));
+        // Only end_to_end_batch carries the timing gates, and the seed time
+        // is on record for the smoke workload only.
+        assert!(failed(bench("matmul", vec![0.5, 0.6, 0.7])).is_empty());
+        let mut full = report(vec![e2e(vec![0.5, 0.5, 0.5])]);
+        full.scale = 16;
+        assert!(wallclock_doc(&full).failed_claims().is_empty());
+        let mut arena = bench("arena_reuse", vec![0.1, 0.1, 0.1]);
+        arena.steady_allocs = Some(3);
+        assert!(failed(arena)[0].starts_with("steady_allocs: "));
+        let mut diverged = bench("gather", vec![0.1, 0.1, 0.1]);
+        diverged.bit_identical = false;
+        assert!(failed(diverged)[0].starts_with("bit_identical: "));
     }
 
     #[test]
@@ -497,6 +511,5 @@ mod tests {
         let arena = r.benches.iter().find(|b| b.name == "arena_reuse").unwrap();
         let allocs = arena.steady_allocs.expect("arena_reuse counts allocs");
         assert_eq!(allocs, 0, "steady-state batch must not allocate");
-        validate_wallclock_json(&wallclock_json(&r)).expect("valid document");
     }
 }

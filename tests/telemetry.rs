@@ -13,9 +13,9 @@
 //! 3. **The smoothing claim holds.** The EXT-10 sweep must show the PGAS
 //!    backend's per-link peak-to-mean utilization strictly below the
 //!    baseline's — the quantified form of the paper's "smoothed network
-//!    usage" observation — and its artifacts must pass their own validator.
+//!    usage" observation — and its artifacts must carry the claim, holding.
 
-use bench_harness::{netutil_json, netutil_sweep, netutil_table, validate_netutil_json};
+use bench_harness::{netutil_sweep, Params, EXPERIMENTS};
 use desim::Dur;
 use emb_serve::{EmbServer, ServeBackendKind, ServeConfig};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
@@ -140,9 +140,22 @@ fn netutil_locks_in_the_smoothing_claim() {
         );
     }
 
-    let json = netutil_json(&r);
-    validate_netutil_json(&json).expect("netutil json validates");
-    let table = netutil_table(&r, "EXT-10 test", 50);
+    // The artifacts `reproduce netutil --smoke` writes: claims hold, the
+    // JSON is well-formed, the CSV carries both tables and the flag.
+    let netutil = EXPERIMENTS.iter().find(|e| e.names == ["netutil"]);
+    let params = Params {
+        smoke: true,
+        ..Params::default()
+    };
+    let docs = (netutil.expect("registered").run)(&params);
+    let [doc] = &docs[..] else {
+        panic!("netutil describes one document");
+    };
+    assert_eq!(doc.failed_claims(), Vec::<String>::new());
+    let json = doc.json().expect("netutil has a JSON form");
+    validate_json_doc(&json, &[]).expect("netutil json validates");
+    assert!(json.contains("\"smoothing_ok\": true"));
+    let table = doc.csv().expect("netutil has a CSV form");
     assert!(table.contains("link,baseline_peak"));
     assert!(table.contains("time_ms,baseline_util,pgas_util"));
     assert!(table.contains("smoothing_ok=true"));
