@@ -10,7 +10,9 @@
 # malformed (it exits 1 naming the claim), so nothing here re-reads a
 # BENCH_*.json; the shell only compares the artifacts that have no smoke
 # parameters with the committed results/, byte for byte (which also pins
-# "observability is inert when off").
+# "observability is inert when off"). The observer-on artifacts (pods,
+# netutil, blame: telemetry timelines and blame vectors) get the same byte
+# gate from three full-scale runs, about 7 + 1 + 10 s.
 set -eu
 
 cargo fmt --all -- --check
@@ -32,7 +34,8 @@ cargo test --manifest-path benchmark/Cargo.toml --offline
 bash benchmark/run.sh --smoke > /dev/null
 
 d=$(mktemp -d)
-trap 'rm -rf "$d"' EXIT
+d2=$(mktemp -d)
+trap 'rm -rf "$d" "$d2"' EXIT
 reproduce="cargo run --release -p bench-harness --offline --"
 $reproduce all --smoke --out-dir "$d" > /dev/null
 $reproduce skew --smoke --out-dir "$d" > /dev/null
@@ -40,13 +43,25 @@ $reproduce skew --smoke --out-dir "$d" > /dev/null
 # width slower than serial, zero steady-state allocations) live here only.
 $reproduce wallclock --smoke --out-dir "$d" > /dev/null
 
-for f in table1.csv BENCH_table1.json fig5.csv fig6.csv \
+# Every named file of directory $1 equals its namesake in results/.
+same_as_results() {
+    dir=$1
+    shift
+    for f in "$@"; do
+        cmp -s "$dir/$f" "results/$f" || {
+            echo "ci: results/$f drifted from a fresh run" >&2
+            exit 1
+        }
+    done
+}
+same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     table2.csv BENCH_table2.json fig8.csv fig9.csv fig7.csv fig10.csv \
     backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \
-    whatif.csv ablation-zipf.csv; do
-    cmp -s "$d/$f" "results/$f" || {
-        echo "ci: results/$f drifted from a fresh run" >&2
-        exit 1
-    }
+    whatif.csv ablation-zipf.csv
+# Observers on, full scale, one experiment per invocation.
+for e in pods netutil blame; do
+    $reproduce "$e" --out-dir "$d2" > /dev/null
 done
+same_as_results "$d2" pods.csv BENCH_pods.json netutil.csv BENCH_netutil.json \
+    blame.csv BENCH_blame.json blame_folded.txt
 echo "ci: all gates passed"

@@ -39,21 +39,20 @@ impl TimeSeries {
     }
 
     /// Spread `value` uniformly over `[start, end)` — used to attribute a
-    /// transfer's bytes across the interval it occupies the wire.
+    /// transfer's bytes across the interval it occupies the wire. One resize,
+    /// then one `+=` per bucket crossed (see [`Spread`]); the interior is a
+    /// single slice loop adding one constant.
     pub fn add_spread(&mut self, start: SimTime, end: SimTime, value: f64) {
-        if end <= start {
-            self.add(start, value);
-            return;
+        let s = Spread::over(self.bucket, start, end, value);
+        if s.last >= self.values.len() {
+            self.values.resize(s.last + 1, 0.0);
         }
-        let total = (end - start).as_ns() as f64;
-        let mut t = start;
-        while t < end {
-            let bucket_end =
-                SimTime::from_ns(((t.as_ns() / self.bucket.as_ns()) + 1) * self.bucket.as_ns());
-            let seg_end = bucket_end.min(end);
-            let frac = (seg_end - t).as_ns() as f64 / total;
-            self.add(t, value * frac);
-            t = seg_end;
+        self.values[s.first] += s.head;
+        if s.last > s.first {
+            for v in &mut self.values[s.first + 1..s.last] {
+                *v += s.mid;
+            }
+            self.values[s.last] += s.tail;
         }
     }
 
@@ -102,6 +101,60 @@ impl TimeSeries {
         }
         let var = (0..n).map(|i| (get(i) - mean).powi(2)).sum::<f64>() / n as f64;
         var.sqrt() / mean
+    }
+}
+
+/// How a value spread uniformly over `[start, end)` splits across fixed-width
+/// buckets: bucket `first` receives `head`, every bucket strictly between
+/// `first` and `last` receives `mid`, and `last` (when it is not `first`)
+/// receives `tail`. Each share is `value * (overlap_ns as f64 / span_ns as
+/// f64)` — a full bucket's share is one constant — so any accumulator that
+/// adds these terms once per bucket, deposits in call order, holds the same
+/// bits as [`TimeSeries::add_spread`]. A degenerate span (`end <= start`)
+/// puts all of `value` in `start`'s bucket.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// Index of the bucket containing `start`.
+    pub first: usize,
+    /// Index of the last bucket the span overlaps.
+    pub last: usize,
+    /// Share of bucket `first`.
+    pub head: f64,
+    /// Share of each bucket in `first + 1..last`.
+    pub mid: f64,
+    /// Share of bucket `last` when `last > first`.
+    pub tail: f64,
+}
+
+impl Spread {
+    /// Split `value` over `[start, end)` on `bucket`-wide buckets.
+    pub fn over(bucket: Dur, start: SimTime, end: SimTime, value: f64) -> Self {
+        let (b, s, e) = (bucket.as_ns(), start.as_ns(), end.as_ns());
+        let first = (s / b) as usize;
+        let last = if e <= s {
+            first
+        } else {
+            ((e - 1) / b) as usize
+        };
+        if last == first {
+            // One bucket takes it all: `value * (span / span)` is `value`.
+            return Spread {
+                first,
+                last,
+                head: value,
+                mid: 0.0,
+                tail: 0.0,
+            };
+        }
+        let total = (e - s) as f64;
+        let share = |ns: u64| value * (ns as f64 / total);
+        Spread {
+            first,
+            last,
+            head: share((first as u64 + 1) * b - s),
+            mid: share(b),
+            tail: share(e - last as u64 * b),
+        }
     }
 }
 
@@ -206,6 +259,7 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn time_series_accumulates_into_buckets() {
@@ -226,6 +280,62 @@ mod tests {
         // 5ns in bucket0, 10 in bucket1, 10 in bucket2, 5 in bucket3.
         assert_eq!(ts.buckets(), &[5.0, 10.0, 10.0, 5.0]);
         assert!((ts.total() - 30.0).abs() < 1e-9);
+    }
+
+    /// The per-bucket loop `add_spread` used to be, kept as the oracle: one
+    /// division, one `SimTime` round-trip and one `add` per bucket crossed.
+    fn add_spread_reference(ts: &mut TimeSeries, start: SimTime, end: SimTime, value: f64) {
+        if end <= start {
+            ts.add(start, value);
+            return;
+        }
+        let total = (end - start).as_ns() as f64;
+        let mut t = start;
+        while t < end {
+            let bucket_end =
+                SimTime::from_ns(((t.as_ns() / ts.bucket.as_ns()) + 1) * ts.bucket.as_ns());
+            let seg_end = bucket_end.min(end);
+            let frac = (seg_end - t).as_ns() as f64 / total;
+            ts.add(t, value * frac);
+            t = seg_end;
+        }
+    }
+
+    fn bits(ts: &TimeSeries) -> Vec<u64> {
+        ts.buckets().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The slice form leaves exactly the bits (and the length) the
+        /// per-bucket loop left: spans on and off bucket edges, empty and
+        /// single-bucket spans, spans of >= 10 000 buckets, and repeated
+        /// overlapping deposits into one series.
+        #[test]
+        fn add_spread_is_bit_identical_to_the_per_bucket_loop(
+            bucket in prop_oneof![1u64..8, 10u64..2000, 50_000u64..50_001],
+            deposits in prop::collection::vec(
+                // (start in buckets, start offset, length in buckets, end offset, value)
+                (0u64..40, 0u64..2000, prop_oneof![0u64..3, 0u64..40, 10_000u64..12_000],
+                 0u64..2000, 0u64..1_000_000_000),
+                1..12,
+            ),
+            scale in prop_oneof![Just(1.0f64), Just(1.0 / 3.0), Just(1e-9)],
+        ) {
+            let mut fast = TimeSeries::new(Dur::from_ns(bucket));
+            let mut slow = fast.clone();
+            for (sb, so, lb, eo, v) in deposits {
+                // Offsets of 0 land on bucket edges; lb == 0 with eo <= so
+                // gives end <= start.
+                let start = sb * bucket + so % bucket;
+                let end = (sb + lb) * bucket + eo % bucket;
+                let (start, end) = (SimTime::from_ns(start), SimTime::from_ns(end));
+                let value = v as f64 * scale;
+                fast.add_spread(start, end, value);
+                add_spread_reference(&mut slow, start, end, value);
+                prop_assert_eq!(fast.buckets().len(), slow.buckets().len());
+            }
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The machine: devices + fabric + measurement.
 
-use desim::{Dur, Histogram, Interval, Resource, SimTime, TimeSeries};
+use desim::{Dur, Histogram, Interval, Resource, SimTime, Spread, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
 
@@ -91,6 +91,51 @@ impl TrafficStats {
     }
 }
 
+/// Payload bytes over time for one ordered pair: `(bucket, bytes)` entries
+/// sorted by bucket, one per bucket a transfer overlapped, so memory follows
+/// the wire's busy time rather than the length of the simulated timeline.
+/// Deposits add the same [`Spread`] terms in the same order a dense
+/// [`TimeSeries`] would, so the dense read-out holds the same bits.
+#[derive(Clone, Debug, Default)]
+struct PairTraffic(Vec<(usize, f64)>);
+
+impl PairTraffic {
+    fn deposit(&mut self, s: Spread) {
+        let e = &mut self.0;
+        // A link is FIFO, so a transfer's first bucket is the tail's or a
+        // later one and this search is one step; it is a search so that the
+        // store's contents never rest on that argument.
+        let mut at = e.len();
+        while at > 0 && e[at - 1].0 >= s.first {
+            at -= 1;
+        }
+        for b in s.first..=s.last {
+            if e.get(at).is_none_or(|&(have, _)| have != b) {
+                e.insert(at, (b, 0.0));
+            }
+            e[at].1 += if b == s.first {
+                s.head
+            } else if b < s.last {
+                s.mid
+            } else {
+                s.tail
+            };
+            at += 1;
+        }
+    }
+
+    /// Add the entries to the dense `out` (same bucket width), in bucket
+    /// order; exact zeros only when `keep_zeros` (they extend `out`).
+    fn add_to(&self, out: &mut TimeSeries, keep_zeros: bool) {
+        let bucket_ns = out.bucket_width().as_ns();
+        for &(b, v) in &self.0 {
+            if keep_zeros || v != 0.0 {
+                out.add(SimTime::from_ns(b as u64 * bucket_ns), v);
+            }
+        }
+    }
+}
+
 /// A deterministic simulated multi-GPU machine.
 ///
 /// All operations take explicit "ready" times and return the interval the
@@ -117,8 +162,8 @@ pub struct Machine {
     /// sees timing identical to the plain per-pair link (the NIC and link
     /// horizons coincide).
     nics: Vec<Resource>,
-    /// Payload bytes on the wire over time, per ordered pair.
-    traffic: Vec<TimeSeries>,
+    /// Payload bytes on the wire over time, per ordered pair (always on).
+    traffic: Vec<PairTraffic>,
     /// Latest send-completion per source device (for PGAS `quiet`).
     sent_upto: Vec<SimTime>,
     msg_sizes: Histogram,
@@ -149,14 +194,13 @@ impl Machine {
             cfg.specs.len(),
             n
         );
-        let bucket = cfg.traffic_bucket;
         Machine {
             streams: vec![SimTime::ZERO; n],
             aux_streams: vec![Vec::new(); n],
             links: vec![Resource::new(); n * n],
             injection: vec![Resource::new(); n],
             nics: vec![Resource::new(); cfg.topology.nodes()],
-            traffic: (0..n * n).map(|_| TimeSeries::new(bucket)).collect(),
+            traffic: vec![PairTraffic::default(); n * n],
             sent_upto: vec![SimTime::ZERO; n],
             msg_sizes: Histogram::new(),
             stats: TrafficStats::default(),
@@ -684,28 +728,23 @@ impl Machine {
         );
         let link = *self.cfg.topology.link(src, dst);
         let n = self.n_gpus();
+        let same_node = self.cfg.topology.same_node(src, dst);
+        let requested = ready + link.latency;
+        let header_bytes = n_messages * link.header_bytes as u64;
+        let mean_payload = payload.checked_div(n_messages);
         let wire = link.wire_time(payload, n_messages) * (1.0 / efficiency);
         // The injection port admits the bytes at the GPU's aggregate rate;
         // the link then streams them at its own (slower or contended) rate.
-        let wire_bytes = payload + n_messages * link.header_bytes as u64;
-        let inj_time = Dur::from_secs_f64(wire_bytes as f64 / self.cfg.specs[src].inj_bw);
-        let inj_iv = self.injection[src].acquire(ready + link.latency, inj_time);
+        let inj_time =
+            Dur::from_secs_f64((payload + header_bytes) as f64 / self.cfg.specs[src].inj_bw);
+        let inj_iv = self.injection[src].acquire(requested, inj_time);
         // Cross-node traffic funnels through the source node's shared NIC
         // before its pair link; intra-node traffic rides the crossbar only.
-        let same_node = self.cfg.topology.same_node(src, dst);
-        let mut nic_queued = false;
-        let wire_from = if same_node {
-            inj_iv.start
-        } else {
+        let nic = (!same_node).then(|| {
             let node = self.cfg.topology.node_of(src);
-            let nic_iv = self.nics[node].acquire(inj_iv.start, wire);
-            nic_queued = nic_iv.start > inj_iv.start;
-            if self.metrics.is_enabled() {
-                self.metrics
-                    .span("nic_busy_ns", node as u32, 0, nic_iv.start, nic_iv.end);
-            }
-            nic_iv.start
-        };
+            (node, self.nics[node].acquire(inj_iv.start, wire))
+        });
+        let wire_from = nic.map_or(inj_iv.start, |(_, nic_iv)| nic_iv.start);
         let iv = self.links[src * n + dst].acquire(wire_from, wire);
         let iv = Interval {
             start: iv.start,
@@ -721,36 +760,41 @@ impl Machine {
             let id = b.record(
                 cat,
                 Lane::Link(src as u32, dst as u32),
-                ready + link.latency,
+                requested,
                 iv.start,
                 iv.end,
                 cause,
-                nic_queued,
+                wire_from > inj_iv.start,
             );
             b.note_outbound(src as u32, id);
             b.note_inbound(dst as u32, id);
         }
-        self.traffic[src * n + dst].add_spread(iv.start, iv.end, payload as f64);
-        if n_messages > 0 {
-            self.msg_sizes.record(payload / n_messages.max(1));
+        self.traffic[src * n + dst].deposit(Spread::over(
+            self.cfg.traffic_bucket,
+            iv.start,
+            iv.end,
+            payload as f64,
+        ));
+        if let Some(mean_payload) = mean_payload {
+            self.msg_sizes.record(mean_payload);
         }
         self.stats.payload_bytes += payload;
-        self.stats.header_bytes += n_messages * link.header_bytes as u64;
+        self.stats.header_bytes += header_bytes;
         self.stats.messages += n_messages;
         self.sent_upto[src] = self.sent_upto[src].max(iv.end);
         self.bump(iv.end);
         if self.metrics.is_enabled() {
             let (si, di) = (src as u32, dst as u32);
+            if let Some((node, nic_iv)) = nic {
+                self.metrics
+                    .span("nic_busy_ns", node as u32, 0, nic_iv.start, nic_iv.end);
+            }
             self.metrics.incr("fabric_sends", si, di);
             self.metrics.add("fabric_messages", si, di, n_messages);
             self.metrics.add("fabric_payload_bytes", si, di, payload);
-            self.metrics.add(
-                "fabric_header_bytes",
-                si,
-                di,
-                n_messages * link.header_bytes as u64,
-            );
-            if let Some(mean_payload) = payload.checked_div(n_messages) {
+            self.metrics
+                .add("fabric_header_bytes", si, di, header_bytes);
+            if let Some(mean_payload) = mean_payload {
                 self.metrics.observe(
                     "fabric_msg_payload_bytes",
                     si,
@@ -762,28 +806,19 @@ impl Machine {
             // Per-tier rollups (tier 0 = intra-node, 1 = inter-node): on a
             // pod topology these split the same traffic by which fabric
             // tier carried it, so the slow-tier share is one key away.
-            let tier = if self.cfg.topology.same_node(src, dst) {
-                0
-            } else {
-                1
-            };
+            let tier = u32::from(!same_node);
             self.metrics
                 .add("fabric_tier_messages", tier, 0, n_messages);
             self.metrics
                 .add("fabric_tier_payload_bytes", tier, 0, payload);
-            self.metrics.add(
-                "fabric_tier_header_bytes",
-                tier,
-                0,
-                n_messages * link.header_bytes as u64,
-            );
+            self.metrics
+                .add("fabric_tier_header_bytes", tier, 0, header_bytes);
             // Busy-time over the wire interval: bucket_value / bucket_ns is
             // this link's utilization in that bucket.
             self.metrics.span("link_busy_ns", si, di, iv.start, iv.end);
             // Stall: the gap between when the transfer wanted the wire and
             // when it got it — bucket_value / bucket_ns is the average
             // number of transfers queued on this link.
-            let requested = ready + link.latency;
             if iv.start > requested {
                 self.metrics
                     .span("link_stall_ns", si, di, requested, iv.start);
@@ -980,20 +1015,19 @@ impl Machine {
         self.horizon
     }
 
-    /// Payload-bytes-over-time series for the directed pair `(src, dst)`.
-    pub fn traffic_between(&self, src: usize, dst: usize) -> &TimeSeries {
-        &self.traffic[src * self.n_gpus() + dst]
+    /// Payload-bytes-over-time series for the directed pair `(src, dst)`,
+    /// materialised densely from the pair's sparse store.
+    pub fn traffic_between(&self, src: usize, dst: usize) -> TimeSeries {
+        let mut out = TimeSeries::new(self.cfg.traffic_bucket);
+        self.traffic[src * self.n_gpus() + dst].add_to(&mut out, true);
+        out
     }
 
     /// Sum of payload traffic over all links, as one series.
     pub fn total_traffic(&self) -> TimeSeries {
         let mut out = TimeSeries::new(self.cfg.traffic_bucket);
-        for ts in &self.traffic {
-            for (t, v) in ts.points() {
-                if v != 0.0 {
-                    out.add(t, v);
-                }
-            }
+        for pair in &self.traffic {
+            pair.add_to(&mut out, false);
         }
         out
     }
@@ -1290,6 +1324,49 @@ mod tests {
         assert!((total - 1000.0).abs() < 1e-6);
         assert_eq!(m.total_traffic().total(), total);
         assert_eq!(m.traffic_between(1, 0).total(), 0.0);
+    }
+
+    proptest::proptest! {
+        /// The sparse store does not lean on FIFO order: deposits that
+        /// overlap, nest or arrive out of time order still read out as the
+        /// dense series fed the same spans.
+        #[test]
+        fn pair_traffic_matches_a_dense_series_in_any_deposit_order(
+            spans in proptest::collection::vec((0u64..400, 0u64..300, 0u64..1000), 1..40),
+        ) {
+            let bucket = Dur::from_ns(10);
+            let (mut sparse, mut dense) = (PairTraffic::default(), TimeSeries::new(bucket));
+            for (start, len, value) in spans {
+                let (start, end) = (SimTime::from_ns(start), SimTime::from_ns(start + len));
+                sparse.deposit(Spread::over(bucket, start, end, value as f64));
+                dense.add_spread(start, end, value as f64);
+            }
+            proptest::prop_assert!(sparse.0.windows(2).all(|w| w[0].0 < w[1].0));
+            let mut read = TimeSeries::new(bucket);
+            sparse.add_to(&mut read, true);
+            let bits = |ts: &TimeSeries| -> Vec<u64> {
+                ts.buckets().iter().map(|v| v.to_bits()).collect()
+            };
+            proptest::prop_assert_eq!(bits(&read), bits(&dense));
+        }
+    }
+
+    #[test]
+    fn traffic_store_follows_sends_not_the_timeline() {
+        // One send per ordered pair, 1 s into the simulation: the dense
+        // layout held 20 000 zero buckets per pair before the first byte.
+        let mut m = Machine::new(MachineConfig::pod_v100(16, 4));
+        let n = m.n_gpus();
+        let mut sent = 0u64;
+        for src in 0..n {
+            for dst in (0..n).filter(|&d| d != src) {
+                m.send(src, dst, 4096, 1, SimTime::from_us(1_000_000));
+                sent += 4096;
+            }
+        }
+        assert!(m.traffic.iter().all(|pair| pair.0.len() <= 2));
+        assert!((m.total_traffic().total() - sent as f64).abs() < 1e-6 * sent as f64);
+        assert!(m.traffic_between(0, 1).buckets().len() >= 20_000);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the GPU machine model.
 
-use desim::SimTime;
+use desim::{Dur, SimTime, TimeSeries};
 use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig};
 use proptest::prelude::*;
 
@@ -25,6 +25,51 @@ proptest! {
         prop_assert_eq!(stats.messages, msgs);
         let series_total = m.traffic_between(0, 1).total();
         prop_assert!((series_total - total as f64).abs() < 1e-3 * total as f64 + 1e-6);
+    }
+
+    /// The per-pair traffic store is sparse, its read-outs are not: after
+    /// any send sequence `traffic_between` and `total_traffic` hold, bit for
+    /// bit, what dense per-pair series fed the returned intervals hold.
+    /// A slow injection port makes `inj_iv.end` outlast the link's booking;
+    /// zero-payload and zero-message sends still touch their buckets.
+    #[test]
+    fn sparse_traffic_reads_out_as_the_dense_replay(
+        pod in any::<bool>(),
+        slow_injection in any::<bool>(),
+        bucket_ns in prop_oneof![Just(100u64), Just(1_000), Just(50_000)],
+        sends in prop::collection::vec(
+            (0usize..4, 1usize..4, prop_oneof![Just(0u64), 1u64..4096, 1u64..4_000_000],
+             0u64..64, 0u64..300),
+            1..60,
+        ),
+    ) {
+        let bucket = Dur::from_ns(bucket_ns);
+        let mut cfg = if pod {
+            MachineConfig::pod_v100(2, 2)
+        } else {
+            MachineConfig::dgx_v100(4)
+        };
+        if slow_injection {
+            cfg.specs.iter_mut().for_each(|s| s.inj_bw = 2e9);
+        }
+        let mut m = Machine::new(cfg.with_traffic_bucket(bucket));
+        let mut dense = vec![TimeSeries::new(bucket); 16];
+        for (src, off, payload, n_msgs, ready_us) in sends {
+            let dst = (src + off) % 4;
+            let iv = m.send(src, dst, payload, n_msgs, SimTime::from_us(ready_us));
+            dense[src * 4 + dst].add_spread(iv.start, iv.end, payload as f64);
+        }
+        let bits = |ts: &TimeSeries| -> Vec<u64> {
+            ts.buckets().iter().map(|v| v.to_bits()).collect()
+        };
+        let mut total = TimeSeries::new(bucket);
+        for (pair, ts) in dense.iter().enumerate() {
+            prop_assert_eq!(bits(&m.traffic_between(pair / 4, pair % 4)), bits(ts));
+            for (t, v) in ts.points().filter(|&(_, v)| v != 0.0) {
+                total.add(t, v);
+            }
+        }
+        prop_assert_eq!(bits(&m.total_traffic()), bits(&total));
     }
 
     /// Kernel duration is monotone in both block count and bytes per block.

@@ -382,30 +382,27 @@ impl EmbServer {
         let mut last_hit: Option<f64> = None;
         let mut last_retries = 0u64;
         let mut last_exhausted = 0u64;
-        let mut last_snap = telemetry::Snapshot::default();
         let mut served_within_slo = 0u64;
         let mut slo_viol_time = Dur::ZERO;
 
         while let Some(closed) = batcher.next_batch(t_free) {
             if let Some(c) = ctrl.as_deref_mut() {
                 // One control tick per closed batch, before execution. The
-                // retry/exhausted deltas come from the live telemetry
-                // registry via `delta_since` when it is enabled, otherwise
-                // from the resilience report's own counters.
-                let (retries_delta, exhausted_delta) = if machine.metrics().is_enabled() {
-                    let delta = machine.metrics().delta_since(&last_snap);
-                    last_snap = machine.metrics().snapshot();
+                // retry/exhausted totals come from the live telemetry
+                // registry when it is enabled, otherwise from the
+                // resilience report's own counters; the tick sees what
+                // either gained since the previous tick.
+                let (retries, exhausted) = if machine.metrics().is_enabled() {
                     (
-                        delta.counter_total("pgas_put_retries"),
-                        delta.counter_total("pgas_puts_exhausted"),
+                        machine.metrics().counter_total("pgas_put_retries"),
+                        machine.metrics().counter_total("pgas_puts_exhausted"),
                     )
                 } else {
-                    let rd = resilience.retries - last_retries;
-                    let ed = resilience.exhausted_puts - last_exhausted;
-                    last_retries = resilience.retries;
-                    last_exhausted = resilience.exhausted_puts;
-                    (rd, ed)
+                    (resilience.retries, resilience.exhausted_puts)
                 };
+                let (retries_delta, exhausted_delta) =
+                    (retries - last_retries, exhausted - last_exhausted);
+                (last_retries, last_exhausted) = (retries, exhausted);
                 let sig = TickSignals {
                     queued: batcher.queued(),
                     worst_latency: worst_since_tick,

@@ -11,11 +11,15 @@
 //!    the default everywhere — and every pre-existing artifact stays
 //!    byte-identical.
 //! 2. **Deterministic snapshots.** Metrics are keyed by a static name plus
-//!    two small numeric labels ([`MetricKey`]) in `BTreeMap`s, so
-//!    [`Registry::snapshot`] is sorted by construction and independent of
-//!    insertion order. All recording happens through `&mut Machine`, which
-//!    the simulator already serialises, so snapshots are bit-identical at
-//!    any `RAYON_NUM_THREADS` width.
+//!    two small numeric labels ([`MetricKey`]). Storage interns the name to
+//!    a small id and walks `BTreeMap`s of `(i, j, id)` integers, so a
+//!    recording compares no strings and the several metrics one event
+//!    records for one label pair sit in one tree leaf;
+//!    [`Registry::snapshot`] reads the names out in text order, so it is
+//!    sorted by `MetricKey` and independent of insertion order. All
+//!    recording happens through `&mut Machine`, which the simulator already
+//!    serialises, so snapshots are bit-identical at any `RAYON_NUM_THREADS`
+//!    width.
 //! 3. **No hot-path string formatting.** Label rendering (`name{i=..,j=..}`)
 //!    happens only at snapshot/exposition time.
 //!
@@ -172,20 +176,73 @@ impl FixedHistogram {
 }
 
 /// Deterministic, opt-in metrics registry. See the crate docs for the
-/// determinism contract; the short version: keys are `BTreeMap`-ordered and
+/// determinism contract; the short version: snapshots are sorted by key and
 /// every mutation happens behind `&mut`, so two runs of the same workload
 /// produce identical snapshots regardless of host thread width.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     enabled: bool,
     bucket: Dur,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, FixedHistogram>,
-    timelines: BTreeMap<MetricKey, TimeSeries>,
+    /// Interned metric names; a [`Slot`]'s last field indexes this.
+    names: Vec<&'static str>,
+    counters: BTreeMap<Slot, u64>,
+    gauges: BTreeMap<Slot, f64>,
+    histograms: BTreeMap<Slot, FixedHistogram>,
+    timelines: BTreeMap<Slot, TimeSeries>,
 }
 
+/// Storage key `(i, j, interned name id)`: labels first, so what one send
+/// records for its `(src, dst)` is adjacent in the map.
+type Slot = (u32, u32, u32);
+
 impl Registry {
+    /// Id of `name` if it was ever recorded under. Call sites pass literals,
+    /// so the pointer-equal scan nearly always hits; equal text at another
+    /// address (the same literal in two crates) falls to a content compare.
+    fn id_of(&self, name: &str) -> Option<u32> {
+        let names = &self.names;
+        let hit = names.iter().position(|n| std::ptr::eq(*n, name));
+        hit.or_else(|| names.iter().position(|n| *n == name))
+            .map(|id| id as u32)
+    }
+
+    /// Storage key of `name{i,j}`, interning `name` on first use.
+    fn slot(&mut self, name: &'static str, i: u32, j: u32) -> Slot {
+        let id = self.id_of(name).unwrap_or_else(|| {
+            self.names.push(name);
+            self.names.len() as u32 - 1
+        });
+        (i, j, id)
+    }
+
+    fn get<'a, V>(&self, map: &'a BTreeMap<Slot, V>, name: &str, i: u32, j: u32) -> Option<&'a V> {
+        map.get(&(i, j, self.id_of(name)?))
+    }
+
+    /// The entries of `map` recorded under name `id`, in label order (a scan:
+    /// readers are per run or per tick, recordings are per message).
+    fn named<'a, V>(
+        map: &'a BTreeMap<Slot, V>,
+        name: &'static str,
+        id: u32,
+    ) -> impl Iterator<Item = (MetricKey, &'a V)> {
+        map.iter()
+            .filter(move |(k, _)| k.2 == id)
+            .map(move |(&(i, j, _), v)| (MetricKey { name, i, j }, v))
+    }
+
+    /// All of `map` in [`MetricKey`] order: names by text, then labels.
+    fn sorted<'a, V>(
+        &self,
+        map: &'a BTreeMap<Slot, V>,
+    ) -> impl Iterator<Item = (MetricKey, &'a V)> {
+        let mut order: Vec<_> = self.names.iter().copied().zip(0u32..).collect();
+        order.sort_unstable();
+        order
+            .into_iter()
+            .flat_map(move |(name, id)| Self::named(map, name, id))
+    }
+
     /// A registry that records nothing — the default on every `Machine`.
     pub fn disabled() -> Self {
         Self::default()
@@ -221,7 +278,8 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(MetricKey { name, i, j }).or_insert(0) += v;
+        let slot = self.slot(name, i, j);
+        *self.counters.entry(slot).or_insert(0) += v;
     }
 
     /// Increment the counter `name{i,j}` by one.
@@ -236,7 +294,8 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        self.gauges.insert(MetricKey { name, i, j }, v);
+        let slot = self.slot(name, i, j);
+        self.gauges.insert(slot, v);
     }
 
     /// Raise the gauge `name{i,j}` to `v` if `v` exceeds its current value.
@@ -245,7 +304,8 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        let g = self.gauges.entry(MetricKey { name, i, j }).or_insert(v);
+        let slot = self.slot(name, i, j);
+        let g = self.gauges.entry(slot).or_insert(v);
         if v > *g {
             *g = v;
         }
@@ -266,8 +326,9 @@ impl Registry {
         if !self.enabled {
             return;
         }
+        let slot = self.slot(name, i, j);
         self.histograms
-            .entry(MetricKey { name, i, j })
+            .entry(slot)
             .or_insert_with(|| FixedHistogram::new(bounds))
             .record(value);
     }
@@ -288,8 +349,9 @@ impl Registry {
         if !self.enabled {
             return;
         }
+        let slot = self.slot(name, i, j);
         self.histograms
-            .entry(MetricKey { name, i, j })
+            .entry(slot)
             .or_insert_with(|| FixedHistogram::new(bounds))
             .record_traced(value, trace_id);
     }
@@ -304,34 +366,40 @@ impl Registry {
         if !self.enabled || end <= start {
             return;
         }
-        let bucket = self.bucket;
+        let (bucket, slot) = (self.bucket, self.slot(name, i, j));
         self.timelines
-            .entry(MetricKey { name, i, j })
+            .entry(slot)
             .or_insert_with(|| TimeSeries::new(bucket))
             .add_spread(start, end, end.since(start).as_ns() as f64);
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &'static str, i: u32, j: u32) -> u64 {
-        self.counters
-            .get(&MetricKey { name, i, j })
-            .copied()
-            .unwrap_or(0)
+        self.get(&self.counters, name, i, j).copied().unwrap_or(0)
+    }
+
+    /// Sum of a counter across all labels sharing `name` — the live
+    /// registry's [`Snapshot::counter_total`], without the copy.
+    pub fn counter_total(&self, name: &'static str) -> u64 {
+        let id = self.id_of(name);
+        id.map_or(0, |id| {
+            Self::named(&self.counters, name, id).map(|(_, v)| v).sum()
+        })
     }
 
     /// Current value of a gauge, if it was ever set.
     pub fn gauge(&self, name: &'static str, i: u32, j: u32) -> Option<f64> {
-        self.gauges.get(&MetricKey { name, i, j }).copied()
+        self.get(&self.gauges, name, i, j).copied()
     }
 
     /// A histogram by key, if it was ever observed into.
     pub fn histogram(&self, name: &'static str, i: u32, j: u32) -> Option<&FixedHistogram> {
-        self.histograms.get(&MetricKey { name, i, j })
+        self.get(&self.histograms, name, i, j)
     }
 
     /// A busy-time timeline by key, if any span was ever recorded.
     pub fn timeline(&self, name: &'static str, i: u32, j: u32) -> Option<&TimeSeries> {
-        self.timelines.get(&MetricKey { name, i, j })
+        self.get(&self.timelines, name, i, j)
     }
 
     /// Iterate all timelines sharing `name`, in label order.
@@ -339,10 +407,9 @@ impl Registry {
         &'a self,
         name: &'static str,
     ) -> impl Iterator<Item = (MetricKey, &'a TimeSeries)> {
-        self.timelines
-            .iter()
-            .filter(move |(k, _)| k.name == name)
-            .map(|(k, ts)| (*k, ts))
+        let id = self.id_of(name);
+        id.into_iter()
+            .flat_map(move |id| Self::named(&self.timelines, name, id))
     }
 
     /// Windowed view of everything recorded since `prior` was taken from
@@ -359,47 +426,25 @@ impl Registry {
     /// `snapshot()` for a registry with no timelines recorded under a
     /// different bucket width.
     pub fn delta_since(&self, prior: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| {
-                let base = prior
-                    .counters
-                    .binary_search_by(|(pk, _)| pk.cmp(k))
-                    .map(|idx| prior.counters[idx].1)
-                    .unwrap_or(0);
-                (*k, v.saturating_sub(base))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let mut h = h.clone();
-                if let Ok(idx) = prior.histograms.binary_search_by(|(pk, _)| pk.cmp(k)) {
-                    let base = &prior.histograms[idx].1;
-                    if base.bounds() == h.bounds() {
-                        for (c, b) in h.counts.iter_mut().zip(base.counts()) {
-                            *c = c.saturating_sub(*b);
-                        }
-                        h.total = h.total.saturating_sub(base.total());
-                        h.sum = h.sum.saturating_sub(base.sum());
-                    }
-                }
-                (*k, h)
-            })
-            .collect();
-        Snapshot {
-            bucket_ns: self.bucket.as_ns(),
-            counters,
-            gauges: self.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
-            histograms,
-            timelines: self
-                .timelines
-                .iter()
-                .map(|(k, ts)| (*k, ts.buckets().to_vec()))
-                .collect(),
+        let mut d = self.snapshot();
+        for (k, v) in &mut d.counters {
+            if let Ok(idx) = prior.counters.binary_search_by(|(pk, _)| pk.cmp(k)) {
+                *v = v.saturating_sub(prior.counters[idx].1);
+            }
         }
+        for (k, h) in &mut d.histograms {
+            if let Ok(idx) = prior.histograms.binary_search_by(|(pk, _)| pk.cmp(k)) {
+                let base = &prior.histograms[idx].1;
+                if base.bounds() == h.bounds() {
+                    for (c, b) in h.counts.iter_mut().zip(base.counts()) {
+                        *c = c.saturating_sub(*b);
+                    }
+                    h.total = h.total.saturating_sub(base.total());
+                    h.sum = h.sum.saturating_sub(base.sum());
+                }
+            }
+        }
+        d
     }
 
     /// Point-in-time copy of every metric, sorted by key. Comparable with
@@ -407,17 +452,15 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             bucket_ns: self.bucket.as_ns(),
-            counters: self.counters.iter().map(|(k, v)| (*k, *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
+            counters: self.sorted(&self.counters).map(|(k, v)| (k, *v)).collect(),
+            gauges: self.sorted(&self.gauges).map(|(k, v)| (k, *v)).collect(),
             histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| (*k, h.clone()))
+                .sorted(&self.histograms)
+                .map(|(k, h)| (k, h.clone()))
                 .collect(),
             timelines: self
-                .timelines
-                .iter()
-                .map(|(k, ts)| (*k, ts.buckets().to_vec()))
+                .sorted(&self.timelines)
+                .map(|(k, ts)| (k, ts.buckets().to_vec()))
                 .collect(),
         }
     }
@@ -775,6 +818,25 @@ mod tests {
                 "x{i=\"1\",j=\"0\"}"
             ]
         );
+    }
+
+    #[test]
+    fn a_name_is_its_text_not_its_address() {
+        // The same literal in two crates is two addresses; interning must
+        // still see one metric, and totals read the live registry.
+        let elsewhere: &'static str = Box::leak(String::from("msgs").into_boxed_str());
+        let mut r = Registry::enabled(Dur::from_us(10));
+        r.add("msgs", 0, 1, 3);
+        r.add(elsewhere, 0, 1, 4);
+        r.add(elsewhere, 2, 0, 5);
+        r.add("other", 0, 1, 100);
+        assert_eq!(r.counter("msgs", 0, 1), 7);
+        assert_eq!(r.counter_total("msgs"), 12);
+        assert_eq!(r.counter_total("never_recorded"), 0);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters.len(), 3);
+        assert_eq!(snap.counter_total("msgs"), 12);
+        assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
