@@ -12,7 +12,11 @@
 # parameters with the committed results/, byte for byte (which also pins
 # "observability is inert when off"). The observer-on artifacts (pods,
 # netutil, blame: telemetry timelines and blame vectors) get the same byte
-# gate from three full-scale runs, about 7 + 1 + 10 s.
+# gate from three full-scale runs, about 7 + 1 + 10 s; so do the two
+# artifacts that lean hardest on shared plans: chaos (stragglers and link
+# faults over shared PlannedBatches, i.e. the release-schedule store and its
+# bypass, about 3 s) and serve (the request pool and the memoized canonical
+# plans, about 11 s).
 set -eu
 
 cargo fmt --all -- --check
@@ -58,10 +62,11 @@ same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     table2.csv BENCH_table2.json fig8.csv fig9.csv fig7.csv fig10.csv \
     backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \
     whatif.csv ablation-zipf.csv
-# Observers on, full scale, one experiment per invocation.
-for e in pods netutil blame; do
+# Full scale, one experiment per invocation: observers on (pods, netutil,
+# blame), then shared plans under faults (chaos) and under serving (serve).
+for e in pods netutil blame chaos serve; do
     $reproduce "$e" --out-dir "$d2" > /dev/null
 done
 same_as_results "$d2" pods.csv BENCH_pods.json netutil.csv BENCH_netutil.json \
-    blame.csv BENCH_blame.json blame_folded.txt
+    blame.csv BENCH_blame.json blame_folded.txt chaos.csv serve.csv
 echo "ci: all gates passed"

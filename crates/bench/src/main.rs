@@ -85,5 +85,8 @@ fn main() {
         // run to run, and host time is the one thing that never is.
         let secs = start.elapsed().as_secs_f64();
         eprintln!("host-time {}: {secs:.3}s", e.names.join("+"));
+        // An experiment's memoized plans die with it: `pods` and `blame`
+        // peak near a gigabyte and should find the heap as empty as ever.
+        emb_serve::forget_memoized();
     }
 }

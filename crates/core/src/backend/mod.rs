@@ -24,11 +24,14 @@ pub use single::{execute_batch, ArrivalLog, BatchRun, Degrade, Exchange, Planned
 
 pub use crate::cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
 
+use std::sync::{Arc, OnceLock};
+
 use desim::{Dur, SimTime};
 use gpusim::{GpuSpec, KernelShape, Machine};
 use rayon::prelude::*;
 use simtensor::Tensor;
 
+use crate::memo::Memo;
 use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch, TimeBreakdown};
 
 /// Whether a run materializes weights and produces outputs, or only times.
@@ -133,15 +136,43 @@ pub(crate) fn lookup_block_durations(
 ///
 /// Public so executed-schedule frontends (the dlrm pipeline engine) can
 /// drive the same per-batch functions the closed-loop backends chain,
-/// against the same prepared state.
+/// against the same prepared state — literally the same: [`prepare_batches`]
+/// hands every asker of one `(config, mode, GPU)` one shared instance.
 pub struct PreparedBatches {
-    /// The distinct batches, seed-index order.
+    /// The distinct batches, seed-index order, in [`ExecMode::Functional`].
+    /// **Timing mode keeps no batch** (empty): each is dropped once planned,
+    /// a paper-scale one being 34 MB of CSR offsets nothing reads again.
     pub batches: Vec<SparseBatch>,
-    /// One forward plan per batch.
-    pub plans: Vec<ForwardPlan>,
+    /// One forward plan per distinct batch.
+    pub plans: Vec<Arc<ForwardPlan>>,
     /// The hot-row/dedup planner, when `cfg` enables either — kept so the
     /// functional path can materialize replicas without re-ranking.
     pub planner: Option<HotCachePlanner>,
+    /// The GPU the set was prepared for, and the plans as [`PlannedBatch`]es
+    /// on a machine of such GPUs (see [`PreparedBatches::planned_for`]).
+    gpu: GpuSpec,
+    planned: OnceLock<Arc<[PlannedBatch]>>,
+}
+
+impl PreparedBatches {
+    /// The plans as executable [`PlannedBatch`]es on `machine`. Built once
+    /// and shared (release schedules included) by every machine made of the
+    /// GPU the set was prepared for; a machine with any other spec gets a
+    /// build of its own that is not kept.
+    pub fn planned_for(&self, machine: &Machine) -> Arc<[PlannedBatch]> {
+        let build = || -> Arc<[PlannedBatch]> {
+            (0..self.plans.len())
+                .into_par_iter()
+                .map(|i| PlannedBatch::new(machine, Arc::clone(&self.plans[i])))
+                .collect::<Vec<_>>()
+                .into()
+        };
+        if (0..machine.n_gpus()).all(|d| *machine.spec(d) == self.gpu) {
+            Arc::clone(self.planned.get_or_init(build))
+        } else {
+            build()
+        }
+    }
 }
 
 /// Expected fraction of this workload's row reads served from `gpu`'s L2 —
@@ -187,36 +218,83 @@ pub fn plan_with_planner(
     p
 }
 
+/// What a prepared set is a pure function of: the config (with `n_batches`
+/// normalised to the distinct count, the only way it matters), the mode and
+/// the GPU the cache-hit derating is computed for. Whole-struct derived
+/// equality, so a field added to either struct is in the key by construction.
+type PrepareKey = (EmbLayerConfig, ExecMode, GpuSpec);
+
+static PREPARED: Memo<PrepareKey, PreparedBatches> = Memo::new();
+
 /// Generate the distinct batches of a closed-loop run under `cfg` and plan
 /// each one — the state every backend's `run` builds before its batch loop.
-pub fn prepare_batches(cfg: &EmbLayerConfig, mode: ExecMode, gpu: &GpuSpec) -> PreparedBatches {
+/// Memoized process-wide (most recently used, bounded by
+/// [`crate::memo::MEMO_CAPACITY`] and [`crate::memo::MEMO_BUDGET_BYTES`]):
+/// both backends of a comparison, every repetition and every serve load
+/// point of one config share one build.
+pub fn prepare_batches(
+    cfg: &EmbLayerConfig,
+    mode: ExecMode,
+    gpu: &GpuSpec,
+) -> Arc<PreparedBatches> {
+    let mut cfg = cfg.clone();
+    cfg.n_batches = cfg.distinct_batches.max(1).min(cfg.n_batches.max(1));
+    PREPARED.get_or_build((cfg, mode, gpu.clone()), build_prepared)
+}
+
+/// Drop every memoized prepared set (whoever holds one keeps it). Never
+/// needed for correctness: `reproduce` calls it between experiments so one
+/// experiment's plans do not sit in the heap the next one peaks in.
+pub fn forget_prepared() {
+    PREPARED.clear();
+}
+
+/// Resident bytes per block of an executed set: the `BlockPlan` (80) and its
+/// `dest_rows` allocation, a duration and about four stored releases.
+const RETAINED_BYTES_PER_BLOCK: usize = 224;
+
+/// The uncached build behind [`prepare_batches`], and the bytes the result
+/// keeps resident; `n_batches` is already the distinct count.
+fn build_prepared((cfg, mode, gpu): &PrepareKey) -> (PreparedBatches, usize) {
     let spec = cfg.batch_spec();
-    let distinct = cfg.distinct_batches.max(1).min(cfg.n_batches.max(1));
     let planner = HotCachePlanner::new(cfg, gpu);
     // Cache/dedup profiling is per-index, so those runs materialize full
     // batches even in timing mode (they only ever run at bench scales).
-    let need_indices = mode == ExecMode::Functional || planner.is_some();
-    // Each batch is seeded independently and each plan depends only on its
-    // batch, so both stages fan out; ordered collects keep seed-index order.
-    let batches: Vec<SparseBatch> = (0..distinct)
+    let functional = *mode == ExecMode::Functional;
+    let need_indices = functional || planner.is_some();
+    // Batches are seeded independently and a plan depends only on its batch:
+    // generate-then-plan fans out (ordered collect keeps seed-index order).
+    let (batches, plans): (Vec<_>, Vec<_>) = (0..cfg.n_batches)
         .into_par_iter()
         .map(|i| {
-            if need_indices {
+            let batch = if need_indices {
                 SparseBatch::generate(&spec, cfg.batch_seed(i))
             } else {
                 SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i))
-            }
+            };
+            let plan = Arc::new(plan_with_planner(cfg, &batch, gpu, planner.as_ref()));
+            (functional.then_some(batch), plan)
         })
-        .collect();
-    let plans = (0..batches.len())
-        .into_par_iter()
-        .map(|i| plan_with_planner(cfg, &batches[i], gpu, planner.as_ref()))
-        .collect();
-    PreparedBatches {
+        .collect::<Vec<_>>()
+        .into_iter()
+        .unzip();
+    let batches: Vec<SparseBatch> = batches.into_iter().flatten().collect();
+    let blocks = plans
+        .iter()
+        .flat_map(|p| &p.devices)
+        .map(|dp| dp.blocks.len());
+    let csr = batches
+        .iter()
+        .map(|b| 8 * (b.batch_size() * b.n_features() + b.total_indices()));
+    let bytes = RETAINED_BYTES_PER_BLOCK * blocks.sum::<usize>() + csr.sum::<usize>();
+    let prepared = PreparedBatches {
         batches,
         plans,
         planner,
-    }
+        gpu: gpu.clone(),
+        planned: OnceLock::new(),
+    };
+    (prepared, bytes)
 }
 
 /// The closed loop behind every backend's `run`: prepare and plan the
@@ -235,14 +313,8 @@ pub(crate) fn run_closed_loop(
 ) -> BackendResult {
     let n = machine.n_gpus();
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-    let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
-
-    // Per distinct batch, precompute block durations and the all-to-all
-    // byte matrix — they do not change across repetitions.
-    let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
-        .into_par_iter()
-        .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
-        .collect();
+    let prepared = prepare_batches(cfg, mode, machine.spec(0));
+    let planned = prepared.planned_for(machine);
 
     let mut breakdown = TimeBreakdown::default();
     let mut batch_start = SimTime::ZERO;
@@ -382,8 +454,8 @@ mod tests {
     fn prepare_batches_respects_mode_and_pool_size() {
         let cfg = EmbLayerConfig::paper_weak_scaling(2).scaled_down(512);
         let timing = prepare_batches(&cfg, ExecMode::Timing, &GpuSpec::v100());
-        assert_eq!(timing.batches.len(), cfg.distinct_batches);
-        assert!(!timing.batches[0].has_indices());
+        assert_eq!(timing.plans.len(), cfg.distinct_batches);
+        assert!(timing.batches.is_empty(), "Timing mode keeps no batch");
         let f = prepare_batches(&cfg, ExecMode::Functional, &GpuSpec::v100());
         assert!(f.batches[0].has_indices());
         assert_eq!(f.plans.len(), f.batches.len());

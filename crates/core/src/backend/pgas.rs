@@ -50,11 +50,13 @@ impl PgasFusedBackend {
 /// Release granularity: enough sub-releases that each kernel has ~32
 /// distinct wire-entry instants regardless of its wave structure
 /// (single-wave kernels still overlap). Shared by the flat and gateway
-/// one-sided exchanges so both put identical traffic on the wire.
+/// one-sided exchanges so both put identical traffic on the wire, and the
+/// only builder: `PlannedBatch::releases_into` calls it once per device and
+/// replays the result, or per batch for a straggling device.
 /// Takes a caller-provided buffer (cleared first) rather than returning a
-/// fresh map: the per-batch schedule is rebuilt constantly in serving
-/// loops, and a reused sorted `Vec` makes that allocation-free and keeps
-/// the merge pass a flat scan instead of per-entry tree rebalancing.
+/// fresh map: a reused sorted `Vec` keeps the per-batch path
+/// allocation-free and the merge pass a flat scan instead of per-entry
+/// tree rebalancing.
 pub(crate) fn stream_releases_into(
     dp: &crate::DevicePlan,
     durs: &[Dur],

@@ -13,6 +13,8 @@
 //! directly — and the only thing that differs between the paper's two
 //! systems is the [`Exchange`].
 
+use std::sync::{Arc, OnceLock};
+
 use desim::{Dur, SimTime};
 use gpusim::{KernelRun, Machine};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
@@ -32,18 +34,23 @@ use crate::{DevicePlan, ForwardPlan, TimeBreakdown};
 /// execute many times (the closed loop cycles a small pool of these).
 #[derive(Clone, Debug)]
 pub struct PlannedBatch {
-    plan: ForwardPlan,
+    plan: Arc<ForwardPlan>,
     /// Per-device lookup-kernel block durations, indexed `[device][block]`.
     durations: Vec<Vec<Dur>>,
     /// All-to-all payload bytes, indexed `[src][dst]`.
     byte_matrix: Vec<Vec<u64>>,
+    /// Per device, the fused kernel's store releases as `(offset from
+    /// kernel start, destination, rows)` in wire order, once a one-sided or
+    /// gateway execution has built them ([`PlannedBatch::releases_into`]).
+    schedules: Vec<OnceLock<Vec<(Dur, usize, u64)>>>,
 }
 
 impl PlannedBatch {
     /// Precompute execution state for `plan` on `machine`'s GPUs. The
     /// per-device duration and byte rows are independent, so both tables
     /// build in parallel (ordered collect keeps `[device]` indexing).
-    pub fn new(machine: &Machine, plan: ForwardPlan) -> Self {
+    pub fn new(machine: &Machine, plan: impl Into<Arc<ForwardPlan>>) -> Self {
+        let plan = plan.into();
         let n = plan.n_devices;
         let row_bytes = plan.row_bytes() as u64;
         let specs: Vec<_> = plan
@@ -63,10 +70,39 @@ impl PlannedBatch {
             })
             .collect();
         PlannedBatch {
+            schedules: vec![OnceLock::new(); plan.devices.len()],
             plan,
             durations,
             byte_matrix,
         }
+    }
+
+    /// Device `dp.device`'s store releases for the kernel execution `run`,
+    /// into `out`: [`stream_releases_into`]'s output, sorted and merged once
+    /// per device instead of once per batch. Exact because at straggler
+    /// factor 1.0 `Machine::run_kernel_varied` is integer ns from
+    /// `run.interval.start` (no float path) and a release instant is a block
+    /// end minus a duration-derived offset: the first run's schedule
+    /// relative to its kernel start is every later run's. A straggling
+    /// device (scaled durations) takes the builder directly, per batch.
+    fn releases_into(
+        &self,
+        machine: &Machine,
+        dp: &DevicePlan,
+        run: &KernelRun,
+        out: &mut Vec<arena::Release>,
+    ) {
+        let durs = &self.durations[dp.device];
+        if machine.straggler_factor(dp.device) != 1.0 {
+            return stream_releases_into(dp, durs, run, out);
+        }
+        let start = run.interval.start;
+        let stored = self.schedules[dp.device].get_or_init(|| {
+            stream_releases_into(dp, durs, run, out);
+            out.iter().map(|&(t, d, r)| (t - start, d, r)).collect()
+        });
+        out.clear();
+        out.extend(stored.iter().map(|&(off, d, r)| (start + off, d, r)));
     }
 
     /// The underlying forward plan.
@@ -558,7 +594,7 @@ impl<'a, 'r> Batch<'a, 'r> {
         for dp in &plan.devices {
             let src = dp.device;
             let Some(run) = self.launch(dp) else { continue };
-            stream_releases_into(dp, &self.pb.durations()[src], &run, &mut releases);
+            self.pb.releases_into(self.machine, dp, &run, &mut releases);
             if let Some(l) = self.log.as_deref_mut() {
                 log_local_rows(l, dp, plan.bags_per_block, &run);
             }
@@ -634,7 +670,7 @@ impl<'a, 'r> Batch<'a, 'r> {
         let mut releases = arena::take_release();
         for dp in &plan.devices {
             let Some(run) = self.launch(dp) else { continue };
-            stream_releases_into(dp, &self.pb.durations()[dp.device], &run, &mut releases);
+            self.pb.releases_into(self.machine, dp, &run, &mut releases);
             events.extend(
                 releases
                     .iter()
@@ -1117,12 +1153,108 @@ mod tests {
         let cfg = tiny_cfg(2);
         let m = Machine::new(MachineConfig::dgx_v100(2));
         let prepared = crate::backend::prepare_batches(&cfg, ExecMode::Timing, m.spec(0));
-        let direct = plan_for_batch(&cfg, &prepared.batches[0], m.spec(0));
-        assert_eq!(direct.cache_hit, prepared.plans[0].cache_hit);
-        assert_eq!(direct.batch_size, prepared.plans[0].batch_size);
-        assert_eq!(
-            direct.devices[0].total_lookups,
-            prepared.plans[0].devices[0].total_lookups
-        );
+        // Timing mode keeps no batch: regenerate each from its seed.
+        assert!(prepared.batches.is_empty());
+        assert_eq!(prepared.plans.len(), cfg.distinct_batches);
+        for (i, plan) in prepared.plans.iter().enumerate() {
+            let b = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.batch_seed(i));
+            assert_eq!(plan_for_batch(&cfg, &b, m.spec(0)), **plan, "batch {i}");
+        }
+        // The planned set is built once per spec vector and shared.
+        let planned = prepared.planned_for(&m);
+        assert!(Arc::ptr_eq(&planned, &prepared.planned_for(&m)));
+        let m2 = Machine::new(MachineConfig::dgx_v100(2));
+        assert!(Arc::ptr_eq(&planned, &prepared.planned_for(&m2)));
+        assert!(Arc::ptr_eq(&planned[0].plan, &prepared.plans[0]));
+        let mut other = MachineConfig::dgx_v100(2);
+        other.specs[1] = gpusim::GpuSpec::a100();
+        let unshared = prepared.planned_for(&Machine::new(other));
+        assert!(!Arc::ptr_eq(&planned, &unshared));
+        assert_eq!(unshared[0].durations()[0], planned[0].durations()[0]);
+        assert_ne!(unshared[0].durations()[1], planned[0].durations()[1]);
+    }
+
+    fn faulty_machine(g: usize, faults: Option<gpusim::FaultSpec>, seed: u64) -> Machine {
+        // Four GPUs as a 2×2 pod, so the gateway proxy really stages.
+        let mut m = Machine::new(if g == 4 {
+            MachineConfig::pod_v100(2, 2)
+        } else {
+            MachineConfig::dgx_v100(g)
+        });
+        if let Some(spec) = faults {
+            m.install_faults(gpusim::FaultPlan::generate(seed, g, spec));
+        }
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        /// Replaying the stored release schedule is indistinguishable from
+        /// rebuilding it: one shared `PlannedBatch` executed at three
+        /// starts equals a freshly built one per execution — `BatchRun`,
+        /// `ArrivalLog` and traffic, bit for bit — on a clean machine,
+        /// under chaos, and with stragglers (which bypass the store).
+        #[test]
+        fn stored_schedule_replays_what_a_fresh_build_computes(
+            g in 2usize..5,
+            bpb in 1usize..6,
+            seed in 0u64..1000,
+            gap_ns in 1u64..2_000_000,
+        ) {
+            use proptest::prelude::*;
+            let mut cfg = tiny_cfg(g);
+            cfg.bags_per_block = bpb;
+            cfg.seed = seed;
+            let stragglers = gpusim::FaultSpec {
+                straggler_prob: 0.6,
+                straggler_factor: (1.2, 1.6),
+                ..gpusim::FaultSpec::none()
+            };
+            for faults in [None, Some(gpusim::FaultSpec::chaos(0.5)), Some(stragglers)] {
+                for exchange in [pgas(), Exchange::Gateway(GatewayConfig::default())] {
+                    let mut shared_m = faulty_machine(g, faults, seed);
+                    let mut fresh_m = faulty_machine(g, faults, seed);
+                    let shared = planned(&shared_m, &cfg, 0);
+                    let (mut shared_log, mut fresh_log) = (ArrivalLog::new(), ArrivalLog::new());
+                    let mut at = SimTime::ZERO;
+                    for _ in 0..3 {
+                        let fresh = planned(&fresh_m, &cfg, 0);
+                        let a = execute_batch(
+                            &mut shared_m, &exchange, &shared, at, Some(&mut shared_log), None,
+                        );
+                        let b = execute_batch(
+                            &mut fresh_m, &exchange, &fresh, at, Some(&mut fresh_log), None,
+                        );
+                        prop_assert_eq!(a, b);
+                        prop_assert_eq!(&shared_log.arrivals, &fresh_log.arrivals);
+                        at = a.end + Dur::from_ns(gap_ns);
+                    }
+                    prop_assert_eq!(shared_m.traffic_stats(), fresh_m.traffic_stats());
+                    // Exactly the healthy devices went through the store,
+                    // and what it hands out at yet another start is the
+                    // builder's own output for that kernel run.
+                    let (mut replayed, mut built) = (Vec::new(), Vec::new());
+                    for (dp, sched) in shared.plan().devices.iter().zip(&shared.schedules) {
+                        let d = dp.device;
+                        let healthy = shared_m.straggler_factor(d) == 1.0;
+                        prop_assert_eq!(sched.get().is_some(), healthy);
+                        let run = shared_m.run_kernel_varied(d, &shared.durations()[d], at);
+                        shared.releases_into(&shared_m, dp, &run, &mut replayed);
+                        stream_releases_into(dp, &shared.durations()[d], &run, &mut built);
+                        prop_assert_eq!(&replayed, &built);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn collective_only_users_never_build_a_schedule() {
+        let cfg = tiny_cfg(2);
+        let mut m = Machine::new(MachineConfig::dgx_v100(2));
+        let pb = planned(&m, &cfg, 0);
+        run(&mut m, baseline(), &pb, SimTime::ZERO);
+        assert!(pb.schedules.iter().all(|s| s.get().is_none()));
     }
 }

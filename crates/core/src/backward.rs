@@ -154,7 +154,7 @@ pub fn baseline_backward(
     // The paper's described scheme shifts gradients around the ring with a
     // synchronization per round.
     let ring = collectives.with_algorithm(Algorithm::Ring);
-    let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
+    let prepared = prepare_batches(cfg, mode, machine.spec(0));
     let row_bytes = (cfg.dim * 4) as u64;
 
     let mut breakdown = TimeBreakdown::default();
@@ -234,11 +234,11 @@ pub fn pgas_backward(
     check_pooling(cfg.pooling);
     let n = machine.n_gpus();
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-    let prepared = prepare_batches(cfg, mode, &machine.spec(0).clone());
+    let prepared = prepare_batches(cfg, mode, machine.spec(0));
     let row_bytes = (cfg.dim * 4) as u32;
     // Feature → owning device, once per plan (a bag's gradient goes to its
     // feature's owner).
-    let owners: Vec<Vec<usize>> = prepared.plans.iter().map(feature_owners).collect();
+    let owners: Vec<Vec<usize>> = prepared.plans.iter().map(|p| feature_owners(p)).collect();
 
     let mut breakdown = TimeBreakdown::default();
     let mut batch_start = SimTime::ZERO;

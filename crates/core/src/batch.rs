@@ -295,6 +295,14 @@ impl SparseBatch {
         self.offsets[b + 1] - self.offsets[b]
     }
 
+    /// Sum of the pooling factors of `feature`'s `len` consecutive samples
+    /// starting at `sample` — one CSR offset difference, whatever `len`.
+    pub fn lookups_in(&self, feature: usize, sample: usize, len: usize) -> usize {
+        let b = self.bag_id(feature, sample);
+        assert!(sample + len <= self.batch_size, "sample range out of range");
+        self.offsets[b + len] - self.offsets[b]
+    }
+
     /// The raw indices of bag `(feature, sample)`.
     /// Panics on a counts-only batch.
     pub fn bag(&self, feature: usize, sample: usize) -> &[u64] {
@@ -413,6 +421,23 @@ mod tests {
                 assert_eq!(b.bag(f, s).len(), p);
             }
         }
+    }
+
+    #[test]
+    fn lookups_in_is_the_sum_of_pooling_factors() {
+        let b = SparseBatch::generate_counts_only(&spec(), 4);
+        for f in 0..4 {
+            for (s, len) in [(0, 16), (0, 0), (5, 1), (5, 11), (15, 1)] {
+                let want: usize = (s..s + len).map(|i| b.pooling_factor(f, i)).sum();
+                assert_eq!(b.lookups_in(f, s, len), want, "f={f} s={s} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sample range out of range")]
+    fn lookups_in_bounds_checked() {
+        let _ = SparseBatch::generate_counts_only(&spec(), 4).lookups_in(0, 10, 7);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use crate::{EmbeddingTableSpec, IndexDistribution, PoolingOp, Sharding, SparseBatchSpec};
 
 /// Everything that defines an EMB-layer workload and its execution layout.
-#[derive(Clone, Debug)]
+/// Structural equality over *every* field is what keys the plan memo
+/// ([`crate::backend::prepare_batches`]): keep it derived.
+#[derive(Clone, Debug, PartialEq)]
 pub struct EmbLayerConfig {
     /// Number of GPUs.
     pub n_gpus: usize,

@@ -39,6 +39,7 @@ mod cache;
 mod config;
 mod hash;
 pub mod kernels;
+pub mod memo;
 mod plan;
 mod pooling;
 pub mod reference;

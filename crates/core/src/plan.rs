@@ -28,7 +28,7 @@ pub struct BlockCacheStats {
 }
 
 /// One thread block's share of a device's bags.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BlockPlan {
     /// First local bag id covered (bags are local-feature-major,
     /// sample-minor, matching the CUDA kernel's `blockIdx` mapping).
@@ -62,7 +62,7 @@ pub struct ImportedBag {
 }
 
 /// The per-device slice of the plan.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DevicePlan {
     /// The device this slice runs on.
     pub device: usize,
@@ -103,7 +103,7 @@ impl DevicePlan {
 }
 
 /// The complete forward-pass decomposition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ForwardPlan {
     /// Number of devices.
     pub n_devices: usize,
@@ -147,6 +147,9 @@ impl ForwardPlan {
     /// sharding is not table-wise (row-wise has its own execution path).
     /// When the batch size does not divide evenly, mini-batches follow the
     /// ceil-split convention (first devices get `⌈N/G⌉` samples).
+    ///
+    /// Costs O(blocks + features), not O(bags): the timing model consumes
+    /// pooling-factor sums per block, never per-bag state.
     pub fn build(
         batch: &SparseBatch,
         sharding: &Sharding,
@@ -178,21 +181,39 @@ impl ForwardPlan {
                 let n_bags = features.len() * n;
                 let mut blocks = Vec::with_capacity(n_bags.div_ceil(bags_per_block));
                 let mut total_lookups = 0u64;
+                // Rows per destination of the block being built; zeroed
+                // again as each block's `dest_rows` is read out of it.
+                let mut rows_to = vec![0u64; n_devices];
                 let mut first = 0usize;
                 while first < n_bags {
                     let count = bags_per_block.min(n_bags - first);
+                    let end = first + count;
+                    // A block is a run of consecutive local bags, i.e. one
+                    // contiguous sample range per local feature it touches:
+                    // its lookups are a CSR offset difference per range, its
+                    // destinations the overlap of that range with the
+                    // mini-batch strides. No bag is visited.
                     let mut lookups = 0u64;
-                    let mut dest_rows: Vec<(usize, u64)> = Vec::new();
-                    for b in first..first + count {
-                        let (f, s) = (features[b / n], b % n);
-                        lookups += batch.pooling_factor(f, s) as u64;
-                        let dst = s / mb;
-                        match dest_rows.iter_mut().find(|(d, _)| *d == dst) {
-                            Some((_, r)) => *r += 1,
-                            None => dest_rows.push((dst, 1)),
+                    let (mut dst_lo, mut dst_hi) = (n_devices, 0);
+                    let lf0 = first / n;
+                    for (lf, &f) in (lf0..).zip(&features[lf0..=(end - 1) / n]) {
+                        // Samples `lo..hi` of local feature `lf`.
+                        let lo = first.max(lf * n) - lf * n;
+                        let hi = end.min((lf + 1) * n) - lf * n;
+                        lookups += batch.lookups_in(f, lo, hi - lo) as u64;
+                        let (d0, d1) = (lo / mb, (hi - 1) / mb);
+                        for (dst, rows) in (d0..).zip(&mut rows_to[d0..=d1]) {
+                            *rows += (hi.min((dst + 1) * mb) - lo.max(dst * mb)) as u64;
                         }
+                        dst_lo = dst_lo.min(d0);
+                        dst_hi = dst_hi.max(d1);
                     }
-                    dest_rows.sort_unstable_by_key(|&(d, _)| d);
+                    // Ascending and zero-free; a block straddling two
+                    // features can leave a gap inside the touched span.
+                    let dest_rows = (dst_lo..=dst_hi)
+                        .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
+                        .filter(|&(_, rows)| rows > 0)
+                        .collect();
                     total_lookups += lookups;
                     blocks.push(BlockPlan {
                         first_bag: first,
@@ -201,7 +222,7 @@ impl ForwardPlan {
                         dest_rows,
                         cache: None,
                     });
-                    first += count;
+                    first = end;
                 }
                 DevicePlan {
                     device: dev,
@@ -303,6 +324,102 @@ mod tests {
             PoolingOp::Sum,
             bpb,
         )
+    }
+
+    /// The per-bag decomposition `ForwardPlan::build` used to run, kept as
+    /// the oracle for the O(blocks) builder: every bag pays its own
+    /// pooling-factor load and destination lookup. Returns per device
+    /// `(blocks, total_lookups)`.
+    fn per_bag_oracle(
+        batch: &SparseBatch,
+        sharding: &Sharding,
+        bags_per_block: usize,
+    ) -> Vec<(Vec<BlockPlan>, u64)> {
+        let (n, n_devices) = (batch.batch_size(), sharding.n_devices());
+        let mb = n.div_ceil(n_devices);
+        (0..n_devices)
+            .map(|dev| {
+                let features = sharding.features_on(dev, batch.n_features());
+                let n_bags = features.len() * n;
+                let (mut blocks, mut total_lookups) = (Vec::new(), 0u64);
+                let mut first = 0usize;
+                while first < n_bags {
+                    let count = bags_per_block.min(n_bags - first);
+                    let mut lookups = 0u64;
+                    let mut dest_rows: Vec<(usize, u64)> = Vec::new();
+                    for b in first..first + count {
+                        let (f, s) = (features[b / n], b % n);
+                        lookups += batch.pooling_factor(f, s) as u64;
+                        let dst = s / mb;
+                        match dest_rows.iter_mut().find(|(d, _)| *d == dst) {
+                            Some((_, r)) => *r += 1,
+                            None => dest_rows.push((dst, 1)),
+                        }
+                    }
+                    dest_rows.sort_unstable_by_key(|&(d, _)| d);
+                    total_lookups += lookups;
+                    blocks.push(BlockPlan {
+                        first_bag: first,
+                        n_bags: count as u32,
+                        lookups,
+                        dest_rows,
+                        cache: None,
+                    });
+                    first += count;
+                }
+                (blocks, total_lookups)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The O(blocks) builder equals the per-bag oracle field by field:
+        /// batch sizes the device count does not divide, blocks that
+        /// straddle features (and span several), both table-wise
+        /// shardings, NULL bags, 1–8 devices.
+        #[test]
+        fn build_matches_the_per_bag_oracle(
+            devs in 1usize..9,
+            extra in 0usize..40,
+            per_dev in 1usize..4,
+            bpb in 1usize..70,
+            round_robin in proptest::prelude::any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            use proptest::prelude::*;
+            let (n, s) = (devs + extra, devs * per_dev);
+            let b = SparseBatch::generate_counts_only(
+                &SparseBatchSpec {
+                    batch_size: n,
+                    n_features: s,
+                    pooling_min: 0,
+                    pooling_max: 5,
+                    index_space: 100,
+                    distribution: IndexDistribution::Uniform,
+                },
+                seed,
+            );
+            let sharding = if round_robin {
+                Sharding::table_wise_round_robin(s, devs)
+            } else {
+                Sharding::table_wise_block(s, devs)
+            };
+            let p = ForwardPlan::build(&b, &sharding, 8, PoolingOp::Sum, bpb);
+            let oracle = per_bag_oracle(&b, &sharding, bpb);
+            prop_assert_eq!(p.devices.len(), oracle.len());
+            for (dp, (blocks, total_lookups)) in p.devices.iter().zip(&oracle) {
+                prop_assert_eq!(dp.blocks.len(), blocks.len());
+                for (got, want) in dp.blocks.iter().zip(blocks) {
+                    prop_assert_eq!(got.first_bag, want.first_bag);
+                    prop_assert_eq!(got.n_bags, want.n_bags);
+                    prop_assert_eq!(got.lookups, want.lookups);
+                    prop_assert_eq!(&got.dest_rows, &want.dest_rows);
+                    prop_assert_eq!(got.cache, None);
+                }
+                prop_assert_eq!(dp.total_lookups, *total_lookups);
+                prop_assert_eq!(dp.n_bags, dp.features.len() * n);
+            }
+        }
     }
 
     #[test]

@@ -30,12 +30,10 @@
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
     execute_batch, final_batch_outputs, prepare_batches, ArrivalLog, Exchange, ExecMode,
-    PlannedBatch,
 };
 use emb_retrieval::{RunReport, TimeBreakdown};
 use gpusim::{Event, Machine, StageChunk, StreamId};
 use pgas_rt::PgasConfig;
-use rayon::prelude::*;
 use simccl::CollectiveConfig;
 use simtensor::Tensor;
 use telemetry::causal::BlameCategory;
@@ -165,11 +163,8 @@ impl<'a> PipelineEngine<'a> {
         let cfg = &self.model.cfg;
         let n = machine.n_gpus();
         assert_eq!(n, cfg.emb.n_gpus, "machine/config GPU count mismatch");
-        let prepared = prepare_batches(&cfg.emb, mode, &machine.spec(0).clone());
-        let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
-            .into_par_iter()
-            .map(|i| PlannedBatch::new(machine, prepared.plans[i].clone()))
-            .collect();
+        let prepared = prepare_batches(&cfg.emb, mode, machine.spec(0));
+        let planned = prepared.planned_for(machine);
 
         let pipeline = InferencePipeline::new(self.model);
         let costs = pipeline.batch_costs(machine, cfg.emb.batch_size);

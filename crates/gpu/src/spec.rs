@@ -7,7 +7,7 @@ use desim::Dur;
 /// The constants in the presets are public datasheet numbers; they calibrate
 /// the *shape* of the reproduction (who wins and by what factor), not
 /// absolute milliseconds on the authors' testbed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"V100-SXM2-32GB"`.
     pub name: &'static str,

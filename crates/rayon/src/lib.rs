@@ -45,11 +45,12 @@ pub fn current_num_threads() -> usize {
     pool::current_num_threads()
 }
 
-/// Process-lifetime counters of how parallel calls executed: inline
-/// (degraded to a serial loop — width 1, single-core host, or work below
-/// the `RAYON_INLINE_GRAIN` threshold) vs dispatched through the shared
-/// worker queue. Monotone; sample before/after a region and subtract to
-/// learn how that region executed.
+/// Counters of how the parallel calls issued by *the calling thread*
+/// executed: inline (degraded to a serial loop — width 1, single-core host,
+/// or work below the `RAYON_INLINE_GRAIN` threshold) vs dispatched through
+/// the shared worker queue. Monotone; sample before/after a region on the
+/// thread that runs it and subtract to learn how that region executed —
+/// other threads' calls never show up in the difference.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Parallel calls executed as a plain serial loop on the caller.

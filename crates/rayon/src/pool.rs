@@ -20,7 +20,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 thread_local! {
@@ -91,17 +91,18 @@ fn hardware_parallelism() -> usize {
     })
 }
 
-/// Lifetime counters of how parallel calls were executed (see
-/// [`crate::pool_stats`]).
-static INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
-static DISPATCHED_RUNS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// How the parallel calls *issued by this thread* executed (see
+    /// [`crate::pool_stats`]). `run` bumps them on its caller, so a
+    /// before/after delta describes exactly the region between the two
+    /// reads, whatever other threads dispatch meanwhile.
+    static INLINE_RUNS: Cell<u64> = const { Cell::new(0) };
+    static DISPATCHED_RUNS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Snapshot of the (process-wide) inline-vs-dispatched run counters.
+/// Snapshot of the calling thread's inline-vs-dispatched run counters.
 pub(crate) fn stats() -> (u64, u64) {
-    (
-        INLINE_RUNS.load(Ordering::Relaxed),
-        DISPATCHED_RUNS.load(Ordering::Relaxed),
-    )
+    (INLINE_RUNS.get(), DISPATCHED_RUNS.get())
 }
 
 /// Pool width when no `install` override is active: `RAYON_NUM_THREADS` if
@@ -290,13 +291,13 @@ where
     };
     if degrade {
         // Inline: no queue traffic, panics propagate natively.
-        INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
+        INLINE_RUNS.set(INLINE_RUNS.get() + 1);
         for i in 0..total {
             f(i);
         }
         return;
     }
-    DISPATCHED_RUNS.fetch_add(1, Ordering::Relaxed);
+    DISPATCHED_RUNS.set(DISPATCHED_RUNS.get() + 1);
 
     unsafe fn call_erased<F: Fn(usize) + Sync>(data: *const (), i: usize) {
         // SAFETY: `data` was created from `&f` below and is still borrowed.

@@ -42,6 +42,6 @@ mod slo;
 
 pub use batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
 pub use control::{ControlConfig, ControlReport, Controller, Decision, TickSignals, Tier};
-pub use request::{ArrivalProcess, Request, RequestGenerator};
+pub use request::{forget_memoized, ArrivalProcess, Request, RequestGenerator};
 pub use server::{EmbServer, ServeBackendKind, ServeConfig, ServeError, ServeReport};
 pub use slo::LatencyStats;

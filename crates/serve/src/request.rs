@@ -1,7 +1,10 @@
 //! Open-loop request generation: seeded arrival processes over the
 //! workload's synthetic sparse-input distribution.
 
+use std::sync::Arc;
+
 use desim::{Dur, SimTime};
+use emb_retrieval::memo::Memo;
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,27 +76,65 @@ pub struct Request {
 pub struct RequestGenerator {
     n_features: usize,
     batch_size: usize,
-    pool: Vec<SparseBatch>,
+    pool: Arc<Pool>,
     process: ArrivalProcess,
     seed: u64,
+}
+
+/// The canonical pool as requests read it: per canonical batch, `u32` bag
+/// sizes row-major by *sample* (`rows[s · S + f]`), so a request's `bags`
+/// is one contiguous row. A pure function of the workload config, shared
+/// by every generator of that config (one per serve load point).
+type Pool = Vec<Vec<u32>>;
+
+static POOLS: Memo<EmbLayerConfig, Pool> = Memo::new();
+
+/// Drop every memoized request pool, and every prepared set of the layer
+/// below ([`emb_retrieval::backend::forget_prepared`], which says when).
+pub fn forget_memoized() {
+    POOLS.clear();
+    emb_retrieval::backend::forget_prepared();
+}
+
+/// The pool of `cfg` and the bytes it occupies.
+fn build_pool(cfg: &EmbLayerConfig) -> (Pool, usize) {
+    let spec = cfg.batch_spec();
+    // Canonical batches are independently seeded: fill the pool in
+    // parallel, ordered by seed index.
+    let pool: Pool = (0..cfg.distinct_batches.max(1))
+        .into_par_iter()
+        .map(|i| sample_major(&SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i))))
+        .collect();
+    let bytes = pool.iter().map(|rows| 4 * rows.len()).sum();
+    (pool, bytes)
+}
+
+/// Transpose a batch's feature-major bag sizes to sample-major, in tiles
+/// small enough that both the columns read and the rows written stay in L1.
+fn sample_major(b: &SparseBatch) -> Vec<u32> {
+    const TILE: usize = 64;
+    let (n, s) = (b.batch_size(), b.n_features());
+    let mut rows = vec![0u32; n * s];
+    for s0 in (0..n).step_by(TILE) {
+        for f0 in (0..s).step_by(TILE) {
+            for f in f0..(f0 + TILE).min(s) {
+                for smp in s0..(s0 + TILE).min(n) {
+                    rows[smp * s + f] = b.pooling_factor(f, smp) as u32;
+                }
+            }
+        }
+    }
+    rows
 }
 
 impl RequestGenerator {
     /// Build a generator for `cfg`'s workload. `seed` drives arrival times
     /// only; sparse content comes from `cfg`'s own batch seeds.
     pub fn new(cfg: &EmbLayerConfig, process: ArrivalProcess, seed: u64) -> Self {
-        let spec = cfg.batch_spec();
-        let distinct = cfg.distinct_batches.max(1);
-        // Canonical batches are independently seeded: fill the pool in
-        // parallel, ordered by seed index.
-        let pool = (0..distinct)
-            .into_par_iter()
-            .map(|i| SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i)))
-            .collect();
         RequestGenerator {
             n_features: cfg.n_features,
             batch_size: cfg.batch_size,
-            pool,
+            pool: POOLS.get_or_build(cfg.clone(), build_pool),
             process,
             seed,
         }
@@ -136,10 +177,7 @@ impl RequestGenerator {
                 }
             };
             let (which, col) = self.deal_of(id);
-            let b = &self.pool[which];
-            let bags = (0..self.n_features)
-                .map(|f| b.pooling_factor(f, col) as u32)
-                .collect();
+            let bags = self.pool[which][col * self.n_features..][..self.n_features].to_vec();
             out.push(Request { id, arrival, bags });
         }
         out
@@ -185,6 +223,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn forgetting_the_pool_rebuilds_the_same_requests() {
+        let mut c = cfg();
+        c.seed += 77; // a config no other test in this binary asks for
+        let p = ArrivalProcess::Poisson { rate_qps: 1e5 };
+        let before = RequestGenerator::new(&c, p, 3);
+        forget_memoized();
+        let after = RequestGenerator::new(&c, p, 3);
+        assert!(!Arc::ptr_eq(&before.pool, &after.pool));
+        assert_eq!(
+            before.generate(3 * c.batch_size),
+            after.generate(3 * c.batch_size)
+        );
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! DLRM pipeline) one closed batch at a time on the simulated clock.
 
 use std::fmt;
+use std::sync::Arc;
 
 use desim::{Dur, SimTime};
 use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline};
 use emb_retrieval::backend::{
-    execute_batch, plan_with_planner, DegradedFill, Exchange, HotCachePlanner, PlannedBatch,
-    ResiliencePolicy, ResilienceReport, ResilientBackend,
+    execute_batch, plan_with_planner, prepare_batches, DegradedFill, Exchange, ExecMode,
+    PlannedBatch, ResiliencePolicy, ResilienceReport, ResilientBackend,
 };
 use emb_retrieval::{arena, BatchAssemblyError, EmbLayerConfig, SparseBatch};
 use gpusim::{Machine, NoLink};
@@ -347,16 +348,14 @@ impl EmbServer {
         let requests = generator.generate(cfg.n_requests);
         let mut batcher = MicroBatcher::new(cfg.batcher, cfg.emb.n_features, requests);
 
-        // Canonical plans, built lazily the first time each distinct batch
-        // is served in full.
-        let distinct = cfg.emb.distinct_batches.max(1);
-        let mut canonical: Vec<Option<PlannedBatch>> = vec![None; distinct];
-        // Hot-row/dedup planner (None unless the config enables either),
-        // ranked once up front — not per served batch. The controller may
-        // resize the hot cache online, which rebuilds the planner (and
-        // invalidates the canonical plans) from an adjusted workload copy.
+        // Canonical plans, fetched the first time a distinct batch is served
+        // in full — from the same process-wide memo the closed loops use,
+        // so load points and runs of one workload share one set (hot-row
+        // ranking and release schedules included). The controller may
+        // resize the hot cache online, which asks again under an adjusted
+        // workload copy.
+        let mut canonical: Option<Arc<[PlannedBatch]>> = None;
         let mut emb = cfg.emb.clone();
-        let mut planner = HotCachePlanner::new(&emb, machine.spec(0));
 
         let mut resilience = ResilienceReport::default();
         let pipeline_model = cfg.with_pipeline.then(|| {
@@ -421,8 +420,7 @@ impl EmbServer {
                 }
                 if d.hot_cache_rows != emb.hot_cache_rows {
                     emb.hot_cache_rows = d.hot_cache_rows;
-                    planner = HotCachePlanner::new(&emb, machine.spec(0));
-                    canonical.iter_mut().for_each(|p| *p = None);
+                    canonical = None;
                 }
                 if d.tier != tier {
                     // The batch was closed under the old policy: put its
@@ -433,14 +431,7 @@ impl EmbServer {
                     continue;
                 }
             }
-            let pb = self.planned_for(
-                machine,
-                &emb,
-                &closed,
-                &generator,
-                &mut canonical,
-                planner.as_ref(),
-            )?;
+            let pb = self.planned_for(machine, &emb, &closed, &generator, &mut canonical)?;
             if pb.plan().cache_rows > 0 {
                 last_hit = Some(pb.plan().measured_hit);
             }
@@ -588,8 +579,7 @@ impl EmbServer {
         emb: &EmbLayerConfig,
         closed: &ClosedBatch,
         generator: &RequestGenerator,
-        canonical: &'c mut [Option<PlannedBatch>],
-        planner: Option<&HotCachePlanner>,
+        canonical: &'c mut Option<Arc<[PlannedBatch]>>,
     ) -> Result<Planned<'c>, ServeError> {
         let n = emb.batch_size;
         let reqs = &closed.requests;
@@ -598,17 +588,14 @@ impl EmbServer {
             && reqs.windows(2).all(|w| w[1].id == w[0].id + 1);
         if aligned {
             let (which, _) = generator.deal_of(reqs[0].id);
-            return Ok(Planned::Cached(canonical[which].get_or_insert_with(|| {
-                // Cache/dedup profiling needs the raw indices, so cached
-                // configs materialize the canonical batch in full.
-                let batch = if planner.is_some() {
-                    SparseBatch::generate(&emb.batch_spec(), emb.batch_seed(which))
-                } else {
-                    SparseBatch::generate_counts_only(&emb.batch_spec(), emb.batch_seed(which))
-                };
-                let plan = plan_with_planner(emb, &batch, machine.spec(0), planner);
-                PlannedBatch::new(machine, plan)
-            })));
+            let planned = canonical.get_or_insert_with(|| {
+                // Every canonical batch, however few a closed loop over
+                // this config would replay.
+                let mut all = emb.clone();
+                all.n_batches = all.distinct_batches.max(1);
+                prepare_batches(&all, ExecMode::Timing, machine.spec(0)).planned_for(machine)
+            });
+            return Ok(Planned::Cached(&planned[which]));
         }
 
         // Partial/misaligned batch: assemble from the actual requests,
