@@ -85,12 +85,6 @@ pub fn claim(name: &'static str, holds: bool, meaning_when_false: &'static str) 
     plain(name, holds).must(holds, meaning_when_false)
 }
 
-/// A JSON-only array of already-rendered scalars: `"name": [a, b, c]`.
-pub fn list(name: &'static str, items: impl IntoIterator<Item = String>) -> Cell {
-    let items: Vec<String> = items.into_iter().collect();
-    Cell::new(name, None, format!("[{}]", items.join(", ")))
-}
-
 /// A JSON-only nested object, rendered on one line inside its row.
 pub fn nested(name: &'static str, cells: &[Cell]) -> Cell {
     Cell::new(name, None, object(cells, None))
@@ -127,9 +121,8 @@ pub enum Item {
 pub struct Doc {
     /// Artifact stem: `<name>.csv` and `BENCH_<name>.json`.
     pub name: &'static str,
-    /// First line of the CSV form. A document without one has no CSV form
-    /// and prints its JSON to stdout instead.
-    pub title: Option<String>,
+    /// First line of the CSV form.
+    pub title: String,
     /// The content, in output order.
     pub items: Vec<Item>,
     /// Extra files written verbatim beside the rendered forms.
@@ -157,20 +150,20 @@ fn csv_join(cells: &[Cell], sep: &str, show: impl Fn(&Cell, &str) -> String) -> 
 }
 
 impl Doc {
-    /// A titled document with no attachments.
+    /// A document with no attachments.
     pub fn new(name: &'static str, title: impl Into<String>, items: Vec<Item>) -> Self {
         Doc {
             name,
-            title: Some(title.into()),
+            title: title.into(),
             items,
             attachments: Vec::new(),
         }
     }
 
-    /// The CSV form (also what stdout shows); `None` without a title. A part
-    /// with nothing CSV-visible leaves no line.
-    pub fn csv(&self) -> Option<String> {
-        let mut lines = vec![format!("== {} ==", self.title.as_ref()?)];
+    /// The CSV form (also what stdout shows). A part with nothing
+    /// CSV-visible leaves no line.
+    pub fn csv(&self) -> String {
+        let mut lines = vec![format!("== {} ==", self.title)];
         for item in &self.items {
             match item {
                 Item::Line(l) => lines.push(l.clone()),
@@ -188,11 +181,11 @@ impl Doc {
             }
         }
         lines.retain(|l| !l.is_empty());
-        Some(lines.join("\n") + "\n")
+        lines.join("\n") + "\n"
     }
 
-    /// The JSON form; `None` when nothing in the document is JSON-visible.
-    /// A titled document's opens with `"experiment": "<name>"`.
+    /// The JSON form, opening with `"experiment": "<name>"`; `None` when
+    /// nothing in the document is JSON-visible.
     pub fn json(&self) -> Option<String> {
         let mut members = Vec::new();
         for item in &self.items {
@@ -212,15 +205,13 @@ impl Doc {
         if members.is_empty() {
             return None;
         }
-        if self.title.is_some() {
-            members.insert(0, format!("\"experiment\": \"{}\"", self.name));
-        }
+        members.insert(0, format!("\"experiment\": \"{}\"", self.name));
         Some(format!("{{\n  {}\n}}\n", members.join(",\n  ")))
     }
 
     /// Every file this document renders to, as `(file name, body)`.
     pub fn files(&self) -> Vec<(String, String)> {
-        let csv = self.csv().map(|b| (format!("{}.csv", self.name), b));
+        let csv = (format!("{}.csv", self.name), self.csv());
         let json = self
             .json()
             .map(|b| (format!("BENCH_{}.json", self.name), b));
@@ -228,7 +219,7 @@ impl Doc {
             .attachments
             .iter()
             .map(|(f, b)| (f.to_string(), b.clone()));
-        csv.into_iter().chain(json).chain(extra).collect()
+        std::iter::once(csv).chain(json).chain(extra).collect()
     }
 
     /// Each claim that does not hold, as `name: what that means`.
@@ -254,16 +245,12 @@ impl Doc {
             let failed = failed.join("; ");
             return Err(format!("{}: claim failed: {failed}", self.name));
         }
-        let json = self.json().unwrap_or_default();
-        if !json.is_empty() {
+        if let Some(json) = self.json() {
             telemetry::validate_json_doc(&json, &[])
                 .map_err(|e| format!("BENCH_{}.json is malformed: {e}", self.name))?;
         }
-        match self.csv() {
-            // Stdout is the CSV surface; the JSON goes only to disk.
-            Some(body) => println!("{body}"),
-            None => print!("{json}"),
-        }
+        // Stdout is the CSV surface; the JSON goes only to disk.
+        println!("{}", self.csv());
         if let Some(dir) = out_dir {
             fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             for (file, body) in self.files() {
@@ -314,7 +301,7 @@ mod tests {
         let doc = sample(true);
         let csv = "== A sample ==\n# note\nname,ms,csv_only\nx,1.2,7\ny,2.0,7\n\
                    name,ms,csv_only\nz,0.5,7\nt\n0.00\nshare: 0.25  wins: true\n";
-        assert_eq!(doc.csv().as_deref(), Some(csv));
+        assert_eq!(doc.csv(), csv);
         let json = r#"{
   "experiment": "sample",
   "gpus": 4,
@@ -345,24 +332,13 @@ mod tests {
     }
 
     #[test]
-    fn a_csv_only_document_has_no_json_and_an_untitled_one_no_csv() {
+    fn a_csv_only_document_has_no_json_and_attachments_follow_the_forms() {
         let table = Item::Table(None, Layout::Inline, vec![vec![plain("n", 1)]]);
-        let doc = Doc::new("t", "T", vec![table]);
+        let mut doc = Doc::new("t", "T", vec![table]);
         assert_eq!(doc.json(), None);
-        assert_eq!(doc.files().len(), 1);
-        let untitled = Doc {
-            name: "u",
-            title: None,
-            items: vec![Item::Fields(vec![list(
-                "w",
-                ["1".to_string(), "2".to_string()],
-            )])],
-            attachments: vec![("u.txt", "stacks\n".to_string())],
-        };
-        assert_eq!(untitled.csv(), None);
-        assert_eq!(untitled.json().as_deref(), Some("{\n  \"w\": [1, 2]\n}\n"));
-        let files: Vec<String> = untitled.files().into_iter().map(|(f, _)| f).collect();
-        assert_eq!(files, ["BENCH_u.json", "u.txt"]);
+        doc.attachments.push(("t.txt", "stacks\n".to_string()));
+        let files: Vec<String> = doc.files().into_iter().map(|(f, _)| f).collect();
+        assert_eq!(files, ["t.csv", "t.txt"]);
     }
 
     /// A false claim — wherever it sits — is named, and nothing is written.

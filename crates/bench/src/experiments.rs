@@ -8,7 +8,7 @@ use emb_retrieval::backend::{
 use emb_retrieval::backward::{baseline_backward, pgas_backward};
 use emb_retrieval::{EmbLayerConfig, InputPartition, RunReport, Sharding, SparseBatch};
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
-use pgas_rt::{Aggregator, AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
+use pgas_rt::{AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
 use simccl::{all_to_all_timed, Algorithm, CollectiveConfig};
 
@@ -627,15 +627,16 @@ pub fn multinode_aggregator(rows: u64, span: Dur) -> MultinodeResult {
     }
     let naive_end = last - SimTime::ZERO;
 
+    // The destination is its node's gateway, so a flush is the whole
+    // delivery: no scatter hop follows it.
     let mut agg_m = mk();
-    let mut agg = Aggregator::new(AggregatorConfig::default());
+    let mut gw = GatewayPut::new(&mut agg_m, GatewayConfig::default());
     let mut last = SimTime::ZERO;
     for i in 0..rows {
-        if let Some(iv) = agg.store(&mut agg_m, 0, 1, 256, SimTime::ZERO + step * i) {
-            last = last.max(iv.end);
-        }
+        let iv = gw.put_rows_nbi(0, 1, 1, 256, SimTime::ZERO + step * i);
+        last = last.max(iv.end);
     }
-    for iv in agg.flush_all(&mut agg_m, SimTime::ZERO + span) {
+    for iv in gw.drain(SimTime::ZERO + span) {
         last = last.max(iv.end);
     }
     MultinodeResult {
@@ -678,30 +679,16 @@ impl PodCell {
     }
 }
 
-/// EXT-11 sweep output plus the EXT-2 cross-validation point.
+/// EXT-11 sweep output.
 #[derive(Clone, Debug)]
 pub struct PodsResult {
     /// Payload exchanged per ordered GPU pair, bytes.
     pub pair_bytes: u64,
     /// One cell per (shape, row size), shapes outer.
     pub cells: Vec<PodCell>,
-    /// EXT-2's analytic aggregator projection (2×1 nodes, 10 k rows,
-    /// 500 µs span): aggregated wire time from [`multinode_aggregator`].
-    pub ext2_projected: Dur,
-    /// The same row stream executed through the gateway proxy on the same
-    /// 2×1 fabric.
-    pub ext2_executed: Dur,
 }
 
 impl PodsResult {
-    /// Relative disagreement between EXT-2's projection and the executed
-    /// fabric, as a fraction of the projection.
-    pub fn ext2_delta(&self) -> f64 {
-        let p = self.ext2_projected.as_secs_f64();
-        let e = self.ext2_executed.as_secs_f64();
-        ((e - p) / p).abs()
-    }
-
     /// Paper-scale claim (a): at 256 B rows there is a multi-node shape
     /// where flat per-row PGAS loses to the hierarchical alltoall — the
     /// header-dominated inter-node tier erases the one-sided win.
@@ -823,9 +810,7 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
 }
 
 /// **EXT-11** — the pod-fabric sweep: `shapes` (nodes × GPUs-per-node) ×
-/// `row_sizes`, each cell exchanging `pair_bytes` per ordered GPU pair, plus
-/// the EXT-2 cross-validation (the analytic aggregator projection re-executed
-/// through the gateway proxy on the matching 2-node fabric).
+/// `row_sizes`, each cell exchanging `pair_bytes` per ordered GPU pair.
 pub fn pods_sweep(shapes: &[(usize, usize)], row_sizes: &[u32], pair_bytes: u64) -> PodsResult {
     let cells: Vec<(usize, usize, u32)> = shapes
         .iter()
@@ -839,39 +824,7 @@ pub fn pods_sweep(shapes: &[(usize, usize)], row_sizes: &[u32], pair_bytes: u64)
         })
         .collect();
 
-    // EXT-2 cross-check at its (10 k rows, 500 µs) published point: the
-    // analytic projection drives `Aggregator` + raw sends; the executed
-    // fabric drives the same stream through `GatewayPut` (destination IS
-    // the remote gateway, so no scatter hop — any disagreement is real
-    // model drift, not topology).
-    let xrows = 10_000u64;
-    let xspan = Dur::from_us(500);
-    let ext2_projected = multinode_aggregator(xrows, xspan).aggregated;
-    let mut m = Machine::new(MachineConfig::multi_node_v100(2, 1));
-    let mut gw = GatewayPut::new(
-        &mut m,
-        GatewayConfig {
-            pgas: PgasConfig::default(),
-            flush: AggregatorConfig::default(),
-        },
-    );
-    let step = Dur::from_ns((xspan.as_ns() / xrows).max(1));
-    let mut last = SimTime::ZERO;
-    for i in 0..xrows {
-        let iv = gw.put_rows_nbi(0, 1, 1, 256, SimTime::ZERO + step * i);
-        last = last.max(iv.end);
-    }
-    for iv in gw.drain(SimTime::ZERO + xspan) {
-        last = last.max(iv.end);
-    }
-    let ext2_executed = last - SimTime::ZERO;
-
-    PodsResult {
-        pair_bytes,
-        cells,
-        ext2_projected,
-        ext2_executed,
-    }
+    PodsResult { pair_bytes, cells }
 }
 
 /// One point of the message-size ablation.

@@ -10,15 +10,11 @@
 #![warn(missing_docs)]
 
 mod adapt;
-mod counting_alloc;
 pub mod doc;
 mod experiments;
 mod registry;
-mod wallclock;
 
 pub use adapt::*;
-pub use counting_alloc::*;
 pub use doc::Doc;
 pub use experiments::*;
 pub use registry::*;
-pub use wallclock::*;

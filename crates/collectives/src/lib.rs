@@ -3,9 +3,8 @@
 //! The baseline communication substrate of the reproduction. It implements
 //! the collective calls a PyTorch + NCCL DLRM uses — most importantly
 //! [`all_to_all_single`], which the paper's
-//! baseline invokes at the end of the embedding-table forward pass — plus
-//! `all_gather`, `reduce_scatter`, `all_reduce` and `broadcast` for the
-//! backward-pass extension.
+//! baseline invokes at the end of the embedding-table forward pass (and the
+//! backward-pass extension runs in reverse).
 //!
 //! Every collective is **functional and timed at once**: it really moves the
 //! `f32` buffers (so outputs can be checked against references) and it
@@ -24,7 +23,6 @@
 
 mod alltoall;
 mod config;
-mod gatherreduce;
 mod work;
 
 pub use alltoall::{
@@ -32,7 +30,6 @@ pub use alltoall::{
     try_all_to_all_varied,
 };
 pub use config::{Algorithm, CollectiveConfig};
-pub use gatherreduce::{all_gather, all_reduce, all_reduce_timed, broadcast, reduce_scatter};
 pub use work::WorkHandle;
 
 /// The shared fault taxonomy and retry schedule, re-exported so collective

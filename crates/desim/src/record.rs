@@ -231,31 +231,6 @@ impl Histogram {
     }
 }
 
-/// A monotonically increasing named counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,14 +358,6 @@ mod tests {
         let buckets: Vec<_> = h.buckets().collect();
         // value 0 -> bucket ub 0; 1 -> ub 1; 2,3 -> ub 3; 256,257 -> ub 511.
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (511, 2)]);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
     }
 
     #[test]

@@ -67,15 +67,6 @@ impl Resource {
     pub fn jobs_served(&self) -> u64 {
         self.jobs
     }
-
-    /// Utilization over `[0, horizon)`. Returns 0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / horizon.as_secs_f64()
-        }
-    }
 }
 
 /// A station of `k` identical FIFO servers (e.g. a GPU that can execute up to
@@ -164,9 +155,7 @@ mod tests {
         let mut r = Resource::new();
         let a = r.acquire(SimTime::from_ns(100), Dur::from_ns(10));
         assert_eq!(a.start, SimTime::from_ns(100));
-        // Utilization: busy 10ns over a 200ns horizon.
-        assert!((r.utilization(SimTime::from_ns(200)) - 0.05).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
+        assert_eq!(r.busy_time(), Dur::from_ns(10));
     }
 
     #[test]

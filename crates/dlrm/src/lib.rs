@@ -16,20 +16,16 @@
 
 #![warn(missing_docs)]
 
-mod autograd;
 mod data;
 mod engine;
 mod interaction;
 mod mlp;
 mod model;
 mod pipeline;
-mod training;
 
-pub use autograd::{bce_loss, interact_backward, MlpCache, MlpGrads};
 pub use data::DenseBatch;
 pub use engine::{EngineBackend, ExecutedReport, PipelineEngine};
 pub use interaction::interact;
 pub use mlp::{Linear, Mlp};
 pub use model::{Dlrm, DlrmConfig};
 pub use pipeline::{BatchCosts, InferencePipeline, PipelineReport, StageDurations};
-pub use training::{HeadGrads, TrainingPipeline, TrainingReport};

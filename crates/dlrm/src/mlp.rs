@@ -34,26 +34,6 @@ impl Linear {
         x.addmm(&self.weight, &self.bias)
     }
 
-    /// The weight matrix.
-    pub fn weight_ref(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// Mutable weight matrix (optimizer updates).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight
-    }
-
-    /// The bias vector.
-    pub fn bias_ref(&self) -> &Tensor {
-        &self.bias
-    }
-
-    /// Mutable bias vector.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.bias
-    }
-
     /// FLOPs for a batch of `rows` (multiply-accumulate counted as 2).
     pub fn flops(&self, rows: usize) -> u64 {
         2 * rows as u64 * self.in_features() as u64 * self.out_features() as u64
@@ -92,16 +72,6 @@ impl Mlp {
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// The layers, front to back.
-    pub fn layers_ref(&self) -> &[Linear] {
-        &self.layers
-    }
-
-    /// Mutable layers (optimizer updates).
-    pub fn layers_mut(&mut self) -> &mut [Linear] {
-        &mut self.layers
     }
 
     /// Forward pass on `[batch, in]`.

@@ -1042,14 +1042,6 @@ impl Machine {
         &self.msg_sizes
     }
 
-    /// Per-link utilization over the run so far, max across links.
-    pub fn peak_link_utilization(&self) -> f64 {
-        self.links
-            .iter()
-            .map(|l| l.utilization(self.horizon))
-            .fold(0.0, f64::max)
-    }
-
     fn bump(&mut self, t: SimTime) {
         self.horizon = self.horizon.max(t);
     }
@@ -1401,14 +1393,6 @@ mod tests {
         let mut m = machine(1);
         let run = m.run_kernel_varied(0, &[], SimTime::from_us(1));
         assert_eq!(run.interval.start, run.interval.end);
-    }
-
-    #[test]
-    fn peak_link_utilization_bounded() {
-        let mut m = machine(2);
-        m.send(0, 1, 1 << 26, 1, SimTime::ZERO);
-        let u = m.peak_link_utilization();
-        assert!(u > 0.5 && u <= 1.0, "utilization {u} out of range");
     }
 
     #[test]

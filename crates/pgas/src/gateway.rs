@@ -14,16 +14,34 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use desim::{Interval, SimTime};
+use desim::{Dur, Interval, SimTime};
 use gpusim::Machine;
 use telemetry::causal::{BlameCategory, Lane};
 
-use crate::aggregator::AggregatorConfig;
 use crate::coalesce::{coalesce_rows, CoalescedBatch};
 use crate::ops::{OneSided, PgasConfig};
 
+/// Flush policy of a staging buffer (the paper's §V aggregator).
+#[derive(Clone, Copy, Debug)]
+pub struct AggregatorConfig {
+    /// Ship the buffer once this much payload is staged.
+    pub flush_bytes: u64,
+    /// Ship the buffer once the oldest staged row is this old, even if the
+    /// size threshold has not been reached (bounds added latency).
+    pub max_wait: Dur,
+}
+
+impl Default for AggregatorConfig {
+    fn default() -> Self {
+        AggregatorConfig {
+            flush_bytes: 64 << 10,
+            max_wait: Dur::from_us(50),
+        }
+    }
+}
+
 /// Tuning for the gateway proxy: the underlying one-sided config plus the
-/// staging-buffer flush policy (size/age, shared with [`crate::Aggregator`]).
+/// staging-buffer flush policy (size/age).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GatewayConfig {
     /// One-sided put parameters (coalescing payload, issue overhead, ...).
@@ -343,7 +361,6 @@ impl<'m> GatewayPut<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::Dur;
     use gpusim::MachineConfig;
 
     fn pod(nodes: usize, per_node: usize) -> Machine {
@@ -449,6 +466,31 @@ mod tests {
         assert!(iv.end > iv.start, "age threshold must flush");
         assert_eq!(gw.flushes(), 1);
         assert_eq!(gw.drain(SimTime::ZERO + Dur::from_us(20)).len(), 1);
+        // The buffer left when its timer fired (oldest + max_wait), not when
+        // the late row showed up.
+        let latency = m.topology().link(0, 2).latency;
+        let fired = SimTime::ZERO + Dur::from_us(5) + cfg.pgas.issue_overhead;
+        assert_eq!(iv.start, fired + latency);
+    }
+
+    #[test]
+    fn drain_ships_every_channel_once() {
+        let mut m = Machine::new(MachineConfig::multi_node_v100(2, 2));
+        let mut gw = GatewayPut::new(&mut m, GatewayConfig::default());
+        // Three (origin, destination-node) channels; the first carries rows
+        // for two GPUs of node 1.
+        gw.put_rows_nbi(0, 2, 1, 256, SimTime::ZERO);
+        gw.put_rows_nbi(0, 3, 1, 256, SimTime::ZERO);
+        gw.put_rows_nbi(1, 2, 1, 256, SimTime::ZERO);
+        gw.put_rows_nbi(3, 0, 1, 256, SimTime::ZERO);
+        assert_eq!(gw.flushes(), 0);
+        assert_eq!(gw.drain(SimTime::ZERO + Dur::from_us(1)).len(), 3);
+        assert_eq!(gw.rows_staged(), 4);
+        assert_eq!(gw.flushes(), 3);
+        // A second drain is a no-op.
+        assert!(gw.drain(SimTime::ZERO + Dur::from_us(2)).is_empty());
+        assert_eq!(m.traffic_stats().payload_bytes, 4 * 256);
+        assert_eq!(m.traffic_stats().messages, 3);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! are deliberately separate: correctness is checkable exactly, while timing
 //! follows the calibrated link model.
 //!
-//! The [`Aggregator`] implements the paper's §V multi-node extension
-//! (following the SC'22 "Getting CPUs out of the way" design): instead of
-//! writing each embedding row straight to the remote PE, rows are staged in
-//! a per-destination buffer and flushed as one large message when a size or
-//! age threshold is hit — trading a little latency for far fewer headers on
-//! high-latency inter-node links.
+//! [`GatewayPut`] implements the paper's §V multi-node extension (following
+//! the SC'22 "Getting CPUs out of the way" design): instead of writing each
+//! embedding row straight to a PE on another node, rows are staged in a
+//! per-destination-node buffer and flushed as one large message when a size
+//! or age threshold ([`AggregatorConfig`]) is hit — trading a little latency
+//! for far fewer headers on high-latency inter-node links.
 //!
 //! ```
 //! use pgas_rt::SymmetricHeap;
@@ -29,15 +29,13 @@
 
 #![warn(missing_docs)]
 
-mod aggregator;
 mod coalesce;
 mod gateway;
 mod heap;
 mod ops;
 
-pub use aggregator::{Aggregator, AggregatorConfig, FlushReport};
 pub use coalesce::{coalesce_rows, coalesce_rows_many, CoalescedBatch};
-pub use gateway::{GatewayConfig, GatewayPut};
+pub use gateway::{AggregatorConfig, GatewayConfig, GatewayPut};
 pub use heap::{SegmentId, SymmetricHeap};
 pub use ops::{Delivery, OneSided, PgasConfig, RetryStats};
 

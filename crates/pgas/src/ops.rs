@@ -293,22 +293,6 @@ impl<'m> OneSided<'m> {
     pub fn barrier_all(&mut self, times: &[SimTime]) -> SimTime {
         self.machine.barrier(times) + self.cfg.barrier_overhead
     }
-
-    /// [`OneSided::barrier_all`] with a completion deadline.
-    pub fn try_barrier_all(
-        &mut self,
-        times: &[SimTime],
-        deadline: SimTime,
-    ) -> Result<SimTime, FabricError> {
-        let t = self.barrier_all(times);
-        if t > deadline {
-            return Err(FabricError::Timeout {
-                deadline,
-                completes_at: t,
-            });
-        }
-        Ok(t)
-    }
 }
 
 #[cfg(test)]
@@ -489,18 +473,5 @@ mod tests {
             .try_quiet(0, at, at + overhead)
             .expect("nothing outstanding");
         assert_eq!(t, at + overhead);
-    }
-
-    #[test]
-    fn try_barrier_honors_deadline() {
-        let mut m = machine(2);
-        let mut os = OneSided::new(&mut m);
-        let times = [SimTime::from_us(1), SimTime::from_us(4)];
-        let overhead = PgasConfig::default().barrier_overhead;
-        let t = os
-            .try_barrier_all(&times, SimTime::from_us(4) + overhead)
-            .expect("met");
-        assert_eq!(t, SimTime::from_us(4) + overhead);
-        assert!(os.try_barrier_all(&times, SimTime::from_us(4)).is_err());
     }
 }

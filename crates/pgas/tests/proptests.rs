@@ -2,7 +2,9 @@
 
 use desim::{Dur, SimTime};
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
-use pgas_rt::{coalesce_rows, Aggregator, AggregatorConfig, OneSided, PgasConfig, SymmetricHeap};
+use pgas_rt::{
+    coalesce_rows, AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig, SymmetricHeap,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -145,8 +147,10 @@ proptest! {
         }
     }
 
-    /// The aggregator never loses or duplicates a row: flushed payload ==
-    /// staged payload, for any store schedule and thresholds.
+    /// The §V aggregator never loses or duplicates a row on the IB preset:
+    /// wire payload == staged payload plus the same-node rows that bypass
+    /// staging, and every flush is exactly one inter-node message, for any
+    /// store schedule and thresholds.
     #[test]
     fn aggregator_conserves_rows(
         flush_kib in 1u64..64,
@@ -154,19 +158,26 @@ proptest! {
         stores in prop::collection::vec((0usize..3, 0u64..500), 1..200),
     ) {
         let mut m = Machine::new(MachineConfig::multi_node_v100(2, 2));
-        let mut agg = Aggregator::new(AggregatorConfig {
-            flush_bytes: flush_kib << 10,
-            max_wait: Dur::from_us(wait_us),
+        let mut gw = GatewayPut::new(&mut m, GatewayConfig {
+            pgas: PgasConfig::default(),
+            flush: AggregatorConfig {
+                flush_bytes: flush_kib << 10,
+                max_wait: Dur::from_us(wait_us),
+            },
         });
         let mut sorted = stores.clone();
         sorted.sort_by_key(|&(_, t)| t);
+        let mut same_node_rows = 0;
         for (dst, t_us) in sorted {
-            let dst = 1 + dst % 3; // never self (src = 0)
-            agg.store(&mut m, 0, dst, 256, SimTime::from_us(t_us));
+            let dst = 1 + dst % 3; // never self (src = 0); GPU 1 shares node 0
+            same_node_rows += u64::from(dst == 1);
+            gw.put_rows_nbi(0, dst, 1, 256, SimTime::from_us(t_us));
         }
-        agg.flush_all(&mut m, SimTime::from_ms(10));
-        prop_assert_eq!(m.traffic_stats().payload_bytes, agg.rows_staged() * 256);
-        prop_assert_eq!(agg.flushes(), m.traffic_stats().messages);
+        gw.drain(SimTime::from_ms(10));
+        let (staged, flushes) = (gw.rows_staged(), gw.flushes());
+        let wire = m.traffic_stats();
+        prop_assert_eq!(wire.payload_bytes, (staged + same_node_rows) * 256);
+        prop_assert_eq!(wire.messages, flushes + same_node_rows);
     }
 }
 
@@ -186,7 +197,6 @@ proptest! {
             1..40,
         ),
     ) {
-        use pgas_rt::{GatewayConfig, GatewayPut};
         let n = nodes * per_node;
         let mut m = Machine::new(MachineConfig::pod_v100(nodes, per_node));
         m.enable_telemetry();

@@ -164,16 +164,12 @@ impl MicroBatcher {
     /// queue reaches `stop_at` requests (the size trigger — arrivals after
     /// that instant wait for the next batch).
     fn admit_until(&mut self, t: SimTime, stop_at: Option<usize>) {
-        while let Some(front) = self.pending.front() {
-            if front.arrival > t {
+        while self.pending.front().is_some_and(|r| r.arrival <= t)
+            && stop_at.is_none_or(|k| self.queue.len() < k)
+        {
+            let Some(r) = self.pending.pop_front() else {
                 break;
-            }
-            if let Some(k) = stop_at {
-                if self.queue.len() >= k {
-                    break;
-                }
-            }
-            let r = self.pending.pop_front().expect("front exists");
+            };
             self.admit(r);
         }
     }
@@ -186,18 +182,12 @@ impl MicroBatcher {
             // Everything that arrived while the machine was busy queued (or
             // was shed) on arrival.
             self.admit_until(t_free, None);
-            if self.queue.is_empty() {
+            let Some(oldest) = self.queue.front().map(|r| r.arrival) else {
                 // Idle: jump forward to the next arrival.
-                match self.pending.pop_front() {
-                    None => return None,
-                    Some(r) => {
-                        self.admit(r);
-                        continue; // may have been malformed
-                    }
-                }
-            }
-
-            let oldest = self.queue.front().expect("non-empty").arrival;
+                let r = self.pending.pop_front()?;
+                self.admit(r);
+                continue; // may have been malformed
+            };
             let open = t_free.max(oldest);
             let close = if self.queue.len() >= self.cfg.max_batch {
                 // Backlog already fills a batch the instant the machine

@@ -3,8 +3,8 @@
 //! The substrate standing in for PyTorch's tensor layer in this reproduction.
 //! It provides exactly what the DLRM model and the embedding-retrieval layer
 //! need: row-major contiguous `f32` tensors, elementwise ops, a
-//! rayon-parallel matmul, the activations used by DLRM (ReLU, sigmoid,
-//! softmax), and deterministic random initialization.
+//! rayon-parallel matmul, the activations used by DLRM (ReLU, sigmoid), and
+//! deterministic random initialization.
 //!
 //! The design intentionally avoids autograd, broadcasting and dtype
 //! genericity: the paper's evaluation is an *inference* forward pass, and the

@@ -99,16 +99,6 @@ impl Tensor {
             });
         Tensor::from_vec(out, &[n, m])
     }
-
-    /// Pairwise dot products between the rows of two `[r, d]` tensors:
-    /// result `[i][j] = a.row(i) · b.row(j)`. This is the DLRM feature
-    /// interaction primitive.
-    pub fn row_gram(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape().ndim(), 2);
-        assert_eq!(other.shape().ndim(), 2);
-        assert_eq!(self.dims()[1], other.dims()[1], "row length mismatch");
-        self.matmul(&other.transpose())
-    }
 }
 
 #[cfg(test)]
@@ -205,14 +195,6 @@ mod tests {
             assert_eq!(t.data(), &naive[..], "{m}x{n}");
             assert_eq!(t.dims(), &[n, m]);
         }
-    }
-
-    #[test]
-    fn row_gram_is_pairwise_dots() {
-        let a = Tensor::from_vec(vec![1., 0., 0., 1.], &[2, 2]);
-        let b = Tensor::from_vec(vec![3., 4., 5., 6.], &[2, 2]);
-        let g = a.row_gram(&b);
-        assert_eq!(g.data(), &[3., 5., 4., 6.]);
     }
 
     #[test]

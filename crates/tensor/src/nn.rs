@@ -12,25 +12,6 @@ impl Tensor {
     pub fn sigmoid(&self) -> Tensor {
         self.map(|x| 1.0 / (1.0 + (-x).exp()))
     }
-
-    /// Row-wise numerically stable softmax of a 2-D tensor.
-    pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.shape().ndim(), 2, "softmax_rows requires 2-D");
-        let n = self.dims()[1];
-        let mut out = self.clone();
-        for row in out.data_mut().chunks_exact_mut(n.max(1)) {
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0.0f32;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                z += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= z;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -50,21 +31,5 @@ mod tests {
         assert!(s.data()[0] < 1e-6);
         assert!((s.data()[1] - 0.5).abs() < 1e-6);
         assert!(s.data()[2] > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 1000.0, 1000.0, 1000.0], &[2, 3]);
-        let s = t.softmax_rows();
-        for r in 0..2 {
-            let sum: f32 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
-        }
-        // Stable under large inputs: uniform row stays uniform.
-        for &v in s.row(1) {
-            assert!((v - 1.0 / 3.0).abs() < 1e-5);
-        }
-        // Monotone within a row.
-        assert!(s.at(&[0, 2]) > s.at(&[0, 1]));
     }
 }

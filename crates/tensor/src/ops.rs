@@ -85,29 +85,6 @@ impl Tensor {
             .map(|(a, b)| a * b)
             .sum()
     }
-
-    /// Concatenate 2-D tensors along the column dimension (dim 1).
-    /// All inputs must share the same number of rows.
-    pub fn cat_cols(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "cat_cols of nothing");
-        let rows = parts[0].dims()[0];
-        for p in parts {
-            assert_eq!(p.shape().ndim(), 2, "cat_cols requires 2-D tensors");
-            assert_eq!(p.dims()[0], rows, "row-count mismatch in cat_cols");
-        }
-        let total_cols: usize = parts.iter().map(|p| p.dims()[1]).sum();
-        let mut out = Tensor::zeros(&[rows, total_cols]);
-        for r in 0..rows {
-            let dst = out.row_mut(r);
-            let mut off = 0;
-            for p in parts {
-                let src = p.row(r);
-                dst[off..off + src.len()].copy_from_slice(src);
-                off += src.len();
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -153,23 +130,5 @@ mod tests {
         let a = t(vec![1., 2., 3.], &[3]);
         let b = t(vec![4., 5., 6.], &[3]);
         assert_eq!(a.dot(&b), 32.0);
-    }
-
-    #[test]
-    fn cat_cols_concatenates() {
-        let a = t(vec![1., 2., 3., 4.], &[2, 2]);
-        let b = t(vec![5., 6.], &[2, 1]);
-        let c = Tensor::cat_cols(&[&a, &b]);
-        assert_eq!(c.dims(), &[2, 3]);
-        assert_eq!(c.row(0), &[1., 2., 5.]);
-        assert_eq!(c.row(1), &[3., 4., 6.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row-count mismatch")]
-    fn cat_cols_checks_rows() {
-        let a = t(vec![1., 2.], &[1, 2]);
-        let b = t(vec![1., 2., 3., 4.], &[2, 2]);
-        let _ = Tensor::cat_cols(&[&a, &b]);
     }
 }

@@ -130,12 +130,6 @@ impl Tensor {
         &mut self.data[i * cols..(i + 1) * cols]
     }
 
-    /// Iterate the rows of a 2-D tensor.
-    pub fn rows(&self) -> impl Iterator<Item = &[f32]> {
-        assert_eq!(self.shape.ndim(), 2, "rows() requires a 2-D tensor");
-        self.data.chunks_exact(self.shape.dim(1).max(1))
-    }
-
     /// An immutable borrowed view of the whole tensor.
     pub fn view(&self) -> TensorView<'_> {
         TensorView {
@@ -280,7 +274,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3]);
         assert_eq!(t.row(0), &[1., 2., 3.]);
         assert_eq!(t.row(1), &[4., 5., 6.]);
-        assert_eq!(t.rows().count(), 2);
         let r = t.clone().reshape(&[3, 2]);
         assert_eq!(r.row(2), &[5., 6.]);
         let mut m = t;

@@ -46,36 +46,12 @@ proptest! {
         prop_assert!(a.add(&b).sub(&b).allclose(&a, 1e-3));
     }
 
-    /// Softmax rows are probability distributions for any finite input.
-    #[test]
-    fn softmax_rows_are_distributions(t in tensor_strategy(5, 7)) {
-        let s = t.softmax_rows();
-        for row in s.rows() {
-            let sum: f32 = row.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4);
-            prop_assert!(row.iter().all(|&p| (0.0..=1.0 + 1e-6).contains(&p)));
-        }
-    }
-
     /// relu is idempotent and non-negative.
     #[test]
     fn relu_idempotent(t in tensor_strategy(4, 9)) {
         let r = t.relu();
         prop_assert!(r.min() >= 0.0);
         prop_assert_eq!(r.relu(), r);
-    }
-
-    /// cat_cols concatenation preserves every element at the right place.
-    #[test]
-    fn cat_cols_places_elements(rows in 1usize..5, c1 in 1usize..4, c2 in 1usize..4) {
-        let a = Tensor::rand_uniform(&[rows, c1], -1.0, 1.0, 1);
-        let b = Tensor::rand_uniform(&[rows, c2], -1.0, 1.0, 2);
-        let c = Tensor::cat_cols(&[&a, &b]);
-        prop_assert_eq!(c.dims(), &[rows, c1 + c2]);
-        for r in 0..rows {
-            prop_assert_eq!(&c.row(r)[..c1], a.row(r));
-            prop_assert_eq!(&c.row(r)[c1..], b.row(r));
-        }
     }
 
     /// reshape preserves flat data.

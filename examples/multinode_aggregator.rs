@@ -1,7 +1,8 @@
 //! The §V multi-node extension: on an inter-node fabric, per-row one-sided
 //! writes drown in per-message headers; the asynchronous aggregator (after
-//! SC'22's "Getting CPUs out of the way") stages rows per destination and
-//! flushes them as single large messages on size or age thresholds.
+//! SC'22's "Getting CPUs out of the way"; here the gateway proxy) stages rows
+//! per destination node and flushes them as single large messages on size or
+//! age thresholds.
 //!
 //! ```sh
 //! cargo run --release --example multinode_aggregator
@@ -9,7 +10,7 @@
 
 use pgas_embedding::desim::{Dur, SimTime};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::pgas::{Aggregator, AggregatorConfig};
+use pgas_embedding::pgas::{GatewayConfig, GatewayPut};
 
 fn main() {
     // Two nodes, one GPU each: all traffic crosses InfiniBand.
@@ -27,14 +28,13 @@ fn main() {
 
     // --- Aggregated: 64 KiB flushes, 50 µs max wait. ---
     let mut agg_m = Machine::new(MachineConfig::multi_node_v100(2, 1));
-    let mut agg = Aggregator::new(AggregatorConfig::default());
+    let mut gw = GatewayPut::new(&mut agg_m, GatewayConfig::default());
     let mut agg_end = SimTime::ZERO;
     for i in 0..rows {
-        if let Some(iv) = agg.store(&mut agg_m, 0, 1, 256, SimTime::ZERO + step * i) {
-            agg_end = agg_end.max(iv.end);
-        }
+        let iv = gw.put_rows_nbi(0, 1, 1, 256, SimTime::ZERO + step * i);
+        agg_end = agg_end.max(iv.end);
     }
-    for iv in agg.flush_all(&mut agg_m, SimTime::ZERO + span) {
+    for iv in gw.drain(SimTime::ZERO + span) {
         agg_end = agg_end.max(iv.end);
     }
 
