@@ -16,9 +16,12 @@
 # netutil, blame: telemetry timelines and blame vectors) get the same byte
 # gate from three full-scale runs, about 7 + 1 + 10 s; so do the two
 # artifacts that lean hardest on shared plans: chaos (stragglers and link
-# faults over shared PlannedBatches, i.e. the release-schedule store and its
-# bypass, about 3 s) and serve (the request pool and the memoized canonical
-# plans, about 11 s).
+# faults over shared PlannedBatches, i.e. the per-device schedule store and
+# its refusals, about 2 s) and serve (the request pool and the memoized
+# canonical plans, about 11 s). The three Chrome traces of the timeline_trace
+# example join them (about 2 s): a traced machine refuses to replay recorded
+# deliveries but launches kernels by their recorded length, which must leave
+# the very trace events dispatching the blocks leaves.
 set -eu
 
 cargo fmt --all -- --check
@@ -66,6 +69,8 @@ same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
 for e in pods netutil blame chaos serve; do
     $reproduce "$e" --out-dir "$d2" > /dev/null
 done
+cargo run --release --example timeline_trace --offline -- --out-dir "$d2" > /dev/null
 same_as_results "$d2" pods.csv BENCH_pods.json netutil.csv BENCH_netutil.json \
-    blame.csv BENCH_blame.json blame_folded.txt chaos.csv serve.csv
+    blame.csv BENCH_blame.json blame_folded.txt chaos.csv serve.csv \
+    trace_baseline.json trace_pgas.json trace_pipeline.json
 echo "ci: all gates passed"

@@ -156,7 +156,7 @@ pub struct PreparedBatches {
 
 impl PreparedBatches {
     /// The plans as executable [`PlannedBatch`]es on `machine`. Built once
-    /// and shared (release schedules included) by every machine made of the
+    /// and shared (per-device schedules included) by every machine made of the
     /// GPU the set was prepared for; a machine with any other spec gets a
     /// build of its own that is not kept.
     pub fn planned_for(&self, machine: &Machine) -> Arc<[PlannedBatch]> {
@@ -250,8 +250,12 @@ pub fn forget_prepared() {
 }
 
 /// Resident bytes per block of an executed set: the `BlockPlan` (80) and its
-/// `dest_rows` allocation, a duration and about four stored releases.
-const RETAINED_BYTES_PER_BLOCK: usize = 224;
+/// `dest_rows` allocation (one entry and the allocator's header, 32), its
+/// duration (8), its retirement instant in the recorded kernel (8) and about
+/// four releases (the paper's weak sets merge to two or three per block) at
+/// 16 bytes stored plus 8 once delivered. What a schedule keeps per device —
+/// a send train of a few words per peer — does not count.
+const RETAINED_BYTES_PER_BLOCK: usize = 80 + 32 + 8 + 8 + 4 * (16 + 8);
 
 /// The uncached build behind [`prepare_batches`], and the bytes the result
 /// keeps resident; `n_batches` is already the distinct count.

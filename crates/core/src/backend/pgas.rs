@@ -52,7 +52,8 @@ impl PgasFusedBackend {
 /// (single-wave kernels still overlap). Shared by the flat and gateway
 /// one-sided exchanges so both put identical traffic on the wire, and the
 /// only builder: `PlannedBatch::releases_into` calls it once per device and
-/// replays the result, or per batch for a straggling device.
+/// replays the result, or per batch for a straggling device. `resident` and
+/// `block_ends` are the kernel execution's ([`gpusim::KernelRun`]).
 /// Takes a caller-provided buffer (cleared first) rather than returning a
 /// fresh map: a reused sorted `Vec` keeps the per-batch path
 /// allocation-free and the merge pass a flat scan instead of per-entry
@@ -60,13 +61,14 @@ impl PgasFusedBackend {
 pub(crate) fn stream_releases_into(
     dp: &crate::DevicePlan,
     durs: &[Dur],
-    run: &gpusim::KernelRun,
+    resident: u32,
+    block_ends: impl Iterator<Item = desim::SimTime>,
     releases: &mut Vec<crate::arena::Release>,
 ) {
     releases.clear();
-    let waves = (dp.blocks.len() as u64).div_ceil(run.resident.max(1) as u64);
+    let waves = (dp.blocks.len() as u64).div_ceil(resident.max(1) as u64);
     let subs = (32 / waves.max(1)).clamp(1, 32);
-    for ((blk, &end), &tau) in dp.blocks.iter().zip(&run.block_ends).zip(durs) {
+    for ((blk, end), &tau) in dp.blocks.iter().zip(block_ends).zip(durs) {
         for &(dst, rows) in &blk.dest_rows {
             if dst == dp.device {
                 continue;

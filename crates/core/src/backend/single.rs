@@ -13,10 +13,11 @@
 //! directly — and the only thing that differs between the paper's two
 //! systems is the [`Exchange`].
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use desim::{Dur, SimTime};
-use gpusim::{KernelRun, Machine};
+use gpusim::{KernelRun, Machine, SendTrain};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
 use simccl::{try_all_to_all_timed, CollectiveConfig};
@@ -39,10 +40,65 @@ pub struct PlannedBatch {
     durations: Vec<Vec<Dur>>,
     /// All-to-all payload bytes, indexed `[src][dst]`.
     byte_matrix: Vec<Vec<u64>>,
-    /// Per device, the fused kernel's store releases as `(offset from
-    /// kernel start, destination, rows)` in wire order, once a one-sided or
-    /// gateway execution has built them ([`PlannedBatch::releases_into`]).
-    schedules: Vec<OnceLock<Vec<(Dur, usize, u64)>>>,
+    /// Per device, what its first executions left on record.
+    schedules: Vec<DeviceSchedule>,
+}
+
+/// One device's part of a plan, each part stored by the first execution
+/// able to and replayed by later ones. All of it holds at straggler factor
+/// 1.0 only, where `run_kernel_varied` is integer ns from the kernel's start
+/// (no float path) and a release instant is a block end minus a
+/// duration-derived offset. Stored instants are `u32` ns from that start; one
+/// that does not fit means no record, never a truncated one.
+#[derive(Clone, Debug, Default)]
+struct DeviceSchedule {
+    /// The lookup kernel as first launched on a healthy device, by any
+    /// exchange: later launches are it, moved to their own start.
+    kernel: OnceLock<KernelRun>,
+    /// The fused kernel's store releases `(ready, dst, rows)` in wire order,
+    /// from the first one-sided or gateway execution: 16 bytes each, and 8
+    /// more in `deliveries` once delivered.
+    releases: OnceLock<Option<Vec<(u32, u32, u64)>>>,
+    /// When each release was delivered, from the first one-sided execution
+    /// the machine agreed to record.
+    deliveries: OnceLock<Deliveries>,
+}
+
+/// Wire `(start, end)` per release, valid under the runtime settings that
+/// turn a release into a send (`PgasConfig::{max_payload, issue_overhead}`);
+/// which fabric it is valid on is the train's to check.
+#[derive(Clone, Debug)]
+struct Deliveries {
+    key: (u32, Dur),
+    wire: Vec<(u32, u32)>,
+    train: SendTrain,
+}
+
+fn offset(t: SimTime, origin: SimTime) -> Option<u32> {
+    u32::try_from((t - origin).as_ns()).ok()
+}
+
+/// A launched lookup kernel: `run`, moved to begin at `start`. A borrowed
+/// run is the device's recorded one, to which the schedule's offsets apply.
+struct Launched<'p> {
+    start: SimTime,
+    run: Cow<'p, KernelRun>,
+}
+
+impl Launched<'_> {
+    fn recorded(&self) -> bool {
+        matches!(self.run, Cow::Borrowed(_))
+    }
+
+    fn end(&self) -> SimTime {
+        self.start + self.run.interval.duration()
+    }
+
+    fn block_ends(&self) -> impl Iterator<Item = SimTime> + '_ {
+        let (start, ran_at) = (self.start, self.run.interval.start);
+        let ends = self.run.block_ends.iter();
+        ends.map(move |&t| start + (t - ran_at))
+    }
 }
 
 impl PlannedBatch {
@@ -70,39 +126,41 @@ impl PlannedBatch {
             })
             .collect();
         PlannedBatch {
-            schedules: vec![OnceLock::new(); plan.devices.len()],
+            schedules: vec![DeviceSchedule::default(); plan.devices.len()],
             plan,
             durations,
             byte_matrix,
         }
     }
 
-    /// Device `dp.device`'s store releases for the kernel execution `run`,
-    /// into `out`: [`stream_releases_into`]'s output, sorted and merged once
-    /// per device instead of once per batch. Exact because at straggler
-    /// factor 1.0 `Machine::run_kernel_varied` is integer ns from
-    /// `run.interval.start` (no float path) and a release instant is a block
-    /// end minus a duration-derived offset: the first run's schedule
-    /// relative to its kernel start is every later run's. A straggling
-    /// device (scaled durations) takes the builder directly, per batch.
-    fn releases_into(
-        &self,
-        machine: &Machine,
-        dp: &DevicePlan,
-        run: &KernelRun,
-        out: &mut Vec<arena::Release>,
-    ) {
+    /// Device `dp.device`'s store releases for the kernel launch `k`, into
+    /// `out`: [`stream_releases_into`]'s output, sorted and merged once per
+    /// device instead of once per batch — the first recorded launch's
+    /// releases relative to its kernel start are every later one's. A
+    /// straggling device's launch takes the builder directly, per batch.
+    fn releases_into(&self, dp: &DevicePlan, k: &Launched<'_>, out: &mut Vec<arena::Release>) {
         let durs = &self.durations[dp.device];
-        if machine.straggler_factor(dp.device) != 1.0 {
-            return stream_releases_into(dp, durs, run, out);
-        }
-        let start = run.interval.start;
-        let stored = self.schedules[dp.device].get_or_init(|| {
-            stream_releases_into(dp, durs, run, out);
-            out.iter().map(|&(t, d, r)| (t - start, d, r)).collect()
+        let build =
+            |out: &mut _| stream_releases_into(dp, durs, k.run.resident, k.block_ends(), out);
+        let stored = k.recorded().then(|| {
+            self.schedules[dp.device].releases.get_or_init(|| {
+                build(out);
+                let stored = out.iter();
+                stored
+                    .map(|&(t, dst, rows)| Some((offset(t, k.start)?, dst as u32, rows)))
+                    .collect()
+            })
         });
+        let Some(stored) = stored.and_then(Option::as_ref) else {
+            return build(out);
+        };
         out.clear();
-        out.extend(stored.iter().map(|&(off, d, r)| (start + off, d, r)));
+        let at = |ready: u32| k.start + Dur::from_ns(ready.into());
+        out.extend(
+            stored
+                .iter()
+                .map(|&(ready, dst, rows)| (at(ready), dst as usize, rows)),
+        );
     }
 
     /// The underlying forward plan.
@@ -409,8 +467,9 @@ impl<'a, 'r> Batch<'a, 'r> {
     /// its shard served right away (`device_fill`: the hot fraction from
     /// the replicas other devices hold, the rest from the fill — no kernel,
     /// no transfers, no stall; returns `None`) or its kernel, and so the
-    /// whole batch, waits out the outage.
-    fn launch(&mut self, dp: &DevicePlan) -> Option<KernelRun> {
+    /// whole batch, waits out the outage. Once a healthy launch is on
+    /// record, later ones book its length without dispatching the blocks.
+    fn launch(&mut self, dp: &DevicePlan) -> Option<Launched<'a>> {
         let d = dp.device;
         let mut ready = self.start;
         if let Some(up_at) = self.machine.device_down_until(d, self.start) {
@@ -430,16 +489,32 @@ impl<'a, 'r> Batch<'a, 'r> {
             }
             ready = up_at;
         }
-        let run = self
-            .machine
-            .run_kernel_varied(d, &self.pb.durations()[d], ready);
-        self.k_end[d] = run.interval.end;
+        let pb = self.pb;
+        let (durs, record) = (&pb.durations()[d], &pb.schedules[d].kernel);
+        let timed = record.get().and_then(|k| {
+            let length = k.interval.duration();
+            let at = self
+                .machine
+                .run_kernel_timed(d, durs.len(), length, ready)?;
+            Some((at.start, Cow::Borrowed(k)))
+        });
+        let (start, run) = timed.unwrap_or_else(|| {
+            let run = self.machine.run_kernel_varied(d, durs, ready);
+            let start = run.interval.start;
+            if self.machine.straggler_factor(d) == 1.0 {
+                (start, Cow::Borrowed(record.get_or_init(|| run)))
+            } else {
+                (start, Cow::Owned(run))
+            }
+        });
+        let launched = Launched { start, run };
+        self.k_end[d] = launched.end();
         let span = self.machine.blame_last_span();
         if let Some(b) = self.machine.blame_mut() {
             b.set_device_cause(d as u32, span);
             self.kernel_spans[d] = span;
         }
-        Some(run)
+        Some(launched)
     }
 
     /// Collective exchange: lookup kernels → `all_to_all_single` →
@@ -541,14 +616,27 @@ impl<'a, 'r> Batch<'a, 'r> {
             }
             // Rearrangement touches every *received* byte twice (read
             // source-major, write [mb, S, dim]); the local chunk was already
-            // written in place by the lookup kernel. `unpack_rows` equals
-            // `mb_sizes[d] × remote_features` on plain plans and subtracts
-            // cache-exported and dedup-collapsed rows on annotated ones.
-            let unpack_bytes = 2 * plan.unpack_rows(d) * row_bytes;
-            let dur = Dur::from_secs_f64(unpack_bytes as f64 / UNPACK_BW);
-            let run = self.machine.run_kernel_varied(d, &[dur], waited);
-            self.end[d] = self.machine.stream_sync(d, run.interval.end);
-            self.blame_sync(d, run.interval.end, true);
+            // written in place by the lookup kernel. The byte matrix's
+            // inbound column is `ForwardPlan::unpack_rows` in bytes without
+            // that function's walk over every block: `mb_sizes[d] ×
+            // remote_features` rows on plain plans, less the cache-exported
+            // and dedup-collapsed ones on annotated plans.
+            let sent = self.pb.byte_matrix();
+            let inbound: u64 = (0..n).filter(|&s| s != d).map(|s| sent[s][d]).sum();
+            debug_assert_eq!(inbound, plan.unpack_rows(d) * row_bytes);
+            let dur = Dur::from_secs_f64((2 * inbound) as f64 / UNPACK_BW);
+            // One block: the kernel is as long as the block.
+            let unpacked = match self.machine.run_kernel_timed(d, 1, dur, waited) {
+                Some(interval) => interval.end,
+                None => {
+                    self.machine
+                        .run_kernel_varied(d, &[dur], waited)
+                        .interval
+                        .end
+                }
+            };
+            self.end[d] = self.machine.stream_sync(d, unpacked);
+            self.blame_sync(d, unpacked, true);
             if let Some(l) = self.log.as_deref_mut() {
                 // Bulk-synchronous release: every pooled row of d's output
                 // becomes consumable at once, after wait + unpack + sync.
@@ -580,7 +668,9 @@ impl<'a, 'r> Batch<'a, 'r> {
     /// One-sided exchange: fused kernels whose stores stream onto the wire
     /// *while each block executes* (paper Listing 2), so a block's remote
     /// rows are spread across its execution interval rather than released
-    /// in a burst at retirement; then a `quiet` per PE.
+    /// in a burst at retirement; then a `quiet` per PE. A device whose
+    /// deliveries are on record offers them to the machine first and issues
+    /// its stores one by one only where that is refused.
     fn one_sided(&mut self, pgas: PgasConfig) -> Fences {
         let plan = self.pb.plan();
         let n = plan.n_devices;
@@ -593,15 +683,30 @@ impl<'a, 'r> Batch<'a, 'r> {
         let mut late_by_dst = arena::take_u64();
         for dp in &plan.devices {
             let src = dp.device;
-            let Some(run) = self.launch(dp) else { continue };
-            self.pb.releases_into(self.machine, dp, &run, &mut releases);
+            let Some(k) = self.launch(dp) else { continue };
             if let Some(l) = self.log.as_deref_mut() {
-                log_local_rows(l, dp, plan.bags_per_block, &run);
+                log_local_rows(l, dp, plan.bags_per_block, k.block_ends());
             }
             if deadline.is_some() {
                 late_by_dst.clear();
                 late_by_dst.resize(n, 0);
             }
+            // A deadline wants every delivery held against it, one by one.
+            if deadline.is_none() && self.replay_deliveries(src, &k, &pgas) {
+                // Straight to the fence (no blame span: blame is off here).
+                let k_end = k.end();
+                fences.at[src] = OneSided::with_config(self.machine, pgas).quiet(src, k_end);
+                continue;
+            }
+            self.pb.releases_into(dp, &k, &mut releases);
+            // Leave the deliveries on record, if they are not yet and the
+            // machine agrees to record the sends as a train.
+            let sched = &self.pb.schedules[src];
+            let recording = matches!(sched.releases.get(), Some(Some(_)))
+                && k.recorded()
+                && sched.deliveries.get().is_none()
+                && self.machine.record_train(src, k.start);
+            let mut wire = Vec::with_capacity(if recording { releases.len() } else { 0 });
             let mut os = OneSided::with_config(self.machine, pgas);
             for &(ready, dst, rows) in releases.iter() {
                 let Ok(put) = os.try_put_rows_nbi(src, dst, rows, row_bytes, ready) else {
@@ -610,6 +715,9 @@ impl<'a, 'r> Batch<'a, 'r> {
                     continue;
                 };
                 let iv = put.interval;
+                if recording {
+                    wire.extend(offset(iv.start, k.start).zip(offset(iv.end, k.start)));
+                }
                 if deadline.is_some_and(|dl| iv.end > dl) {
                     late_by_dst[dst] += rows;
                 }
@@ -637,7 +745,16 @@ impl<'a, 'r> Batch<'a, 'r> {
                 g.report.retries += st.retries;
                 g.report.exhausted_puts += st.exhausted;
             }
-            let k_end = run.interval.end;
+            if recording {
+                // One send per release and every offset in range, or none.
+                let train = os.machine().finish_train();
+                let whole = wire.len() == releases.len();
+                if let Some(train) = train.filter(|t| whole && t.sends() == wire.len() as u64) {
+                    let key = (pgas.max_payload, pgas.issue_overhead);
+                    let _ = sched.deliveries.set(Deliveries { key, wire, train });
+                }
+            }
+            let k_end = k.end();
             let mut abandoned = false;
             fences.at[src] = match deadline {
                 None => os.quiet(src, k_end),
@@ -659,6 +776,30 @@ impl<'a, 'r> Batch<'a, 'r> {
         fences
     }
 
+    /// Book `src`'s recorded deliveries for the launch `k` in one step, if
+    /// they are on record under this runtime config and the machine takes
+    /// them ([`Machine::replay_train`], which reads the sends only then).
+    /// False: nothing happened.
+    fn replay_deliveries(&mut self, src: usize, k: &Launched<'_>, pgas: &PgasConfig) -> bool {
+        let sched = &self.pb.schedules[src];
+        let (Some(Some(releases)), Some(d)) = (sched.releases.get(), sched.deliveries.get()) else {
+            return false;
+        };
+        let row_bytes = u64::from(self.pb.plan().row_bytes());
+        let at = |offset: u32| Dur::from_ns(offset.into());
+        let mut log = self.log.as_deref_mut();
+        let sends = releases.iter().zip(&d.wire).map(|(r, w)| {
+            if let Some(l) = &mut log {
+                // The entry its put would have pushed.
+                l.push(r.1 as usize, k.start + at(w.1), r.2);
+            }
+            (r.1 as usize, r.2 * row_bytes, at(w.0), at(w.1))
+        });
+        k.recorded()
+            && d.key == (pgas.max_payload, pgas.issue_overhead)
+            && self.machine.replay_train(&d.train, k.start, sends)
+    }
+
     /// Gateway exchange: the one-sided release schedule of every device fed
     /// through one shared [`GatewayPut`] proxy.
     fn gateway(&mut self, cfg: GatewayConfig) -> Fences {
@@ -669,8 +810,8 @@ impl<'a, 'r> Batch<'a, 'r> {
         let mut events = arena::take_event();
         let mut releases = arena::take_release();
         for dp in &plan.devices {
-            let Some(run) = self.launch(dp) else { continue };
-            self.pb.releases_into(self.machine, dp, &run, &mut releases);
+            let Some(k) = self.launch(dp) else { continue };
+            self.pb.releases_into(dp, &k, &mut releases);
             events.extend(
                 releases
                     .iter()
@@ -885,19 +1026,20 @@ fn shed(degrade: &mut Option<Degrade<'_>>, dst: usize, rows: u64) {
 /// instant their producing block retires — no wire involved — and hot-cache
 /// import blocks (appended after the regular blocks) pool one local row per
 /// imported bag.
-fn log_local_rows(log: &mut ArrivalLog, dp: &DevicePlan, bags_per_block: usize, run: &KernelRun) {
-    for (blk, &end) in dp.blocks.iter().zip(&run.block_ends) {
+fn log_local_rows(
+    log: &mut ArrivalLog,
+    dp: &DevicePlan,
+    bags_per_block: usize,
+    mut block_ends: impl Iterator<Item = SimTime>,
+) {
+    for (blk, end) in dp.blocks.iter().zip(&mut block_ends) {
         for &(dst, rows) in &blk.dest_rows {
             if dst == dp.device {
                 log.push(dst, end, rows);
             }
         }
     }
-    for (chunk, &end) in dp
-        .imported_bags
-        .chunks(bags_per_block)
-        .zip(&run.block_ends[dp.blocks.len()..])
-    {
+    for (chunk, end) in dp.imported_bags.chunks(bags_per_block).zip(block_ends) {
         log.push(dp.device, end, chunk.len() as u64);
     }
 }
@@ -1231,17 +1373,27 @@ mod tests {
                         at = a.end + Dur::from_ns(gap_ns);
                     }
                     prop_assert_eq!(shared_m.traffic_stats(), fresh_m.traffic_stats());
-                    // Exactly the healthy devices went through the store,
-                    // and what it hands out at yet another start is the
-                    // builder's own output for that kernel run.
+                    // Exactly the healthy devices went through the store
+                    // (deliveries: where every peer shares the node and no
+                    // fault plan is active), and what it hands out at yet
+                    // another start is the builder's own output for that
+                    // kernel run.
+                    let one_node = faults.is_none() && g != 4 && matches!(exchange, Exchange::OneSided(_));
                     let (mut replayed, mut built) = (Vec::new(), Vec::new());
                     for (dp, sched) in shared.plan().devices.iter().zip(&shared.schedules) {
                         let d = dp.device;
                         let healthy = shared_m.straggler_factor(d) == 1.0;
-                        prop_assert_eq!(sched.get().is_some(), healthy);
-                        let run = shared_m.run_kernel_varied(d, &shared.durations()[d], at);
-                        shared.releases_into(&shared_m, dp, &run, &mut replayed);
-                        stream_releases_into(dp, &shared.durations()[d], &run, &mut built);
+                        prop_assert_eq!(sched.kernel.get().is_some(), healthy);
+                        prop_assert_eq!(sched.releases.get().is_some(), healthy);
+                        prop_assert_eq!(sched.deliveries.get().is_some(), one_node);
+                        let durs = &shared.durations()[d];
+                        let run = shared_m.run_kernel_varied(d, durs, at);
+                        let ends = run.block_ends.iter().copied();
+                        stream_releases_into(dp, durs, run.resident, ends, &mut built);
+                        let start = run.interval.start;
+                        let run = sched.kernel.get().map_or(Cow::Owned(run), Cow::Borrowed);
+                        let k = Launched { start, run };
+                        shared.releases_into(dp, &k, &mut replayed);
                         prop_assert_eq!(&replayed, &built);
                     }
                 }
@@ -1250,11 +1402,61 @@ mod tests {
     }
 
     #[test]
+    fn recorded_deliveries_are_offered_under_their_own_runtime_config_only() {
+        // `tests/batch_replay.rs` shows that replays cannot be told from
+        // executions; this shows they happen, and what the executor's half
+        // of the key is.
+        let cfg = tiny_cfg(3);
+        let mut m = Machine::new(MachineConfig::dgx_v100(3));
+        let pb = planned(&m, &cfg, 0);
+        let first = run(&mut m, pgas(), &pb, SimTime::ZERO);
+        assert!(pb.schedules.iter().all(|s| s.deliveries.get().is_some()));
+        let offer = |m: &mut Machine, at: SimTime, pgas: PgasConfig| {
+            let mut b = Batch::begin(m, &pb, at, None, None);
+            let k = b.launch(&pb.plan().devices[0]).expect("device 0 is up");
+            assert!(k.recorded());
+            b.replay_deliveries(0, &k, &pgas)
+        };
+        let recorded = PgasConfig::default();
+        let sent = m.traffic_stats().messages;
+        assert!(offer(&mut m, first.end, recorded));
+        assert!(m.traffic_stats().messages > sent, "booked nothing");
+        // Fence and barrier costs and the retry policy come after delivery.
+        let later = PgasConfig {
+            quiet_overhead: Dur::from_us(7),
+            barrier_overhead: Dur::ZERO,
+            retry: gpusim::RetryPolicy {
+                max_attempts: 1,
+                ..recorded.retry
+            },
+            ..recorded
+        };
+        let at = m.finish_time();
+        assert!(offer(&mut m, at, later));
+        let sent = m.traffic_stats();
+        for other in [
+            PgasConfig {
+                issue_overhead: recorded.issue_overhead + Dur::from_ns(1),
+                ..recorded
+            },
+            PgasConfig {
+                max_payload: recorded.max_payload / 2,
+                ..recorded
+            },
+        ] {
+            let at = m.finish_time();
+            assert!(!offer(&mut m, at, other), "{other:?}");
+        }
+        assert_eq!(m.traffic_stats(), sent);
+    }
+
+    #[test]
     fn collective_only_users_never_build_a_schedule() {
         let cfg = tiny_cfg(2);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let pb = planned(&m, &cfg, 0);
         run(&mut m, baseline(), &pb, SimTime::ZERO);
-        assert!(pb.schedules.iter().all(|s| s.get().is_none()));
+        assert!(pb.schedules.iter().all(|s| s.kernel.get().is_some()));
+        assert!(pb.schedules.iter().all(|s| s.releases.get().is_none()));
     }
 }

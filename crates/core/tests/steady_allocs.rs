@@ -1,17 +1,24 @@
 //! The zero-allocation claim of the arena workspaces: once the slabs are
-//! warm, a steady-state lookup+pool batch requests no memory from the heap.
+//! warm, a steady-state lookup+pool batch requests no memory from the heap,
+//! and neither does a simulated one-sided batch that replays its plan's
+//! stored schedule.
 //!
 //! Timings cannot prove a negative, so this binary installs a counting
 //! wrapper around the system allocator and reads the allocation-count delta
 //! across one warmed repetition of the hot path, exactly as the backends run
-//! it per batch. It is the only test in the binary: the counter is
-//! per-thread, so nothing else can be charged to the measured region.
+//! it per batch. The counter is per-thread and each test runs on its own,
+//! so nothing else can be charged to a measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use emb_retrieval::backend::{compute_pooled_rows_into, materialize_shards};
+use desim::{Dur, SimTime};
+use emb_retrieval::backend::{
+    compute_pooled_rows_into, execute_batch, materialize_shards, plan_for_batch, ArrivalLog,
+    Exchange, PlannedBatch,
+};
 use emb_retrieval::{arena, EmbLayerConfig, ForwardPlan, SparseBatch};
+use gpusim::{Machine, MachineConfig};
 use rayon::ThreadPoolBuilder;
 
 thread_local! {
@@ -98,5 +105,40 @@ fn warmed_lookup_pool_batch_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "a warmed lookup+pool batch allocated from the heap"
+    );
+}
+
+#[test]
+fn a_replayed_one_sided_batch_allocates_nothing() {
+    let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+    cfg.bags_per_block = 2;
+    let batch = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.seed);
+    // One traffic bucket for the whole run: the per-pair traffic store is
+    // the one thing a batch legitimately grows, a bucket at a time.
+    let mut m = Machine::new(MachineConfig::dgx_v100(4).with_traffic_bucket(Dur::from_ms(1000)));
+    let pb = PlannedBatch::new(&m, plan_for_batch(&cfg, &batch, m.spec(0)));
+    let exchange = Exchange::OneSided(Default::default());
+    let mut log = ArrivalLog::new();
+    let mut at = SimTime::ZERO;
+    let mut allocated = [0; 4];
+    // The first batch executes and records, the second replays and warms
+    // whatever only a replay touches; the next two are the claim, one
+    // without and one with an arrival log (its capacity filled by then).
+    for (batch, calls) in allocated.iter_mut().enumerate() {
+        let log = (batch != 2).then_some(&mut log);
+        let before = alloc_count();
+        let run = execute_batch(&mut m, &exchange, &pb, at, log, None);
+        *calls = alloc_count() - before;
+        at = run.end + Dur::from_us(1);
+    }
+    assert!(
+        m.traffic_stats().messages > 4 * 500,
+        "the batches sent little"
+    );
+    assert!(allocated[0] > 0, "recording a schedule takes memory");
+    assert_eq!(
+        allocated[2..],
+        [0, 0],
+        "a replayed batch allocated from the heap"
     );
 }

@@ -194,6 +194,21 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Record every sample of `other`. Counts, sums and extrema are
+    /// integers, so the result is the one recording them one by one gives.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.total
@@ -358,6 +373,28 @@ mod tests {
         let buckets: Vec<_> = h.buckets().collect();
         // value 0 -> bucket ub 0; 1 -> ub 1; 2,3 -> ub 3; 256,257 -> ub 511.
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (511, 2)]);
+    }
+
+    proptest! {
+        /// Merging is recording: any split of a sample list into a
+        /// histogram and one merged into it reads out as the whole list.
+        #[test]
+        fn histogram_merge_equals_recording_every_sample(
+            samples in prop::collection::vec(prop_oneof![0u64..4, 0u64..100_000, Just(1u64 << 62)], 0..40),
+            cut in 0usize..41,
+        ) {
+            let cut = cut.min(samples.len());
+            let (mut whole, mut head, mut tail) =
+                (Histogram::new(), Histogram::new(), Histogram::new());
+            samples.iter().for_each(|&v| whole.record(v));
+            samples[..cut].iter().for_each(|&v| head.record(v));
+            samples[cut..].iter().for_each(|&v| tail.record(v));
+            head.merge(&tail);
+            prop_assert_eq!(head.count(), whole.count());
+            prop_assert_eq!(head.mean().to_bits(), whole.mean().to_bits());
+            prop_assert_eq!((head.min(), head.max()), (whole.min(), whole.max()));
+            prop_assert_eq!(head.buckets().collect::<Vec<_>>(), whole.buckets().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -53,6 +53,19 @@ impl Resource {
         Interval { start, end }
     }
 
+    /// Serve in one step the jobs `train` served from idle, each as long
+    /// after `origin` as `train` served it after time zero. This resource
+    /// must be idle at `origin`: a FIFO server idle when a train of jobs
+    /// arrives serves it the same way every time.
+    pub fn book_train(&mut self, origin: SimTime, train: &Resource) {
+        if train.jobs > 0 {
+            debug_assert!(self.free_at <= origin, "train booked on a busy resource");
+            self.free_at = origin + (train.free_at - SimTime::ZERO);
+            self.busy += train.busy;
+            self.jobs += train.jobs;
+        }
+    }
+
     /// When the resource next becomes idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
@@ -148,6 +161,23 @@ mod tests {
         assert_eq!(b.end, SimTime::from_ns(20));
         assert_eq!(r.busy_time(), Dur::from_ns(20));
         assert_eq!(r.jobs_served(), 2);
+    }
+
+    #[test]
+    fn a_booked_train_leaves_the_resource_as_its_jobs_would() {
+        let jobs = [(5u64, 10u64), (7, 3), (40, 8)];
+        let (mut each, mut train) = (Resource::new(), Resource::new());
+        each.acquire(SimTime::from_ns(20), Dur::from_ns(30));
+        let mut whole = each.clone();
+        for (at, d) in jobs {
+            each.acquire(SimTime::from_ns(100 + at), Dur::from_ns(d));
+            train.acquire(SimTime::from_ns(at), Dur::from_ns(d));
+        }
+        whole.book_train(SimTime::from_ns(100), &train);
+        whole.book_train(SimTime::from_ns(7), &Resource::new());
+        assert_eq!(whole.free_at(), each.free_at());
+        assert_eq!(whole.busy_time(), each.busy_time());
+        assert_eq!(whole.jobs_served(), each.jobs_served());
     }
 
     #[test]

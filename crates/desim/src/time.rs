@@ -92,7 +92,7 @@ impl Dur {
             secs.is_finite() && secs >= 0.0,
             "Dur::from_secs_f64: invalid duration {secs}"
         );
-        Dur((secs * 1e9).round() as u64)
+        Dur(round_to_u64(secs * 1e9))
     }
     /// Raw nanoseconds.
     pub const fn as_ns(self) -> u64 {
@@ -197,7 +197,7 @@ impl Mul<f64> for Dur {
     type Output = Dur;
     fn mul(self, rhs: f64) -> Dur {
         assert!(rhs.is_finite() && rhs >= 0.0, "Dur * {rhs}: invalid factor");
-        Dur((self.0 as f64 * rhs).round() as u64)
+        Dur(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
@@ -235,6 +235,20 @@ impl fmt::Debug for Dur {
 impl fmt::Display for Dur {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", fmt_ns(self.0))
+    }
+}
+
+/// `x.round() as u64` for finite `x >= 0` without the libm call. Below 2^53
+/// the truncation `t` and the fraction `x - t` are exact, so comparing the
+/// fraction with one half rounds half away from zero; from 2^53 up every
+/// `f64` is an integer and the (saturating) cast is it.
+fn round_to_u64(x: f64) -> u64 {
+    debug_assert!(x.is_finite() && x >= 0.0, "round_to_u64({x})");
+    let t = x as u64;
+    if x < 9_007_199_254_740_992.0 && x - t as f64 >= 0.5 {
+        t + 1
+    } else {
+        t
     }
 }
 
@@ -284,6 +298,46 @@ mod tests {
     fn scalar_float_mul_rounds() {
         assert_eq!((Dur::from_ns(10) * 0.25).as_ns(), 3); // 2.5 rounds to 3 (round half away)
         assert_eq!((Dur::from_ns(100) * 0.5).as_ns(), 50);
+    }
+
+    #[test]
+    fn exact_rounding_is_f64_round_on_edge_values() {
+        let same = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        // The largest double below one half (where `floor(x + 0.5)` is
+        // wrong), exact halves, and the grid around 2^52 and 2^53 where the
+        // spacing of doubles passes 0.5 and then 1.
+        for x in [0.0, 0.49999999999999994, 0.5, 0.5000000000000001, 1.0] {
+            same(x);
+        }
+        for k in [0u64, 1, 2, 3, 1_000_000_007, (1 << 51) - 1, (1 << 52) - 1] {
+            let h = k as f64 + 0.5;
+            for x in [
+                f64::from_bits(h.to_bits() - 1),
+                h,
+                f64::from_bits(h.to_bits() + 1),
+            ] {
+                same(x);
+            }
+        }
+        for p in [51, 52, 53, 54, 63, 64, 70] {
+            let x = (2.0f64).powi(p);
+            for bits in x.to_bits() - 3..=x.to_bits() + 3 {
+                same(f64::from_bits(bits));
+            }
+        }
+        same(f64::MAX);
+    }
+
+    proptest::proptest! {
+        /// Random bit patterns over every binade a duration can land in,
+        /// and the two constructors that go through the helper.
+        #[test]
+        fn exact_rounding_is_f64_round_everywhere(bits in 0u64..0x4450_0000_0000_0000, ns in 0u64..1 << 40, f in 0.0f64..8.0) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            proptest::prop_assert_eq!((Dur::from_ns(ns) * f).as_ns(), (ns as f64 * f).round() as u64);
+            proptest::prop_assert_eq!(Dur::from_secs_f64(f).as_ns(), (f * 1e9).round() as u64);
+        }
     }
 
     #[test]

@@ -80,6 +80,12 @@ pub struct TrafficStats {
 }
 
 impl TrafficStats {
+    fn add(&mut self, more: TrafficStats) {
+        self.payload_bytes += more.payload_bytes;
+        self.header_bytes += more.header_bytes;
+        self.messages += more.messages;
+    }
+
     /// Fraction of wire bytes that were protocol overhead.
     pub fn header_overhead(&self) -> f64 {
         let total = self.payload_bytes + self.header_bytes;
@@ -97,11 +103,26 @@ impl TrafficStats {
 /// Deposits add the same [`Spread`] terms in the same order a dense
 /// [`TimeSeries`] would, so the dense read-out holds the same bits.
 #[derive(Clone, Debug, Default)]
-struct PairTraffic(Vec<(usize, f64)>);
+struct PairTraffic {
+    entries: Vec<(usize, f64)>,
+    /// `[lo, hi)` in ns of the last entry's bucket (empty while there is no
+    /// entry): a transfer inside it is one add, with no division.
+    tail_ns: (u64, u64),
+}
 
 impl PairTraffic {
-    fn deposit(&mut self, s: Spread) {
-        let e = &mut self.0;
+    /// Add `value` spread over `[start, end)` on `bucket`-wide buckets.
+    fn deposit(&mut self, bucket: Dur, start: SimTime, end: SimTime, value: f64) {
+        let e = &mut self.entries;
+        let (lo, hi) = self.tail_ns;
+        let in_tail = lo <= start.as_ns() && start.as_ns() < hi && end.as_ns() <= hi;
+        if let (true, Some(tail)) = (in_tail, e.last_mut()) {
+            // The common case on a FIFO link. `Spread::over` gives the one
+            // bucket a span overlaps all of `value`, as its `head`.
+            tail.1 += value;
+            return;
+        }
+        let s = Spread::over(bucket, start, end, value);
         // A link is FIFO, so a transfer's first bucket is the tail's or a
         // later one and this search is one step; it is a search so that the
         // store's contents never rest on that argument.
@@ -122,17 +143,83 @@ impl PairTraffic {
             };
             at += 1;
         }
+        let tail = e[e.len() - 1].0 as u64 * bucket.as_ns();
+        self.tail_ns = (tail, tail + bucket.as_ns());
     }
 
     /// Add the entries to the dense `out` (same bucket width), in bucket
     /// order; exact zeros only when `keep_zeros` (they extend `out`).
     fn add_to(&self, out: &mut TimeSeries, keep_zeros: bool) {
         let bucket_ns = out.bucket_width().as_ns();
-        for &(b, v) in &self.0 {
+        for &(b, v) in &self.entries {
             if keep_zeros || v != 0.0 {
                 out.add(SimTime::from_ns(b as u64 * bucket_ns), v);
             }
         }
+    }
+}
+
+/// What one source's sends did to the machine apart from their traffic
+/// deposits, as [`Machine::record_train`] saw the per-message path book them
+/// and [`Machine::replay_train`] books them again. Times count from the
+/// train's origin, an instant no send was requested before: a [`Resource`]
+/// idle when its first job arrives serves a train the same way every time,
+/// so the train holds wherever the source's injection port and the links it
+/// used are idle at the origin. The fabric it holds on travels with it.
+#[derive(Clone, Debug)]
+pub struct SendTrain {
+    src: usize,
+    inj_bw: f64,
+    /// The injection port and, per destination, the link with its spec, as
+    /// the sends leave them when idle at time zero.
+    injection: Resource,
+    links: Vec<(usize, LinkSpec, Resource)>,
+    stats: TrafficStats,
+    sizes: Histogram,
+}
+
+/// One send of a train as its recorder kept it: destination, payload, and
+/// the wire interval [`Machine::send`] returned, from the train's origin.
+pub type TrainSend = (usize, u64, Dur, Dur);
+
+impl SendTrain {
+    /// Sends the train holds.
+    pub fn sends(&self) -> u64 {
+        self.injection.jobs_served()
+    }
+
+    /// Take in an intra-node send requested at or after `origin`, booked on
+    /// the injection port over `inj_iv` and on the link to `dst` (free at
+    /// `link_free` before) over `link_iv`. False if a train cannot hold it.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        origin: SimTime,
+        (src, dst): (usize, usize),
+        link: &LinkSpec,
+        link_free: SimTime,
+        link_iv: Interval,
+        inj_iv: Interval,
+        sent: TrafficStats,
+    ) -> bool {
+        let rel = |t: SimTime| SimTime::ZERO + (t - origin);
+        let at = self.links.iter().position(|l| l.0 == dst);
+        let at = at.unwrap_or_else(|| {
+            self.links.push((dst, *link, Resource::new()));
+            self.links.len() - 1
+        });
+        let held = &mut self.links[at].2;
+        // Another source's, or a link still busy at the origin.
+        if src != self.src || (held.jobs_served() == 0 && link_free > origin) {
+            return false;
+        }
+        held.acquire(rel(link_iv.start), link_iv.duration());
+        self.injection.acquire(rel(inj_iv.start), inj_iv.duration());
+        self.stats.add(sent);
+        if let Some(mean_payload) = sent.payload_bytes.checked_div(sent.messages) {
+            self.sizes.record(mean_payload);
+        }
+        true
     }
 }
 
@@ -166,6 +253,9 @@ pub struct Machine {
     traffic: Vec<PairTraffic>,
     /// Latest send-completion per source device (for PGAS `quiet`).
     sent_upto: Vec<SimTime>,
+    /// The train being recorded and its origin ([`Machine::record_train`]);
+    /// the train is dropped by the first send that breaks its conditions.
+    recording: Option<(SimTime, Option<SendTrain>)>,
     msg_sizes: Histogram,
     stats: TrafficStats,
     horizon: SimTime,
@@ -202,6 +292,7 @@ impl Machine {
             nics: vec![Resource::new(); cfg.topology.nodes()],
             traffic: vec![PairTraffic::default(); n * n],
             sent_upto: vec![SimTime::ZERO; n],
+            recording: None,
             msg_sizes: Histogram::new(),
             stats: TrafficStats::default(),
             horizon: SimTime::ZERO,
@@ -453,38 +544,7 @@ impl Machine {
         let spec = &self.cfg.specs[dev];
         let start = self.streams[dev].max(ready) + spec.kernel_launch;
         let run = KernelRun::wave_model_scaled(&shape, spec, start, slow);
-        let launch = spec.kernel_launch;
-        self.streams[dev] = run.interval.end;
-        self.bump(run.interval.end);
-        if let Some(b) = &mut self.blame {
-            let (cat, cause) = (b.kind(), b.cause());
-            b.record(
-                cat,
-                Lane::Gpu(dev as u32),
-                ready + launch,
-                run.interval.start,
-                run.interval.end,
-                cause,
-                false,
-            );
-        }
-        if self.metrics.is_enabled() {
-            self.metrics.incr("kernels_launched", dev as u32, 0);
-            self.metrics.span(
-                "gpu_busy_ns",
-                dev as u32,
-                0,
-                run.interval.start,
-                run.interval.end,
-            );
-        }
-        if let Some(t) = &mut self.trace {
-            t.record(
-                format!("gpu{dev}"),
-                format!("kernel({} blk)", shape.blocks),
-                run.interval,
-            );
-        }
+        self.note_kernel(dev, Some(shape.blocks), ready, run.interval);
         run
     }
 
@@ -500,46 +560,60 @@ impl Machine {
         let slow = self.straggler_factor(dev);
         let spec = &self.cfg.specs[dev];
         let start = self.streams[dev].max(ready) + spec.kernel_launch;
-        let launch = spec.kernel_launch;
-        if block_durations.is_empty() {
-            self.bump(start);
-            self.streams[dev] = start;
-            if let Some(b) = &mut self.blame {
-                let (cat, cause) = (b.kind(), b.cause());
-                b.record(
-                    cat,
-                    Lane::Gpu(dev as u32),
-                    ready + launch,
-                    start,
-                    start,
-                    cause,
-                    false,
-                );
+        let mut run = KernelRun {
+            interval: Interval { start, end: start },
+            block_ends: Vec::with_capacity(block_durations.len()),
+            resident: 1,
+        };
+        if !block_durations.is_empty() {
+            run.resident = crate::KernelShape::effective_resident(
+                block_durations.len() as u64,
+                spec.max_resident_blocks(),
+            );
+            // Greedy earliest-slot dispatch, like the hardware's block scheduler.
+            let mut slots = desim::MultiResource::new(run.resident as usize);
+            for &d in block_durations {
+                // Straggler scaling only when active: factor 1.0 must not take
+                // the float path, so healthy runs stay bit-identical.
+                let d = if slow != 1.0 { d * slow } else { d };
+                run.block_ends.push(slots.acquire(start, d).end);
             }
-            return KernelRun {
-                interval: Interval { start, end: start },
-                block_ends: Vec::new(),
-                resident: 1,
-            };
+            run.interval.end = slots.all_free();
         }
-        let resident = crate::KernelShape::effective_resident(
-            block_durations.len() as u64,
-            spec.max_resident_blocks(),
-        );
-        // Greedy earliest-slot dispatch, like the hardware's block scheduler.
-        let mut slots = desim::MultiResource::new(resident as usize);
-        let mut block_ends = Vec::with_capacity(block_durations.len());
-        for &d in block_durations {
-            // Straggler scaling only when active: factor 1.0 must not take
-            // the float path, so healthy runs stay bit-identical.
-            let d = if slow != 1.0 { d * slow } else { d };
-            let iv = slots.acquire(start, d);
-            block_ends.push(iv.end);
-        }
-        let end = slots.all_free();
+        let blocks = block_durations.len() as u64;
+        self.note_kernel(dev, (blocks > 0).then_some(blocks), ready, run.interval);
+        run
+    }
+
+    /// [`Machine::run_kernel_varied`] for a kernel of `blocks` blocks whose
+    /// `length` (that call's `interval` on this GPU) is already known: the
+    /// same launch without dispatching the blocks. Good at straggler factor
+    /// 1.0 only, where block times are integer ns from the kernel's start; a
+    /// straggling device refuses (`None`) and nothing changes.
+    pub fn run_kernel_timed(
+        &mut self,
+        dev: usize,
+        blocks: usize,
+        length: Dur,
+        ready: SimTime,
+    ) -> Option<Interval> {
+        let start = self.streams[dev].max(ready) + self.cfg.specs[dev].kernel_launch;
+        let (end, blocks) = (start + length, blocks as u64);
+        (self.straggler_factor(dev) == 1.0).then(|| {
+            let interval = Interval { start, end };
+            self.note_kernel(dev, (blocks > 0).then_some(blocks), ready, interval);
+            interval
+        })
+    }
+
+    /// Bookkeeping of a default-stream kernel that ran over `interval`:
+    /// stream, horizon, blame span and, unless the launch was empty (no
+    /// `blocks`: it counts as no kernel), telemetry and the trace event.
+    fn note_kernel(&mut self, dev: usize, blocks: Option<u64>, ready: SimTime, interval: Interval) {
+        let Interval { start, end } = interval;
+        let launch = self.cfg.specs[dev].kernel_launch;
         self.streams[dev] = end;
         self.bump(end);
-        let interval = Interval { start, end };
         if let Some(b) = &mut self.blame {
             let (cat, cause) = (b.kind(), b.cause());
             b.record(
@@ -552,6 +626,7 @@ impl Machine {
                 false,
             );
         }
+        let Some(blocks) = blocks else { return };
         if self.metrics.is_enabled() {
             self.metrics.incr("kernels_launched", dev as u32, 0);
             self.metrics.span("gpu_busy_ns", dev as u32, 0, start, end);
@@ -559,14 +634,9 @@ impl Machine {
         if let Some(t) = &mut self.trace {
             t.record(
                 format!("gpu{dev}"),
-                format!("kernel({} blk)", block_durations.len()),
+                format!("kernel({blocks} blk)"),
                 interval,
             );
-        }
-        KernelRun {
-            interval,
-            block_ends,
-            resident,
         }
     }
 
@@ -732,7 +802,11 @@ impl Machine {
         let requested = ready + link.latency;
         let header_bytes = n_messages * link.header_bytes as u64;
         let mean_payload = payload.checked_div(n_messages);
-        let wire = link.wire_time(payload, n_messages) * (1.0 / efficiency);
+        let mut wire = link.wire_time(payload, n_messages);
+        // Full efficiency skips the float round trip (`x * 1.0` is `x`).
+        if efficiency != 1.0 {
+            wire = wire * (1.0 / efficiency);
+        }
         // The injection port admits the bytes at the GPU's aggregate rate;
         // the link then streams them at its own (slower or contended) rate.
         let inj_time =
@@ -745,11 +819,28 @@ impl Machine {
             (node, self.nics[node].acquire(inj_iv.start, wire))
         });
         let wire_from = nic.map_or(inj_iv.start, |(_, nic_iv)| nic_iv.start);
-        let iv = self.links[src * n + dst].acquire(wire_from, wire);
+        let link_free = self.links[src * n + dst].free_at();
+        let link_iv = self.links[src * n + dst].acquire(wire_from, wire);
         let iv = Interval {
-            start: iv.start,
-            end: iv.end.max(inj_iv.end),
+            start: link_iv.start,
+            end: link_iv.end.max(inj_iv.end),
         };
+        let sent = TrafficStats {
+            payload_bytes: payload,
+            header_bytes,
+            messages: n_messages,
+        };
+        if let Some((origin, train)) = &mut self.recording {
+            let at = *origin;
+            let held = same_node && requested >= at;
+            let pair = (src, dst);
+            if !train
+                .as_mut()
+                .is_some_and(|t| held && t.push(at, pair, &link, link_free, link_iv, inj_iv, sent))
+            {
+                *train = None;
+            }
+        }
         if let Some(b) = &mut self.blame {
             let cat = if same_node {
                 BlameCategory::WireIntra
@@ -769,18 +860,16 @@ impl Machine {
             b.note_outbound(src as u32, id);
             b.note_inbound(dst as u32, id);
         }
-        self.traffic[src * n + dst].deposit(Spread::over(
+        self.traffic[src * n + dst].deposit(
             self.cfg.traffic_bucket,
             iv.start,
             iv.end,
             payload as f64,
-        ));
+        );
         if let Some(mean_payload) = mean_payload {
             self.msg_sizes.record(mean_payload);
         }
-        self.stats.payload_bytes += payload;
-        self.stats.header_bytes += header_bytes;
-        self.stats.messages += n_messages;
+        self.stats.add(sent);
         self.sent_upto[src] = self.sent_upto[src].max(iv.end);
         self.bump(iv.end);
         if self.metrics.is_enabled() {
@@ -836,6 +925,94 @@ impl Machine {
             );
         }
         iv
+    }
+
+    /// Whether `src` could start a [`SendTrain`] at `origin`: nothing
+    /// observes or perturbs single sends and its injection port is idle.
+    fn train_may_start(&self, src: usize, origin: SimTime) -> bool {
+        let observed = self.metrics.is_enabled() || self.blame.is_some() || self.trace.is_some();
+        let port = self.injection.get(src);
+        let idle = port.is_some_and(|p| p.free_at() <= origin) && self.recording.is_none();
+        idle && !observed && !self.faults_active()
+    }
+
+    /// Start recording `src`'s sends, made through [`Machine::send`] and
+    /// friends as always, as a [`SendTrain`] with its origin at `origin` (say
+    /// the start of the kernel that issues them). Returns whether a recording
+    /// began; when it did, [`Machine::finish_train`] must end it.
+    pub fn record_train(&mut self, src: usize, origin: SimTime) -> bool {
+        let may = self.train_may_start(src, origin);
+        if may {
+            let train = SendTrain {
+                src,
+                inj_bw: self.cfg.specs[src].inj_bw,
+                injection: Resource::new(),
+                links: Vec::new(),
+                stats: TrafficStats::default(),
+                sizes: Histogram::new(),
+            };
+            self.recording = Some((origin, Some(train)));
+        }
+        may
+    }
+
+    /// End the recording: the train, unless a send since was not one a train
+    /// can hold (another source's, one that left the node, one requested
+    /// before the origin or on a link still busy there).
+    pub fn finish_train(&mut self) -> Option<SendTrain> {
+        self.recording.take().and_then(|(_, train)| train)
+    }
+
+    /// Book `train` again with its origin at `origin`; `sends` are its sends
+    /// in the order they were made. Each one's traffic deposit is aligned to
+    /// the buckets afresh (the same [`Spread`] terms in the same order as
+    /// sending it, so the series hold the same bits), everything else is
+    /// booked once per resource. Refuses (`false`, nothing changed) unless a
+    /// recording could start here, the fabric is the one recorded on, with
+    /// every peer on the source's node, and the links used are idle.
+    pub fn replay_train(
+        &mut self,
+        train: &SendTrain,
+        origin: SimTime,
+        sends: impl IntoIterator<Item = TrainSend>,
+    ) -> bool {
+        let (n, src) = (self.n_gpus(), train.src);
+        let topo = &self.cfg.topology;
+        let fits = self.train_may_start(src, origin)
+            && self.cfg.specs[src].inj_bw == train.inj_bw
+            && train.links.iter().all(|(dst, spec, _)| {
+                *dst < n
+                    && topo.same_node(src, *dst)
+                    && topo.link(src, *dst) == spec
+                    && self.links[src * n + dst].free_at() <= origin
+            });
+        if !fits {
+            return false;
+        }
+        let bucket = self.cfg.traffic_bucket;
+        let mut booked = 0;
+        for (dst, payload, start, end) in sends {
+            self.traffic[src * n + dst].deposit(
+                bucket,
+                origin + start,
+                origin + end,
+                payload as f64,
+            );
+            booked += 1;
+        }
+        debug_assert_eq!(booked, train.sends(), "not the sends of this train");
+        self.injection[src].book_train(origin, &train.injection);
+        for (dst, _, link) in &train.links {
+            self.links[src * n + dst].book_train(origin, link);
+        }
+        self.msg_sizes.merge(&train.sizes);
+        self.stats.add(train.stats);
+        // A send is delivered when its port and its link are through.
+        let last = self.links[src * n..][..n].iter().map(Resource::free_at);
+        let last = last.fold(self.injection[src].free_at(), SimTime::max);
+        self.sent_upto[src] = self.sent_upto[src].max(last);
+        self.bump(last);
+        true
     }
 
     /// Fault-aware [`Machine::send`]: fails if the directed link is inside a
@@ -1321,26 +1498,67 @@ mod tests {
     proptest::proptest! {
         /// The sparse store does not lean on FIFO order: deposits that
         /// overlap, nest or arrive out of time order still read out as the
-        /// dense series fed the same spans.
+        /// dense series fed the same spans — and so do the same spans in
+        /// FIFO order, where short ones mostly land inside the tail bucket
+        /// and take the one-add path.
         #[test]
         fn pair_traffic_matches_a_dense_series_in_any_deposit_order(
-            spans in proptest::collection::vec((0u64..400, 0u64..300, 0u64..1000), 1..40),
+            spans in proptest::collection::vec(
+                (0u64..400, proptest::prop_oneof![0u64..8, 0u64..300], 0u64..1000),
+                1..60,
+            ),
         ) {
             let bucket = Dur::from_ns(10);
-            let (mut sparse, mut dense) = (PairTraffic::default(), TimeSeries::new(bucket));
-            for (start, len, value) in spans {
-                let (start, end) = (SimTime::from_ns(start), SimTime::from_ns(start + len));
-                sparse.deposit(Spread::over(bucket, start, end, value as f64));
-                dense.add_spread(start, end, value as f64);
+            let mut fifo = spans.clone();
+            fifo.sort_unstable();
+            for spans in [spans, fifo] {
+                let (mut sparse, mut dense) = (PairTraffic::default(), TimeSeries::new(bucket));
+                for (start, len, value) in spans {
+                    let (start, end) = (SimTime::from_ns(start), SimTime::from_ns(start + len));
+                    sparse.deposit(bucket, start, end, value as f64);
+                    dense.add_spread(start, end, value as f64);
+                    // The remembered bounds are the tail entry's bucket, so
+                    // the one-add path only ever adds where the search would.
+                    let tail = sparse.entries[sparse.entries.len() - 1].0 as u64 * 10;
+                    proptest::prop_assert_eq!(sparse.tail_ns, (tail, tail + 10));
+                }
+                proptest::prop_assert!(sparse.entries.windows(2).all(|w| w[0].0 < w[1].0));
+                let mut read = TimeSeries::new(bucket);
+                sparse.add_to(&mut read, true);
+                let bits = |ts: &TimeSeries| -> Vec<u64> {
+                    ts.buckets().iter().map(|v| v.to_bits()).collect()
+                };
+                proptest::prop_assert_eq!(bits(&read), bits(&dense));
             }
-            proptest::prop_assert!(sparse.0.windows(2).all(|w| w[0].0 < w[1].0));
-            let mut read = TimeSeries::new(bucket);
-            sparse.add_to(&mut read, true);
-            let bits = |ts: &TimeSeries| -> Vec<u64> {
-                ts.buckets().iter().map(|v| v.to_bits()).collect()
-            };
-            proptest::prop_assert_eq!(bits(&read), bits(&dense));
         }
+    }
+
+    #[test]
+    fn a_transfer_inside_the_tail_bucket_is_one_add() {
+        // Around the edges of the tail bucket [20, 30): ending on its upper
+        // bound stays inside, one ns more spills, a start on the bound is
+        // the next bucket's, and an empty span belongs to its start.
+        let bucket = Dur::from_ns(10);
+        let spans = [
+            (21, 25),
+            (25, 30),
+            (29, 29),
+            (29, 20),
+            (25, 31),
+            (30, 30),
+            (40, 40),
+        ];
+        let (mut sparse, mut dense) = (PairTraffic::default(), TimeSeries::new(bucket));
+        for (i, (start, end)) in spans.into_iter().enumerate() {
+            let (start, end) = (SimTime::from_ns(start), SimTime::from_ns(end));
+            let before = sparse.entries.len();
+            sparse.deposit(bucket, start, end, 3.0);
+            dense.add_spread(start, end, 3.0);
+            assert_eq!(sparse.entries.len() - before, [1, 0, 0, 0, 1, 0, 1][i]);
+        }
+        let mut read = TimeSeries::new(bucket);
+        sparse.add_to(&mut read, true);
+        assert_eq!(read.buckets(), dense.buckets());
     }
 
     #[test]
@@ -1356,7 +1574,7 @@ mod tests {
                 sent += 4096;
             }
         }
-        assert!(m.traffic.iter().all(|pair| pair.0.len() <= 2));
+        assert!(m.traffic.iter().all(|pair| pair.entries.len() <= 2));
         assert!((m.total_traffic().total() - sent as f64).abs() < 1e-6 * sent as f64);
         assert!(m.traffic_between(0, 1).buckets().len() >= 20_000);
     }

@@ -3,7 +3,7 @@
 use desim::Dur;
 
 /// Parameters of one direction of a point-to-point link.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth in bytes/second.
     pub bandwidth: f64,

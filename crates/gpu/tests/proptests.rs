@@ -1,8 +1,94 @@
 //! Property-based tests for the GPU machine model.
 
-use desim::{Dur, SimTime, TimeSeries};
-use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig};
+use desim::{Dur, Interval, SimTime, TimeSeries};
+use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig, SendTrain, TrainSend};
 use proptest::prelude::*;
+
+/// `(destination offset from the source, payload, messages, ready offset
+/// from the origin in ns)`: one send of a train.
+type Planned = (usize, u64, u64, u64);
+
+fn planned_sends() -> impl Strategy<Value = Vec<Planned>> {
+    prop::collection::vec(
+        (
+            1usize..4,
+            prop_oneof![1u64..4096, 1u64..400_000],
+            1u64..64,
+            0u64..40_000,
+        ),
+        0..50,
+    )
+}
+
+/// Make `sends` from `src` one by one with their ready times counted from
+/// `origin`, as `(destination, payload, wire interval)`.
+fn send_each(
+    m: &mut Machine,
+    src: usize,
+    origin: SimTime,
+    sends: &[Planned],
+) -> Vec<(usize, u64, Interval)> {
+    let n = m.n_gpus();
+    let each = sends.iter().map(|&(off, payload, msgs, ready)| {
+        let dst = (src + 1 + off % (n - 1)) % n;
+        let iv = m.send(src, dst, payload, msgs, origin + Dur::from_ns(ready));
+        (dst, payload, iv)
+    });
+    each.collect()
+}
+
+/// Record `sends` from `src` as a train anchored at `origin` on a machine
+/// that is otherwise idle: the train and what `replay_train` is to be fed.
+fn record(
+    cfg: MachineConfig,
+    src: usize,
+    origin: SimTime,
+    sends: &[Planned],
+) -> (Option<SendTrain>, Vec<TrainSend>) {
+    let mut m = Machine::new(cfg);
+    assert!(m.record_train(src, origin), "an idle clean machine records");
+    let made = send_each(&mut m, src, origin, sends);
+    let kept = made
+        .iter()
+        .map(|&(dst, payload, iv)| (dst, payload, iv.start - origin, iv.end - origin));
+    (m.finish_train(), kept.collect())
+}
+
+/// Everything a machine shows of its fabric state: per-pair traffic bits,
+/// totals, statistics, the message-size histogram, the horizon and each
+/// source's `quiet` instant.
+fn fabric_state(m: &mut Machine) -> impl PartialEq + std::fmt::Debug {
+    let n = m.n_gpus();
+    let bits = |ts: TimeSeries| -> Vec<u64> { ts.buckets().iter().map(|v| v.to_bits()).collect() };
+    let pairs: Vec<_> = (0..n * n)
+        .map(|p| bits(m.traffic_between(p / n, p % n)))
+        .collect();
+    let sizes = m.message_sizes();
+    let sizes = (
+        sizes.count(),
+        sizes.mean().to_bits(),
+        sizes.min(),
+        sizes.max(),
+        sizes.buckets().collect::<Vec<_>>(),
+    );
+    let quiet: Vec<_> = (0..n).map(|d| m.quiet(d, SimTime::ZERO)).collect();
+    (
+        pairs,
+        bits(m.total_traffic()),
+        m.traffic_stats(),
+        sizes,
+        m.finish_time(),
+        quiet,
+    )
+}
+
+/// One probe send on every link, ready at `at`: where each starts and ends
+/// shows when the injection ports and the links were free.
+fn probe_links(m: &mut Machine, at: SimTime) -> Vec<Interval> {
+    let n = m.n_gpus();
+    let pairs = (0..n * n).filter(|p| p / n != p % n);
+    pairs.map(|p| m.send(p / n, p % n, 4096, 3, at)).collect()
+}
 
 proptest! {
     /// Same-link transfers never overlap and respect issue order; traffic
@@ -175,6 +261,94 @@ proptest! {
 }
 
 proptest! {
+    /// A replayed train is its sends: after the same earlier traffic, a
+    /// machine that books a train recorded elsewhere, at another origin, and
+    /// one that makes the sends one by one show the same fabric state (the
+    /// traffic series bit for bit at either bucket width), answer the same
+    /// probe on every link, and agree again after a second round.
+    #[test]
+    fn a_replayed_train_is_its_sends(
+        n in 2usize..6,
+        src in 0usize..6,
+        slow_injection in any::<bool>(),
+        bucket_ns in prop_oneof![Just(50_000u64), Just(777)],
+        recorded_at in 0u64..1_000_000,
+        earlier in prop::collection::vec((0usize..6, planned_sends()), 0..3),
+        gaps in (0u64..200_000, 0u64..200_000),
+        sends in planned_sends(),
+    ) {
+        let src = src % n;
+        let config = || {
+            let mut cfg = MachineConfig::dgx_v100(n).with_traffic_bucket(Dur::from_ns(bucket_ns));
+            if slow_injection {
+                cfg.specs.iter_mut().for_each(|s| s.inj_bw = 2e9);
+            }
+            cfg
+        };
+        let (train, kept) = record(config(), src, SimTime::from_ns(recorded_at), &sends);
+        let train = train.expect("one source's sends on idle intra-node links");
+        prop_assert_eq!(train.sends(), sends.len() as u64);
+
+        let (mut replayed, mut executed) = (Machine::new(config()), Machine::new(config()));
+        for (from, sends) in &earlier {
+            for m in [&mut replayed, &mut executed] {
+                send_each(m, from % n, SimTime::from_ns(recorded_at / 2), sends);
+            }
+        }
+        let mut origin = executed.finish_time() + Dur::from_ns(gaps.0);
+        for _ in 0..2 {
+            prop_assert!(replayed.replay_train(&train, origin, kept.iter().copied()));
+            send_each(&mut executed, src, origin, &sends);
+            prop_assert_eq!(fabric_state(&mut replayed), fabric_state(&mut executed));
+            prop_assert_eq!(probe_links(&mut replayed, origin), probe_links(&mut executed, origin));
+            origin = executed.finish_time() + Dur::from_ns(gaps.1);
+        }
+        prop_assert_eq!(fabric_state(&mut replayed), fabric_state(&mut executed));
+    }
+
+    /// A kernel launched by its known length is the kernel dispatched block
+    /// by block: same interval, stream, horizon, telemetry and trace event —
+    /// and on a straggling device the known length is refused.
+    #[test]
+    fn a_known_length_launch_is_the_dispatched_kernel(
+        durs in prop::collection::vec(1u64..50_000, 0..300),
+        ready in 0u64..100_000,
+        seed in 0u64..50,
+    ) {
+        let durs: Vec<Dur> = durs.into_iter().map(Dur::from_ns).collect();
+        let observed = || {
+            let mut m = Machine::new(MachineConfig::dgx_v100(2));
+            m.enable_telemetry();
+            m.enable_trace();
+            m.enable_blame();
+            m
+        };
+        let (mut dispatched, mut timed) = (observed(), observed());
+        let mut at = SimTime::from_ns(ready);
+        let length = dispatched.run_kernel_varied(0, &durs, at).interval.duration();
+        prop_assert!(timed.run_kernel_timed(0, durs.len(), length, at).is_some());
+        for _ in 0..2 {
+            let a = dispatched.run_kernel_varied(0, &durs, at).interval;
+            let b = timed.run_kernel_timed(0, durs.len(), length, at);
+            prop_assert_eq!(Some(a), b);
+            at = a.end + Dur::from_ns(ready / 2);
+        }
+        prop_assert_eq!(dispatched.finish_time(), timed.finish_time());
+        prop_assert_eq!(dispatched.stream_sync(0, SimTime::ZERO), timed.stream_sync(0, SimTime::ZERO));
+        prop_assert_eq!(dispatched.metrics().snapshot(), timed.metrics().snapshot());
+        let json = |m: &Machine| m.trace().expect("tracing").to_chrome_json();
+        prop_assert_eq!(json(&dispatched), json(&timed));
+        prop_assert_eq!(dispatched.blame().unwrap().spans(), timed.blame().unwrap().spans());
+
+        let stragglers = FaultSpec { straggler_prob: 1.0, straggler_factor: (1.5, 2.0), ..FaultSpec::none() };
+        let mut slow = Machine::new(MachineConfig::dgx_v100(2));
+        slow.install_faults(FaultPlan::generate(seed, 2, stragglers));
+        prop_assert!(slow.run_kernel_timed(0, durs.len(), length, at).is_none());
+        prop_assert_eq!(slow.finish_time(), SimTime::ZERO);
+    }
+}
+
+proptest! {
     /// Node arithmetic on arbitrary pod shapes: `node_of` partitions GPUs
     /// into contiguous blocks of `per_node`, `same_node` agrees with it,
     /// every gateway is its node's lowest member, and `node_members` is the
@@ -224,5 +398,152 @@ proptest! {
             prop_assert_eq!(l.latency, expect.latency);
             prop_assert_eq!(l.header_bytes, expect.header_bytes);
         }
+    }
+}
+
+/// Whatever a machine cannot book as a train it refuses, leaving no trace,
+/// and whatever it could not replay it does not record either.
+#[test]
+fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
+    let origin = SimTime::from_us(300);
+    // From GPU 1 of 4: to 3, 0, 3 and 2.
+    let sends: Vec<Planned> = vec![
+        (1, 512, 2, 0),
+        (2, 4096, 16, 50),
+        (1, 100_000, 40, 700),
+        (3, 256, 1, 701),
+    ];
+    let dgx = || MachineConfig::dgx_v100(4);
+    let with_injection = |bw: f64| {
+        let mut cfg = dgx();
+        cfg.specs[1].inj_bw = bw;
+        cfg
+    };
+    let with_link = |scale: f64| {
+        let mut link = gpusim::LinkSpec::nvlink_v100();
+        link.bandwidth *= scale;
+        MachineConfig {
+            topology: gpusim::Topology::crossbar(4, link),
+            ..dgx()
+        }
+    };
+    // Booking `recorded_on`'s train on `cfg` after `setup` is refused and
+    // changes nothing; `records` is whether recording the same sends there
+    // may begin (`None`: no) and whether a train comes of it.
+    let refused = |why: &str,
+                   recorded_on: MachineConfig,
+                   cfg: MachineConfig,
+                   setup: &dyn Fn(&mut Machine),
+                   records: Option<bool>| {
+        let (train, kept) = record(recorded_on, 1, origin, &sends);
+        let train = train.unwrap_or_else(|| panic!("{why}: nothing recorded"));
+        let mut m = Machine::new(cfg);
+        setup(&mut m);
+        let before = format!("{:?}", fabric_state(&mut m));
+        assert!(
+            !m.replay_train(&train, origin, kept.iter().copied()),
+            "{why}: booked"
+        );
+        assert_eq!(before, format!("{:?}", fabric_state(&mut m)), "{why}");
+        assert_eq!(
+            m.record_train(1, origin),
+            records.is_some(),
+            "{why}: recording"
+        );
+        if let Some(kept) = records {
+            send_each(&mut m, 1, origin, &sends);
+            assert_eq!(m.finish_train().is_some(), kept, "{why}: recorded");
+        }
+    };
+    refused(
+        "fault plan",
+        dgx(),
+        dgx(),
+        &|m| m.install_faults(FaultPlan::generate(3, 4, FaultSpec::chaos(0.3))),
+        None,
+    );
+    refused("telemetry", dgx(), dgx(), &|m| m.enable_telemetry(), None);
+    refused("blame", dgx(), dgx(), &|m| m.enable_blame(), None);
+    refused("trace", dgx(), dgx(), &|m| m.enable_trace(), None);
+    refused(
+        "a recording under way",
+        dgx(),
+        dgx(),
+        &|m| assert!(m.record_train(0, SimTime::ZERO)),
+        None,
+    );
+    let busy =
+        |m: &mut Machine, dst: usize, bytes: u64| _ = m.send(1, dst, bytes, 1, SimTime::ZERO);
+    // A port this slow is busy for a millisecond per KiB while the link is
+    // not; one this fast is never busy while the link is for 40 ms.
+    refused(
+        "busy injection port",
+        with_injection(1e6),
+        with_injection(1e6),
+        &|m| busy(m, 2, 1 << 10),
+        None,
+    );
+    refused(
+        "busy link",
+        with_injection(1e15),
+        with_injection(1e15),
+        &|m| busy(m, 3, 1 << 30),
+        Some(false),
+    );
+    // The fabric is compared bitwise. These machines record trains of their
+    // own, unless a send leaves the node.
+    let ulp = 1.0 + f64::EPSILON;
+    let idle = |_: &mut Machine| ();
+    refused(
+        "another injection bandwidth",
+        dgx(),
+        with_injection(dgx().specs[1].inj_bw * ulp),
+        &idle,
+        Some(true),
+    );
+    refused(
+        "another link bandwidth",
+        dgx(),
+        with_link(ulp),
+        &idle,
+        Some(true),
+    );
+    refused(
+        "peers on another node",
+        dgx(),
+        MachineConfig::multi_node_v100(2, 2),
+        &idle,
+        Some(false),
+    );
+
+    let (train, kept) = record(dgx(), 1, origin, &sends);
+    let train = train.expect("recordable");
+    let mut small = Machine::new(MachineConfig::dgx_v100(2));
+    assert!(
+        !small.replay_train(&train, origin, kept.iter().copied()),
+        "fewer GPUs"
+    );
+    // A trivial fault plan is no plan, and an earlier origin is as good as
+    // any on an idle machine.
+    let mut m = Machine::new(dgx());
+    m.install_faults(FaultPlan::generate(3, 4, FaultSpec::none()));
+    assert!(m.replay_train(&train, SimTime::ZERO, kept.iter().copied()));
+
+    // Sends a train cannot hold end the recording without one.
+    type Spoil = fn(&mut Machine, SimTime);
+    let spoilers: [(&str, Spoil); 2] = [
+        ("another source's", |m, at| _ = m.send(0, 2, 512, 2, at)),
+        ("one requested before the origin", |m, at| {
+            _ = m.send(1, 2, 512, 2, at - Dur::from_us(2))
+        }),
+    ];
+    for (why, spoil) in spoilers {
+        let mut m = Machine::new(dgx());
+        assert!(m.record_train(1, origin));
+        send_each(&mut m, 1, origin, &sends);
+        spoil(&mut m, origin);
+        assert!(m.finish_train().is_none(), "{why}: kept");
+        let later = m.finish_time();
+        assert!(m.record_train(1, later), "{why}: the recording did not end");
     }
 }

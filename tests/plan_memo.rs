@@ -151,4 +151,18 @@ fn prepare_batches_is_memoized_on_its_whole_input() {
     let after = ask(&fresh);
     assert!(!Arc::ptr_eq(&held, &after));
     assert_eq!(held.plans, after.plans);
+
+    // The byte budget, by the builder's own account of what a set keeps
+    // per block (plans, durations and the per-device schedules): the
+    // paper's 4-GPU weak set fits and is shared, a `scaled_down(8)` 32-GPU
+    // pod set (a million two-bag blocks) does not and is the caller's alone.
+    let paper = ask(&EmbLayerConfig::paper_weak_scaling(4));
+    assert!(Arc::ptr_eq(
+        &paper,
+        &ask(&EmbLayerConfig::paper_weak_scaling(4))
+    ));
+    drop(paper);
+    emb_retrieval::backend::forget_prepared();
+    let pod = ask(&EmbLayerConfig::paper_weak_scaling(32).scaled_down(8));
+    assert_eq!(Arc::strong_count(&pod), 1, "the memo kept an oversized set");
 }
