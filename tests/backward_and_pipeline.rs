@@ -129,3 +129,78 @@ fn pipeline_four_gpus_functional_and_timed() {
         assert!(t.min() >= 0.0 && t.max() <= 1.0);
     }
 }
+
+/// The four hand-sized timelines of the §V extensions, pinned at ns: row-wise
+/// baseline / row-wise PGAS / backward baseline / backward PGAS totals (and
+/// wire messages where listed), `ExecMode::Timing`, default runtime configs,
+/// on `dgx_v100(g)`. Read off the code before the four loops became plans over
+/// `execute_batch`; the CSVs round to µs, this does not.
+#[test]
+fn rowwise_and_backward_timelines_are_pinned_at_ns() {
+    use pgas_embedding::retrieval::rowwise::{rowwise_baseline_forward, rowwise_pgas_forward};
+    // (config, GPUs, [(total ns, messages); 4])
+    type Case = (EmbLayerConfig, usize, [(u64, Option<u64>); 4]);
+    let paper = |g: usize, pins: [(u64, u64); 4]| -> Case {
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(g);
+        (cfg.n_batches, cfg.distinct_batches) = (6, 4);
+        (cfg, g, pins.map(|(ns, msgs)| (ns, Some(msgs))))
+    };
+    // Partial last blocks, and 3 GPUs not dividing N.
+    let scaled = |k, g, bpb, batches, distinct, pins: [u64; 4]| -> Case {
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(g).scaled_down(k);
+        cfg.bags_per_block = bpb;
+        (cfg.n_batches, cfg.distinct_batches) = (batches, distinct);
+        (cfg, g, pins.map(|ns| (ns, None)))
+    };
+    let cases = [
+        paper(
+            2,
+            [
+                (552340284, 768),
+                (200878608, 12582912),
+                (419353359, 384),
+                (325657713, 6291456),
+            ],
+        ),
+        paper(
+            3,
+            [
+                (664245846, 2328),
+                (260993346, 37748736),
+                (598457221, 1170),
+                (335265055, 12582912),
+            ],
+        ),
+        paper(
+            4,
+            [
+                (776177724, 4608),
+                (377279310, 75497472),
+                (777436153, 2304),
+                (339779227, 18874368),
+            ],
+        ),
+        scaled(64, 3, 3, 5, 3, [1201990, 298185, 2577750, 899255]),
+        scaled(128, 4, 7, 4, 2, [1022672, 312452, 2093100, 712892]),
+    ];
+    for (cfg, g, pins) in cases {
+        let machine = || Machine::new(MachineConfig::dgx_v100(g));
+        let (cc, pgas, mode) = (
+            CollectiveConfig::default(),
+            PgasConfig::default(),
+            ExecMode::Timing,
+        );
+        let got = [
+            rowwise_baseline_forward(&mut machine(), &cfg, &cc, mode).report,
+            rowwise_pgas_forward(&mut machine(), &cfg, pgas, mode).report,
+            baseline_backward(&mut machine(), &cfg, &cc, mode).report,
+            pgas_backward(&mut machine(), &cfg, pgas, mode).report,
+        ];
+        let got = got.map(|r| (r.total.as_ns(), r.traffic.messages));
+        for (i, ((ns, msgs), (pin_ns, pin_msgs))) in got.into_iter().zip(pins).enumerate() {
+            let at = format!("g={g} N={} function {i}", cfg.batch_size);
+            assert_eq!(ns, pin_ns, "{at}: total ns");
+            assert_eq!(msgs, pin_msgs.unwrap_or(msgs), "{at}: messages");
+        }
+    }
+}
