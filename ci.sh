@@ -24,6 +24,11 @@
 # the very trace events dispatching the blocks leaves.
 set -eu
 
+# Non-test lines, the figure CHANGES.md quotes per simplicity PR: every line
+# before the first `#[cfg(test)]` of each source file. Printed, not gated.
+find crates/*/src src examples -name '*.rs' | sort | xargs awk \
+    'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print "ci: non-test lines " n}'
+
 cargo fmt --all -- --check
 cargo build --release --workspace --offline
 RAYON_NUM_THREADS=1 cargo test -q --workspace --offline

@@ -357,14 +357,6 @@ impl NetUtilResult {
                 .iter()
                 .all(|l| l.pgas.peak_to_mean > 0.0 && l.pgas.peak_to_mean < l.baseline.peak_to_mean)
     }
-
-    /// The link whose baseline peak-to-mean is worst (most bursty).
-    pub fn worst_baseline_link(&self) -> &NetUtilLink {
-        self.links
-            .iter()
-            .max_by(|a, b| a.baseline.peak_to_mean.total_cmp(&b.baseline.peak_to_mean))
-            .expect("at least one directed link")
-    }
 }
 
 /// Run baseline and PGAS on fresh telemetry-enabled machines and reduce the

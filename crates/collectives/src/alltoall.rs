@@ -176,38 +176,6 @@ fn record_collective_span(machine: &mut Machine, ready: &[SimTime], done: &[SimT
     }
 }
 
-/// Fault-aware [`all_to_all_varied`]: same functional output, fallible
-/// timing. Functional delivery is computed first — under retries every row
-/// still arrives, only later; rows are abandoned only if the collective
-/// errors, and then the caller decides what to degrade.
-pub fn try_all_to_all_varied(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    inputs: &[Vec<f32>],
-    send_counts: &[Vec<usize>],
-    ready: &[SimTime],
-) -> Result<(Vec<Vec<f32>>, WorkHandle), FabricError> {
-    let n = machine.n_gpus();
-    assert_eq!(inputs.len(), n, "one input buffer per device");
-    assert_eq!(send_counts.len(), n, "one send-count row per device");
-    for (i, row) in send_counts.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_counts[{i}] must have {n} columns");
-        let total: usize = row.iter().sum();
-        assert_eq!(
-            total,
-            inputs[i].len(),
-            "send_counts[{i}] must cover the whole input"
-        );
-    }
-    let bytes: Vec<Vec<u64>> = send_counts
-        .iter()
-        .map(|row| row.iter().map(|&c| c as u64 * ELEM_BYTES).collect())
-        .collect();
-    let work = try_all_to_all_timed(machine, cfg, &bytes, ready)?;
-    let outputs = shuffle_functional(inputs, send_counts);
-    Ok((outputs, work))
-}
-
 /// The algorithm-independent functional data movement of an all-to-all.
 fn shuffle_functional(inputs: &[Vec<f32>], send_counts: &[Vec<usize>]) -> Vec<Vec<f32>> {
     let n = inputs.len();
@@ -670,24 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn try_varied_matches_functional_reference() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![10.0, 20.0, 30.0, 40.0], vec![50.0, 60.0]];
-        let counts = vec![vec![1, 3], vec![2, 0]];
-        let (out, work) = try_all_to_all_varied(
-            &mut m,
-            &CollectiveConfig::default(),
-            &inputs,
-            &counts,
-            &ready(2),
-        )
-        .expect("clean fabric");
-        assert_eq!(out[0], vec![10.0, 50.0, 60.0]);
-        assert_eq!(out[1], vec![20.0, 30.0, 40.0]);
-        assert!(work.all_done() > SimTime::ZERO);
-    }
-
-    #[test]
     fn try_timed_survives_chaos() {
         use gpusim::{FaultPlan, FaultSpec};
         let n = 4;
@@ -867,23 +817,6 @@ mod tests {
             }
         }
         assert!(completions > 0, "some seeds must complete");
-    }
-
-    #[test]
-    fn wait_deadline_reports_timeout() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![0.0f32; 1 << 16], vec![0.0f32; 1 << 16]];
-        let (_, work) = all_to_all_single(&mut m, &CollectiveConfig::default(), &inputs, &ready(2));
-        let fine = work.wait(&mut m, 0, SimTime::ZERO);
-        assert_eq!(
-            work.wait_deadline(&mut m, 0, SimTime::ZERO, fine)
-                .expect("met"),
-            fine
-        );
-        match work.wait_deadline(&mut m, 0, SimTime::ZERO, SimTime::from_ns(1)) {
-            Err(FabricError::Timeout { completes_at, .. }) => assert_eq!(completes_at, fine),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
     }
 
     #[test]

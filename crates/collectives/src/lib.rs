@@ -25,10 +25,7 @@ mod alltoall;
 mod config;
 mod work;
 
-pub use alltoall::{
-    all_to_all_single, all_to_all_timed, all_to_all_varied, try_all_to_all_timed,
-    try_all_to_all_varied,
-};
+pub use alltoall::{all_to_all_single, all_to_all_timed, all_to_all_varied, try_all_to_all_timed};
 pub use config::{Algorithm, CollectiveConfig};
 pub use work::WorkHandle;
 

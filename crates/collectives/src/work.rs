@@ -1,7 +1,7 @@
 //! Async work handles.
 
 use desim::SimTime;
-use gpusim::{FabricError, Machine};
+use gpusim::Machine;
 
 /// Completion record of an asynchronous collective — the analogue of the
 /// request object returned by `all_to_all_single(..., async_op=True)`.
@@ -54,26 +54,6 @@ impl WorkHandle {
     pub fn wait(&self, machine: &mut Machine, dev: usize, at: SimTime) -> SimTime {
         let done = self.device_done[dev].max(at);
         done + machine.spec(dev).stream_sync
-    }
-
-    /// [`WorkHandle::wait`] with a completion deadline: fails with
-    /// [`FabricError::Timeout`] if the host would not observe completion by
-    /// `deadline`, reporting when it actually completes.
-    pub fn wait_deadline(
-        &self,
-        machine: &mut Machine,
-        dev: usize,
-        at: SimTime,
-        deadline: SimTime,
-    ) -> Result<SimTime, FabricError> {
-        let t = self.wait(machine, dev, at);
-        if t > deadline {
-            return Err(FabricError::Timeout {
-                deadline,
-                completes_at: t,
-            });
-        }
-        Ok(t)
     }
 }
 

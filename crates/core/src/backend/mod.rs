@@ -21,6 +21,7 @@ pub use resilient::{
     DegradedFill, ResiliencePolicy, ResilienceReport, ResilientBackend, ResilientResult,
 };
 pub use single::{execute_batch, ArrivalLog, BatchRun, Degrade, Exchange, PlannedBatch};
+pub(crate) use single::{Emission, Pass, Tail};
 
 pub use crate::cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
 
@@ -319,21 +320,18 @@ pub(crate) fn run_closed_loop(
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let prepared = prepare_batches(cfg, mode, machine.spec(0));
     let planned = prepared.planned_for(machine);
-
-    let mut breakdown = TimeBreakdown::default();
-    let mut batch_start = SimTime::ZERO;
     let mut via_pgas = true;
-    for batch_idx in 0..cfg.n_batches {
-        let pb = &planned[batch_idx % planned.len()];
-        let exchange = exchange_for(machine, batch_idx, batch_start);
-        via_pgas = !matches!(exchange, Exchange::Collective(_));
-        let degrade = policy
-            .as_mut()
-            .map(|(p, report)| p.degrade(batch_start, report));
-        let run = execute_batch(machine, &exchange, pb, batch_start, None, degrade);
-        breakdown.accumulate(&run.breakdown);
-        batch_start = run.end;
-    }
+    let report = run_batches(
+        machine,
+        &planned,
+        cfg.n_batches,
+        |machine, pb, idx, start| {
+            let exchange = exchange_for(machine, idx, start);
+            via_pgas = !matches!(exchange, Exchange::Collective(_));
+            let degrade = policy.as_mut().map(|(p, report)| p.degrade(start, report));
+            execute_batch(machine, &exchange, pb, start, None, degrade)
+        },
+    );
 
     // --- Functional outputs (small-scale verification runs), through the
     // data-movement code of the exchange that served the final batch. ---
@@ -346,10 +344,27 @@ pub(crate) fn run_closed_loop(
         }
         outs
     });
-    BackendResult {
-        report: RunReport::new(machine, cfg.n_batches, breakdown),
-        outputs,
+    BackendResult { report, outputs }
+}
+
+/// Chain `n_batches` batches back to back from t = 0, cycling through
+/// `planned`, and report: `each(machine, plan, batch_idx, start)` executes
+/// one. The loop of every pass, whoever built its plans.
+pub(crate) fn run_batches(
+    machine: &mut Machine,
+    planned: &[PlannedBatch],
+    n_batches: usize,
+    mut each: impl FnMut(&mut Machine, &PlannedBatch, usize, SimTime) -> BatchRun,
+) -> RunReport {
+    let mut breakdown = TimeBreakdown::default();
+    let mut batch_start = SimTime::ZERO;
+    for batch_idx in 0..n_batches {
+        let pb = &planned[batch_idx % planned.len()];
+        let run = each(machine, pb, batch_idx, batch_start);
+        breakdown.accumulate(&run.breakdown);
+        batch_start = run.end;
     }
+    RunReport::new(machine, n_batches, breakdown)
 }
 
 /// Final-batch functional outputs of a prepared run — the exact code the

@@ -17,11 +17,11 @@ use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use desim::{Dur, SimTime};
-use gpusim::{KernelRun, Machine, SendTrain};
+use gpusim::{GpuSpec, KernelRun, KernelShape, Machine, SendTrain};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::prelude::*;
 use simccl::{try_all_to_all_timed, CollectiveConfig};
-use telemetry::causal::{BlameCategory, Lane};
+use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 
 use crate::arena;
 use crate::backend::baseline::UNPACK_BW;
@@ -40,8 +40,74 @@ pub struct PlannedBatch {
     durations: Vec<Vec<Dur>>,
     /// All-to-all payload bytes, indexed `[src][dst]`.
     byte_matrix: Vec<Vec<u64>>,
+    /// What the pass does around the exchange.
+    pass: Pass,
     /// Per device, what its first executions left on record.
     schedules: Vec<DeviceSchedule>,
+}
+
+/// What differs between the passes [`execute_batch`] runs — the table-wise
+/// forward ([`PlannedBatch::new`]), the row-wise forward ([`crate::rowwise`])
+/// and the backward pass ([`crate::backward`]) — beyond who sends what
+/// (`blocks[].dest_rows`) and how long a block runs (`durations`). Data the
+/// plan carries, not control flow: DESIGN §9 says what each field is a
+/// function of.
+#[derive(Clone, Debug)]
+pub(crate) struct Pass {
+    /// Per device, the kernel that follows its wait on a collective: the
+    /// unpack, or row-wise's reduce of the partial rows.
+    pub(crate) after_collective: Vec<Tail>,
+    /// Per device, the kernel that follows the exchange of either kind, before
+    /// the final stream sync (backward's scatter-add). Empty: none.
+    pub(crate) after_exchange: Vec<Tail>,
+    /// How a fused kernel's blocks emit their stores.
+    pub(crate) emission: Emission,
+    /// Host time a collective costs every device on top of its completion,
+    /// counted in the exchange and in the wait: backward's one stream sync per
+    /// ring round.
+    pub(crate) collective_syncs: Dur,
+}
+
+/// How a fused kernel puts a block's remote rows on the wire.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Emission {
+    /// While the block runs ([`stream_releases_into`]: up to 32 sub-releases
+    /// per kernel, sorted by `(ready, destination)`, equal keys merged).
+    Streamed,
+    /// One put per `(block, destination)` the instant the block retires, in
+    /// block order, nothing merged.
+    AtRetirement,
+}
+
+/// A kernel of `blocks` equal blocks of `tau` each, booked by its length: a
+/// tail can have 10⁵ blocks at paper scale, so none keeps a duration list.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tail {
+    blocks: u64,
+    tau: Dur,
+}
+
+impl Tail {
+    /// `shape`'s launch on a GPU of `spec`.
+    pub(crate) fn of(shape: KernelShape, spec: &GpuSpec) -> Tail {
+        let resident = KernelShape::effective_resident(shape.blocks, spec.max_resident_blocks());
+        Tail {
+            blocks: shape.blocks,
+            tau: shape.block_time(spec, resident),
+        }
+    }
+
+    /// The memory-bound kernel over `bytes` in 128 KiB blocks.
+    pub(crate) fn chunked(bytes: u64, spec: &GpuSpec) -> Tail {
+        let blocks = bytes.div_ceil(128 << 10).max(1);
+        Tail::of(KernelShape::memory_bound(blocks, 128 << 10), spec)
+    }
+
+    /// The same kernel as a block list, for a launch whose blocks matter:
+    /// they emit stores, or a straggler stretches each.
+    pub(crate) fn durations(self) -> Vec<Dur> {
+        vec![self.tau; self.blocks as usize]
+    }
 }
 
 /// One device's part of a plan, each part stored by the first execution
@@ -102,13 +168,13 @@ impl Launched<'_> {
 }
 
 impl PlannedBatch {
-    /// Precompute execution state for `plan` on `machine`'s GPUs. The
-    /// per-device duration and byte rows are independent, so both tables
-    /// build in parallel (ordered collect keeps `[device]` indexing).
+    /// Precompute execution state for the table-wise forward pass of `plan`
+    /// on `machine`'s GPUs. The per-device duration and byte rows are
+    /// independent, so both tables build in parallel (ordered collect keeps
+    /// `[device]` indexing).
     pub fn new(machine: &Machine, plan: impl Into<Arc<ForwardPlan>>) -> Self {
         let plan = plan.into();
         let n = plan.n_devices;
-        let row_bytes = plan.row_bytes() as u64;
         let specs: Vec<_> = plan
             .devices
             .iter()
@@ -118,7 +184,41 @@ impl PlannedBatch {
             .into_par_iter()
             .map(|i| lookup_block_durations(&plan.devices[i], &plan, specs[i]))
             .collect();
-        let byte_matrix = (0..plan.devices.len())
+        // Rearrangement touches every *received* byte twice (read
+        // source-major, write [mb, S, dim]); the local chunk was already
+        // written in place by the lookup kernel. The byte matrix's inbound
+        // column is `ForwardPlan::unpack_rows` in bytes without that
+        // function's walk over every block: `mb_sizes[d] × remote_features`
+        // rows on plain plans, less the cache-exported and dedup-collapsed
+        // ones on annotated plans. One block: the kernel is as long as it.
+        let unpack = |sent: &[Vec<u64>], d: usize| {
+            let inbound: u64 = (0..n).filter(|&s| s != d).map(|s| sent[s][d]).sum();
+            debug_assert_eq!(inbound, plan.unpack_rows(d) * plan.row_bytes() as u64);
+            Tail {
+                blocks: 1,
+                tau: Dur::from_secs_f64((2 * inbound) as f64 / UNPACK_BW),
+            }
+        };
+        Self::with_pass(Arc::clone(&plan), durations, |sent| Pass {
+            after_collective: (0..n).map(|d| unpack(sent, d)).collect(),
+            after_exchange: Vec::new(),
+            emission: Emission::Streamed,
+            collective_syncs: Dur::ZERO,
+        })
+    }
+
+    /// `plan` with its kernels' block `durations` and the pass `pass` makes of
+    /// the all-to-all byte matrix. A pass whose collective form launches a
+    /// kernel that is not the plan's blocks (`durations[d]` of another
+    /// length) cannot be executed one-sided.
+    pub(crate) fn with_pass(
+        plan: Arc<ForwardPlan>,
+        durations: Vec<Vec<Dur>>,
+        pass: impl FnOnce(&[Vec<u64>]) -> Pass,
+    ) -> Self {
+        let n = plan.n_devices;
+        let row_bytes = plan.row_bytes() as u64;
+        let byte_matrix: Vec<Vec<u64>> = (0..plan.devices.len())
             .into_par_iter()
             .map(|i| {
                 let dp = &plan.devices[i];
@@ -127,6 +227,7 @@ impl PlannedBatch {
             .collect();
         PlannedBatch {
             schedules: vec![DeviceSchedule::default(); plan.devices.len()],
+            pass: pass(&byte_matrix),
             plan,
             durations,
             byte_matrix,
@@ -134,14 +235,24 @@ impl PlannedBatch {
     }
 
     /// Device `dp.device`'s store releases for the kernel launch `k`, into
-    /// `out`: [`stream_releases_into`]'s output, sorted and merged once per
-    /// device instead of once per batch — the first recorded launch's
-    /// releases relative to its kernel start are every later one's. A
-    /// straggling device's launch takes the builder directly, per batch.
+    /// `out`, as the pass emits them: built (for a streamed pass, sorted and
+    /// merged) once per device instead of once per batch — the first recorded
+    /// launch's releases relative to its kernel start are every later one's.
+    /// A straggling device's launch takes the builder directly, per batch.
     fn releases_into(&self, dp: &DevicePlan, k: &Launched<'_>, out: &mut Vec<arena::Release>) {
         let durs = &self.durations[dp.device];
-        let build =
-            |out: &mut _| stream_releases_into(dp, durs, k.run.resident, k.block_ends(), out);
+        let build = |out: &mut Vec<arena::Release>| match self.pass.emission {
+            Emission::Streamed => {
+                stream_releases_into(dp, durs, k.run.resident, k.block_ends(), out)
+            }
+            Emission::AtRetirement => {
+                out.clear();
+                for (blk, end) in dp.blocks.iter().zip(k.block_ends()) {
+                    let remote = blk.dest_rows.iter().filter(|&&(dst, _)| dst != dp.device);
+                    out.extend(remote.map(|&(dst, rows)| (end, dst, rows)));
+                }
+            }
+        };
         let stored = k.recorded().then(|| {
             self.schedules[dp.device].releases.get_or_init(|| {
                 build(out);
@@ -161,6 +272,29 @@ impl PlannedBatch {
                 .iter()
                 .map(|&(ready, dst, rows)| (at(ready), dst as usize, rows)),
         );
+    }
+
+    /// A one-sided exchange emits per block, so every device's kernel must be
+    /// its plan's blocks (and import blocks) — not the byte-chunked kernel of
+    /// a pass's collective form, whose blocks would pair with the wrong
+    /// durations and retirement instants.
+    fn assert_kernels_are_blocks(&self) {
+        for (dp, durs) in self.plan.devices.iter().zip(&self.durations) {
+            let imports = dp.imported_bags.len().div_ceil(self.plan.bags_per_block);
+            let blocks = dp.blocks.len() + imports;
+            assert_eq!(
+                durs.len(),
+                blocks,
+                "one-sided: device {}'s kernel",
+                dp.device
+            );
+        }
+    }
+
+    /// Pooled rows the plan delivers to `d`, its own included.
+    fn rows_delivered_to(&self, d: usize) -> u64 {
+        let sent: u64 = self.byte_matrix.iter().map(|from| from[d]).sum();
+        sent / self.plan.row_bytes() as u64 + self.plan.devices[d].imported_bags.len() as u64
     }
 
     /// The underlying forward plan.
@@ -517,13 +651,14 @@ impl<'a, 'r> Batch<'a, 'r> {
         Some(launched)
     }
 
-    /// Collective exchange: lookup kernels → `all_to_all_single` →
-    /// per-device wait + unpack kernel. Returns the instant communication
-    /// ended.
+    /// Collective exchange: the pass's kernels → `all_to_all_single` →
+    /// per-device wait, the pass's after-collective kernel (unpack, reduce)
+    /// and its after-exchange one (scatter-add), if any. Returns the instant
+    /// communication ended.
     fn collective(&mut self, cc: &CollectiveConfig) -> SimTime {
         let plan = self.pb.plan();
+        let pass = &self.pb.pass;
         let n = plan.n_devices;
-        let row_bytes = plan.row_bytes() as u64;
         for dp in &plan.devices {
             self.launch(dp);
         }
@@ -581,7 +716,7 @@ impl<'a, 'r> Batch<'a, 'r> {
             g.report.retries += work.retries();
         }
         let mut c_end = arena::take_time();
-        c_end.extend((0..n).map(|d| work.done_at(d)));
+        c_end.extend((0..n).map(|d| work.done_at(d) + pass.collective_syncs));
         let c_max = self.machine.barrier(&c_end).max(k_max);
         arena::put_time(c_end);
 
@@ -590,78 +725,81 @@ impl<'a, 'r> Batch<'a, 'r> {
                 // Lost device: no inbound wait, no unpack kernel.
                 continue;
             }
-            let waited = match deadline {
-                None => work.wait(self.machine, d, self.k_end[d]),
-                Some(dl) => match work.wait_deadline(self.machine, d, self.k_end[d], dl) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        // Serve the fill for everything remote; no unpack
-                        // of data that never arrived.
-                        self.missed_deadline = true;
-                        shed(&mut self.degrade, d, remote_rows(&self.filled, d));
-                        self.end[d] = self.machine.stream_sync(d, dl);
-                        self.blame_sync(d, self.k_end[d], false);
-                        continue;
-                    }
-                },
-            };
-            if let Some(b) = self.machine.blame_mut() {
-                // The unpack kernel waits on the last transfer landing on d
-                // (its own kernel when nothing crossed the wire).
-                b.set_kind(BlameCategory::Unpack);
-                let cause = b
-                    .last_inbound(d as u32)
-                    .or_else(|| b.device_cause(d as u32));
-                b.set_cause(cause);
+            let waited = work.wait(self.machine, d, self.k_end[d]) + pass.collective_syncs;
+            if let Some(dl) = deadline.filter(|&dl| waited > dl) {
+                // Serve the fill for everything remote; no unpack of data
+                // that never arrived.
+                self.missed_deadline = true;
+                shed(&mut self.degrade, d, remote_rows(&self.filled, d));
+                self.end[d] = self.machine.stream_sync(d, dl);
+                self.blame_sync(d, self.k_end[d], false);
+                continue;
             }
-            // Rearrangement touches every *received* byte twice (read
-            // source-major, write [mb, S, dim]); the local chunk was already
-            // written in place by the lookup kernel. The byte matrix's
-            // inbound column is `ForwardPlan::unpack_rows` in bytes without
-            // that function's walk over every block: `mb_sizes[d] ×
-            // remote_features` rows on plain plans, less the cache-exported
-            // and dedup-collapsed ones on annotated plans.
-            let sent = self.pb.byte_matrix();
-            let inbound: u64 = (0..n).filter(|&s| s != d).map(|s| sent[s][d]).sum();
-            debug_assert_eq!(inbound, plan.unpack_rows(d) * row_bytes);
-            let dur = Dur::from_secs_f64((2 * inbound) as f64 / UNPACK_BW);
-            // One block: the kernel is as long as the block.
-            let unpacked = match self.machine.run_kernel_timed(d, 1, dur, waited) {
-                Some(interval) => interval.end,
-                None => {
-                    self.machine
-                        .run_kernel_varied(d, &[dur], waited)
-                        .interval
-                        .end
-                }
-            };
-            self.end[d] = self.machine.stream_sync(d, unpacked);
-            self.blame_sync(d, unpacked, true);
+            // The kernel after the wait was gated by the last transfer landing
+            // on d (d's own kernel when nothing crossed the wire); one after
+            // the exchange, by that kernel.
+            let cause = self.machine.blame().and_then(|b| {
+                b.last_inbound(d as u32)
+                    .or_else(|| b.device_cause(d as u32))
+            });
+            let tail = pass.after_collective[d];
+            let mut done = self.run_tail(d, tail, waited, BlameCategory::Unpack, cause);
+            if let Some(&tail) = pass.after_exchange.get(d) {
+                let cause = self.machine.blame_last_span();
+                done = self.run_tail(d, tail, done, BlameCategory::GatherPool, cause);
+            }
+            self.end[d] = self.machine.stream_sync(d, done);
+            self.blame_sync(d, done, true);
             if let Some(l) = self.log.as_deref_mut() {
-                // Bulk-synchronous release: every pooled row of d's output
-                // becomes consumable at once, after wait + unpack + sync.
-                l.push(d, self.end[d], (plan.mb_sizes[d] * plan.n_features) as u64);
+                // Bulk-synchronous release: every row the plan delivers to d
+                // becomes consumable at once, after wait + kernels + sync.
+                l.push(d, self.end[d], self.pb.rows_delivered_to(d));
             }
         }
         c_max
     }
 
-    /// Blame: `d`'s final stream sync, `[from, end[d]]`, caused by its
-    /// unpack kernel (the span recorded last) — or, when the wait was
+    /// Book `tail` on `d`, not before `ready`: by its length, or block by
+    /// block on a straggler. Its blame span bills `kind` — rearranging or
+    /// reducing received rows is [`BlameCategory::Unpack`], scatter-add, the
+    /// lookup's transpose over the same tables, [`BlameCategory::GatherPool`]
+    /// — and was caused by `cause`. Returns its end.
+    fn run_tail(
+        &mut self,
+        d: usize,
+        tail: Tail,
+        ready: SimTime,
+        kind: BlameCategory,
+        cause: Option<usize>,
+    ) -> SimTime {
+        if let Some(b) = self.machine.blame_mut() {
+            b.set_kind(kind);
+            b.set_cause(cause);
+        }
+        let Tail { blocks, tau } = tail;
+        let max_resident = self.machine.spec(d).max_resident_blocks();
+        let resident = KernelShape::effective_resident(blocks, max_resident);
+        let length = tau * blocks.div_ceil(u64::from(resident));
+        match self
+            .machine
+            .run_kernel_timed(d, blocks as usize, length, ready)
+        {
+            Some(interval) => interval.end,
+            None => {
+                let run = self.machine.run_kernel_varied(d, &tail.durations(), ready);
+                run.interval.end
+            }
+        }
+    }
+
+    /// Blame: `d`'s final stream sync, `[from, end[d]]`, caused by the last
+    /// kernel after its wait (the span recorded last) — or, when the wait was
     /// abandoned and nothing was `unpacked`, by its lookup kernel.
     fn blame_sync(&mut self, d: usize, from: SimTime, unpacked: bool) {
         let last = self.machine.blame_last_span();
         if let Some(b) = self.machine.blame_mut() {
             let cause = if unpacked { last } else { self.kernel_spans[d] };
-            self.end_spans[d] = Some(b.record(
-                BlameCategory::Sync,
-                Lane::Gpu(d as u32),
-                from,
-                from,
-                self.end[d],
-                cause,
-                false,
-            ));
+            self.end_spans[d] = Some(sync_span(b, Lane::Gpu(d as u32), from, self.end[d], cause));
         }
     }
 
@@ -672,6 +810,7 @@ impl<'a, 'r> Batch<'a, 'r> {
     /// deliveries are on record offers them to the machine first and issues
     /// its stores one by one only where that is refused.
     fn one_sided(&mut self, pgas: PgasConfig) -> Fences {
+        self.pb.assert_kernels_are_blocks();
         let plan = self.pb.plan();
         let n = plan.n_devices;
         let row_bytes = plan.row_bytes();
@@ -803,6 +942,7 @@ impl<'a, 'r> Batch<'a, 'r> {
     /// Gateway exchange: the one-sided release schedule of every device fed
     /// through one shared [`GatewayPut`] proxy.
     fn gateway(&mut self, cfg: GatewayConfig) -> Fences {
+        self.pb.assert_kernels_are_blocks();
         let plan = self.pb.plan();
         let n = plan.n_devices;
         let row_bytes = plan.row_bytes();
@@ -887,57 +1027,40 @@ impl<'a, 'r> Batch<'a, 'r> {
             Some(w) if !abandoned && b.spans()[w].end > k_end => (Some(w), b.spans()[w].end),
             _ => (self.kernel_spans[dev], k_end.min(fence)),
         };
-        fences.spans[dev] = Some(b.record(
-            BlameCategory::Sync,
-            Lane::Gpu(dev as u32),
-            ready,
-            ready,
-            fence,
-            cause,
-            false,
-        ));
+        fences.spans[dev] = Some(sync_span(b, Lane::Gpu(dev as u32), ready, fence, cause));
     }
 
     /// Completion shared by the flat and gateway one-sided exchanges: a
-    /// barrier over the per-PE fences, then one host stream synchronization
-    /// per device (`PGAS_EMB_forward`'s final sync). Blame: one host-lane
-    /// barrier span caused by the latest-quiescing PE's fence, then one
-    /// stream-sync span per device caused by the barrier (or by the
-    /// device's own kernel when that outran an abandoned fence).
+    /// barrier over the per-PE fences, then per device the pass's
+    /// after-exchange kernel, if any, and one host stream synchronization
+    /// (`PGAS_EMB_forward`'s final sync). Blame: one host-lane barrier span
+    /// caused by the latest-quiescing PE's fence; the kernel is caused by the
+    /// barrier, and the stream-sync span starts where the kernel ends and is
+    /// caused by it — without one, by the barrier (or by the device's own
+    /// lookup kernel when that outran an abandoned fence).
     fn completion_tail(&mut self, pgas: PgasConfig, fences: Fences) {
         let n = self.k_end.len();
         let bar = OneSided::with_config(self.machine, pgas).barrier_all(&fences.at);
-        for d in 0..n {
-            self.end[d] = self.machine.stream_sync(d, bar);
-        }
-        if let Some(b) = self.machine.blame_mut() {
+        let bar_span = self.machine.blame_mut().map(|b| {
             let last = (0..n).max_by_key(|&d| fences.at[d]).unwrap_or(0);
-            let q_max = fences.at[last];
-            let bar_span = b.record(
-                BlameCategory::Sync,
-                Lane::Host,
-                q_max,
-                q_max,
-                bar,
-                fences.spans[last],
-                false,
-            );
-            for d in 0..n {
-                let (from, cause) = if self.k_end[d] > bar {
-                    (self.k_end[d], self.kernel_spans[d])
-                } else {
-                    (bar, Some(bar_span))
-                };
-                self.end_spans[d] = Some(b.record(
-                    BlameCategory::Sync,
-                    Lane::Gpu(d as u32),
-                    from,
-                    from,
-                    self.end[d],
-                    cause,
-                    false,
-                ));
-            }
+            sync_span(b, Lane::Host, fences.at[last], bar, fences.spans[last])
+        });
+        for d in 0..n {
+            let tail = self.pb.pass.after_exchange.get(d);
+            let ran = tail.filter(|_| !self.filled[d]).map(|&tail| {
+                let end = self.run_tail(d, tail, bar, BlameCategory::GatherPool, bar_span);
+                (end, self.machine.blame_last_span())
+            });
+            self.end[d] = self.machine.stream_sync(d, ran.map_or(bar, |(end, _)| end));
+            let Some(b) = self.machine.blame_mut() else {
+                continue;
+            };
+            let (from, cause) = match ran {
+                Some(ran) => ran,
+                None if self.k_end[d] > bar => (self.k_end[d], self.kernel_spans[d]),
+                None => (bar, bar_span),
+            };
+            self.end_spans[d] = Some(sync_span(b, Lane::Gpu(d as u32), from, self.end[d], cause));
         }
         arena::put_time(fences.at);
     }
@@ -1012,6 +1135,18 @@ impl<'a, 'r> Batch<'a, 'r> {
         record_batch_metrics(machine, backend, &run);
         run
     }
+}
+
+/// Blame: a fence, barrier or stream sync on `lane` that began the instant it
+/// could (`from`) and held until `to`, gated by `cause`.
+fn sync_span(
+    b: &mut SpanGraph,
+    lane: Lane,
+    from: SimTime,
+    to: SimTime,
+    cause: Option<usize>,
+) -> usize {
+    b.record(BlameCategory::Sync, lane, from, from, to, cause, false)
 }
 
 /// Account `rows` pooled rows bound for `dst` as served from the fill.
@@ -1330,24 +1465,32 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(18))]
 
         /// Replaying the stored release schedule is indistinguishable from
         /// rebuilding it: one shared `PlannedBatch` executed at three
         /// starts equals a freshly built one per execution — `BatchRun`,
         /// `ArrivalLog` and traffic, bit for bit — on a clean machine,
-        /// under chaos, and with stragglers (which bypass the store).
+        /// under chaos, and with stragglers (which bypass the store); for
+        /// the table-wise forward, the row-wise forward and the backward
+        /// pass, whose stores leave at block retirement, unmerged.
         #[test]
         fn stored_schedule_replays_what_a_fresh_build_computes(
             g in 2usize..5,
             bpb in 1usize..6,
             seed in 0u64..1000,
             gap_ns in 1u64..2_000_000,
+            pass in 0usize..3,
         ) {
             use proptest::prelude::*;
             let mut cfg = tiny_cfg(g);
             cfg.bags_per_block = bpb;
             cfg.seed = seed;
+            let planned = |m: &Machine, cfg: &EmbLayerConfig, seed_idx: usize| match pass {
+                0 => planned(m, cfg, seed_idx),
+                1 => crate::rowwise::rowwise_planned(m, cfg),
+                _ => crate::backward::backward_planned(m, planned(m, cfg, seed_idx).plan(), true),
+            };
             let stragglers = gpusim::FaultSpec {
                 straggler_prob: 0.6,
                 straggler_factor: (1.2, 1.6),
@@ -1389,7 +1532,16 @@ mod tests {
                         let durs = &shared.durations()[d];
                         let run = shared_m.run_kernel_varied(d, durs, at);
                         let ends = run.block_ends.iter().copied();
-                        stream_releases_into(dp, durs, run.resident, ends, &mut built);
+                        if pass < 2 {
+                            stream_releases_into(dp, durs, run.resident, ends, &mut built);
+                        } else {
+                            built.clear();
+                            for (blk, end) in dp.blocks.iter().zip(ends) {
+                                let to = blk.dest_rows.iter().filter(|r| r.0 != d);
+                                built.extend(to.map(|&(dst, rows)| (end, dst, rows)));
+                            }
+                            prop_assert!(built.windows(2).all(|w| w[0].0 <= w[1].0));
+                        }
                         let start = run.interval.start;
                         let run = sched.kernel.get().map_or(Cow::Owned(run), Cow::Borrowed);
                         let k = Launched { start, run };

@@ -12,23 +12,34 @@
 //! * **PGAS**: each device's gradient kernel pushes every bag-gradient row
 //!   one-sided into a symmetric staging buffer on the owner **as soon as it
 //!   is computed** (remote atomic adds), overlapping the exchange with the
-//!   gradient computation and skipping the unpack — after a quiet+barrier,
-//!   owners scatter-add locally.
+//!   gradient computation and skipping the unpack — once every PE's stores
+//!   are fenced, owners scatter-add locally.
+//!
+//! Both are the forward pass's executor with the direction reversed: the
+//! forward plan, transposed, says who sends what, the pass says which
+//! kernels surround the exchange, and [`crate::backend::execute_batch`] runs
+//! it — with the faults, deadlines, blame, telemetry and schedule store of
+//! the paper's two backends.
 //!
 //! Functionally both produce identical per-table gradients, verified against
 //! a serial reference. Only [`PoolingOp::Sum`] and [`PoolingOp::Mean`] have
 //! well-defined dense bag gradients (Max would need recorded argmaxes).
 
-use desim::{Dur, SimTime};
+use std::sync::Arc;
+
 use gpusim::{KernelShape, Machine};
-use pgas_rt::{OneSided, PgasConfig};
-use simccl::{all_to_all_timed, Algorithm, CollectiveConfig};
+use pgas_rt::PgasConfig;
+use rayon::prelude::*;
+use simccl::{Algorithm, CollectiveConfig};
 use simtensor::Tensor;
 
-use crate::backend::{prepare_batches, ExecMode};
+use crate::backend::{
+    execute_batch, prepare_batches, run_batches, Emission, Exchange, ExecMode, Pass, PlannedBatch,
+    Tail,
+};
 use crate::{
-    EmbLayerConfig, EmbeddingShard, ForwardPlan, IndexHasher, PoolingOp, RunReport, SparseBatch,
-    TimeBreakdown,
+    BlockPlan, DevicePlan, EmbLayerConfig, EmbeddingShard, ForwardPlan, IndexHasher, PoolingOp,
+    RunReport, SparseBatch,
 };
 
 /// Result of a backward run.
@@ -148,177 +159,146 @@ pub fn baseline_backward(
     collectives: &CollectiveConfig,
     mode: ExecMode,
 ) -> BackwardResult {
-    check_pooling(cfg.pooling);
-    let n = machine.n_gpus();
-    assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     // The paper's described scheme shifts gradients around the ring with a
     // synchronization per round.
     let ring = collectives.with_algorithm(Algorithm::Ring);
-    let prepared = prepare_batches(cfg, mode, machine.spec(0));
-    let row_bytes = (cfg.dim * 4) as u64;
-
-    let mut breakdown = TimeBreakdown::default();
-    let mut batch_start = SimTime::ZERO;
-    for batch_idx in 0..cfg.n_batches {
-        let which = batch_idx % prepared.plans.len();
-        let plan = &prepared.plans[which];
-
-        // Gradient "computation" on each device: materializing mb × S grad
-        // rows from the interaction layer's gradient (memory-bound).
-        let mut k_end = vec![SimTime::ZERO; n];
-        for (d, ke) in k_end.iter_mut().enumerate() {
-            let bytes = (plan.mb_sizes[d] * plan.n_features) as u64 * row_bytes * 2;
-            let shape = KernelShape::memory_bound(bytes.div_ceil(128 << 10).max(1), 128 << 10);
-            let run = machine.run_kernel(d, shape, batch_start);
-            *ke = run.interval.end;
-        }
-        let k_max = machine.barrier(&k_end);
-
-        // Ring exchange: device d sends grads for features owned by g.
-        let bytes: Vec<Vec<u64>> = (0..n)
-            .map(|d| {
-                (0..n)
-                    .map(|g| (plan.mb_sizes[d] * plan.devices[g].features.len()) as u64 * row_bytes)
-                    .collect()
-            })
-            .collect();
-        let work = all_to_all_timed(machine, &ring, &bytes, &k_end);
-        // One synchronization per ring round (n-1 rounds), as described.
-        let round_syncs = machine.spec(0).stream_sync * (n.saturating_sub(1)) as u64;
-        let c_end: Vec<SimTime> = (0..n).map(|d| work.done_at(d) + round_syncs).collect();
-        let c_max = machine.barrier(&c_end).max(k_max);
-
-        // Unpack + scatter-add on each owner.
-        let mut end = vec![SimTime::ZERO; n];
-        for (d, e) in end.iter_mut().enumerate() {
-            let waited = work.wait(machine, d, k_end[d]) + round_syncs;
-            let staged = (plan.batch_size * plan.devices[d].features.len()) as u64;
-            let unpack = KernelShape::memory_bound(
-                (2 * staged * row_bytes).div_ceil(128 << 10).max(1),
-                128 << 10,
-            );
-            let u = machine.run_kernel(d, unpack, waited);
-            let scat = scatter_add_shape(plan.devices[d].total_lookups, staged, row_bytes);
-            let r = machine.run_kernel(d, scat, u.interval.end);
-            *e = machine.stream_sync(d, r.interval.end);
-        }
-        let batch_end = machine.barrier(&end);
-
-        breakdown.accumulate(&TimeBreakdown {
-            compute: k_max - batch_start,
-            communication: c_max - k_max,
-            sync_unpack: batch_end - c_max,
-        });
-        batch_start = batch_end;
-    }
-
-    let grads = (mode == ExecMode::Functional).then(|| {
-        let which = (cfg.n_batches.saturating_sub(1)) % prepared.plans.len();
-        functional_grads(&prepared.plans[which], &prepared.batches[which], cfg)
-    });
-
-    BackwardResult {
-        report: RunReport::new(machine, cfg.n_batches, breakdown),
-        grads,
-    }
+    backward(machine, cfg, Exchange::Collective(ring), mode)
 }
 
 /// PGAS backward: fused gradient kernel with one-sided atomic pushes →
-/// quiet + barrier → local scatter-add.
+/// completion fences → local scatter-add.
 pub fn pgas_backward(
     machine: &mut Machine,
     cfg: &EmbLayerConfig,
     pgas: PgasConfig,
     mode: ExecMode,
 ) -> BackwardResult {
+    backward(machine, cfg, Exchange::OneSided(pgas), mode)
+}
+
+/// `cfg.n_batches` executions of the backward plans of `cfg`'s batches over
+/// `exchange`, and in functional mode the final batch's gradients.
+fn backward(
+    machine: &mut Machine,
+    cfg: &EmbLayerConfig,
+    exchange: Exchange,
+    mode: ExecMode,
+) -> BackwardResult {
     check_pooling(cfg.pooling);
     let n = machine.n_gpus();
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let prepared = prepare_batches(cfg, mode, machine.spec(0));
-    let row_bytes = (cfg.dim * 4) as u32;
-    // Feature → owning device, once per plan (a bag's gradient goes to its
-    // feature's owner).
-    let owners: Vec<Vec<usize>> = prepared.plans.iter().map(|p| feature_owners(p)).collect();
-
-    let mut breakdown = TimeBreakdown::default();
-    let mut batch_start = SimTime::ZERO;
-    let mut per_owner = vec![0u64; n];
-    for batch_idx in 0..cfg.n_batches {
-        let which = batch_idx % prepared.plans.len();
-        let plan = &prepared.plans[which];
-        let owner_of = &owners[which];
-
-        // Fused gradient kernel on each device: mb × S bag-gradient rows in
-        // blocks; each block pushes its remote rows at retirement.
-        // Blocks are feature-major over the device's mini-batch.
-        let bytes_per_block = (plan.bags_per_block as u64 * row_bytes as u64 * 2).max(1);
-        let mut k_end = vec![SimTime::ZERO; n];
-        let mut quiet = vec![SimTime::ZERO; n];
-        for d in 0..n {
-            let mb = plan.mb_sizes[d];
-            let n_bags = mb * plan.n_features;
-            let blocks = n_bags.div_ceil(plan.bags_per_block).max(1);
-            let shape = KernelShape {
-                blocks: blocks as u64,
-                bytes_per_block,
-                flops_per_block: 0,
-                dependent_accesses: 8,
-            };
-            let run = machine.run_kernel(d, shape, batch_start);
-            k_end[d] = run.interval.end;
-            if n_bags == 0 {
-                quiet[d] = run.interval.end;
-                continue;
-            }
-            let mut os = OneSided::with_config(machine, pgas);
-            // Each block's bags map to features; a bag's gradient goes to
-            // the feature's owner. Feature-major blocks touch one or two
-            // owners each (features are block-sharded).
-            for (b, &ready) in run.block_ends.iter().enumerate() {
-                let first = b * plan.bags_per_block;
-                let count = plan.bags_per_block.min(n_bags - first);
-                per_owner.fill(0);
-                for bag in first..first + count {
-                    per_owner[owner_of[bag / mb]] += 1;
-                }
-                for (owner, &rows) in per_owner.iter().enumerate() {
-                    if owner != d && rows > 0 {
-                        os.atomic_add_rows_nbi(d, owner, rows, row_bytes, ready);
-                    }
-                }
-            }
-            quiet[d] = os.quiet(d, run.interval.end);
-        }
-        let k_max = machine.barrier(&k_end);
-        let mut os = OneSided::with_config(machine, pgas);
-        let bar = os.barrier_all(&quiet);
-
-        // Local scatter-add into the tables on each owner.
-        let mut end = vec![SimTime::ZERO; n];
-        for (d, e) in end.iter_mut().enumerate() {
-            let staged = (plan.batch_size * plan.devices[d].features.len()) as u64;
-            let scat = scatter_add_shape(plan.devices[d].total_lookups, staged, row_bytes as u64);
-            let r = machine.run_kernel(d, scat, bar);
-            *e = machine.stream_sync(d, r.interval.end);
-        }
-        let batch_end = machine.barrier(&end);
-
-        breakdown.accumulate(&TimeBreakdown {
-            compute: k_max - batch_start,
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        });
-        batch_start = batch_end;
-    }
-
+    let fused = matches!(exchange, Exchange::OneSided(_));
+    let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
+        .into_par_iter()
+        .map(|i| backward_planned(machine, &prepared.plans[i], fused))
+        .collect();
+    let report = run_batches(machine, &planned, cfg.n_batches, |m, pb, _, at| {
+        execute_batch(m, &exchange, pb, at, None, None)
+    });
     let grads = (mode == ExecMode::Functional).then(|| {
         let which = (cfg.n_batches.saturating_sub(1)) % prepared.plans.len();
         functional_grads(&prepared.plans[which], &prepared.batches[which], cfg)
     });
+    BackwardResult { report, grads }
+}
 
-    BackwardResult {
-        report: RunReport::new(machine, cfg.n_batches, breakdown),
-        grads,
+/// The backward pass of `fwd` as a plan. Who sends what is `fwd` transposed
+/// ([`gradient_plan`]); a block pushes its remote rows, one put per owner, the
+/// instant it retires; a collective costs one host synchronization per ring
+/// round (`G − 1`) on top, and its wait is followed by the unpack of the
+/// staged rows; either exchange is followed by the scatter-add into the
+/// tables. `fused` (one-sided), the kernel computes the gradient rows bag by
+/// bag in the plan's blocks; before a collective it only materializes the
+/// `mb × S` rows from the interaction layer's gradient, memory-bound — a
+/// block list unrelated to the plan's, which nothing may emit from.
+pub(crate) fn backward_planned(machine: &Machine, fwd: &ForwardPlan, fused: bool) -> PlannedBatch {
+    let n = fwd.n_devices;
+    let plan = gradient_plan(fwd);
+    let row_bytes = u64::from(fwd.row_bytes());
+    let produce = |dp: &DevicePlan| {
+        let spec = machine.spec(dp.device);
+        if !fused {
+            return Tail::chunked(dp.n_bags as u64 * row_bytes * 2, spec);
+        }
+        let shape = KernelShape {
+            blocks: dp.blocks.len() as u64,
+            bytes_per_block: (fwd.bags_per_block as u64 * row_bytes * 2).max(1),
+            flops_per_block: 0,
+            dependent_accesses: 8,
+        };
+        Tail::of(shape, spec)
+    };
+    let durations = (plan.devices.iter())
+        .map(|dp| produce(dp).durations())
+        .collect();
+    // Gradient rows staged on d: the whole batch's, for each of its tables.
+    let staged = |d: usize| (fwd.batch_size * fwd.devices[d].features.len()) as u64;
+    let unpack = |d: usize| Tail::chunked(2 * staged(d) * row_bytes, machine.spec(d));
+    let scatter_add = |d: usize| {
+        let shape = scatter_add_shape(fwd.devices[d].total_lookups, staged(d), row_bytes);
+        Tail::of(shape, machine.spec(d))
+    };
+    let pass = Pass {
+        after_collective: (0..n).map(unpack).collect(),
+        after_exchange: (0..n).map(scatter_add).collect(),
+        emission: Emission::AtRetirement,
+        collective_syncs: machine.spec(0).stream_sync * n.saturating_sub(1) as u64,
+    };
+    PlannedBatch::with_pass(Arc::new(plan), durations, |_| pass)
+}
+
+/// `fwd` with the direction reversed: device `d` holds the upstream gradient
+/// of its mini-batch — `mb_sizes[d] × S` bag-gradient rows, feature-major, in
+/// blocks of `bags_per_block` (one empty block where the mini-batch is) —
+/// and each row goes to the device owning its feature's table. O(blocks): a
+/// block is a run of consecutive bags, i.e. one sample range per feature it
+/// touches. Nothing is looked up, so `lookups` are zero.
+fn gradient_plan(fwd: &ForwardPlan) -> ForwardPlan {
+    let owner_of = feature_owners(fwd);
+    let (n, bpb) = (fwd.n_devices, fwd.bags_per_block);
+    let devices = (0..n)
+        .map(|d| {
+            let mb = fwd.mb_sizes[d];
+            let n_bags = mb * fwd.n_features;
+            let mut rows_to = vec![0u64; n];
+            let blocks = (0..n_bags.div_ceil(bpb).max(1))
+                .map(|b| {
+                    let first = b * bpb;
+                    let end = n_bags.min(first + bpb);
+                    // Bag `b` is sample `b % mb` of feature `b / mb`.
+                    for f in first / mb.max(1)..end.div_ceil(mb.max(1)) {
+                        rows_to[owner_of[f]] += (end.min((f + 1) * mb) - first.max(f * mb)) as u64;
+                    }
+                    let dest_rows = (0..n)
+                        .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
+                        .filter(|&(_, rows)| rows > 0)
+                        .collect();
+                    BlockPlan {
+                        first_bag: first,
+                        n_bags: (end - first) as u32,
+                        lookups: 0,
+                        dest_rows,
+                        cache: None,
+                    }
+                })
+                .collect();
+            DevicePlan {
+                device: d,
+                features: (0..fwd.n_features).collect(),
+                blocks,
+                total_lookups: 0,
+                n_bags,
+                exported_bags: Vec::new(),
+                imported_bags: Vec::new(),
+            }
+        })
+        .collect();
+    ForwardPlan {
+        measured_hit: 0.0,
+        devices,
+        mb_sizes: fwd.mb_sizes.clone(),
+        ..*fwd
     }
 }
 
@@ -432,6 +412,20 @@ mod tests {
             p.report.total,
             b.report.total
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "one-sided: device 0's kernel")]
+    fn the_collective_form_cannot_be_executed_one_sided() {
+        // Its kernel materializes rows in 128 KiB chunks: not the plan's
+        // blocks, so no block end says when a row may leave.
+        let cfg = tiny_cfg(2);
+        let mut m = Machine::new(MachineConfig::dgx_v100(2));
+        let fwd = prepare_batches(&cfg, ExecMode::Timing, m.spec(0));
+        let pb = backward_planned(&m, &fwd.plans[0], false);
+        assert_ne!(pb.durations()[0].len(), pb.plan().devices[0].blocks.len());
+        let exchange = Exchange::OneSided(PgasConfig::default());
+        execute_batch(&mut m, &exchange, &pb, desim::SimTime::ZERO, None, None);
     }
 
     #[test]

@@ -141,12 +141,15 @@ pub struct ForwardPlan {
 }
 
 impl ForwardPlan {
-    /// Build the plan for `batch` under table-wise `sharding`.
+    /// Build the plan for `batch` under `sharding`. Row-wise, every device
+    /// holds a stripe of every table, so each decomposes all `N × S` bags and
+    /// sends a (partial) row per bag to the sample's owner; a block's
+    /// `lookups` are then its bags' whole pooling factors, of which a device
+    /// reads the share that hashes to its stripe.
     ///
-    /// Panics if the batch is smaller than the device count or if the
-    /// sharding is not table-wise (row-wise has its own execution path).
-    /// When the batch size does not divide evenly, mini-batches follow the
-    /// ceil-split convention (first devices get `⌈N/G⌉` samples).
+    /// Panics if the batch is smaller than the device count. When the batch
+    /// size does not divide evenly, mini-batches follow the ceil-split
+    /// convention (first devices get `⌈N/G⌉` samples).
     ///
     /// Costs O(blocks + features), not O(bags): the timing model consumes
     /// pooling-factor sums per block, never per-bag state.
@@ -163,10 +166,6 @@ impl ForwardPlan {
         assert!(
             n >= n_devices,
             "batch size {n} smaller than device count {n_devices}"
-        );
-        assert!(
-            matches!(sharding, Sharding::TableWise { .. }),
-            "ForwardPlan requires table-wise sharding"
         );
         let mb = n.div_ceil(n_devices);
         let mb_sizes: Vec<usize> = (0..n_devices)
@@ -376,14 +375,14 @@ mod tests {
         /// The O(blocks) builder equals the per-bag oracle field by field:
         /// batch sizes the device count does not divide, blocks that
         /// straddle features (and span several), both table-wise
-        /// shardings, NULL bags, 1–8 devices.
+        /// shardings and the row-wise one, NULL bags, 1–8 devices.
         #[test]
         fn build_matches_the_per_bag_oracle(
             devs in 1usize..9,
             extra in 0usize..40,
             per_dev in 1usize..4,
             bpb in 1usize..70,
-            round_robin in proptest::prelude::any::<bool>(),
+            layout in 0usize..3,
             seed in 0u64..1000,
         ) {
             use proptest::prelude::*;
@@ -399,10 +398,10 @@ mod tests {
                 },
                 seed,
             );
-            let sharding = if round_robin {
-                Sharding::table_wise_round_robin(s, devs)
-            } else {
-                Sharding::table_wise_block(s, devs)
+            let sharding = match layout {
+                0 => Sharding::table_wise_block(s, devs),
+                1 => Sharding::table_wise_round_robin(s, devs),
+                _ => Sharding::RowWise { n_devices: devs },
             };
             let p = ForwardPlan::build(&b, &sharding, 8, PoolingOp::Sum, bpb);
             let oracle = per_bag_oracle(&b, &sharding, bpb);
@@ -583,15 +582,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "table-wise")]
-    fn row_wise_plan_panics() {
-        let b = batch(8, 2);
-        let _ = ForwardPlan::build(
-            &b,
-            &Sharding::RowWise { n_devices: 2 },
-            8,
-            PoolingOp::Sum,
-            4,
-        );
+    fn row_wise_plan_sends_every_bag_to_its_samples_owner() {
+        // 3 devices do not divide N = 16, and 5 bags per block do not divide
+        // N·S = 64: every device decomposes all bags, sample `s` goes to
+        // device `s / mb`, and the last block is partial.
+        let (b, sharding) = (batch(16, 4), Sharding::RowWise { n_devices: 3 });
+        let p = ForwardPlan::build(&b, &sharding, 8, PoolingOp::Sum, 5);
+        assert_eq!(p.mb_sizes, vec![6, 6, 4]);
+        for (dp, (blocks, total_lookups)) in p.devices.iter().zip(per_bag_oracle(&b, &sharding, 5))
+        {
+            assert_eq!(dp.features, vec![0, 1, 2, 3]);
+            assert_eq!(dp.blocks, blocks, "device {}", dp.device);
+            assert_eq!(dp.blocks.last().map(|blk| blk.n_bags), Some(4));
+            assert_eq!((dp.n_bags, dp.total_lookups), (64, total_lookups));
+            for (g, &mb) in p.mb_sizes.iter().enumerate() {
+                assert_eq!(dp.rows_to(g), (mb * p.n_features) as u64);
+            }
+        }
     }
 }

@@ -11,24 +11,32 @@
 //!   reduce-scatter over the batch dimension), then a local reduce + unpack
 //!   kernel;
 //! * **PGAS**: each partial row is pushed with a one-sided **atomic add**
-//!   straight into the owner's output buffer as soon as its block retires —
-//!   the accumulation happens in remote memory, no reduce kernel at all.
+//!   straight into the owner's output buffer while its block runs — the
+//!   accumulation happens in remote memory, no reduce kernel at all.
 //!
 //! Compared to table-wise sharding this moves the same wire volume but
 //! (1) pays G× more output-row writes (every bag has up to G partials) and
 //! (2) makes the CPU input partitioner per-index instead of per-table —
 //! the §V trade-off quantified by `reproduce ablation-sharding`.
+//!
+//! Both timed entry points are the table-wise forward's executor pointed
+//! elsewhere: they build the pass's [`PlannedBatch`] and chain
+//! [`crate::backend::execute_batch`] over it, so faults, deadlines, blame,
+//! telemetry and the plan's schedule store reach them as they reach the
+//! paper's two backends.
 
-use desim::{Dur, SimTime};
-use gpusim::{GpuSpec, KernelShape, Machine};
-use pgas_rt::{OneSided, PgasConfig, SymmetricHeap};
-use simccl::{all_to_all_timed, CollectiveConfig};
+use desim::Dur;
+use gpusim::{KernelShape, Machine};
+use pgas_rt::{PgasConfig, SymmetricHeap};
+use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
-use crate::backend::{BackendResult, ExecMode};
+use crate::backend::{
+    execute_batch, run_batches, BackendResult, Emission, Exchange, ExecMode, Pass, PlannedBatch,
+    Tail,
+};
 use crate::{
-    EmbLayerConfig, EmbeddingTableSpec, IndexHasher, PoolingOp, RunReport, SparseBatch,
-    TimeBreakdown,
+    EmbLayerConfig, EmbeddingTableSpec, ForwardPlan, IndexHasher, PoolingOp, Sharding, SparseBatch,
 };
 
 /// Which device owns row `row` of any table under a `G`-way stripe.
@@ -135,25 +143,44 @@ pub fn rowwise_functional_forward(
         .collect()
 }
 
-fn rowwise_lookup_durations(cfg: &EmbLayerConfig, spec: &GpuSpec) -> (usize, Vec<Dur>) {
-    // Every device processes ALL bags but only ~1/G of the lookups, and
-    // writes one partial row per bag.
-    let n_bags = cfg.batch_size * cfg.n_features;
-    let blocks = n_bags.div_ceil(cfg.bags_per_block).max(1);
-    let row_bytes = (cfg.dim * 4) as u64;
+/// The row-wise pass as a plan: [`ForwardPlan::build`] under
+/// [`Sharding::RowWise`] says who sends what (every device, a partial row of
+/// each of the `N × S` bags to the sample's owner, streamed while the block
+/// runs like the table-wise forward); a block costs the same everywhere —
+/// every device processes all bags but reads only about `1/G` of the
+/// lookups, and writes one partial row per bag — and a collective's wait is
+/// followed by the reduce of the `G` partials per output row plus the
+/// unpack, which both touch the received `G × mb × S` rows. The plan is the
+/// same for every batch of `cfg`: nothing in it depends on the indices.
+pub(crate) fn rowwise_planned(machine: &Machine, cfg: &EmbLayerConfig) -> PlannedBatch {
+    let n = cfg.n_gpus;
+    let batch = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.batch_seed(0));
+    let sharding = Sharding::RowWise { n_devices: n };
+    let plan = ForwardPlan::build(&batch, &sharding, cfg.dim, cfg.pooling, cfg.bags_per_block);
+    let row_bytes = u64::from(plan.row_bytes());
     let mean_pool = (cfg.pooling_min + cfg.pooling_max) as f64 / 2.0;
-    let lookups_per_block =
-        (cfg.bags_per_block as f64 * mean_pool / cfg.n_gpus as f64).ceil() as u64;
+    let lookups_per_block = (cfg.bags_per_block as f64 * mean_pool / n as f64).ceil() as u64;
     let bytes = lookups_per_block * (row_bytes + 8) + cfg.bags_per_block as u64 * row_bytes;
-    let resident = KernelShape::effective_resident(blocks as u64, spec.max_resident_blocks());
-    let shape = KernelShape {
-        blocks: 1,
+    let lookup = |blocks: usize| KernelShape {
+        blocks: blocks as u64,
         bytes_per_block: (bytes as f64 / crate::backend::GATHER_EFFICIENCY).round() as u64,
         flops_per_block: 0,
         dependent_accesses: 8,
     };
-    let tau = shape.block_time(spec, resident);
-    (blocks, vec![tau; blocks])
+    let durations = (plan.devices.iter())
+        .map(|dp| Tail::of(lookup(dp.blocks.len()), machine.spec(dp.device)).durations())
+        .collect();
+    let reduce = |d: usize| {
+        let rows = ((n + 1) * plan.mb_sizes[d] * plan.n_features) as u64;
+        Tail::chunked(rows * row_bytes, machine.spec(d))
+    };
+    let pass = Pass {
+        after_collective: (0..n).map(reduce).collect(),
+        after_exchange: Vec::new(),
+        emission: Emission::Streamed,
+        collective_syncs: Dur::ZERO,
+    };
+    PlannedBatch::with_pass(plan.into(), durations, |_| pass)
 }
 
 /// Timed row-wise baseline: partial-lookup kernel → collective exchange of
@@ -164,166 +191,41 @@ pub fn rowwise_baseline_forward(
     collectives: &CollectiveConfig,
     mode: ExecMode,
 ) -> BackendResult {
-    let n = machine.n_gpus();
-    assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-    let row_bytes = (cfg.dim * 4) as u64;
-    let mb = cfg.mb_size();
-    let (_, durs) = rowwise_lookup_durations(cfg, &machine.spec(0).clone());
-
-    let mut breakdown = TimeBreakdown::default();
-    let mut batch_start = SimTime::ZERO;
-    for _ in 0..cfg.n_batches {
-        let mut k_end = vec![SimTime::ZERO; n];
-        for (d, ke) in k_end.iter_mut().enumerate() {
-            *ke = machine
-                .run_kernel_varied(d, &durs, batch_start)
-                .interval
-                .end;
-        }
-        let k_max = machine.barrier(&k_end);
-
-        // Every device holds partials for the FULL batch; it ships the
-        // partial rows of every remote mini-batch.
-        let bytes: Vec<Vec<u64>> = (0..n)
-            .map(|_| {
-                (0..n)
-                    .map(|g| {
-                        let g_mb = cfg.batch_size.saturating_sub(g * mb).min(mb);
-                        (g_mb * cfg.n_features) as u64 * row_bytes
-                    })
-                    .collect()
-            })
-            .collect();
-        let work = all_to_all_timed(machine, collectives, &bytes, &k_end);
-        let c_end: Vec<SimTime> = (0..n).map(|d| work.done_at(d)).collect();
-        let c_max = machine.barrier(&c_end).max(k_max);
-
-        // Reduce G partials per output row, then unpack — both touch the
-        // received G×mb×S rows.
-        let mut end = vec![SimTime::ZERO; n];
-        for (d, e) in end.iter_mut().enumerate() {
-            let waited = work.wait(machine, d, k_end[d]);
-            let d_mb = cfg.batch_size.saturating_sub(d * mb).min(mb);
-            let reduce_bytes = (n * d_mb * cfg.n_features) as u64 * row_bytes
-                + (d_mb * cfg.n_features) as u64 * row_bytes;
-            let shape =
-                KernelShape::memory_bound(reduce_bytes.div_ceil(128 << 10).max(1), 128 << 10);
-            let r = machine.run_kernel(d, shape, waited);
-            *e = machine.stream_sync(d, r.interval.end);
-        }
-        let batch_end = machine.barrier(&end);
-
-        breakdown.accumulate(&TimeBreakdown {
-            compute: k_max - batch_start,
-            communication: c_max - k_max,
-            sync_unpack: batch_end - c_max,
-        });
-        batch_start = batch_end;
-    }
-
-    finish(machine, cfg, mode, breakdown)
+    rowwise_forward(machine, cfg, Exchange::Collective(*collectives), mode)
 }
 
 /// Timed row-wise PGAS: the fused kernel pushes each partial row as a
-/// one-sided **atomic add** into the owner's output while executing;
-/// completion is quiet + barrier. No reduce kernel, no unpack.
+/// one-sided **atomic add** into the owner's output while executing (a put's
+/// wire footprint); completion is that of every one-sided batch. No reduce
+/// kernel, no unpack.
 pub fn rowwise_pgas_forward(
     machine: &mut Machine,
     cfg: &EmbLayerConfig,
     pgas: PgasConfig,
     mode: ExecMode,
 ) -> BackendResult {
-    let n = machine.n_gpus();
-    assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
-    let row_bytes = (cfg.dim * 4) as u32;
-    let mb = cfg.mb_size();
-    let (blocks, durs) = rowwise_lookup_durations(cfg, &machine.spec(0).clone());
-
-    let mut breakdown = TimeBreakdown::default();
-    let mut batch_start = SimTime::ZERO;
-    for _ in 0..cfg.n_batches {
-        let mut k_end = vec![SimTime::ZERO; n];
-        let mut quiet = vec![SimTime::ZERO; n];
-        for d in 0..n {
-            let run = machine.run_kernel_varied(d, &durs, batch_start);
-            k_end[d] = run.interval.end;
-            let waves = (blocks as u64).div_ceil(run.resident.max(1) as u64);
-            let subs = (32 / waves.max(1)).clamp(1, 32);
-            // Bags are feature-major over the FULL batch: a block's bags
-            // belong to sample range [first % N, ...]; its partial rows for
-            // remote-owned samples are atomically pushed.
-            let mut releases: std::collections::BTreeMap<(SimTime, usize), u64> =
-                std::collections::BTreeMap::new();
-            let n_bags = cfg.batch_size * cfg.n_features;
-            for (b, (&endt, &tau)) in run.block_ends.iter().zip(&durs).enumerate() {
-                let first = b * cfg.bags_per_block;
-                let count = cfg.bags_per_block.min(n_bags - first);
-                let mut per_owner = vec![0u64; n];
-                for bag in first..first + count {
-                    let s = bag % cfg.batch_size;
-                    per_owner[(s / mb).min(n - 1)] += 1;
-                }
-                for (owner, rows) in per_owner.iter().enumerate() {
-                    if owner == d || *rows == 0 {
-                        continue;
-                    }
-                    let k = subs.min(*rows);
-                    let (base, rem) = (*rows / k, *rows % k);
-                    for sub in 0..k {
-                        let part = base + u64::from(sub < rem);
-                        if part > 0 {
-                            let ready = endt - tau * (k - 1 - sub) * (1.0 / k as f64);
-                            *releases.entry((ready, owner)).or_default() += part;
-                        }
-                    }
-                }
-            }
-            let mut os = OneSided::with_config(machine, pgas);
-            for ((ready, dst), rows) in releases {
-                os.atomic_add_rows_nbi(d, dst, rows, row_bytes, ready);
-            }
-            quiet[d] = os.quiet(d, run.interval.end);
-        }
-        let k_max = machine.barrier(&k_end);
-        let mut os = OneSided::with_config(machine, pgas);
-        let bar = os.barrier_all(&quiet);
-        let end: Vec<SimTime> = (0..n).map(|d| machine.stream_sync(d, bar)).collect();
-        let batch_end = machine.barrier(&end);
-
-        breakdown.accumulate(&TimeBreakdown {
-            compute: k_max - batch_start,
-            communication: Dur::ZERO,
-            sync_unpack: batch_end - k_max,
-        });
-        batch_start = batch_end;
-    }
-
-    finish(machine, cfg, mode, breakdown)
+    rowwise_forward(machine, cfg, Exchange::OneSided(pgas), mode)
 }
 
-fn finish(
-    machine: &Machine,
+/// `cfg.n_batches` executions of the row-wise plan over `exchange`, and in
+/// functional mode the final batch's outputs.
+fn rowwise_forward(
+    machine: &mut Machine,
     cfg: &EmbLayerConfig,
+    exchange: Exchange,
     mode: ExecMode,
-    breakdown: TimeBreakdown,
 ) -> BackendResult {
-    let outputs = match mode {
-        ExecMode::Timing => None,
-        ExecMode::Functional => {
-            let batch = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(cfg.n_batches - 1));
-            Some(rowwise_functional_forward(
-                &batch,
-                cfg.table_spec(),
-                cfg.pooling,
-                cfg.n_gpus,
-                cfg.seed,
-            ))
-        }
-    };
-    BackendResult {
-        report: RunReport::new(machine, cfg.n_batches, breakdown),
-        outputs,
-    }
+    let n = machine.n_gpus();
+    assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
+    let planned = rowwise_planned(machine, cfg);
+    let report = run_batches(machine, &[planned], cfg.n_batches, |m, pb, _, at| {
+        execute_batch(m, &exchange, pb, at, None, None)
+    });
+    let outputs = (mode == ExecMode::Functional).then(|| {
+        let batch = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(cfg.n_batches - 1));
+        rowwise_functional_forward(&batch, cfg.table_spec(), cfg.pooling, cfg.n_gpus, cfg.seed)
+    });
+    BackendResult { report, outputs }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The zero-allocation claim of the arena workspaces: once the slabs are
 //! warm, a steady-state lookup+pool batch requests no memory from the heap,
 //! and neither does a simulated one-sided batch that replays its plan's
-//! stored schedule.
+//! stored schedule — a forward batch or a backward one.
 //!
 //! Timings cannot prove a negative, so this binary installs a counting
 //! wrapper around the system allocator and reads the allocation-count delta
@@ -15,8 +15,9 @@ use std::cell::Cell;
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
     compute_pooled_rows_into, execute_batch, materialize_shards, plan_for_batch, ArrivalLog,
-    Exchange, PlannedBatch,
+    Exchange, ExecMode, PlannedBatch,
 };
+use emb_retrieval::backward::pgas_backward;
 use emb_retrieval::{arena, EmbLayerConfig, ForwardPlan, SparseBatch};
 use gpusim::{Machine, MachineConfig};
 use rayon::ThreadPoolBuilder;
@@ -140,5 +141,39 @@ fn a_replayed_one_sided_batch_allocates_nothing() {
         allocated[2..],
         [0, 0],
         "a replayed batch allocated from the heap"
+    );
+}
+
+#[test]
+fn a_replayed_backward_batch_allocates_nothing() {
+    // The backward pass hands out no plan, so the claim is a difference: a
+    // run of seven batches of one requests exactly the memory a run of three
+    // does — planning, the executed first batch, the report — and the four
+    // more batches it replays (scatter-add kernel and all) none.
+    let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+    (cfg.bags_per_block, cfg.distinct_batches) = (2, 1);
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build thread pool");
+    let mut allocated = |n_batches: usize| {
+        cfg.n_batches = n_batches;
+        // One traffic bucket for the whole run, as above.
+        let fabric = MachineConfig::dgx_v100(4).with_traffic_bucket(Dur::from_ms(1000));
+        let mut m = Machine::new(fabric);
+        let before = alloc_count();
+        let run =
+            pool.install(|| pgas_backward(&mut m, &cfg, Default::default(), ExecMode::Timing));
+        let calls = alloc_count() - before;
+        assert_eq!(run.report.batches, n_batches);
+        assert!(run.report.traffic.messages > n_batches as u64 * 500);
+        calls
+    };
+    // The first run plans the batch and warms the arena.
+    let (_, three, seven) = (allocated(3), allocated(3), allocated(7));
+    assert!(three > 0, "recording a schedule takes memory");
+    assert_eq!(
+        seven, three,
+        "a replayed backward batch allocated from the heap"
     );
 }

@@ -108,12 +108,6 @@ impl ExecutedReport {
     pub fn emb_fraction(&self) -> f64 {
         ratio(self.emb.total, self.total)
     }
-
-    /// Executed speedup over the analytic serial schedule (>1 means the
-    /// fused + pipelined schedule won). Zero-total runs report 0.0.
-    pub fn speedup_vs_serial(&self) -> f64 {
-        ratio(self.serial_total, self.total)
-    }
 }
 
 /// Split `total` into `k` chunks whose durations sum to `total` exactly

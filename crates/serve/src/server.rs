@@ -213,31 +213,6 @@ impl ServeReport {
         self.served > 0 && self.shed == 0 && self.timed_out == 0 && self.latency.p99() <= slo
     }
 
-    /// Fraction of generated requests served *within* the SLO — the
-    /// goodput that matters to a caller with a latency budget (a response
-    /// past the SLO is as useless as a shed one). Falls back to
-    /// [`ServeReport::goodput`] when no SLO was configured.
-    pub fn goodput_within_slo(&self) -> f64 {
-        if self.generated == 0 {
-            0.0
-        } else {
-            self.served_within_slo as f64 / self.generated as f64
-        }
-    }
-
-    /// SLO-violation-minutes per operating hour: `60 ×` the fraction of
-    /// the run's wall time spent inside batches that served at least one
-    /// SLO-breaching request. `0` is a clean hour, `60` an hour entirely
-    /// in violation.
-    pub fn slo_violation_min(&self) -> f64 {
-        let total = (self.end - SimTime::ZERO).as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            60.0 * self.slo_viol_time.as_secs_f64() / total
-        }
-    }
-
     /// Compact JSON summary of the run: headline counters, latency
     /// quantiles, and — when telemetry was enabled — the latency
     /// histogram's exemplar, naming the request id behind the worst

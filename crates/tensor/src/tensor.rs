@@ -87,11 +87,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat storage vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
@@ -135,14 +130,6 @@ impl Tensor {
         TensorView {
             shape: self.shape.clone(),
             data: &self.data,
-        }
-    }
-
-    /// A mutable borrowed view of the whole tensor.
-    pub fn view_mut(&mut self) -> TensorViewMut<'_> {
-        TensorViewMut {
-            shape: self.shape.clone(),
-            data: &mut self.data,
         }
     }
 

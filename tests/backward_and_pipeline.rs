@@ -2,14 +2,17 @@
 //! inference pipeline.
 
 use pgas_embedding::dlrm::{Dlrm, DlrmConfig, InferencePipeline};
-use pgas_embedding::gpusim::{Machine, MachineConfig};
+use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_embedding::pgas::PgasConfig;
 use pgas_embedding::retrieval::backend::{BaselineBackend, ExecMode, PgasFusedBackend};
 use pgas_embedding::retrieval::backward::{
     baseline_backward, pgas_backward, reference_backward, sgd_update,
 };
+use pgas_embedding::retrieval::rowwise::{rowwise_baseline_forward, rowwise_pgas_forward};
+use pgas_embedding::retrieval::RunReport;
 use pgas_embedding::retrieval::{EmbLayerConfig, EmbeddingShard, PoolingOp, SparseBatch};
 use pgas_embedding::simccl::CollectiveConfig;
+use pgas_embedding::telemetry::causal::BlameCategory;
 
 fn tiny(gpus: usize) -> EmbLayerConfig {
     let mut c = EmbLayerConfig::paper_weak_scaling(gpus).scaled_down(512);
@@ -130,6 +133,18 @@ fn pipeline_four_gpus_functional_and_timed() {
     }
 }
 
+/// The four timed passes of the §V extensions, by index: row-wise baseline,
+/// row-wise PGAS, backward baseline, backward PGAS.
+fn run_pass(pass: usize, m: &mut Machine, cfg: &EmbLayerConfig) -> RunReport {
+    let (cc, pgas) = (CollectiveConfig::default(), PgasConfig::default());
+    match pass {
+        0 => rowwise_baseline_forward(m, cfg, &cc, ExecMode::Timing).report,
+        1 => rowwise_pgas_forward(m, cfg, pgas, ExecMode::Timing).report,
+        2 => baseline_backward(m, cfg, &cc, ExecMode::Timing).report,
+        _ => pgas_backward(m, cfg, pgas, ExecMode::Timing).report,
+    }
+}
+
 /// The four hand-sized timelines of the §V extensions, pinned at ns: row-wise
 /// baseline / row-wise PGAS / backward baseline / backward PGAS totals (and
 /// wire messages where listed), `ExecMode::Timing`, default runtime configs,
@@ -137,7 +152,6 @@ fn pipeline_four_gpus_functional_and_timed() {
 /// `execute_batch`; the CSVs round to µs, this does not.
 #[test]
 fn rowwise_and_backward_timelines_are_pinned_at_ns() {
-    use pgas_embedding::retrieval::rowwise::{rowwise_baseline_forward, rowwise_pgas_forward};
     // (config, GPUs, [(total ns, messages); 4])
     type Case = (EmbLayerConfig, usize, [(u64, Option<u64>); 4]);
     let paper = |g: usize, pins: [(u64, u64); 4]| -> Case {
@@ -184,23 +198,83 @@ fn rowwise_and_backward_timelines_are_pinned_at_ns() {
         scaled(128, 4, 7, 4, 2, [1022672, 312452, 2093100, 712892]),
     ];
     for (cfg, g, pins) in cases {
-        let machine = || Machine::new(MachineConfig::dgx_v100(g));
-        let (cc, pgas, mode) = (
-            CollectiveConfig::default(),
-            PgasConfig::default(),
-            ExecMode::Timing,
-        );
-        let got = [
-            rowwise_baseline_forward(&mut machine(), &cfg, &cc, mode).report,
-            rowwise_pgas_forward(&mut machine(), &cfg, pgas, mode).report,
-            baseline_backward(&mut machine(), &cfg, &cc, mode).report,
-            pgas_backward(&mut machine(), &cfg, pgas, mode).report,
-        ];
-        let got = got.map(|r| (r.total.as_ns(), r.traffic.messages));
+        let got = [0, 1, 2, 3].map(|pass| {
+            let r = run_pass(pass, &mut Machine::new(MachineConfig::dgx_v100(g)), &cfg);
+            (r.total.as_ns(), r.traffic.messages)
+        });
         for (i, ((ns, msgs), (pin_ns, pin_msgs))) in got.into_iter().zip(pins).enumerate() {
             let at = format!("g={g} N={} function {i}", cfg.batch_size);
             assert_eq!(ns, pin_ns, "{at}: total ns");
             assert_eq!(msgs, pin_msgs.unwrap_or(msgs), "{at}: messages");
         }
+    }
+}
+
+/// 4 GPUs, six batches of four, small enough for the fault sweeps.
+fn faulted_cfg() -> EmbLayerConfig {
+    let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(16);
+    (cfg.n_batches, cfg.distinct_batches) = (6, 4);
+    cfg
+}
+
+#[test]
+fn link_faults_reach_the_rowwise_and_backward_passes() {
+    // Flaps, drops, degradation and jitter, no straggler: before these
+    // passes ran on the batch executor only a straggler's kernels reached
+    // them, and a link-only plan left every one bit-equal to the clean run.
+    let cfg = faulted_cfg();
+    let links_only = FaultSpec {
+        straggler_prob: 0.0,
+        ..FaultSpec::chaos(0.5)
+    };
+    for pass in 0..4 {
+        let total = |spec: Option<FaultSpec>| {
+            let mut m = Machine::new(MachineConfig::dgx_v100(4));
+            if let Some(spec) = spec {
+                m.install_faults(FaultPlan::generate(cfg.seed, 4, spec));
+            }
+            run_pass(pass, &mut m, &cfg).total
+        };
+        let clean = total(None);
+        assert!(
+            total(Some(links_only)) > clean,
+            "pass {pass}: link faults cost nothing"
+        );
+        // Stragglers on top: still completes, still no faster than clean.
+        assert!(total(Some(FaultSpec::chaos(0.5))) > clean, "pass {pass}");
+    }
+}
+
+#[test]
+fn blame_partitions_every_batch_of_the_rowwise_and_backward_passes() {
+    let cfg = faulted_cfg();
+    for pass in 0..4 {
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        m.enable_blame();
+        let total = run_pass(pass, &mut m, &cfg).total;
+        let batches = m.blame().expect("blame is on").batches();
+        assert_eq!(batches.len(), cfg.n_batches, "pass {pass}");
+        let mut sum = 0;
+        for b in batches {
+            assert_eq!(b.vec.total_ns(), (b.end - b.start).as_ns(), "pass {pass}");
+            sum += b.vec.total_ns();
+            // A backward batch ends scatter-add → stream sync, and the path
+            // reaches the kernel through the sync it caused: nothing but
+            // launch overhead lies between that kernel and what gated it
+            // (the unpack, or the barrier over the fences).
+            let path: Vec<_> = b.segments.iter().map(|s| s.cat).collect();
+            let tail = &path[path.len().saturating_sub(4)..];
+            if pass >= 2 {
+                let gate = [BlameCategory::Unpack, BlameCategory::Sync][pass - 2];
+                let want = [
+                    gate,
+                    BlameCategory::Overhead,
+                    BlameCategory::GatherPool,
+                    BlameCategory::Sync,
+                ];
+                assert_eq!(tail, want, "pass {pass}: {path:?}");
+            }
+        }
+        assert_eq!(sum, total.as_ns(), "pass {pass}: batches tile the run");
     }
 }

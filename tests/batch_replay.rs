@@ -12,15 +12,24 @@
 //! cannot be told apart: by what the batches returned, by the machine's
 //! read-outs down to the bits of the traffic series, by any observer, or by
 //! what the machine does next.
+//!
+//! The row-wise forward and the backward pass run on the same executor but
+//! build their plans themselves and hand none out, so they are held to the
+//! same demand from outside: a closed loop over one batch, whose first
+//! execution records and whose later ones replay, against the same loop on
+//! machines that refuse every replay.
 
 use pgas_embedding::desim::{Dur, Interval, SimTime};
 use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_embedding::pgas::PgasConfig;
 use pgas_embedding::retrieval::backend::{
-    execute_batch, plan_for_batch, ArrivalLog, BatchRun, Exchange, PlannedBatch, ResiliencePolicy,
-    ResilienceReport,
+    execute_batch, plan_for_batch, ArrivalLog, BatchRun, Exchange, ExecMode, PlannedBatch,
+    ResiliencePolicy, ResilienceReport,
 };
-use pgas_embedding::retrieval::{EmbLayerConfig, SparseBatch};
+use pgas_embedding::retrieval::backward::{baseline_backward, pgas_backward};
+use pgas_embedding::retrieval::rowwise::{rowwise_baseline_forward, rowwise_pgas_forward};
+use pgas_embedding::retrieval::{EmbLayerConfig, RunReport, SparseBatch};
+use pgas_embedding::simccl::CollectiveConfig;
 use proptest::prelude::*;
 
 /// One scenario: a machine, traffic that precedes the batches, and three
@@ -96,19 +105,63 @@ struct Seen {
     runs: Vec<BatchRun>,
     /// Per logged batch, per destination.
     arrivals: Vec<Vec<Vec<(SimTime, u64)>>>,
-    /// A send on every link and a kernel on every device after batch 1:
-    /// when they start shows when ports, links and streams were free.
+    /// [`probe`]s after batch 1.
     probes: Vec<Interval>,
+    wire: Wire,
+    books: String,
+    metrics: String,
+    trace: Option<String>,
+    blame_spans: Option<usize>,
+}
+
+/// What the fabric shows after a scenario, whatever observed it.
+#[derive(Debug, PartialEq)]
+struct Wire {
     traffic_bits: Vec<Vec<u64>>,
     total_traffic_bits: Vec<u64>,
     stats: String,
     /// Count, bits of the mean, min, max.
     message_sizes: (u64, u64, Option<u64>, Option<u64>),
     finish: SimTime,
-    books: String,
-    metrics: String,
-    trace: Option<String>,
-    blame_spans: Option<usize>,
+}
+
+impl Wire {
+    fn of(m: &Machine) -> Wire {
+        let n = m.n_gpus();
+        let bits = |ts: pgas_embedding::desim::TimeSeries| -> Vec<u64> {
+            ts.buckets().iter().map(|v| v.to_bits()).collect()
+        };
+        let sizes = m.message_sizes();
+        Wire {
+            traffic_bits: (0..n * n)
+                .map(|p| bits(m.traffic_between(p / n, p % n)))
+                .collect(),
+            total_traffic_bits: bits(m.total_traffic()),
+            stats: format!("{:?}", m.traffic_stats()),
+            message_sizes: (
+                sizes.count(),
+                sizes.mean().to_bits(),
+                sizes.min(),
+                sizes.max(),
+            ),
+            finish: m.finish_time(),
+        }
+    }
+}
+
+/// A send on every link and a kernel on every device, wanted from `at` on:
+/// when they start shows when ports, links and streams were free.
+fn probe(m: &mut Machine, at: SimTime) -> Vec<Interval> {
+    let n = m.n_gpus();
+    let pairs = (0..n * n).map(|p| (p / n, p % n)).filter(|(s, d)| s != d);
+    let mut probes: Vec<_> = pairs
+        .map(|(src, dst)| m.send(src, dst, 4096, 2, at))
+        .collect();
+    for d in 0..n {
+        let run = m.run_kernel_varied(d, &[Dur::from_us(1)], SimTime::ZERO);
+        probes.push(run.interval);
+    }
+    probes
 }
 
 /// Run `sc` with one `shared` plan for every batch, or a fresh one each.
@@ -145,39 +198,16 @@ fn drive(sc: &Scenario, shared: Option<&PlannedBatch>) -> Seen {
             arrivals.push((0..n).map(|d| log.arrivals(d).to_vec()).collect());
         }
         if batch == 0 {
-            for (src, dst) in (0..n * n).map(|p| (p / n, p % n)).filter(|(s, d)| s != d) {
-                probes.push(m.send(src, dst, 4096, 2, run.start));
-            }
-            for d in 0..n {
-                probes.push(
-                    m.run_kernel_varied(d, &[Dur::from_us(1)], SimTime::ZERO)
-                        .interval,
-                );
-            }
+            probes = probe(&mut m, run.start);
         }
         at = m.finish_time().max(run.end) + sc.gaps[batch.min(1)];
         runs.push(run);
     }
-    let bits = |ts: pgas_embedding::desim::TimeSeries| -> Vec<u64> {
-        ts.buckets().iter().map(|v| v.to_bits()).collect()
-    };
-    let sizes = m.message_sizes();
     Seen {
         runs,
         arrivals,
         probes,
-        traffic_bits: (0..n * n)
-            .map(|p| bits(m.traffic_between(p / n, p % n)))
-            .collect(),
-        total_traffic_bits: bits(m.total_traffic()),
-        stats: format!("{:?}", m.traffic_stats()),
-        message_sizes: (
-            sizes.count(),
-            sizes.mean().to_bits(),
-            sizes.min(),
-            sizes.max(),
-        ),
-        finish: m.finish_time(),
+        wire: Wire::of(&m),
         books: format!("{books:?}"),
         metrics: format!("{:?}", m.metrics().snapshot()),
         trace: m.trace().map(|t| t.to_chrome_json()),
@@ -224,7 +254,7 @@ proptest! {
         sc.start = SimTime::from_ns(1_100_000 + start_ns);
         sc.gaps = [Dur::from_ns(gaps.0), Dur::from_ns(gaps.1)];
         let seen = replayed_equals_executed(&sc);
-        prop_assert!(seen.message_sizes.0 > 0, "the batches sent nothing");
+        prop_assert!(seen.wire.message_sizes.0 > 0, "the batches sent nothing");
     }
 }
 
@@ -278,7 +308,7 @@ fn refused_with_telemetry_on() {
 fn refused_with_blame_on() {
     let seen = replayed_equals_executed(&Scenario::with(Machine::enable_blame));
     // A wire span per put, not just the kernels and fences.
-    assert!(seen.blame_spans.unwrap() as u64 > seen.message_sizes.0);
+    assert!(seen.blame_spans.unwrap() as u64 > seen.wire.message_sizes.0);
 }
 
 #[test]
@@ -378,4 +408,69 @@ fn refused_on_a_second_fabric_of_equal_gpus() {
     let mut sc = Scenario::dgx(4);
     sc.recorded_on = MachineConfig::multi_node_v100(2, 2);
     assert_eq!(replayed_equals_executed(&sc), clean());
+}
+
+/// The four pass functions that plan for themselves, by index: row-wise
+/// baseline, row-wise PGAS, backward baseline, backward PGAS.
+fn run_pass(pass: usize, m: &mut Machine, cfg: &EmbLayerConfig) -> RunReport {
+    let (cc, pgas) = (CollectiveConfig::default(), PgasConfig::default());
+    match pass {
+        0 => rowwise_baseline_forward(m, cfg, &cc, ExecMode::Timing).report,
+        1 => rowwise_pgas_forward(m, cfg, pgas, ExecMode::Timing).report,
+        2 => baseline_backward(m, cfg, &cc, ExecMode::Timing).report,
+        _ => pgas_backward(m, cfg, pgas, ExecMode::Timing).report,
+    }
+}
+
+/// What a closed loop of `pass` over `sc`'s machine and earlier traffic lets
+/// anyone see, observers aside.
+fn pass_seen(pass: usize, sc: &Scenario) -> (String, Wire, Vec<Interval>) {
+    let mut m = sc.machine();
+    for &(src, dst, payload, msgs, ready) in &sc.prior {
+        m.send(src, dst, payload, msgs, SimTime::from_ns(ready));
+    }
+    let r = run_pass(pass, &mut m, &sc.cfg);
+    let comm: Vec<u64> = r
+        .comm_series
+        .buckets()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let report = format!("{} {:?} {:?} {comm:?}", r.total, r.breakdown, r.traffic);
+    let wire = Wire::of(&m);
+    (report, wire, probe(&mut m, SimTime::ZERO))
+}
+
+#[test]
+fn the_self_planned_passes_replay_what_they_execute_and_no_observer_moves_them() {
+    // Five batches of two distinct ones: on a clean machine the backward
+    // pass executes two and replays three, the row-wise forward (one plan
+    // for every batch) executes one and replays four; a machine with any
+    // observer on refuses them all, and must show the same report, wire and
+    // free instants. Backward stores leave at block retirement, unmerged.
+    let observers: [fn(&mut Machine); 3] = [
+        Machine::enable_telemetry,
+        Machine::enable_blame,
+        Machine::enable_trace,
+    ];
+    for pass in 0..4 {
+        for prior in [vec![], vec![(0, 1, 8 << 20, 1, 0)]] {
+            let mut sc = Scenario::dgx(4);
+            // Buckets narrow enough to tell one put's nanosecond.
+            sc.fabric = sc.fabric.with_traffic_bucket(Dur::from_ns(777));
+            (sc.cfg.n_batches, sc.cfg.distinct_batches) = (5, 2);
+            sc.prior = prior;
+            let replayed = pass_seen(pass, &sc);
+            assert!(replayed.1.message_sizes.0 > 0, "pass {pass} sent nothing");
+            for observer in observers {
+                sc.setup = Box::new(observer);
+                assert_eq!(pass_seen(pass, &sc), replayed, "pass {pass}");
+            }
+        }
+    }
+    // The earlier transfer is felt: device 0's stores queue behind it.
+    let mut sc = Scenario::dgx(4);
+    let clean = pass_seen(3, &sc);
+    sc.prior = vec![(0, 1, 8 << 20, 1, 0)];
+    assert_ne!(pass_seen(3, &sc).0, clean.0);
 }
