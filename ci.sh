@@ -14,11 +14,14 @@
 # parameters with the committed results/, byte for byte (which also pins
 # "observability is inert when off"). The observer-on artifacts (pods,
 # netutil, blame: telemetry timelines and blame vectors) get the same byte
-# gate from three full-scale runs, about 7 + 1 + 10 s; so do the two
+# gate from three full-scale runs, about 7 + 1 + 10 s; so do the three
 # artifacts that lean hardest on shared plans: chaos (stragglers and link
 # faults over shared PlannedBatches, i.e. the per-device schedule store and
-# its refusals, about 2 s) and serve (the request pool and the memoized
-# canonical plans, about 11 s). The three Chrome traces of the timeline_trace
+# its refusals, about 2 s), serve (the request pool and the memoized
+# canonical plans, about 6 s) and adapt (the controlled serving path: tier
+# switches requeue closed batches, leaving misaligned windows planned fresh
+# from pool runs, and hot-cache resizes drop the canonical plans; about
+# 3 s). The three Chrome traces of the timeline_trace
 # example join them (about 2 s): a traced machine refuses to replay recorded
 # deliveries but launches kernels by their recorded length, which must leave
 # the very trace events dispatching the blocks leaves.
@@ -70,12 +73,14 @@ same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \
     whatif.csv ablation-zipf.csv
 # Full scale, one experiment per invocation: observers on (pods, netutil,
-# blame), then shared plans under faults (chaos) and under serving (serve).
-for e in pods netutil blame chaos serve; do
+# blame), then shared plans under faults (chaos), under serving (serve) and
+# under the serving control plane (adapt).
+for e in pods netutil blame chaos serve adapt; do
     $reproduce "$e" --out-dir "$d2" > /dev/null
 done
 cargo run --release --example timeline_trace --offline -- --out-dir "$d2" > /dev/null
 same_as_results "$d2" pods.csv BENCH_pods.json netutil.csv BENCH_netutil.json \
     blame.csv BENCH_blame.json blame_folded.txt chaos.csv serve.csv \
-    trace_baseline.json trace_pgas.json trace_pipeline.json
+    adapt.csv BENCH_adapt.json trace_baseline.json trace_pgas.json \
+    trace_pipeline.json
 echo "ci: all gates passed"

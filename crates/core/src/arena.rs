@@ -4,7 +4,7 @@
 //! The serving and closed-loop paths execute the same batch shape over and
 //! over; before this module every execution re-allocated its scratch
 //! (per-device kernel-end instants, store-release schedules, pooled-row
-//! buffers, assembled offsets). [`BatchArena`] extends the
+//! buffers). [`BatchArena`] extends the
 //! [`crate::IndexDedupMap`] no-allocation discipline to that whole path:
 //! each buffer type has a typed free list, `take_*` pops a cleared buffer
 //! (retaining its previous capacity) and `put_*` returns it, so
@@ -126,7 +126,6 @@ macro_rules! arena_slabs {
 arena_slabs! {
     f32s: f32 => take_f32 / put_f32,
     u64s: u64 => take_u64 / put_u64,
-    u32s: u32 => take_u32 / put_u32,
     usizes: usize => take_usize / put_usize,
     bools: bool => take_bool / put_bool,
     times: SimTime => take_time / put_time,

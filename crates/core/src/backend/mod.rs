@@ -33,7 +33,9 @@ use rayon::prelude::*;
 use simtensor::Tensor;
 
 use crate::memo::Memo;
-use crate::{DevicePlan, EmbLayerConfig, ForwardPlan, RunReport, SparseBatch, TimeBreakdown};
+use crate::{
+    DevicePlan, EmbLayerConfig, ForwardPlan, PlanInput, RunReport, SparseBatch, TimeBreakdown,
+};
 
 /// Whether a run materializes weights and produces outputs, or only times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,6 +207,22 @@ pub fn plan_with_planner(
     gpu: &GpuSpec,
     planner: Option<&HotCachePlanner>,
 ) -> ForwardPlan {
+    let mut p = plain_plan(cfg, batch, gpu);
+    if let Some(pl) = planner {
+        pl.annotate(&mut p, batch);
+    }
+    p
+}
+
+/// The plain (uncached, undeduped) forward plan of `batch` under `cfg`'s
+/// layout, stamped with the cache-hit fraction: all a batch known only by
+/// its bag sizes can be planned with, and what [`plan_with_planner`]
+/// annotates.
+pub fn plain_plan(
+    cfg: &EmbLayerConfig,
+    batch: &(impl PlanInput + Sync),
+    gpu: &GpuSpec,
+) -> ForwardPlan {
     let mut p = ForwardPlan::build(
         batch,
         &cfg.sharding(),
@@ -213,9 +231,6 @@ pub fn plan_with_planner(
         cfg.bags_per_block,
     );
     p.cache_hit = cache_hit_for(cfg, gpu);
-    if let Some(pl) = planner {
-        pl.annotate(&mut p, batch);
-    }
     p
 }
 

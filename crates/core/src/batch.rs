@@ -217,41 +217,24 @@ impl SparseBatch {
 
     /// Assemble a counts-only batch from per-request bag-size rows:
     /// `requests[s][f]` is the pooling factor of feature `f` in request
-    /// `s`. This is the serving path's entry point, where a batch is
-    /// composed from queued requests (in admission order) rather than drawn
-    /// from a seed — a batch assembled from the columns of a generated
-    /// batch, in order, is bit-identical to that batch.
+    /// `s` — a batch assembled from the columns of a generated batch, in
+    /// order, is bit-identical to that batch. The serving path does not
+    /// assemble one: it plans a closed batch straight from the request pool
+    /// (a [`crate::PlanInput`]), and this is the oracle that plan is tested
+    /// against.
     pub fn from_bag_sizes(
         n_features: usize,
         requests: &[Vec<u32>],
-    ) -> Result<Self, BatchAssemblyError> {
-        Self::from_rows(n_features, requests)
-    }
-
-    /// [`SparseBatch::from_bag_sizes`] over borrowed rows. The serve
-    /// micro-batcher pads short admission windows by appending one shared
-    /// pad row several times; slices let it do that without cloning every
-    /// request's bag sizes into an owned `Vec<Vec<u32>>` first.
-    pub fn from_bag_size_slices(
-        n_features: usize,
-        requests: &[&[u32]],
-    ) -> Result<Self, BatchAssemblyError> {
-        Self::from_rows(n_features, requests)
-    }
-
-    fn from_rows<R: AsRef<[u32]>>(
-        n_features: usize,
-        requests: &[R],
     ) -> Result<Self, BatchAssemblyError> {
         if requests.is_empty() || n_features == 0 {
             return Err(BatchAssemblyError::Empty);
         }
         for (s, r) in requests.iter().enumerate() {
-            if r.as_ref().len() != n_features {
+            if r.len() != n_features {
                 return Err(BatchAssemblyError::FeatureCountMismatch {
                     request: s,
                     expected: n_features,
-                    got: r.as_ref().len(),
+                    got: r.len(),
                 });
             }
         }
@@ -261,7 +244,7 @@ impl SparseBatch {
         let mut total = 0usize;
         for f in 0..n_features {
             for r in requests {
-                total += r.as_ref()[f] as usize;
+                total += r[f] as usize;
                 offsets.push(total);
             }
         }

@@ -53,7 +53,7 @@ pub use batch::{BatchAssemblyError, IndexDistribution, SparseBatch, SparseBatchS
 pub use cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
 pub use config::EmbLayerConfig;
 pub use hash::{hash_to_row, IndexHasher};
-pub use plan::{BlockCacheStats, BlockPlan, DevicePlan, ForwardPlan, ImportedBag};
+pub use plan::{BlockCacheStats, BlockPlan, DevicePlan, ForwardPlan, ImportedBag, PlanInput};
 pub use pooling::PoolingOp;
 pub use sharding::{InputPartition, Sharding};
 pub use table::{EmbeddingShard, EmbeddingTableSpec, NotResident};

@@ -11,6 +11,34 @@ use rayon::prelude::*;
 
 use crate::{PoolingOp, Sharding, SparseBatch};
 
+/// What [`ForwardPlan::build`] reads from a batch: its shape and the lookups
+/// of a run of consecutive samples of one feature. A [`SparseBatch`] answers
+/// from its CSR offsets; the serving path answers from the request pool the
+/// batch's requests were dealt from, without assembling a CSR.
+pub trait PlanInput {
+    /// Samples `N`.
+    fn batch_size(&self) -> usize;
+    /// Sparse features `S`.
+    fn n_features(&self) -> usize;
+    /// Sum of the pooling factors of `feature`'s `len` consecutive samples
+    /// starting at `sample`.
+    fn lookups_in(&self, feature: usize, sample: usize, len: usize) -> usize;
+}
+
+impl PlanInput for SparseBatch {
+    fn batch_size(&self) -> usize {
+        self.batch_size()
+    }
+
+    fn n_features(&self) -> usize {
+        self.n_features()
+    }
+
+    fn lookups_in(&self, feature: usize, sample: usize, len: usize) -> usize {
+        self.lookups_in(feature, sample, len)
+    }
+}
+
 /// Measured (per-index) cache/dedup accounting for one thread block, stamped
 /// by [`crate::backend::HotCachePlanner::annotate`] on cached or deduped
 /// plans. When present, the timing model uses these counts instead of the
@@ -151,10 +179,11 @@ impl ForwardPlan {
     /// size does not divide evenly, mini-batches follow the ceil-split
     /// convention (first devices get `⌈N/G⌉` samples).
     ///
-    /// Costs O(blocks + features), not O(bags): the timing model consumes
-    /// pooling-factor sums per block, never per-bag state.
+    /// Costs O(blocks + features) [`PlanInput::lookups_in`] calls, not
+    /// O(bags): the timing model consumes pooling-factor sums per block,
+    /// never per-bag state.
     pub fn build(
-        batch: &SparseBatch,
+        batch: &(impl PlanInput + Sync),
         sharding: &Sharding,
         dim: usize,
         pooling: PoolingOp,

@@ -63,7 +63,7 @@ impl MicroBatcher {
     /// Wrap a sorted arrival stream. `n_features` is the workload's sparse
     /// feature count; requests with a different bag-size length are counted
     /// malformed and never admitted.
-    pub fn new(cfg: BatcherConfig, n_features: usize, mut requests: Vec<Request>) -> Self {
+    pub fn new(cfg: BatcherConfig, n_features: usize, requests: Vec<Request>) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.queue_bound >= 1, "queue_bound must be at least 1");
         assert!(
@@ -73,7 +73,7 @@ impl MicroBatcher {
         MicroBatcher {
             cfg,
             n_features,
-            pending: requests.drain(..).collect(),
+            pending: VecDeque::from(requests),
             queue: VecDeque::new(),
             served: 0,
             shed: 0,
@@ -234,7 +234,7 @@ mod tests {
         Request {
             id,
             arrival: SimTime::ZERO + Dur::from_us(at_us),
-            bags: vec![1, 2],
+            bags: vec![1, 2].into(),
         }
     }
 
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn malformed_requests_are_rejected_not_batched() {
         let mut reqs = vec![req(0, 10), req(1, 20)];
-        reqs[1].bags = vec![1, 2, 3]; // wrong feature count
+        reqs[1].bags = vec![1, 2, 3].into(); // wrong feature count
         let mut b = MicroBatcher::new(cfg(), 2, reqs);
         let batch = b.next_batch(SimTime::ZERO).unwrap();
         assert_eq!(batch.requests.len(), 1);

@@ -7,9 +7,9 @@
 //! simulated clock, end to end deterministic for a fixed seed:
 //!
 //! * [`RequestGenerator`] — seeded open-loop arrivals (Poisson or bursty
-//!   ON/OFF), each request carrying the per-feature bag sizes of one sample
-//!   of the workload's synthetic input distribution (uniform or Zipf key
-//!   skew, via [`emb_retrieval::EmbLayerConfig`]).
+//!   ON/OFF), each request carrying a handle to the per-feature bag sizes of
+//!   one sample of the workload's synthetic input distribution (uniform or
+//!   Zipf key skew, via [`emb_retrieval::EmbLayerConfig`]) in a shared pool.
 //! * [`MicroBatcher`] — admission queue + dynamic batcher: a batch closes
 //!   when it reaches `max_batch` requests or when its oldest request has
 //!   waited `close_deadline`, whichever comes first; arrivals beyond
@@ -27,7 +27,7 @@
 //!   hot-cache resizing, all driven from the EXT-10 telemetry signals and
 //!   bit-deterministic for a fixed seed ([`EmbServer::run_controlled`]).
 //!
-//! Because batches assembled from queued requests execute through the very
+//! Because batches closed from queued requests execute through the very
 //! same per-batch functions as the closed-loop experiments, a full batch of
 //! canonical composition costs exactly the closed-loop per-batch time —
 //! serving latencies are directly comparable to the paper's Table I.
@@ -42,6 +42,6 @@ mod slo;
 
 pub use batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
 pub use control::{ControlConfig, ControlReport, Controller, Decision, TickSignals, Tier};
-pub use request::{forget_memoized, ArrivalProcess, Request, RequestGenerator};
+pub use request::{forget_memoized, ArrivalProcess, Bags, PoolWindow, Request, RequestGenerator};
 pub use server::{EmbServer, ServeBackendKind, ServeConfig, ServeError, ServeReport};
 pub use slo::LatencyStats;

@@ -1,11 +1,12 @@
 //! Open-loop request generation: seeded arrival processes over the
 //! workload's synthetic sparse-input distribution.
 
+use std::fmt;
 use std::sync::Arc;
 
 use desim::{Dur, SimTime};
 use emb_retrieval::memo::Memo;
-use emb_retrieval::{EmbLayerConfig, SparseBatch};
+use emb_retrieval::{BatchAssemblyError, EmbLayerConfig, PlanInput, SparseBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -58,10 +59,197 @@ pub struct Request {
     pub id: u64,
     /// Arrival instant on the simulated clock.
     pub arrival: SimTime,
-    /// Bag size per sparse feature, `bags[f]` = pooling factor of feature
-    /// `f`. Length must equal the workload's feature count; the batcher
-    /// counts mismatches as malformed and sheds them.
-    pub bags: Vec<u32>,
+    /// Bag size per sparse feature: the request's column of the pool it was
+    /// dealt from, read in place. Its length must equal the workload's
+    /// feature count; the batcher counts mismatches as malformed and sheds
+    /// them.
+    pub bags: Bags,
+}
+
+/// Canonical batches of bag sizes, `u32` and feature-major per batch
+/// (`sizes[w][f · N + s]`, the order [`SparseBatch::generate_counts_only`]
+/// produces), so one feature's run of consecutive samples is one contiguous
+/// slice.
+#[derive(Debug)]
+struct Pool {
+    /// Samples per canonical batch, `N`.
+    batch_size: usize,
+    n_features: usize,
+    sizes: Vec<Vec<u32>>,
+}
+
+/// A request's bag sizes: column `col` of canonical batch `which` of a
+/// shared pool, 16 bytes whatever the feature count. Requests dealt by a
+/// [`RequestGenerator`] point into its pool; `From<Vec<u32>>` makes a
+/// hand-built one its own one-sample pool. Two handles are equal when their
+/// sizes are.
+#[derive(Clone)]
+pub struct Bags {
+    pool: Arc<Pool>,
+    which: u32,
+    col: u32,
+}
+
+impl Bags {
+    /// Number of features.
+    pub fn len(&self) -> usize {
+        self.pool.n_features
+    }
+
+    /// Whether the request has no features at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bag size of feature `f`, or `None` past the last feature.
+    pub fn get(&self, f: usize) -> Option<u32> {
+        (f < self.len()).then(|| self.sizes()[f * self.pool.batch_size + self.col as usize])
+    }
+
+    /// The bag sizes, copied out in feature order.
+    pub fn to_vec(&self) -> Vec<u32> {
+        self.iter().collect()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let sizes = &self.sizes()[self.col as usize..];
+        sizes.iter().step_by(self.pool.batch_size).copied()
+    }
+
+    /// The canonical batch this column belongs to.
+    fn sizes(&self) -> &[u32] {
+        &self.pool.sizes[self.which as usize]
+    }
+}
+
+impl From<Vec<u32>> for Bags {
+    fn from(sizes: Vec<u32>) -> Self {
+        let pool = Pool {
+            batch_size: 1,
+            n_features: sizes.len(),
+            sizes: vec![sizes],
+        };
+        Bags {
+            pool: Arc::new(pool),
+            which: 0,
+            col: 0,
+        }
+    }
+}
+
+impl PartialEq for Bags {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Bags {}
+
+impl fmt::Debug for Bags {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A closed batch as its plan reads it: the requests' pool columns, grouped
+/// into runs of consecutive columns of one canonical batch, then empty
+/// samples up to a minimum count. A [`PlanInput`] over borrowed pool
+/// slices — planning it reads the bag sizes where the pool keeps them and
+/// assembles no CSR.
+pub struct PoolWindow<'a> {
+    n_features: usize,
+    /// Requests plus padding.
+    batch_size: usize,
+    /// Ascending by `start`, tiling the requests without gaps.
+    runs: Vec<Run<'a>>,
+}
+
+/// Samples `start..start + len` of a window: columns `col..col + len` of
+/// one canonical batch.
+struct Run<'a> {
+    start: usize,
+    len: usize,
+    sizes: &'a [u32],
+    /// The canonical batch's sample count, the stride between features.
+    stride: usize,
+    col: usize,
+}
+
+impl<'a> PoolWindow<'a> {
+    /// The window of `requests` (in order), padded with empty samples to at
+    /// least `min_samples`. A run ends at a canonical-batch boundary and at
+    /// any gap between consecutive requests' columns — shedding, timeouts
+    /// and requeues leave those — so runs are keyed on where the sizes
+    /// live, not on request ids. Fails as [`SparseBatch::from_bag_sizes`]
+    /// does: on no requests, or on one with the wrong feature count.
+    pub fn new(
+        requests: &'a [Request],
+        n_features: usize,
+        min_samples: usize,
+    ) -> Result<Self, BatchAssemblyError> {
+        if requests.is_empty() || n_features == 0 {
+            return Err(BatchAssemblyError::Empty);
+        }
+        let mut runs: Vec<Run<'a>> = Vec::new();
+        for (s, r) in requests.iter().enumerate() {
+            let bags = &r.bags;
+            if bags.len() != n_features {
+                return Err(BatchAssemblyError::FeatureCountMismatch {
+                    request: s,
+                    expected: n_features,
+                    got: bags.len(),
+                });
+            }
+            let (sizes, col) = (bags.sizes(), bags.col as usize);
+            match runs.last_mut() {
+                // One buffer per canonical batch (never empty: S, N ≥ 1).
+                Some(run) if run.sizes.as_ptr() == sizes.as_ptr() && run.col + run.len == col => {
+                    run.len += 1;
+                }
+                _ => runs.push(Run {
+                    start: s,
+                    len: 1,
+                    sizes,
+                    stride: bags.pool.batch_size,
+                    col,
+                }),
+            }
+        }
+        Ok(PoolWindow {
+            n_features,
+            batch_size: requests.len().max(min_samples),
+            runs,
+        })
+    }
+}
+
+impl PlanInput for PoolWindow<'_> {
+    fn batch_size(&self) -> usize {
+        self.batch_size
+    }
+
+    fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Sums the contiguous pool slice of every run the sample range
+    /// overlaps, the first found by binary search; padding adds nothing.
+    fn lookups_in(&self, feature: usize, sample: usize, len: usize) -> usize {
+        debug_assert!(feature < self.n_features && sample + len <= self.batch_size);
+        let end = sample + len;
+        let first = self.runs.partition_point(|r| r.start + r.len <= sample);
+        let overlapping = self.runs[first..].iter().take_while(|r| r.start < end);
+        overlapping
+            .map(|r| {
+                let (lo, hi) = (sample.max(r.start), end.min(r.start + r.len));
+                let at = feature * r.stride + r.col + (lo - r.start);
+                r.sizes[at..at + (hi - lo)]
+                    .iter()
+                    .map(|&b| b as usize)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
 }
 
 /// Seeded open-loop request source.
@@ -74,19 +262,14 @@ pub struct Request {
 /// bridge that lets serving latencies be checked against Table I timings.
 #[derive(Clone, Debug)]
 pub struct RequestGenerator {
-    n_features: usize,
-    batch_size: usize,
     pool: Arc<Pool>,
     process: ArrivalProcess,
     seed: u64,
 }
 
-/// The canonical pool as requests read it: per canonical batch, `u32` bag
-/// sizes row-major by *sample* (`rows[s · S + f]`), so a request's `bags`
-/// is one contiguous row. A pure function of the workload config, shared
-/// by every generator of that config (one per serve load point).
-type Pool = Vec<Vec<u32>>;
-
+/// The pools requests are dealt from: a pure function of the workload
+/// config, shared by every generator of that config (one per serve load
+/// point).
 static POOLS: Memo<EmbLayerConfig, Pool> = Memo::new();
 
 /// Drop every memoized request pool, and every prepared set of the layer
@@ -99,32 +282,31 @@ pub fn forget_memoized() {
 /// The pool of `cfg` and the bytes it occupies.
 fn build_pool(cfg: &EmbLayerConfig) -> (Pool, usize) {
     let spec = cfg.batch_spec();
+    let (n, s, batches) = (cfg.batch_size, cfg.n_features, cfg.distinct_batches.max(1));
+    assert!(
+        n.max(batches) <= u32::MAX as usize,
+        "a request handle holds its column and batch as u32"
+    );
     // Canonical batches are independently seeded: fill the pool in
     // parallel, ordered by seed index.
-    let pool: Pool = (0..cfg.distinct_batches.max(1))
+    let sizes: Vec<Vec<u32>> = (0..batches)
         .into_par_iter()
-        .map(|i| sample_major(&SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i))))
-        .collect();
-    let bytes = pool.iter().map(|rows| 4 * rows.len()).sum();
-    (pool, bytes)
-}
-
-/// Transpose a batch's feature-major bag sizes to sample-major, in tiles
-/// small enough that both the columns read and the rows written stay in L1.
-fn sample_major(b: &SparseBatch) -> Vec<u32> {
-    const TILE: usize = 64;
-    let (n, s) = (b.batch_size(), b.n_features());
-    let mut rows = vec![0u32; n * s];
-    for s0 in (0..n).step_by(TILE) {
-        for f0 in (0..s).step_by(TILE) {
-            for f in f0..(f0 + TILE).min(s) {
-                for smp in s0..(s0 + TILE).min(n) {
-                    rows[smp * s + f] = b.pooling_factor(f, smp) as u32;
-                }
+        .map(|i| {
+            let b = SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i));
+            let mut sizes = Vec::with_capacity(n * s);
+            for f in 0..s {
+                sizes.extend((0..n).map(|smp| b.pooling_factor(f, smp) as u32));
             }
-        }
-    }
-    rows
+            sizes
+        })
+        .collect();
+    let bytes = sizes.iter().map(|b| 4 * b.len()).sum();
+    let pool = Pool {
+        batch_size: n,
+        n_features: s,
+        sizes,
+    };
+    (pool, bytes)
 }
 
 impl RequestGenerator {
@@ -132,8 +314,6 @@ impl RequestGenerator {
     /// only; sparse content comes from `cfg`'s own batch seeds.
     pub fn new(cfg: &EmbLayerConfig, process: ArrivalProcess, seed: u64) -> Self {
         RequestGenerator {
-            n_features: cfg.n_features,
-            batch_size: cfg.batch_size,
             pool: POOLS.get_or_build(cfg.clone(), build_pool),
             process,
             seed,
@@ -142,12 +322,14 @@ impl RequestGenerator {
 
     /// The canonical batch pool index and column request `id` is dealt from.
     pub fn deal_of(&self, id: u64) -> (usize, usize) {
-        let col = (id % self.batch_size as u64) as usize;
-        let which = ((id / self.batch_size as u64) as usize) % self.pool.len();
-        (which, col)
+        let n = self.pool.batch_size as u64;
+        let which = ((id / n) as usize) % self.pool.sizes.len();
+        (which, (id % n) as usize)
     }
 
-    /// Generate the first `n` requests, in arrival order.
+    /// Generate the first `n` requests, in arrival order. A request's bag
+    /// sizes are a handle into the shared pool: the only allocation is the
+    /// returned `Vec`.
     pub fn generate(&self, n: usize) -> Vec<Request> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA221_7EA7_0DDB_A11A);
         let mut out = Vec::with_capacity(n);
@@ -177,7 +359,11 @@ impl RequestGenerator {
                 }
             };
             let (which, col) = self.deal_of(id);
-            let bags = self.pool[which][col * self.n_features..][..self.n_features].to_vec();
+            let bags = Bags {
+                pool: Arc::clone(&self.pool),
+                which: which as u32,
+                col: col as u32,
+            };
             out.push(Request { id, arrival, bags });
         }
         out
@@ -215,14 +401,80 @@ mod tests {
         // First N requests = canonical batch 0, next N = canonical batch 1.
         for (j, chunk) in reqs.chunks(n).enumerate() {
             let canon = SparseBatch::generate_counts_only(&c.batch_spec(), c.batch_seed(j));
-            let rows: Vec<Vec<u32>> = chunk.iter().map(|r| r.bags.clone()).collect();
+            let rows: Vec<Vec<u32>> = chunk.iter().map(|r| r.bags.to_vec()).collect();
             let re = SparseBatch::from_bag_sizes(c.n_features, &rows).unwrap();
             for f in 0..c.n_features {
-                for s in 0..n {
+                for (s, r) in chunk.iter().enumerate() {
                     assert_eq!(re.pooling_factor(f, s), canon.pooling_factor(f, s));
+                    assert_eq!(r.bags.get(f), Some(re.pooling_factor(f, s) as u32));
+                }
+            }
+            assert_eq!(chunk[0].bags.get(c.n_features), None);
+        }
+    }
+
+    #[test]
+    fn handles_compare_by_their_sizes() {
+        let c = cfg();
+        let g = RequestGenerator::new(&c, ArrivalProcess::Poisson { rate_qps: 1e5 }, 0);
+        let r = &g.generate(3)[2];
+        let copy = Bags::from(r.bags.to_vec());
+        assert_eq!(copy, r.bags, "a hand-built copy equals the pool column");
+        assert_eq!(format!("{copy:?}"), format!("{:?}", r.bags.to_vec()));
+        assert_eq!((copy.len(), copy.is_empty()), (c.n_features, false));
+        let mut other = r.bags.to_vec();
+        other[0] += 1;
+        assert_ne!(Bags::from(other), r.bags);
+        assert_ne!(Bags::from(vec![1, 2]), Bags::from(vec![1, 2, 3]));
+        assert_eq!(std::mem::size_of::<Bags>(), 16);
+    }
+
+    #[test]
+    fn a_window_splits_into_runs_of_consecutive_pool_columns() {
+        let c = cfg();
+        let n = c.batch_size;
+        let g = RequestGenerator::new(&c, ArrivalProcess::Poisson { rate_qps: 1e5 }, 0);
+        let reqs = g.generate(3 * n);
+        // Crosses a canonical-batch boundary, then skips a request.
+        let mut window: Vec<Request> = reqs[n - 2..n + 2].to_vec();
+        window.extend_from_slice(&reqs[n + 3..n + 5]);
+        window.push(Request {
+            id: u64::MAX,
+            arrival: SimTime::ZERO,
+            bags: vec![7; c.n_features].into(),
+        });
+        let w = PoolWindow::new(&window, c.n_features, 16).unwrap();
+        let runs: Vec<(usize, usize, usize)> =
+            w.runs.iter().map(|r| (r.start, r.len, r.col)).collect();
+        assert_eq!(runs, [(0, 2, n - 2), (2, 2, 0), (4, 2, 3), (6, 1, 0)]);
+        assert_eq!(w.batch_size(), 16);
+        for f in 0..c.n_features {
+            for lo in 0..16 {
+                for hi in lo..=16 {
+                    let want: u32 = window
+                        .get(lo..hi.min(window.len()))
+                        .unwrap_or_default()
+                        .iter()
+                        .map(|r| r.bags.get(f).unwrap())
+                        .sum();
+                    assert_eq!(w.lookups_in(f, lo, hi - lo), want as usize);
                 }
             }
         }
+        let mut short = window.clone();
+        short[3].bags = vec![1].into();
+        assert_eq!(
+            PoolWindow::new(&short, c.n_features, 16).err(),
+            Some(BatchAssemblyError::FeatureCountMismatch {
+                request: 3,
+                expected: c.n_features,
+                got: 1
+            })
+        );
+        assert_eq!(
+            PoolWindow::new(&[], c.n_features, 16).err(),
+            Some(BatchAssemblyError::Empty)
+        );
     }
 
     #[test]

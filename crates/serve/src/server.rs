@@ -7,17 +7,17 @@ use std::sync::Arc;
 use desim::{Dur, SimTime};
 use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline};
 use emb_retrieval::backend::{
-    execute_batch, plan_with_planner, prepare_batches, DegradedFill, Exchange, ExecMode,
-    PlannedBatch, ResiliencePolicy, ResilienceReport, ResilientBackend,
+    execute_batch, plain_plan, prepare_batches, DegradedFill, Exchange, ExecMode, PlannedBatch,
+    ResiliencePolicy, ResilienceReport, ResilientBackend,
 };
-use emb_retrieval::{arena, BatchAssemblyError, EmbLayerConfig, SparseBatch};
+use emb_retrieval::{BatchAssemblyError, EmbLayerConfig};
 use gpusim::{Machine, NoLink};
 use pgas_rt::PgasConfig;
 use simccl::CollectiveConfig;
 
 use crate::batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
 use crate::control::{ControlReport, Controller, TickSignals, Tier};
-use crate::request::{ArrivalProcess, RequestGenerator};
+use crate::request::{ArrivalProcess, PoolWindow, RequestGenerator};
 use crate::slo::LatencyStats;
 
 /// Which retrieval backend serves the embedding layer.
@@ -121,7 +121,8 @@ pub enum ServeError {
     /// The machine's topology is missing a route the all-to-all exchange
     /// needs.
     NoRoute(NoLink),
-    /// A closed batch could not be assembled into a sparse batch.
+    /// A closed batch could not be planned: it held no requests, or one
+    /// with the wrong feature count.
     Assembly(BatchAssemblyError),
     /// [`EmbServer::run_controlled`] was called without `cfg.slo`: the
     /// control plane steers against the SLO and has nothing to aim at.
@@ -543,7 +544,8 @@ impl EmbServer {
 
     /// Plan a closed batch: the canonical fast path when it is a full,
     /// aligned run of consecutive requests (bit-identical to a closed-loop
-    /// batch), otherwise assembled from the requests' actual bag sizes.
+    /// batch), otherwise planned from the requests' bag sizes where the
+    /// pool keeps them ([`PoolWindow`]).
     ///
     /// Aligned batches return a *borrow* of the canonical plan — the steady
     /// state serves every batch without deep-cloning `PlannedBatch` (plan,
@@ -573,23 +575,14 @@ impl EmbServer {
             return Ok(Planned::Cached(&planned[which]));
         }
 
-        // Partial/misaligned batch: assemble from the actual requests,
-        // padded with empty samples up to the GPU count (the plan splits
-        // samples across devices and needs at least one per device).
-        // Requests carry bag *sizes* only, so there are no raw indices to
-        // profile: assembled batches always run with plain (uncached,
-        // undeduped) accounting. Rows are borrowed straight from the
-        // requests (one shared pad row), not cloned.
-        let mut pad = arena::take_u32();
-        pad.resize(emb.n_features, 0);
-        let mut rows: Vec<&[u32]> = reqs.iter().map(|r| r.bags.as_slice()).collect();
-        while rows.len() < emb.n_gpus {
-            rows.push(&pad);
-        }
-        let batch = SparseBatch::from_bag_size_slices(emb.n_features, &rows)?;
-        drop(rows);
-        arena::put_u32(pad);
-        let plan = plan_with_planner(emb, &batch, machine.spec(0), None);
+        // Partial/misaligned batch: planned from the pool runs its requests
+        // point into, padded with empty samples up to the GPU count (the
+        // plan splits samples across devices and needs at least one per
+        // device). Requests carry bag *sizes* only, so there are no raw
+        // indices to profile: fresh batches always run with plain
+        // (uncached, undeduped) accounting.
+        let window = PoolWindow::new(reqs, emb.n_features, emb.n_gpus)?;
+        let plan = plain_plan(emb, &window, machine.spec(0));
         Ok(Planned::Fresh(PlannedBatch::new(machine, plan)))
     }
 }

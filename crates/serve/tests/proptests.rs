@@ -1,17 +1,58 @@
 //! Property-based tests for the serving layer: batching determinism,
-//! deadline/shed/timeout accounting, and quantile edge cases.
+//! deadline/shed/timeout accounting, quantile edge cases, and the plan of a
+//! fresh batch against the assembled-CSR oracle.
 
 use desim::{Dur, SimTime};
-use emb_retrieval::EmbLayerConfig;
+use emb_retrieval::backend::{plain_plan, plan_with_planner, PlannedBatch};
+use emb_retrieval::{EmbLayerConfig, SparseBatch};
 use emb_serve::{
-    ArrivalProcess, BatcherConfig, LatencyStats, MicroBatcher, Request, RequestGenerator,
+    ArrivalProcess, BatcherConfig, LatencyStats, MicroBatcher, PoolWindow, Request,
+    RequestGenerator,
 };
+use gpusim::{Machine, MachineConfig};
 use proptest::prelude::*;
 
 fn workload() -> EmbLayerConfig {
     let mut c = EmbLayerConfig::paper_weak_scaling(2).scaled_down(512);
     c.distinct_batches = 2;
     c
+}
+
+/// Plan `window` as the serving path does (from pool runs) and as it did
+/// before (a CSR assembled from copied rows, padded with empty rows up to
+/// the GPU count), and require the two to agree block by block, in the byte
+/// matrix and in every block duration.
+fn assert_window_plans_like_the_oracle(
+    cfg: &EmbLayerConfig,
+    window: &[Request],
+) -> Result<(), TestCaseError> {
+    let m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
+    let gpu = m.spec(0);
+    let view = PoolWindow::new(window, cfg.n_features, cfg.n_gpus)
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let got = PlannedBatch::new(&m, plain_plan(cfg, &view, gpu));
+
+    let mut rows: Vec<Vec<u32>> = window.iter().map(|r| r.bags.to_vec()).collect();
+    rows.resize(rows.len().max(cfg.n_gpus), vec![0; cfg.n_features]);
+    let batch = SparseBatch::from_bag_sizes(cfg.n_features, &rows)
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    let want = PlannedBatch::new(&m, plan_with_planner(cfg, &batch, gpu, None));
+
+    let (gp, wp) = (got.plan(), want.plan());
+    prop_assert_eq!(gp.batch_size, wp.batch_size);
+    prop_assert_eq!(&gp.mb_sizes, &wp.mb_sizes);
+    prop_assert_eq!(gp.devices.len(), wp.devices.len());
+    for (gd, wd) in gp.devices.iter().zip(&wp.devices) {
+        prop_assert_eq!(gd.blocks.len(), wd.blocks.len());
+        for (i, (g, w)) in gd.blocks.iter().zip(&wd.blocks).enumerate() {
+            prop_assert_eq!(g, w, "device {} block {}: {:?} != {:?}", gd.device, i, g, w);
+        }
+        prop_assert_eq!(gd.total_lookups, wd.total_lookups);
+    }
+    prop_assert_eq!(gp, wp);
+    prop_assert_eq!(got.byte_matrix(), want.byte_matrix());
+    prop_assert_eq!(got.durations(), want.durations());
+    Ok(())
 }
 
 /// Closed batches (close instant + request ids) plus the final
@@ -46,6 +87,55 @@ fn batcher_strategy() -> impl Strategy<Value = BatcherConfig> {
 }
 
 proptest! {
+    /// A fresh batch planned from pool runs equals the oracle for every kind
+    /// of window a batcher closes: misaligned inside one canonical batch,
+    /// across a canonical-batch boundary (including the wrap back to batch
+    /// 0), with gaps left by shedding or timeouts, and with fewer requests
+    /// than GPUs — on 2–4 GPUs (3 does not divide `N`), with a
+    /// `bags_per_block` that divides neither `N·S` of the window nor, mostly,
+    /// a feature's samples, so blocks straddle features.
+    #[test]
+    fn fresh_plans_from_pool_runs_equal_the_assembled_oracle(
+        g in 2usize..5,
+        kind in 0usize..4,
+        a in 0usize..10_000,
+        b in 0usize..10_000,
+        mask in any::<u64>(),
+        bpb in 2usize..40,
+    ) {
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(g).scaled_down(512);
+        (cfg.n_features, cfg.distinct_batches) = (2 * g, 2);
+        let n = cfg.batch_size;
+        let reqs = RequestGenerator::new(&cfg, ArrivalProcess::Poisson { rate_qps: 1e5 }, 1)
+            .generate(3 * n);
+        let window: Vec<Request> = match kind {
+            0 => {
+                let start = 1 + a % (n - g);
+                reqs[start..][..g + b % (n - start - g + 1)].to_vec()
+            }
+            1 => {
+                let boundary = if a % 2 == 0 { n } else { 2 * n };
+                let start = boundary - 1 - (a / 2) % (n / 2);
+                reqs[start..][..boundary - start + 1 + b % (n / 2)].to_vec()
+            }
+            2 => {
+                let run = &reqs[a % (2 * n)..][..g + 1 + b % (n - g)];
+                let mut kept: Vec<Request> = (0..run.len())
+                    .filter(|&i| i == 0 || (mask >> (i % 64)) & 1 == 0)
+                    .map(|i| run[i].clone())
+                    .collect();
+                if kept.len() == run.len() {
+                    kept.remove(1);
+                }
+                kept
+            }
+            _ => reqs[a % (3 * n - g)..][..1 + b % (g - 1)].to_vec(),
+        };
+        let bags = cfg.n_features * window.len().max(g);
+        cfg.bags_per_block = (bpb..).find(|k| bags % k != 0).unwrap_or(bpb);
+        assert_window_plans_like_the_oracle(&cfg, &window)?;
+    }
+
     /// For a fixed seed the batcher's output is bit-reproducible no matter
     /// how many OS threads run it concurrently: batching state lives
     /// entirely on the simulated clock, so wall-clock scheduling cannot
