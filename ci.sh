@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # Repo CI gate. Run from the repo root; fails fast on the first broken step.
 #
-# Formatting, release build, the full test suite under a 1-thread and a
-# 4-thread worker pool (the parallel engine's determinism contract), clippy,
+# Formatting, release build, rustdoc with warnings denied (so a doc link to
+# a deleted or private item fails here), the full test suite under a
+# 1-thread and a 4-thread worker pool (the parallel engine's determinism
+# contract), clippy,
 # the benchmark package's own tests and smoke run (so a refactor that breaks
 # the API surface benchmark/ pins fails here, not at the benchmark gate),
 # then every experiment of `reproduce` (`all`, then `skew`) at smoke scale.
@@ -14,7 +16,7 @@
 # parameters with the committed results/, byte for byte (which also pins
 # "observability is inert when off"). The observer-on artifacts (pods,
 # netutil, blame: telemetry timelines and blame vectors) get the same byte
-# gate from three full-scale runs, about 7 + 1 + 10 s; so do the three
+# gate from three full-scale runs, about 3 + 0.3 + 6 s; so do the three
 # artifacts that lean hardest on shared plans: chaos (stragglers and link
 # faults over shared PlannedBatches, i.e. the per-device schedule store and
 # its refusals, about 2 s), serve (the request pool and the memoized
@@ -34,6 +36,7 @@ find crates/*/src src examples -name '*.rs' | sort | xargs awk \
 
 cargo fmt --all -- --check
 cargo build --release --workspace --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 RAYON_NUM_THREADS=1 cargo test -q --workspace --offline
 RAYON_NUM_THREADS=4 cargo test -q --workspace --offline
 cargo clippy --all-targets --workspace --offline -- -D warnings

@@ -336,9 +336,6 @@ fn run_cell(
         }
         let server = EmbServer::new(scfg);
         let rep = if policy == "adaptive" {
-            // Telemetry on: the controller reads its retry signals from
-            // the live registry rather than the resilience books.
-            machine.enable_telemetry();
             let c = ctrl.get_or_insert_with(|| {
                 Controller::new(
                     ControlConfig::for_slo(y.slo, &server.config().batcher),

@@ -131,7 +131,7 @@ impl<E, F> ChunkSend<E> for F where
 }
 
 /// Validate the byte matrix, run `cfg.algorithm`'s schedule over `send` and
-/// record the call's telemetry. Returns per-device completion instants.
+/// count the call in telemetry. Returns per-device completion instants.
 fn run_schedule<E>(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
@@ -150,30 +150,8 @@ fn run_schedule<E>(
         Algorithm::Ring => ring_schedule(machine, cfg, send_bytes, ready, send),
         Algorithm::Hierarchical => hierarchical_schedule(machine, cfg, send_bytes, ready, send),
     }?;
-    record_collective_span(machine, ready, &done);
+    machine.metrics_mut().incr("collective_calls", 0, 0);
     Ok(done)
-}
-
-/// Telemetry: one collective call plus its phase span (earliest participant
-/// ready → last delivery). No-op when the machine's registry is disabled.
-fn record_collective_span(machine: &mut Machine, ready: &[SimTime], done: &[SimTime]) {
-    let m = machine.metrics_mut();
-    if !m.is_enabled() {
-        return;
-    }
-    m.incr("collective_calls", 0, 0);
-    let end = done.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let start = ready.iter().copied().fold(end, SimTime::min);
-    m.span("collective_span_ns", 0, 0, start, end);
-    if end > start {
-        m.observe(
-            "collective_span_us",
-            0,
-            0,
-            telemetry::US_BOUNDS,
-            end.since(start).as_ns() / 1_000,
-        );
-    }
 }
 
 /// The algorithm-independent functional data movement of an all-to-all.
@@ -735,10 +713,7 @@ mod tests {
         // crosses the slow tier once per cross-node GPU pair (8 messages);
         // the hierarchical one crosses once per ordered node pair (2).
         let bytes: Vec<Vec<u64>> = (0..4).map(|_| vec![1024; 4]).collect();
-        let count_inter = |m: &Machine| {
-            let t = m.metrics().counter("fabric_tier_messages", 1, 0);
-            t
-        };
+        let count_inter = |m: &Machine| m.metrics().counter("fabric_tier_messages", 1, 0);
         let mut md = Machine::new(MachineConfig::pod_v100(2, 2));
         md.enable_telemetry();
         let _ = all_to_all_timed(&mut md, &CollectiveConfig::default(), &bytes, &ready(4));
@@ -754,10 +729,14 @@ mod tests {
         assert_eq!(count_inter(&mh), 2);
         assert!(h.all_done() > SimTime::ZERO);
         // Same payload crosses the slow tier either way.
-        assert_eq!(
-            md.metrics().counter("fabric_tier_payload_bytes", 1, 0),
-            mh.metrics().counter("fabric_tier_payload_bytes", 1, 0),
-        );
+        let inter_payload = |m: &Machine| -> f64 {
+            let t = m.topology();
+            let pairs = (0..16).map(|p| (p / 4, p % 4));
+            let cross = pairs.filter(|&(s, d)| !t.same_node(s, d));
+            cross.map(|(s, d)| m.traffic_between(s, d).total()).sum()
+        };
+        assert_eq!(inter_payload(&md), inter_payload(&mh));
+        assert_eq!(inter_payload(&md), 8.0 * 1024.0);
     }
 
     #[test]

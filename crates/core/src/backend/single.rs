@@ -469,13 +469,6 @@ pub struct Degrade<'a> {
     pub report: &'a mut ResilienceReport,
 }
 
-/// Telemetry backend ids used as the `i` label of per-batch metrics:
-/// collective, one-sided (flat or gateway), and any batch executed with
-/// degradation books.
-const BACKEND_BASELINE: u32 = 0;
-const BACKEND_PGAS: u32 = 1;
-const BACKEND_RESILIENT: u32 = 2;
-
 /// Execute one batch at `start` over `exchange` — the single per-batch entry
 /// point every closed loop, the serving layer and the pipeline engine drive.
 ///
@@ -1066,7 +1059,7 @@ impl<'a, 'r> Batch<'a, 'r> {
     }
 
     /// Shared epilogue: barrier over the devices, blame terminal, the
-    /// caller's books, telemetry, and the [`BatchRun`]. `comm_end` is the
+    /// caller's books and the [`BatchRun`]. `comm_end` is the
     /// instant a separate communication phase ended (`None`: fused).
     fn finish(self, comm_end: Option<SimTime>) -> BatchRun {
         let Batch {
@@ -1115,11 +1108,6 @@ impl<'a, 'r> Batch<'a, 'r> {
                 },
             },
         };
-        let backend = match (&degrade, collective) {
-            (Some(_), _) => BACKEND_RESILIENT,
-            (None, true) => BACKEND_BASELINE,
-            (None, false) => BACKEND_PGAS,
-        };
         if let Some(g) = degrade {
             let rep = g.report;
             rep.total_rows += pb.total_rows();
@@ -1132,7 +1120,6 @@ impl<'a, 'r> Batch<'a, 'r> {
             rep.device_loss_batches += usize::from(any_lost);
             rep.batch_latencies.push(run.service());
         }
-        record_batch_metrics(machine, backend, &run);
         run
     }
 }
@@ -1177,44 +1164,6 @@ fn log_local_rows(
     for (chunk, end) in dp.imported_bags.chunks(bags_per_block).zip(block_ends) {
         log.push(dp.device, end, chunk.len() as u64);
     }
-}
-
-/// Telemetry: per-batch phase breakdown and service-time histogram,
-/// labelled by backend id. For the collective exchange, `lookup` covers
-/// lookup+pack (one fused kernel) and `sync_unpack` covers wait+unpack+pool;
-/// for the one-sided ones pack/pool are fused into the kernel and the tail
-/// is the quiet/barrier drain. No-op when the registry is disabled.
-fn record_batch_metrics(machine: &mut Machine, backend: u32, run: &BatchRun) {
-    let m = machine.metrics_mut();
-    if !m.is_enabled() {
-        return;
-    }
-    m.incr("batches_run", backend, 0);
-    m.add(
-        "phase_lookup_pack_ns",
-        backend,
-        0,
-        run.breakdown.compute.as_ns(),
-    );
-    m.add(
-        "phase_comm_ns",
-        backend,
-        0,
-        run.breakdown.communication.as_ns(),
-    );
-    m.add(
-        "phase_unpack_pool_ns",
-        backend,
-        0,
-        run.breakdown.sync_unpack.as_ns(),
-    );
-    m.observe(
-        "batch_service_us",
-        backend,
-        0,
-        telemetry::US_BOUNDS,
-        run.service().as_ns() / 1_000,
-    );
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ impl IndexDistribution {
     /// mass, the *tail* of the distribution hashes near-uniformly over the
     /// table, so a `cache_rows / table_rows` slice of the remaining traffic
     /// still lands on cached rows; the model folds that in. The harmonic
-    /// sums use [`partial_harmonic`] (exact head + midpoint-corrected
+    /// sums use `partial_harmonic` (exact head + midpoint-corrected
     /// integral tail), not the raw continuous integral, which under-weights
     /// exactly the head terms where Zipf mass concentrates.
     pub fn cache_hit_fraction(&self, index_space: u64, table_rows: u64, cache_rows: u64) -> f64 {

@@ -2,7 +2,7 @@
 //!
 //! The hot per-bag path used to dispatch on [`PoolingOp`] once per *row*
 //! (`accumulate`'s `match`). Here each op is a zero-sized [`PoolKernel`]
-//! type, and [`with_pool_kernel!`] hoists the dispatch to once per call
+//! type, and `with_pool_kernel!` hoists the dispatch to once per call
 //! site: the inner loops the compiler sees are fixed-stride `f32` passes
 //! over `dim`-wide slices with no branches, which it can unroll and
 //! autovectorize. The fold/finish semantics are *exactly* those of

@@ -39,6 +39,6 @@ mod resource;
 mod time;
 
 pub use queue::EventQueue;
-pub use record::{Histogram, Spread, TimeSeries};
+pub use record::{Spread, TimeSeries};
 pub use resource::{Interval, MultiResource, Resource};
 pub use time::{Dur, SimTime};

@@ -1,4 +1,4 @@
-//! Measurement recorders: bucketed time series, histograms, counters.
+//! Measurement recorders: bucketed time series.
 //!
 //! [`TimeSeries`] is the workhorse behind the paper's Figures 7 and 10
 //! ("communication volume over time"): every byte put on a simulated wire is
@@ -158,94 +158,6 @@ impl Spread {
     }
 }
 
-/// A power-of-two bucketed histogram of `u64` samples (e.g. message sizes).
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    // counts[i] counts samples whose value has bit-length i (0 counts value 0).
-    counts: Vec<u64>,
-    total: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            counts: Vec::new(),
-            total: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = (64 - value.leading_zeros()) as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Record every sample of `other`. Counts, sums and extrema are
-    /// integers, so the result is the one recording them one by one gives.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of samples (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Smallest sample (None if empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
-    }
-
-    /// Largest sample (None if empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.max)
-    }
-
-    /// `(bucket_upper_bound, count)` for each non-empty power-of-two bucket.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let ub = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                (ub, c)
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,44 +269,6 @@ mod tests {
         assert!(burst.burstiness(horizon) > 2.0);
         assert_eq!(TimeSeries::new(Dur::from_ns(10)).burstiness(horizon), 0.0);
         assert_eq!(smooth.burstiness(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new();
-        assert_eq!(h.min(), None);
-        for v in [0, 1, 2, 3, 256, 257] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(257));
-        assert!((h.mean() - (1 + 2 + 3 + 256 + 257) as f64 / 6.0).abs() < 1e-12);
-        let buckets: Vec<_> = h.buckets().collect();
-        // value 0 -> bucket ub 0; 1 -> ub 1; 2,3 -> ub 3; 256,257 -> ub 511.
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (511, 2)]);
-    }
-
-    proptest! {
-        /// Merging is recording: any split of a sample list into a
-        /// histogram and one merged into it reads out as the whole list.
-        #[test]
-        fn histogram_merge_equals_recording_every_sample(
-            samples in prop::collection::vec(prop_oneof![0u64..4, 0u64..100_000, Just(1u64 << 62)], 0..40),
-            cut in 0usize..41,
-        ) {
-            let cut = cut.min(samples.len());
-            let (mut whole, mut head, mut tail) =
-                (Histogram::new(), Histogram::new(), Histogram::new());
-            samples.iter().for_each(|&v| whole.record(v));
-            samples[..cut].iter().for_each(|&v| head.record(v));
-            samples[cut..].iter().for_each(|&v| tail.record(v));
-            head.merge(&tail);
-            prop_assert_eq!(head.count(), whole.count());
-            prop_assert_eq!(head.mean().to_bits(), whole.mean().to_bits());
-            prop_assert_eq!((head.min(), head.max()), (whole.min(), whole.max()));
-            prop_assert_eq!(head.buckets().collect::<Vec<_>>(), whole.buckets().collect::<Vec<_>>());
-        }
     }
 
     #[test]

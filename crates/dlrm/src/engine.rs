@@ -246,15 +246,6 @@ impl<'a> PipelineEngine<'a> {
             let span = head_end[d] - SimTime::ZERO;
             if !span.is_zero() {
                 bubble_sum += 1.0 - ratio(head_busy[d], span);
-                if machine.metrics().is_enabled() {
-                    let gap = span - head_busy[d];
-                    machine.metrics_mut().add(
-                        "pipeline_bubble_ns",
-                        d as u32,
-                        streams[d].index() as u32,
-                        gap.as_ns(),
-                    );
-                }
             }
         }
         let bubble_fraction = if n == 0 { 0.0 } else { bubble_sum / n as f64 };
@@ -417,17 +408,14 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_stream_occupancy_and_bubbles() {
+    fn telemetry_is_pure_observation_of_the_engine() {
         let m = model(2);
         let mut mach = Machine::new(MachineConfig::dgx_v100(2));
         mach.enable_telemetry();
         let e = PipelineEngine::new(&m).run(&mut mach, &EngineBackend::pgas(), ExecMode::Timing);
-        assert!(mach.metrics().counter("stream_kernels", 0, 0) > 0);
-        let bubbles: u64 = (0..2)
-            .map(|d| mach.metrics().counter("pipeline_bubble_ns", d, 0))
-            .sum();
-        assert!(bubbles > 0, "head streams must show measurable bubbles");
-        // Telemetry is pure observation: a fresh silent machine matches.
+        assert!(mach.metrics().counter("kernels_launched", 0, 0) > 0);
+        assert!(e.bubble_fraction > 0.0, "head streams must show bubbles");
+        // A fresh silent machine matches.
         let mut quiet = Machine::new(MachineConfig::dgx_v100(2));
         let q = PipelineEngine::new(&m).run(&mut quiet, &EngineBackend::pgas(), ExecMode::Timing);
         assert_eq!(q.total, e.total);

@@ -1,6 +1,6 @@
 //! The machine: devices + fabric + measurement.
 
-use desim::{Dur, Histogram, Interval, Resource, SimTime, Spread, TimeSeries};
+use desim::{Dur, Interval, Resource, SimTime, Spread, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
 
@@ -175,7 +175,6 @@ pub struct SendTrain {
     injection: Resource,
     links: Vec<(usize, LinkSpec, Resource)>,
     stats: TrafficStats,
-    sizes: Histogram,
 }
 
 /// One send of a train as its recorder kept it: destination, payload, and
@@ -216,9 +215,6 @@ impl SendTrain {
         held.acquire(rel(link_iv.start), link_iv.duration());
         self.injection.acquire(rel(inj_iv.start), inj_iv.duration());
         self.stats.add(sent);
-        if let Some(mean_payload) = sent.payload_bytes.checked_div(sent.messages) {
-            self.sizes.record(mean_payload);
-        }
         true
     }
 }
@@ -256,7 +252,6 @@ pub struct Machine {
     /// The train being recorded and its origin ([`Machine::record_train`]);
     /// the train is dropped by the first send that breaks its conditions.
     recording: Option<(SimTime, Option<SendTrain>)>,
-    msg_sizes: Histogram,
     stats: TrafficStats,
     horizon: SimTime,
     trace: Option<crate::TraceLog>,
@@ -293,7 +288,6 @@ impl Machine {
             traffic: vec![PairTraffic::default(); n * n],
             sent_upto: vec![SimTime::ZERO; n],
             recording: None,
-            msg_sizes: Histogram::new(),
             stats: TrafficStats::default(),
             horizon: SimTime::ZERO,
             trace: None,
@@ -304,11 +298,11 @@ impl Machine {
         }
     }
 
-    /// Start recording telemetry (counters, per-link busy/stall timelines,
-    /// message-size histograms, …) into an opt-in [`Registry`], with
-    /// timeline buckets matching the machine's `traffic_bucket`. Telemetry
-    /// never perturbs simulated timing; with it off (the default) the hot
-    /// paths do not allocate.
+    /// Start recording telemetry into an opt-in [`Registry`], with timeline
+    /// buckets matching the machine's `traffic_bucket`: the machine counts
+    /// sends, kernel launches and inter-node messages, and keeps per-link
+    /// busy and stall timelines. Telemetry never perturbs simulated timing;
+    /// with it off (the default) the hot paths do not allocate.
     pub fn enable_telemetry(&mut self) {
         self.metrics = Registry::enabled(self.cfg.traffic_bucket);
     }
@@ -320,8 +314,8 @@ impl Machine {
     }
 
     /// Mutable registry access for higher layers (PGAS runtime,
-    /// collectives, retrieval backends, serving) recording their own
-    /// metrics against this machine's clock.
+    /// collectives) recording their own metrics against this machine's
+    /// clock.
     pub fn metrics_mut(&mut self) -> &mut Registry {
         &mut self.metrics
     }
@@ -347,7 +341,7 @@ impl Machine {
 
     /// Mutable span-graph access for the layers that know the causality
     /// the machine cannot see (executors recording sync fences, the PGAS
-    /// gateway recording staging spans, serving stamping trace ids).
+    /// gateway recording staging spans).
     pub fn blame_mut(&mut self) -> Option<&mut SpanGraph> {
         self.blame.as_mut()
     }
@@ -627,10 +621,7 @@ impl Machine {
             );
         }
         let Some(blocks) = blocks else { return };
-        if self.metrics.is_enabled() {
-            self.metrics.incr("kernels_launched", dev as u32, 0);
-            self.metrics.span("gpu_busy_ns", dev as u32, 0, start, end);
-        }
+        self.metrics.incr("kernels_launched", dev as u32, 0);
         if let Some(t) = &mut self.trace {
             t.record(
                 format!("gpu{dev}"),
@@ -724,7 +715,6 @@ impl Machine {
     }
 
     /// Shared bookkeeping for auxiliary-stream kernels: horizon, the
-    /// `stream_busy_ns` occupancy timeline (labelled `(dev, stream)`), the
     /// `gpu{dev}.s{idx}` trace lane, and (when blame is on) a stream-lane
     /// span whose ready→start gap is the pipeline bubble ahead of it.
     fn note_stream_kernel(
@@ -745,17 +735,6 @@ impl Machine {
                 iv.end,
                 cause,
                 false,
-            );
-        }
-        if self.metrics.is_enabled() {
-            self.metrics
-                .incr("stream_kernels", s.dev as u32, s.idx as u32);
-            self.metrics.span(
-                "stream_busy_ns",
-                s.dev as u32,
-                s.idx as u32,
-                iv.start,
-                iv.end,
             );
         }
         if let Some(t) = &mut self.trace {
@@ -801,7 +780,6 @@ impl Machine {
         let same_node = self.cfg.topology.same_node(src, dst);
         let requested = ready + link.latency;
         let header_bytes = n_messages * link.header_bytes as u64;
-        let mean_payload = payload.checked_div(n_messages);
         let mut wire = link.wire_time(payload, n_messages);
         // Full efficiency skips the float round trip (`x * 1.0` is `x`).
         if efficiency != 1.0 {
@@ -816,9 +794,9 @@ impl Machine {
         // before its pair link; intra-node traffic rides the crossbar only.
         let nic = (!same_node).then(|| {
             let node = self.cfg.topology.node_of(src);
-            (node, self.nics[node].acquire(inj_iv.start, wire))
+            self.nics[node].acquire(inj_iv.start, wire)
         });
-        let wire_from = nic.map_or(inj_iv.start, |(_, nic_iv)| nic_iv.start);
+        let wire_from = nic.map_or(inj_iv.start, |nic_iv| nic_iv.start);
         let link_free = self.links[src * n + dst].free_at();
         let link_iv = self.links[src * n + dst].acquire(wire_from, wire);
         let iv = Interval {
@@ -866,56 +844,25 @@ impl Machine {
             iv.end,
             payload as f64,
         );
-        if let Some(mean_payload) = mean_payload {
-            self.msg_sizes.record(mean_payload);
-        }
         self.stats.add(sent);
         self.sent_upto[src] = self.sent_upto[src].max(iv.end);
         self.bump(iv.end);
         if self.metrics.is_enabled() {
             let (si, di) = (src as u32, dst as u32);
-            if let Some((node, nic_iv)) = nic {
-                self.metrics
-                    .span("nic_busy_ns", node as u32, 0, nic_iv.start, nic_iv.end);
-            }
             self.metrics.incr("fabric_sends", si, di);
-            self.metrics.add("fabric_messages", si, di, n_messages);
-            self.metrics.add("fabric_payload_bytes", si, di, payload);
-            self.metrics
-                .add("fabric_header_bytes", si, di, header_bytes);
-            if let Some(mean_payload) = mean_payload {
-                self.metrics.observe(
-                    "fabric_msg_payload_bytes",
-                    si,
-                    di,
-                    telemetry::BYTES_BOUNDS,
-                    mean_payload,
-                );
-            }
-            // Per-tier rollups (tier 0 = intra-node, 1 = inter-node): on a
-            // pod topology these split the same traffic by which fabric
-            // tier carried it, so the slow-tier share is one key away.
+            // Messages per fabric tier (0 = intra-node, 1 = inter-node): on
+            // a pod topology this is the slow-tier message count.
             let tier = u32::from(!same_node);
             self.metrics
                 .add("fabric_tier_messages", tier, 0, n_messages);
-            self.metrics
-                .add("fabric_tier_payload_bytes", tier, 0, payload);
-            self.metrics
-                .add("fabric_tier_header_bytes", tier, 0, header_bytes);
             // Busy-time over the wire interval: bucket_value / bucket_ns is
             // this link's utilization in that bucket.
             self.metrics.span("link_busy_ns", si, di, iv.start, iv.end);
             // Stall: the gap between when the transfer wanted the wire and
             // when it got it — bucket_value / bucket_ns is the average
             // number of transfers queued on this link.
-            if iv.start > requested {
-                self.metrics
-                    .span("link_stall_ns", si, di, requested, iv.start);
-                self.metrics.incr("fabric_stalled_sends", si, di);
-            }
-            // In-flight transfer-time per source (issue → delivery).
             self.metrics
-                .span("fabric_inflight_ns", si, 0, requested, iv.end);
+                .span("link_stall_ns", si, di, requested, iv.start);
         }
         if let Some(t) = &mut self.trace {
             t.record(
@@ -949,7 +896,6 @@ impl Machine {
                 injection: Resource::new(),
                 links: Vec::new(),
                 stats: TrafficStats::default(),
-                sizes: Histogram::new(),
             };
             self.recording = Some((origin, Some(train)));
         }
@@ -1005,7 +951,6 @@ impl Machine {
         for (dst, _, link) in &train.links {
             self.links[src * n + dst].book_train(origin, link);
         }
-        self.msg_sizes.merge(&train.sizes);
         self.stats.add(train.stats);
         // A send is delivered when its port and its link are through.
         let last = self.links[src * n..][..n].iter().map(Resource::free_at);
@@ -1214,11 +1159,6 @@ impl Machine {
         self.stats
     }
 
-    /// Histogram of per-message payload sizes.
-    pub fn message_sizes(&self) -> &Histogram {
-        &self.msg_sizes
-    }
-
     fn bump(&mut self, t: SimTime) {
         self.horizon = self.horizon.max(t);
     }
@@ -1333,21 +1273,12 @@ mod tests {
     }
 
     #[test]
-    fn stream_occupancy_lands_in_telemetry_and_trace() {
+    fn stream_kernels_land_on_their_trace_lane() {
         let mut m = machine(2);
-        m.enable_telemetry();
         m.enable_trace();
         let s = m.add_stream(1);
         m.run_on_stream(s, "interact", Dur::from_us(25), crate::Event::READY);
-        assert_eq!(m.metrics().counter("stream_kernels", 1, 0), 1);
-        let busy: f64 = m
-            .metrics()
-            .timeline("stream_busy_ns", 1, 0)
-            .expect("occupancy timeline")
-            .buckets()
-            .iter()
-            .sum();
-        assert_eq!(busy, Dur::from_us(25).as_ns() as f64);
+        assert_eq!(m.stream_busy_time(s), Dur::from_us(25));
         let t = m.trace().unwrap();
         assert!(t
             .events()
@@ -1398,41 +1329,27 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_snapshot_labels_fabric_tiers_and_nics() {
+    fn telemetry_splits_messages_by_fabric_tier() {
         // One intra-node and one inter-node transfer on a 2x2 pod: the
-        // snapshot must split them across the tier labels (tier 0 = intra,
-        // 1 = inter) and record the source node's NIC busy-time, and be
+        // messages split across the tier labels (tier 0 = intra, 1 =
+        // inter), each send is counted on its link, and the snapshot is
         // bit-identical across identical runs.
         let run = || {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
             m.enable_telemetry();
             m.send(0, 1, 4096, 2, SimTime::ZERO);
-            m.send(0, 2, 8192, 3, SimTime::ZERO);
-            m.metrics().snapshot()
+            let inter = m.send(0, 2, 8192, 3, SimTime::ZERO);
+            (m, inter)
         };
-        let snap = run();
-        assert_eq!(snap.counter("fabric_tier_messages", 0, 0), 2);
-        assert_eq!(snap.counter("fabric_tier_messages", 1, 0), 3);
-        assert_eq!(snap.counter("fabric_tier_payload_bytes", 0, 0), 4096);
-        assert_eq!(snap.counter("fabric_tier_payload_bytes", 1, 0), 8192);
-        let inter = *MachineConfig::pod_v100(2, 2).topology.link(0, 2);
-        assert_eq!(
-            snap.counter("fabric_tier_header_bytes", 1, 0),
-            3 * inter.header_bytes as u64
-        );
-        let nic_busy: f64 = snap
-            .timelines
-            .iter()
-            .filter(|(k, _)| k.name == "nic_busy_ns" && k.i == 0)
-            .flat_map(|(_, buckets)| buckets.iter())
-            .sum();
-        let wire = inter.wire_time(8192, 3);
-        assert!(
-            (nic_busy - wire.as_ns() as f64).abs() < 1.0,
-            "NIC busy-time {nic_busy} must equal the inter-node wire time {}",
-            wire.as_ns()
-        );
-        assert_eq!(snap, run(), "snapshots must be deterministic");
+        let (m, inter) = run();
+        let reg = m.metrics();
+        assert_eq!(reg.counter("fabric_tier_messages", 0, 0), 2);
+        assert_eq!(reg.counter("fabric_tier_messages", 1, 0), 3);
+        assert_eq!(reg.counter("fabric_sends", 0, 1), 1);
+        assert_eq!(reg.counter("fabric_sends", 0, 2), 1);
+        let busy = reg.timeline("link_busy_ns", 0, 2).unwrap().total();
+        assert!((busy - inter.duration().as_ns() as f64).abs() < 1.0);
+        assert_eq!(reg.snapshot(), run().0.metrics().snapshot());
     }
 
     #[test]

@@ -55,28 +55,18 @@ fn record(
 }
 
 /// Everything a machine shows of its fabric state: per-pair traffic bits,
-/// totals, statistics, the message-size histogram, the horizon and each
-/// source's `quiet` instant.
+/// totals, statistics, the horizon and each source's `quiet` instant.
 fn fabric_state(m: &mut Machine) -> impl PartialEq + std::fmt::Debug {
     let n = m.n_gpus();
     let bits = |ts: TimeSeries| -> Vec<u64> { ts.buckets().iter().map(|v| v.to_bits()).collect() };
     let pairs: Vec<_> = (0..n * n)
         .map(|p| bits(m.traffic_between(p / n, p % n)))
         .collect();
-    let sizes = m.message_sizes();
-    let sizes = (
-        sizes.count(),
-        sizes.mean().to_bits(),
-        sizes.min(),
-        sizes.max(),
-        sizes.buckets().collect::<Vec<_>>(),
-    );
     let quiet: Vec<_> = (0..n).map(|d| m.quiet(d, SimTime::ZERO)).collect();
     (
         pairs,
         bits(m.total_traffic()),
         m.traffic_stats(),
-        sizes,
         m.finish_time(),
         quiet,
     )

@@ -299,16 +299,6 @@ impl<'m> GatewayPut<'m> {
             let end = begin + wire;
             *slot = end;
             last = last.max(end);
-            let m = self.os.machine().metrics_mut();
-            if m.is_enabled() {
-                m.add("gateway_scatter_rows", gw as u32, dst as u32, rows);
-                m.add(
-                    "gateway_scatter_bytes",
-                    gw as u32,
-                    dst as u32,
-                    rows * row_bytes as u64,
-                );
-            }
         }
         // Blame: one aggregate scatter span on the gateway lane covering the
         // intra-node forwards, caused by the aggregate's wire span. The
@@ -333,22 +323,10 @@ impl<'m> GatewayPut<'m> {
                 }
             }
         }
-        let m = self.os.machine().metrics_mut();
-        if m.is_enabled() {
-            m.incr("gateway_flushes", src as u32, dst_node as u32);
-            m.add(
-                "gateway_flush_rows",
-                src as u32,
-                dst_node as u32,
-                stage.rows,
-            );
-            m.add(
-                "gateway_flush_payload_bytes",
-                src as u32,
-                dst_node as u32,
-                stage.payload,
-            );
-        }
+        self.os
+            .machine()
+            .metrics_mut()
+            .incr("gateway_flushes", src as u32, dst_node as u32);
         let e = self.last_delivery.entry(src).or_insert(SimTime::ZERO);
         *e = (*e).max(last);
         stage.rows = 0;
@@ -424,7 +402,6 @@ mod tests {
         // Exactly one message crossed the inter-node tier.
         assert_eq!(m.metrics().counter("fabric_tier_messages", 1, 0), 1);
         assert_eq!(m.metrics().counter("gateway_flushes", 0, 1), 1);
-        assert_eq!(m.metrics().counter("gateway_flush_rows", 0, 1), 64);
     }
 
     #[test]

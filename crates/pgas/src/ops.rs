@@ -109,7 +109,6 @@ impl<'m> OneSided<'m> {
         ready: SimTime,
     ) -> Interval {
         let batch = coalesce_rows(rows, row_bytes, self.cfg.max_payload);
-        self.record_put_rows(src, rows);
         self.put_batch_nbi(src, dst, batch, ready)
     }
 
@@ -127,30 +126,13 @@ impl<'m> OneSided<'m> {
                 end: ready,
             };
         }
-        self.record_put_batch(src, &batch);
+        self.machine
+            .metrics_mut()
+            .incr("pgas_puts_issued", src as u32, 0);
         // Issue cost rides on the sender's timeline before the wire sees it.
         let on_wire = ready + self.cfg.issue_overhead * batch.messages;
         self.machine
             .send(src, dst, batch.payload, batch.messages, on_wire)
-    }
-
-    /// Telemetry: row count of a `put_rows`-shaped call (no-op when the
-    /// machine's registry is disabled).
-    fn record_put_rows(&mut self, src: usize, rows: u64) {
-        let m = self.machine.metrics_mut();
-        if m.is_enabled() {
-            m.add("pgas_put_rows", src as u32, 0, rows);
-        }
-    }
-
-    /// Telemetry: one issued put and its coalesced message count.
-    fn record_put_batch(&mut self, src: usize, batch: &CoalescedBatch) {
-        let m = self.machine.metrics_mut();
-        if m.is_enabled() {
-            m.incr("pgas_puts_issued", src as u32, 0);
-            m.add("pgas_coalesced_messages", src as u32, 0, batch.messages);
-            m.add("pgas_put_payload_bytes", src as u32, 0, batch.payload);
-        }
     }
 
     /// One-sided remote atomic accumulation traffic: gradients in the
@@ -186,7 +168,6 @@ impl<'m> OneSided<'m> {
         ready: SimTime,
     ) -> Result<Delivery, FabricError> {
         let batch = coalesce_rows(rows, row_bytes, self.cfg.max_payload);
-        self.record_put_rows(src, rows);
         self.try_put_batch_nbi(src, dst, batch, ready)
     }
 
@@ -208,7 +189,9 @@ impl<'m> OneSided<'m> {
                 attempts: 1,
             });
         }
-        self.record_put_batch(src, &batch);
+        self.machine
+            .metrics_mut()
+            .incr("pgas_puts_issued", src as u32, 0);
         let on_wire = ready + self.cfg.issue_overhead * batch.messages;
         if !self.machine.faults_active() {
             // Clean fabric: nothing to retry and no error to plumb. The batch
@@ -236,26 +219,14 @@ impl<'m> OneSided<'m> {
                 if attempts > 1 {
                     self.stats.retried_puts += 1;
                     self.stats.retries += u64::from(attempts - 1);
-                    let m = self.machine.metrics_mut();
-                    m.add("pgas_put_retries", src as u32, 0, u64::from(attempts - 1));
                 }
                 Ok(Delivery { interval, attempts })
             }
             Err(e) => {
                 if let FabricError::RetryExhausted { attempts, .. } = &e {
                     self.stats.retries += u64::from(attempts.saturating_sub(1));
-                    let m = self.machine.metrics_mut();
-                    m.add(
-                        "pgas_put_retries",
-                        src as u32,
-                        0,
-                        u64::from(attempts.saturating_sub(1)),
-                    );
                 }
                 self.stats.exhausted += 1;
-                self.machine
-                    .metrics_mut()
-                    .incr("pgas_puts_exhausted", src as u32, 0);
                 Err(e)
             }
         }

@@ -346,7 +346,7 @@ pub mod collection {
     use crate::rng::Rng;
     use crate::strategy::Strategy;
 
-    /// Length specification for [`vec`]: exact, half-open, or inclusive.
+    /// Length specification for [`vec()`]: exact, half-open, or inclusive.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -381,7 +381,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

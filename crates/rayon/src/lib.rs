@@ -1,7 +1,7 @@
 //! Offline in-tree stand-in for [rayon](https://docs.rs/rayon) backed by a
 //! real thread pool: the subset of the parallel-iterator API this workspace
 //! uses, executed by a lazily-initialized global pool of worker threads
-//! (see [`pool`]).
+//! (see the `pool` module).
 //!
 //! # Determinism contract
 //!

@@ -108,8 +108,8 @@ impl MicroBatcher {
         self.pending.len() + self.queue.len()
     }
 
-    /// Requests admitted and waiting in the queue right now (the
-    /// queue-depth gauge the serving telemetry samples at each batch close).
+    /// Requests admitted and waiting in the queue right now (the queue
+    /// depth the controller reads at each batch close).
     pub fn queued(&self) -> usize {
         self.queue.len()
     }

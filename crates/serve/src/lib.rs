@@ -24,8 +24,9 @@
 //! * [`Controller`] — the EXT-13 adaptive control plane: per-tick circuit
 //!   breakers, a PGAS→Resilient→Baseline failover ladder with fail-back,
 //!   dynamic micro-batch deadlines, graduated load shedding, and online
-//!   hot-cache resizing, all driven from the EXT-10 telemetry signals and
-//!   bit-deterministic for a fixed seed ([`EmbServer::run_controlled`]).
+//!   hot-cache resizing, all driven from the run's own books (queue,
+//!   latency, retries, hit rate, fault state) and bit-deterministic for a
+//!   fixed seed ([`EmbServer::run_controlled`]).
 //!
 //! Because batches closed from queued requests execute through the very
 //! same per-batch functions as the closed-loop experiments, a full batch of

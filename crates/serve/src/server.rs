@@ -191,11 +191,6 @@ pub struct ServeReport {
     pub slo_viol_time: Dur,
     /// What the adaptive controller did (controlled runs only).
     pub control: Option<ControlReport>,
-    /// End-of-run telemetry snapshot, present when the machine had
-    /// telemetry enabled. Render with [`telemetry::Snapshot::to_prometheus`]
-    /// (text exposition) or [`telemetry::Snapshot::to_json`] (JSON snapshot
-    /// endpoint).
-    pub metrics: Option<telemetry::Snapshot>,
 }
 
 impl ServeReport {
@@ -212,41 +207,6 @@ impl ServeReport {
     /// anything — the sweep's "sustained" criterion.
     pub fn sustains(&self, slo: Dur) -> bool {
         self.served > 0 && self.shed == 0 && self.timed_out == 0 && self.latency.p99() <= slo
-    }
-
-    /// Compact JSON summary of the run: headline counters, latency
-    /// quantiles, and — when telemetry was enabled — the latency
-    /// histogram's exemplar, naming the request id behind the worst
-    /// observed end-to-end latency so a p99/p999 report links straight to
-    /// its offending request.
-    pub fn to_json(&self) -> String {
-        let exemplar = self.metrics.as_ref().and_then(|s| {
-            s.histograms
-                .iter()
-                .find(|(k, _)| k.name == "serve_latency_us")
-                .and_then(|(_, h)| h.max_sample())
-        });
-        let worst = match exemplar {
-            Some((us, id)) => {
-                format!(",\n  \"worst_request\": {{\"id\": {id}, \"latency_us\": {us}}}")
-            }
-            None => String::new(),
-        };
-        format!(
-            "{{\n  \"generated\": {}, \"served\": {}, \"shed\": {}, \"timed_out\": {}, \"malformed\": {},\n  \"batches\": {}, \"goodput\": {:.6},\n  \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \"batch_p50_us\": {:.3}{}\n}}\n",
-            self.generated,
-            self.served,
-            self.shed,
-            self.timed_out,
-            self.malformed,
-            self.batches,
-            self.goodput(),
-            self.latency.p50().as_ns() as f64 / 1_000.0,
-            self.latency.p99().as_ns() as f64 / 1_000.0,
-            self.latency.p999().as_ns() as f64 / 1_000.0,
-            self.batch_service.p50().as_ns() as f64 / 1_000.0,
-            worst,
-        )
     }
 }
 
@@ -363,18 +323,10 @@ impl EmbServer {
         while let Some(closed) = batcher.next_batch(t_free) {
             if let Some(c) = ctrl.as_deref_mut() {
                 // One control tick per closed batch, before execution. The
-                // retry/exhausted totals come from the live telemetry
-                // registry when it is enabled, otherwise from the
-                // resilience report's own counters; the tick sees what
-                // either gained since the previous tick.
-                let (retries, exhausted) = if machine.metrics().is_enabled() {
-                    (
-                        machine.metrics().counter_total("pgas_put_retries"),
-                        machine.metrics().counter_total("pgas_puts_exhausted"),
-                    )
-                } else {
-                    (resilience.retries, resilience.exhausted_puts)
-                };
+                // retry/exhausted totals come from the resilience books,
+                // whatever observes the machine; the tick sees what they
+                // gained since the previous tick.
+                let (retries, exhausted) = (resilience.retries, resilience.exhausted_puts);
                 let (retries_delta, exhausted_delta) =
                     (retries - last_retries, exhausted - last_exhausted);
                 (last_retries, last_exhausted) = (retries, exhausted);
@@ -466,52 +418,7 @@ impl EmbServer {
                 // as violating time.
                 slo_viol_time += completion - closed.close_at;
             }
-            if machine.metrics().is_enabled() {
-                let depth = batcher.queued() as f64;
-                let fill_pct = (closed.requests.len() * 100 / cfg.batcher.max_batch.max(1)) as u64;
-                let m = machine.metrics_mut();
-                m.incr("serve_batches", 0, 0);
-                m.gauge_set("serve_queue_depth", 0, 0, depth);
-                m.gauge_max("serve_queue_depth_peak", 0, 0, depth);
-                m.observe(
-                    "serve_batch_fill_pct",
-                    0,
-                    0,
-                    telemetry::PCT_BOUNDS,
-                    fill_pct,
-                );
-                m.observe(
-                    "serve_batch_service_us",
-                    0,
-                    0,
-                    telemetry::US_BOUNDS,
-                    run.service().as_ns() / 1_000,
-                );
-                for r in &closed.requests {
-                    // Traced observation: the histogram retains the worst
-                    // sample's request id as an exemplar, so the p99/p999
-                    // report names the offending request.
-                    m.observe_traced(
-                        "serve_latency_us",
-                        0,
-                        0,
-                        telemetry::US_BOUNDS,
-                        (completion - r.arrival).as_ns() / 1_000,
-                        r.id,
-                    );
-                }
-            }
         }
-
-        let metrics = machine.metrics().is_enabled().then(|| {
-            let m = machine.metrics_mut();
-            m.add("serve_requests_generated", 0, 0, cfg.n_requests as u64);
-            m.add("serve_requests_served", 0, 0, batcher.served());
-            m.add("serve_requests_shed", 0, 0, batcher.shed());
-            m.add("serve_requests_timed_out", 0, 0, batcher.timed_out());
-            m.add("serve_requests_malformed", 0, 0, batcher.malformed());
-            machine.metrics().snapshot()
-        });
 
         Ok(ServeReport {
             generated: cfg.n_requests as u64,
@@ -538,7 +445,6 @@ impl EmbServer {
             },
             slo_viol_time,
             control: ctrl.map(|c| c.report()),
-            metrics,
         })
     }
 
@@ -728,36 +634,6 @@ mod tests {
         assert!(full.latency.p50() > emb_only.latency.p50());
         // Retrieval service time itself is untouched by the MLP extension.
         assert_eq!(full.batch_service.p50(), emb_only.batch_service.p50());
-    }
-
-    #[test]
-    fn report_json_names_the_worst_request_via_exemplar() {
-        // Telemetry on: the latency histogram keeps the worst sample's
-        // request id, and the report JSON surfaces it.
-        let cfg = serve_cfg(ServeBackendKind::PgasFused, 2e5);
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        m.enable_telemetry();
-        let rep = EmbServer::new(cfg).run(&mut m).unwrap();
-        let snap = rep.metrics.as_ref().expect("telemetry was enabled");
-        let (_, hist) = snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k.name == "serve_latency_us")
-            .expect("latency histogram recorded");
-        let (worst_us, worst_id) = hist.max_sample().expect("traced observations");
-        assert!(worst_id < rep.generated, "exemplar names a real request");
-        let json = rep.to_json();
-        assert!(json.contains(&format!(
-            "\"worst_request\": {{\"id\": {worst_id}, \"latency_us\": {worst_us}}}"
-        )));
-        // Telemetry off: no metrics, no exemplar, and the summary still
-        // renders.
-        let plain = run(serve_cfg(ServeBackendKind::PgasFused, 2e5));
-        assert!(plain.metrics.is_none());
-        assert!(!plain.to_json().contains("worst_request"));
-        // The traced observations change accounting in no way.
-        assert_eq!(plain.latency.p99(), rep.latency.p99());
-        assert_eq!(plain.end, rep.end);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * The micro-batcher's conservation invariant survives mid-run backend
 //!   failover: every generated request is accounted for even when closed
 //!   batches are requeued across a tier change.
+//! * Observing a controlled run does not steer it: telemetry on or off, the
+//!   controller reads the same signals and decides the same.
 
 use bench_harness::{run_pair, scaled};
 use desim::Dur;
@@ -56,6 +58,11 @@ fn storm_plan(seed: u64, svc: Dur) -> FaultPlan {
 }
 
 fn run_controlled(seed: u64, stormy: bool) -> ServeReport {
+    run_observed(seed, stormy, true)
+}
+
+/// [`run_controlled`] with telemetry on or off.
+fn run_observed(seed: u64, stormy: bool, telemetry: bool) -> ServeReport {
     let (emb, base_svc, pgas_svc) = yardstick();
     let slo = pgas_svc * 6u64;
     let rate = 0.7 * emb.batch_size as f64 / base_svc.as_secs_f64();
@@ -74,7 +81,9 @@ fn run_controlled(seed: u64, stormy: bool) -> ServeReport {
     if stormy {
         machine.install_faults(storm_plan(seed, pgas_svc));
     }
-    machine.enable_telemetry();
+    if telemetry {
+        machine.enable_telemetry();
+    }
     let server = EmbServer::new(cfg);
     let mut ctrl = Controller::new(
         ControlConfig::for_slo(slo, &server.config().batcher),
@@ -146,4 +155,17 @@ fn conservation_holds_across_mid_run_failover() {
         }
     }
     assert!(hit, "no seed in 0..32 produced a mid-run failover");
+}
+
+#[test]
+fn telemetry_does_not_steer_a_stormy_controlled_run() {
+    let mut retried = false;
+    for seed in 0..4u64 {
+        let on = run_observed(seed, true, true);
+        let off = run_observed(seed, true, false);
+        assert_eq!(fingerprint(&on), fingerprint(&off), "seed {seed}");
+        assert_eq!(format!("{:?}", on.control), format!("{:?}", off.control));
+        retried |= on.resilience.is_some_and(|r| r.retries > 0);
+    }
+    assert!(retried, "no storm made the controller see a retry");
 }

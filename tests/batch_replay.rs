@@ -20,7 +20,7 @@
 //! machines that refuse every replay.
 
 use pgas_embedding::desim::{Dur, Interval, SimTime};
-use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
+use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig, TrafficStats};
 use pgas_embedding::pgas::PgasConfig;
 use pgas_embedding::retrieval::backend::{
     execute_batch, plan_for_batch, ArrivalLog, BatchRun, Exchange, ExecMode, PlannedBatch,
@@ -119,9 +119,7 @@ struct Seen {
 struct Wire {
     traffic_bits: Vec<Vec<u64>>,
     total_traffic_bits: Vec<u64>,
-    stats: String,
-    /// Count, bits of the mean, min, max.
-    message_sizes: (u64, u64, Option<u64>, Option<u64>),
+    stats: TrafficStats,
     finish: SimTime,
 }
 
@@ -131,19 +129,12 @@ impl Wire {
         let bits = |ts: pgas_embedding::desim::TimeSeries| -> Vec<u64> {
             ts.buckets().iter().map(|v| v.to_bits()).collect()
         };
-        let sizes = m.message_sizes();
         Wire {
             traffic_bits: (0..n * n)
                 .map(|p| bits(m.traffic_between(p / n, p % n)))
                 .collect(),
             total_traffic_bits: bits(m.total_traffic()),
-            stats: format!("{:?}", m.traffic_stats()),
-            message_sizes: (
-                sizes.count(),
-                sizes.mean().to_bits(),
-                sizes.min(),
-                sizes.max(),
-            ),
+            stats: m.traffic_stats(),
             finish: m.finish_time(),
         }
     }
@@ -254,7 +245,7 @@ proptest! {
         sc.start = SimTime::from_ns(1_100_000 + start_ns);
         sc.gaps = [Dur::from_ns(gaps.0), Dur::from_ns(gaps.1)];
         let seen = replayed_equals_executed(&sc);
-        prop_assert!(seen.wire.message_sizes.0 > 0, "the batches sent nothing");
+        prop_assert!(seen.wire.stats.messages > 0, "the batches sent nothing");
     }
 }
 
@@ -307,8 +298,13 @@ fn refused_with_telemetry_on() {
 #[test]
 fn refused_with_blame_on() {
     let seen = replayed_equals_executed(&Scenario::with(Machine::enable_blame));
-    // A wire span per put, not just the kernels and fences.
-    assert!(seen.blame_spans.unwrap() as u64 > seen.wire.message_sizes.0);
+    // A wire span per send, not just the kernels and fences: more spans
+    // than the trace of the same scenario shows transfers on the links.
+    let trace = drive(&Scenario::with(Machine::enable_trace), None).trace;
+    let is_send = |e: &&str| e.contains("\"ph\":\"X\"") && e.contains("\"pid\":\"link");
+    let sends = trace.expect("traced").split("},{").filter(is_send).count();
+    assert!(sends > 0);
+    assert!(seen.blame_spans.unwrap() > sends);
 }
 
 #[test]
@@ -461,7 +457,7 @@ fn the_self_planned_passes_replay_what_they_execute_and_no_observer_moves_them()
             (sc.cfg.n_batches, sc.cfg.distinct_batches) = (5, 2);
             sc.prior = prior;
             let replayed = pass_seen(pass, &sc);
-            assert!(replayed.1.message_sizes.0 > 0, "pass {pass} sent nothing");
+            assert!(replayed.1.stats.messages > 0, "pass {pass} sent nothing");
             for observer in observers {
                 sc.setup = Box::new(observer);
                 assert_eq!(pass_seen(pass, &sc), replayed, "pass {pass}");

@@ -1,4 +1,4 @@
-//! Communication-behaviour invariants across backends: message sizes,
+//! Communication-behaviour invariants across backends: message counts,
 //! conservation of payload, burstiness (Figures 7/10), and header-overhead
 //! ordering.
 
@@ -8,6 +8,7 @@ use pgas_embedding::retrieval::backend::{
     BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
 };
 use pgas_embedding::retrieval::EmbLayerConfig;
+use pgas_embedding::simccl::CollectiveConfig;
 
 fn tiny(gpus: usize) -> EmbLayerConfig {
     let mut c = EmbLayerConfig::paper_weak_scaling(gpus).scaled_down(64);
@@ -43,21 +44,30 @@ fn both_backends_move_identical_payload() {
 fn pgas_messages_are_row_sized() {
     let cfg = tiny(2);
     let mut m = Machine::new(MachineConfig::dgx_v100(2));
-    PgasFusedBackend::new().run(&mut m, &cfg, ExecMode::Timing);
-    let sizes = m.message_sizes();
+    let t = PgasFusedBackend::new()
+        .run(&mut m, &cfg, ExecMode::Timing)
+        .report
+        .traffic;
     // Every PGAS message is one coalesced row (d×4 = 256 B).
-    assert_eq!(sizes.max(), Some(256));
-    assert!(sizes.mean() <= 256.0);
+    assert!(t.messages > 0);
+    assert_eq!(t.payload_bytes, 256 * t.messages);
 }
 
 #[test]
 fn baseline_messages_are_chunk_sized() {
     let cfg = tiny(2);
     let mut m = Machine::new(MachineConfig::dgx_v100(2));
-    BaselineBackend::new().run(&mut m, &cfg, ExecMode::Timing);
-    // Chunks are up to 4 MiB; with this workload each per-peer transfer is
-    // one chunk well above the PGAS row size.
-    assert!(m.message_sizes().min().unwrap() > 1024);
+    let t = BaselineBackend::new()
+        .run(&mut m, &cfg, ExecMode::Timing)
+        .report
+        .traffic;
+    // Chunks are up to 4 MiB: every batch sends each of the two ordered
+    // pairs its equal share in whole chunks, each one a message well above
+    // the PGAS row size.
+    let per_pair = t.payload_bytes / (2 * cfg.n_batches as u64);
+    let chunks = CollectiveConfig::default().n_chunks(per_pair);
+    assert_eq!(t.messages, 2 * cfg.n_batches as u64 * chunks);
+    assert!(t.payload_bytes / t.messages > 1024);
 }
 
 #[test]
