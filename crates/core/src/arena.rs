@@ -126,7 +126,6 @@ macro_rules! arena_slabs {
 arena_slabs! {
     f32s: f32 => take_f32 / put_f32,
     u64s: u64 => take_u64 / put_u64,
-    usizes: usize => take_usize / put_usize,
     bools: bool => take_bool / put_bool,
     times: SimTime => take_time / put_time,
     releases: Release => take_release / put_release,

@@ -24,6 +24,16 @@ pub fn materialize_shards(
         .collect()
 }
 
+/// Where the pooling loop reads a device's embedding rows.
+#[derive(Clone, Copy, Debug)]
+pub enum Weights<'a> {
+    /// The device's materialized tables.
+    Shard(&'a EmbeddingShard),
+    /// Each feature's init stream ([`EmbeddingShard::init_row`]): a fresh
+    /// shard's rows, bit for bit, drawn per lookup with no table held.
+    Init(crate::EmbeddingTableSpec),
+}
+
 /// Execute one device's lookup + pooling: returns the pooled rows in local
 /// bag order (`[n_bags × dim]` flat). This is the computation both backends
 /// share; they differ only in where the rows go next.
@@ -37,62 +47,111 @@ pub fn compute_pooled_rows(
     seed: u64,
 ) -> Vec<f32> {
     let mut out = Vec::new();
-    compute_pooled_rows_into(dp, plan, batch, shard, seed, &mut out);
+    compute_pooled_rows_into(dp, plan, batch, Weights::Shard(shard), seed, &mut out);
     out
 }
 
-/// [`compute_pooled_rows`] into a caller-provided buffer (cleared first),
-/// so arena-backed callers pay no per-batch allocation.
+/// [`compute_pooled_rows`] from `weights` into a caller-provided buffer
+/// (cleared first), so arena-backed callers pay no per-batch allocation.
 ///
 /// Structure: one parallel chunk per **local feature** (`batch_size × dim`
-/// of the output), so the table and hasher resolve once per feature — no
-/// per-call lookup-table vectors — and the per-bag inner loop is a
+/// of the output), so the row source and hasher resolve once per feature —
+/// no per-call lookup-table vectors — and the per-bag inner loop is a
 /// monomorphized fixed-stride pass (see [`crate::kernels`]) the compiler
 /// can autovectorize. Writes are disjoint per feature chunk, and per-bag
 /// accumulation order is unchanged, so outputs are bit-identical to the
-/// historical per-bag loop at every pool width.
+/// historical per-bag loop at every pool width, from either source.
 pub fn compute_pooled_rows_into(
     dp: &DevicePlan,
     plan: &ForwardPlan,
     batch: &SparseBatch,
-    shard: &EmbeddingShard,
+    weights: Weights<'_>,
     seed: u64,
     out: &mut Vec<f32>,
 ) {
-    let dim = plan.dim;
-    let n = plan.batch_size;
     out.clear();
-    out.resize(dp.n_bags * dim, 0.0);
-    out.par_chunks_mut(n * dim)
+    out.resize(dp.n_bags * plan.dim, 0.0);
+    out.par_chunks_mut(plan.batch_size * plan.dim)
         .enumerate()
         .for_each(|(lf, fout)| {
             let f = dp.features[lf];
-            let table = shard.weights(f).data();
-            let hasher = IndexHasher::new(f, shard.spec().rows, seed);
-            // This feature's run of `exported_bags` (sorted): walked linearly
-            // alongside the sample loop instead of a binary search per bag.
-            // Exported bags keep their zeros — every index hit the hot-row
-            // cache, so the sample owner computes them from replicas
-            // ([`apply_hot_imports`]) and the zeros here are never read.
-            let lo = dp.exported_bags.partition_point(|&b| b < lf * n);
-            let hi = dp.exported_bags.partition_point(|&b| b < (lf + 1) * n);
-            let mut ex = lo;
-            with_pool_kernel!(plan.pooling, K => {
-                for (sample, acc) in fout.chunks_exact_mut(dim).enumerate() {
-                    let bag = lf * n + sample;
-                    if ex < hi && dp.exported_bags[ex] == bag {
-                        ex += 1;
-                        continue;
-                    }
-                    let indices = batch.bag(f, sample);
-                    for (k, &raw) in indices.iter().enumerate() {
-                        let r = hasher.row(raw);
-                        K::fold(acc, &table[r * dim..(r + 1) * dim], k);
-                    }
-                    K::finish(acc, indices.len());
+            match weights {
+                Weights::Shard(shard) => {
+                    let hasher = IndexHasher::new(f, shard.spec().rows, seed);
+                    pool_feature(dp, plan, batch, lf, hasher, shard.weights(f).data(), fout);
                 }
-            });
+                Weights::Init(spec) => {
+                    let hasher = IndexHasher::new(f, spec.rows, seed);
+                    let rows = InitStream(f, spec, seed);
+                    pool_feature(dp, plan, batch, lf, hasher, &rows, fout);
+                }
+            }
         });
+}
+
+/// One feature's rows, as the pooling loop reads them: row `r` is
+/// `scratch.len()` wide, and a source may put it in `scratch`.
+trait FeatureRows {
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut [f32]) -> &'s [f32];
+}
+
+/// A resident table.
+impl FeatureRows for [f32] {
+    #[inline]
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        &self[r * scratch.len()..(r + 1) * scratch.len()]
+    }
+}
+
+/// A feature's init stream: `(feature, spec, seed)`.
+struct InitStream(usize, crate::EmbeddingTableSpec, u64);
+
+impl FeatureRows for InitStream {
+    #[inline]
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut [f32]) -> &'s [f32] {
+        EmbeddingShard::init_row(self.0, r, self.1, self.2, scratch);
+        scratch
+    }
+}
+
+/// The pooling loop over local feature `lf`'s chunk of a device's pooled
+/// rows, monomorphized per row source: resolved per feature, not per lookup.
+fn pool_feature(
+    dp: &DevicePlan,
+    plan: &ForwardPlan,
+    batch: &SparseBatch,
+    lf: usize,
+    hasher: IndexHasher,
+    rows: &(impl FeatureRows + ?Sized),
+    fout: &mut [f32],
+) {
+    let n = plan.batch_size;
+    let f = dp.features[lf];
+    // This feature's run of `exported_bags` (sorted): walked linearly
+    // alongside the sample loop instead of a binary search per bag.
+    // Exported bags keep their zeros — every index hit the hot-row cache,
+    // so the sample owner computes them from replicas
+    // ([`apply_hot_imports`]) and the zeros here are never read.
+    let lo = dp.exported_bags.partition_point(|&b| b < lf * n);
+    let hi = dp.exported_bags.partition_point(|&b| b < (lf + 1) * n);
+    let mut ex = lo;
+    let mut scratch = arena::take_f32();
+    scratch.resize(plan.dim, 0.0);
+    with_pool_kernel!(plan.pooling, K => {
+        for (sample, acc) in fout.chunks_exact_mut(plan.dim).enumerate() {
+            let bag = lf * n + sample;
+            if ex < hi && dp.exported_bags[ex] == bag {
+                ex += 1;
+                continue;
+            }
+            let indices = batch.bag(f, sample);
+            for (k, &raw) in indices.iter().enumerate() {
+                K::fold(acc, rows.row(hasher.row(raw), &mut scratch), k);
+            }
+            K::finish(acc, indices.len());
+        }
+    });
+    arena::put_f32(scratch);
 }
 
 /// The baseline's pack → exchange → unpack pipeline on real data.

@@ -14,7 +14,7 @@ mod single;
 pub use baseline::BaselineBackend;
 pub use functional::{
     apply_hot_imports, compute_pooled_rows, compute_pooled_rows_into, exchange_and_unpack,
-    materialize_shards, scatter_via_symmetric_heap,
+    materialize_shards, scatter_via_symmetric_heap, Weights,
 };
 pub use pgas::PgasFusedBackend;
 pub use resilient::{
@@ -37,14 +37,16 @@ use crate::{
     DevicePlan, EmbLayerConfig, ForwardPlan, PlanInput, RunReport, SparseBatch, TimeBreakdown,
 };
 
-/// Whether a run materializes weights and produces outputs, or only times.
+/// Whether a run executes the lookups and produces outputs, or only times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Simulate timing only; tables are never materialized. Use for
-    /// paper-scale workloads (64 GB of weights would not fit in host RAM).
+    /// Simulate timing only; no lookup runs on the host. Use for paper-scale
+    /// workloads, where functional host work is O(lookups × dim): ≈ 17 G row
+    /// elements a run at `paper_weak_scaling(4)`.
     Timing,
     /// Also execute the real lookups and produce `[mb, S, dim]` outputs per
     /// device, verifiable against [`crate::reference::reference_forward`].
+    /// No table is stored: each looked-up row is drawn from its init stream.
     Functional,
 }
 
@@ -385,8 +387,10 @@ pub(crate) fn run_batches(
 /// Final-batch functional outputs of a prepared run — the exact code the
 /// closed-loop backends execute in [`ExecMode::Functional`], factored out so
 /// executed-schedule frontends (the dlrm pipeline engine) get bit-identical
-/// predictions by construction rather than by re-implementation. `via_pgas`
-/// selects the PGAS path (arena-buffered pooled rows scattered through the
+/// predictions by construction rather than by re-implementation. Rows are
+/// drawn from their init streams ([`Weights::Init`]), so no table is
+/// materialized and host memory grows with lookups, not table size.
+/// `via_pgas` selects the PGAS path (pooled rows scattered through the
 /// symmetric heap) over the baseline path (exchange + unpack); the two
 /// produce bit-equal tensors — the flag exists so each backend keeps
 /// exercising its own data-movement code.
@@ -398,42 +402,26 @@ pub fn final_batch_outputs(
     let which = (cfg.n_batches.saturating_sub(1)) % prepared.plans.len();
     let plan = &prepared.plans[which];
     let batch = &prepared.batches[which];
-    let shards = functional::materialize_shards(plan, cfg.table_spec(), cfg.seed);
+    let weights = Weights::Init(cfg.table_spec());
+    let pooled: Vec<Vec<f32>> = (0..plan.devices.len())
+        .into_par_iter()
+        .map(|i| {
+            let mut buf = crate::arena::take_f32();
+            compute_pooled_rows_into(&plan.devices[i], plan, batch, weights, cfg.seed, &mut buf);
+            buf
+        })
+        .collect();
     let mut outs = if via_pgas {
-        let pooled: Vec<Vec<f32>> = (0..plan.devices.len())
-            .into_par_iter()
-            .map(|i| {
-                let dp = &plan.devices[i];
-                let mut buf = crate::arena::take_f32();
-                functional::compute_pooled_rows_into(
-                    dp,
-                    plan,
-                    batch,
-                    &shards[dp.device],
-                    cfg.seed,
-                    &mut buf,
-                );
-                buf
-            })
-            .collect();
-        let outs = functional::scatter_via_symmetric_heap(plan, &pooled);
-        for buf in pooled {
-            crate::arena::put_f32(buf);
-        }
-        outs
+        scatter_via_symmetric_heap(plan, &pooled)
     } else {
-        let pooled: Vec<Vec<f32>> = (0..plan.devices.len())
-            .into_par_iter()
-            .map(|i| {
-                let dp = &plan.devices[i];
-                functional::compute_pooled_rows(dp, plan, batch, &shards[dp.device], cfg.seed)
-            })
-            .collect();
-        functional::exchange_and_unpack(plan, &pooled)
+        exchange_and_unpack(plan, &pooled)
     };
+    for buf in pooled {
+        crate::arena::put_f32(buf);
+    }
     if let Some(cache) = prepared.planner.as_ref().and_then(|p| p.cache()) {
         let replicas = crate::HotReplicas::materialize(cache, cfg.table_spec(), cfg.seed);
-        functional::apply_hot_imports(plan, batch, &replicas, cfg.table_rows, &mut outs, cfg.seed);
+        apply_hot_imports(plan, batch, &replicas, cfg.table_rows, &mut outs, cfg.seed);
     }
     outs
 }

@@ -271,7 +271,8 @@ pub struct HotReplicas {
 }
 
 impl HotReplicas {
-    /// Copy each feature's hot rows out of its (deterministic) full table.
+    /// Draw each feature's hot rows from its init stream
+    /// ([`EmbeddingShard::init_row`]), never building the full table.
     /// Holds all features' replicas; a device only ever reads the remote
     /// ones listed in its plan's `imported_bags`.
     pub fn materialize(cache: &HotRowCache, spec: EmbeddingTableSpec, seed: u64) -> Self {
@@ -279,14 +280,10 @@ impl HotReplicas {
             .into_par_iter()
             .map(|f| {
                 let rows = cache.hot_rows(f).to_vec();
-                let full = EmbeddingShard::init_table(f, spec, seed);
-                // Hot rows are sorted, so the blocked gather walks the full
-                // table monotonically.
-                let mut ids = crate::arena::take_usize();
-                ids.extend(rows.iter().map(|&r| r as usize));
-                let mut data = Vec::with_capacity(rows.len() * spec.dim);
-                crate::kernels::gather_rows(full.data(), spec.dim, &ids, &mut data);
-                crate::arena::put_usize(ids);
+                let mut data = vec![0.0; rows.len() * spec.dim];
+                for (&r, out) in rows.iter().zip(data.chunks_exact_mut(spec.dim)) {
+                    EmbeddingShard::init_row(f, r as usize, spec, seed, out);
+                }
                 (rows, data)
             })
             .collect();

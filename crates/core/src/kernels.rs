@@ -1,4 +1,4 @@
-//! Vectorizable gather + pooling inner loops.
+//! Vectorizable pooling inner loops.
 //!
 //! The hot per-bag path used to dispatch on [`PoolingOp`] once per *row*
 //! (`accumulate`'s `match`). Here each op is a zero-sized [`PoolKernel`]
@@ -9,10 +9,6 @@
 //! [`PoolingOp::accumulate`]/[`PoolingOp::finish`] over a zero-initialized
 //! accumulator, so kernel outputs are bit-identical to the streaming API
 //! (locked by tests here and by the arena-vs-allocating proptests).
-//!
-//! [`gather_rows`] is the companion structure-split gather: resolve row ids
-//! first, then copy rows in cache-friendly blocks into one flat
-//! destination.
 
 use crate::PoolingOp;
 
@@ -124,31 +120,6 @@ pub fn pool_bag<'a>(op: PoolingOp, acc: &mut [f32], rows: impl Iterator<Item = &
     });
 }
 
-/// Rows copied per block by [`gather_rows`]: small enough that a block's
-/// destination span stays cache-resident while its (sorted) source rows
-/// stream through.
-const GATHER_BLOCK_ROWS: usize = 512;
-
-/// Structure-split row gather: append `row_ids.len()` rows of the flat
-/// `[n_rows × dim]` `table` to `out`, in id order, in cache-friendly
-/// blocks. The inner copy is a fixed-stride `copy_from_slice` the compiler
-/// lowers to wide moves; callers pass sorted deduped ids where possible so
-/// source accesses are monotone.
-pub fn gather_rows(table: &[f32], dim: usize, row_ids: &[usize], out: &mut Vec<f32>) {
-    assert!(dim > 0, "gather of zero-width rows");
-    let start = out.len();
-    out.resize(start + row_ids.len() * dim, 0.0);
-    let dst = &mut out[start..];
-    for (ids, dchunk) in row_ids
-        .chunks(GATHER_BLOCK_ROWS)
-        .zip(dst.chunks_mut(GATHER_BLOCK_ROWS * dim))
-    {
-        for (&r, d) in ids.iter().zip(dchunk.chunks_exact_mut(dim)) {
-            d.copy_from_slice(&table[r * dim..(r + 1) * dim]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,38 +159,6 @@ mod tests {
             let mut acc = vec![5.0f32; 4];
             pool_bag(op, &mut acc, std::iter::empty());
             assert_eq!(acc, vec![0.0; 4], "{op:?}");
-        }
-    }
-
-    #[test]
-    fn gather_copies_rows_in_id_order() {
-        let dim = 3;
-        let table: Vec<f32> = (0..30).map(|i| i as f32).collect();
-        let ids = [9usize, 0, 4, 4, 7];
-        let mut out = vec![f32::NAN; 2]; // pre-existing prefix is kept
-        out.truncate(0);
-        out.push(-1.0);
-        gather_rows(&table, dim, &ids, &mut out);
-        assert_eq!(out.len(), 1 + ids.len() * dim);
-        assert_eq!(out[0], -1.0);
-        for (k, &r) in ids.iter().enumerate() {
-            assert_eq!(
-                &out[1 + k * dim..1 + (k + 1) * dim],
-                &table[r * dim..(r + 1) * dim]
-            );
-        }
-    }
-
-    #[test]
-    fn gather_blocks_cover_large_inputs() {
-        let dim = 2;
-        let n = GATHER_BLOCK_ROWS * 2 + 37;
-        let table: Vec<f32> = (0..n * dim).map(|i| i as f32).collect();
-        let ids: Vec<usize> = (0..n).rev().collect();
-        let mut out = Vec::new();
-        gather_rows(&table, dim, &ids, &mut out);
-        for (k, &r) in ids.iter().enumerate() {
-            assert_eq!(out[k * dim], (r * dim) as f32);
         }
     }
 }

@@ -13,7 +13,9 @@ use crate::{EmbeddingShard, EmbeddingTableSpec, IndexHasher, PoolingOp, SparseBa
 ///
 /// Weights are materialized per feature from `(seed, feature)` — the same
 /// deterministic initialization the sharded backends use — so outputs are
-/// directly comparable.
+/// directly comparable. Deliberately so: the backends draw single rows with
+/// [`EmbeddingShard::init_row`], and this whole-table definition through
+/// [`EmbeddingShard::init_table`] is the independent oracle they are held to.
 pub fn reference_forward(
     batch: &SparseBatch,
     spec: EmbeddingTableSpec,

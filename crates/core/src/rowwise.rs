@@ -67,8 +67,8 @@ pub fn rowwise_functional_forward(
     // partial[dev] is [n * s_total, dim]; counts[dev][bag] = rows folded.
     let mut partial: Vec<Vec<f32>> = vec![vec![0.0; n * s_total * dim]; n_devices];
     let mut counts: Vec<Vec<u32>> = vec![vec![0; n * s_total]; n_devices];
+    let mut drawn = vec![0.0; dim];
     for f in 0..s_total {
-        let weights = crate::EmbeddingShard::init_table(f, spec, seed);
         let hasher = IndexHasher::new(f, spec.rows, seed);
         for s in 0..n {
             let bag = f * n + s;
@@ -78,7 +78,8 @@ pub fn rowwise_functional_forward(
                 let count = counts[dev][bag] + 1;
                 counts[dev][bag] = count;
                 let acc = &mut partial[dev][bag * dim..(bag + 1) * dim];
-                pooling.accumulate(acc, weights.row(row), count as usize);
+                crate::EmbeddingShard::init_row(f, row, spec, seed, &mut drawn);
+                pooling.accumulate(acc, &drawn, count as usize);
             }
         }
     }

@@ -1,5 +1,6 @@
 //! Embedding tables and per-device shards.
 
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use rayon::prelude::*;
 use simtensor::Tensor;
 
@@ -48,6 +49,11 @@ impl EmbeddingTableSpec {
 /// the functional half of a model-parallel shard. Weights are deterministic
 /// per `(seed, feature)`, independent of which device hosts the table, so
 /// different shardings and backends produce identical outputs.
+///
+/// The functional forward does not build shards: it draws each looked-up
+/// row with [`EmbeddingShard::init_row`]. Shards are for what needs whole,
+/// mutable tables — the SGD step (`backward::sgd_update`), tests, and the
+/// benchmark's per-layer costs.
 #[derive(Clone, Debug)]
 pub struct EmbeddingShard {
     spec: EmbeddingTableSpec,
@@ -71,14 +77,31 @@ impl EmbeddingShard {
 
     /// The deterministic initial weights of one feature's table.
     pub fn init_table(feature: usize, spec: EmbeddingTableSpec, seed: u64) -> Tensor {
-        // Scaled uniform init, as the DLRM reference uses.
-        let bound = 1.0 / (spec.rows as f32).sqrt();
-        Tensor::rand_uniform(
-            &[spec.rows, spec.dim],
-            -bound,
-            bound,
-            seed ^ (feature as u64).wrapping_mul(0x9E3779B97F4A7C15),
-        )
+        let (stream, bound) = init_stream(feature, spec, seed);
+        Tensor::rand_uniform(&[spec.rows, spec.dim], -bound, bound, stream)
+    }
+
+    /// Row `row` of [`EmbeddingShard::init_table`] into `out` (`spec.dim`
+    /// wide), bit for bit, without the table: the init stream is jumped to
+    /// the row's first element in O(1) and draws its `dim` values exactly
+    /// as `Tensor::rand_uniform` does.
+    pub fn init_row(
+        feature: usize,
+        row: usize,
+        spec: EmbeddingTableSpec,
+        seed: u64,
+        out: &mut [f32],
+    ) {
+        assert!(row < spec.rows && out.len() == spec.dim);
+        let (stream, bound) = init_stream(feature, spec, seed);
+        let mut rng = StdRng::seed_from_u64(stream);
+        rng.advance((row * spec.dim) as u64);
+        out.fill_with(|| {
+            // Emits nothing but keeps the loop scalar: with no 64-bit vector
+            // multiply (baseline x86-64), vectorized SplitMix64 is ≈ 1.5× slower.
+            std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
+            rng.gen_range(-bound..=bound)
+        });
     }
 
     /// Table spec shared by every table in this shard.
@@ -141,6 +164,12 @@ impl EmbeddingShard {
     pub fn resident_bytes(&self) -> u64 {
         self.tables.len() as u64 * self.spec.table_bytes()
     }
+}
+
+/// One feature's init stream: its seed and its scaled-uniform bound.
+fn init_stream(feature: usize, spec: EmbeddingTableSpec, seed: u64) -> (u64, f32) {
+    let stream = seed ^ (feature as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    (stream, 1.0 / (spec.rows as f32).sqrt())
 }
 
 #[cfg(test)]

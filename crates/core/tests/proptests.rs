@@ -3,8 +3,8 @@
 use desim::Dur;
 use emb_retrieval::backend::{ExecMode, ResiliencePolicy, ResilientBackend};
 use emb_retrieval::{
-    hash_to_row, EmbLayerConfig, ForwardPlan, IndexDistribution, IndexHasher, PoolingOp, Sharding,
-    SparseBatch, SparseBatchSpec,
+    hash_to_row, EmbLayerConfig, EmbeddingShard, EmbeddingTableSpec, ForwardPlan,
+    IndexDistribution, IndexHasher, PoolingOp, Sharding, SparseBatch, SparseBatchSpec,
 };
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use proptest::prelude::*;
@@ -185,5 +185,33 @@ proptest! {
         prop_assert!(c.bags_per_block >= 1);
         prop_assert!(c.index_space >= 1);
         let _ = c.sharding(); // must not panic
+    }
+}
+
+proptest! {
+    /// `init_row` is row `row` of `init_table`, bit for bit: the O(1) jump
+    /// into the init stream lands where materializing the table does — at
+    /// the first, the last and a random row, for the paper's dim, odd and
+    /// wider-than-64 dims, and the extreme seeds.
+    #[test]
+    fn init_row_is_bit_identical_to_init_table(
+        feature in 0usize..1000,
+        rows in 1usize..2000,
+        dim in prop_oneof![prop_oneof![Just(1usize), Just(3), Just(64), Just(130)], 1usize..200],
+        seed in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        pick in any::<u64>(),
+    ) {
+        let spec = EmbeddingTableSpec { rows, dim };
+        let table = EmbeddingShard::init_table(feature, spec, seed);
+        let mut drawn = vec![f32::NAN; dim];
+        for row in [0, rows - 1, (pick % rows as u64) as usize] {
+            EmbeddingShard::init_row(feature, row, spec, seed, &mut drawn);
+            for (c, (a, b)) in table.row(row).iter().zip(&drawn).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(), b.to_bits(),
+                    "feature {} row {}/{} col {}/{} seed {}", feature, row, rows, c, dim, seed
+                );
+            }
+        }
     }
 }

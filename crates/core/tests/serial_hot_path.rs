@@ -1,13 +1,15 @@
 //! Bit-identity properties of the serial hot-path overhaul.
 //!
-//! The monomorphized gather/pool kernels, the arena-backed
+//! The monomorphized pool kernels, the arena-backed
 //! `compute_pooled_rows_into`, and the pool's inline degradation all claim
 //! the same thing: *exactly* the bytes the historical paths produced. These
 //! proptests pin that claim against in-test oracles written the way the old
 //! code was (per-bag `PoolingOp::accumulate` loops), across pooling ops,
 //! empty bags, and dedup/cache annotation on and off.
 
-use emb_retrieval::backend::{compute_pooled_rows, materialize_shards};
+use emb_retrieval::backend::{
+    compute_pooled_rows, compute_pooled_rows_into, materialize_shards, Weights,
+};
 use emb_retrieval::{
     kernels, EmbLayerConfig, ForwardPlan, HotCachePlanner, IndexHasher, PoolingOp, SparseBatch,
 };
@@ -51,23 +53,6 @@ proptest! {
         for (a, b) in expect.iter().zip(&got) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: {:?} vs {:?}", op, expect, got);
         }
-    }
-
-    /// `gather_rows` lands every row at the slot a plain per-row
-    /// `extend_from_slice` loop would, for arbitrary id sequences.
-    #[test]
-    fn gather_rows_matches_naive_loop(
-        ids in proptest::collection::vec(0usize..40, 0..80),
-        dim in 1usize..6,
-    ) {
-        let table: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.5).collect();
-        let mut naive = Vec::new();
-        for &r in &ids {
-            naive.extend_from_slice(&table[r * dim..(r + 1) * dim]);
-        }
-        let mut got = Vec::new();
-        kernels::gather_rows(&table, dim, &ids, &mut got);
-        prop_assert_eq!(naive, got);
     }
 }
 
@@ -123,7 +108,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The arena-backed, feature-chunked `compute_pooled_rows` is
-    /// bit-identical to the historical per-bag loop — across pooling ops,
+    /// bit-identical to the historical per-bag loop over a materialized
+    /// shard, whether it reads the shard or draws rows from their init
+    /// streams — across pooling ops,
     /// device counts, empty bags, and cache/dedup annotation on and off.
     #[test]
     fn pooled_rows_match_historical_path_bitwise(
@@ -147,15 +134,21 @@ proptest! {
         }
         let shards = materialize_shards(&plan, cfg.table_spec(), cfg.seed);
         for dp in &plan.devices {
-            let got = compute_pooled_rows(dp, &plan, &batch, &shards[dp.device], cfg.seed);
+            let from_shard = compute_pooled_rows(dp, &plan, &batch, &shards[dp.device], cfg.seed);
+            // The shard-free source: rows drawn from their init streams.
+            let mut drawn = Vec::new();
+            let weights = Weights::Init(cfg.table_spec());
+            compute_pooled_rows_into(dp, &plan, &batch, weights, cfg.seed, &mut drawn);
             let expect = pooled_rows_oracle(dp, &plan, &batch, &shards[dp.device], cfg.seed);
-            prop_assert_eq!(got.len(), expect.len());
-            for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "dev {} elem {}: {} vs {} (op {:?} cached {})",
-                    dp.device, i, a, b, op, cached
-                );
+            for (source, got) in [("shard", &from_shard), ("init stream", &drawn)] {
+                prop_assert_eq!(got.len(), expect.len());
+                for (i, (a, b)) in expect.iter().zip(got).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "{} dev {} elem {}: {} vs {} (op {:?} cached {})",
+                        source, dp.device, i, a, b, op, cached
+                    );
+                }
             }
         }
     }

@@ -6,8 +6,12 @@
 //! Timings cannot prove a negative, so this binary installs a counting
 //! wrapper around the system allocator and reads the allocation-count delta
 //! across one warmed repetition of the hot path, exactly as the backends run
-//! it per batch. The counter is per-thread and each test runs on its own,
+//! it per batch. The counters are per-thread and each test runs on its own,
 //! so nothing else can be charged to a measured region.
+//!
+//! The same wrapper keeps the thread's live heap bytes and their high-water
+//! mark, which holds the memory claim of Functional mode: a run draws each
+//! looked-up row from its init stream and never holds a whole table.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +19,7 @@ use std::cell::Cell;
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
     compute_pooled_rows_into, execute_batch, materialize_shards, plan_for_batch, ArrivalLog,
-    Exchange, ExecMode, PlannedBatch,
+    BaselineBackend, Exchange, ExecMode, PgasFusedBackend, PlannedBatch, RetrievalBackend, Weights,
 };
 use emb_retrieval::backward::pgas_backward;
 use emb_retrieval::{arena, EmbLayerConfig, ForwardPlan, SparseBatch};
@@ -23,39 +27,55 @@ use gpusim::{Machine, MachineConfig};
 use rayon::ThreadPoolBuilder;
 
 thread_local! {
-    // Const-init and `Drop`-free: touching it never allocates or registers
-    // a destructor.
+    // Const-init and `Drop`-free: touching them never allocates or
+    // registers a destructor.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed on this thread (negative when it
+    // frees memory another thread allocated), and their high-water mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_call() {
+/// Record one allocation entry point that changed this thread's live bytes
+/// by `grown` (a `realloc` passes its size change).
+fn count_call(grown: i64) {
     // `try_with`: the allocator is still called during thread teardown.
     let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    count_bytes(grown);
 }
 
-/// [`System`] plus a per-thread counter of allocation entry points. Frees
-/// are not counted: the claim is "no new memory requested per batch".
+fn count_bytes(grown: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// [`System`] plus per-thread counters: allocation entry points (frees are
+/// not counted: the claim is "no new memory requested per batch") and live
+/// bytes with their peak.
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the counter has no effect on the
+// SAFETY: defers entirely to `System`; the counters have no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -65,6 +85,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
     ALLOC_CALLS.with(Cell::get)
+}
+
+/// The most this thread's live heap bytes rose above their level at the
+/// call during `f`.
+fn peak_growth<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let r = f();
+    (r, PEAK.with(Cell::get) - before)
 }
 
 #[test]
@@ -80,13 +109,17 @@ fn warmed_lookup_pool_batch_allocates_nothing() {
         cfg.bags_per_block,
     );
     let shards = materialize_shards(&plan, cfg.table_spec(), cfg.seed);
+    // Both row sources: the resident shard and the init stream.
     let run_once = |sink: &mut Vec<f32>| {
         sink.clear();
         for dp in &plan.devices {
-            let mut buf = arena::take_f32();
-            compute_pooled_rows_into(dp, &plan, &batch, &shards[dp.device], cfg.seed, &mut buf);
-            sink.extend_from_slice(&buf);
-            arena::put_f32(buf);
+            let shard = Weights::Shard(&shards[dp.device]);
+            for weights in [shard, Weights::Init(cfg.table_spec())] {
+                let mut buf = arena::take_f32();
+                compute_pooled_rows_into(dp, &plan, &batch, weights, cfg.seed, &mut buf);
+                sink.extend_from_slice(&buf);
+                arena::put_f32(buf);
+            }
         }
     };
     let mut sink = Vec::new();
@@ -176,4 +209,33 @@ fn a_replayed_backward_batch_allocates_nothing() {
         seven, three,
         "a replayed backward batch allocated from the heap"
     );
+}
+
+#[test]
+fn a_functional_run_holds_no_table() {
+    // Four GPUs, one 4 MB table each: materializing the device shards
+    // alone would hold 16 MB.
+    let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+    cfg.n_batches = 2;
+    let table_bytes = cfg.table_spec().table_bytes() as i64;
+    // Width 1: every allocation of the run lands on this thread's counters.
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build thread pool");
+    let backends: [&dyn RetrievalBackend; 2] = [&BaselineBackend::new(), &PgasFusedBackend::new()];
+    for backend in backends {
+        let (outputs, grown) = peak_growth(|| {
+            pool.install(|| {
+                let mut m = Machine::new(MachineConfig::dgx_v100(4));
+                backend.run(&mut m, &cfg, ExecMode::Functional).outputs
+            })
+        });
+        assert_eq!(outputs.map(|o| o.len()), Some(4), "{}", backend.name());
+        assert!(
+            grown < table_bytes,
+            "a functional {} run peaked {grown} B above its start, one table is {table_bytes} B",
+            backend.name()
+        );
+    }
 }

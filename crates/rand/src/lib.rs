@@ -2,8 +2,9 @@
 //! network access to crates.io). Implements exactly the API surface the
 //! workspace uses — `StdRng::seed_from_u64`, `Rng::gen_range`,
 //! `distributions::{Distribution, Uniform}` — on top of a SplitMix64
-//! generator. Streams are deterministic per seed but are *not* the upstream
-//! `rand` streams; everything in this workspace that consumes them is
+//! generator, plus an O(1) jump ahead upstream lacks (`StdRng::advance`).
+//! Streams are deterministic per seed but are *not* the upstream `rand`
+//! streams; everything in this workspace that consumes them is
 //! self-consistent (golden values live in-repo).
 
 /// Core RNG state: SplitMix64, which passes BigCrush and needs one u64 of
@@ -13,11 +14,14 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// SplitMix64's per-draw state increment (the golden-ratio Weyl step).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl SplitMix64 {
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -138,6 +142,16 @@ pub mod rngs {
         }
     }
 
+    impl StdRng {
+        /// Skip `n` draws in O(1): the state is a counter stepped by a
+        /// constant. Every `gen_range` takes one draw, so the next sample is
+        /// the stream's `n`-th (0-based).
+        #[inline]
+        pub fn advance(&mut self, n: u64) {
+            self.0.state = self.0.state.wrapping_add(n.wrapping_mul(super::GAMMA));
+        }
+    }
+
     impl super::Rng for StdRng {
         #[inline]
         fn gen_range<T, R: super::SampleRange<T>>(&mut self, range: R) -> T {
@@ -232,6 +246,37 @@ mod tests {
             let d = rng.gen_range(f64::MIN_POSITIVE..1.0);
             assert!(d > 0.0 && d < 1.0);
         }
+    }
+
+    #[test]
+    fn advance_lands_where_sequential_draws_do() {
+        for seed in [0, 1, 42, u64::MAX] {
+            for n in [0u64, 1, 2, 63, 64, 1000] {
+                let mut walked = StdRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    walked.gen_range(0u64..=u64::MAX);
+                }
+                let mut jumped = StdRng::seed_from_u64(seed);
+                jumped.advance(n);
+                assert_eq!(
+                    jumped.gen_range(0u64..=u64::MAX),
+                    walked.gen_range(0u64..=u64::MAX),
+                    "seed {seed}, n {n}"
+                );
+                // Floats take one draw each too.
+                assert_eq!(
+                    jumped.gen_range(-1.0f32..=1.0).to_bits(),
+                    walked.gen_range(-1.0f32..=1.0).to_bits()
+                );
+            }
+        }
+        // Jumps compose, and wrap with the state like single steps do.
+        let mut a = StdRng::seed_from_u64(u64::MAX);
+        a.advance(u64::MAX);
+        a.advance(3);
+        let mut b = StdRng::seed_from_u64(u64::MAX);
+        b.advance(2);
+        assert_eq!(a.gen_range(0u64..=u64::MAX), b.gen_range(0u64..=u64::MAX));
     }
 
     #[test]

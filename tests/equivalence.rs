@@ -1,7 +1,9 @@
 //! Cross-crate functional equivalence: for a grid of workload shapes, the
 //! baseline pipeline (pack → all-to-all → unpack), the PGAS fused path
 //! (one-sided scatter through the symmetric heap) and the serial reference
-//! all produce identical embedding-layer outputs.
+//! all produce identical embedding-layer outputs — exactly, though the
+//! backends draw each looked-up row from its init stream and the reference
+//! materializes whole tables.
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
 use pgas_embedding::retrieval::backend::{
@@ -26,8 +28,8 @@ fn check(cfg: &EmbLayerConfig) {
     let reference = reference_forward(&batch, cfg.table_spec(), cfg.pooling, cfg.n_gpus, cfg.seed);
     for dev in 0..cfg.n_gpus {
         assert!(
-            base[dev].allclose(&reference[dev], 1e-5),
-            "baseline != reference (dev {dev}, {cfg:?})"
+            base[dev].allclose(&reference[dev], 0.0),
+            "baseline != reference exactly (dev {dev}, {cfg:?})"
         );
         assert!(
             pgas[dev].allclose(&base[dev], 0.0),
