@@ -960,18 +960,23 @@ impl<'a, 'r> Batch<'a, 'r> {
         // stores and serialize them artificially. Sorting by (ready, src,
         // dst) keeps call order aligned with simulated time. Each origin
         // drains at its own kernel-retirement instant, merged into the same
-        // ordering. ---
+        // ordering: a cursor over the origins sorted by retirement drains,
+        // in device order, those that retired before the next store. ---
         events.sort_unstable_by_key(|&(t, src, dst, _)| (t, src, dst));
         let mut fences = self.fences();
-        let mut drained = arena::take_bool();
-        drained.resize(n, false);
+        let mut retired = arena::take_u64();
+        retired.extend(0..n as u64);
+        retired.sort_unstable_by_key(|&d| (self.k_end[d as usize], d));
+        let mut next = 0;
         let mut gw = GatewayPut::new(self.machine, cfg);
         for &(ready, src, dst, rows) in events.iter() {
-            for (d, &t) in self.k_end.iter().enumerate() {
-                if !drained[d] && t < ready {
-                    gw.drain_src(d, t);
-                    drained[d] = true;
-                }
+            let from = next;
+            while next < n && self.k_end[retired[next] as usize] < ready {
+                next += 1;
+            }
+            retired[from..next].sort_unstable();
+            for &d in &retired[from..next] {
+                gw.drain_src(d as usize, self.k_end[d as usize]);
             }
             gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
         }
@@ -984,7 +989,7 @@ impl<'a, 'r> Batch<'a, 'r> {
             }
         }
         drop(gw);
-        arena::put_bool(drained);
+        arena::put_u64(retired);
         arena::put_event(events);
         for d in 0..n {
             if !self.filled[d] {
@@ -1499,6 +1504,33 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn gateway_drains_retired_origins_in_device_order() {
+        // A 4×2 pod where every GPU straggles by its own factor, so kernels
+        // retire staggered and origins drain one by one between stores.
+        // Ends pinned at ns, as a scan of every device before each store
+        // drains them. At seed 150 (alone of the first 200) draining the
+        // origins that retired between two stores in retirement order
+        // instead of device order moves the end by 29 ns; skipping one
+        // drain moves seeds 0 and 1.
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(8).scaled_down(512);
+        cfg.n_batches = 1;
+        cfg.distinct_batches = 1;
+        let spec = gpusim::FaultSpec {
+            straggler_prob: 1.0,
+            straggler_factor: (1.0, 3.0),
+            ..gpusim::FaultSpec::none()
+        };
+        let gateway = Exchange::Gateway(GatewayConfig::default());
+        for (seed, end_ns) in [(0, 149_303), (1, 175_618), (150, 163_692)] {
+            let mut m = Machine::new(MachineConfig::pod_v100(4, 2));
+            m.install_faults(gpusim::FaultPlan::generate(seed, 8, spec));
+            let pb = planned(&m, &cfg, 0);
+            let r = run(&mut m, gateway, &pb, SimTime::ZERO);
+            assert_eq!(r.end.as_ns(), end_ns, "seed {seed}");
         }
     }
 

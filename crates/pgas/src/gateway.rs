@@ -12,8 +12,6 @@
 //! Same-node puts bypass the proxy entirely, so on a single-node topology
 //! [`GatewayPut`] is bit-identical to a plain [`OneSided`].
 
-use std::collections::{BTreeMap, HashMap};
-
 use desim::{Dur, Interval, SimTime};
 use gpusim::Machine;
 use telemetry::causal::{BlameCategory, Lane};
@@ -52,36 +50,48 @@ pub struct GatewayConfig {
 }
 
 /// One staged cross-node buffer: rows from a single origin GPU bound for
-/// GPUs on a single remote node, keyed by (final destination, row size) so
-/// the gateway can scatter exact shares on arrival.
+/// GPUs on a single remote node, split by (final destination, row size) so
+/// the gateway can scatter exact shares on arrival. Emptied in place
+/// (`rows == 0` means empty), so its share list keeps its capacity.
 #[derive(Clone, Debug, Default)]
 struct Stage {
     payload: u64,
     rows: u64,
     oldest: SimTime,
     newest: SimTime,
-    shares: BTreeMap<(usize, u32), u64>,
+    /// `(dst, row_bytes, rows)`, sorted by `(dst, row_bytes)`.
+    shares: Vec<(usize, u32, u64)>,
 }
 
 /// PGAS one-sided puts with per-node gateway aggregation of cross-node
 /// traffic. Wraps [`OneSided`]; stores must arrive in non-decreasing
 /// `ready` order per origin GPU (the natural order of block retirements),
 /// asserted in debug builds.
+///
+/// All state is dense, sized once from the topology in [`GatewayPut::new`]
+/// and reused in place: staging, flushing and forwarding touch no hash map
+/// and, once every channel has flushed once, no allocator.
 pub struct GatewayPut<'m> {
     os: OneSided<'m>,
     flush: AggregatorConfig,
-    staged: HashMap<(usize, usize), Stage>,
+    nodes: usize,
+    /// One buffer per (origin, destination node), at `src · nodes + node`.
+    stages: Vec<Stage>,
+    /// Gateway GPU of each node: its lowest-index member.
+    gateway: Vec<usize>,
     /// Latest scatter completion involving each origin GPU's traffic;
     /// `quiet` must cover these even though the gateway issued them.
-    last_delivery: HashMap<usize, SimTime>,
-    /// Busy-until horizon of each gateway's forwarding channel, keyed
-    /// `(gateway, final destination)`. Scatter forwarding runs on the
-    /// proxy's own DMA engine, serialized per channel but deliberately NOT
-    /// booked on the machine's per-GPU injection port: the fabric books
-    /// FIFO in call order, and charging forwarded traffic (whose ready
-    /// times sit one inter-node latency in the future) to the gateway GPU's
-    /// port would stall that GPU's own concurrent emission behind it.
-    forward: HashMap<(usize, usize), SimTime>,
+    last_delivery: Vec<SimTime>,
+    /// Busy-until horizon of the gateway's forwarding channel into each
+    /// final destination. A destination's gateway is fixed by its node, so
+    /// the destination alone names the channel `(gateway, dst)`. Scatter
+    /// forwarding runs on the proxy's own DMA engine, serialized per
+    /// channel but deliberately NOT booked on the machine's per-GPU
+    /// injection port: the fabric books FIFO in call order, and charging
+    /// forwarded traffic (whose ready times sit one inter-node latency in
+    /// the future) to the gateway GPU's port would stall that GPU's own
+    /// concurrent emission behind it.
+    forward: Vec<SimTime>,
     flushes: u64,
     rows_staged: u64,
 }
@@ -89,12 +99,17 @@ pub struct GatewayPut<'m> {
 impl<'m> GatewayPut<'m> {
     /// A gateway proxy over `machine` with the given config.
     pub fn new(machine: &'m mut Machine, cfg: GatewayConfig) -> Self {
+        let topo = machine.topology();
+        let (n, nodes) = (topo.n_gpus(), topo.nodes());
+        let gateway = (0..nodes).map(|k| topo.node_members(k).next().unwrap_or(0));
         GatewayPut {
+            gateway: gateway.collect(),
             os: OneSided::with_config(machine, cfg.pgas),
             flush: cfg.flush,
-            staged: HashMap::new(),
-            last_delivery: HashMap::new(),
-            forward: HashMap::new(),
+            nodes,
+            stages: vec![Stage::default(); n * nodes],
+            last_delivery: vec![SimTime::ZERO; n],
+            forward: vec![SimTime::ZERO; n],
             flushes: 0,
             rows_staged: 0,
         }
@@ -129,43 +144,42 @@ impl<'m> GatewayPut<'m> {
         row_bytes: u32,
         ready: SimTime,
     ) -> Interval {
-        if self.os.machine().topology().same_node(src, dst) {
+        let topo = self.os.machine().topology();
+        if topo.same_node(src, dst) {
             return self.os.put_rows_nbi(src, dst, rows, row_bytes, ready);
         }
-        let dst_node = self.os.machine().topology().node_of(dst);
+        let dst_node = topo.node_of(dst);
+        let idx = src * self.nodes + dst_node;
         self.rows_staged += rows;
-        let entry = self.staged.entry((src, dst_node)).or_default();
+        let stage = &self.stages[idx];
         debug_assert!(
-            entry.rows == 0 || ready >= entry.newest,
+            stage.rows == 0 || ready >= stage.newest,
             "stores must arrive in non-decreasing ready order per origin"
         );
         let mut shipped = None;
         // Age flush: the timer fired before this row arrived — the staged
         // buffer left the node without it.
-        if entry.rows > 0 && entry.oldest + self.flush.max_wait <= ready {
-            let flush_at = entry.oldest + self.flush.max_wait;
-            let mut stage = std::mem::take(entry);
-            shipped = Some(self.ship(src, dst_node, &mut stage, flush_at));
+        if stage.rows > 0 && stage.oldest + self.flush.max_wait <= ready {
+            let flush_at = stage.oldest + self.flush.max_wait;
+            shipped = Some(self.ship(src, dst_node, flush_at));
         }
-        let entry = self.staged.entry((src, dst_node)).or_default();
-        if entry.rows == 0 {
-            entry.oldest = ready;
+        let stage = &mut self.stages[idx];
+        if stage.rows == 0 {
+            stage.oldest = ready;
         }
-        entry.rows += rows;
-        entry.payload += rows * row_bytes as u64;
-        entry.newest = ready;
-        *entry.shares.entry((dst, row_bytes)).or_default() += rows;
+        stage.rows += rows;
+        stage.payload += rows * row_bytes as u64;
+        stage.newest = ready;
+        let key = (dst, row_bytes);
+        match stage.shares.binary_search_by_key(&key, |&(d, b, _)| (d, b)) {
+            Ok(i) => stage.shares[i].2 += rows,
+            Err(i) => stage.shares.insert(i, (dst, row_bytes, rows)),
+        }
         // Size flush: threshold reached including this batch.
-        if entry.payload >= self.flush.flush_bytes {
-            let mut stage = std::mem::take(entry);
-            shipped = Some(self.ship(src, dst_node, &mut stage, ready));
-        }
-        if self
-            .staged
-            .get(&(src, dst_node))
-            .is_some_and(|s| s.rows == 0)
-        {
-            self.staged.remove(&(src, dst_node));
+        if stage.payload >= self.flush.flush_bytes {
+            shipped = Some(self.ship(src, dst_node, ready));
+        } else if stage.rows == 0 {
+            stage.shares.clear(); // a zero-row store staged nothing
         }
         shipped.unwrap_or(Interval {
             start: ready,
@@ -174,10 +188,11 @@ impl<'m> GatewayPut<'m> {
     }
 
     /// Drain every staging buffer (end of kernel, before `quiet`). Buffers
-    /// flush at the later of their newest row and `at`. Returns the wire
-    /// intervals of the final cross-node messages.
+    /// flush at the later of their newest row and `at`, even when their age
+    /// timer expired earlier: only [`GatewayPut::put_rows_nbi`] checks it.
+    /// Returns the wire intervals of the final cross-node messages.
     pub fn drain(&mut self, at: SimTime) -> Vec<Interval> {
-        self.drain_keys(at, |_| true)
+        self.drain_origins(0..self.last_delivery.len(), at)
     }
 
     /// Drain only `src`'s staging buffers (its kernel retired; other origins
@@ -185,27 +200,20 @@ impl<'m> GatewayPut<'m> {
     /// one proxy should drain each origin at its own retirement instant so
     /// wire bookings stay in simulated-time order.
     pub fn drain_src(&mut self, src: usize, at: SimTime) -> Vec<Interval> {
-        self.drain_keys(at, |s| s == src)
+        self.drain_origins(src..src + 1, at)
     }
 
-    fn drain_keys(&mut self, at: SimTime, want: impl Fn(usize) -> bool) -> Vec<Interval> {
-        let mut keys: Vec<_> = self
-            .staged
-            .keys()
-            .copied()
-            .filter(|&(s, _)| want(s))
-            .collect();
-        keys.sort_unstable(); // deterministic order
+    /// Ship the non-empty buffers of `srcs` in `(src, dst_node)` order.
+    fn drain_origins(&mut self, srcs: std::ops::Range<usize>, at: SimTime) -> Vec<Interval> {
         let mut out = Vec::new();
-        for (src, dst_node) in keys {
-            let Some(mut stage) = self.staged.remove(&(src, dst_node)) else {
-                continue;
-            };
-            if stage.rows == 0 {
-                continue;
+        for src in srcs {
+            for dst_node in 0..self.nodes {
+                let stage = &self.stages[src * self.nodes + dst_node];
+                if stage.rows > 0 {
+                    let flush_at = stage.newest.max(at);
+                    out.push(self.ship(src, dst_node, flush_at));
+                }
             }
-            let flush_at = stage.newest.max(at);
-            out.push(self.ship(src, dst_node, &mut stage, flush_at));
         }
         out
     }
@@ -217,15 +225,12 @@ impl<'m> GatewayPut<'m> {
     /// [`drain`]: GatewayPut::drain
     pub fn quiet(&mut self, src: usize, at: SimTime) -> SimTime {
         debug_assert!(
-            !self.staged.keys().any(|&(s, _)| s == src),
+            self.stages[src * self.nodes..][..self.nodes]
+                .iter()
+                .all(|s| s.rows == 0),
             "quiet with rows still staged; call drain first"
         );
-        let floor = self
-            .last_delivery
-            .get(&src)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        self.os.quiet(src, at.max(floor))
+        self.os.quiet(src, at.max(self.last_delivery[src]))
     }
 
     /// Barrier across all PEs, delegated to the wrapped [`OneSided`].
@@ -239,17 +244,13 @@ impl<'m> GatewayPut<'m> {
     /// proxy's dedicated channel — see [`GatewayPut::forward`]'s field
     /// docs). Rows addressed to the gateway itself have arrived once the
     /// aggregate lands.
-    fn ship(&mut self, src: usize, dst_node: usize, stage: &mut Stage, at: SimTime) -> Interval {
+    fn ship(&mut self, src: usize, dst_node: usize, at: SimTime) -> Interval {
         self.flushes += 1;
         let max_payload = self.os.config().max_payload;
-        let gw = {
-            let topo = self.os.machine().topology();
-            let member = topo
-                .node_members(dst_node)
-                .next()
-                .expect("destination node has members");
-            topo.gateway_of(member)
-        };
+        let gw = self.gateway[dst_node];
+        // Out of its slot for the call and back, emptied: moving a `Vec`
+        // allocates nothing.
+        let mut stage = std::mem::take(&mut self.stages[src * self.nodes + dst_node]);
         let batch = CoalescedBatch {
             payload: stage.payload,
             messages: 1,
@@ -259,16 +260,14 @@ impl<'m> GatewayPut<'m> {
         // flush fired. The aggregate put below must chain to the staging
         // span (not the kernel directly), so swap the origin's device cause
         // around the put and restore it after.
-        let stage_oldest = stage.oldest;
         let mut prev_cause = None;
-        let blame_on = self.os.machine().blame_enabled();
         if let Some(b) = self.os.machine().blame_mut() {
             prev_cause = b.device_cause(src as u32);
             let staging = b.record(
                 BlameCategory::GatewayStage,
                 Lane::Gateway(gw as u32),
-                stage_oldest,
-                stage_oldest,
+                stage.oldest,
+                stage.oldest,
                 at,
                 prev_cause,
                 false,
@@ -276,29 +275,21 @@ impl<'m> GatewayPut<'m> {
             b.set_device_cause(src as u32, Some(staging));
         }
         let inter = self.os.put_batch_nbi(src, gw, batch, at);
-        let agg_span = if blame_on {
-            self.os.machine().blame_last_span()
-        } else {
-            None
-        };
+        let agg_span = self.os.machine().blame_last_span(); // None when off
         if let Some(b) = self.os.machine().blame_mut() {
             b.set_device_cause(src as u32, prev_cause);
         }
         let mut last = inter.end;
-        for (&(dst, row_bytes), &rows) in &stage.shares {
+        for &(dst, row_bytes, rows) in &stage.shares {
             if dst == gw {
                 continue; // already resident at the gateway
             }
-            let (wire, latency) = {
-                let link = *self.os.machine().topology().link(gw, dst);
-                let fwd = coalesce_rows(rows, row_bytes, max_payload);
-                (link.wire_time(fwd.payload, fwd.messages), link.latency)
-            };
-            let slot = self.forward.entry((gw, dst)).or_insert(SimTime::ZERO);
-            let begin = (inter.end + latency).max(*slot);
-            let end = begin + wire;
-            *slot = end;
-            last = last.max(end);
+            let link = *self.os.machine().topology().link(gw, dst);
+            let fwd = coalesce_rows(rows, row_bytes, max_payload);
+            let wire = link.wire_time(fwd.payload, fwd.messages);
+            let slot = &mut self.forward[dst];
+            *slot = (inter.end + link.latency).max(*slot) + wire;
+            last = last.max(*slot);
         }
         // Blame: one aggregate scatter span on the gateway lane covering the
         // intra-node forwards, caused by the aggregate's wire span. The
@@ -316,7 +307,7 @@ impl<'m> GatewayPut<'m> {
                     false,
                 );
                 b.note_outbound(src as u32, scatter);
-                for &(dst, _) in stage.shares.keys() {
+                for &(dst, _, _) in &stage.shares {
                     if dst != gw {
                         b.note_inbound(dst as u32, scatter);
                     }
@@ -327,12 +318,311 @@ impl<'m> GatewayPut<'m> {
             .machine()
             .metrics_mut()
             .incr("gateway_flushes", src as u32, dst_node as u32);
-        let e = self.last_delivery.entry(src).or_insert(SimTime::ZERO);
-        *e = (*e).max(last);
+        self.last_delivery[src] = self.last_delivery[src].max(last);
         stage.rows = 0;
         stage.payload = 0;
         stage.shares.clear();
+        self.stages[src * self.nodes + dst_node] = stage;
         inter
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The map-based proxy, kept as the oracle the dense one is held to bit
+    //! for bit (`tests::dense_proxy_equals_the_map_oracle`): staging in a
+    //! SipHash map keyed `(origin, destination node)`, shares in a
+    //! `BTreeMap`, forward horizons keyed `(gateway, destination)`.
+
+    use std::collections::{BTreeMap, HashMap};
+
+    use desim::{Interval, SimTime};
+    use gpusim::Machine;
+    use telemetry::causal::{BlameCategory, Lane};
+
+    use super::{AggregatorConfig, GatewayConfig};
+    use crate::coalesce::{coalesce_rows, CoalescedBatch};
+    use crate::ops::OneSided;
+
+    /// One staged cross-node buffer: rows from a single origin GPU bound for
+    /// GPUs on a single remote node, keyed by (final destination, row size) so
+    /// the gateway can scatter exact shares on arrival.
+    #[derive(Clone, Debug, Default)]
+    struct Stage {
+        payload: u64,
+        rows: u64,
+        oldest: SimTime,
+        newest: SimTime,
+        shares: BTreeMap<(usize, u32), u64>,
+    }
+
+    /// PGAS one-sided puts with per-node gateway aggregation of cross-node
+    /// traffic. Wraps [`OneSided`]; stores must arrive in non-decreasing
+    /// `ready` order per origin GPU (the natural order of block retirements),
+    /// asserted in debug builds.
+    pub struct GatewayPut<'m> {
+        os: OneSided<'m>,
+        flush: AggregatorConfig,
+        staged: HashMap<(usize, usize), Stage>,
+        /// Latest scatter completion involving each origin GPU's traffic;
+        /// `quiet` must cover these even though the gateway issued them.
+        last_delivery: HashMap<usize, SimTime>,
+        /// Busy-until horizon of each gateway's forwarding channel, keyed
+        /// `(gateway, final destination)`. Scatter forwarding runs on the
+        /// proxy's own DMA engine, serialized per channel but deliberately NOT
+        /// booked on the machine's per-GPU injection port: the fabric books
+        /// FIFO in call order, and charging forwarded traffic (whose ready
+        /// times sit one inter-node latency in the future) to the gateway GPU's
+        /// port would stall that GPU's own concurrent emission behind it.
+        forward: HashMap<(usize, usize), SimTime>,
+        flushes: u64,
+        rows_staged: u64,
+    }
+
+    impl<'m> GatewayPut<'m> {
+        /// A gateway proxy over `machine` with the given config.
+        pub fn new(machine: &'m mut Machine, cfg: GatewayConfig) -> Self {
+            GatewayPut {
+                os: OneSided::with_config(machine, cfg.pgas),
+                flush: cfg.flush,
+                staged: HashMap::new(),
+                last_delivery: HashMap::new(),
+                forward: HashMap::new(),
+                flushes: 0,
+                rows_staged: 0,
+            }
+        }
+
+        /// Number of cross-node flush messages shipped so far.
+        pub fn flushes(&self) -> u64 {
+            self.flushes
+        }
+
+        /// Number of cross-node rows staged so far.
+        pub fn rows_staged(&self) -> u64 {
+            self.rows_staged
+        }
+
+        /// Issue `rows` row-stores of `row_bytes` from `src` to `dst`, ready at
+        /// `ready`. Same-node destinations go straight through the wrapped
+        /// [`OneSided`]; cross-node destinations are staged and ship when the
+        /// buffer's size or age threshold fires. Returns the wire interval of
+        /// whatever this call put on the wire (the direct put, or a triggered
+        /// flush), or a zero-width interval at `ready` if it only staged.
+        pub fn put_rows_nbi(
+            &mut self,
+            src: usize,
+            dst: usize,
+            rows: u64,
+            row_bytes: u32,
+            ready: SimTime,
+        ) -> Interval {
+            if self.os.machine().topology().same_node(src, dst) {
+                return self.os.put_rows_nbi(src, dst, rows, row_bytes, ready);
+            }
+            let dst_node = self.os.machine().topology().node_of(dst);
+            self.rows_staged += rows;
+            let entry = self.staged.entry((src, dst_node)).or_default();
+            debug_assert!(
+                entry.rows == 0 || ready >= entry.newest,
+                "stores must arrive in non-decreasing ready order per origin"
+            );
+            let mut shipped = None;
+            // Age flush: the timer fired before this row arrived — the staged
+            // buffer left the node without it.
+            if entry.rows > 0 && entry.oldest + self.flush.max_wait <= ready {
+                let flush_at = entry.oldest + self.flush.max_wait;
+                let mut stage = std::mem::take(entry);
+                shipped = Some(self.ship(src, dst_node, &mut stage, flush_at));
+            }
+            let entry = self.staged.entry((src, dst_node)).or_default();
+            if entry.rows == 0 {
+                entry.oldest = ready;
+            }
+            entry.rows += rows;
+            entry.payload += rows * row_bytes as u64;
+            entry.newest = ready;
+            *entry.shares.entry((dst, row_bytes)).or_default() += rows;
+            // Size flush: threshold reached including this batch.
+            if entry.payload >= self.flush.flush_bytes {
+                let mut stage = std::mem::take(entry);
+                shipped = Some(self.ship(src, dst_node, &mut stage, ready));
+            }
+            if self
+                .staged
+                .get(&(src, dst_node))
+                .is_some_and(|s| s.rows == 0)
+            {
+                self.staged.remove(&(src, dst_node));
+            }
+            shipped.unwrap_or(Interval {
+                start: ready,
+                end: ready,
+            })
+        }
+
+        /// Drain every staging buffer (end of kernel, before `quiet`). Buffers
+        /// flush at the later of their newest row and `at`. Returns the wire
+        /// intervals of the final cross-node messages.
+        pub fn drain(&mut self, at: SimTime) -> Vec<Interval> {
+            self.drain_keys(at, |_| true)
+        }
+
+        /// Drain only `src`'s staging buffers (its kernel retired; other origins
+        /// may still be emitting). Callers interleaving multiple origins through
+        /// one proxy should drain each origin at its own retirement instant so
+        /// wire bookings stay in simulated-time order.
+        pub fn drain_src(&mut self, src: usize, at: SimTime) -> Vec<Interval> {
+            self.drain_keys(at, |s| s == src)
+        }
+
+        fn drain_keys(&mut self, at: SimTime, want: impl Fn(usize) -> bool) -> Vec<Interval> {
+            let mut keys: Vec<_> = self
+                .staged
+                .keys()
+                .copied()
+                .filter(|&(s, _)| want(s))
+                .collect();
+            keys.sort_unstable(); // deterministic order
+            let mut out = Vec::new();
+            for (src, dst_node) in keys {
+                let Some(mut stage) = self.staged.remove(&(src, dst_node)) else {
+                    continue;
+                };
+                if stage.rows == 0 {
+                    continue;
+                }
+                let flush_at = stage.newest.max(at);
+                out.push(self.ship(src, dst_node, &mut stage, flush_at));
+            }
+            out
+        }
+
+        /// Completion fence for `src`: covers its own direct puts **and** every
+        /// gateway scatter carrying its staged rows. Callers must [`drain`]
+        /// first; quiescing with rows still staged is a bug in the caller.
+        ///
+        /// [`drain`]: GatewayPut::drain
+        pub fn quiet(&mut self, src: usize, at: SimTime) -> SimTime {
+            debug_assert!(
+                !self.staged.keys().any(|&(s, _)| s == src),
+                "quiet with rows still staged; call drain first"
+            );
+            let floor = self
+                .last_delivery
+                .get(&src)
+                .copied()
+                .unwrap_or(SimTime::ZERO);
+            self.os.quiet(src, at.max(floor))
+        }
+
+        /// Ship one staged buffer: a single aggregate message from the origin to
+        /// the destination node's gateway, then per-destination scatter
+        /// forwarding from the gateway over the intra-node crossbar (on the
+        /// proxy's dedicated channel — see [`GatewayPut::forward`]'s field
+        /// docs). Rows addressed to the gateway itself have arrived once the
+        /// aggregate lands.
+        fn ship(
+            &mut self,
+            src: usize,
+            dst_node: usize,
+            stage: &mut Stage,
+            at: SimTime,
+        ) -> Interval {
+            self.flushes += 1;
+            let max_payload = self.os.config().max_payload;
+            let gw = {
+                let topo = self.os.machine().topology();
+                let member = topo
+                    .node_members(dst_node)
+                    .next()
+                    .expect("destination node has members");
+                topo.gateway_of(member)
+            };
+            let batch = CoalescedBatch {
+                payload: stage.payload,
+                messages: 1,
+            };
+            // Blame: the staged dwell is its own billed interval on the gateway
+            // lane — rows sat in the buffer from the oldest store until the
+            // flush fired. The aggregate put below must chain to the staging
+            // span (not the kernel directly), so swap the origin's device cause
+            // around the put and restore it after.
+            let stage_oldest = stage.oldest;
+            let mut prev_cause = None;
+            let blame_on = self.os.machine().blame_enabled();
+            if let Some(b) = self.os.machine().blame_mut() {
+                prev_cause = b.device_cause(src as u32);
+                let staging = b.record(
+                    BlameCategory::GatewayStage,
+                    Lane::Gateway(gw as u32),
+                    stage_oldest,
+                    stage_oldest,
+                    at,
+                    prev_cause,
+                    false,
+                );
+                b.set_device_cause(src as u32, Some(staging));
+            }
+            let inter = self.os.put_batch_nbi(src, gw, batch, at);
+            let agg_span = if blame_on {
+                self.os.machine().blame_last_span()
+            } else {
+                None
+            };
+            if let Some(b) = self.os.machine().blame_mut() {
+                b.set_device_cause(src as u32, prev_cause);
+            }
+            let mut last = inter.end;
+            for (&(dst, row_bytes), &rows) in &stage.shares {
+                if dst == gw {
+                    continue; // already resident at the gateway
+                }
+                let (wire, latency) = {
+                    let link = *self.os.machine().topology().link(gw, dst);
+                    let fwd = coalesce_rows(rows, row_bytes, max_payload);
+                    (link.wire_time(fwd.payload, fwd.messages), link.latency)
+                };
+                let slot = self.forward.entry((gw, dst)).or_insert(SimTime::ZERO);
+                let begin = (inter.end + latency).max(*slot);
+                let end = begin + wire;
+                *slot = end;
+                last = last.max(end);
+            }
+            // Blame: one aggregate scatter span on the gateway lane covering the
+            // intra-node forwards, caused by the aggregate's wire span. The
+            // origin's quiet fence waits on the scatter (its rows land at
+            // `last`), and each scatter destination sees it as inbound traffic.
+            if last > inter.end {
+                if let Some(b) = self.os.machine().blame_mut() {
+                    let scatter = b.record(
+                        BlameCategory::GatewayStage,
+                        Lane::Gateway(gw as u32),
+                        inter.end,
+                        inter.end,
+                        last,
+                        agg_span,
+                        false,
+                    );
+                    b.note_outbound(src as u32, scatter);
+                    for &(dst, _) in stage.shares.keys() {
+                        if dst != gw {
+                            b.note_inbound(dst as u32, scatter);
+                        }
+                    }
+                }
+            }
+            self.os
+                .machine()
+                .metrics_mut()
+                .incr("gateway_flushes", src as u32, dst_node as u32);
+            let e = self.last_delivery.entry(src).or_insert(SimTime::ZERO);
+            *e = (*e).max(last);
+            stage.rows = 0;
+            stage.payload = 0;
+            stage.shares.clear();
+            inter
+        }
     }
 }
 
@@ -340,6 +630,7 @@ impl<'m> GatewayPut<'m> {
 mod tests {
     use super::*;
     use gpusim::MachineConfig;
+    use proptest::prelude::*;
 
     fn pod(nodes: usize, per_node: usize) -> Machine {
         Machine::new(MachineConfig::pod_v100(nodes, per_node))
@@ -509,5 +800,76 @@ mod tests {
             gw_msgs * 32 <= flat_msgs,
             "gateway must collapse per-row messages: {gw_msgs} vs {flat_msgs}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The dense proxy is the map-based oracle bit for bit, on pod
+        /// shapes 1–4 × 1–4 and the 2 × 2 InfiniBand pair, under put streams
+        /// that interleave origins, mix two row sizes on one destination,
+        /// include zero-row stores, and drain everything or one origin at
+        /// random points (some at an instant before the buffer's newest
+        /// row). Size thresholds run from 0 (every store ships) to 4 KiB or
+        /// never, age thresholds from 1 ns to 20 µs or 1 s. Every returned
+        /// interval and drain list, the flush and row counters after each
+        /// step, every origin's `quiet`, the machine's traffic stats and,
+        /// with blame on, every recorded span must agree.
+        #[test]
+        fn dense_proxy_equals_the_map_oracle(
+            shape in 0usize..17,
+            flush_bytes in prop_oneof![0u64..4096, Just(u64::MAX)],
+            wait_ns in prop_oneof![1u64..20_000, Just(1_000_000_000)],
+            blame in any::<bool>(),
+            steps in prop::collection::vec(
+                (0u8..12, 0usize..16, 0usize..16, 0u64..6, any::<bool>(), 0u64..4_000),
+                1..160,
+            ),
+        ) {
+            let cfg = match shape {
+                16 => MachineConfig::multi_node_v100(2, 2),
+                s => MachineConfig::pod_v100(1 + s / 4, 1 + s % 4),
+            };
+            let (mut dense_m, mut map_m) = (Machine::new(cfg.clone()), Machine::new(cfg));
+            if blame {
+                dense_m.enable_blame();
+                map_m.enable_blame();
+            }
+            let n = dense_m.topology().n_gpus();
+            let flush = AggregatorConfig { flush_bytes, max_wait: Dur::from_ns(wait_ns) };
+            let gcfg = GatewayConfig { pgas: PgasConfig::default(), flush };
+            let mut dense = GatewayPut::new(&mut dense_m, gcfg);
+            let mut map = oracle::GatewayPut::new(&mut map_m, gcfg);
+            let mut t = SimTime::ZERO;
+            for &(op, src, dst, rows, wide, dt_ns) in &steps {
+                t += Dur::from_ns(dt_ns);
+                let (src, dst) = (src % n, dst % n);
+                let early = SimTime::from_ns(dt_ns);
+                match op {
+                    0 => prop_assert_eq!(dense.drain(t), map.drain(t)),
+                    1 => prop_assert_eq!(dense.drain_src(src, t), map.drain_src(src, t)),
+                    2 => prop_assert_eq!(dense.drain_src(src, early), map.drain_src(src, early)),
+                    _ if src != dst => {
+                        let rb = if wide { 256 } else { 64 };
+                        prop_assert_eq!(
+                            dense.put_rows_nbi(src, dst, rows, rb, t),
+                            map.put_rows_nbi(src, dst, rows, rb, t)
+                        );
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(
+                    (dense.flushes(), dense.rows_staged()),
+                    (map.flushes(), map.rows_staged())
+                );
+            }
+            prop_assert_eq!(dense.drain(t), map.drain(t));
+            for src in 0..n {
+                prop_assert_eq!(dense.quiet(src, t), map.quiet(src, t));
+            }
+            drop((dense, map));
+            prop_assert_eq!(dense_m.traffic_stats(), map_m.traffic_stats());
+            prop_assert_eq!(dense_m.blame().map(|b| b.spans()), map_m.blame().map(|b| b.spans()));
+        }
     }
 }
