@@ -71,6 +71,10 @@ same_as_results() {
         }
     done
 }
+# These experiments have no smoke parameters, so `all --smoke` ran them at
+# full scale: backward and ablation-sharding, which read every block's
+# destinations (the backward pass transposes them, row-wise sharding sends
+# every bag), are gated here without a second run.
 same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     table2.csv BENCH_table2.json fig8.csv fig9.csv fig7.csv fig10.csv \
     backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \

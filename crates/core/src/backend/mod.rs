@@ -115,11 +115,9 @@ pub(crate) fn lookup_block_durations(
         };
         shape.block_time(spec, resident)
     };
-    let mut durs: Vec<Dur> = dp
-        .blocks
-        .iter()
-        .map(|b| {
-            let bytes = match &b.cache {
+    let mut durs: Vec<Dur> = (dp.blocks.iter().enumerate())
+        .map(|(i, b)| {
+            let bytes = match dp.cache_stats.get(i) {
                 Some(s) => s.hbm_fetches * row_bytes + s.lookups * 8 + s.n_bags as u64 * row_bytes,
                 None => {
                     // Row reads that hit in L2 never reach HBM (skewed inputs).
@@ -267,13 +265,19 @@ pub fn forget_prepared() {
     PREPARED.clear();
 }
 
-/// Resident bytes per block of an executed set: the `BlockPlan` (80) and its
-/// `dest_rows` allocation (one entry and the allocator's header, 32), its
-/// duration (8), its retirement instant in the recorded kernel (8) and about
-/// four releases (the paper's weak sets merge to two or three per block) at
-/// 16 bytes stored plus 8 once delivered. What a schedule keeps per device —
-/// a send train of a few words per peer — does not count.
-const RETAINED_BYTES_PER_BLOCK: usize = 80 + 32 + 8 + 8 + 4 * (16 + 8);
+/// Resident bytes per block of an executed set: the `BlockPlan`, one
+/// `(dst, rows)` pair of its device's destination array (a block sends to a
+/// second device only where it straddles a mini-batch), its duration, its
+/// retirement instant in the recorded kernel and about four releases (the
+/// paper's weak sets merge to two or three per block), each a stored
+/// `(ready, dst, rows)` plus its wire `(start, end)` once delivered. What a
+/// schedule keeps per device — a send train of a few words per peer — does
+/// not count.
+const RETAINED_BYTES_PER_BLOCK: usize = size_of::<crate::BlockPlan>()
+    + size_of::<(usize, u64)>()
+    + size_of::<Dur>()
+    + size_of::<SimTime>()
+    + 4 * (size_of::<(u32, u32, u64)>() + size_of::<(u32, u32)>());
 
 /// The uncached build behind [`prepare_batches`], and the bytes the result
 /// keeps resident; `n_batches` is already the distinct count.
@@ -470,6 +474,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_block_retains_what_its_layout_holds() {
+        assert_eq!(size_of::<crate::BlockPlan>(), 32);
+        assert_eq!(RETAINED_BYTES_PER_BLOCK, 32 + 16 + 8 + 8 + 4 * (16 + 8));
     }
 
     #[test]

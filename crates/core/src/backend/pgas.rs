@@ -69,7 +69,7 @@ pub(crate) fn stream_releases_into(
     let waves = (dp.blocks.len() as u64).div_ceil(resident.max(1) as u64);
     let subs = (32 / waves.max(1)).clamp(1, 32);
     for ((blk, end), &tau) in dp.blocks.iter().zip(block_ends).zip(durs) {
-        for &(dst, rows) in &blk.dest_rows {
+        for &(dst, rows) in dp.dest_rows(blk) {
             if dst == dp.device {
                 continue;
             }

@@ -49,7 +49,7 @@ pub struct PlannedBatch {
 /// What differs between the passes [`execute_batch`] runs — the table-wise
 /// forward ([`PlannedBatch::new`]), the row-wise forward ([`crate::rowwise`])
 /// and the backward pass ([`crate::backward`]) — beyond who sends what
-/// (`blocks[].dest_rows`) and how long a block runs (`durations`). Data the
+/// (`DevicePlan::dest_rows`) and how long a block runs (`durations`). Data the
 /// plan carries, not control flow: DESIGN §9 says what each field is a
 /// function of.
 #[derive(Clone, Debug)]
@@ -248,7 +248,10 @@ impl PlannedBatch {
             Emission::AtRetirement => {
                 out.clear();
                 for (blk, end) in dp.blocks.iter().zip(k.block_ends()) {
-                    let remote = blk.dest_rows.iter().filter(|&&(dst, _)| dst != dp.device);
+                    let remote = dp
+                        .dest_rows(blk)
+                        .iter()
+                        .filter(|&&(dst, _)| dst != dp.device);
                     out.extend(remote.map(|&(dst, rows)| (end, dst, rows)));
                 }
             }
@@ -1160,7 +1163,7 @@ fn log_local_rows(
     mut block_ends: impl Iterator<Item = SimTime>,
 ) {
     for (blk, end) in dp.blocks.iter().zip(&mut block_ends) {
-        for &(dst, rows) in &blk.dest_rows {
+        for &(dst, rows) in dp.dest_rows(blk) {
             if dst == dp.device {
                 log.push(dst, end, rows);
             }
@@ -1491,7 +1494,7 @@ mod tests {
                         } else {
                             built.clear();
                             for (blk, end) in dp.blocks.iter().zip(ends) {
-                                let to = blk.dest_rows.iter().filter(|r| r.0 != d);
+                                let to = dp.dest_rows(blk).iter().filter(|r| r.0 != d);
                                 built.extend(to.map(|&(dst, rows)| (end, dst, rows)));
                             }
                             prop_assert!(built.windows(2).all(|w| w[0].0 <= w[1].0));

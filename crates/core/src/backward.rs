@@ -38,8 +38,8 @@ use crate::backend::{
     Tail,
 };
 use crate::{
-    BlockPlan, DevicePlan, EmbLayerConfig, EmbeddingShard, ForwardPlan, IndexHasher, PoolingOp,
-    RunReport, SparseBatch,
+    DevicePlan, EmbLayerConfig, EmbeddingShard, ForwardPlan, IndexHasher, PoolingOp, RunReport,
+    SparseBatch,
 };
 
 /// Result of a backward run.
@@ -261,37 +261,23 @@ fn gradient_plan(fwd: &ForwardPlan) -> ForwardPlan {
         .map(|d| {
             let mb = fwd.mb_sizes[d];
             let n_bags = mb * fwd.n_features;
+            let n_blocks = n_bags.div_ceil(bpb).max(1);
+            let mut dp = DevicePlan::new(d, (0..fwd.n_features).collect(), n_bags, n_blocks);
             let mut rows_to = vec![0u64; n];
-            let blocks = (0..n_bags.div_ceil(bpb).max(1))
-                .map(|b| {
-                    let first = b * bpb;
-                    let end = n_bags.min(first + bpb);
-                    // Bag `b` is sample `b % mb` of feature `b / mb`.
-                    for f in first / mb.max(1)..end.div_ceil(mb.max(1)) {
-                        rows_to[owner_of[f]] += (end.min((f + 1) * mb) - first.max(f * mb)) as u64;
-                    }
-                    let dest_rows = (0..n)
-                        .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
-                        .filter(|&(_, rows)| rows > 0)
-                        .collect();
-                    BlockPlan {
-                        first_bag: first,
-                        n_bags: (end - first) as u32,
-                        lookups: 0,
-                        dest_rows,
-                        cache: None,
-                    }
-                })
-                .collect();
-            DevicePlan {
-                device: d,
-                features: (0..fwd.n_features).collect(),
-                blocks,
-                total_lookups: 0,
-                n_bags,
-                exported_bags: Vec::new(),
-                imported_bags: Vec::new(),
+            for b in 0..n_blocks {
+                let first = b * bpb;
+                let end = n_bags.min(first + bpb);
+                // Bag `b` is sample `b % mb` of feature `b / mb`.
+                for f in first / mb.max(1)..end.div_ceil(mb.max(1)) {
+                    rows_to[owner_of[f]] += (end.min((f + 1) * mb) - first.max(f * mb)) as u64;
+                }
+                let dests = (0..n)
+                    .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
+                    .filter(|&(_, rows)| rows > 0);
+                dp.push_block(first, (end - first) as u32, 0, dests);
             }
+            dp.shrink_to_fit();
+            dp
         })
         .collect();
     ForwardPlan {

@@ -327,8 +327,9 @@ pub struct HotCachePlanner {
 /// plan (kept separate so devices profile in parallel).
 struct DeviceProfile {
     stats: Vec<BlockCacheStats>,
-    /// Per block: `(dst, rows removed from dest_rows)`.
-    removed: Vec<Vec<(usize, u64)>>,
+    /// The rows each `(dst, rows)` pair of the device's blocks still sends,
+    /// in [`crate::DevicePlan::dest_rows`] order.
+    dest_rows: Vec<u64>,
     exported: Vec<usize>,
     exports: Vec<ImportedBag>,
     hits: u64,
@@ -365,7 +366,7 @@ impl HotCachePlanner {
     }
 
     /// Profile `batch` against the hot sets and stamp `plan` with measured
-    /// per-block stats, shrunken `dest_rows`, exported bags and the
+    /// per-block stats, shrunken destination rows, exported bags and the
     /// receiving devices' `imported_bags`. Requires a full batch — cache
     /// and dedup accounting are per-index, not per-count.
     pub fn annotate(&self, plan: &mut ForwardPlan, batch: &SparseBatch) {
@@ -388,15 +389,8 @@ impl HotCachePlanner {
         let mut total_lookups = 0u64;
         let mut imports: Vec<Vec<ImportedBag>> = vec![Vec::new(); plan.n_devices];
         for (dp, prof) in plan.devices.iter_mut().zip(profiles) {
-            for ((blk, stats), removed) in dp.blocks.iter_mut().zip(prof.stats).zip(prof.removed) {
-                blk.cache = Some(stats);
-                for (dst, r) in removed {
-                    if let Some(e) = blk.dest_rows.iter_mut().find(|(d, _)| *d == dst) {
-                        e.1 -= r;
-                    }
-                }
-                blk.dest_rows.retain(|&(_, r)| r > 0);
-            }
+            dp.cache_stats = prof.stats;
+            dp.set_dest_rows(prof.dest_rows);
             dp.exported_bags = prof.exported;
             for ib in prof.exports {
                 imports[ib.sample / mb].push(ib);
@@ -440,13 +434,15 @@ impl HotCachePlanner {
             });
         let mut prof = DeviceProfile {
             stats: Vec::with_capacity(dp.blocks.len()),
-            removed: Vec::with_capacity(dp.blocks.len()),
+            dest_rows: Vec::with_capacity(dp.blocks.len()),
             exported: Vec::new(),
             exports: Vec::new(),
             hits: 0,
             lookups: 0,
         };
         let mut rows_buf: Vec<(u32, bool)> = Vec::new();
+        // Per block: `(dst, rows)` exported or collapsed, taken off its sends.
+        let mut removed: Vec<(usize, u64)> = Vec::new();
         for blk in &dp.blocks {
             ws.rows.clear();
             ws.bags.clear();
@@ -455,7 +451,7 @@ impl HotCachePlanner {
                 lookups: 0,
                 n_bags: 0,
             };
-            let mut removed: Vec<(usize, u64)> = Vec::new();
+            removed.clear();
             for bag in blk.first_bag..blk.first_bag + blk.n_bags as usize {
                 let lf = bag / n;
                 let sample = bag % n;
@@ -520,7 +516,13 @@ impl HotCachePlanner {
                 }
             }
             prof.stats.push(stats);
-            prof.removed.push(removed);
+            for &(dst, rows) in dp.dest_rows(blk) {
+                let gone = removed
+                    .iter()
+                    .find(|&&(d, _)| d == dst)
+                    .map_or(0, |&(_, r)| r);
+                prof.dest_rows.push(rows - gone);
+            }
         }
         self.pool.lock().unwrap().push(ws);
         prof
@@ -656,11 +658,8 @@ mod tests {
         for (dp, pp) in cached.devices.iter().zip(&plain.devices) {
             imported_total += dp.imported_bags.len();
             // Exported bags + bags still computed here = all bags.
-            let computed: u64 = dp
-                .blocks
-                .iter()
-                .map(|b| b.cache.as_ref().unwrap().n_bags as u64)
-                .sum();
+            assert_eq!(dp.cache_stats.len(), dp.blocks.len());
+            let computed: u64 = dp.cache_stats.iter().map(|s| s.n_bags as u64).sum();
             assert_eq!(computed + dp.exported_bags.len() as u64, dp.n_bags as u64);
             assert!(dp.exported_bags.windows(2).all(|w| w[0] < w[1]));
             // Volume never grows, per destination.
@@ -668,8 +667,7 @@ mod tests {
                 assert!(dp.rows_to(dst) <= pp.rows_to(dst));
             }
             // HBM fetches never exceed executed lookups.
-            for b in &dp.blocks {
-                let s = b.cache.as_ref().unwrap();
+            for s in &dp.cache_stats {
                 assert!(s.hbm_fetches <= s.lookups);
             }
         }

@@ -12,9 +12,9 @@ use std::sync::{Arc, Mutex};
 pub const MEMO_CAPACITY: usize = 4;
 
 /// Bytes a [`Memo`] retains at most, by its builders' own accounts: a count
-/// alone bounds nothing when a plan set is 29 MB for the paper's 4-GPU weak
-/// config and 300 MB for a scaled-down 32-GPU pod with two-bag blocks.
-/// 64 MiB is the paper-scale serve pool exactly, or two 4-GPU plan sets; a
+/// alone bounds nothing when a plan set is 21 MB for the paper's 4-GPU weak
+/// config and 168 MB for a scaled-down 32-GPU pod with two-bag blocks.
+/// 64 MiB is twice the paper-scale serve pool, or three 4-GPU plan sets; a
 /// bigger value is built per call, as if there were no memo.
 pub const MEMO_BUDGET_BYTES: usize = 64 << 20;
 

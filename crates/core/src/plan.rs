@@ -41,8 +41,8 @@ impl PlanInput for SparseBatch {
 
 /// Measured (per-index) cache/dedup accounting for one thread block, stamped
 /// by [`crate::backend::HotCachePlanner::annotate`] on cached or deduped
-/// plans. When present, the timing model uses these counts instead of the
-/// analytic [`ForwardPlan::cache_hit`] derating.
+/// plans ([`DevicePlan::cache_stats`]). When present, the timing model uses
+/// these counts instead of the analytic [`ForwardPlan::cache_hit`] derating.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockCacheStats {
     /// Embedding rows this block actually fetches from HBM: lookups that
@@ -56,7 +56,7 @@ pub struct BlockCacheStats {
 }
 
 /// One thread block's share of a device's bags.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockPlan {
     /// First local bag id covered (bags are local-feature-major,
     /// sample-minor, matching the CUDA kernel's `blockIdx` mapping).
@@ -65,14 +65,9 @@ pub struct BlockPlan {
     pub n_bags: u32,
     /// Total embedding-row reads (sum of pooling factors).
     pub lookups: u64,
-    /// Pooled output rows per destination device: `(device, rows)`,
-    /// ascending by device, including the local device. On cached/deduped
-    /// plans, exported bags and collapsed duplicate sends are already
-    /// subtracted, so the volume counters downstream (all-to-all byte
-    /// matrix, PGAS message stream) see the reduction with no extra logic.
-    pub dest_rows: Vec<(usize, u64)>,
-    /// Measured cache/dedup accounting (`None` on plain plans).
-    pub cache: Option<BlockCacheStats>,
+    /// The block's range of its device's destination array; read it
+    /// through [`DevicePlan::dest_rows`].
+    dests: [u32; 2],
 }
 
 /// A bag whose lookup + pooling runs on the *sample owner* (from hot-row
@@ -98,6 +93,12 @@ pub struct DevicePlan {
     pub features: Vec<usize>,
     /// Thread-block decomposition.
     pub blocks: Vec<BlockPlan>,
+    /// Every block's `(device, rows)` pairs, block after block: one flat
+    /// array per device, not one allocation per block.
+    dests: Vec<(usize, u64)>,
+    /// Measured cache/dedup accounting, one per block on annotated plans;
+    /// empty on plain plans.
+    pub cache_stats: Vec<BlockCacheStats>,
     /// Total lookups across blocks.
     pub total_lookups: u64,
     /// Total bags processed here (`features.len() × batch_size`).
@@ -113,6 +114,81 @@ pub struct DevicePlan {
 }
 
 impl DevicePlan {
+    /// A slice with no blocks yet, with room for `blocks` of them.
+    pub(crate) fn new(device: usize, features: Vec<usize>, n_bags: usize, blocks: usize) -> Self {
+        DevicePlan {
+            device,
+            features,
+            blocks: Vec::with_capacity(blocks),
+            dests: Vec::with_capacity(blocks),
+            cache_stats: Vec::new(),
+            total_lookups: 0,
+            n_bags,
+            exported_bags: Vec::new(),
+            imported_bags: Vec::new(),
+        }
+    }
+
+    /// Append the block of `n_bags` bags from `first_bag` that reads
+    /// `lookups` rows and sends `dests`, ascending by device and zero-free.
+    pub(crate) fn push_block(
+        &mut self,
+        first_bag: usize,
+        n_bags: u32,
+        lookups: u64,
+        dests: impl IntoIterator<Item = (usize, u64)>,
+    ) {
+        let at = |len: usize| u32::try_from(len).expect("a device's destinations fit u32 indices");
+        let lo = at(self.dests.len());
+        self.dests.extend(dests);
+        self.blocks.push(BlockPlan {
+            first_bag,
+            n_bags,
+            lookups,
+            dests: [lo, at(self.dests.len())],
+        });
+        self.total_lookups += lookups;
+    }
+
+    /// Release the destination array's spare capacity once every block is
+    /// in: a plan is built once and kept.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.dests.shrink_to_fit();
+    }
+
+    /// Pooled output rows of `blk` (one of this slice's blocks) per
+    /// destination device: `(device, rows)`, ascending by device, including
+    /// the local device. On cached/deduped plans, exported bags and
+    /// collapsed duplicate sends are already subtracted, so the volume
+    /// counters downstream (all-to-all byte matrix, PGAS message stream)
+    /// see the reduction with no extra logic.
+    pub fn dest_rows(&self, blk: &BlockPlan) -> &[(usize, u64)] {
+        let [lo, hi] = blk.dests;
+        &self.dests[lo as usize..hi as usize]
+    }
+
+    /// Overwrite the rows of every `(device, rows)` pair, block after block
+    /// in [`DevicePlan::dest_rows`] order, with `rows`; pairs left at zero
+    /// are dropped. Compacts the flat array in place.
+    pub(crate) fn set_dest_rows(&mut self, rows: impl IntoIterator<Item = u64>) {
+        let mut rows = rows.into_iter();
+        let mut w = 0;
+        for blk in &mut self.blocks {
+            let [lo, hi] = blk.dests;
+            let start = w;
+            for r in lo as usize..hi as usize {
+                let dst = self.dests[r].0;
+                let Some(n) = rows.next().filter(|&n| n > 0) else {
+                    continue;
+                };
+                self.dests[w] = (dst, n);
+                w += 1;
+            }
+            blk.dests = [start as u32, w as u32];
+        }
+        self.dests.truncate(w);
+    }
+
     /// Map a local bag id back to `(global feature, sample)`.
     pub fn bag_coords(&self, local_bag: usize, batch_size: usize) -> (usize, usize) {
         let lf = local_bag / batch_size;
@@ -121,9 +197,7 @@ impl DevicePlan {
 
     /// Rows this device sends to each destination, summed over blocks.
     pub fn rows_to(&self, dst: usize) -> u64 {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.dest_rows.iter())
+        (self.dests.iter())
             .filter(|&&(d, _)| d == dst)
             .map(|&(_, r)| r)
             .sum()
@@ -207,10 +281,10 @@ impl ForwardPlan {
             .map(|dev| {
                 let features = sharding.features_on(dev, batch.n_features());
                 let n_bags = features.len() * n;
-                let mut blocks = Vec::with_capacity(n_bags.div_ceil(bags_per_block));
-                let mut total_lookups = 0u64;
+                let mut dp =
+                    DevicePlan::new(dev, features, n_bags, n_bags.div_ceil(bags_per_block));
                 // Rows per destination of the block being built; zeroed
-                // again as each block's `dest_rows` is read out of it.
+                // again as each block's destinations are read out of it.
                 let mut rows_to = vec![0u64; n_devices];
                 let mut first = 0usize;
                 while first < n_bags {
@@ -224,7 +298,7 @@ impl ForwardPlan {
                     let mut lookups = 0u64;
                     let (mut dst_lo, mut dst_hi) = (n_devices, 0);
                     let lf0 = first / n;
-                    for (lf, &f) in (lf0..).zip(&features[lf0..=(end - 1) / n]) {
+                    for (lf, &f) in (lf0..).zip(&dp.features[lf0..=(end - 1) / n]) {
                         // Samples `lo..hi` of local feature `lf`.
                         let lo = first.max(lf * n) - lf * n;
                         let hi = end.min((lf + 1) * n) - lf * n;
@@ -238,29 +312,14 @@ impl ForwardPlan {
                     }
                     // Ascending and zero-free; a block straddling two
                     // features can leave a gap inside the touched span.
-                    let dest_rows = (dst_lo..=dst_hi)
+                    let dests = (dst_lo..=dst_hi)
                         .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
-                        .filter(|&(_, rows)| rows > 0)
-                        .collect();
-                    total_lookups += lookups;
-                    blocks.push(BlockPlan {
-                        first_bag: first,
-                        n_bags: count as u32,
-                        lookups,
-                        dest_rows,
-                        cache: None,
-                    });
+                        .filter(|&(_, rows)| rows > 0);
+                    dp.push_block(first, count as u32, lookups, dests);
                     first = end;
                 }
-                DevicePlan {
-                    device: dev,
-                    features,
-                    blocks,
-                    total_lookups,
-                    n_bags,
-                    exported_bags: Vec::new(),
-                    imported_bags: Vec::new(),
-                }
+                dp.shrink_to_fit();
+                dp
             })
             .collect();
         ForwardPlan {
@@ -356,27 +415,27 @@ mod tests {
 
     /// The per-bag decomposition `ForwardPlan::build` used to run, kept as
     /// the oracle for the O(blocks) builder: every bag pays its own
-    /// pooling-factor load and destination lookup. Returns per device
-    /// `(blocks, total_lookups)`.
+    /// pooling-factor load and destination lookup. Returns one slice per
+    /// device.
     fn per_bag_oracle(
         batch: &SparseBatch,
         sharding: &Sharding,
         bags_per_block: usize,
-    ) -> Vec<(Vec<BlockPlan>, u64)> {
+    ) -> Vec<DevicePlan> {
         let (n, n_devices) = (batch.batch_size(), sharding.n_devices());
         let mb = n.div_ceil(n_devices);
         (0..n_devices)
             .map(|dev| {
                 let features = sharding.features_on(dev, batch.n_features());
                 let n_bags = features.len() * n;
-                let (mut blocks, mut total_lookups) = (Vec::new(), 0u64);
+                let mut dp = DevicePlan::new(dev, features, n_bags, 0);
                 let mut first = 0usize;
                 while first < n_bags {
                     let count = bags_per_block.min(n_bags - first);
                     let mut lookups = 0u64;
                     let mut dest_rows: Vec<(usize, u64)> = Vec::new();
                     for b in first..first + count {
-                        let (f, s) = (features[b / n], b % n);
+                        let (f, s) = (dp.features[b / n], b % n);
                         lookups += batch.pooling_factor(f, s) as u64;
                         let dst = s / mb;
                         match dest_rows.iter_mut().find(|(d, _)| *d == dst) {
@@ -385,17 +444,10 @@ mod tests {
                         }
                     }
                     dest_rows.sort_unstable_by_key(|&(d, _)| d);
-                    total_lookups += lookups;
-                    blocks.push(BlockPlan {
-                        first_bag: first,
-                        n_bags: count as u32,
-                        lookups,
-                        dest_rows,
-                        cache: None,
-                    });
+                    dp.push_block(first, count as u32, lookups, dest_rows);
                     first += count;
                 }
-                (blocks, total_lookups)
+                dp
             })
             .collect()
     }
@@ -435,16 +487,16 @@ mod tests {
             let p = ForwardPlan::build(&b, &sharding, 8, PoolingOp::Sum, bpb);
             let oracle = per_bag_oracle(&b, &sharding, bpb);
             prop_assert_eq!(p.devices.len(), oracle.len());
-            for (dp, (blocks, total_lookups)) in p.devices.iter().zip(&oracle) {
-                prop_assert_eq!(dp.blocks.len(), blocks.len());
-                for (got, want) in dp.blocks.iter().zip(blocks) {
+            for (dp, want_dp) in p.devices.iter().zip(&oracle) {
+                prop_assert_eq!(dp.blocks.len(), want_dp.blocks.len());
+                for (got, want) in dp.blocks.iter().zip(&want_dp.blocks) {
                     prop_assert_eq!(got.first_bag, want.first_bag);
                     prop_assert_eq!(got.n_bags, want.n_bags);
                     prop_assert_eq!(got.lookups, want.lookups);
-                    prop_assert_eq!(&got.dest_rows, &want.dest_rows);
-                    prop_assert_eq!(got.cache, None);
+                    prop_assert_eq!(dp.dest_rows(got), want_dp.dest_rows(want));
                 }
-                prop_assert_eq!(dp.total_lookups, *total_lookups);
+                prop_assert!(dp.cache_stats.is_empty());
+                prop_assert_eq!(dp.total_lookups, want_dp.total_lookups);
                 prop_assert_eq!(dp.n_bags, dp.features.len() * n);
             }
         }
@@ -482,10 +534,10 @@ mod tests {
         let p = plan(16, 4, 4, 3);
         for dp in &p.devices {
             for blk in &dp.blocks {
-                let rows: u64 = blk.dest_rows.iter().map(|&(_, r)| r).sum();
+                let rows: u64 = dp.dest_rows(blk).iter().map(|&(_, r)| r).sum();
                 assert_eq!(rows, blk.n_bags as u64);
                 // Destinations are sorted and unique.
-                for w in blk.dest_rows.windows(2) {
+                for w in dp.dest_rows(blk).windows(2) {
                     assert!(w[0].0 < w[1].0);
                 }
             }
@@ -516,7 +568,7 @@ mod tests {
                     dp.device
                 );
                 assert!(dp.exported_bags.is_empty() && dp.imported_bags.is_empty());
-                assert!(dp.blocks.iter().all(|b| b.cache.is_none()));
+                assert!(dp.cache_stats.is_empty());
             }
         }
     }
@@ -618,12 +670,11 @@ mod tests {
         let (b, sharding) = (batch(16, 4), Sharding::RowWise { n_devices: 3 });
         let p = ForwardPlan::build(&b, &sharding, 8, PoolingOp::Sum, 5);
         assert_eq!(p.mb_sizes, vec![6, 6, 4]);
-        for (dp, (blocks, total_lookups)) in p.devices.iter().zip(per_bag_oracle(&b, &sharding, 5))
-        {
+        for (dp, want) in p.devices.iter().zip(per_bag_oracle(&b, &sharding, 5)) {
             assert_eq!(dp.features, vec![0, 1, 2, 3]);
-            assert_eq!(dp.blocks, blocks, "device {}", dp.device);
+            assert_eq!(*dp, want, "device {}", dp.device);
             assert_eq!(dp.blocks.last().map(|blk| blk.n_bags), Some(4));
-            assert_eq!((dp.n_bags, dp.total_lookups), (64, total_lookups));
+            assert_eq!(dp.n_bags, 64);
             for (g, &mb) in p.mb_sizes.iter().enumerate() {
                 assert_eq!(dp.rows_to(g), (mb * p.n_features) as u64);
             }

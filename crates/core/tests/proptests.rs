@@ -1,12 +1,14 @@
 //! Property-based tests for the embedding-retrieval structures.
 
 use desim::Dur;
-use emb_retrieval::backend::{ExecMode, ResiliencePolicy, ResilientBackend};
+use emb_retrieval::backend::{
+    plain_plan, plan_for_batch, ExecMode, ResiliencePolicy, ResilientBackend,
+};
 use emb_retrieval::{
     hash_to_row, EmbLayerConfig, EmbeddingShard, EmbeddingTableSpec, ForwardPlan,
     IndexDistribution, IndexHasher, PoolingOp, Sharding, SparseBatch, SparseBatchSpec,
 };
-use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
+use gpusim::{FaultPlan, FaultSpec, GpuSpec, Machine, MachineConfig};
 use proptest::prelude::*;
 
 fn batch_strategy() -> impl Strategy<Value = (SparseBatch, usize)> {
@@ -46,9 +48,9 @@ proptest! {
             for blk in &dp.blocks {
                 prop_assert_eq!(blk.first_bag, next);
                 next += blk.n_bags as usize;
-                let dest_sum: u64 = blk.dest_rows.iter().map(|&(_, r)| r).sum();
+                let dest_sum: u64 = dp.dest_rows(blk).iter().map(|&(_, r)| r).sum();
                 prop_assert_eq!(dest_sum, blk.n_bags as u64);
-                for w in blk.dest_rows.windows(2) {
+                for w in dp.dest_rows(blk).windows(2) {
                     prop_assert!(w[0].0 < w[1].0, "destinations sorted/unique");
                 }
             }
@@ -60,6 +62,43 @@ proptest! {
         prop_assert_eq!(total_lookups, batch.total_indices() as u64);
         // Mini-batch sizes tile the batch.
         prop_assert_eq!(plan.mb_sizes.iter().sum::<usize>(), batch.batch_size());
+    }
+
+    /// Annotating a plan for the hot-row cache, dedup or both leaves every
+    /// block's destination slice ascending and zero-free, sends no
+    /// destination more rows than the plain plan does, and stamps one
+    /// measured record per block — on skewed inputs, across block sizes
+    /// that straddle mini-batches and features.
+    #[test]
+    fn annotated_destinations_stay_ascending_and_zero_free(
+        gpus in 2usize..5,
+        exponent in 0.6f64..1.4,
+        knobs in 1u8..4,
+        bpb in 1usize..40,
+        seed in any::<u16>(),
+    ) {
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(gpus).scaled_down(1024);
+        cfg.distribution = IndexDistribution::Zipf { exponent };
+        (cfg.bags_per_block, cfg.seed) = (bpb, u64::from(seed));
+        let batch = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(0));
+        let gpu = GpuSpec::v100();
+        let plain = plain_plan(&cfg, &batch, &gpu);
+        cfg.hot_cache_rows = if knobs & 1 != 0 { 64 } else { 0 };
+        cfg.dedup = knobs & 2 != 0;
+        let plan = plan_for_batch(&cfg, &batch, &gpu);
+        for (dp, pp) in plan.devices.iter().zip(&plain.devices) {
+            prop_assert_eq!(dp.cache_stats.len(), dp.blocks.len());
+            for blk in &dp.blocks {
+                let dests = dp.dest_rows(blk);
+                prop_assert!(
+                    dests.windows(2).all(|w| w[0].0 < w[1].0) && dests.iter().all(|d| d.1 > 0),
+                    "device {} block at bag {}: {:?}", dp.device, blk.first_bag, dests
+                );
+            }
+            for dst in 0..gpus {
+                prop_assert!(dp.rows_to(dst) <= pp.rows_to(dst));
+            }
+        }
     }
 
     /// Every (feature, sample) output index lands inside its owner's used

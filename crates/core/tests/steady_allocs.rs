@@ -9,6 +9,9 @@
 //! it per batch. The counters are per-thread and each test runs on its own,
 //! so nothing else can be charged to a measured region.
 //!
+//! Planning allocates per device, not per block: a plain plan of sixteen
+//! times the blocks makes the same heap calls.
+//!
 //! The same wrapper keeps the thread's live heap bytes and their high-water
 //! mark, which holds the memory claim of Functional mode: a run draws each
 //! looked-up row from its init stream and never holds a whole table.
@@ -139,6 +142,38 @@ fn warmed_lookup_pool_batch_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "a warmed lookup+pool batch allocated from the heap"
+    );
+}
+
+#[test]
+fn a_plain_plan_allocates_per_device_not_per_block() {
+    // 64 samples per mini-batch: blocks of 2 and of 32 bags both tile it, so
+    // neither plan has a block that sends to two devices.
+    let cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+    let batch = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.seed);
+    let pool = ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("build thread pool");
+    let build = |bags_per_block: usize| {
+        pool.install(|| {
+            let before = alloc_count();
+            let plan = ForwardPlan::build(
+                &batch,
+                &cfg.sharding(),
+                cfg.dim,
+                cfg.pooling,
+                bags_per_block,
+            );
+            let blocks: usize = plan.devices.iter().map(|dp| dp.blocks.len()).sum();
+            (blocks, alloc_count() - before)
+        })
+    };
+    let ((few, calls_few), (many, calls_many)) = (build(32), build(2));
+    assert_eq!(many, 16 * few);
+    assert_eq!(
+        calls_many, calls_few,
+        "{many} blocks took more heap calls than {few}"
     );
 }
 

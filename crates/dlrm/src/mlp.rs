@@ -1,5 +1,7 @@
 //! Multilayer perceptrons.
 
+use std::sync::OnceLock;
+
 use gpusim::{GpuSpec, KernelShape};
 use simtensor::{Tensor, XavierUniform};
 
@@ -41,45 +43,58 @@ impl Linear {
 }
 
 /// A ReLU-separated stack of [`Linear`] layers (no activation after the
-/// last, as in the DLRM reference).
+/// last, as in the DLRM reference). The layers are drawn from `seed` on the
+/// first [`Mlp::forward`]: shapes, FLOPs and kernel shapes come from the
+/// widths alone, so a Timing-mode pipeline never holds weights.
 #[derive(Clone, Debug)]
 pub struct Mlp {
-    layers: Vec<Linear>,
+    widths: Vec<usize>,
+    seed: u64,
+    layers: OnceLock<Vec<Linear>>,
 }
 
 impl Mlp {
     /// Build from layer widths, e.g. `[13, 512, 256, 64]` → 3 layers.
     pub fn new(widths: &[usize], seed: u64) -> Self {
         assert!(widths.len() >= 2, "an MLP needs at least one layer");
-        let layers = widths
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| Linear::new(w[0], w[1], seed.wrapping_add(i as u64 * 0x9E37)))
-            .collect();
-        Mlp { layers }
+        Mlp {
+            widths: widths.to_vec(),
+            seed,
+            layers: OnceLock::new(),
+        }
+    }
+
+    /// The layers, drawn on first use.
+    fn layers(&self) -> &[Linear] {
+        self.layers.get_or_init(|| {
+            (self.widths.windows(2).enumerate())
+                .map(|(i, w)| Linear::new(w[0], w[1], self.seed.wrapping_add(i as u64 * 0x9E37)))
+                .collect()
+        })
     }
 
     /// Input width.
     pub fn in_features(&self) -> usize {
-        self.layers[0].in_features()
+        self.widths[0]
     }
 
     /// Output width.
     pub fn out_features(&self) -> usize {
-        self.layers.last().unwrap().out_features()
+        self.widths[self.widths.len() - 1]
     }
 
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
-        self.layers.len()
+        self.widths.len() - 1
     }
 
     /// Forward pass on `[batch, in]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        let layers = self.layers();
         let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (i, layer) in layers.iter().enumerate() {
             h = layer.forward(&h);
-            if i + 1 < self.layers.len() {
+            if i + 1 < layers.len() {
                 h = h.relu();
             }
         }
@@ -88,7 +103,8 @@ impl Mlp {
 
     /// Total FLOPs for a batch of `rows`.
     pub fn flops(&self, rows: usize) -> u64 {
-        self.layers.iter().map(|l| l.flops(rows)).sum()
+        let layer = |w: &[usize]| 2 * rows as u64 * w[0] as u64 * w[1] as u64;
+        self.widths.windows(2).map(layer).sum()
     }
 
     /// A kernel-shape estimate for the timed pipeline: GEMMs are

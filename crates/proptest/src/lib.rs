@@ -1,15 +1,30 @@
 //! In-tree stand-in for `proptest` (the build environment has no network
 //! access). Each `proptest!` test runs a fixed number of cases with inputs
 //! drawn from a generator seeded deterministically from the test's name, so
-//! failures reproduce across runs. There is no shrinking: a failing case
-//! panics with the case number and message.
+//! failures reproduce across runs.
+//!
+//! A failing case shrinks. Every draw is recorded as an offset above the low
+//! end of its range; the runner replays the record with one draw at a time
+//! moved halfway toward that low end (a binary search for the lowest value
+//! that still fails), keeps each change under which the case still fails,
+//! and panics with the minimal inputs it reached. Vec lengths are draws too,
+//! so vecs shrink toward their minimum length, and shrinking works through
+//! `prop_map` and `prop_flat_map` because it edits draws, not values. A panic
+//! inside the body fails a case as a `prop_assert!` does.
 
-/// Deterministic case generator (SplitMix64).
+/// Deterministic case generator (SplitMix64) that records its draws.
 pub mod rng {
-    /// The per-test RNG.
+    /// The per-test source of draws. Fresh, it is a SplitMix64 stream; every
+    /// draw is also recorded as its offset above the low end of its range,
+    /// and a replaying source hands back an edited record instead.
     #[derive(Clone, Debug)]
     pub struct Rng {
         state: u64,
+        /// This case's draws so far, in order.
+        tape: Vec<u64>,
+        /// When replaying: the draws to hand back, each clamped into its
+        /// range, and 0 (the low end) past the record's end.
+        replay: Option<Vec<u64>>,
     }
 
     impl Rng {
@@ -21,36 +36,91 @@ pub mod rng {
                 h ^= *b as u64;
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
-            Rng { state: h }
+            Rng {
+                state: h,
+                tape: Vec::new(),
+                replay: None,
+            }
+        }
+
+        /// A source that replays `tape`.
+        pub(crate) fn replaying(tape: Vec<u64>) -> Self {
+            Rng {
+                state: 0,
+                tape: Vec::new(),
+                replay: Some(tape),
+            }
+        }
+
+        /// The draws made since the last call.
+        pub(crate) fn take_tape(&mut self) -> Vec<u64> {
+            std::mem::take(&mut self.tape)
+        }
+
+        /// One recorded draw from a range of `width` values (0: all of
+        /// `u64`), `fresh` mapping a raw output to its offset.
+        fn draw(&mut self, width: u64, fresh: impl FnOnce(u64) -> u64) -> u64 {
+            let v = match &self.replay {
+                None => {
+                    self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = self.state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    fresh(z ^ (z >> 31))
+                }
+                Some(t) => {
+                    let v = t.get(self.tape.len()).copied().unwrap_or(0);
+                    if width == 0 {
+                        v
+                    } else {
+                        v.min(width - 1)
+                    }
+                }
+            };
+            self.tape.push(v);
+            v
         }
 
         /// Next raw 64-bit output.
         #[inline]
         pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.draw(0, |raw| raw)
         }
 
         /// Uniform in `[0, 1)`.
         #[inline]
         pub fn next_f64(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+            self.draw(1 << 53, |raw| raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
 
         /// Uniform in `[0, n)`.
         #[inline]
         pub fn below(&mut self, n: u64) -> u64 {
             assert!(n > 0);
-            self.next_u64() % n
+            self.draw(n, |raw| raw % n)
+        }
+
+        /// Uniform in `[0, width)` for a `width` of at most `2^64`.
+        pub(crate) fn offset(&mut self, width: u128) -> u64 {
+            match u64::try_from(width) {
+                Ok(n) => self.below(n),
+                Err(_) => {
+                    assert_eq!(width, 1 << 64, "range wider than u64");
+                    self.next_u64()
+                }
+            }
         }
     }
 }
 
-/// Test-case plumbing: config and error type.
+/// Test-case plumbing: config, error type and the shrinking runner.
 pub mod test_runner {
+    use std::fmt::Debug;
+    use std::panic::{self, AssertUnwindSafe};
+
+    use crate::rng::Rng;
+    use crate::strategy::Strategy;
+
     /// Failure raised by `prop_assert!` family; aborts the current case.
     #[derive(Debug)]
     pub struct TestCaseError(pub String);
@@ -85,6 +155,127 @@ pub mod test_runner {
     impl Default for Config {
         fn default() -> Self {
             Config { cases: 64 }
+        }
+    }
+
+    /// A property's first failing case and the minimal case it shrank to.
+    #[derive(Debug)]
+    pub struct Failure {
+        /// Which case failed first (1-based), of how many.
+        pub case: (u32, u32),
+        /// That case's failure.
+        pub first: String,
+        /// The minimal failing inputs, `Debug`-formatted.
+        pub inputs: String,
+        /// The failure of the minimal inputs.
+        pub message: String,
+        /// Cases the shrinker replayed.
+        pub replays: u32,
+    }
+
+    impl std::fmt::Display for Failure {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(
+                f,
+                "case {}/{} failed: {}\nminimal failing input {} after {} replays: {}",
+                self.case.0, self.case.1, self.first, self.inputs, self.replays, self.message
+            )
+        }
+    }
+
+    /// Replays the shrinker runs at most per failing property.
+    const MAX_REPLAYS: u32 = 1024;
+
+    /// Run `config.cases` cases of `test` on values of `strategy`, drawn from
+    /// a generator seeded by `name`; on the first failing case, shrink it.
+    pub fn run<S: Strategy>(
+        config: &Config,
+        name: &str,
+        strategy: &S,
+        mut test: impl FnMut(S::Value) -> Result<(), TestCaseError>,
+    ) -> Result<(), Failure>
+    where
+        S::Value: Debug,
+    {
+        let mut rng = Rng::from_name(name);
+        for case in 0..config.cases {
+            let value = strategy.sample(&mut rng);
+            let tape = rng.take_tape();
+            if let Err(first) = check(&mut test, value) {
+                let case = (case + 1, config.cases);
+                return Err(shrink(strategy, &mut test, tape, case, first));
+            }
+        }
+        Ok(())
+    }
+
+    /// `test(value)`, a panic counting as a failure.
+    fn check<T>(
+        test: &mut impl FnMut(T) -> Result<(), TestCaseError>,
+        value: T,
+    ) -> Result<(), String> {
+        match panic::catch_unwind(AssertUnwindSafe(|| test(value))) {
+            Ok(outcome) => outcome.map_err(|e| e.0),
+            Err(payload) => Err(match payload.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .map_or("panicked", |msg| msg)
+                    .to_string(),
+            }),
+        }
+    }
+
+    /// Shrink the failing case recorded in `tape`: draw by draw, the lowest
+    /// value (by binary search) under which the case still fails, in passes
+    /// until one changes nothing or the replay budget is spent.
+    fn shrink<S: Strategy>(
+        strategy: &S,
+        test: &mut impl FnMut(S::Value) -> Result<(), TestCaseError>,
+        mut tape: Vec<u64>,
+        case: (u32, u32),
+        first: String,
+    ) -> Failure
+    where
+        S::Value: Debug,
+    {
+        let mut message = first.clone();
+        let mut replays = 0;
+        let mut changed = true;
+        while changed && replays < MAX_REPLAYS {
+            changed = false;
+            let mut i = 0;
+            while i < tape.len() {
+                // `hi` fails; every value below `lo` was seen to pass.
+                let (mut lo, mut hi) = (0, tape[i]);
+                while lo < hi && replays < MAX_REPLAYS {
+                    let mid = lo + (hi - lo) / 2;
+                    let mut edited = tape.clone();
+                    edited[i] = mid;
+                    replays += 1;
+                    let mut rng = Rng::replaying(edited);
+                    let value = strategy.sample(&mut rng);
+                    match check(test, value) {
+                        Ok(()) => lo = mid + 1,
+                        Err(m) => {
+                            // What the replay drew: clamped, and cut or
+                            // extended where a length draw changed.
+                            (tape, message, changed) = (rng.take_tape(), m, true);
+                            let Some(&now) = tape.get(i) else { break };
+                            hi = now;
+                        }
+                    }
+                }
+                i += 1;
+            }
+        }
+        let inputs = format!("{:?}", strategy.sample(&mut Rng::replaying(tape)));
+        Failure {
+            case,
+            first,
+            inputs,
+            message,
+            replays,
         }
     }
 }
@@ -214,7 +405,7 @@ pub mod strategy {
                 fn sample(&self, rng: &mut Rng) -> $t {
                     assert!(self.start < self.end, "empty range strategy");
                     let width = (self.end as u128).wrapping_sub(self.start as u128);
-                    (self.start as u128 + (rng.next_u64() as u128 % width)) as $t
+                    (self.start as u128 + rng.offset(width) as u128) as $t
                 }
             }
             impl Strategy for std::ops::RangeInclusive<$t> {
@@ -223,7 +414,7 @@ pub mod strategy {
                     let (lo, hi) = (*self.start(), *self.end());
                     assert!(lo <= hi, "empty range strategy");
                     let width = (hi as u128) - (lo as u128) + 1;
-                    (lo as u128 + (rng.next_u64() as u128 % width)) as $t
+                    (lo as u128 + rng.offset(width) as u128) as $t
                 }
             }
         )*};
@@ -237,7 +428,7 @@ pub mod strategy {
                 fn sample(&self, rng: &mut Rng) -> $t {
                     assert!(self.start < self.end, "empty range strategy");
                     let width = (self.end as i128 - self.start as i128) as u128;
-                    (self.start as i128 + (rng.next_u64() as u128 % width) as i128) as $t
+                    (self.start as i128 + rng.offset(width) as i128) as $t
                 }
             }
             impl Strategy for std::ops::RangeInclusive<$t> {
@@ -246,7 +437,7 @@ pub mod strategy {
                     let (lo, hi) = (*self.start(), *self.end());
                     assert!(lo <= hi, "empty range strategy");
                     let width = (hi as i128 - lo as i128 + 1) as u128;
-                    (lo as i128 + (rng.next_u64() as u128 % width) as i128) as $t
+                    (lo as i128 + rng.offset(width) as i128) as $t
                 }
             }
         )*};
@@ -321,7 +512,7 @@ pub mod arbitrary {
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut Rng) -> bool {
-            rng.next_u64() & 1 == 1
+            rng.below(2) == 1
         }
     }
 
@@ -440,21 +631,16 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::test_runner::Config = $cfg;
-                let mut rng = $crate::rng::Rng::from_name(concat!(module_path!(), "::", stringify!($name)));
-                for case in 0..config.cases {
-                    // The immediately-called closure is load-bearing: it is
-                    // what `prop_assert*!`'s early `return Err(..)` exits.
-                    #[allow(clippy::redundant_closure_call)]
-                    let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (|| {
-                            $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
-                            $body
-                            #[allow(unreachable_code)]
-                            ::std::result::Result::Ok(())
-                        })();
-                    if let ::std::result::Result::Err(e) = result {
-                        panic!("proptest {} case {}/{} failed: {}", stringify!($name), case + 1, config.cases, e);
-                    }
+                let name = concat!(module_path!(), "::", stringify!($name));
+                // The closure is what `prop_assert*!`'s early `return Err(..)`
+                // exits.
+                let outcome = $crate::test_runner::run(&config, name, &($($strat,)*), |($($pat,)*)| {
+                    $body
+                    #[allow(unreachable_code)]
+                    ::std::result::Result::Ok(())
+                });
+                if let ::std::result::Result::Err(failure) = outcome {
+                    panic!("proptest {} {}", stringify!($name), failure);
                 }
             }
         )*
@@ -567,6 +753,68 @@ mod tests {
         fn config_is_honored(x in 0u64..1000) {
             let _ = x;
         }
+    }
+
+    proptest! {
+        #[test]
+        #[should_panic(expected = "minimal failing input (1000,)")]
+        fn the_macro_reports_the_minimal_input(x in 0u64..1_000_000) {
+            prop_assert!(x < 1000);
+        }
+    }
+
+    /// Run a planted property to its first failure, shrunk.
+    fn failure<S: Strategy>(
+        strategy: S,
+        test: impl FnMut(S::Value) -> Result<(), TestCaseError>,
+    ) -> crate::test_runner::Failure
+    where
+        S::Value: std::fmt::Debug,
+    {
+        crate::test_runner::run(&ProptestConfig::default(), "planted", &strategy, test)
+            .expect_err("the planted property never failed")
+    }
+
+    #[test]
+    fn an_integer_shrinks_to_the_boundary() {
+        let f = failure(0u64..1_000_000, |x| {
+            prop_assert!(x < 1000);
+            Ok(())
+        });
+        assert_eq!(f.inputs, "1000");
+        assert!(f.first.contains("x < 1000") && f.replays > 0, "{f}");
+    }
+
+    #[test]
+    fn a_vec_shrinks_to_its_shortest_failing_length_and_lowest_elements() {
+        let f = failure(prop::collection::vec(5u32..100, 0..20), |v| {
+            prop_assert!(v.len() < 3);
+            Ok(())
+        });
+        assert_eq!(f.inputs, "[5, 5, 5]");
+    }
+
+    #[test]
+    fn shrinking_works_through_map_and_flat_map() {
+        // Draw a length, then that many elements; report their sum.
+        let sums = (1usize..50)
+            .prop_flat_map(|n| prop::collection::vec(0u32..1000, n))
+            .prop_map(|v| (v.len(), v.iter().sum::<u32>()));
+        let f = failure(sums, |(_, sum)| {
+            prop_assert!(sum < 500);
+            Ok(())
+        });
+        assert_eq!(f.inputs, "(1, 500)");
+    }
+
+    #[test]
+    fn a_panicking_body_fails_and_shrinks_too() {
+        let f = failure((0i32..100, -50i64..50), |(a, b)| {
+            assert!(a < 10 || b < -40, "a = {a}, b = {b}");
+            Ok(())
+        });
+        assert_eq!(f.inputs, "(10, -40)");
+        assert_eq!(f.message, "a = 10, b = -40");
     }
 
     #[test]

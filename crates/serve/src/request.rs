@@ -66,7 +66,8 @@ pub struct Request {
     pub bags: Bags,
 }
 
-/// Canonical batches of bag sizes, `u32` and feature-major per batch
+/// Canonical batches of bag sizes, `u16` (pooling factors are at most
+/// `pooling_max`, 128 in the paper) and feature-major per batch
 /// (`sizes[w][f · N + s]`, the order [`SparseBatch::generate_counts_only`]
 /// produces), so one feature's run of consecutive samples is one contiguous
 /// slice.
@@ -75,7 +76,7 @@ struct Pool {
     /// Samples per canonical batch, `N`.
     batch_size: usize,
     n_features: usize,
-    sizes: Vec<Vec<u32>>,
+    sizes: Vec<Vec<u16>>,
 }
 
 /// A request's bag sizes: column `col` of canonical batch `which` of a
@@ -103,7 +104,7 @@ impl Bags {
 
     /// Bag size of feature `f`, or `None` past the last feature.
     pub fn get(&self, f: usize) -> Option<u32> {
-        (f < self.len()).then(|| self.sizes()[f * self.pool.batch_size + self.col as usize])
+        (f < self.len()).then(|| self.sizes()[f * self.pool.batch_size + self.col as usize].into())
     }
 
     /// The bag sizes, copied out in feature order.
@@ -113,21 +114,34 @@ impl Bags {
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         let sizes = &self.sizes()[self.col as usize..];
-        sizes.iter().step_by(self.pool.batch_size).copied()
+        sizes
+            .iter()
+            .step_by(self.pool.batch_size)
+            .map(|&b| b.into())
     }
 
     /// The canonical batch this column belongs to.
-    fn sizes(&self) -> &[u32] {
+    fn sizes(&self) -> &[u16] {
         &self.pool.sizes[self.which as usize]
     }
 }
 
+/// A bag size at the pool's width.
+fn pool_width(size: u32) -> u16 {
+    assert!(
+        size <= u16::MAX as u32,
+        "bag size {size} exceeds the pool's u16"
+    );
+    size as u16
+}
+
 impl From<Vec<u32>> for Bags {
+    /// Panics on a bag size above `u16::MAX`, which no pool holds.
     fn from(sizes: Vec<u32>) -> Self {
         let pool = Pool {
             batch_size: 1,
             n_features: sizes.len(),
-            sizes: vec![sizes],
+            sizes: vec![sizes.into_iter().map(pool_width).collect()],
         };
         Bags {
             pool: Arc::new(pool),
@@ -169,7 +183,7 @@ pub struct PoolWindow<'a> {
 struct Run<'a> {
     start: usize,
     len: usize,
-    sizes: &'a [u32],
+    sizes: &'a [u16],
     /// The canonical batch's sample count, the stride between features.
     stride: usize,
     col: usize,
@@ -287,20 +301,24 @@ fn build_pool(cfg: &EmbLayerConfig) -> (Pool, usize) {
         n.max(batches) <= u32::MAX as usize,
         "a request handle holds its column and batch as u32"
     );
+    assert!(
+        cfg.pooling_max <= u32::from(u16::MAX),
+        "the request pool holds bag sizes as u16"
+    );
     // Canonical batches are independently seeded: fill the pool in
     // parallel, ordered by seed index.
-    let sizes: Vec<Vec<u32>> = (0..batches)
+    let sizes: Vec<Vec<u16>> = (0..batches)
         .into_par_iter()
         .map(|i| {
             let b = SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i));
             let mut sizes = Vec::with_capacity(n * s);
             for f in 0..s {
-                sizes.extend((0..n).map(|smp| b.pooling_factor(f, smp) as u32));
+                sizes.extend((0..n).map(|smp| b.pooling_factor(f, smp) as u16));
             }
             sizes
         })
         .collect();
-    let bytes = sizes.iter().map(|b| 4 * b.len()).sum();
+    let bytes = sizes.iter().map(|b| 2 * b.len()).sum();
     let pool = Pool {
         batch_size: n,
         n_features: s,
@@ -427,6 +445,14 @@ mod tests {
         assert_ne!(Bags::from(other), r.bags);
         assert_ne!(Bags::from(vec![1, 2]), Bags::from(vec![1, 2, 3]));
         assert_eq!(std::mem::size_of::<Bags>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "bag sizes as u16")]
+    fn a_pool_refuses_bag_sizes_past_u16() {
+        let mut c = cfg();
+        c.pooling_max = u32::from(u16::MAX) + 1;
+        let _ = RequestGenerator::new(&c, ArrivalProcess::Poisson { rate_qps: 1e5 }, 0);
     }
 
     #[test]
