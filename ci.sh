@@ -16,14 +16,16 @@
 # parameters with the committed results/, byte for byte (which also pins
 # "observability is inert when off"). The observer-on artifacts (pods,
 # netutil, blame: telemetry timelines and blame vectors) get the same byte
-# gate from three full-scale runs, about 3 + 0.3 + 6 s; so do the three
+# gate from three full-scale runs, about 3 + 0.3 + 6 s; so do the four
 # artifacts that lean hardest on shared plans: chaos (stragglers and link
 # faults over shared PlannedBatches, i.e. the per-device schedule store and
 # its refusals, about 2 s), serve (the request pool and the memoized
-# canonical plans, about 6 s) and adapt (the controlled serving path: tier
+# canonical plans, about 6 s), adapt (the controlled serving path: tier
 # switches requeue closed batches, leaving misaligned windows planned fresh
 # from pool runs, and hot-cache resizes drop the canonical plans; about
-# 3 s). The three Chrome traces of the timeline_trace
+# 3 s) and pipeline (the executed engine, which runs every batch through
+# the one per-batch backend method with an arrival log, on the DGX and
+# pods; about 6.5 s). The three Chrome traces of the timeline_trace
 # example join them (about 2 s): a traced machine refuses to replay recorded
 # deliveries but launches kernels by their recorded length, which must leave
 # the very trace events dispatching the blocks leaves.
@@ -80,14 +82,15 @@ same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \
     whatif.csv ablation-zipf.csv
 # Full scale, one experiment per invocation: observers on (pods, netutil,
-# blame), then shared plans under faults (chaos), under serving (serve) and
-# under the serving control plane (adapt).
-for e in pods netutil blame chaos serve adapt; do
+# blame), then shared plans under faults (chaos), under serving (serve),
+# under the serving control plane (adapt) and under the executed pipeline
+# engine (pipeline).
+for e in pods netutil blame chaos serve adapt pipeline; do
     $reproduce "$e" --out-dir "$d2" > /dev/null
 done
 cargo run --release --example timeline_trace --offline -- --out-dir "$d2" > /dev/null
 same_as_results "$d2" pods.csv BENCH_pods.json netutil.csv BENCH_netutil.json \
     blame.csv BENCH_blame.json blame_folded.txt chaos.csv serve.csv \
-    adapt.csv BENCH_adapt.json trace_baseline.json trace_pgas.json \
-    trace_pipeline.json
+    adapt.csv BENCH_adapt.json pipeline.csv BENCH_pipeline.json \
+    trace_baseline.json trace_pgas.json trace_pipeline.json
 echo "ci: all gates passed"

@@ -28,7 +28,7 @@
 
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    execute_batch, plan_for_batch, DegradedFill, Exchange, PlannedBatch, ResiliencePolicy,
+    execute_batch, plan_for_batch, Backend, DegradedFill, Exchange, PlannedBatch, ResiliencePolicy,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
 use emb_serve::{
@@ -146,23 +146,19 @@ fn storm_spec(intensity: f64, svc: Dur, horizon: Dur) -> FaultSpec {
     }
 }
 
-fn static_policy(policy: &str, slo: Dur) -> ResiliencePolicy {
+fn static_backend(policy: &str, slo: Dur) -> Backend {
     match policy {
-        "static_pgas" => ResiliencePolicy {
+        "static_pgas" => Backend::pgas().with_policy(ResiliencePolicy {
             failover_flaps: 0,
             batch_deadline: None,
             fill: DegradedFill::Mean,
-            baseline_only: false,
             device_fill: false,
-        },
-        "static_resilient" => ResiliencePolicy {
+        }),
+        "static_resilient" => Backend::pgas().with_policy(ResiliencePolicy {
             batch_deadline: Some(slo / 2),
             ..ResiliencePolicy::default()
-        },
-        "static_baseline" => ResiliencePolicy {
-            baseline_only: true,
-            ..ResiliencePolicy::default()
-        },
+        }),
+        "static_baseline" => Backend::baseline().with_policy(ResiliencePolicy::default()),
         other => panic!("unknown static policy {other:?}"),
     }
 }
@@ -321,7 +317,7 @@ fn run_cell(
         scfg.batcher.request_timeout = y.slo * 2u64;
         scfg.slo = Some(y.slo);
         if policy != "adaptive" {
-            scfg.policy = static_policy(policy, y.slo);
+            scfg.backend = static_backend(policy, y.slo);
         }
 
         let mut machine = Machine::new(MachineConfig::dgx_v100(gpus));

@@ -2,8 +2,8 @@
 
 use desim::{Dur, SimTime, TimeSeries};
 use emb_retrieval::backend::{
-    plan_with_planner, BaselineBackend, ExecMode, HotCachePlanner, PgasFusedBackend,
-    ResiliencePolicy, ResilientBackend, ResilientResult, RetrievalBackend,
+    plan_with_planner, Backend, Exchange, ExecMode, HotCachePlanner, ResiliencePolicy,
+    ResilientResult, RetrievalBackend,
 };
 use emb_retrieval::backward::{baseline_backward, pgas_backward};
 use emb_retrieval::{EmbLayerConfig, InputPartition, RunReport, Sharding, SparseBatch};
@@ -79,13 +79,11 @@ impl ScalingResult {
 /// Run both backends on a fresh machine.
 pub fn run_pair(cfg: &EmbLayerConfig) -> RunPair {
     let mut mb = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let baseline = BaselineBackend::new()
+    let baseline = Backend::baseline()
         .run(&mut mb, cfg, ExecMode::Timing)
         .report;
     let mut mp = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let pgas = PgasFusedBackend::new()
-        .run(&mut mp, cfg, ExecMode::Timing)
-        .report;
+    let pgas = Backend::pgas().run(&mut mp, cfg, ExecMode::Timing).report;
     RunPair {
         gpus: cfg.n_gpus,
         baseline,
@@ -166,24 +164,12 @@ impl CommVolumeResult {
     }
 }
 
-fn comm_volume(cfg: &EmbLayerConfig, bucket: Dur, chaos: Option<(u64, f64)>) -> CommVolumeResult {
-    let mk = || {
-        let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus).with_traffic_bucket(bucket));
-        if let Some((seed, intensity)) = chaos {
-            m.install_faults(FaultPlan::generate(
-                seed,
-                cfg.n_gpus,
-                FaultSpec::chaos(intensity),
-            ));
-        }
-        m
-    };
+fn comm_volume(cfg: &EmbLayerConfig, bucket: Dur) -> CommVolumeResult {
+    let mk = || Machine::new(MachineConfig::dgx_v100(cfg.n_gpus).with_traffic_bucket(bucket));
     let mut mp = mk();
-    let p = PgasFusedBackend::new()
-        .run(&mut mp, cfg, ExecMode::Timing)
-        .report;
+    let p = Backend::pgas().run(&mut mp, cfg, ExecMode::Timing).report;
     let mut mb = mk();
-    let b = BaselineBackend::new()
+    let b = Backend::baseline()
         .run(&mut mb, cfg, ExecMode::Timing)
         .report;
 
@@ -225,26 +211,14 @@ fn comm_volume(cfg: &EmbLayerConfig, bucket: Dur, chaos: Option<(u64, f64)>) -> 
 /// Profiles a small number of batches so individual batches are visible.
 pub fn comm_volume_weak_2gpu(scale: usize, batches: usize) -> CommVolumeResult {
     let cfg = scaled(EmbLayerConfig::paper_weak_scaling(2), scale, batches);
-    comm_volume(&cfg, fig_bucket(&cfg), None)
+    comm_volume(&cfg, fig_bucket(&cfg))
 }
 
 /// **Fig. 10** — communication volume over time, strong-scaling config,
 /// 4 GPUs.
 pub fn comm_volume_strong_4gpu(scale: usize, batches: usize) -> CommVolumeResult {
     let cfg = scaled(EmbLayerConfig::paper_strong_scaling(4), scale, batches);
-    comm_volume(&cfg, fig_bucket(&cfg), None)
-}
-
-/// [`comm_volume_weak_2gpu`] on a faulty fabric: the fault-window column
-/// becomes nonzero and both backends retry through the faults.
-pub fn comm_volume_weak_2gpu_chaos(
-    scale: usize,
-    batches: usize,
-    seed: u64,
-    intensity: f64,
-) -> CommVolumeResult {
-    let cfg = scaled(EmbLayerConfig::paper_weak_scaling(2), scale, batches);
-    comm_volume(&cfg, fig_bucket(&cfg), Some((seed, intensity)))
+    comm_volume(&cfg, fig_bucket(&cfg))
 }
 
 /// Pick a bucket that yields ~200 points over a run of this size.
@@ -369,11 +343,9 @@ pub fn netutil_sweep(gpus: usize, scale: usize, batches: usize) -> NetUtilResult
         let mut m = Machine::new(MachineConfig::dgx_v100(gpus).with_traffic_bucket(bucket));
         m.enable_telemetry();
         let rep = if pgas {
-            PgasFusedBackend::new()
-                .run(&mut m, &cfg, ExecMode::Timing)
-                .report
+            Backend::pgas().run(&mut m, &cfg, ExecMode::Timing).report
         } else {
-            BaselineBackend::new()
+            Backend::baseline()
                 .run(&mut m, &cfg, ExecMode::Timing)
                 .report
         };
@@ -540,24 +512,21 @@ pub fn chaos_sweep(
     let mut deadline: Option<Dur> = None;
     let mut out = Vec::new();
     for &intensity in intensities {
-        let run = |baseline_only: bool| {
+        let run = |strict: Backend| {
             let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
             if intensity > 0.0 {
                 m.install_faults(FaultPlan::generate(seed, gpus, FaultSpec::chaos(intensity)));
             }
             let policy = ResiliencePolicy {
                 batch_deadline: if intensity > 0.0 { deadline } else { None },
-                baseline_only,
                 ..ResiliencePolicy::default()
             };
-            ResilientBackend::new().with_policy(policy).run_resilient(
-                &mut m,
-                &cfg,
-                ExecMode::Timing,
-            )
+            strict
+                .with_policy(policy)
+                .run_resilient(&mut m, &cfg, ExecMode::Timing)
         };
-        let p = run(false);
-        let b = run(true);
+        let p = run(Backend::pgas());
+        let b = run(Backend::baseline());
         if deadline.is_none() && intensity == 0.0 {
             deadline = Some(p.resilience.latency_quantile(0.5) * 8u64);
         }
@@ -838,12 +807,12 @@ pub fn message_size_ablation(gpus: usize, scale: usize, batches: usize) -> Vec<M
         .into_par_iter()
         .map(|i| {
             let max_payload = payloads[i];
-            let backend = PgasFusedBackend {
-                pgas: PgasConfig {
+            let backend = Backend {
+                exchange: Exchange::OneSided(PgasConfig {
                     max_payload,
                     ..PgasConfig::default()
-                },
-                ..PgasFusedBackend::default()
+                }),
+                policy: None,
             };
             let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
             let r = backend.run(&mut m, &cfg, ExecMode::Timing).report;
@@ -1083,13 +1052,11 @@ pub fn whatif_projection(max_gpus: usize, scale: usize, batches: usize) -> Vec<(
         let cfg = scaled(EmbLayerConfig::paper_weak_scaling(g), scale, batches);
         // V100 crossbar beyond the paper's 4 GPUs.
         let mut mb = Machine::new(MachineConfig::dgx_v100(g));
-        let baseline = BaselineBackend::new()
+        let baseline = Backend::baseline()
             .run(&mut mb, &cfg, ExecMode::Timing)
             .report;
         let mut mp = Machine::new(MachineConfig::dgx_v100(g));
-        let pgas = PgasFusedBackend::new()
-            .run(&mut mp, &cfg, ExecMode::Timing)
-            .report;
+        let pgas = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing).report;
         out.push((
             format!("v100x{g}"),
             RunPair {
@@ -1110,13 +1077,11 @@ pub fn whatif_projection(max_gpus: usize, scale: usize, batches: usize) -> Vec<(
             }
         };
         let mut mb = Machine::new(mk());
-        let baseline = BaselineBackend::new()
+        let baseline = Backend::baseline()
             .run(&mut mb, &cfg, ExecMode::Timing)
             .report;
         let mut mp = Machine::new(mk());
-        let pgas = PgasFusedBackend::new()
-            .run(&mut mp, &cfg, ExecMode::Timing)
-            .report;
+        let pgas = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing).report;
         out.push((
             format!("a100x{g}"),
             RunPair {
@@ -1435,11 +1400,11 @@ fn pipeline_cell(
     let pipeline = InferencePipeline::new(&model);
     let mut m = fresh();
     let base_serial = pipeline
-        .run(&mut m, &BaselineBackend::new(), ExecMode::Timing)
+        .run(&mut m, &Backend::baseline(), ExecMode::Timing)
         .total;
     let mut m = fresh();
     let pgas_serial = pipeline
-        .run(&mut m, &PgasFusedBackend::new(), ExecMode::Timing)
+        .run(&mut m, &Backend::pgas(), ExecMode::Timing)
         .total;
 
     let engine = PipelineEngine::new(&model);
@@ -1733,23 +1698,6 @@ mod tests {
         // The clean point must see no faults at all.
         assert_eq!(pts[0].pgas.retries, 0);
         assert_eq!(pts[0].pgas.deadline_missed, 0);
-    }
-
-    #[test]
-    fn chaos_comm_volume_tags_fault_windows() {
-        let clean = comm_volume_weak_2gpu(512, 2);
-        assert!(clean.fault_frac.iter().all(|&f| f == 0.0));
-        // Search seeds for a plan whose windows overlap this short run.
-        let mut hit = false;
-        for seed in 0..32u64 {
-            let r = comm_volume_weak_2gpu_chaos(512, 2, seed, 1.0);
-            assert!(r.fault_frac.iter().all(|&f| (0.0..=1.0).contains(&f)));
-            if r.fault_frac.iter().any(|&f| f > 0.0) {
-                hit = true;
-                break;
-            }
-        }
-        assert!(hit, "some seed must place a fault window inside the run");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use bench_harness::scaled;
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    execute_batch, plan_for_batch, BatchRun, Exchange, ExecMode, PgasFusedBackend, PlannedBatch,
+    plan_for_batch, Backend, BatchRun, Exchange, ExecMode, PgasFusedBackend, PlannedBatch,
     ResiliencePolicy, ResilienceReport, ResilientBackend, RetrievalBackend,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
@@ -54,24 +54,24 @@ fn run_backend(
         "pgas" => Exchange::OneSided(PgasConfig::default()),
         _ => Exchange::Gateway(GatewayConfig::default()),
     };
-    let resilient = ResilientBackend::new().with_policy(ResiliencePolicy {
-        batch_deadline: Some(Dur::from_ms(5)),
-        ..ResiliencePolicy::default()
-    });
-    if let Some(seed) = chaos {
-        m.install_faults(FaultPlan::generate(seed, g, FaultSpec::chaos(0.8)));
-    }
+    let be = match chaos {
+        Some(seed) => {
+            m.install_faults(FaultPlan::generate(seed, g, FaultSpec::chaos(0.8)));
+            ResilientBackend::new().with_policy(ResiliencePolicy {
+                batch_deadline: Some(Dur::from_ms(5)),
+                ..ResiliencePolicy::default()
+            })
+        }
+        None => Backend {
+            exchange,
+            policy: None,
+        },
+    };
     let mut books = ResilienceReport::default();
     let mut at = SimTime::ZERO;
     let mut runs = Vec::new();
     for _ in 0..batches {
-        let run = if chaos.is_some() {
-            let exchange = resilient.exchange_at(&m, at);
-            let degrade = resilient.policy.degrade(at, &mut books);
-            execute_batch(&mut m, &exchange, &pb, at, None, Some(degrade))
-        } else {
-            execute_batch(&mut m, &exchange, &pb, at, None, None)
-        };
+        let run = be.run_batch(&mut m, &pb, at, None, &mut books);
         at = run.end;
         runs.push(run);
     }

@@ -1,16 +1,17 @@
-//! Resilient retrieval: PGAS-first with graceful degradation.
+//! Graceful degradation: what a [`Backend`](crate::backend::Backend) with a
+//! [`ResiliencePolicy`] does that a strict one does not.
 //!
 //! Production recommenders cannot return an error to the ranking stage just
 //! because a link flapped: they serve *something* for every request, at
 //! degraded quality if need be. The batch executor is always fault-aware
-//! ([`execute_batch`](crate::backend::execute_batch)); this backend is that
-//! executor under a [`ResiliencePolicy`] instead of the plain backends'
-//! strict one:
+//! ([`execute_batch`](crate::backend::execute_batch)); a policy sets how
+//! strict it is:
 //!
 //! * **Failover** — once any directed link has flapped (gone down and come
-//!   back) more than a configured number of times, the remaining batches run
-//!   on the baseline collective path, whose bulk transfers amortize the
-//!   per-message fault exposure of 256 B one-sided stores.
+//!   back) more than a configured number of times, the remaining batches of
+//!   a one-sided or gateway backend run on the baseline collective path,
+//!   whose bulk transfers amortize the per-message fault exposure of 256 B
+//!   one-sided stores.
 //! * **Deadlines** — each batch may carry a completion deadline. Rows still
 //!   in flight when it expires are *served from the fill* (zeros or the mean
 //!   embedding) instead of stalling inference, and are counted in the
@@ -21,18 +22,15 @@
 //!
 //! On a clean fabric (no fault plan, or a trivial one) the policy has
 //! nothing to act on: runs are bit-identical in both timing and functional
-//! output to [`PgasFusedBackend`](crate::backend::PgasFusedBackend) —
-//! resilience costs nothing until something breaks.
+//! output to the strict backend over the same exchange — resilience costs
+//! nothing until something breaks.
 
 use desim::{Dur, SimTime};
 use gpusim::Machine;
-use pgas_rt::PgasConfig;
-use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
-use crate::backend::single::{Degrade, Exchange};
-use crate::backend::{run_closed_loop, BackendResult, ExecMode, RetrievalBackend};
-use crate::EmbLayerConfig;
+use crate::backend::single::Degrade;
+use crate::backend::BackendResult;
 
 /// What to serve in place of a pooled row that missed its deadline or whose
 /// transfer exhausted its retries.
@@ -48,18 +46,15 @@ pub enum DegradedFill {
 /// Tunables of the graceful-degradation behavior.
 #[derive(Clone, Copy, Debug)]
 pub struct ResiliencePolicy {
-    /// Fail over to the baseline collective path once any directed link has
-    /// completed this many down/up flaps. `0` disables failover.
+    /// Fail a one-sided or gateway exchange over to the baseline collective
+    /// path once any directed link has completed this many down/up flaps.
+    /// `0` disables failover.
     pub failover_flaps: usize,
     /// Per-batch completion deadline, measured from the batch's start.
     /// `None` waits indefinitely (strict correctness, no degradation).
     pub batch_deadline: Option<Dur>,
     /// Fill served for degraded rows.
     pub fill: DegradedFill,
-    /// Serve every batch on the baseline collective path from the start —
-    /// the failover target measured directly (used by the chaos benchmark
-    /// to locate the PGAS-vs-baseline crossover under faults).
-    pub baseline_only: bool,
     /// When a whole device (and the shard it owns) is lost at batch start
     /// ([`gpusim::FabricError::DeviceLost`]), serve its rows immediately:
     /// the fraction resident in the hot-cache replicas
@@ -82,6 +77,17 @@ impl ResiliencePolicy {
             report,
         }
     }
+
+    /// Whether any directed link of `machine` has completed at least
+    /// `failover_flaps` down/up flaps by `at` (never, with `0`). Flap counts
+    /// only grow, so a run that trips stays tripped.
+    pub(crate) fn tripped(&self, machine: &Machine, at: SimTime) -> bool {
+        let (n, flaps) = (machine.n_gpus(), self.failover_flaps);
+        flaps > 0
+            && machine.faults().is_some_and(|fp| {
+                (0..n).any(|s| (0..n).any(|d| s != d && fp.flap_count(s, d, at) >= flaps))
+            })
+    }
 }
 
 impl Default for ResiliencePolicy {
@@ -90,20 +96,21 @@ impl Default for ResiliencePolicy {
             failover_flaps: 3,
             batch_deadline: None,
             fill: DegradedFill::Zeros,
-            baseline_only: false,
             device_fill: false,
         }
     }
 }
 
-/// Degradation accounting for a resilient run.
+/// Degradation accounting for a run under a policy.
 #[derive(Clone, Debug, Default)]
 pub struct ResilienceReport {
-    /// Batches served by the PGAS fused path.
+    /// Batches served by a one-sided or gateway exchange.
     pub pgas_batches: usize,
-    /// Batches served by the baseline collective path (after failover).
+    /// Batches served by the baseline collective path (a collective
+    /// backend's, or after failover).
     pub baseline_batches: usize,
-    /// Batch index at which failover triggered, if it did.
+    /// Batch index at which a one-sided or gateway backend failed over, if
+    /// it did.
     pub failover_at: Option<usize>,
     /// One-sided puts that needed at least one retry but were delivered.
     pub retried_puts: u64,
@@ -153,97 +160,14 @@ impl ResilienceReport {
     }
 }
 
-/// A backend run plus its degradation accounting.
+/// A closed-loop run plus its degradation accounting (empty for a strict
+/// backend).
 #[derive(Clone, Debug)]
 pub struct ResilientResult {
     /// The ordinary backend result (report + optional outputs).
     pub result: BackendResult,
     /// What the resilience machinery did along the way.
     pub resilience: ResilienceReport,
-}
-
-/// PGAS retrieval hardened against link faults, stragglers and message
-/// loss. See the module docs for the policy semantics.
-#[derive(Clone, Debug, Default)]
-pub struct ResilientBackend {
-    /// One-sided runtime tuning for the PGAS path (includes the retry
-    /// schedule puts use).
-    pub pgas: PgasConfig,
-    /// Collective tuning for the post-failover baseline path.
-    pub collectives: CollectiveConfig,
-    /// Degradation policy.
-    pub policy: ResiliencePolicy,
-}
-
-impl ResilientBackend {
-    /// Default policy over default PGAS/collective configs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Override the policy.
-    pub fn with_policy(mut self, policy: ResiliencePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Run with full degradation accounting. Never panics on fabric faults:
-    /// every batch completes and (in functional mode) outputs are always
-    /// produced, with degraded rows carrying the policy's fill.
-    pub fn run_resilient(
-        &self,
-        machine: &mut Machine,
-        cfg: &EmbLayerConfig,
-        mode: ExecMode,
-    ) -> ResilientResult {
-        let mut resilience = ResilienceReport::default();
-        let mut failover_at = None;
-        let result = run_closed_loop(
-            machine,
-            cfg,
-            mode,
-            |machine, batch_idx, start| {
-                let exchange = self.exchange_at(machine, start);
-                if !self.policy.baseline_only && matches!(exchange, Exchange::Collective(_)) {
-                    failover_at.get_or_insert(batch_idx);
-                }
-                exchange
-            },
-            Some((&self.policy, &mut resilience)),
-        );
-        resilience.failover_at = failover_at;
-        ResilientResult { result, resilience }
-    }
-
-    /// The exchange a batch starting at `at` is served over — what the
-    /// online serving layer (`emb-serve`) asks before each
-    /// [`execute_batch`](crate::backend::execute_batch): the collective when
-    /// the policy is `baseline_only` or any directed link has completed at
-    /// least `policy.failover_flaps` down/up flaps by `at`, else one-sided.
-    /// Flap counts only grow, so once a run fails over it stays failed over.
-    pub fn exchange_at(&self, machine: &Machine, at: SimTime) -> Exchange {
-        let n = machine.n_gpus();
-        let flaps = self.policy.failover_flaps;
-        let tripped = flaps > 0
-            && machine.faults().is_some_and(|fp| {
-                (0..n).any(|s| (0..n).any(|d| s != d && fp.flap_count(s, d, at) >= flaps))
-            });
-        if self.policy.baseline_only || tripped {
-            Exchange::Collective(self.collectives)
-        } else {
-            Exchange::OneSided(self.pgas)
-        }
-    }
-}
-
-impl RetrievalBackend for ResilientBackend {
-    fn name(&self) -> &'static str {
-        "pgas-resilient"
-    }
-
-    fn run(&self, machine: &mut Machine, cfg: &EmbLayerConfig, mode: ExecMode) -> BackendResult {
-        self.run_resilient(machine, cfg, mode).result
-    }
 }
 
 /// Overwrite `degraded` pooled rows of a `[mb, n_features × dim]` output
@@ -283,9 +207,8 @@ pub(crate) fn apply_fill(fill: DegradedFill, out: &mut Tensor, degraded: u64, di
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{
-        execute_batch, prepare_batches, BatchRun, PgasFusedBackend, PlannedBatch,
-    };
+    use crate::backend::{prepare_batches, Backend, ExecMode, PlannedBatch, RetrievalBackend};
+    use crate::EmbLayerConfig;
     use gpusim::{FaultPlan, FaultSpec, MachineConfig};
 
     fn tiny_cfg(g: usize) -> EmbLayerConfig {
@@ -295,42 +218,63 @@ mod tests {
         c
     }
 
-    #[test]
-    fn clean_fabric_is_bit_identical_to_pgas() {
-        let cfg = tiny_cfg(2);
-        let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Timing);
-        let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let r = ResilientBackend::new().run_resilient(&mut mr, &cfg, ExecMode::Timing);
-        assert_eq!(r.result.report.total, p.report.total);
-        assert_eq!(r.result.report.breakdown, p.report.breakdown);
-        assert_eq!(
-            r.result.report.traffic.payload_bytes,
-            p.report.traffic.payload_bytes
-        );
-        assert_eq!(r.result.report.traffic.messages, p.report.traffic.messages);
-        let res = &r.resilience;
-        assert_eq!(res.pgas_batches, cfg.n_batches);
-        assert_eq!(res.baseline_batches, 0);
-        assert_eq!(res.failover_at, None);
-        assert_eq!(res.degraded_rows, 0);
-        assert_eq!(res.retries, 0);
-        assert!(res.total_rows > 0);
-        assert_eq!(res.batch_latencies.len(), cfg.n_batches);
+    fn resilient() -> Backend {
+        Backend::pgas().with_policy(ResiliencePolicy::default())
+    }
+
+    /// `a` and `b` ran the same batches alike: timing, traffic and any
+    /// functional outputs, bit for bit.
+    fn assert_same_run(a: &BackendResult, b: &BackendResult) {
+        assert_eq!(a.report.total, b.report.total);
+        assert_eq!(a.report.breakdown, b.report.breakdown);
+        assert_eq!(a.report.traffic, b.report.traffic);
+        assert_eq!(a.outputs.is_some(), b.outputs.is_some());
+        for (x, y) in a.outputs.iter().flatten().zip(b.outputs.iter().flatten()) {
+            assert!(
+                x.allclose(y, 0.0),
+                "a clean policy run must not alter outputs"
+            );
+        }
     }
 
     #[test]
-    fn clean_pod_fabric_is_bit_identical_to_pgas() {
-        // The resilient wrapper must stay a no-op on a clean two-tier pod,
-        // exactly as it is on a single-node crossbar.
-        let cfg = tiny_cfg(4);
-        let mut mp = Machine::new(MachineConfig::pod_v100(2, 2));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Timing);
-        let mut mr = Machine::new(MachineConfig::pod_v100(2, 2));
-        let r = ResilientBackend::new().run_resilient(&mut mr, &cfg, ExecMode::Timing);
-        assert_eq!(r.result.report.total, p.report.total);
-        assert_eq!(r.resilience.degraded_rows, 0);
-        assert_eq!(r.resilience.retries, 0);
+    fn a_policy_on_a_clean_fabric_runs_as_pgas() {
+        // On a crossbar and on a clean two-tier pod, timed and functional.
+        let fabrics = [
+            (2, MachineConfig::dgx_v100(2)),
+            (4, MachineConfig::pod_v100(2, 2)),
+        ];
+        for (g, fabric) in fabrics {
+            let cfg = tiny_cfg(g);
+            for mode in [ExecMode::Timing, ExecMode::Functional] {
+                let p = Backend::pgas().run(&mut Machine::new(fabric.clone()), &cfg, mode);
+                let r = resilient().run_resilient(&mut Machine::new(fabric.clone()), &cfg, mode);
+                assert_same_run(&r.result, &p);
+                let res = &r.resilience;
+                assert_eq!(res.pgas_batches, cfg.n_batches);
+                assert_eq!(res.baseline_batches, 0);
+                assert_eq!(res.failover_at, None);
+                assert_eq!(res.degraded_rows, 0);
+                assert_eq!(res.retries, 0);
+                assert!(res.total_rows > 0);
+                assert_eq!(res.batch_latencies.len(), cfg.n_batches);
+            }
+        }
+    }
+
+    #[test]
+    fn a_collective_with_a_policy_on_a_clean_fabric_runs_as_the_baseline() {
+        let cfg = tiny_cfg(2);
+        let fabric = MachineConfig::dgx_v100(2);
+        let be = Backend::baseline().with_policy(ResiliencePolicy::default());
+        for mode in [ExecMode::Timing, ExecMode::Functional] {
+            let b = Backend::baseline().run(&mut Machine::new(fabric.clone()), &cfg, mode);
+            let r = be.run_resilient(&mut Machine::new(fabric.clone()), &cfg, mode);
+            assert_same_run(&r.result, &b);
+            assert_eq!(r.resilience.baseline_batches, cfg.n_batches);
+            assert_eq!(r.resilience.pgas_batches, 0);
+            assert_eq!(r.resilience.failover_at, None);
+        }
     }
 
     #[test]
@@ -339,7 +283,6 @@ mod tests {
         // stays clean): every seed must complete all batches without
         // panicking, and at least one seed must actually exercise the
         // degradation machinery.
-        use gpusim::FaultPlan;
         let cfg = tiny_cfg(4);
         let mut perturbed = 0u64;
         for seed in 0..8u64 {
@@ -351,7 +294,7 @@ mod tests {
                 FaultSpec::chaos(0.1),
                 FaultSpec::chaos(0.9),
             ));
-            let r = ResilientBackend::new().run_resilient(&mut m, &cfg, ExecMode::Timing);
+            let r = resilient().run_resilient(&mut m, &cfg, ExecMode::Timing);
             assert_eq!(r.resilience.batch_latencies.len(), cfg.n_batches);
             assert!(r.result.report.total > desim::Dur::ZERO);
             perturbed += r.resilience.retries
@@ -368,50 +311,12 @@ mod tests {
     fn trivial_fault_plan_is_also_identical() {
         let cfg = tiny_cfg(2);
         let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Timing);
+        let p = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing);
         let mut mr = Machine::new(MachineConfig::dgx_v100(2));
         mr.install_faults(FaultPlan::generate(7, 2, FaultSpec::chaos(0.0)));
-        let r = ResilientBackend::new().run_resilient(&mut mr, &cfg, ExecMode::Timing);
+        let r = resilient().run_resilient(&mut mr, &cfg, ExecMode::Timing);
         assert_eq!(r.result.report.total, p.report.total);
         assert_eq!(r.resilience.degraded_rows, 0);
-    }
-
-    #[test]
-    fn functional_clean_matches_pgas_outputs() {
-        let cfg = tiny_cfg(2);
-        let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Functional);
-        let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let r = ResilientBackend::new().run_resilient(&mut mr, &cfg, ExecMode::Functional);
-        for (a, b) in r.result.outputs.unwrap().iter().zip(&p.outputs.unwrap()) {
-            assert!(
-                a.allclose(b, 0.0),
-                "clean resilient run must not alter outputs"
-            );
-        }
-    }
-
-    #[test]
-    fn baseline_only_matches_baseline_on_clean_fabric() {
-        use crate::backend::BaselineBackend;
-        let cfg = tiny_cfg(2);
-        let mut mb = Machine::new(MachineConfig::dgx_v100(2));
-        let b = BaselineBackend::new().run(&mut mb, &cfg, ExecMode::Timing);
-        let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let policy = ResiliencePolicy {
-            baseline_only: true,
-            ..ResiliencePolicy::default()
-        };
-        let r = ResilientBackend::new().with_policy(policy).run_resilient(
-            &mut mr,
-            &cfg,
-            ExecMode::Timing,
-        );
-        assert_eq!(r.result.report.total, b.report.total);
-        assert_eq!(r.result.report.breakdown, b.report.breakdown);
-        assert_eq!(r.resilience.baseline_batches, cfg.n_batches);
-        assert_eq!(r.resilience.pgas_batches, 0);
-        assert_eq!(r.resilience.failover_at, None);
     }
 
     /// Blame stays well-formed under degradation: one exact partition per
@@ -431,19 +336,16 @@ mod tests {
     fn impossible_deadline_degrades_but_always_returns() {
         let cfg = tiny_cfg(2);
         // Over both exchanges: abandoned fences and abandoned waits.
-        for baseline_only in [false, true] {
+        for strict in [Backend::pgas(), Backend::baseline()] {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.enable_blame();
             let policy = ResiliencePolicy {
                 batch_deadline: Some(Dur::from_ns(1)),
-                baseline_only,
                 ..ResiliencePolicy::default()
             };
-            let r = ResilientBackend::new().with_policy(policy).run_resilient(
-                &mut m,
-                &cfg,
-                ExecMode::Functional,
-            );
+            let r = strict
+                .with_policy(policy)
+                .run_resilient(&mut m, &cfg, ExecMode::Functional);
             let res = &r.resilience;
             assert_eq!(res.deadline_missed_batches, cfg.n_batches);
             assert!(res.degraded_rows > 0, "late rows must be counted");
@@ -473,19 +375,15 @@ mod tests {
             ..FaultSpec::none()
         };
         let cfg = tiny_cfg(2);
-        let policy = ResiliencePolicy {
+        let be = Backend::pgas().with_policy(ResiliencePolicy {
             failover_flaps: 1,
             ..ResiliencePolicy::default()
-        };
+        });
         let mut found = None;
         for seed in 0..64u64 {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.install_faults(FaultPlan::generate(seed, 2, spec));
-            let r = ResilientBackend::new().with_policy(policy).run_resilient(
-                &mut m,
-                &cfg,
-                ExecMode::Timing,
-            );
+            let r = be.run_resilient(&mut m, &cfg, ExecMode::Timing);
             if r.resilience.failover_at.is_some() {
                 found = Some(r);
                 break;
@@ -502,49 +400,26 @@ mod tests {
             cfg.n_batches,
             "every batch is served by exactly one path"
         );
-        assert!(res.failover_at.unwrap() < cfg.n_batches);
+        assert_eq!(res.failover_at, Some(res.pgas_batches));
     }
 
     #[test]
     fn chaos_always_completes_every_batch() {
         let cfg = tiny_cfg(2);
+        let be = Backend::pgas().with_policy(ResiliencePolicy {
+            batch_deadline: Some(Dur::from_ms(5)),
+            ..ResiliencePolicy::default()
+        });
         for seed in 0..20u64 {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.install_faults(FaultPlan::generate(seed, 2, FaultSpec::chaos(0.8)));
-            let policy = ResiliencePolicy {
-                batch_deadline: Some(Dur::from_ms(5)),
-                ..ResiliencePolicy::default()
-            };
-            let r = ResilientBackend::new().with_policy(policy).run_resilient(
-                &mut m,
-                &cfg,
-                ExecMode::Timing,
-            );
+            let r = be.run_resilient(&mut m, &cfg, ExecMode::Timing);
             let res = &r.resilience;
             assert_eq!(res.batch_latencies.len(), cfg.n_batches);
             assert!(res.total_rows > 0);
             assert!(res.degraded_rows <= res.total_rows);
             assert!(res.latency_quantile(0.99) >= res.latency_quantile(0.5));
         }
-    }
-
-    /// One batch at `start` the way the serving layer drives `be`.
-    fn serve(
-        be: &ResilientBackend,
-        m: &mut Machine,
-        pb: &PlannedBatch,
-        start: SimTime,
-        rep: &mut ResilienceReport,
-    ) -> BatchRun {
-        let exchange = be.exchange_at(m, start);
-        execute_batch(
-            m,
-            &exchange,
-            pb,
-            start,
-            None,
-            Some(be.policy.degrade(start, rep)),
-        )
     }
 
     /// A spec whose only fault is device loss, with windows long enough
@@ -590,13 +465,13 @@ mod tests {
 
         // With device_fill the batch completes inside the outage window and
         // every lost row is accounted replica-or-fill.
-        let fill = ResilientBackend::new().with_policy(ResiliencePolicy {
+        let fill = Backend::pgas().with_policy(ResiliencePolicy {
             device_fill: true,
             fill: DegradedFill::Mean,
             ..ResiliencePolicy::default()
         });
         let mut rep = ResilienceReport::default();
-        let run = serve(&fill, &mut m, &pb, start, &mut rep);
+        let run = fill.run_batch(&mut m, &pb, start, None, &mut rep);
         assert_eq!(rep.device_loss_batches, 1);
         assert_eq!(
             rep.replica_rows + rep.degraded_rows,
@@ -613,10 +488,9 @@ mod tests {
 
         // Without device_fill the lost device's kernel cannot start before
         // recovery, so the batch stalls past the window end.
-        let strict = ResilientBackend::new();
         let mut m2 = mk();
         let mut rep2 = ResilienceReport::default();
-        let run2 = serve(&strict, &mut m2, &pb, start, &mut rep2);
+        let run2 = resilient().run_batch(&mut m2, &pb, start, None, &mut rep2);
         assert_eq!(rep2.device_loss_batches, 1);
         assert_eq!(rep2.degraded_rows, 0, "strict policy serves real data");
         assert!(
@@ -639,13 +513,12 @@ mod tests {
         let prepared = prepare_batches(&cfg, ExecMode::Timing, &m.spec(0).clone());
         let pb = PlannedBatch::new(&m, prepared.plans[0].clone());
         let lost_rows: u64 = (0..2).map(|g| pb.plan().devices[1].rows_to(g)).sum();
-        let be = ResilientBackend::new().with_policy(ResiliencePolicy {
-            baseline_only: true,
+        let be = Backend::baseline().with_policy(ResiliencePolicy {
             device_fill: true,
             ..ResiliencePolicy::default()
         });
         let mut rep = ResilienceReport::default();
-        let run = serve(&be, &mut m, &pb, start, &mut rep);
+        let run = be.run_batch(&mut m, &pb, start, None, &mut rep);
         assert_eq!(rep.device_loss_batches, 1);
         assert_eq!(rep.baseline_batches, 1);
         assert_eq!(rep.replica_rows + rep.degraded_rows, lost_rows);
@@ -657,17 +530,13 @@ mod tests {
     fn device_fill_is_noop_on_clean_fabric() {
         let cfg = tiny_cfg(2);
         let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Timing);
+        let p = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing);
         let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let policy = ResiliencePolicy {
+        let be = Backend::pgas().with_policy(ResiliencePolicy {
             device_fill: true,
             ..ResiliencePolicy::default()
-        };
-        let r = ResilientBackend::new().with_policy(policy).run_resilient(
-            &mut mr,
-            &cfg,
-            ExecMode::Timing,
-        );
+        });
+        let r = be.run_resilient(&mut mr, &cfg, ExecMode::Timing);
         assert_eq!(r.result.report.total, p.report.total);
         assert_eq!(r.resilience.device_loss_batches, 0);
         assert_eq!(r.resilience.replica_rows, 0);

@@ -193,7 +193,7 @@ fn backward(
         .into_par_iter()
         .map(|i| backward_planned(machine, &prepared.plans[i], fused))
         .collect();
-    let report = run_batches(machine, &planned, cfg.n_batches, |m, pb, _, at| {
+    let report = run_batches(machine, &planned, cfg.n_batches, |m, pb, at| {
         execute_batch(m, &exchange, pb, at, None, None)
     });
     let grads = (mode == ExecMode::Functional).then(|| {

@@ -102,13 +102,6 @@ pub struct SparseBatchSpec {
     pub distribution: IndexDistribution,
 }
 
-impl SparseBatchSpec {
-    /// Mean pooling factor of the uniform bag-size distribution.
-    pub fn mean_pooling(&self) -> f64 {
-        (self.pooling_min + self.pooling_max) as f64 / 2.0
-    }
-}
-
 /// Why assembling a batch from per-request bag sizes failed. The serving
 /// path turns these into shed/counted requests instead of aborting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -571,7 +564,6 @@ mod tests {
     #[test]
     fn mean_pooling_estimate() {
         let s = spec();
-        assert_eq!(s.mean_pooling(), 4.0);
         let b = SparseBatch::generate(&s, 11);
         let mean = b.total_indices() as f64 / (16.0 * 4.0);
         assert!((mean - 4.0).abs() < 1.5, "observed mean pooling {mean}");

@@ -252,12 +252,6 @@ impl HotRowCache {
     pub fn is_hot(&self, feature: usize, row: usize) -> bool {
         self.masks[feature][row / 64] & (1 << (row % 64)) != 0
     }
-
-    /// HBM bytes one device spends holding replicas of `n_remote_tables`
-    /// remote tables at `row_bytes` per row.
-    pub fn replica_bytes(&self, row_bytes: u64, n_remote_tables: u64) -> u64 {
-        self.rows_per_table * row_bytes * n_remote_tables
-    }
 }
 
 /// The functional payload of the cache: actual replica row data, materialized
@@ -607,7 +601,6 @@ mod tests {
         tiny.mem_capacity = 0;
         let none = HotRowCache::build(&cfg, &tiny);
         assert_eq!(none.rows_per_table(), 0);
-        assert_eq!(none.replica_bytes(256, 3), 0);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl EmbLayerConfig {
         Sharding::table_wise_block(self.n_features, self.n_gpus)
     }
 
-    /// Total embedding weight bytes across the machine.
-    pub fn total_weight_bytes(&self) -> u64 {
-        self.n_features as u64 * self.table_spec().table_bytes()
-    }
-
     /// Mini-batch stride per GPU (`⌈N/G⌉`; the last GPU may hold fewer
     /// samples when the batch does not divide evenly).
     pub fn mb_size(&self) -> usize {
@@ -178,7 +173,7 @@ mod tests {
         assert_eq!(c.pooling_max, 128);
         assert_eq!(c.n_batches, 100);
         // 64 tables × 1 M × 64 × 4 B = 16.4 GB per GPU: fits a 32 GB V100.
-        assert_eq!(c.total_weight_bytes() / 4, 64 * 1_000_000 * 64 * 4);
+        assert_eq!(c.table_spec().table_bytes(), 1_000_000 * 64 * 4);
     }
 
     #[test]
@@ -188,8 +183,8 @@ mod tests {
         assert_eq!(c.pooling_max, 32);
         assert_eq!(c.batch_size, 16_384);
         // 96 tables × 256 MB ≈ 24.6 GB: fills but fits one 32 GB V100.
-        assert!(c.total_weight_bytes() < 32 << 30);
-        assert!(c.total_weight_bytes() > 20 << 30);
+        let weights = c.n_features as u64 * c.table_spec().table_bytes();
+        assert!(weights < 32 << 30 && weights > 20 << 30);
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //!    GPUs) to data parallelism (each GPU holds its mini-batch of *all*
 //!    features) — the communication the paper optimizes.
 //!
-//! Two interchangeable backends implement step 4:
+//! One [`backend::Backend`] implements step 4, over one of two exchanges:
 //!
-//! * [`backend::BaselineBackend`] — the de-facto PyTorch scheme: lookup
+//! * [`backend::Backend::baseline`] — the de-facto PyTorch scheme: lookup
 //!   kernel → `all_to_all_single` (NCCL-style) → synchronize → unpack.
-//! * [`backend::PgasFusedBackend`] — the paper's scheme: the lookup kernel
+//! * [`backend::Backend::pgas`] — the paper's scheme: the lookup kernel
 //!   writes each pooled row **directly into the remote GPU's output buffer**
 //!   with one-sided 256 B messages the moment the row is ready, eliminating
 //!   the unpack step and overlapping communication with computation.
 //!
-//! Both backends are *functional* (they produce real `f32` outputs you can
+//! Both are *functional* (they produce real `f32` outputs you can
 //! check against [`reference::reference_forward`]) and *timed* (they drive a
 //! [`gpusim::Machine`] and report the paper's three runtime components:
 //! computation, communication, sync + unpack).

@@ -219,7 +219,7 @@ fn rowwise_forward(
     let n = machine.n_gpus();
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let planned = rowwise_planned(machine, cfg);
-    let report = run_batches(machine, &[planned], cfg.n_batches, |m, pb, _, at| {
+    let report = run_batches(machine, &[planned], cfg.n_batches, |m, pb, at| {
         execute_batch(m, &exchange, pb, at, None, None)
     });
     let outputs = (mode == ExecMode::Functional).then(|| {

@@ -114,11 +114,6 @@ impl EmbeddingShard {
         self.tables.iter().map(|&(f, _)| f)
     }
 
-    /// Number of resident tables.
-    pub fn n_tables(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Weights of the local table holding global feature `feature`, or
     /// [`NotResident`] if this shard does not own it.
     pub fn try_weights(&self, feature: usize) -> Result<&Tensor, NotResident> {
@@ -209,7 +204,6 @@ mod tests {
     #[test]
     fn accessors() {
         let mut s = EmbeddingShard::materialize(&[2, 5], SPEC, 0);
-        assert_eq!(s.n_tables(), 2);
         assert_eq!(s.features().collect::<Vec<_>>(), vec![2, 5]);
         assert_eq!(s.resident_bytes(), 2 * SPEC.table_bytes());
         assert_eq!(s.row(2, 10), s.weights(2).row(10));

@@ -100,11 +100,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, ev });
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Remove and return the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
@@ -189,15 +184,5 @@ mod tests {
         q.schedule(Dur::from_ns(100), ());
         q.pop();
         q.schedule_at(SimTime::from_ns(50), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(Dur::from_ns(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(42)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

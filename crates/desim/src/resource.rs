@@ -121,11 +121,6 @@ impl MultiResource {
         Interval { start, end }
     }
 
-    /// The earliest time any server is free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers.peek().map(|r| r.0).unwrap_or(SimTime::ZERO)
-    }
-
     /// The time when *all* servers are free (completion of all work).
     pub fn all_free(&self) -> SimTime {
         self.servers
@@ -208,7 +203,6 @@ mod tests {
         let i = m.acquire(SimTime::ZERO, Dur::from_ns(10));
         assert_eq!(i.start, SimTime::from_ns(10));
         assert_eq!(m.all_free(), SimTime::from_ns(20));
-        assert_eq!(m.earliest_free(), SimTime::from_ns(10));
         assert_eq!(m.jobs_served(), 4);
         assert_eq!(m.capacity(), 3);
     }

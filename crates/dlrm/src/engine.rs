@@ -28,50 +28,20 @@
 //! by construction.
 
 use desim::{Dur, SimTime};
-use emb_retrieval::backend::{
-    execute_batch, final_batch_outputs, prepare_batches, ArrivalLog, Exchange, ExecMode,
-};
+use emb_retrieval::backend::{prepare_batches, ArrivalLog, Backend, ExecMode, ResilienceReport};
 use emb_retrieval::{RunReport, TimeBreakdown};
 use gpusim::{Event, Machine, StageChunk, StreamId};
-use pgas_rt::PgasConfig;
-use simccl::CollectiveConfig;
 use simtensor::Tensor;
 use telemetry::causal::BlameCategory;
 
 use crate::pipeline::ratio;
 use crate::{DenseBatch, Dlrm, InferencePipeline};
 
-/// Which retrieval backend feeds the executed engine. Mirrors the
-/// `RetrievalBackend` pair but at the per-batch level the engine needs
-/// (the trait's `run` owns the whole batch loop; the engine must interleave
-/// its own stream work between batches).
-#[derive(Clone, Debug)]
-pub enum EngineBackend {
-    /// NCCL-style `all_to_all_single` + unpack (release at batch sync).
-    Baseline(CollectiveConfig),
-    /// PGAS fused one-sided stores (release per block retirement).
-    Pgas(PgasConfig),
-}
-
-impl EngineBackend {
-    /// Baseline collectives with NCCL-like defaults.
-    pub fn baseline() -> Self {
-        EngineBackend::Baseline(CollectiveConfig::default())
-    }
-
-    /// Flat PGAS with NVSHMEM-like defaults.
-    pub fn pgas() -> Self {
-        EngineBackend::Pgas(PgasConfig::default())
-    }
-
-    /// Stable name for tables and CSV rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineBackend::Baseline(_) => "baseline",
-            EngineBackend::Pgas(_) => "pgas-fused",
-        }
-    }
-}
+/// The retrieval backend feeding the executed engine, by the name the
+/// engine's callers use: `EngineBackend::{baseline, pgas}` are the paper's
+/// two systems. The engine runs each batch through
+/// [`Backend::run_batch`], so any exchange and policy works.
+pub type EngineBackend = Backend;
 
 /// Report of one executed run, with the serial-analytic total of the *same*
 /// EMB chain alongside so speedup is measured against an identical baseline.
@@ -148,12 +118,7 @@ impl<'a> PipelineEngine<'a> {
     /// Execute `model.cfg.emb.n_batches` batches on `machine` with
     /// `backend` serving the embedding layer, fusing comm into the head
     /// and software-pipelining across batches.
-    pub fn run(
-        &self,
-        machine: &mut Machine,
-        backend: &EngineBackend,
-        mode: ExecMode,
-    ) -> ExecutedReport {
+    pub fn run(&self, machine: &mut Machine, backend: &Backend, mode: ExecMode) -> ExecutedReport {
         let cfg = &self.model.cfg;
         let n = machine.n_gpus();
         assert_eq!(n, cfg.emb.n_gpus, "machine/config GPU count mismatch");
@@ -170,11 +135,8 @@ impl<'a> PipelineEngine<'a> {
         // running the EMB chain exactly as the serial backends do.
         let streams: Vec<StreamId> = (0..n).map(|d| machine.add_stream(d)).collect();
 
-        let exchange = match backend {
-            EngineBackend::Baseline(c) => Exchange::Collective(*c),
-            EngineBackend::Pgas(p) => Exchange::OneSided(*p),
-        };
         let mut log = ArrivalLog::new();
+        let mut books = ResilienceReport::default();
         let mut breakdown = TimeBreakdown::default();
         let mut batch_start = SimTime::ZERO;
         let mut head_end = vec![SimTime::ZERO; n];
@@ -184,13 +146,12 @@ impl<'a> PipelineEngine<'a> {
             // The EMB stage for batch k admits at the previous batch's
             // barrier — the identical chain the serial backends execute —
             // while the head streams may still be draining batch k-1.
-            let run = execute_batch(
+            let run = backend.run_batch(
                 machine,
-                &exchange,
                 &planned[which],
                 batch_start,
                 Some(&mut log),
-                None,
+                &mut books,
             );
             breakdown.accumulate(&run.breakdown);
 
@@ -253,8 +214,7 @@ impl<'a> PipelineEngine<'a> {
         let predictions = match mode {
             ExecMode::Timing => None,
             ExecMode::Functional => {
-                let via_pgas = matches!(backend, EngineBackend::Pgas(_));
-                let emb_out = final_batch_outputs(&cfg.emb, &prepared, via_pgas);
+                let emb_out = backend.final_outputs(&cfg.emb, &prepared, &books);
                 let dense = DenseBatch::generate(cfg.emb.batch_size, cfg.n_dense, cfg.seed ^ 0xDE);
                 Some(self.model.forward_all(&dense, &emb_out))
             }
@@ -278,7 +238,7 @@ impl<'a> PipelineEngine<'a> {
 mod tests {
     use super::*;
     use crate::DlrmConfig;
-    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend};
+    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend, ResiliencePolicy};
     use gpusim::MachineConfig;
 
     fn model(g: usize) -> Dlrm {
@@ -444,5 +404,37 @@ mod tests {
         assert_eq!(e.serial_total, s.total);
         assert_eq!(e.top_mlp_per_batch, s.top_mlp_per_batch);
         assert_eq!(e.head_per_batch, s.head_per_batch);
+    }
+
+    #[test]
+    fn a_resilient_backend_on_a_clean_fabric_executes_as_pgas() {
+        let m = model(2);
+        let resilient = Backend::pgas().with_policy(ResiliencePolicy::default());
+        for mode in [ExecMode::Timing, ExecMode::Functional] {
+            let run = |be: &Backend| {
+                let mut mach = Machine::new(MachineConfig::dgx_v100(2));
+                PipelineEngine::new(&m).run(&mut mach, be, mode)
+            };
+            let (p, r) = (run(&Backend::pgas()), run(&resilient));
+            assert_eq!(r.batches, p.batches);
+            assert_eq!(r.emb.total, p.emb.total);
+            assert_eq!(r.emb.breakdown, p.emb.breakdown);
+            assert_eq!(r.emb.traffic, p.emb.traffic);
+            assert_eq!(r.top_mlp_per_batch, p.top_mlp_per_batch);
+            assert_eq!(r.head_per_batch, p.head_per_batch);
+            assert_eq!(r.total, p.total);
+            assert_eq!(r.serial_total, p.serial_total);
+            assert_eq!(r.head_busy, p.head_busy);
+            assert_eq!(r.bubble_fraction.to_bits(), p.bubble_fraction.to_bits());
+            assert_eq!(r.predictions.is_some(), mode == ExecMode::Functional);
+            for (a, b) in r
+                .predictions
+                .iter()
+                .flatten()
+                .zip(p.predictions.iter().flatten())
+            {
+                assert!(a.allclose(b, 0.0), "{mode:?}: predictions diverged");
+            }
+        }
     }
 }

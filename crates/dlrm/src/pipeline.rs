@@ -10,9 +10,7 @@
 //! reported separately and is exactly what `reproduce` regenerates.
 
 use desim::Dur;
-use emb_retrieval::backend::{
-    BackendResult, ExecMode, ResilienceReport, ResilientBackend, RetrievalBackend,
-};
+use emb_retrieval::backend::{Backend, ExecMode, ResilienceReport, ResilientResult};
 use emb_retrieval::RunReport;
 use gpusim::{KernelShape, Machine};
 use simtensor::Tensor;
@@ -35,6 +33,8 @@ pub struct PipelineReport {
     pub total: Dur,
     /// Per-device predictions for the final batch (functional mode only).
     pub predictions: Option<Vec<Tensor>>,
+    /// The EMB stage's degradation books, when the backend has a policy.
+    pub resilience: Option<ResilienceReport>,
 }
 
 impl PipelineReport {
@@ -104,32 +104,33 @@ impl<'a> InferencePipeline<'a> {
     }
 
     /// Run `model.cfg.emb.n_batches` inference batches on `machine` with
-    /// `backend` serving the embedding layer.
-    pub fn run(
-        &self,
-        machine: &mut Machine,
-        backend: &dyn RetrievalBackend,
-        mode: ExecMode,
-    ) -> PipelineReport {
+    /// `backend` serving the embedding layer. With a policy, fabric faults
+    /// degrade answers instead of failing them: every batch completes, (in
+    /// functional mode) predictions are always produced with degraded
+    /// embedding rows served from the policy's fill, and the report carries
+    /// the books.
+    pub fn run(&self, machine: &mut Machine, backend: &Backend, mode: ExecMode) -> PipelineReport {
         // The EMB stage (timed + optionally functional).
-        let BackendResult { report, outputs } = backend.run(machine, &self.model.cfg.emb, mode);
-        self.assemble(machine, report, outputs)
-    }
+        let ResilientResult { result, resilience } =
+            backend.run_resilient(machine, &self.model.cfg.emb, mode);
+        let (report, cfg) = (result.report, &self.model.cfg);
 
-    /// Like [`InferencePipeline::run`], but through a [`ResilientBackend`]
-    /// so fabric faults degrade answers instead of failing them. Inference
-    /// always returns: every batch completes and (in functional mode)
-    /// predictions are always produced, with degraded embedding rows served
-    /// from the policy's fill. The degradation accounting rides along.
-    pub fn run_resilient(
-        &self,
-        machine: &mut Machine,
-        backend: &ResilientBackend,
-        mode: ExecMode,
-    ) -> (PipelineReport, ResilienceReport) {
-        let r = backend.run_resilient(machine, &self.model.cfg.emb, mode);
-        let BackendResult { report, outputs } = r.result;
-        (self.assemble(machine, report, outputs), r.resilience)
+        // Per-batch MLP costs (identical every batch: same shapes).
+        let costs = self.batch_costs(machine, cfg.emb.batch_size);
+        let total = costs.completion(report.per_batch()) * report.batches as u64;
+        let predictions = result.outputs.map(|emb_out| {
+            let dense = DenseBatch::generate(cfg.emb.batch_size, cfg.n_dense, cfg.seed ^ 0xDE);
+            self.model.forward_all(&dense, &emb_out)
+        });
+        PipelineReport {
+            batches: report.batches,
+            emb: report,
+            top_mlp_per_batch: costs.top_mlp,
+            head_per_batch: costs.head,
+            total,
+            predictions,
+            resilience: backend.policy.is_some().then_some(resilience),
+        }
     }
 
     /// Per-batch MLP costs for a closed batch of `batch_size` total
@@ -186,46 +187,13 @@ impl<'a> InferencePipeline<'a> {
             bottom: head - interact,
         }
     }
-
-    /// Fold an EMB-stage result into the end-to-end pipeline report.
-    fn assemble(
-        &self,
-        machine: &Machine,
-        report: RunReport,
-        outputs: Option<Vec<Tensor>>,
-    ) -> PipelineReport {
-        let cfg = &self.model.cfg;
-
-        // Per-batch MLP costs (identical every batch: same shapes).
-        let costs = self.batch_costs(machine, cfg.emb.batch_size);
-        let top_per_batch = costs.top_mlp;
-        let head_per_batch = costs.head;
-
-        let emb_per_batch = report.per_batch();
-        let per_batch = costs.completion(emb_per_batch);
-        let total = per_batch * report.batches as u64;
-
-        let predictions = outputs.map(|emb_out| {
-            let dense = DenseBatch::generate(cfg.emb.batch_size, cfg.n_dense, cfg.seed ^ 0xDE);
-            self.model.forward_all(&dense, &emb_out)
-        });
-
-        PipelineReport {
-            batches: report.batches,
-            emb: report,
-            top_mlp_per_batch: top_per_batch,
-            head_per_batch,
-            total,
-            predictions,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DlrmConfig;
-    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend};
+    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend, ResilientBackend};
     use gpusim::MachineConfig;
 
     fn run(pgas: bool, mode: ExecMode) -> PipelineReport {
@@ -284,10 +252,11 @@ mod tests {
         let mut mp = Machine::new(MachineConfig::dgx_v100(2));
         let p = pipeline.run(&mut mp, &PgasFusedBackend::new(), ExecMode::Timing);
         let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let (r, res) = pipeline.run_resilient(&mut mr, &ResilientBackend::new(), ExecMode::Timing);
+        let r = pipeline.run(&mut mr, &ResilientBackend::new(), ExecMode::Timing);
         assert_eq!(r.total, p.total);
         assert_eq!(r.emb.total, p.emb.total);
-        assert_eq!(res.degraded_rows, 0);
+        assert!(p.resilience.is_none());
+        assert_eq!(r.resilience.expect("a policy keeps books").degraded_rows, 0);
     }
 
     #[test]
@@ -304,13 +273,14 @@ mod tests {
                     batch_deadline: Some(Dur::from_ms(2)),
                     ..Default::default()
                 });
-            let (r, res) = pipeline.run_resilient(&mut m, &backend, ExecMode::Functional);
+            let r = pipeline.run(&mut m, &backend, ExecMode::Functional);
             let preds = r.predictions.expect("inference must always return");
             assert_eq!(preds.len(), 2);
             assert!(
                 preds.iter().all(|t| t.data().iter().all(|v| v.is_finite())),
                 "degraded serving must stay numerically sane"
             );
+            let res = r.resilience.expect("a policy keeps books");
             assert_eq!(res.batch_latencies.len(), r.batches);
         }
     }

@@ -42,11 +42,6 @@ impl KernelShape {
         }
     }
 
-    /// Total bytes the kernel moves through device memory.
-    pub fn total_bytes(&self) -> u64 {
-        self.blocks * self.bytes_per_block
-    }
-
     /// Resident blocks per wave when `blocks` are spread evenly over the
     /// minimum number of waves. Even spreading avoids the unphysical "tail
     /// wave" overcharge of naive `min(blocks, max)` residency: a real GPU
@@ -158,10 +153,10 @@ mod tests {
     #[test]
     fn saturated_kernel_is_bandwidth_bound() {
         let s = spec();
-        // Plenty of blocks, big blocks: duration ≈ total_bytes / mem_bw.
+        // Plenty of blocks, big blocks: duration ≈ total bytes / mem_bw.
         let shape = KernelShape::memory_bound(s.max_resident_blocks() as u64 * 10, 1 << 20);
         let d = shape.duration(&s);
-        let ideal = shape.total_bytes() as f64 / s.mem_bw;
+        let ideal = (shape.blocks * shape.bytes_per_block) as f64 / s.mem_bw;
         assert!((d.as_secs_f64() - ideal).abs() / ideal < 0.01);
     }
 

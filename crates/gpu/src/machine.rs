@@ -642,11 +642,6 @@ impl Machine {
         crate::StreamId { dev, idx }
     }
 
-    /// Instant stream `s` becomes free for new work.
-    pub fn stream_free_at(&self, s: crate::StreamId) -> SimTime {
-        self.aux_streams[s.dev][s.idx].free_at()
-    }
-
     /// Total kernel-execution time issued on stream `s` (gaps excluded) —
     /// the numerator of a stream-occupancy / pipeline-bubble metric.
     pub fn stream_busy_time(&self, s: crate::StreamId) -> Dur {
@@ -1225,7 +1220,6 @@ mod tests {
         // …and b queues behind a on the same stream.
         assert!(b.start >= a.end);
         assert_eq!(m.stream_busy_time(s), Dur::from_us(100));
-        assert_eq!(m.stream_free_at(s), b.end);
     }
 
     #[test]
@@ -1260,8 +1254,7 @@ mod tests {
         assert_eq!(iv.end, iv.start + Dur::from_us(20));
         // A gated chunk stalls the persistent kernel (no extra launch),
         // and the stall is a bubble, not busy time.
-        let t0 = m.stream_free_at(s);
-        let gate = crate::Event::at(t0 + Dur::from_us(100));
+        let gate = crate::Event::at(iv.end + Dur::from_us(100));
         let iv2 = m.run_chunked_on(
             s,
             &[chunk(10, gate), chunk(10, crate::Event::READY)],

@@ -29,15 +29,6 @@ impl LinkSpec {
         }
     }
 
-    /// PCIe 3.0 x16 (for contrast experiments): ~12 GB/s, ~2.5 µs.
-    pub fn pcie3_x16() -> Self {
-        LinkSpec {
-            bandwidth: 12e9,
-            latency: Dur::from_us(2) + Dur::from_ns(500),
-            header_bytes: 24,
-        }
-    }
-
     /// An inter-node fabric (IB EDR-class effective rate for small/medium
     /// RDMA writes): 6 GB/s, 4.5 µs, bigger headers. Used by the multi-node
     /// aggregator extension (paper §V).
@@ -275,7 +266,6 @@ mod tests {
         // NVLink beats the inter-node fabric on both axes.
         assert!(LinkSpec::nvlink_v100().bandwidth > LinkSpec::infiniband().bandwidth);
         assert!(LinkSpec::nvlink_v100().latency < LinkSpec::infiniband().latency);
-        assert!(LinkSpec::nvlink_v100().latency < LinkSpec::pcie3_x16().latency);
         // The pod NIC is the slowest tier and the most header-dominated.
         assert!(LinkSpec::roce().bandwidth < LinkSpec::infiniband().bandwidth);
         assert!(LinkSpec::roce().latency > LinkSpec::infiniband().latency);

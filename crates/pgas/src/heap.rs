@@ -57,11 +57,6 @@ impl SymmetricHeap {
         &self.buffers[pe][seg.offset..seg.offset + seg.len]
     }
 
-    /// Mutably borrow a whole segment on one PE (local stores).
-    pub fn segment_mut(&mut self, seg: SegmentId, pe: usize) -> &mut [f32] {
-        &mut self.buffers[pe][seg.offset..seg.offset + seg.len]
-    }
-
     /// One-sided write of `values` into `seg[index..]` on PE `pe`.
     pub fn put(&mut self, seg: SegmentId, index: usize, values: &[f32], pe: usize) {
         assert!(
@@ -188,14 +183,6 @@ mod tests {
         h.clear(seg);
         assert_eq!(h.segment(seg, 0), &[0.0, 0.0]);
         assert_eq!(h.segment(seg, 1), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn segment_mut_local_store() {
-        let mut h = SymmetricHeap::new(2);
-        let seg = h.alloc(2);
-        h.segment_mut(seg, 0)[1] = 3.5;
-        assert_eq!(h.segment(seg, 0), &[0.0, 3.5]);
     }
 
     #[test]

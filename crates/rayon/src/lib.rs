@@ -47,7 +47,7 @@ pub fn current_num_threads() -> usize {
 
 /// Counters of how the parallel calls issued by *the calling thread*
 /// executed: inline (degraded to a serial loop — width 1, single-core host,
-/// or work below the `RAYON_INLINE_GRAIN` threshold) vs dispatched through
+/// or fewer than 32 work items per participant) vs dispatched through
 /// the shared worker queue. Monotone; sample before/after a region on the
 /// thread that runs it and subtract to learn how that region executed —
 /// other threads' calls never show up in the difference.

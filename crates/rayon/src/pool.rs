@@ -69,15 +69,8 @@ pub(crate) fn with_forced_dispatch<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Minimum chunks-per-participant below which a parallel call degrades to
-/// inline execution: `RAYON_INLINE_GRAIN` if set to an integer (0 disables
-/// degradation entirely), else 32.
-pub(crate) fn inline_grain() -> usize {
-    static GRAIN: OnceLock<usize> = OnceLock::new();
-    *GRAIN.get_or_init(|| match std::env::var("RAYON_INLINE_GRAIN") {
-        Ok(s) => s.trim().parse::<usize>().unwrap_or(32),
-        Err(_) => 32,
-    })
-}
+/// inline execution.
+const INLINE_GRAIN: usize = 32;
 
 /// Physical cores visible to the process, independent of any
 /// `RAYON_NUM_THREADS` override — the quantity that decides whether worker
@@ -271,7 +264,7 @@ fn global() -> &'static Pool {
 /// the effective width is 1, when the host has a single core (worker
 /// threads can never actually run concurrently with the caller, so
 /// dispatch is pure overhead), or when the work is too small to amortize
-/// dispatch (`total < width × inline_grain()`). The degraded path is
+/// dispatch (`total < width × INLINE_GRAIN`). The degraded path is
 /// bit-identical by construction: every adapter writes disjoint chunks or
 /// combines with a shape that depends only on input length, so executing
 /// the same indices on one thread produces the same bytes.
@@ -283,12 +276,9 @@ where
         return;
     }
     let width = current_num_threads().min(total);
-    let degrade = width <= 1 || {
-        let grain = inline_grain();
-        grain > 0
-            && !FORCE_DISPATCH.with(|c| c.get())
-            && (hardware_parallelism() == 1 || total < width * grain)
-    };
+    let degrade = width <= 1
+        || (!FORCE_DISPATCH.with(|c| c.get())
+            && (hardware_parallelism() == 1 || total < width * INLINE_GRAIN));
     if degrade {
         // Inline: no queue traffic, panics propagate natively.
         INLINE_RUNS.set(INLINE_RUNS.get() + 1);

@@ -34,23 +34,6 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {
-    /// Long-run mean arrival rate in requests per second.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_qps } => rate_qps,
-            ArrivalProcess::OnOff { rate_qps, on, off } => {
-                let cycle = (on + off).as_secs_f64();
-                if cycle == 0.0 {
-                    rate_qps
-                } else {
-                    rate_qps * on.as_secs_f64() / cycle
-                }
-            }
-        }
-    }
-}
-
 /// One inference request: an arrival instant plus the per-feature bag sizes
 /// (pooling factors) of one sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -541,7 +524,6 @@ mod tests {
             on,
             off,
         };
-        assert!((p.mean_rate() - 1e5).abs() < 1.0);
         let g = RequestGenerator::new(&cfg(), p, 11);
         let reqs = g.generate(2000);
         // All arrivals land inside ON windows of the 200 µs cycle.

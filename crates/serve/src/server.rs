@@ -7,20 +7,19 @@ use std::sync::Arc;
 use desim::{Dur, SimTime};
 use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline};
 use emb_retrieval::backend::{
-    execute_batch, plain_plan, prepare_batches, DegradedFill, Exchange, ExecMode, PlannedBatch,
-    ResiliencePolicy, ResilienceReport, ResilientBackend,
+    plain_plan, prepare_batches, Backend, DegradedFill, ExecMode, PlannedBatch, ResiliencePolicy,
+    ResilienceReport,
 };
 use emb_retrieval::{BatchAssemblyError, EmbLayerConfig};
 use gpusim::{Machine, NoLink};
-use pgas_rt::PgasConfig;
-use simccl::CollectiveConfig;
 
 use crate::batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
 use crate::control::{ControlReport, Controller, TickSignals, Tier};
 use crate::request::{ArrivalProcess, PoolWindow, RequestGenerator};
 use crate::slo::LatencyStats;
 
-/// Which retrieval backend serves the embedding layer.
+/// The retrieval backends a serving run is built with by name
+/// ([`ServeConfig::new`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeBackendKind {
     /// The collective (NCCL-style `all_to_all_single`) path.
@@ -47,8 +46,10 @@ impl ServeBackendKind {
 pub struct ServeConfig {
     /// The embedding workload (table shapes, key skew, batch seeds).
     pub emb: EmbLayerConfig,
-    /// Backend serving the retrieval.
-    pub backend: ServeBackendKind,
+    /// Backend serving the retrieval: its exchange, and the degradation
+    /// policy of a static run. A controlled run executes on its tier's
+    /// backend instead.
+    pub backend: Backend,
     /// Micro-batcher tunables.
     pub batcher: BatcherConfig,
     /// Arrival process driving the open loop.
@@ -60,12 +61,6 @@ pub struct ServeConfig {
     /// Extend every closed batch into a full DLRM inference pass (top MLP
     /// overlapped with retrieval, then interaction + bottom MLP).
     pub with_pipeline: bool,
-    /// Collective tuning for the baseline path.
-    pub collectives: CollectiveConfig,
-    /// One-sided tuning for the PGAS path.
-    pub pgas: PgasConfig,
-    /// Degradation policy for the resilient path.
-    pub policy: ResiliencePolicy,
     /// Per-request latency SLO the run is accounted against. `None` (the
     /// default) skips all SLO accounting and leaves the serving loop
     /// bit-identical to its pre-SLO behavior. Required for
@@ -74,13 +69,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A serving run over `emb` with everything else defaulted: Poisson
-    /// arrivals at `rate_qps`, full-batch micro-batching with a deadline of
-    /// `close_deadline`, a queue bound of four batches, and a request
-    /// timeout of eight deadlines.
+    /// A serving run over `emb` on the `kind` backend with everything else
+    /// defaulted: Poisson arrivals at `rate_qps`, full-batch
+    /// micro-batching with a deadline of `close_deadline`, a queue bound of
+    /// four batches, and a request timeout of eight deadlines. `Resilient`
+    /// is the PGAS backend under the default [`ResiliencePolicy`].
     pub fn new(
         emb: EmbLayerConfig,
-        backend: ServeBackendKind,
+        kind: ServeBackendKind,
         rate_qps: f64,
         close_deadline: Dur,
         n_requests: usize,
@@ -89,7 +85,13 @@ impl ServeConfig {
         let max_batch = emb.batch_size.max(1);
         ServeConfig {
             emb,
-            backend,
+            backend: match kind {
+                ServeBackendKind::Baseline => Backend::baseline(),
+                ServeBackendKind::PgasFused => Backend::pgas(),
+                ServeBackendKind::Resilient => {
+                    Backend::pgas().with_policy(ResiliencePolicy::default())
+                }
+            },
             batcher: BatcherConfig {
                 max_batch,
                 close_deadline,
@@ -100,9 +102,6 @@ impl ServeConfig {
             n_requests,
             seed,
             with_pipeline: false,
-            collectives: CollectiveConfig::default(),
-            pgas: PgasConfig::default(),
-            policy: ResiliencePolicy::default(),
             slo: None,
         }
     }
@@ -363,28 +362,11 @@ impl EmbServer {
             if pb.plan().cache_rows > 0 {
                 last_hit = Some(pb.plan().measured_hit);
             }
-            // Controlled runs always execute under the tier-mapped policy,
-            // static ones under `cfg.policy` (resilient) or strictly (plain
-            // backends); on a clean fabric the Pgas tier is bit-identical to
-            // the uncontrolled PGAS path.
-            let policy = match (ctrl_slo, cfg.backend) {
-                (Some(slo), _) => Some(tier_policy(tier, slo)),
-                (None, ServeBackendKind::Resilient) => Some(cfg.policy),
-                (None, _) => None,
-            };
-            let at = closed.close_at;
-            let exchange = match (policy, cfg.backend) {
-                (Some(policy), _) => ResilientBackend {
-                    pgas: cfg.pgas,
-                    collectives: cfg.collectives,
-                    policy,
-                }
-                .exchange_at(machine, at),
-                (None, ServeBackendKind::Baseline) => Exchange::Collective(cfg.collectives),
-                (None, _) => Exchange::OneSided(cfg.pgas),
-            };
-            let degrade = policy.as_ref().map(|p| p.degrade(at, &mut resilience));
-            let run = execute_batch(machine, &exchange, &pb, at, None, degrade);
+            // Controlled runs execute on their tier's backend, static ones on
+            // `cfg.backend`; on a clean fabric the Pgas tier is bit-identical
+            // to the uncontrolled PGAS path.
+            let backend = ctrl_slo.map_or(cfg.backend, |slo| tier_backend(tier, slo));
+            let run = backend.run_batch(machine, &pb, closed.close_at, None, &mut resilience);
             // The retrieval occupies the machine; the MLP head (if any)
             // runs on separate streams and only extends request latency.
             t_free = run.end;
@@ -435,8 +417,7 @@ impl EmbServer {
                 fill_sum / batches as f64
             },
             end,
-            resilience: (ctrl.is_some() || cfg.backend == ServeBackendKind::Resilient)
-                .then_some(resilience),
+            resilience: (ctrl.is_some() || cfg.backend.policy.is_some()).then_some(resilience),
             slo: cfg.slo,
             served_within_slo: if cfg.slo.is_some() {
                 served_within_slo
@@ -515,13 +496,18 @@ impl std::ops::Deref for Planned<'_> {
     }
 }
 
-/// The resilient policy a ladder tier executes with. Every tier keeps
+/// The backend a ladder tier executes on: the `Baseline` tier is the
+/// collective exchange, the others one-sided. Every tier's policy keeps
 /// `device_fill` on (serve lost shards from replicas + fill immediately)
 /// and leaves per-batch failover to the controller (`failover_flaps: 0`);
 /// on a clean fabric the `Pgas` tier is bit-identical to the plain PGAS
 /// fused path.
-fn tier_policy(tier: Tier, slo: Dur) -> ResiliencePolicy {
-    ResiliencePolicy {
+fn tier_backend(tier: Tier, slo: Dur) -> Backend {
+    let strict = match tier {
+        Tier::Baseline => Backend::baseline(),
+        _ => Backend::pgas(),
+    };
+    strict.with_policy(ResiliencePolicy {
         failover_flaps: 0,
         // Half the SLO, not the SLO itself: a batch truncated *at* the
         // deadline still has queue/close wait on top, so capping at `slo`
@@ -531,9 +517,8 @@ fn tier_policy(tier: Tier, slo: Dur) -> ResiliencePolicy {
             _ => Some(slo / 2),
         },
         fill: DegradedFill::Mean,
-        baseline_only: tier == Tier::Baseline,
         device_fill: true,
-    }
+    })
 }
 
 #[cfg(test)]
