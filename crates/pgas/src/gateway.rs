@@ -187,10 +187,11 @@ impl<'m> GatewayPut<'m> {
         })
     }
 
-    /// Drain every staging buffer (end of kernel, before `quiet`). Buffers
-    /// flush at the later of their newest row and `at`, even when their age
-    /// timer expired earlier: only [`GatewayPut::put_rows_nbi`] checks it.
-    /// Returns the wire intervals of the final cross-node messages.
+    /// Drain every staging buffer (end of kernel, before `quiet`). A buffer
+    /// flushes at the later of its newest row and `at`, or at its age timer
+    /// (`oldest + max_wait`) if that fired first — the instant
+    /// [`GatewayPut::put_rows_nbi`] would have shipped it. Returns the wire
+    /// intervals of the final cross-node messages.
     pub fn drain(&mut self, at: SimTime) -> Vec<Interval> {
         self.drain_origins(0..self.last_delivery.len(), at)
     }
@@ -210,8 +211,8 @@ impl<'m> GatewayPut<'m> {
             for dst_node in 0..self.nodes {
                 let stage = &self.stages[src * self.nodes + dst_node];
                 if stage.rows > 0 {
-                    let flush_at = stage.newest.max(at);
-                    out.push(self.ship(src, dst_node, flush_at));
+                    let timer = stage.oldest + self.flush.max_wait;
+                    out.push(self.ship(src, dst_node, stage.newest.max(at).min(timer)));
                 }
             }
         }
@@ -462,8 +463,9 @@ mod oracle {
         }
 
         /// Drain every staging buffer (end of kernel, before `quiet`). Buffers
-        /// flush at the later of their newest row and `at`. Returns the wire
-        /// intervals of the final cross-node messages.
+        /// flush at the later of their newest row and `at`, or at their age
+        /// timer if that fired first. Returns the wire intervals of the final
+        /// cross-node messages.
         pub fn drain(&mut self, at: SimTime) -> Vec<Interval> {
             self.drain_keys(at, |_| true)
         }
@@ -492,7 +494,7 @@ mod oracle {
                 if stage.rows == 0 {
                     continue;
                 }
-                let flush_at = stage.newest.max(at);
+                let flush_at = stage.newest.max(at).min(stage.oldest + self.flush.max_wait);
                 out.push(self.ship(src, dst_node, &mut stage, flush_at));
             }
             out
@@ -739,6 +741,28 @@ mod tests {
         let latency = m.topology().link(0, 2).latency;
         let fired = SimTime::ZERO + Dur::from_us(5) + cfg.pgas.issue_overhead;
         assert_eq!(iv.start, fired + latency);
+    }
+
+    #[test]
+    fn a_drain_after_the_timer_ships_at_the_timer() {
+        let mut m = pod(2, 2);
+        let cfg = GatewayConfig {
+            pgas: PgasConfig::default(),
+            flush: AggregatorConfig {
+                flush_bytes: 1 << 20,
+                max_wait: Dur::from_us(5),
+            },
+        };
+        let mut gw = GatewayPut::new(&mut m, cfg);
+        gw.put_rows_nbi(0, 2, 1, 256, SimTime::ZERO);
+        gw.put_rows_nbi(1, 2, 1, 256, SimTime::ZERO);
+        // Origin 1 drains before its buffer's timer fires, origin 0 after.
+        let early = gw.drain_src(1, SimTime::ZERO + Dur::from_us(2));
+        let late = gw.drain_src(0, SimTime::ZERO + Dur::from_us(20));
+        let latency = m.topology().link(0, 2).latency;
+        let wire = |at: SimTime| at + cfg.pgas.issue_overhead + latency;
+        assert_eq!(late[0].start, wire(SimTime::ZERO + Dur::from_us(5)));
+        assert_eq!(early[0].start, wire(SimTime::ZERO + Dur::from_us(2)));
     }
 
     #[test]
