@@ -36,7 +36,7 @@ use emb_serve::{
 };
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_rt::PgasConfig;
-use rayon::prelude::*;
+use rayon::par_cells;
 use simccl::CollectiveConfig;
 
 use crate::experiments::scaled;
@@ -417,13 +417,10 @@ pub fn adapt_sweep(gpus: usize, scale: usize, batches_per_phase: usize, seed: u6
             work.push((s, p));
         }
     }
-    let cells: Vec<AdaptCell> = (0..work.len())
-        .into_par_iter()
-        .map(|i| {
-            let (s, p) = work[i];
-            run_cell(s, p, gpus, batches_per_phase, seed, &y)
-        })
-        .collect();
+    let cells: Vec<AdaptCell> = par_cells(work.len(), |i| {
+        let (s, p) = work[i];
+        run_cell(s, p, gpus, batches_per_phase, seed, &y)
+    });
 
     AdaptSweep {
         gpus,

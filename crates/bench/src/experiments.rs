@@ -9,7 +9,7 @@ use emb_retrieval::backward::{baseline_backward, pgas_backward};
 use emb_retrieval::{EmbLayerConfig, InputPartition, RunReport, Sharding, SparseBatch};
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_rt::{AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
-use rayon::prelude::*;
+use rayon::par_cells;
 use simccl::{all_to_all_timed, Algorithm, CollectiveConfig};
 
 /// One (baseline, PGAS) pair of runs at a given GPU count.
@@ -108,32 +108,26 @@ pub fn scaled(cfg: EmbLayerConfig, scale: usize, batches: usize) -> EmbLayerConf
 /// parallel (ordered collect keeps runs[g-1] = g GPUs).
 pub fn weak_scaling(max_gpus: usize, scale: usize, batches: usize) -> ScalingResult {
     ScalingResult {
-        runs: (0..max_gpus)
-            .into_par_iter()
-            .map(|i| {
-                run_pair(&scaled(
-                    EmbLayerConfig::paper_weak_scaling(i + 1),
-                    scale,
-                    batches,
-                ))
-            })
-            .collect(),
+        runs: par_cells(max_gpus, |i| {
+            run_pair(&scaled(
+                EmbLayerConfig::paper_weak_scaling(i + 1),
+                scale,
+                batches,
+            ))
+        }),
     }
 }
 
 /// **Table II / Fig. 8 / Fig. 9** — strong scaling on 1..=max_gpus.
 pub fn strong_scaling(max_gpus: usize, scale: usize, batches: usize) -> ScalingResult {
     ScalingResult {
-        runs: (0..max_gpus)
-            .into_par_iter()
-            .map(|i| {
-                run_pair(&scaled(
-                    EmbLayerConfig::paper_strong_scaling(i + 1),
-                    scale,
-                    batches,
-                ))
-            })
-            .collect(),
+        runs: par_cells(max_gpus, |i| {
+            run_pair(&scaled(
+                EmbLayerConfig::paper_strong_scaling(i + 1),
+                scale,
+                batches,
+            ))
+        }),
     }
 }
 
@@ -165,7 +159,12 @@ impl CommVolumeResult {
 }
 
 fn comm_volume(cfg: &EmbLayerConfig, bucket: Dur) -> CommVolumeResult {
-    let mk = || Machine::new(MachineConfig::dgx_v100(cfg.n_gpus).with_traffic_bucket(bucket));
+    // The payload series is recorded on observed machines only.
+    let mk = || {
+        let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus).with_traffic_bucket(bucket));
+        m.enable_telemetry();
+        m
+    };
     let mut mp = mk();
     let p = Backend::pgas().run(&mut mp, cfg, ExecMode::Timing).report;
     let mut mb = mk();
@@ -777,13 +776,10 @@ pub fn pods_sweep(shapes: &[(usize, usize)], row_sizes: &[u32], pair_bytes: u64)
         .iter()
         .flat_map(|&(nodes, per_node)| row_sizes.iter().map(move |&rb| (nodes, per_node, rb)))
         .collect();
-    let cells: Vec<PodCell> = (0..cells.len())
-        .into_par_iter()
-        .map(|i| {
-            let (nodes, per_node, rb) = cells[i];
-            pod_cell(nodes, per_node, rb, pair_bytes)
-        })
-        .collect();
+    let cells: Vec<PodCell> = par_cells(cells.len(), |i| {
+        let (nodes, per_node, rb) = cells[i];
+        pod_cell(nodes, per_node, rb, pair_bytes)
+    });
 
     PodsResult { pair_bytes, cells }
 }
@@ -803,26 +799,23 @@ pub struct MsgSizePoint {
 pub fn message_size_ablation(gpus: usize, scale: usize, batches: usize) -> Vec<MsgSizePoint> {
     let cfg = scaled(EmbLayerConfig::paper_weak_scaling(gpus), scale, batches);
     let payloads = [64u32, 128, 256, 512, 1024];
-    (0..payloads.len())
-        .into_par_iter()
-        .map(|i| {
-            let max_payload = payloads[i];
-            let backend = Backend {
-                exchange: Exchange::OneSided(PgasConfig {
-                    max_payload,
-                    ..PgasConfig::default()
-                }),
-                policy: None,
-            };
-            let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
-            let r = backend.run(&mut m, &cfg, ExecMode::Timing).report;
-            MsgSizePoint {
+    par_cells(payloads.len(), |i| {
+        let max_payload = payloads[i];
+        let backend = Backend {
+            exchange: Exchange::OneSided(PgasConfig {
                 max_payload,
-                total: r.total,
-                header_overhead: r.traffic.header_overhead(),
-            }
-        })
-        .collect()
+                ..PgasConfig::default()
+            }),
+            policy: None,
+        };
+        let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
+        let r = backend.run(&mut m, &cfg, ExecMode::Timing).report;
+        MsgSizePoint {
+            max_payload,
+            total: r.total,
+            header_overhead: r.traffic.header_overhead(),
+        }
+    })
 }
 
 /// Result of the sharding ablation: CPU partition cost and end-to-end
@@ -993,50 +986,47 @@ impl SkewSweep {
 /// `reproduce all`.
 pub fn skew_sweep(gpus: usize, scale: usize, batches: usize) -> SkewSweep {
     let n_cells = SKEW_ALPHAS.len() * SKEW_CACHE_ROWS.len();
-    let cells = (0..n_cells)
-        .into_par_iter()
-        .map(|i| {
-            let alpha = SKEW_ALPHAS[i / SKEW_CACHE_ROWS.len()];
-            let cache_rows = SKEW_CACHE_ROWS[i % SKEW_CACHE_ROWS.len()];
-            let mut cfg = EmbLayerConfig::paper_weak_scaling(gpus);
-            if alpha > 0.0 {
-                cfg.distribution = emb_retrieval::IndexDistribution::Zipf { exponent: alpha };
-            }
-            cfg.hot_cache_rows = cache_rows;
-            cfg.dedup = cache_rows > 0;
-            let mut cfg = scaled(cfg, scale, batches);
-            // Measured hot-set stats replace the analytic L2 derating;
-            // zero it everywhere (including the reference column) so the
-            // two models never mix within the grid.
-            cfg.cache_rows_scale = 0.0;
+    let cells = par_cells(n_cells, |i| {
+        let alpha = SKEW_ALPHAS[i / SKEW_CACHE_ROWS.len()];
+        let cache_rows = SKEW_CACHE_ROWS[i % SKEW_CACHE_ROWS.len()];
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(gpus);
+        if alpha > 0.0 {
+            cfg.distribution = emb_retrieval::IndexDistribution::Zipf { exponent: alpha };
+        }
+        cfg.hot_cache_rows = cache_rows;
+        cfg.dedup = cache_rows > 0;
+        let mut cfg = scaled(cfg, scale, batches);
+        // Measured hot-set stats replace the analytic L2 derating;
+        // zero it everywhere (including the reference column) so the
+        // two models never mix within the grid.
+        cfg.cache_rows_scale = 0.0;
 
-            let pair = run_pair(&cfg);
-            let (measured_hit, replica_rows) = if cache_rows > 0 {
-                let m = Machine::new(MachineConfig::dgx_v100(gpus));
-                let planner =
-                    HotCachePlanner::new(&cfg, m.spec(0)).expect("cache enabled in this cell");
-                let batch = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(0));
-                let plan = plan_with_planner(&cfg, &batch, m.spec(0), Some(&planner));
-                (plan.measured_hit, plan.cache_rows)
-            } else {
-                (0.0, 0)
-            };
-            let model_hit = cfg.distribution.cache_hit_fraction(
-                cfg.index_space,
-                cfg.table_rows as u64,
-                replica_rows,
-            );
-            SkewCell {
-                alpha,
-                cache_rows,
-                replica_rows,
-                baseline: pair.baseline,
-                pgas: pair.pgas,
-                measured_hit,
-                model_hit,
-            }
-        })
-        .collect();
+        let pair = run_pair(&cfg);
+        let (measured_hit, replica_rows) = if cache_rows > 0 {
+            let m = Machine::new(MachineConfig::dgx_v100(gpus));
+            let planner =
+                HotCachePlanner::new(&cfg, m.spec(0)).expect("cache enabled in this cell");
+            let batch = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(0));
+            let plan = plan_with_planner(&cfg, &batch, m.spec(0), Some(&planner));
+            (plan.measured_hit, plan.cache_rows)
+        } else {
+            (0.0, 0)
+        };
+        let model_hit = cfg.distribution.cache_hit_fraction(
+            cfg.index_space,
+            cfg.table_rows as u64,
+            replica_rows,
+        );
+        SkewCell {
+            alpha,
+            cache_rows,
+            replica_rows,
+            baseline: pair.baseline,
+            pgas: pair.pgas,
+            measured_hit,
+            model_hit,
+        }
+    });
     SkewSweep { gpus, scale, cells }
 }
 
@@ -1220,40 +1210,37 @@ pub fn serve_load_sweep(
         };
         work.push((backend, "onoff", 0.75, burst));
     }
-    let points: Vec<ServePoint> = (0..work.len())
-        .into_par_iter()
-        .map(|i| {
-            let (backend, arrival, mult, process) = work[i];
-            let mut scfg = ServeConfig::new(
-                cfg.clone(),
-                backend,
-                capacity_qps, // placeholder; process set below
-                baseline_service,
-                n_requests,
-                seed,
-            );
-            scfg.process = process;
-            scfg.batcher.request_timeout = slo * 2u64;
-            let mut machine = Machine::new(MachineConfig::dgx_v100(gpus));
-            let rep = EmbServer::new(scfg)
-                .run(&mut machine)
-                .expect("a clean dgx machine must pass serving preflight");
-            ServePoint {
-                backend: backend.label(),
-                arrival,
-                offered_x: mult,
-                offered_qps: mult * capacity_qps,
-                p50: rep.latency.p50(),
-                p99: rep.latency.p99(),
-                p999: rep.latency.p999(),
-                batch_p50: rep.batch_service.p50(),
-                served: rep.served,
-                shed: rep.shed,
-                timed_out: rep.timed_out,
-                sustained: rep.sustains(slo),
-            }
-        })
-        .collect();
+    let points: Vec<ServePoint> = par_cells(work.len(), |i| {
+        let (backend, arrival, mult, process) = work[i];
+        let mut scfg = ServeConfig::new(
+            cfg.clone(),
+            backend,
+            capacity_qps, // placeholder; process set below
+            baseline_service,
+            n_requests,
+            seed,
+        );
+        scfg.process = process;
+        scfg.batcher.request_timeout = slo * 2u64;
+        let mut machine = Machine::new(MachineConfig::dgx_v100(gpus));
+        let rep = EmbServer::new(scfg)
+            .run(&mut machine)
+            .expect("a clean dgx machine must pass serving preflight");
+        ServePoint {
+            backend: backend.label(),
+            arrival,
+            offered_x: mult,
+            offered_qps: mult * capacity_qps,
+            p50: rep.latency.p50(),
+            p99: rep.latency.p99(),
+            p999: rep.latency.p999(),
+            batch_p50: rep.batch_service.p50(),
+            served: rep.served,
+            shed: rep.shed,
+            timed_out: rep.timed_out,
+            sustained: rep.sustains(slo),
+        }
+    });
 
     ServeSweep {
         gpus,
@@ -1443,13 +1430,10 @@ pub fn pipeline_sweep(
             bs_mults.iter().map(move |&m| (nodes, per_node, scale, m))
         })
         .collect();
-    let cells: Vec<PipelineCell> = (0..cells.len())
-        .into_par_iter()
-        .map(|i| {
-            let (nodes, per_node, scale, m) = cells[i];
-            pipeline_cell(nodes, per_node, scale, batches, m)
-        })
-        .collect();
+    let cells: Vec<PipelineCell> = par_cells(cells.len(), |i| {
+        let (nodes, per_node, scale, m) = cells[i];
+        pipeline_cell(nodes, per_node, scale, batches, m)
+    });
     PipelineResult { cells }
 }
 
@@ -1584,18 +1568,15 @@ pub fn blame_sweep(scale: usize, batches: usize) -> BlameResult {
         ("pod8x4", 8, 4, "baseline"),
         ("pod8x4", 8, 4, "pgas_gateway"),
     ];
-    let cells: Vec<BlameCell> = (0..work.len())
-        .into_par_iter()
-        .map(|i| {
-            let (topo, nodes, per_node, backend) = work[i];
-            let cfg = scaled(
-                EmbLayerConfig::paper_weak_scaling(nodes * per_node),
-                scale,
-                batches,
-            );
-            blame_cell(topo, nodes, per_node, backend, &cfg)
-        })
-        .collect();
+    let cells: Vec<BlameCell> = par_cells(work.len(), |i| {
+        let (topo, nodes, per_node, backend) = work[i];
+        let cfg = scaled(
+            EmbLayerConfig::paper_weak_scaling(nodes * per_node),
+            scale,
+            batches,
+        );
+        blame_cell(topo, nodes, per_node, backend, &cfg)
+    });
     BlameResult { scale, cells }
 }
 

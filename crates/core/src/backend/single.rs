@@ -121,7 +121,7 @@ struct DeviceSchedule {
     /// exchange: later launches are it, moved to their own start.
     kernel: OnceLock<KernelRun>,
     /// The fused kernel's store releases `(ready, dst, rows)` in wire order,
-    /// from the first one-sided or gateway execution: 16 bytes each, and 8
+    /// from the first one-sided or gateway execution: 16 bytes each, and 4
     /// more in `deliveries` once delivered.
     releases: OnceLock<Option<Vec<(u32, u32, u64)>>>,
     /// When each release was delivered, from the first one-sided execution
@@ -129,13 +129,13 @@ struct DeviceSchedule {
     deliveries: OnceLock<Deliveries>,
 }
 
-/// Wire `(start, end)` per release, valid under the runtime settings that
-/// turn a release into a send (`PgasConfig::{max_payload, issue_overhead}`);
-/// which fabric it is valid on is the train's to check.
+/// When each release was delivered (its wire end), valid under the runtime
+/// settings that turn a release into a send (`PgasConfig::{max_payload,
+/// issue_overhead}`); which fabric it is valid on is the train's to check.
 #[derive(Clone, Debug)]
 struct Deliveries {
     key: (u32, Dur),
-    wire: Vec<(u32, u32)>,
+    ends: Vec<u32>,
     train: SendTrain,
 }
 
@@ -902,7 +902,7 @@ impl<'a, 'r> Batch<'a, 'r> {
                 && k.recorded()
                 && sched.deliveries.get().is_none()
                 && self.machine.record_train(src, k.start);
-            let mut wire = Vec::with_capacity(if recording { releases.len() } else { 0 });
+            let mut ends = Vec::with_capacity(if recording { releases.len() } else { 0 });
             let mut os = OneSided::with_config(self.machine, pgas);
             for &(ready, dst, rows) in releases.iter() {
                 let Ok(put) = os.try_put_rows_nbi(src, dst, rows, row_bytes, ready) else {
@@ -912,7 +912,7 @@ impl<'a, 'r> Batch<'a, 'r> {
                 };
                 let iv = put.interval;
                 if recording {
-                    wire.extend(offset(iv.start, k.start).zip(offset(iv.end, k.start)));
+                    ends.extend(offset(iv.end, k.start));
                 }
                 if deadline.is_some_and(|dl| iv.end > dl) {
                     late_by_dst[dst] += rows;
@@ -944,10 +944,10 @@ impl<'a, 'r> Batch<'a, 'r> {
             if recording {
                 // One send per release and every offset in range, or none.
                 let train = os.machine().finish_train();
-                let whole = wire.len() == releases.len();
-                if let Some(train) = train.filter(|t| whole && t.sends() == wire.len() as u64) {
+                let whole = ends.len() == releases.len();
+                if let Some(train) = train.filter(|t| whole && t.sends() == ends.len() as u64) {
                     let key = (pgas.max_payload, pgas.issue_overhead);
-                    let _ = sched.deliveries.set(Deliveries { key, wire, train });
+                    let _ = sched.deliveries.set(Deliveries { key, ends, train });
                 }
             }
             let k_end = k.end();
@@ -974,26 +974,22 @@ impl<'a, 'r> Batch<'a, 'r> {
 
     /// Book `src`'s recorded deliveries for the launch `k` in one step, if
     /// they are on record under this runtime config and the machine takes
-    /// them ([`Machine::replay_train`], which reads the sends only then).
-    /// False: nothing happened.
+    /// them ([`Machine::replay_train`]), then log the arrivals the puts would
+    /// have logged. False: nothing happened.
     fn replay_deliveries(&mut self, src: usize, k: &Launched<'_>, pgas: &PgasConfig) -> bool {
         let sched = &self.pb.schedules[src];
         let (Some(Some(releases)), Some(d)) = (sched.releases.get(), sched.deliveries.get()) else {
             return false;
         };
-        let row_bytes = u64::from(self.pb.plan().row_bytes());
-        let at = |offset: u32| Dur::from_ns(offset.into());
-        let mut log = self.log.as_deref_mut();
-        let sends = releases.iter().zip(&d.wire).map(|(r, w)| {
-            if let Some(l) = &mut log {
-                // The entry its put would have pushed.
-                l.push(r.1 as usize, k.start + at(w.1), r.2);
-            }
-            (r.1 as usize, r.2 * row_bytes, at(w.0), at(w.1))
-        });
-        k.recorded()
+        let booked = k.recorded()
             && d.key == (pgas.max_payload, pgas.issue_overhead)
-            && self.machine.replay_train(&d.train, k.start, sends)
+            && self.machine.replay_train(&d.train, k.start);
+        if let (true, Some(l)) = (booked, self.log.as_deref_mut()) {
+            for (&(_, dst, rows), &end) in releases.iter().zip(&d.ends) {
+                l.push(dst as usize, k.start + Dur::from_ns(end.into()), rows);
+            }
+        }
+        booked
     }
 
     /// Gateway exchange: the one-sided release schedule of every device fed
@@ -1488,7 +1484,8 @@ mod tests {
         /// Replaying the stored release schedule is indistinguishable from
         /// rebuilding it: one shared `PlannedBatch` executed at three
         /// starts equals a freshly built one per execution — `BatchRun`,
-        /// `ArrivalLog` and traffic, bit for bit — on a clean machine,
+        /// `ArrivalLog` entry for entry and traffic statistics (an
+        /// unobserved machine keeps no payload series) — on a clean machine,
         /// under chaos, and with stragglers (which bypass the store); for
         /// the table-wise forward, the row-wise forward and the backward
         /// pass, whose stores leave at block retirement, unmerged.
@@ -1534,6 +1531,7 @@ mod tests {
                         at = a.end + Dur::from_ns(gap_ns);
                     }
                     prop_assert_eq!(shared_m.traffic_stats(), fresh_m.traffic_stats());
+                    prop_assert!(shared_m.total_traffic().buckets().is_empty());
                     // Exactly the healthy devices went through the store
                     // (deliveries: where every peer shares the node and no
                     // fault plan is active), and what it hands out at yet

@@ -44,7 +44,9 @@ pub struct RunReport {
     pub total: Dur,
     /// Wire statistics for the whole run.
     pub traffic: TrafficStats,
-    /// Payload bytes on all wires over time (Figures 7/10).
+    /// Payload bytes on all wires over time (Figures 7/10). Recorded only
+    /// on a machine with telemetry on (`Machine::enable_telemetry`); empty
+    /// on an unobserved one.
     pub comm_series: TimeSeries,
 }
 

@@ -46,7 +46,7 @@ pub use fault::{
     RetryPolicy,
 };
 pub use kernel::{KernelRun, KernelShape};
-pub use machine::{Machine, MachineConfig, SendTrain, TrafficStats, TrainSend};
+pub use machine::{Machine, MachineConfig, SendTrain, TrafficStats};
 pub use spec::GpuSpec;
 pub use stream::{Event, StageChunk, StreamId};
 pub use topology::{LinkSpec, NoLink, Topology};

@@ -159,9 +159,10 @@ impl PairTraffic {
     }
 }
 
-/// What one source's sends did to the machine apart from their traffic
-/// deposits, as [`Machine::record_train`] saw the per-message path book them
-/// and [`Machine::replay_train`] books them again. Times count from the
+/// What one source's sends did to the machine, as [`Machine::record_train`]
+/// saw the per-message path book them and [`Machine::replay_train`] books
+/// them again. Only an unobserved machine records or replays one, so no
+/// payload series is owed a deposit. Times count from the
 /// train's origin, an instant no send was requested before: a [`Resource`]
 /// idle when its first job arrives serves a train the same way every time,
 /// so the train holds wherever the source's injection port and the links it
@@ -176,10 +177,6 @@ pub struct SendTrain {
     links: Vec<(usize, LinkSpec, Resource)>,
     stats: TrafficStats,
 }
-
-/// One send of a train as its recorder kept it: destination, payload, and
-/// the wire interval [`Machine::send`] returned, from the train's origin.
-pub type TrainSend = (usize, u64, Dur, Dur);
 
 impl SendTrain {
     /// Sends the train holds.
@@ -245,7 +242,8 @@ pub struct Machine {
     /// sees timing identical to the plain per-pair link (the NIC and link
     /// horizons coincide).
     nics: Vec<Resource>,
-    /// Payload bytes on the wire over time, per ordered pair (always on).
+    /// Payload bytes on the wire over time, per ordered pair; deposited only
+    /// while telemetry is on ([`Machine::enable_telemetry`]).
     traffic: Vec<PairTraffic>,
     /// Latest send-completion per source device (for PGAS `quiet`).
     sent_upto: Vec<SimTime>,
@@ -301,7 +299,8 @@ impl Machine {
     /// Start recording telemetry into an opt-in [`Registry`], with timeline
     /// buckets matching the machine's `traffic_bucket`: the machine counts
     /// sends, kernel launches and inter-node messages, and keeps per-link
-    /// busy and stall timelines. Telemetry never perturbs simulated timing;
+    /// busy and stall timelines and the per-pair payload series
+    /// ([`Machine::traffic_between`]). Telemetry never perturbs simulated timing;
     /// with it off (the default) the hot paths do not allocate.
     pub fn enable_telemetry(&mut self) {
         self.metrics = Registry::enabled(self.cfg.traffic_bucket);
@@ -833,16 +832,12 @@ impl Machine {
             b.note_outbound(src as u32, id);
             b.note_inbound(dst as u32, id);
         }
-        self.traffic[src * n + dst].deposit(
-            self.cfg.traffic_bucket,
-            iv.start,
-            iv.end,
-            payload as f64,
-        );
         self.stats.add(sent);
         self.sent_upto[src] = self.sent_upto[src].max(iv.end);
         self.bump(iv.end);
         if self.metrics.is_enabled() {
+            let bucket = self.cfg.traffic_bucket;
+            self.traffic[src * n + dst].deposit(bucket, iv.start, iv.end, payload as f64);
             let (si, di) = (src as u32, dst as u32);
             self.metrics.incr("fabric_sends", si, di);
             // Messages per fabric tier (0 = intra-node, 1 = inter-node): on
@@ -904,19 +899,13 @@ impl Machine {
         self.recording.take().and_then(|(_, train)| train)
     }
 
-    /// Book `train` again with its origin at `origin`; `sends` are its sends
-    /// in the order they were made. Each one's traffic deposit is aligned to
-    /// the buckets afresh (the same [`Spread`] terms in the same order as
-    /// sending it, so the series hold the same bits), everything else is
-    /// booked once per resource. Refuses (`false`, nothing changed) unless a
-    /// recording could start here, the fabric is the one recorded on, with
-    /// every peer on the source's node, and the links used are idle.
-    pub fn replay_train(
-        &mut self,
-        train: &SendTrain,
-        origin: SimTime,
-        sends: impl IntoIterator<Item = TrainSend>,
-    ) -> bool {
+    /// Book `train` again with its origin at `origin`, once per resource it
+    /// used: O(links), whatever its number of sends. Refuses (`false`,
+    /// nothing changed) unless a recording could start here (so nothing
+    /// observes the sends, and no payload series is owed their deposits), the
+    /// fabric is the one recorded on, with every peer on the source's node,
+    /// and the links used are idle.
+    pub fn replay_train(&mut self, train: &SendTrain, origin: SimTime) -> bool {
         let (n, src) = (self.n_gpus(), train.src);
         let topo = &self.cfg.topology;
         let fits = self.train_may_start(src, origin)
@@ -930,18 +919,6 @@ impl Machine {
         if !fits {
             return false;
         }
-        let bucket = self.cfg.traffic_bucket;
-        let mut booked = 0;
-        for (dst, payload, start, end) in sends {
-            self.traffic[src * n + dst].deposit(
-                bucket,
-                origin + start,
-                origin + end,
-                payload as f64,
-            );
-            booked += 1;
-        }
-        debug_assert_eq!(booked, train.sends(), "not the sends of this train");
         self.injection[src].book_train(origin, &train.injection);
         for (dst, _, link) in &train.links {
             self.links[src * n + dst].book_train(origin, link);
@@ -1133,14 +1110,17 @@ impl Machine {
     }
 
     /// Payload-bytes-over-time series for the directed pair `(src, dst)`,
-    /// materialised densely from the pair's sparse store.
+    /// materialised densely from the pair's sparse store. Recorded only
+    /// while telemetry is on ([`Machine::enable_telemetry`]): on an
+    /// unobserved machine the series is empty.
     pub fn traffic_between(&self, src: usize, dst: usize) -> TimeSeries {
         let mut out = TimeSeries::new(self.cfg.traffic_bucket);
         self.traffic[src * self.n_gpus() + dst].add_to(&mut out, true);
         out
     }
 
-    /// Sum of payload traffic over all links, as one series.
+    /// Sum of payload traffic over all links, as one series (empty on an
+    /// unobserved machine, like [`Machine::traffic_between`]).
     pub fn total_traffic(&self) -> TimeSeries {
         let mut out = TimeSeries::new(self.cfg.traffic_bucket);
         for pair in &self.traffic {
@@ -1396,13 +1376,19 @@ mod tests {
     }
 
     #[test]
-    fn traffic_series_records_payload_only() {
+    fn traffic_series_records_payload_only_and_only_when_observed() {
         let mut m = machine(2);
+        m.enable_telemetry();
         m.send(0, 1, 1000, 10, SimTime::ZERO);
         let total: f64 = m.traffic_between(0, 1).total();
         assert!((total - 1000.0).abs() < 1e-6);
         assert_eq!(m.total_traffic().total(), total);
         assert_eq!(m.traffic_between(1, 0).total(), 0.0);
+        let mut unobserved = machine(2);
+        unobserved.send(0, 1, 1000, 10, SimTime::ZERO);
+        assert!(unobserved.traffic_between(0, 1).buckets().is_empty());
+        assert!(unobserved.total_traffic().buckets().is_empty());
+        assert_eq!(unobserved.traffic_stats(), m.traffic_stats());
     }
 
     proptest::proptest! {
@@ -1476,6 +1462,7 @@ mod tests {
         // One send per ordered pair, 1 s into the simulation: the dense
         // layout held 20 000 zero buckets per pair before the first byte.
         let mut m = Machine::new(MachineConfig::pod_v100(16, 4));
+        m.enable_telemetry();
         let n = m.n_gpus();
         let mut sent = 0u64;
         for src in 0..n {

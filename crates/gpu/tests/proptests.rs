@@ -1,7 +1,7 @@
 //! Property-based tests for the GPU machine model.
 
 use desim::{Dur, Interval, SimTime, TimeSeries};
-use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig, SendTrain, TrainSend};
+use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig, SendTrain};
 use proptest::prelude::*;
 
 /// `(destination offset from the source, payload, messages, ready offset
@@ -21,41 +21,27 @@ fn planned_sends() -> impl Strategy<Value = Vec<Planned>> {
 }
 
 /// Make `sends` from `src` one by one with their ready times counted from
-/// `origin`, as `(destination, payload, wire interval)`.
-fn send_each(
-    m: &mut Machine,
-    src: usize,
-    origin: SimTime,
-    sends: &[Planned],
-) -> Vec<(usize, u64, Interval)> {
+/// `origin`.
+fn send_each(m: &mut Machine, src: usize, origin: SimTime, sends: &[Planned]) {
     let n = m.n_gpus();
-    let each = sends.iter().map(|&(off, payload, msgs, ready)| {
+    for &(off, payload, msgs, ready) in sends {
         let dst = (src + 1 + off % (n - 1)) % n;
-        let iv = m.send(src, dst, payload, msgs, origin + Dur::from_ns(ready));
-        (dst, payload, iv)
-    });
-    each.collect()
+        m.send(src, dst, payload, msgs, origin + Dur::from_ns(ready));
+    }
 }
 
 /// Record `sends` from `src` as a train anchored at `origin` on a machine
-/// that is otherwise idle: the train and what `replay_train` is to be fed.
-fn record(
-    cfg: MachineConfig,
-    src: usize,
-    origin: SimTime,
-    sends: &[Planned],
-) -> (Option<SendTrain>, Vec<TrainSend>) {
+/// that is otherwise idle.
+fn record(cfg: MachineConfig, src: usize, origin: SimTime, sends: &[Planned]) -> Option<SendTrain> {
     let mut m = Machine::new(cfg);
     assert!(m.record_train(src, origin), "an idle clean machine records");
-    let made = send_each(&mut m, src, origin, sends);
-    let kept = made
-        .iter()
-        .map(|&(dst, payload, iv)| (dst, payload, iv.start - origin, iv.end - origin));
-    (m.finish_train(), kept.collect())
+    send_each(&mut m, src, origin, sends);
+    m.finish_train()
 }
 
-/// Everything a machine shows of its fabric state: per-pair traffic bits,
-/// totals, statistics, the horizon and each source's `quiet` instant.
+/// Everything a machine shows of its fabric state: per-pair traffic bits
+/// (empty unless observed), totals, statistics, the horizon and each
+/// source's `quiet` instant.
 fn fabric_state(m: &mut Machine) -> impl PartialEq + std::fmt::Debug {
     let n = m.n_gpus();
     let bits = |ts: TimeSeries| -> Vec<u64> { ts.buckets().iter().map(|v| v.to_bits()).collect() };
@@ -86,6 +72,7 @@ proptest! {
     #[test]
     fn link_fifo_and_conservation(sends in prop::collection::vec((1u64..1_000_000, 1u64..64, 0u64..1000), 1..50)) {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
+        m.enable_telemetry();
         let mut prev_end = SimTime::ZERO;
         let mut total = 0u64;
         let mut msgs = 0u64;
@@ -104,8 +91,9 @@ proptest! {
     }
 
     /// The per-pair traffic store is sparse, its read-outs are not: after
-    /// any send sequence `traffic_between` and `total_traffic` hold, bit for
-    /// bit, what dense per-pair series fed the returned intervals hold.
+    /// any send sequence an observed machine's `traffic_between` and
+    /// `total_traffic` hold, bit for bit, what dense per-pair series fed the
+    /// returned intervals hold.
     /// A slow injection port makes `inj_iv.end` outlast the link's booking;
     /// zero-payload and zero-message sends still touch their buckets.
     #[test]
@@ -129,6 +117,7 @@ proptest! {
             cfg.specs.iter_mut().for_each(|s| s.inj_bw = 2e9);
         }
         let mut m = Machine::new(cfg.with_traffic_bucket(bucket));
+        m.enable_telemetry();
         let mut dense = vec![TimeSeries::new(bucket); 16];
         for (src, off, payload, n_msgs, ready_us) in sends {
             let dst = (src + off) % 4;
@@ -253,15 +242,14 @@ proptest! {
 proptest! {
     /// A replayed train is its sends: after the same earlier traffic, a
     /// machine that books a train recorded elsewhere, at another origin, and
-    /// one that makes the sends one by one show the same fabric state (the
-    /// traffic series bit for bit at either bucket width), answer the same
-    /// probe on every link, and agree again after a second round.
+    /// one that makes the sends one by one show the same fabric state (with
+    /// no payload series: neither is observed), answer the same probe on
+    /// every link, and agree again after a second round.
     #[test]
     fn a_replayed_train_is_its_sends(
         n in 2usize..6,
         src in 0usize..6,
         slow_injection in any::<bool>(),
-        bucket_ns in prop_oneof![Just(50_000u64), Just(777)],
         recorded_at in 0u64..1_000_000,
         earlier in prop::collection::vec((0usize..6, planned_sends()), 0..3),
         gaps in (0u64..200_000, 0u64..200_000),
@@ -269,13 +257,13 @@ proptest! {
     ) {
         let src = src % n;
         let config = || {
-            let mut cfg = MachineConfig::dgx_v100(n).with_traffic_bucket(Dur::from_ns(bucket_ns));
+            let mut cfg = MachineConfig::dgx_v100(n);
             if slow_injection {
                 cfg.specs.iter_mut().for_each(|s| s.inj_bw = 2e9);
             }
             cfg
         };
-        let (train, kept) = record(config(), src, SimTime::from_ns(recorded_at), &sends);
+        let train = record(config(), src, SimTime::from_ns(recorded_at), &sends);
         let train = train.expect("one source's sends on idle intra-node links");
         prop_assert_eq!(train.sends(), sends.len() as u64);
 
@@ -287,13 +275,14 @@ proptest! {
         }
         let mut origin = executed.finish_time() + Dur::from_ns(gaps.0);
         for _ in 0..2 {
-            prop_assert!(replayed.replay_train(&train, origin, kept.iter().copied()));
+            prop_assert!(replayed.replay_train(&train, origin));
             send_each(&mut executed, src, origin, &sends);
             prop_assert_eq!(fabric_state(&mut replayed), fabric_state(&mut executed));
             prop_assert_eq!(probe_links(&mut replayed, origin), probe_links(&mut executed, origin));
             origin = executed.finish_time() + Dur::from_ns(gaps.1);
         }
         prop_assert_eq!(fabric_state(&mut replayed), fabric_state(&mut executed));
+        prop_assert!(replayed.total_traffic().buckets().is_empty());
     }
 
     /// A kernel launched by its known length is the kernel dispatched block
@@ -425,15 +414,12 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
                    cfg: MachineConfig,
                    setup: &dyn Fn(&mut Machine),
                    records: Option<bool>| {
-        let (train, kept) = record(recorded_on, 1, origin, &sends);
+        let train = record(recorded_on, 1, origin, &sends);
         let train = train.unwrap_or_else(|| panic!("{why}: nothing recorded"));
         let mut m = Machine::new(cfg);
         setup(&mut m);
         let before = format!("{:?}", fabric_state(&mut m));
-        assert!(
-            !m.replay_train(&train, origin, kept.iter().copied()),
-            "{why}: booked"
-        );
+        assert!(!m.replay_train(&train, origin), "{why}: booked");
         assert_eq!(before, format!("{:?}", fabric_state(&mut m)), "{why}");
         assert_eq!(
             m.record_train(1, origin),
@@ -506,18 +492,14 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
         Some(false),
     );
 
-    let (train, kept) = record(dgx(), 1, origin, &sends);
-    let train = train.expect("recordable");
+    let train = record(dgx(), 1, origin, &sends).expect("recordable");
     let mut small = Machine::new(MachineConfig::dgx_v100(2));
-    assert!(
-        !small.replay_train(&train, origin, kept.iter().copied()),
-        "fewer GPUs"
-    );
+    assert!(!small.replay_train(&train, origin), "fewer GPUs");
     // A trivial fault plan is no plan, and an earlier origin is as good as
     // any on an idle machine.
     let mut m = Machine::new(dgx());
     m.install_faults(FaultPlan::generate(3, 4, FaultSpec::none()));
-    assert!(m.replay_train(&train, SimTime::ZERO, kept.iter().copied()));
+    assert!(m.replay_train(&train, SimTime::ZERO));
 
     // Sends a train cannot hold end the recording without one.
     type Spoil = fn(&mut Machine, SimTime);

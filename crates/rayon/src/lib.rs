@@ -68,6 +68,14 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
+/// Ordered parallel map over `n` sweep cells: element `i` is `f(i)`. A cell
+/// is a whole simulation, not a row, so cells dispatch whenever the width
+/// and the host allow (a grain of 1), where the adapters run inline below
+/// 32 items per participant.
+pub fn par_cells<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    collect_vec(n, 1, f)
+}
+
 /// Run `f` with adaptive inline degradation disabled on the current thread:
 /// every parallel call issued inside `f` with an effective width above 1
 /// takes the queue/dispatch path regardless of host core count or work
@@ -124,15 +132,16 @@ impl<T> SharedPtr<T> {
     }
 }
 
-/// Ordered parallel collect: slot `i` receives `get(i)`.
-fn collect_vec<R, G>(len: usize, get: G) -> Vec<R>
+/// Ordered parallel collect: slot `i` receives `get(i)`; inline below
+/// `grain` items per participant.
+fn collect_vec<R, G>(len: usize, grain: usize, get: G) -> Vec<R>
 where
     R: Send,
     G: Fn(usize) -> R + Sync,
 {
     let mut out: Vec<R> = Vec::with_capacity(len);
     let ptr = SendPtr(out.as_mut_ptr());
-    pool::run(len, |i| {
+    pool::run(len, grain, |i| {
         // SAFETY: slot i is written exactly once; indices are disjoint and
         // the buffer holds `len` uninitialized slots.
         unsafe { ptr.get().add(i).write(get(i)) };
@@ -246,7 +255,7 @@ impl<T: Send> EnumChunksMut<'_, T> {
         }
         let size = self.0.size;
         let ptr = SendPtr(self.0.slice.as_mut_ptr());
-        pool::run(n.div_ceil(size), |i| {
+        pool::run(n.div_ceil(size), pool::INLINE_GRAIN, |i| {
             let start = i * size;
             let len = size.min(n - start);
             // SAFETY: [start, start+len) is in bounds and disjoint across
@@ -303,7 +312,7 @@ impl<T: Sync> EnumChunks<'_, T> {
         }
         let size = self.0.size;
         let ptr = SharedPtr(self.0.slice.as_ptr());
-        pool::run(n.div_ceil(size), |i| {
+        pool::run(n.div_ceil(size), pool::INLINE_GRAIN, |i| {
             let start = i * size;
             let len = size.min(n - start);
             // SAFETY: in-bounds shared reads; borrow held for the call.
@@ -369,7 +378,7 @@ impl ParRange {
         F: Fn(usize) + Sync,
     {
         let start = self.start;
-        pool::run(self.len(), |i| f(start + i));
+        pool::run(self.len(), pool::INLINE_GRAIN, |i| f(start + i));
     }
 
     /// Lazily map each index through `f`.
@@ -422,7 +431,7 @@ where
         G: Fn(R) + Sync,
     {
         let (start, f) = (self.start, self.f);
-        pool::run(self.end - start, |i| g(f(start + i)));
+        pool::run(self.end - start, pool::INLINE_GRAIN, |i| g(f(start + i)));
     }
 
     /// Ordered parallel collect: element `i` of the output is `f(start+i)`,
@@ -446,7 +455,7 @@ where
         OP: Fn(R, R) -> R,
     {
         let (start, f) = (self.start, self.f);
-        let leaves = collect_vec(self.end - start, |i| f(start + i));
+        let leaves = collect_vec(self.end - start, pool::INLINE_GRAIN, |i| f(start + i));
         tree_reduce(leaves, &op).unwrap_or_else(identity)
     }
 
@@ -483,7 +492,7 @@ impl<T: Send> ParVec<T> {
         let len = self.items.len();
         let mut items = std::mem::ManuallyDrop::new(self.items);
         let ptr = SendPtr(items.as_mut_ptr());
-        pool::run(len, |i| {
+        pool::run(len, pool::INLINE_GRAIN, |i| {
             // SAFETY: each element is moved out exactly once; the buffer is
             // not dropped element-wise afterwards.
             f(unsafe { ptr.get().add(i).read() });
@@ -509,7 +518,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
     where
         G: Fn(usize) -> T + Sync,
     {
-        collect_vec(len, get)
+        collect_vec(len, pool::INLINE_GRAIN, get)
     }
 }
 
@@ -768,6 +777,19 @@ mod tests {
         let after = pool_stats();
         assert!(after.inline_runs > before.inline_runs);
         assert_eq!(after.dispatched_runs, before.dispatched_runs);
+    }
+
+    #[test]
+    fn sweep_cells_dispatch_below_the_grain_and_keep_their_order() {
+        // Two cells at width 2: the adapters would inline them, cells
+        // dispatch wherever the host has a second core.
+        let cells = |w| at_width(w, || par_cells(2, |i| (0..=i).sum::<usize>() + 10));
+        let before = pool_stats();
+        assert_eq!(cells(2), [10, 11]);
+        let after = pool_stats();
+        let dispatched = pool::hardware_parallelism() > 1;
+        assert_eq!(after.dispatched_runs > before.dispatched_runs, dispatched);
+        assert_eq!(cells(1), cells(4));
     }
 
     #[test]

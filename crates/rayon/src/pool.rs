@@ -70,12 +70,12 @@ pub(crate) fn with_forced_dispatch<R>(f: impl FnOnce() -> R) -> R {
 
 /// Minimum chunks-per-participant below which a parallel call degrades to
 /// inline execution.
-const INLINE_GRAIN: usize = 32;
+pub(crate) const INLINE_GRAIN: usize = 32;
 
 /// Physical cores visible to the process, independent of any
 /// `RAYON_NUM_THREADS` override — the quantity that decides whether worker
 /// threads can ever run concurrently with the caller.
-fn hardware_parallelism() -> usize {
+pub(crate) fn hardware_parallelism() -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
         std::thread::available_parallelism()
@@ -264,11 +264,12 @@ fn global() -> &'static Pool {
 /// the effective width is 1, when the host has a single core (worker
 /// threads can never actually run concurrently with the caller, so
 /// dispatch is pure overhead), or when the work is too small to amortize
-/// dispatch (`total < width × INLINE_GRAIN`). The degraded path is
-/// bit-identical by construction: every adapter writes disjoint chunks or
-/// combines with a shape that depends only on input length, so executing
-/// the same indices on one thread produces the same bytes.
-pub(crate) fn run<F>(total: usize, f: F)
+/// dispatch (`total < width × grain`; the adapters pass [`INLINE_GRAIN`]).
+/// The degraded path is bit-identical by construction: every adapter writes
+/// disjoint chunks or combines with a shape that depends only on input
+/// length, so executing the same indices on one thread produces the same
+/// bytes.
+pub(crate) fn run<F>(total: usize, grain: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -278,7 +279,7 @@ where
     let width = current_num_threads().min(total);
     let degrade = width <= 1
         || (!FORCE_DISPATCH.with(|c| c.get())
-            && (hardware_parallelism() == 1 || total < width * INLINE_GRAIN));
+            && (hardware_parallelism() == 1 || total < width * grain));
     if degrade {
         // Inline: no queue traffic, panics propagate natively.
         INLINE_RUNS.set(INLINE_RUNS.get() + 1);

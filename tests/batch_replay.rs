@@ -10,8 +10,8 @@
 //! wherever the executor and the machine agree to) and on a machine handed a
 //! *fresh* plan per batch (which can only execute) — and demands that the two
 //! cannot be told apart: by what the batches returned, by the machine's
-//! read-outs down to the bits of the traffic series, by any observer, or by
-//! what the machine does next.
+//! read-outs (down to the bits of the payload series, where telemetry records
+//! one), by any observer, or by what the machine does next.
 //!
 //! The row-wise forward and the backward pass run on the same executor but
 //! build their plans themselves and hand none out, so they are held to the
@@ -221,10 +221,12 @@ fn replayed_equals_executed(sc: &Scenario) -> Seen {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small configs, start instants, earlier traffic and gaps, at
+    /// Random small configs, start instants, earlier traffic and gaps,
+    /// unobserved or with telemetry recording the payload series at one of
     /// two bucket widths: replay and execution agree on everything.
     #[test]
     fn a_replayed_batch_is_indistinguishable_from_an_executed_one(
+        observed in any::<bool>(),
         g in 2usize..5,
         bpb in 1usize..6,
         seed in 0u64..1000,
@@ -235,6 +237,9 @@ proptest! {
     ) {
         let mut sc = Scenario::dgx(g);
         sc.fabric = sc.fabric.with_traffic_bucket(Dur::from_ns(bucket_ns));
+        if observed {
+            sc.setup = Box::new(Machine::enable_telemetry);
+        }
         sc.cfg.bags_per_block = bpb;
         sc.cfg.seed = seed;
         sc.prior = prior
@@ -246,6 +251,7 @@ proptest! {
         sc.gaps = [Dur::from_ns(gaps.0), Dur::from_ns(gaps.1)];
         let seen = replayed_equals_executed(&sc);
         prop_assert!(seen.wire.stats.messages > 0, "the batches sent nothing");
+        prop_assert_eq!(seen.wire.total_traffic_bits.is_empty(), !observed);
     }
 }
 
@@ -419,8 +425,9 @@ fn run_pass(pass: usize, m: &mut Machine, cfg: &EmbLayerConfig) -> RunReport {
 }
 
 /// What a closed loop of `pass` over `sc`'s machine and earlier traffic lets
-/// anyone see, observers aside.
-fn pass_seen(pass: usize, sc: &Scenario) -> (String, Wire, Vec<Interval>) {
+/// anyone see, observers aside, and the payload series it recorded (empty
+/// unless telemetry is on; the report's is the machine's).
+fn pass_seen(pass: usize, sc: &Scenario) -> ((String, Wire, Vec<Interval>), Vec<u64>) {
     let mut m = sc.machine();
     for &(src, dst, payload, msgs, ready) in &sc.prior {
         m.send(src, dst, payload, msgs, SimTime::from_ns(ready));
@@ -432,9 +439,12 @@ fn pass_seen(pass: usize, sc: &Scenario) -> (String, Wire, Vec<Interval>) {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let report = format!("{} {:?} {:?} {comm:?}", r.total, r.breakdown, r.traffic);
-    let wire = Wire::of(&m);
-    (report, wire, probe(&mut m, SimTime::ZERO))
+    let report = format!("{} {:?} {:?}", r.total, r.breakdown, r.traffic);
+    let mut wire = Wire::of(&m);
+    assert_eq!(wire.total_traffic_bits, comm);
+    wire.traffic_bits.iter_mut().for_each(Vec::clear);
+    wire.total_traffic_bits.clear();
+    ((report, wire, probe(&mut m, SimTime::ZERO)), comm)
 }
 
 #[test]
@@ -443,11 +453,14 @@ fn the_self_planned_passes_replay_what_they_execute_and_no_observer_moves_them()
     // pass executes two and replays three, the row-wise forward (one plan
     // for every batch) executes one and replays four; a machine with any
     // observer on refuses them all, and must show the same report, wire and
-    // free instants. Backward stores leave at block retirement, unmerged.
-    let observers: [fn(&mut Machine); 3] = [
-        Machine::enable_telemetry,
-        Machine::enable_blame,
-        Machine::enable_trace,
+    // free instants. Only telemetry records the payload series, which holds
+    // every payload byte and does not move with a second observer. Backward
+    // stores leave at block retirement, unmerged.
+    type Observer = fn(&mut Machine);
+    let observers: [(Observer, bool); 3] = [
+        (Machine::enable_telemetry, true),
+        (Machine::enable_blame, false),
+        (Machine::enable_trace, false),
     ];
     for pass in 0..4 {
         for prior in [vec![], vec![(0, 1, 8 << 20, 1, 0)]] {
@@ -456,17 +469,30 @@ fn the_self_planned_passes_replay_what_they_execute_and_no_observer_moves_them()
             sc.fabric = sc.fabric.with_traffic_bucket(Dur::from_ns(777));
             (sc.cfg.n_batches, sc.cfg.distinct_batches) = (5, 2);
             sc.prior = prior;
-            let replayed = pass_seen(pass, &sc);
+            let (replayed, none) = pass_seen(pass, &sc);
             assert!(replayed.1.stats.messages > 0, "pass {pass} sent nothing");
-            for observer in observers {
+            assert!(none.is_empty(), "pass {pass}: an unobserved series");
+            for (observer, records) in observers {
                 sc.setup = Box::new(observer);
-                assert_eq!(pass_seen(pass, &sc), replayed, "pass {pass}");
+                let (seen, series) = pass_seen(pass, &sc);
+                assert_eq!(seen, replayed, "pass {pass}");
+                assert_eq!(series.is_empty(), !records, "pass {pass}");
             }
+            sc.setup = Box::new(|m| {
+                m.enable_telemetry();
+                m.enable_blame();
+            });
+            let (seen, series) = pass_seen(pass, &sc);
+            let payload: f64 = series.iter().map(|&v| f64::from_bits(v)).sum();
+            let sent = replayed.1.stats.payload_bytes as f64;
+            assert!((payload - sent).abs() < 1e-9 * sent, "pass {pass}");
+            sc.setup = Box::new(Machine::enable_telemetry);
+            assert_eq!((seen, series), pass_seen(pass, &sc), "pass {pass}");
         }
     }
     // The earlier transfer is felt: device 0's stores queue behind it.
     let mut sc = Scenario::dgx(4);
-    let clean = pass_seen(3, &sc);
+    let clean = pass_seen(3, &sc).0;
     sc.prior = vec![(0, 1, 8 << 20, 1, 0)];
-    assert_ne!(pass_seen(3, &sc).0, clean.0);
+    assert_ne!(pass_seen(3, &sc).0 .0, clean.0);
 }
