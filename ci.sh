@@ -7,7 +7,10 @@
 # contract), clippy,
 # the benchmark package's own tests and smoke run (so a refactor that breaks
 # the API surface benchmark/ pins fails here, not at the benchmark gate),
-# then every experiment of `reproduce` (`all`, then `skew`) at smoke scale.
+# then every experiment of `reproduce` (`all`, then `skew`) at smoke scale,
+# with `all --smoke` run a second time on a one-thread pool and `diff -r`'d
+# against the default width (sweep cells are the only parallel unit, and
+# they are collected by index).
 # No step asserts a host time: benchmark/ ledgers those (results/
 # BENCH_host.jsonl), nothing here gates them. `reproduce` itself refuses to
 # write an artifact whose claims do not all hold or whose JSON is malformed
@@ -56,10 +59,16 @@ cargo test --manifest-path benchmark/Cargo.toml --offline
 bash benchmark/run.sh --smoke > /dev/null
 
 d=$(mktemp -d)
+d1=$(mktemp -d)
 d2=$(mktemp -d)
-trap 'rm -rf "$d" "$d2"' EXIT
+trap 'rm -rf "$d" "$d1" "$d2"' EXIT
 reproduce="cargo run --release -p bench-harness --offline --"
 $reproduce all --smoke --out-dir "$d" > /dev/null
+RAYON_NUM_THREADS=1 $reproduce all --smoke --out-dir "$d1" > /dev/null
+diff -r "$d" "$d1" > /dev/null || {
+    echo "ci: reproduce all --smoke differs at RAYON_NUM_THREADS=1" >&2
+    exit 1
+}
 $reproduce skew --smoke --out-dir "$d" > /dev/null
 
 # Every named file of directory $1 equals its namesake in results/.

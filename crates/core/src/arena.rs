@@ -13,11 +13,9 @@
 //!
 //! A process-wide arena would serialize takers on a lock, so the arena is
 //! **per thread** (a `thread_local!` instance reached through the
-//! module-level `take_*`/`put_*` functions). Buffers may migrate between
-//! threads — a worker can take a buffer that the caller later returns to
-//! its own slab — which is harmless: slabs are plain free lists, and under
-//! the pool's inline degradation (single-core hosts, small batches) every
-//! take/put pair lands on one thread anyway.
+//! module-level `take_*`/`put_*` functions). Each sweep cell runs serially
+//! on one thread, so every `take_*`/`put_*` pair lands on that thread's
+//! slab.
 //!
 //! Borrows of the thread-local are scoped to each `take`/`put` call, never
 //! held across user code, so arena users can nest freely (a kernel that

@@ -1,11 +1,10 @@
 //! The functional (real-data) halves of the backends.
 //!
 //! Timing and data movement are deliberately decoupled: these helpers
-//! execute the actual hash/lookup/pool math (rayon-parallel over bags) and
+//! execute the actual hash/lookup/pool math (a serial loop over bags) and
 //! the actual layout conversions, while the timed halves account for when
 //! the same bytes would move on the simulated machine.
 
-use rayon::prelude::*;
 use simtensor::Tensor;
 
 use crate::arena;
@@ -18,9 +17,9 @@ pub fn materialize_shards(
     spec: crate::EmbeddingTableSpec,
     seed: u64,
 ) -> Vec<EmbeddingShard> {
-    (0..plan.devices.len())
-        .into_par_iter()
-        .map(|i| EmbeddingShard::materialize(&plan.devices[i].features, spec, seed))
+    plan.devices
+        .iter()
+        .map(|dp| EmbeddingShard::materialize(&dp.features, spec, seed))
         .collect()
 }
 
@@ -54,7 +53,7 @@ pub fn compute_pooled_rows(
 /// [`compute_pooled_rows`] from `weights` into a caller-provided buffer
 /// (cleared first), so arena-backed callers pay no per-batch allocation.
 ///
-/// Structure: one parallel chunk per **local feature** (`batch_size × dim`
+/// Structure: one output chunk per **local feature** (`batch_size × dim`
 /// of the output), so the row source and hasher resolve once per feature —
 /// no per-call lookup-table vectors — and the per-bag inner loop is a
 /// monomorphized fixed-stride pass (see [`crate::kernels`]) the compiler
@@ -71,22 +70,20 @@ pub fn compute_pooled_rows_into(
 ) {
     out.clear();
     out.resize(dp.n_bags * plan.dim, 0.0);
-    out.par_chunks_mut(plan.batch_size * plan.dim)
-        .enumerate()
-        .for_each(|(lf, fout)| {
-            let f = dp.features[lf];
-            match weights {
-                Weights::Shard(shard) => {
-                    let hasher = IndexHasher::new(f, shard.spec().rows, seed);
-                    pool_feature(dp, plan, batch, lf, hasher, shard.weights(f).data(), fout);
-                }
-                Weights::Init(spec) => {
-                    let hasher = IndexHasher::new(f, spec.rows, seed);
-                    let rows = InitStream(f, spec, seed);
-                    pool_feature(dp, plan, batch, lf, hasher, &rows, fout);
-                }
+    for (lf, fout) in out.chunks_mut(plan.batch_size * plan.dim).enumerate() {
+        let f = dp.features[lf];
+        match weights {
+            Weights::Shard(shard) => {
+                let hasher = IndexHasher::new(f, shard.spec().rows, seed);
+                pool_feature(dp, plan, batch, lf, hasher, shard.weights(f).data(), fout);
             }
-        });
+            Weights::Init(spec) => {
+                let hasher = IndexHasher::new(f, spec.rows, seed);
+                let rows = InitStream(f, spec, seed);
+                pool_feature(dp, plan, batch, lf, hasher, &rows, fout);
+            }
+        }
+    }
 }
 
 /// One feature's rows, as the pooling loop reads them: row `r` is
@@ -170,10 +167,10 @@ pub fn exchange_and_unpack(plan: &ForwardPlan, pooled: &[Vec<f32>]) -> Vec<Tenso
     // per-destination segment sizes follow the (possibly uneven) ceil split.
     // Pack/exchange scratch comes from the batch arena, so steady-state
     // batches reuse the same buffers instead of reallocating them.
-    let send_bufs: Vec<Vec<f32>> = (0..plan.devices.len())
-        .into_par_iter()
-        .map(|src| {
-            let dp = &plan.devices[src];
+    let send_bufs: Vec<Vec<f32>> = plan
+        .devices
+        .iter()
+        .map(|dp| {
             let mut buf = arena::take_f32();
             buf.reserve(dp.n_bags * dim);
             for dst in 0..n {
@@ -192,7 +189,6 @@ pub fn exchange_and_unpack(plan: &ForwardPlan, pooled: &[Vec<f32>]) -> Vec<Tenso
     // exchange: chunk `dst` of `send_bufs[src]` lands at slot `src` of
     // device `dst`'s receive buffer.
     let recv_bufs: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
         .map(|dst| {
             let mut buf = arena::take_f32();
             for (src, dp) in plan.devices.iter().enumerate() {
@@ -211,7 +207,6 @@ pub fn exchange_and_unpack(plan: &ForwardPlan, pooled: &[Vec<f32>]) -> Vec<Tenso
 
     // unpack: source-major → [mb, S, dim].
     let outs: Vec<Tensor> = (0..n)
-        .into_par_iter()
         .map(|dev| {
             let mb = plan.mb_sizes[dev];
             let mut out = Tensor::zeros(&[mb, plan.n_features * dim]);
@@ -241,11 +236,10 @@ pub fn scatter_via_symmetric_heap(plan: &ForwardPlan, pooled: &[Vec<f32>]) -> Ve
     let dim = plan.dim;
     let mut heap = pgas_rt::SymmetricHeap::new(plan.n_devices);
     let out_seg = heap.alloc(plan.output_elems());
-    // Parallel over destination PEs: each PE's segment is a disjoint buffer,
-    // and `output_index` assigns every (feature, sample) a unique slot on
-    // exactly one PE, so each destination can scan all sources and copy its
-    // own rows with no cross-PE writes — the values land exactly where the
-    // serial one-sided `put` loop would place them.
+    // One destination PE at a time: `output_index` assigns every (feature,
+    // sample) a unique slot on exactly one PE, so each destination scans all
+    // sources and copies its own rows — the values land exactly where the
+    // one-sided `put` loop would place them.
     heap.for_each_segment_mut(out_seg, |pe, seg| {
         for dp in &plan.devices {
             for bag in 0..dp.n_bags {
@@ -259,7 +253,6 @@ pub fn scatter_via_symmetric_heap(plan: &ForwardPlan, pooled: &[Vec<f32>]) -> Ve
         }
     });
     (0..plan.n_devices)
-        .into_par_iter()
         .map(|dev| {
             // Symmetric segments are stride-sized; only the device's actual
             // mini-batch portion is meaningful.
@@ -287,42 +280,38 @@ pub fn apply_hot_imports(
     seed: u64,
 ) {
     let dim = plan.dim;
-    outputs
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(dev, chunk)| {
-            let out = &mut chunk[0];
-            let mut acc = arena::take_f32();
-            acc.resize(dim, 0.0);
-            let mut hasher: Option<(usize, IndexHasher)> = None;
-            with_pool_kernel!(plan.pooling, K => {
-                for ib in &plan.devices[dev].imported_bags {
-                    // Imported bags are (feature, sample)-sorted: reuse the
-                    // hasher across each feature's run.
-                    let h = match hasher {
-                        Some((f, h)) if f == ib.feature => h,
-                        _ => {
-                            let h = IndexHasher::new(ib.feature, table_rows, seed);
-                            hasher = Some((ib.feature, h));
-                            h
-                        }
-                    };
-                    acc.fill(0.0);
-                    let indices = batch.bag(ib.feature, ib.sample);
-                    debug_assert_eq!(indices.len(), ib.lookups as usize);
-                    for (k, &raw) in indices.iter().enumerate() {
-                        K::fold(&mut acc, replicas.row(ib.feature, h.row(raw)), k);
+    for (dev, out) in outputs.iter_mut().enumerate() {
+        let mut acc = arena::take_f32();
+        acc.resize(dim, 0.0);
+        let mut hasher: Option<(usize, IndexHasher)> = None;
+        with_pool_kernel!(plan.pooling, K => {
+            for ib in &plan.devices[dev].imported_bags {
+                // Imported bags are (feature, sample)-sorted: reuse the
+                // hasher across each feature's run.
+                let h = match hasher {
+                    Some((f, h)) if f == ib.feature => h,
+                    _ => {
+                        let h = IndexHasher::new(ib.feature, table_rows, seed);
+                        hasher = Some((ib.feature, h));
+                        h
                     }
-                    K::finish(&mut acc, indices.len());
-                    let (dst, idx) = plan.output_index(ib.feature, ib.sample);
-                    debug_assert_eq!(dst, dev, "imported bag must belong to its owner");
-                    let width = plan.n_features * dim;
-                    out.row_mut(idx / width)[idx % width..idx % width + dim]
-                        .copy_from_slice(&acc);
+                };
+                acc.fill(0.0);
+                let indices = batch.bag(ib.feature, ib.sample);
+                debug_assert_eq!(indices.len(), ib.lookups as usize);
+                for (k, &raw) in indices.iter().enumerate() {
+                    K::fold(&mut acc, replicas.row(ib.feature, h.row(raw)), k);
                 }
-            });
-            arena::put_f32(acc);
+                K::finish(&mut acc, indices.len());
+                let (dst, idx) = plan.output_index(ib.feature, ib.sample);
+                debug_assert_eq!(dst, dev, "imported bag must belong to its owner");
+                let width = plan.n_features * dim;
+                out.row_mut(idx / width)[idx % width..idx % width + dim]
+                    .copy_from_slice(&acc);
+            }
         });
+        arena::put_f32(acc);
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use std::sync::{Arc, OnceLock};
 use desim::{Dur, SimTime};
 use gpusim::{GpuSpec, KernelShape, Machine};
 use pgas_rt::{AggregatorConfig, GatewayConfig, PgasConfig};
-use rayon::prelude::*;
 use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
@@ -162,11 +161,10 @@ impl PreparedBatches {
     /// build of its own that is not kept.
     pub fn planned_for(&self, machine: &Machine) -> Arc<[PlannedBatch]> {
         let build = || -> Arc<[PlannedBatch]> {
-            (0..self.plans.len())
-                .into_par_iter()
-                .map(|i| PlannedBatch::new(machine, Arc::clone(&self.plans[i])))
-                .collect::<Vec<_>>()
-                .into()
+            self.plans
+                .iter()
+                .map(|plan| PlannedBatch::new(machine, Arc::clone(plan)))
+                .collect()
         };
         if (0..machine.n_gpus()).all(|d| *machine.spec(d) == self.gpu) {
             Arc::clone(self.planned.get_or_init(build))
@@ -286,10 +284,9 @@ fn build_prepared((cfg, mode, gpu): &PrepareKey) -> (PreparedBatches, usize) {
     // batches even in timing mode (they only ever run at bench scales).
     let functional = *mode == ExecMode::Functional;
     let need_indices = functional || planner.is_some();
-    // Batches are seeded independently and a plan depends only on its batch:
-    // generate-then-plan fans out (ordered collect keeps seed-index order).
+    // Batches are seeded independently and a plan depends only on its batch,
+    // generated and planned in seed-index order.
     let (batches, plans): (Vec<_>, Vec<_>) = (0..cfg.n_batches)
-        .into_par_iter()
         .map(|i| {
             let batch = if need_indices {
                 SparseBatch::generate(&spec, cfg.batch_seed(i))
@@ -299,8 +296,6 @@ fn build_prepared((cfg, mode, gpu): &PrepareKey) -> (PreparedBatches, usize) {
             let plan = Arc::new(plan_with_planner(cfg, &batch, gpu, planner.as_ref()));
             (functional.then_some(batch), plan)
         })
-        .collect::<Vec<_>>()
-        .into_iter()
         .unzip();
     let batches: Vec<SparseBatch> = batches.into_iter().flatten().collect();
     let blocks = plans
@@ -556,11 +551,12 @@ pub fn final_batch_outputs(
     let plan = &prepared.plans[which];
     let batch = &prepared.batches[which];
     let weights = Weights::Init(cfg.table_spec());
-    let pooled: Vec<Vec<f32>> = (0..plan.devices.len())
-        .into_par_iter()
-        .map(|i| {
+    let pooled: Vec<Vec<f32>> = plan
+        .devices
+        .iter()
+        .map(|dp| {
             let mut buf = crate::arena::take_f32();
-            compute_pooled_rows_into(&plan.devices[i], plan, batch, weights, cfg.seed, &mut buf);
+            compute_pooled_rows_into(dp, plan, batch, weights, cfg.seed, &mut buf);
             buf
         })
         .collect();

@@ -20,7 +20,6 @@ use std::sync::{Arc, OnceLock};
 use desim::{Dur, SimTime};
 use gpusim::{GpuSpec, KernelRun, KernelShape, Machine, SendTrain};
 use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
-use rayon::prelude::*;
 use simccl::{try_all_to_all_timed, CollectiveConfig};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 
@@ -230,20 +229,15 @@ fn stream_releases_into(
 
 impl PlannedBatch {
     /// Precompute execution state for the table-wise forward pass of `plan`
-    /// on `machine`'s GPUs. The per-device duration and byte rows are
-    /// independent, so both tables build in parallel (ordered collect keeps
-    /// `[device]` indexing).
+    /// on `machine`'s GPUs: per-device block durations and byte rows, in
+    /// `[device]` order.
     pub fn new(machine: &Machine, plan: impl Into<Arc<ForwardPlan>>) -> Self {
         let plan = plan.into();
         let n = plan.n_devices;
-        let specs: Vec<_> = plan
+        let durations = plan
             .devices
             .iter()
-            .map(|dp| machine.spec(dp.device))
-            .collect();
-        let durations = (0..plan.devices.len())
-            .into_par_iter()
-            .map(|i| lookup_block_durations(&plan.devices[i], &plan, specs[i]))
+            .map(|dp| lookup_block_durations(dp, &plan, machine.spec(dp.device)))
             .collect();
         // Rearrangement touches every *received* byte twice (read
         // source-major, write [mb, S, dim]); the local chunk was already
@@ -279,12 +273,10 @@ impl PlannedBatch {
     ) -> Self {
         let n = plan.n_devices;
         let row_bytes = plan.row_bytes() as u64;
-        let byte_matrix: Vec<Vec<u64>> = (0..plan.devices.len())
-            .into_par_iter()
-            .map(|i| {
-                let dp = &plan.devices[i];
-                (0..n).map(|g| dp.rows_to(g) * row_bytes).collect()
-            })
+        let byte_matrix: Vec<Vec<u64>> = plan
+            .devices
+            .iter()
+            .map(|dp| (0..n).map(|g| dp.rows_to(g) * row_bytes).collect())
             .collect();
         PlannedBatch {
             schedules: vec![DeviceSchedule::default(); plan.devices.len()],

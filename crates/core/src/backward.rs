@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use gpusim::{KernelShape, Machine};
 use pgas_rt::PgasConfig;
-use rayon::prelude::*;
 use simccl::{Algorithm, CollectiveConfig};
 use simtensor::Tensor;
 
@@ -189,9 +188,10 @@ fn backward(
     assert_eq!(n, cfg.n_gpus, "machine/config GPU count mismatch");
     let prepared = prepare_batches(cfg, mode, machine.spec(0));
     let fused = matches!(exchange, Exchange::OneSided(_));
-    let planned: Vec<PlannedBatch> = (0..prepared.plans.len())
-        .into_par_iter()
-        .map(|i| backward_planned(machine, &prepared.plans[i], fused))
+    let planned: Vec<PlannedBatch> = prepared
+        .plans
+        .iter()
+        .map(|plan| backward_planned(machine, plan, fused))
         .collect();
     let report = run_batches(machine, &planned, cfg.n_batches, |m, pb, at| {
         execute_batch(m, &exchange, pb, at, None, None)

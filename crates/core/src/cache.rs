@@ -31,7 +31,6 @@
 use std::sync::Mutex;
 
 use gpusim::GpuSpec;
-use rayon::prelude::*;
 
 use crate::{
     BlockCacheStats, EmbLayerConfig, EmbeddingShard, EmbeddingTableSpec, ForwardPlan, ImportedBag,
@@ -191,12 +190,9 @@ impl HotRowCache {
 
         let distinct = cfg.distinct_batches.max(1).min(cfg.n_batches.max(1));
         let warm: Vec<SparseBatch> = (0..distinct)
-            .into_par_iter()
             .map(|i| SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(i)))
             .collect();
-        // Per-feature counting + selection is independent, so it fans out.
         let rows: Vec<Vec<u32>> = (0..cfg.n_features)
-            .into_par_iter()
             .map(|f| {
                 let h = IndexHasher::new(f, cfg.table_rows, cfg.seed);
                 let mut c = vec![0u32; cfg.table_rows];
@@ -271,7 +267,6 @@ impl HotReplicas {
     /// ones listed in its plan's `imported_bags`.
     pub fn materialize(cache: &HotRowCache, spec: EmbeddingTableSpec, seed: u64) -> Self {
         let tables = (0..cache.n_features())
-            .into_par_iter()
             .map(|f| {
                 let rows = cache.hot_rows(f).to_vec();
                 let mut data = vec![0.0; rows.len() * spec.dim];
@@ -298,8 +293,9 @@ impl HotReplicas {
     }
 }
 
-/// Per-worker dedup scratch, pooled so steady-state annotation performs no
-/// allocation (the serve hot path plans a batch per admission window).
+/// Dedup scratch, taken once per `annotate` call from a pool (one entry per
+/// concurrent caller) so steady-state annotation performs no allocation (the
+/// serve hot path plans a batch per admission window).
 #[derive(Debug)]
 struct Workspace {
     rows: IndexDedupMap,
@@ -318,7 +314,7 @@ pub struct HotCachePlanner {
 }
 
 /// What one device's profiling pass produced, before being applied to the
-/// plan (kept separate so devices profile in parallel).
+/// plan (kept separate so every device profiles the unannotated plan).
 struct DeviceProfile {
     stats: Vec<BlockCacheStats>,
     /// The rows each `(dst, rows)` pair of the device's blocks still sends,
@@ -371,13 +367,21 @@ impl HotCachePlanner {
         );
         let n = plan.batch_size;
         let mb = plan.mb_size;
-        let profiles: Vec<DeviceProfile> = {
-            let p: &ForwardPlan = plan;
-            (0..p.devices.len())
-                .into_par_iter()
-                .map(|i| self.profile_device(&p.devices[i], p, batch, n, mb))
-                .collect()
-        };
+        let mut ws = self
+            .pool
+            .lock()
+            .unwrap()
+            .pop()
+            .unwrap_or_else(|| Workspace {
+                rows: IndexDedupMap::with_capacity(plan.bags_per_block * 64),
+                bags: IndexDedupMap::with_capacity(plan.bags_per_block),
+            });
+        let profiles: Vec<DeviceProfile> = plan
+            .devices
+            .iter()
+            .map(|dp| self.profile_device(&mut ws, dp, batch, n, mb))
+            .collect();
+        self.pool.lock().unwrap().push(ws);
 
         let mut total_hits = 0u64;
         let mut total_lookups = 0u64;
@@ -406,8 +410,8 @@ impl HotCachePlanner {
 
     fn profile_device(
         &self,
+        ws: &mut Workspace,
         dp: &crate::DevicePlan,
-        plan: &ForwardPlan,
         batch: &SparseBatch,
         n: usize,
         mb: usize,
@@ -417,15 +421,6 @@ impl HotCachePlanner {
             .iter()
             .map(|&f| IndexHasher::new(f, self.table_rows, self.seed))
             .collect();
-        let mut ws = self
-            .pool
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_else(|| Workspace {
-                rows: IndexDedupMap::with_capacity(plan.bags_per_block * 64),
-                bags: IndexDedupMap::with_capacity(plan.bags_per_block),
-            });
         let mut prof = DeviceProfile {
             stats: Vec::with_capacity(dp.blocks.len()),
             dest_rows: Vec::with_capacity(dp.blocks.len()),
@@ -518,7 +513,6 @@ impl HotCachePlanner {
                 prof.dest_rows.push(rows - gone);
             }
         }
-        self.pool.lock().unwrap().push(ws);
         prof
     }
 }

@@ -7,8 +7,6 @@
 //! fused kernel and the functional executors, the timing comparison is
 //! apples-to-apples and the functional outputs are bit-identical.
 
-use rayon::prelude::*;
-
 use crate::{PoolingOp, Sharding, SparseBatch};
 
 /// What [`ForwardPlan::build`] reads from a batch: its shape and the lookups
@@ -274,10 +272,8 @@ impl ForwardPlan {
         let mb_sizes: Vec<usize> = (0..n_devices)
             .map(|d| n.saturating_sub(d * mb).min(mb))
             .collect();
-        // Each device's slice depends only on the shared batch/sharding,
-        // so the per-device decomposition fans out (ordered collect).
+        // Each device's slice depends only on the shared batch/sharding.
         let devices = (0..n_devices)
-            .into_par_iter()
             .map(|dev| {
                 let features = sharding.features_on(dev, batch.n_features());
                 let n_bags = features.len() * n;

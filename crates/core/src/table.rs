@@ -1,7 +1,6 @@
 //! Embedding tables and per-device shards.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use rayon::prelude::*;
 use simtensor::Tensor;
 
 /// A lookup named a feature whose table is not resident in this shard —
@@ -61,16 +60,12 @@ pub struct EmbeddingShard {
 }
 
 impl EmbeddingShard {
-    /// Materialize tables for the given global feature ids. Each table's
-    /// init is independent (seeded per feature), so tables fill in parallel;
-    /// the collected order still follows `features`.
+    /// Materialize tables for the given global feature ids, in the order of
+    /// `features`; each table's init is seeded per feature.
     pub fn materialize(features: &[usize], spec: EmbeddingTableSpec, seed: u64) -> Self {
-        let tables = (0..features.len())
-            .into_par_iter()
-            .map(|i| {
-                let f = features[i];
-                (f, Self::init_table(f, spec, seed))
-            })
+        let tables = features
+            .iter()
+            .map(|&f| (f, Self::init_table(f, spec, seed)))
             .collect();
         EmbeddingShard { spec, tables }
     }

@@ -1,11 +1,11 @@
 //! Bit-identity properties of the serial hot-path overhaul.
 //!
-//! The monomorphized pool kernels, the arena-backed
-//! `compute_pooled_rows_into`, and the pool's inline degradation all claim
-//! the same thing: *exactly* the bytes the historical paths produced. These
-//! proptests pin that claim against in-test oracles written the way the old
-//! code was (per-bag `PoolingOp::accumulate` loops), across pooling ops,
-//! empty bags, and dedup/cache annotation on and off.
+//! The monomorphized pool kernels and the arena-backed
+//! `compute_pooled_rows_into` both claim the same thing: *exactly* the bytes
+//! the historical paths produced. These proptests pin that claim against
+//! in-test oracles written the way the old code was (per-bag
+//! `PoolingOp::accumulate` loops), across pooling ops, empty bags, and
+//! dedup/cache annotation on and off.
 
 use emb_retrieval::backend::{
     compute_pooled_rows, compute_pooled_rows_into, materialize_shards, Weights,
@@ -15,7 +15,6 @@ use emb_retrieval::{
 };
 use gpusim::{Machine, MachineConfig};
 use proptest::prelude::*;
-use rayon::prelude::*;
 
 fn op_strategy() -> impl Strategy<Value = PoolingOp> {
     (0u8..3).prop_map(|k| match k {
@@ -151,34 +150,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The pool's inline degradation is bit-identical to dispatched
-    /// multi-thread execution: the same parallel reduction forced through
-    /// the worker queue matches the (possibly inlined) default run bit for
-    /// bit, at every width.
-    #[test]
-    fn inline_degraded_pool_matches_dispatch_bitwise(
-        vals in proptest::collection::vec(-1000i32..1000, 1..200),
-        width in 1usize..5,
-    ) {
-        let xs: Vec<f32> = vals.iter().map(|&v| v as f32 / 16.0).collect();
-        let n_chunks = xs.len().div_ceil(7);
-        let run = || -> Vec<u32> {
-            (0..n_chunks)
-                .into_par_iter()
-                .map(|i| {
-                    let c = &xs[i * 7..((i + 1) * 7).min(xs.len())];
-                    c.iter().sum::<f32>().to_bits()
-                })
-                .collect()
-        };
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-        // Small totals degrade inline at this width; forcing dispatch takes
-        // the chunk-claiming queue instead. Same bits either way.
-        let (inline_or_default, dispatched) = pool.install(|| {
-            (run(), rayon::with_forced_dispatch(run))
-        });
-        prop_assert_eq!(inline_or_default, dispatched, "width {}", width);
     }
 }

@@ -7,12 +7,10 @@
 //! (the strict lower triangle — `(S+1)·S/2` values), and concatenate them
 //! after the dense vector.
 
-use rayon::prelude::*;
 use simtensor::Tensor;
 
 /// Fuse `dense` (`[mb, d]`) with `emb` (`[mb, S·d]`) into
-/// `[mb, d + (S+1)S/2]`. Samples are independent, so the interaction runs
-/// parallel over output rows (disjoint chunks of the output buffer).
+/// `[mb, d + (S+1)S/2]`, one output row per sample.
 pub fn interact(dense: &Tensor, emb: &Tensor, n_features: usize, dim: usize) -> Tensor {
     let mb = dense.dims()[0];
     assert_eq!(dense.dims(), &[mb, dim], "dense must be [mb, d]");
@@ -21,25 +19,22 @@ pub fn interact(dense: &Tensor, emb: &Tensor, n_features: usize, dim: usize) -> 
     let tri = s1 * (s1 - 1) / 2;
     let width = dim + tri;
     let mut out = Tensor::zeros(&[mb, width]);
-    out.data_mut()
-        .par_chunks_mut(width.max(1))
-        .enumerate()
-        .for_each(|(sample, out_row)| {
-            let mut vectors: Vec<&[f32]> = Vec::with_capacity(s1);
-            vectors.push(dense.row(sample));
-            let emb_row = emb.row(sample);
-            for f in 0..n_features {
-                vectors.push(&emb_row[f * dim..(f + 1) * dim]);
+    for (sample, out_row) in out.data_mut().chunks_mut(width.max(1)).enumerate() {
+        let mut vectors: Vec<&[f32]> = Vec::with_capacity(s1);
+        vectors.push(dense.row(sample));
+        let emb_row = emb.row(sample);
+        for f in 0..n_features {
+            vectors.push(&emb_row[f * dim..(f + 1) * dim]);
+        }
+        out_row[..dim].copy_from_slice(dense.row(sample));
+        let mut k = dim;
+        for i in 1..s1 {
+            for j in 0..i {
+                out_row[k] = dot(vectors[i], vectors[j]);
+                k += 1;
             }
-            out_row[..dim].copy_from_slice(dense.row(sample));
-            let mut k = dim;
-            for i in 1..s1 {
-                for j in 0..i {
-                    out_row[k] = dot(vectors[i], vectors[j]);
-                    k += 1;
-                }
-            }
-        });
+        }
+    }
     out
 }
 

@@ -6,8 +6,6 @@
 //! writing one embedding row (d consecutive floats) produces one wire
 //! message of `d × 4` bytes, up to the interconnect's max payload.
 
-use rayon::prelude::*;
-
 /// The wire footprint of a batch of row stores after coalescing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoalescedBatch {
@@ -50,19 +48,14 @@ pub fn coalesce_rows(rows: u64, row_bytes: u32, max_payload: u32) -> CoalescedBa
     }
 }
 
-/// Coalesce many `(rows, row_bytes)` batches against one interconnect in
-/// parallel and merge their footprints. The merge is a fixed-shape tree
-/// (pairwise over adjacent results), and the fields are integers, so the
-/// total is identical to a left-to-right serial fold at any thread count.
+/// Coalesce many `(rows, row_bytes)` batches against one interconnect and
+/// merge their footprints, left to right.
 pub fn coalesce_rows_many(batches: &[(u64, u32)], max_payload: u32) -> CoalescedBatch {
     assert!(max_payload > 0, "max_payload must be positive");
-    (0..batches.len())
-        .into_par_iter()
-        .map(|i| {
-            let (rows, row_bytes) = batches[i];
-            coalesce_rows(rows, row_bytes, max_payload)
-        })
-        .reduce(|| CoalescedBatch::EMPTY, CoalescedBatch::merge)
+    batches
+        .iter()
+        .map(|&(rows, row_bytes)| coalesce_rows(rows, row_bytes, max_payload))
+        .fold(CoalescedBatch::EMPTY, CoalescedBatch::merge)
 }
 
 #[cfg(test)]

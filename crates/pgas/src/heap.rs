@@ -1,7 +1,5 @@
 //! The symmetric heap: same layout on every PE, remotely addressable.
 
-use rayon::prelude::*;
-
 /// Handle to one symmetric allocation (same offset and length on every PE),
 /// the analogue of a pointer returned by `nvshmem_malloc`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,23 +90,16 @@ impl SymmetricHeap {
         }
     }
 
-    /// Visit the same segment on every PE, in parallel, handing `f` the
-    /// PE id and a mutable view of that PE's copy. The per-PE buffers are
-    /// disjoint allocations, so this is the natural parallel shape for
-    /// symmetric fills/scatters; `f` sees each PE exactly once.
-    pub fn for_each_segment_mut<F>(&mut self, seg: SegmentId, f: F)
+    /// Visit the same segment on every PE in PE order, handing `f` the PE
+    /// id and a mutable view of that PE's copy; `f` sees each PE exactly
+    /// once.
+    pub fn for_each_segment_mut<F>(&mut self, seg: SegmentId, mut f: F)
     where
-        F: Fn(usize, &mut [f32]) + Sync,
+        F: FnMut(usize, &mut [f32]),
     {
-        let mut views: Vec<&mut [f32]> = self
-            .buffers
-            .iter_mut()
-            .map(|buf| &mut buf[seg.offset..seg.offset + seg.len])
-            .collect();
-        views
-            .par_chunks_mut(1)
-            .enumerate()
-            .for_each(|(pe, view)| f(pe, &mut *view[0]));
+        for (pe, buf) in self.buffers.iter_mut().enumerate() {
+            f(pe, &mut buf[seg.offset..seg.offset + seg.len]);
+        }
     }
 
     /// Zero a segment on every PE.

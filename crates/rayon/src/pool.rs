@@ -1,13 +1,11 @@
-//! The execution engine behind the `par_*` adapters: a lazily-initialized
-//! global set of worker threads fed through a shared chunk queue.
+//! The execution engine behind [`crate::par_cells`]: a lazily-initialized
+//! global set of worker threads fed through a shared queue.
 //!
-//! A parallel call hands `run(total, f)` a closure and a chunk count; chunks
+//! A parallel call hands `run(total, f)` a closure and a cell count; cells
 //! are claimed by an atomic counter, the caller participates alongside the
-//! workers, and the call returns only once every chunk has executed. Every
-//! adapter built on top guarantees the determinism contract documented in
-//! the crate root: chunk writes are disjoint and combination shapes depend
-//! only on input length, so results are bit-identical to serial execution
-//! no matter how many threads participate.
+//! workers, and the call returns only once every cell has executed. Each
+//! cell writes its own output slot, so results are bit-identical to serial
+//! execution no matter how many threads participate.
 //!
 //! Worker count: `RAYON_NUM_THREADS` (a positive integer) pins the default
 //! width; otherwise it follows [`std::thread::available_parallelism`].
@@ -28,12 +26,6 @@ thread_local! {
     /// Workers inherit the issuing thread's effective width per batch, so
     /// nested parallel calls stay inside the installed budget.
     static THREAD_CAP: Cell<Option<usize>> = const { Cell::new(None) };
-
-    /// When set, `run` skips adaptive inline degradation and always takes
-    /// the queue/dispatch path (see `with_forced_dispatch`). Test-only
-    /// escape hatch so the pool machinery stays exercised on hosts where
-    /// degradation would otherwise inline everything.
-    static FORCE_DISPATCH: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Run `f` with the parallel width for this thread capped at `cap`.
@@ -54,67 +46,18 @@ pub(crate) fn current_num_threads() -> usize {
     THREAD_CAP.with(|c| c.get()).unwrap_or_else(default_threads)
 }
 
-/// Run `f` with adaptive inline degradation disabled on this thread: every
-/// `run` issued inside `f` (with width > 1) goes through the shared queue.
-pub(crate) fn with_forced_dispatch<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_DISPATCH.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FORCE_DISPATCH.with(|c| c.replace(true));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Minimum chunks-per-participant below which a parallel call degrades to
-/// inline execution.
-pub(crate) const INLINE_GRAIN: usize = 32;
-
-/// Physical cores visible to the process, independent of any
-/// `RAYON_NUM_THREADS` override — the quantity that decides whether worker
-/// threads can ever run concurrently with the caller.
-pub(crate) fn hardware_parallelism() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-thread_local! {
-    /// How the parallel calls *issued by this thread* executed (see
-    /// [`crate::pool_stats`]). `run` bumps them on its caller, so a
-    /// before/after delta describes exactly the region between the two
-    /// reads, whatever other threads dispatch meanwhile.
-    static INLINE_RUNS: Cell<u64> = const { Cell::new(0) };
-    static DISPATCHED_RUNS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Snapshot of the calling thread's inline-vs-dispatched run counters.
-pub(crate) fn stats() -> (u64, u64) {
-    (INLINE_RUNS.get(), DISPATCHED_RUNS.get())
-}
-
 /// Pool width when no `install` override is active: `RAYON_NUM_THREADS` if
 /// set to a positive integer, else the machine's available parallelism.
 pub(crate) fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        let hw = || {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
-        match std::env::var("RAYON_NUM_THREADS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => hw(),
-            },
-            Err(_) => hw(),
-        }
+        let pinned = std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0);
+        pinned.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     })
 }
 
@@ -135,13 +78,13 @@ struct Task {
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
-/// One parallel call: a chunk counter handed out to every participating
+/// One parallel call: a cell counter handed out to every participating
 /// thread, a countdown for completion, and a slot for the first panic.
 struct Batch {
     task: Task,
     total: usize,
     /// Effective width of the issuing call; workers install it while
-    /// executing chunks so nested parallelism inherits the budget.
+    /// executing cells so nested parallelism inherits the budget.
     width: usize,
     next: AtomicUsize,
     remaining: AtomicUsize,
@@ -156,7 +99,7 @@ struct Done {
 }
 
 impl Batch {
-    /// Claim and execute chunks until none remain. Panics from `f` are
+    /// Claim and execute cells until none remain. Panics from `f` are
     /// captured (first wins) so a worker thread survives to serve later
     /// batches; the issuing caller rethrows in `wait`.
     fn work(&self) {
@@ -186,7 +129,7 @@ impl Batch {
         });
     }
 
-    /// Block until every chunk has executed, then rethrow the first panic.
+    /// Block until every cell has executed, then rethrow the first panic.
     fn wait(&self) {
         let mut d = self.done.lock().unwrap();
         while !d.finished {
@@ -259,17 +202,9 @@ fn global() -> &'static Pool {
 /// dispatched path the rest of the indices still execute so borrowed data
 /// is never abandoned early).
 ///
-/// **Adaptive inline degradation**: a call degrades to a plain serial loop
-/// (no queue traffic, no condvar wake-ups, no cross-thread handoff) when
-/// the effective width is 1, when the host has a single core (worker
-/// threads can never actually run concurrently with the caller, so
-/// dispatch is pure overhead), or when the work is too small to amortize
-/// dispatch (`total < width × grain`; the adapters pass [`INLINE_GRAIN`]).
-/// The degraded path is bit-identical by construction: every adapter writes
-/// disjoint chunks or combines with a shape that depends only on input
-/// length, so executing the same indices on one thread produces the same
-/// bytes.
-pub(crate) fn run<F>(total: usize, grain: usize, f: F)
+/// The call is a plain loop on the caller (no queue traffic, no condvar
+/// wake-ups) when the effective width is 1.
+pub(crate) fn run<F>(total: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -277,18 +212,12 @@ where
         return;
     }
     let width = current_num_threads().min(total);
-    let degrade = width <= 1
-        || (!FORCE_DISPATCH.with(|c| c.get())
-            && (hardware_parallelism() == 1 || total < width * grain));
-    if degrade {
-        // Inline: no queue traffic, panics propagate natively.
-        INLINE_RUNS.set(INLINE_RUNS.get() + 1);
+    if width <= 1 {
         for i in 0..total {
             f(i);
         }
         return;
     }
-    DISPATCHED_RUNS.set(DISPATCHED_RUNS.get() + 1);
 
     unsafe fn call_erased<F: Fn(usize) + Sync>(data: *const (), i: usize) {
         // SAFETY: `data` was created from `&f` below and is still borrowed.
@@ -319,5 +248,5 @@ where
     pool.shared.work_cv.notify_all();
 
     batch.work(); // The caller participates instead of just blocking.
-    batch.wait(); // Helpers may still hold chunks; panics rethrow here.
+    batch.wait(); // Helpers may still hold cells; panics rethrow here.
 }

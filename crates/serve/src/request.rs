@@ -9,7 +9,6 @@ use emb_retrieval::memo::Memo;
 use emb_retrieval::{BatchAssemblyError, EmbLayerConfig, PlanInput, SparseBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// When requests arrive.
 #[derive(Clone, Copy, Debug)]
@@ -288,10 +287,9 @@ fn build_pool(cfg: &EmbLayerConfig) -> (Pool, usize) {
         cfg.pooling_max <= u32::from(u16::MAX),
         "the request pool holds bag sizes as u16"
     );
-    // Canonical batches are independently seeded: fill the pool in
-    // parallel, ordered by seed index.
+    // Canonical batches are independently seeded: fill the pool in seed
+    // index order.
     let sizes: Vec<Vec<u16>> = (0..batches)
-        .into_par_iter()
         .map(|i| {
             let b = SparseBatch::generate_counts_only(&spec, cfg.batch_seed(i));
             let mut sizes = Vec::with_capacity(n * s);

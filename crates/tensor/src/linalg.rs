@@ -1,13 +1,9 @@
 //! Dense linear algebra: matmul, fused bias-add, cache-blocked transpose.
 //!
-//! `matmul` parallelizes over output rows with rayon, following the
-//! data-parallel idiom of the HPC guides: each output row is an independent
-//! task, so `par_chunks_mut` gives race-free parallelism with zero locking.
-//! `addmm` folds the bias-add into the same per-row pass (after the ikj
-//! accumulation, preserving the exact FP operation order of a separate
-//! bias pass), and `transpose` walks the matrix in cache-sized tiles.
-
-use rayon::prelude::*;
+//! `matmul` is an ikj loop over output rows. `addmm` folds the bias-add into
+//! the same per-row pass (after the ikj accumulation, preserving the exact
+//! FP operation order of a separate bias pass), and `transpose` walks the
+//! matrix in cache-sized tiles.
 
 use crate::Tensor;
 
@@ -47,31 +43,29 @@ impl Tensor {
         let lhs = self.data();
         let rhs = other.data();
         let bias = bias.map(Tensor::data);
-        out.par_chunks_mut(n.max(1))
-            .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = &lhs[i * k..(i + 1) * k];
-                // ikj loop order: stream through rhs rows for cache locality.
-                for (a_ik, rhs_row) in a_row.iter().zip(rhs.chunks_exact(n.max(1))) {
-                    if *a_ik == 0.0 {
-                        continue;
-                    }
-                    for (o, r) in out_row.iter_mut().zip(rhs_row) {
-                        *o += a_ik * r;
-                    }
+        for (i, out_row) in out.chunks_mut(n.max(1)).enumerate() {
+            let a_row = &lhs[i * k..(i + 1) * k];
+            // ikj loop order: stream through rhs rows for cache locality.
+            for (a_ik, rhs_row) in a_row.iter().zip(rhs.chunks_exact(n.max(1))) {
+                if *a_ik == 0.0 {
+                    continue;
                 }
-                if let Some(b) = bias {
-                    for (o, bi) in out_row.iter_mut().zip(b) {
-                        *o += bi;
-                    }
+                for (o, r) in out_row.iter_mut().zip(rhs_row) {
+                    *o += a_ik * r;
                 }
-            });
+            }
+            if let Some(b) = bias {
+                for (o, bi) in out_row.iter_mut().zip(b) {
+                    *o += bi;
+                }
+            }
+        }
         Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose of a 2-D tensor, tiled so both the source rows and the
-    /// destination rows of a tile stay cache-resident, and parallel over
-    /// bands of destination rows. A transpose is a pure permutation, so
+    /// destination rows of a tile stay cache-resident, band by band of
+    /// destination rows. A transpose is a pure permutation, so
     /// the result is exactly equal to the naive `i,j` loop.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.shape().ndim(), 2, "transpose requires a 2-D tensor");
@@ -79,24 +73,22 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         let src = self.data();
         let t = TRANSPOSE_TILE;
-        // One parallel task per band of `t` destination rows (= `t` source
-        // columns); bands are disjoint chunks of the output buffer.
-        out.par_chunks_mut((t * m).max(1))
-            .enumerate()
-            .for_each(|(band, out_band)| {
-                let j0 = band * t;
-                let jn = (j0 + t).min(n) - j0;
-                for i0 in (0..m).step_by(t) {
-                    let i1 = (i0 + t).min(m);
-                    for dj in 0..jn {
-                        let row = &mut out_band[dj * m..dj * m + m];
-                        let col = j0 + dj;
-                        for i in i0..i1 {
-                            row[i] = src[i * n + col];
-                        }
+        // One band of `t` destination rows (= `t` source columns) at a time;
+        // bands are disjoint chunks of the output buffer.
+        for (band, out_band) in out.chunks_mut((t * m).max(1)).enumerate() {
+            let j0 = band * t;
+            let jn = (j0 + t).min(n) - j0;
+            for i0 in (0..m).step_by(t) {
+                let i1 = (i0 + t).min(m);
+                for dj in 0..jn {
+                    let row = &mut out_band[dj * m..dj * m + m];
+                    let col = j0 + dj;
+                    for i in i0..i1 {
+                        row[i] = src[i * n + col];
                     }
                 }
-            });
+            }
+        }
         Tensor::from_vec(out, &[n, m])
     }
 }
