@@ -28,7 +28,12 @@
 # from pool runs, and hot-cache resizes drop the canonical plans; about
 # 3 s) and pipeline (the executed engine, which runs every batch through
 # the one per-batch backend method with an arrival log, on the DGX and
-# pods; about 6.5 s). The three Chrome traces of the timeline_trace
+# pods; about 6.5 s). On its DGX cells (8 batches over 4 plans, replayed
+# since the serial pipeline recorded them) the engine's first batch of each
+# plan computes the plan's arrival gates from its records and the later
+# ones read them off the plan; the pod cells, whose cross-node trains never
+# replay, and trace_pipeline.json (a traced machine) sort and walk every
+# entry. The three Chrome traces of the timeline_trace
 # example join them (about 2 s): a traced machine refuses to replay recorded
 # deliveries but launches kernels by their recorded length, which must leave
 # the very trace events dispatching the blocks leaves.

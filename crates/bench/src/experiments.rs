@@ -1356,6 +1356,7 @@ fn pipeline_cell(
 ) -> PipelineCell {
     use dlrm_model::{Dlrm, DlrmConfig, EngineBackend, InferencePipeline, PipelineEngine};
 
+    let started = std::time::Instant::now();
     let g = nodes * per_node;
     let mut cfg = DlrmConfig::paper_inference(g);
     cfg.emb = scaled(cfg.emb, scale, batches);
@@ -1399,6 +1400,11 @@ fn pipeline_cell(
     let be = engine.run(&mut m, &EngineBackend::baseline(), ExecMode::Timing);
     let mut m = fresh();
     let pe = engine.run(&mut m, &EngineBackend::pgas(), ExecMode::Timing);
+    // Stderr, beside the experiment's own line: what each cell costs.
+    let secs = started.elapsed().as_secs_f64();
+    eprintln!(
+        "host-time pipeline cell {nodes}x{per_node} scale {scale} batch x{bs_mult}: {secs:.3}s"
+    );
 
     PipelineCell {
         nodes,

@@ -42,6 +42,9 @@ pub struct PlannedBatch {
     pass: Pass,
     /// Per device, what its first executions left on record.
     schedules: Vec<DeviceSchedule>,
+    /// The arrival gates of a batch whose every device replays, from the
+    /// first gated log to meet one: GPUs × chunks × 8 bytes.
+    gates: OnceLock<PlanGates>,
 }
 
 /// What differs between the passes [`execute_batch`] runs — the table-wise
@@ -280,6 +283,7 @@ impl PlannedBatch {
             .collect();
         PlannedBatch {
             schedules: vec![DeviceSchedule::default(); plan.devices.len()],
+            gates: OnceLock::new(),
             pass: pass(&byte_matrix),
             plan,
             durations,
@@ -347,6 +351,58 @@ impl PlannedBatch {
         }
     }
 
+    /// Push the arrivals device `src`'s recorded kernel and deliveries make
+    /// from a launch at `start`: its own rows at their blocks' retirement,
+    /// its remote rows at their delivery.
+    fn log_recorded(&self, log: &mut ArrivalLog, src: usize, start: SimTime) {
+        let sched = &self.schedules[src];
+        let (Some(run), Some(Some(releases)), Some(d)) = (
+            sched.kernel.get(),
+            sched.releases.get(),
+            sched.deliveries.get(),
+        ) else {
+            unreachable!("device {src} replayed without a full record");
+        };
+        let k = Launched {
+            start,
+            run: Cow::Borrowed(run),
+        };
+        let dp = &self.plan.devices[src];
+        log_local_rows(log, dp, self.plan.bags_per_block, k.block_ends());
+        for (&(_, dst, rows), &end) in releases.iter().zip(&d.ends) {
+            log.push(dst as usize, start + Dur::from_ns(end.into()), rows);
+        }
+    }
+
+    /// The gates of `chunks` spans for a batch whose every device replays
+    /// its recorded deliveries, as offsets from the kernels' common start:
+    /// built on first use from the records, which fix them (the deliveries
+    /// carry their own runtime key), and kept for one chunk count. `None`
+    /// for another count.
+    fn gates(&self, chunks: usize) -> Option<&[u64]> {
+        let gates = self.gates.get_or_init(|| {
+            let n = self.plan.n_devices;
+            let mut log = ArrivalLog::gated(chunks);
+            log.reset(n);
+            for d in 0..n {
+                self.log_recorded(&mut log, d, SimTime::ZERO);
+            }
+            log.settle();
+            let offset = |(i, t): (usize, &SimTime)| {
+                let d = i / chunks;
+                debug_assert_eq!(log.totals[d], self.rows_delivered_to(d));
+                if log.totals[d] == 0 {
+                    NO_ROWS
+                } else {
+                    t.as_ns()
+                }
+            };
+            let offsets = log.gates.iter().enumerate().map(offset).collect();
+            PlanGates { chunks, offsets }
+        });
+        (gates.chunks == chunks).then_some(&gates.offsets)
+    }
+
     /// Pooled rows the plan delivers to `d`, its own included.
     fn rows_delivered_to(&self, d: usize) -> u64 {
         let sent: u64 = self.byte_matrix.iter().map(|from| from[d]).sum();
@@ -392,8 +448,19 @@ impl PlannedBatch {
 /// - **Collective**: a single entry per device at its post-unpack
 ///   stream-sync — the bulk-synchronous collective releases everything at
 ///   once.
-/// - **Gateway**: left empty — the proxy delivers staged rows at flush
-///   time, which a put cannot report.
+/// - **Gateway**: local rows at block retirement and same-node puts at
+///   their delivery, as one-sided; rows staged for another node at the
+///   origin's `quiet` fence, which covers every scatter that carries them
+///   — a conservative bound, since the proxy reports no per-row delivery.
+///
+/// Two kinds of log. [`ArrivalLog::new`] keeps every entry
+/// ([`ArrivalLog::arrivals`]). [`ArrivalLog::gated`] serves a consumer that
+/// splits the output into `chunks` equal spans: [`ArrivalLog::gate`] is the
+/// earliest instant the cumulative rows cross `(c+1)/chunks` of the total.
+/// A gated log reads the gates of a batch whose every device replayed its
+/// recorded deliveries from kernels launched at one instant `S` off the
+/// [`PlannedBatch`] (`S` plus offsets computed once per plan), and keeps no
+/// entries for it; any other batch builds, sorts and walks its entries.
 ///
 /// Observation only: passing a log changes neither timing nor traffic.
 #[derive(Clone, Debug, Default)]
@@ -401,30 +468,118 @@ pub struct ArrivalLog {
     /// `arrivals[dst]` = `(instant, rows)` entries, sorted by instant after
     /// [`ArrivalLog::finish`].
     arrivals: Vec<Vec<(SimTime, u64)>>,
+    /// Rows delivered to each destination so far.
+    totals: Vec<u64>,
+    /// Spans the consumer gates on; 0 for a log that keeps entries only.
+    chunks: usize,
+    /// `gates[dst · chunks + c]`, set by [`ArrivalLog::finish`].
+    gates: Vec<SimTime>,
+    /// Devices whose deliveries replayed, with their kernel start: their
+    /// entries are pushed at [`ArrivalLog::finish`], and only if the batch's
+    /// gates cannot be read off the plan.
+    replayed: Vec<(usize, SimTime)>,
+    /// Merge buffer of [`sort_by_runs`].
+    scratch: Vec<(SimTime, u64)>,
+}
+
+/// A plan gate of a destination no row reaches: [`SimTime::ZERO`], not an
+/// offset from the batch's kernel start.
+const NO_ROWS: u64 = u64::MAX;
+
+/// The arrival gates of a [`PlannedBatch`] whose every device replays its
+/// recorded deliveries, as ns offsets from the kernels' common start.
+#[derive(Clone, Debug)]
+struct PlanGates {
+    chunks: usize,
+    /// `[dst · chunks + c]`, [`NO_ROWS`] for an empty destination.
+    offsets: Vec<u64>,
 }
 
 impl ArrivalLog {
-    /// An empty log; sized on first use by [`execute_batch`].
+    /// An empty log that keeps every entry; sized on first use by
+    /// [`execute_batch`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty log for a consumer of `chunks` (at least 1) equal spans of
+    /// each destination's rows.
+    pub fn gated(chunks: usize) -> Self {
+        ArrivalLog {
+            chunks: chunks.max(1),
+            ..Self::default()
+        }
     }
 
     /// Clear and size for `n` destination devices.
     fn reset(&mut self, n: usize) {
         self.arrivals.iter_mut().for_each(Vec::clear);
         self.arrivals.resize(n, Vec::new());
+        self.totals.clear();
+        self.totals.resize(n, 0);
+        self.gates.clear();
+        self.replayed.clear();
     }
 
     fn push(&mut self, dst: usize, at: SimTime, rows: u64) {
         if rows > 0 {
             self.arrivals[dst].push((at, rows));
+            self.totals[dst] += rows;
         }
     }
 
-    /// Sort each destination's entries into arrival order.
-    fn finish(&mut self) {
-        for a in &mut self.arrivals {
-            a.sort_unstable();
+    /// Device `src`'s deliveries replayed from a kernel launched at `start`.
+    fn defer(&mut self, src: usize, start: SimTime) {
+        self.replayed.push((src, start));
+    }
+
+    /// Settle the batch `pb`: gates off the plan where every device
+    /// replayed from one start; otherwise the deferred entries, sorted, and
+    /// gates from one cumulative walk per destination.
+    fn finish(&mut self, pb: &PlannedBatch) {
+        let n = self.arrivals.len();
+        let whole = self.chunks > 0 && self.replayed.len() == n;
+        let start = self.replayed.first().map(|&(_, s)| s);
+        let one_start = start.filter(|&s| whole && self.replayed.iter().all(|r| r.1 == s));
+        if let Some((s, offsets)) = one_start.and_then(|s| Some((s, pb.gates(self.chunks)?))) {
+            let at = |off: u64| match off {
+                NO_ROWS => SimTime::ZERO,
+                off => s + Dur::from_ns(off),
+            };
+            self.gates.extend(offsets.iter().map(|&off| at(off)));
+            for d in 0..n {
+                self.totals[d] = pb.rows_delivered_to(d);
+            }
+            return;
+        }
+        let replayed = std::mem::take(&mut self.replayed);
+        for &(src, start) in &replayed {
+            pb.log_recorded(self, src, start);
+        }
+        self.replayed = replayed;
+        self.settle();
+    }
+
+    /// Sort every destination's entries and, for a gated log, walk them
+    /// once for all its gates.
+    fn settle(&mut self) {
+        let k = self.chunks;
+        for (a, &total) in self.arrivals.iter_mut().zip(&self.totals) {
+            sort_by_runs(a, &mut self.scratch);
+            let (mut cum, mut at, mut entries) = (0, SimTime::ZERO, a.iter());
+            for c in 0..k {
+                if total > 0 {
+                    let frac = (c + 1) as f64 / k as f64;
+                    let target = ((frac * total as f64).ceil() as u64).clamp(1, total);
+                    while cum < target {
+                        let Some(&(t, rows)) = entries.next() else {
+                            break;
+                        };
+                        (cum, at) = (cum + rows, t);
+                    }
+                }
+                self.gates.push(at);
+            }
         }
     }
 
@@ -433,40 +588,90 @@ impl ArrivalLog {
         self.arrivals.len()
     }
 
-    /// The sorted `(instant, rows)` arrivals into `dst`.
+    /// The sorted `(instant, rows)` arrivals into `dst`: every entry of the
+    /// batch, except on a gated log whose batch read its gates off the
+    /// plan, where there are none.
     pub fn arrivals(&self, dst: usize) -> &[(SimTime, u64)] {
         &self.arrivals[dst]
     }
 
     /// Total pooled rows delivered to `dst`.
     pub fn total_rows(&self, dst: usize) -> u64 {
-        self.arrivals[dst].iter().map(|&(_, r)| r).sum()
+        self.totals[dst]
     }
 
-    /// Instant the last row lands on `dst` ([`SimTime::ZERO`] if none).
-    pub fn last(&self, dst: usize) -> SimTime {
-        self.arrivals[dst].last().map_or(SimTime::ZERO, |&(t, _)| t)
+    /// Gated log: the earliest instant at which at least `(c+1)/chunks` of
+    /// `dst`'s rows have arrived — the gate for the consumer's chunk `c`,
+    /// which reads that span of the output. [`SimTime::ZERO`] for a
+    /// destination no row reaches.
+    pub fn gate(&self, dst: usize, c: usize) -> SimTime {
+        self.gates[dst * self.chunks + c]
     }
+}
 
-    /// Earliest instant at which at least `frac` (of 1.0) of `dst`'s rows
-    /// have arrived — the gate for the chunk of downstream work that reads
-    /// that span of the output. `frac >= 1.0` returns the last arrival;
-    /// an empty destination returns [`SimTime::ZERO`].
-    pub fn ready_at_fraction(&self, dst: usize, frac: f64) -> SimTime {
-        let total = self.total_rows(dst);
-        if total == 0 {
-            return SimTime::ZERO;
-        }
-        let target = ((frac * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for &(t, r) in &self.arrivals[dst] {
-            cum += r;
-            if cum >= target {
-                return t;
+/// Sort a destination's entries `v` through `scratch` (kept by the
+/// caller). They are one long ascending run per source link and a stretch
+/// of short ones, the local retirements: every stretch of runs shorter than
+/// 32 is sorted in place, then adjacent runs are merged pairwise until one
+/// is left — two passes over four links' runs — and once `scratch` has
+/// grown nothing is allocated (`sort()` allocates a buffer per call).
+fn sort_by_runs(v: &mut [(SimTime, u64)], scratch: &mut Vec<(SimTime, u64)>) {
+    const SHORT: usize = 32;
+    let run_end = |s: &[(SimTime, u64)], i: usize| {
+        i + 1 + s[i..].windows(2).take_while(|w| w[0] <= w[1]).count()
+    };
+    let n = v.len();
+    let mut i = 0;
+    while i < n {
+        let mut j = run_end(v, i);
+        if j - i < SHORT {
+            while j < n {
+                let next = run_end(v, j);
+                if next - j >= SHORT {
+                    break;
+                }
+                j = next;
             }
+            v[i..j].sort_unstable();
         }
-        self.last(dst)
+        i = j;
     }
+    if n == 0 || run_end(v, 0) == n {
+        return;
+    }
+    if scratch.len() < n {
+        scratch.resize(n, (SimTime::ZERO, 0));
+    }
+    let (mut from, mut to, mut in_scratch) = (v, &mut scratch[..n], false);
+    while run_end(from, 0) < n {
+        let mut i = 0;
+        while i < n {
+            let mid = run_end(from, i);
+            let end = if mid < n { run_end(from, mid) } else { mid };
+            merge(&from[i..mid], &from[mid..end], &mut to[i..end]);
+            i = end;
+        }
+        std::mem::swap(&mut from, &mut to);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        to.copy_from_slice(from);
+    }
+}
+
+/// Merge the ascending `a` and `b` into `out`, branch-free: an entry's
+/// order is one integer, its instant then its rows.
+fn merge(a: &[(SimTime, u64)], b: &[(SimTime, u64)], out: &mut [(SimTime, u64)]) {
+    let key = |&(t, rows): &(SimTime, u64)| u128::from(t.as_ns()) << 64 | u128::from(rows);
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        let take_b = key(&b[y]) < key(&a[x]);
+        out[x + y] = if take_b { b[y] } else { a[x] };
+        x += usize::from(!take_b);
+        y += usize::from(take_b);
+    }
+    let rest = if x < a.len() { &a[x..] } else { &b[y..] };
+    out[x + y..].copy_from_slice(rest);
 }
 
 /// Timing of one executed batch.
@@ -872,19 +1077,22 @@ impl<'a, 'r> Batch<'a, 'r> {
         for dp in &plan.devices {
             let src = dp.device;
             let Some(k) = self.launch(dp) else { continue };
+            // A deadline wants every delivery held against it, one by one.
+            if deadline.is_none() && self.replay_deliveries(src, &k, &pgas) {
+                if let Some(l) = self.log.as_deref_mut() {
+                    l.defer(src, k.start);
+                }
+                // Straight to the fence (no blame span: blame is off here).
+                let k_end = k.end();
+                fences.at[src] = OneSided::with_config(self.machine, pgas).quiet(src, k_end);
+                continue;
+            }
             if let Some(l) = self.log.as_deref_mut() {
                 log_local_rows(l, dp, plan.bags_per_block, k.block_ends());
             }
             if deadline.is_some() {
                 late_by_dst.clear();
                 late_by_dst.resize(n, 0);
-            }
-            // A deadline wants every delivery held against it, one by one.
-            if deadline.is_none() && self.replay_deliveries(src, &k, &pgas) {
-                // Straight to the fence (no blame span: blame is off here).
-                let k_end = k.end();
-                fences.at[src] = OneSided::with_config(self.machine, pgas).quiet(src, k_end);
-                continue;
             }
             self.pb.releases_into(dp, &k, &mut releases);
             // Leave the deliveries on record, if they are not yet and the
@@ -966,22 +1174,17 @@ impl<'a, 'r> Batch<'a, 'r> {
 
     /// Book `src`'s recorded deliveries for the launch `k` in one step, if
     /// they are on record under this runtime config and the machine takes
-    /// them ([`Machine::replay_train`]), then log the arrivals the puts would
-    /// have logged. False: nothing happened.
+    /// them ([`Machine::replay_train`]). The arrivals the puts would have
+    /// logged are the record's ([`PlannedBatch::log_recorded`]). False:
+    /// nothing happened.
     fn replay_deliveries(&mut self, src: usize, k: &Launched<'_>, pgas: &PgasConfig) -> bool {
         let sched = &self.pb.schedules[src];
-        let (Some(Some(releases)), Some(d)) = (sched.releases.get(), sched.deliveries.get()) else {
+        let (Some(Some(_)), Some(d)) = (sched.releases.get(), sched.deliveries.get()) else {
             return false;
         };
-        let booked = k.recorded()
+        k.recorded()
             && d.key == (pgas.max_payload, pgas.issue_overhead)
-            && self.machine.replay_train(&d.train, k.start);
-        if let (true, Some(l)) = (booked, self.log.as_deref_mut()) {
-            for (&(_, dst, rows), &end) in releases.iter().zip(&d.ends) {
-                l.push(dst as usize, k.start + Dur::from_ns(end.into()), rows);
-            }
-        }
-        booked
+            && self.machine.replay_train(&d.train, k.start)
     }
 
     /// Gateway exchange: the one-sided release schedule of every device fed
@@ -996,6 +1199,9 @@ impl<'a, 'r> Batch<'a, 'r> {
         let mut releases = arena::take_release();
         for dp in &plan.devices {
             let Some(k) = self.launch(dp) else { continue };
+            if let Some(l) = self.log.as_deref_mut() {
+                log_local_rows(l, dp, plan.bags_per_block, k.block_ends());
+            }
             self.pb.releases_into(dp, &k, &mut releases);
             events.extend(
                 releases
@@ -1020,6 +1226,12 @@ impl<'a, 'r> Batch<'a, 'r> {
         retired.extend(0..n as u64);
         retired.sort_unstable_by_key(|&d| (self.k_end[d as usize], d));
         let mut next = 0;
+        // Logged rows bound for another node, `[src · n + dst]`: they land
+        // at `src`'s fence, which covers every scatter carrying them.
+        let mut staged = arena::take_u64();
+        if self.log.is_some() {
+            staged.resize(n * n, 0);
+        }
         let mut gw = GatewayPut::new(self.machine, cfg);
         for &(ready, src, dst, rows) in events.iter() {
             let from = next;
@@ -1030,7 +1242,14 @@ impl<'a, 'r> Batch<'a, 'r> {
             for &d in &retired[from..next] {
                 gw.drain_src(d as usize, self.k_end[d as usize]);
             }
-            gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
+            let put = gw.put_rows_nbi(src, dst, rows, row_bytes, ready);
+            if let Some(l) = self.log.as_deref_mut() {
+                if gw.machine().topology().same_node(src, dst) {
+                    l.push(dst, put.end, rows);
+                } else {
+                    staged[src * n + dst] += rows;
+                }
+            }
         }
         for (d, &t) in self.k_end.iter().enumerate() {
             gw.drain_src(d, t);
@@ -1041,6 +1260,12 @@ impl<'a, 'r> Batch<'a, 'r> {
             }
         }
         drop(gw);
+        if let Some(l) = self.log.as_deref_mut() {
+            for (i, &rows) in staged.iter().enumerate() {
+                l.push(i % n, fences.at[i / n], rows);
+            }
+        }
+        arena::put_u64(staged);
         arena::put_u64(retired);
         arena::put_event(events);
         for d in 0..n {
@@ -1148,7 +1373,7 @@ impl<'a, 'r> Batch<'a, 'r> {
         arena::put_bool(filled);
         arena::put_time(k_end);
         if let Some(l) = log {
-            l.finish();
+            l.finish(pb);
         }
         let run = BatchRun {
             start,
@@ -1321,16 +1546,15 @@ mod tests {
             let cfg = tiny_cfg(n);
             let mut m = Machine::new(MachineConfig::dgx_v100(n));
             let pb = planned(&m, &cfg, 0);
-            let plain = run(&mut m, pgas(), &pb, SimTime::ZERO);
+            let mut logs = [ArrivalLog::new(), ArrivalLog::new()];
+            let [l1, l2] = &mut logs;
+            let plain = execute_batch(&mut m, &pgas(), &pb, SimTime::ZERO, Some(l1), None);
             let mut m2 = Machine::new(MachineConfig::dgx_v100(n));
-            let gw = run(
-                &mut m2,
-                Exchange::Gateway(GatewayConfig::default()),
-                &pb,
-                SimTime::ZERO,
-            );
+            let gw_exchange = Exchange::Gateway(GatewayConfig::default());
+            let gw = execute_batch(&mut m2, &gw_exchange, &pb, SimTime::ZERO, Some(l2), None);
             assert_eq!(plain, gw, "width {n}: proxy must be a no-op");
             assert_eq!(m.traffic_stats(), m2.traffic_stats(), "width {n}");
+            assert_eq!(logs[0].arrivals, logs[1].arrivals, "width {n}");
         }
     }
 
@@ -1457,6 +1681,44 @@ mod tests {
         assert_ne!(unshared[0].durations()[1], planned[0].durations()[1]);
     }
 
+    /// The gates as the executor computed them before plans kept any: every
+    /// entry of an entries log, sorted in full, and one scan from the first
+    /// entry per fraction.
+    impl ArrivalLog {
+        fn sorted(&self, dst: usize) -> Vec<(SimTime, u64)> {
+            let mut entries = self.arrivals[dst].clone();
+            entries.sort_unstable();
+            entries
+        }
+
+        fn last(&self, dst: usize) -> SimTime {
+            self.sorted(dst).last().map_or(SimTime::ZERO, |&(t, _)| t)
+        }
+
+        fn ready_at_fraction(&self, dst: usize, frac: f64) -> SimTime {
+            let entries = self.sorted(dst);
+            let total: u64 = entries.iter().map(|&(_, r)| r).sum();
+            if total == 0 {
+                return SimTime::ZERO;
+            }
+            let target = ((frac * total as f64).ceil() as u64).clamp(1, total);
+            let mut cum = 0u64;
+            for &(t, r) in &entries {
+                cum += r;
+                if cum >= target {
+                    return t;
+                }
+            }
+            self.last(dst)
+        }
+
+        fn oracle_gates(&self, chunks: usize) -> Vec<SimTime> {
+            let frac = |c: usize| (c + 1) as f64 / chunks as f64;
+            let gates = |d| (0..chunks).map(move |c| self.ready_at_fraction(d, frac(c)));
+            (0..self.n_devices()).flat_map(gates).collect()
+        }
+    }
+
     fn faulty_machine(g: usize, faults: Option<gpusim::FaultSpec>, seed: u64) -> Machine {
         // Four GPUs as a 2×2 pod, so the gateway proxy really stages.
         let mut m = Machine::new(if g == 4 {
@@ -1558,6 +1820,101 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A gated log's gates are the oracle's over an entries log of the
+        /// same batches: from its entries on the batch that records, off
+        /// the plan on the replayed ones (which keep no entries), and from
+        /// its entries again for a second chunk count on the same plan.
+        #[test]
+        fn plan_gates_equal_the_oracle(
+            g in 2usize..5,
+            bpb in 1usize..6,
+            seed in 0u64..1000,
+            chunks in 1usize..17,
+            second_key in proptest::prelude::any::<bool>(),
+            gap_ns in 0u64..2_000_000,
+        ) {
+            use proptest::prelude::*;
+            let mut cfg = tiny_cfg(g);
+            cfg.bags_per_block = bpb;
+            cfg.seed = seed;
+            let mut pgas = PgasConfig::default();
+            if second_key {
+                pgas.max_payload /= 2;
+                pgas.issue_overhead += Dur::from_ns(3);
+            }
+            let exchange = Exchange::OneSided(pgas);
+            let (mut gated_m, mut entries_m) = (
+                Machine::new(MachineConfig::dgx_v100(g)),
+                Machine::new(MachineConfig::dgx_v100(g)),
+            );
+            let pb = planned(&gated_m, &cfg, 0);
+            let other = chunks % 16 + 1;
+            let mut logs = [ArrivalLog::gated(chunks), ArrivalLog::gated(other)];
+            let mut entries = ArrivalLog::new();
+            let mut at = SimTime::ZERO;
+            for batch in 0..5 {
+                let k = if batch == 4 { other } else { chunks };
+                let gated = &mut logs[usize::from(batch == 4)];
+                let a = execute_batch(&mut gated_m, &exchange, &pb, at, Some(&mut *gated), None);
+                let b = execute_batch(&mut entries_m, &exchange, &pb, at, Some(&mut entries), None);
+                prop_assert_eq!(a, b);
+                prop_assert_eq!(&gated.gates, &entries.oracle_gates(k), "batch {}", batch);
+                for d in 0..g {
+                    prop_assert_eq!(gated.total_rows(d), entries.total_rows(d));
+                    let from_plan = gated.arrivals(d).is_empty();
+                    prop_assert_eq!(from_plan, batch != 0 && batch != 4, "batch {}", batch);
+                }
+                at = a.end + Dur::from_ns(gap_ns);
+            }
+            let gates = pb.gates.get().expect("kept by the second batch");
+            prop_assert_eq!(gates.offsets.len(), g * chunks);
+        }
+
+        /// Sorting by runs is a sort, whatever the runs.
+        #[test]
+        fn sort_by_runs_sorts(
+            runs in proptest::collection::vec((0u64..1000, 1usize..80, 0u64..4), 0..12),
+        ) {
+            let mut v = Vec::new();
+            for (from, len, step) in runs {
+                let at = |i: u64| SimTime::from_ns(from + i * step);
+                v.extend((0..len as u64).map(|i| (at(i), i % 3)));
+            }
+            let mut expected = v.clone();
+            expected.sort_unstable();
+            let mut scratch = Vec::new();
+            sort_by_runs(&mut v, &mut scratch);
+            proptest::prop_assert_eq!(v, expected);
+        }
+    }
+
+    #[test]
+    fn gateway_logs_every_row_no_earlier_than_the_batch() {
+        // A 2×2 pod: same-node puts land at their delivery, cross-node rows
+        // at their origin's fence; every row the plan delivers is logged.
+        let cfg = tiny_cfg(4);
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+        let pb = planned(&m, &cfg, 0);
+        let gateway = Exchange::Gateway(GatewayConfig::default());
+        let start = SimTime::from_ns(12_345);
+        let mut log = ArrivalLog::gated(8);
+        let run = execute_batch(&mut m, &gateway, &pb, start, Some(&mut log), None);
+        let plan = pb.plan();
+        for d in 0..4 {
+            let rows = (plan.mb_sizes[d] * plan.n_features) as u64;
+            assert!(rows > 0);
+            assert_eq!(log.total_rows(d), rows, "dev {d}");
+            for c in 0..8 {
+                assert!(log.gate(d, c) >= start, "dev {d} chunk {c}");
+                assert!(log.gate(d, c) <= run.end, "dev {d} chunk {c}");
+            }
+            assert!(log.gate(d, 0) < log.gate(d, 7), "dev {d}: one instant");
         }
     }
 

@@ -1,7 +1,8 @@
 //! The zero-allocation claim of the arena workspaces: once the slabs are
 //! warm, a steady-state lookup+pool batch requests no memory from the heap,
 //! and neither does a simulated one-sided batch that replays its plan's
-//! stored schedule — a forward batch or a backward one.
+//! stored schedule — a forward batch or a backward one, and a forward one
+//! whose arrival gates are the plan's.
 //!
 //! Timings cannot prove a negative, so this binary installs a counting
 //! wrapper around the system allocator and reads the allocation-count delta
@@ -209,6 +210,35 @@ fn a_replayed_one_sided_batch_allocates_nothing() {
         allocated[2..],
         [0, 0],
         "a replayed batch allocated from the heap"
+    );
+}
+
+#[test]
+fn a_replayed_gated_batch_allocates_nothing() {
+    // A consumer's log on a plan every device replays: the first batch
+    // executes and records, the second replays and keeps the plan's gates,
+    // the third reads them and is the claim.
+    let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(64);
+    cfg.bags_per_block = 2;
+    let batch = SparseBatch::generate_counts_only(&cfg.batch_spec(), cfg.seed);
+    let mut m = Machine::new(MachineConfig::dgx_v100(4).with_traffic_bucket(Dur::from_ms(1000)));
+    let pb = PlannedBatch::new(&m, plan_for_batch(&cfg, &batch, m.spec(0)));
+    let exchange = Exchange::OneSided(Default::default());
+    let mut log = ArrivalLog::gated(8);
+    let (mut at, mut last) = (SimTime::ZERO, SimTime::ZERO);
+    let mut allocated = [0; 3];
+    for calls in &mut allocated {
+        let before = alloc_count();
+        let run = execute_batch(&mut m, &exchange, &pb, at, Some(&mut log), None);
+        *calls = alloc_count() - before;
+        (last, at) = (at, run.end + Dur::from_us(1));
+    }
+    assert!(allocated[1] > 0, "keeping the plan's gates takes memory");
+    assert!(log.arrivals(0).is_empty(), "the gates were not the plan's");
+    assert!(log.gate(0, 0) > last, "gated before its batch");
+    assert_eq!(
+        allocated[2], 0,
+        "a replayed, gated batch allocated from the heap"
     );
 }
 

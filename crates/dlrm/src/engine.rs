@@ -135,7 +135,7 @@ impl<'a> PipelineEngine<'a> {
         // running the EMB chain exactly as the serial backends do.
         let streams: Vec<StreamId> = (0..n).map(|d| machine.add_stream(d)).collect();
 
-        let mut log = ArrivalLog::new();
+        let mut log = ArrivalLog::gated(self.chunks);
         let mut books = ResilienceReport::default();
         let mut breakdown = TimeBreakdown::default();
         let mut batch_start = SimTime::ZERO;
@@ -173,9 +173,8 @@ impl<'a> PipelineEngine<'a> {
                 // bottom-MLP slice follows immediately (already on-chip).
                 spec_chunks.clear();
                 for c in 0..self.chunks {
-                    let frac = (c + 1) as f64 / self.chunks as f64;
                     spec_chunks.push(StageChunk {
-                        gate: Event::at(log.ready_at_fraction(d, frac)),
+                        gate: Event::at(log.gate(d, c)),
                         dur: interact_cuts[c],
                         label: "interact",
                     });

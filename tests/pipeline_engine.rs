@@ -3,9 +3,13 @@
 //! to the serial pipeline, and its executed total must sit between the
 //! per-stream critical-path lower bound and the analytic serial schedule.
 
-use pgas_embedding::dlrm::{Dlrm, DlrmConfig, EngineBackend, InferencePipeline, PipelineEngine};
-use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{BaselineBackend, ExecMode, PgasFusedBackend};
+use pgas_embedding::dlrm::{
+    Dlrm, DlrmConfig, EngineBackend, ExecutedReport, InferencePipeline, PipelineEngine,
+};
+use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
+use pgas_embedding::retrieval::backend::{
+    forget_prepared, BaselineBackend, ExecMode, PgasFusedBackend,
+};
 use pgas_embedding::retrieval::EmbLayerConfig;
 use proptest::prelude::*;
 
@@ -88,6 +92,74 @@ fn executed_schedule_strictly_beats_serial_on_multi_batch_runs() {
     assert!(
         totals[1] < totals[0],
         "pgas must win under the executed schedule"
+    );
+}
+
+/// The two reports agree bit for bit on everything but the payload series,
+/// which only an observed machine records.
+fn assert_same(a: &ExecutedReport, b: &ExecutedReport, what: &str) {
+    assert_eq!(a.total, b.total, "{what}");
+    assert_eq!(a.serial_total, b.serial_total, "{what}");
+    assert_eq!(a.head_busy, b.head_busy, "{what}");
+    let bubbles = [a.bubble_fraction, b.bubble_fraction].map(f64::to_bits);
+    assert_eq!(bubbles[0], bubbles[1], "{what}");
+    assert_eq!(a.emb.batches, b.emb.batches, "{what}");
+    assert_eq!(a.emb.breakdown, b.emb.breakdown, "{what}");
+    assert_eq!(a.emb.total, b.emb.total, "{what}");
+    assert_eq!(a.emb.traffic, b.emb.traffic, "{what}");
+}
+
+/// A batch whose every device replays its plan's recorded deliveries reads
+/// its arrival gates off the plan; any other computes them from its log.
+/// Nothing in the report may tell the two apart: a cold plan set against a
+/// warm one, an observed machine (which refuses every replay) against an
+/// unobserved one, chunk counts interleaved on one set (the plan keeps the
+/// gates of one count), and straggling devices beside replaying ones.
+#[test]
+fn executed_reports_do_not_depend_on_where_the_gates_came_from() {
+    let mut cfg = DlrmConfig::tiny(4);
+    (cfg.emb.n_batches, cfg.emb.distinct_batches) = (6, 2);
+    let model = Dlrm::new(cfg);
+    let run = |chunks: usize, setup: &dyn Fn(&mut Machine)| {
+        let mut m = Machine::new(MachineConfig::dgx_v100(4));
+        setup(&mut m);
+        let engine = PipelineEngine::new(&model).with_chunks(chunks);
+        engine.run(&mut m, &EngineBackend::pgas(), ExecMode::Timing)
+    };
+    let plain = |_: &mut Machine| {};
+    forget_prepared();
+    let cold = run(8, &plain);
+    assert_same(&cold, &run(8, &plain), "cold vs warm plans");
+    assert_same(&cold, &run(8, &Machine::enable_telemetry), "observed");
+
+    let alone = [1, 3, 8, 13].map(|k| {
+        forget_prepared();
+        (k, run(k, &plain))
+    });
+    for (k, report) in alone.iter().chain(alone.iter().rev()) {
+        assert_same(
+            report,
+            &run(*k, &plain),
+            &format!("{k} chunks, interleaved"),
+        );
+    }
+
+    let spec = FaultSpec {
+        straggler_prob: 0.5,
+        straggler_factor: (1.2, 1.6),
+        ..FaultSpec::none()
+    };
+    let mixed = (0..)
+        .map(|seed| FaultPlan::generate(seed, 4, spec))
+        .find(|p| (1..4).contains(&(0..4).filter(|&d| p.straggler_factor(d) > 1.0).count()))
+        .expect("a plan with healthy and straggling devices");
+    let stragglers = |m: &mut Machine| m.install_faults(mixed.clone());
+    forget_prepared();
+    let cold = run(8, &stragglers);
+    assert_same(
+        &cold,
+        &run(8, &stragglers),
+        "stragglers, cold vs warm plans",
     );
 }
 
