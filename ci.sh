@@ -58,6 +58,26 @@ cargo clippy -p emb-retrieval -p rayon --all-targets --offline -- \
     -D clippy::unnecessary_to_owned \
     -D clippy::cloned_instead_of_copied \
     -D clippy::inefficient_to_string
+# One public name per fabric operation: the names benchmark/ pins live in
+# each crate's `compat` module, every one `#[deprecated]`, so the clippy
+# steps above (-D warnings) fail on any caller outside compat but the tests
+# that exercise the forwards (`#[allow(deprecated)]`). Fail here if a
+# compat item is not deprecated, itself or through the type it belongs to.
+awk '
+    FNR == 1 { split("", dep); cur = ""; d = 0 }
+    /#\[deprecated/ { d = 1; next }
+    /^impl/ { cur = $0; sub(/^impl(<[^>]*>)? /, "", cur); sub(/[ <].*/, "", cur); next }
+    /^}/ { cur = "" }
+    /^ *pub (fn|struct|trait|type|enum|const|static) / {
+        name = $3; sub(/[^A-Za-z0-9_].*/, "", name)
+        if (!d && !(cur in dep)) {
+            print "ci: " FILENAME ": " name " is not deprecated" > "/dev/stderr"; bad = 1
+        }
+        if (d) dep[name] = 1
+        d = 0
+    }
+    END { exit bad }
+' crates/*/src/compat.rs
 # The benchmark is its own package (own workspace, path deps on crates/*):
 # build it against this tree, run its unit tests and one smoke pass.
 cargo test --manifest-path benchmark/Cargo.toml --offline

@@ -3,14 +3,14 @@
 use desim::{Dur, SimTime, TimeSeries};
 use emb_retrieval::backend::{
     plan_with_planner, Backend, Exchange, ExecMode, HotCachePlanner, ResiliencePolicy,
-    ResilientResult, RetrievalBackend,
+    ResilientResult,
 };
 use emb_retrieval::backward::{baseline_backward, pgas_backward};
 use emb_retrieval::{EmbLayerConfig, InputPartition, RunReport, Sharding, SparseBatch};
-use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
-use pgas_rt::{AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
+use gpusim::{FaultPlan, FaultSpec, Faults, Machine, MachineConfig, Send};
+use pgas_rt::{coalesce_rows, AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::par_cells;
-use simccl::{all_to_all_timed, Algorithm, CollectiveConfig};
+use simccl::{all_to_all, Algorithm, CollectiveConfig};
 
 /// One (baseline, PGAS) pair of runs at a given GPU count.
 #[derive(Clone, Debug)]
@@ -582,8 +582,17 @@ pub fn multinode_aggregator(rows: u64, span: Dur) -> MultinodeResult {
     let mut naive = mk();
     let mut last = SimTime::ZERO;
     for i in 0..rows {
-        let iv = naive.send(0, 1, 256, 1, SimTime::ZERO + step * i);
-        last = last.max(iv.end);
+        let row = Send {
+            src: 0,
+            dst: 1,
+            payload: 256,
+            messages: 1,
+            ready: SimTime::ZERO + step * i,
+            efficiency: 1.0,
+            faults: Faults::Ignore,
+        };
+        let put = naive.transmit(&row).expect("an ignored fault plan books");
+        last = last.max(put.interval.end);
     }
     let naive_end = last - SimTime::ZERO;
 
@@ -690,7 +699,8 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
     let collective = |alg: Algorithm| -> Dur {
         let mut m = Machine::new(MachineConfig::pod_v100(nodes, per_node));
         let cfg = CollectiveConfig::default().with_algorithm(alg);
-        let w = all_to_all_timed(&mut m, &cfg, &bytes, &ready);
+        let w = all_to_all(&mut m, &cfg, &bytes, &ready, Faults::Ignore)
+            .expect("an ignored fault plan books");
         (0..n)
             .map(|d| w.done_at(d))
             .max()
@@ -731,7 +741,9 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
     {
         let mut os = OneSided::with_config(&mut fm, pcfg);
         each(Box::new(|src, dst, take| {
-            os.put_rows_nbi(src, dst, take, row_bytes, SimTime::ZERO);
+            let batch = coalesce_rows(take, row_bytes, pcfg.max_payload);
+            let put = os.put(src, dst, batch, SimTime::ZERO, Faults::Ignore);
+            put.expect("an ignored fault plan books");
         }));
         for src in 0..n {
             pgas_flat = pgas_flat.max(os.quiet(src, SimTime::ZERO) - SimTime::ZERO);
@@ -1354,7 +1366,7 @@ fn pipeline_cell(
     batches: usize,
     bs_mult: usize,
 ) -> PipelineCell {
-    use dlrm_model::{Dlrm, DlrmConfig, EngineBackend, InferencePipeline, PipelineEngine};
+    use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline, PipelineEngine};
 
     let started = std::time::Instant::now();
     let g = nodes * per_node;
@@ -1397,9 +1409,9 @@ fn pipeline_cell(
 
     let engine = PipelineEngine::new(&model);
     let mut m = fresh();
-    let be = engine.run(&mut m, &EngineBackend::baseline(), ExecMode::Timing);
+    let be = engine.run(&mut m, &Backend::baseline(), ExecMode::Timing);
     let mut m = fresh();
-    let pe = engine.run(&mut m, &EngineBackend::pgas(), ExecMode::Timing);
+    let pe = engine.run(&mut m, &Backend::pgas(), ExecMode::Timing);
     // Stderr, beside the experiment's own line: what each cell costs.
     let secs = started.elapsed().as_secs_f64();
     eprintln!(

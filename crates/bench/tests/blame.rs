@@ -6,8 +6,8 @@
 use bench_harness::scaled;
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
-    plan_for_batch, Backend, BatchRun, Exchange, ExecMode, PgasFusedBackend, PlannedBatch,
-    ResiliencePolicy, ResilienceReport, ResilientBackend, RetrievalBackend,
+    plan_for_batch, Backend, BatchRun, Exchange, ExecMode, PlannedBatch, ResiliencePolicy,
+    ResilienceReport,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
@@ -57,7 +57,7 @@ fn run_backend(
     let be = match chaos {
         Some(seed) => {
             m.install_faults(FaultPlan::generate(seed, g, FaultSpec::chaos(0.8)));
-            ResilientBackend::new().with_policy(ResiliencePolicy {
+            Backend::pgas().with_policy(ResiliencePolicy {
                 batch_deadline: Some(Dur::from_ms(5)),
                 ..ResiliencePolicy::default()
             })
@@ -126,15 +126,15 @@ fn blame_is_identical_across_thread_widths() {
 #[test]
 fn resilient_backend_blame_matches_pgas_on_clean_fabric() {
     let cfg = scaled(EmbLayerConfig::paper_weak_scaling(4), 512, 3);
-    let blame_of = |be: &dyn RetrievalBackend| {
+    let blame_of = |be: &Backend| {
         let mut m = Machine::new(MachineConfig::dgx_v100(4));
         m.enable_blame();
         be.run(&mut m, &cfg, ExecMode::Timing);
         m.blame().expect("recorder was enabled").batches().to_vec()
     };
-    let resilient = blame_of(&ResilientBackend::new());
+    let resilient = blame_of(&Backend::pgas().with_policy(ResiliencePolicy::default()));
     assert_eq!(resilient.len(), cfg.n_batches);
-    assert_eq!(resilient, blame_of(&PgasFusedBackend::new()));
+    assert_eq!(resilient, blame_of(&Backend::pgas()));
 }
 
 proptest! {

@@ -1,202 +1,92 @@
-//! `all_to_all_single` — the baseline's layout-conversion collective.
-
-use std::convert::Infallible;
+//! `all_to_all` — the baseline's layout-conversion collective.
 
 use desim::{Interval, SimTime};
-use gpusim::{FabricError, Machine};
+use gpusim::{FabricError, Faults, Machine, Send};
 
-use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle, ELEM_BYTES};
+use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle};
 
-/// PyTorch-style `all_to_all_single` with equal splits: every device's input
-/// is cut into `n` equal chunks, chunk `j` of device `i` lands at slot `i`
-/// of device `j`'s output. Inputs must all have the same length, divisible
-/// by the device count.
-///
-/// Returns the received buffers and a [`WorkHandle`] with per-device
-/// completion times.
-pub fn all_to_all_single(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    inputs: &[Vec<f32>],
-    ready: &[SimTime],
-) -> (Vec<Vec<f32>>, WorkHandle) {
-    let n = machine.n_gpus();
-    assert_eq!(inputs.len(), n, "one input buffer per device");
-    let len = inputs[0].len();
-    for (i, buf) in inputs.iter().enumerate() {
-        assert_eq!(buf.len(), len, "input {i} length mismatch");
-    }
-    assert_eq!(
-        len % n,
-        0,
-        "input length {len} not divisible by {n} devices"
-    );
-    let per = len / n;
-    let counts: Vec<Vec<usize>> = vec![vec![per; n]; n];
-    all_to_all_varied(machine, cfg, inputs, &counts, ready)
-}
-
-/// `all_to_all_single` with explicit per-pair element counts:
-/// `send_counts[i][j]` elements travel from device `i` to device `j`,
-/// taken from `inputs[i]` in destination order. Device `j`'s output is the
-/// concatenation over sources `i` of those segments, in source order.
-pub fn all_to_all_varied(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    inputs: &[Vec<f32>],
-    send_counts: &[Vec<usize>],
-    ready: &[SimTime],
-) -> (Vec<Vec<f32>>, WorkHandle) {
-    let n = machine.n_gpus();
-    assert_eq!(inputs.len(), n, "one input buffer per device");
-    assert_eq!(send_counts.len(), n, "one send-count row per device");
-    assert_eq!(ready.len(), n, "one ready time per device");
-    for (i, row) in send_counts.iter().enumerate() {
-        assert_eq!(row.len(), n, "send_counts[{i}] must have {n} columns");
-        let total: usize = row.iter().sum();
-        assert_eq!(
-            total,
-            inputs[i].len(),
-            "send_counts[{i}] must cover the whole input"
-        );
-    }
-
-    // ---- Functional data movement (algorithm-independent). ----
-    let outputs = shuffle_functional(inputs, send_counts);
-
-    // ---- Timed wire traffic. ----
-    let bytes: Vec<Vec<u64>> = send_counts
-        .iter()
-        .map(|row| row.iter().map(|&c| c as u64 * ELEM_BYTES).collect())
-        .collect();
-    let work = all_to_all_timed(machine, cfg, &bytes, ready);
-    (outputs, work)
-}
-
-/// Timing-only `all_to_all`: simulate the wire traffic for a byte matrix
-/// (`send_bytes[i][j]` bytes from device `i` to device `j`) without moving
-/// any functional data. Used by paper-scale runs where materializing the
-/// buffers would be wasteful. Fault-blind: every transfer is booked
-/// straight on the fabric.
-pub fn all_to_all_timed(
+/// PyTorch-style `all_to_all_single` on the wire: `send_bytes[i][j]` bytes
+/// from device `i` to device `j` under `cfg.algorithm`'s schedule, each
+/// chunk meeting the fault plan as `faults` says ([`Machine::transmit`]).
+/// Errs when a chunk does. Timing only: moving the data is the caller's.
+pub fn all_to_all(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-) -> WorkHandle {
-    let eff = cfg.protocol_efficiency;
-    let mut send = |m: &mut Machine, src, dst, bytes, msgs, at| {
-        Ok::<_, Infallible>(m.send_throttled(src, dst, bytes, msgs, at, eff))
-    };
-    match run_schedule(machine, cfg, send_bytes, ready, &mut send) {
-        Ok(done) => WorkHandle::new(done),
-        Err(never) => match never {},
-    }
-}
-
-/// Fault-aware [`all_to_all_timed`]: every chunk is retried under the
-/// config's retry policy when its link is down or the chunk is dropped; the
-/// collective fails with [`FabricError::RetryExhausted`] only once a chunk's
-/// retry budget is spent. Both entries drive the same schedules, so on a
-/// clean fabric (or with no fault plan installed) timing, traffic and blame
-/// spans are identical to the infallible path.
-pub fn try_all_to_all_timed(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
+    faults: Faults,
 ) -> Result<WorkHandle, FabricError> {
-    let (eff, retry) = (cfg.protocol_efficiency, cfg.retry);
-    let mut retries = 0u64;
-    let mut send = |m: &mut Machine, src, dst, bytes, msgs, at| {
-        let (iv, attempts) = m.try_send_retry(src, dst, bytes, msgs, at, eff, retry)?;
-        retries += u64::from(attempts - 1);
-        Ok::<_, FabricError>(iv)
-    };
-    let done = run_schedule(machine, cfg, send_bytes, ready, &mut send)?;
-    Ok(WorkHandle::with_retries(done, retries))
-}
-
-/// One wire transfer of a schedule — `(machine, src, dst, bytes, messages,
-/// ready) -> wire interval` — the only thing the infallible and the
-/// fault-aware entry do differently.
-trait ChunkSend<E>:
-    FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E>
-{
-}
-
-impl<E, F> ChunkSend<E> for F where
-    F: FnMut(&mut Machine, usize, usize, u64, u64, SimTime) -> Result<Interval, E>
-{
-}
-
-/// Validate the byte matrix, run `cfg.algorithm`'s schedule over `send` and
-/// count the call in telemetry. Returns per-device completion instants.
-fn run_schedule<E>(
-    machine: &mut Machine,
-    cfg: &CollectiveConfig,
-    send_bytes: &[Vec<u64>],
-    ready: &[SimTime],
-    send: &mut impl ChunkSend<E>,
-) -> Result<Vec<SimTime>, E> {
     let n = machine.n_gpus();
     assert_eq!(send_bytes.len(), n, "one byte row per device");
     assert_eq!(ready.len(), n, "one ready time per device");
     for (i, row) in send_bytes.iter().enumerate() {
         assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
     }
+    let mut wire = Wire {
+        efficiency: cfg.protocol_efficiency,
+        faults,
+        retries: 0,
+    };
     let done = match cfg.algorithm {
-        Algorithm::Direct => direct_schedule(machine, cfg, send_bytes, ready, send),
-        Algorithm::Ring => ring_schedule(machine, cfg, send_bytes, ready, send),
-        Algorithm::Hierarchical => hierarchical_schedule(machine, cfg, send_bytes, ready, send),
+        Algorithm::Direct => direct_schedule(machine, cfg, send_bytes, ready, &mut wire),
+        Algorithm::Ring => ring_schedule(machine, cfg, send_bytes, ready, &mut wire),
+        Algorithm::Hierarchical => {
+            hierarchical_schedule(machine, cfg, send_bytes, ready, &mut wire)
+        }
     }?;
     machine.metrics_mut().incr("collective_calls", 0, 0);
-    Ok(done)
+    Ok(WorkHandle::new(done, wire.retries))
 }
 
-/// The algorithm-independent functional data movement of an all-to-all.
-fn shuffle_functional(inputs: &[Vec<f32>], send_counts: &[Vec<usize>]) -> Vec<Vec<f32>> {
-    let n = inputs.len();
-    let offsets: Vec<Vec<usize>> = send_counts
-        .iter()
-        .map(|row| {
-            let mut off = 0;
-            row.iter()
-                .map(|&c| {
-                    let o = off;
-                    off += c;
-                    o
-                })
-                .collect()
-        })
-        .collect();
-    (0..n)
-        .map(|dst| {
-            let mut out = Vec::with_capacity((0..n).map(|s| send_counts[s][dst]).sum());
-            for src in 0..n {
-                let o = offsets[src][dst];
-                out.extend_from_slice(&inputs[src][o..o + send_counts[src][dst]]);
-            }
-            out
-        })
-        .collect()
+/// What one call's transfers share: the wire efficiency, how they meet the
+/// fault plan, and the retries they have taken.
+struct Wire {
+    efficiency: f64,
+    faults: Faults,
+    retries: u64,
+}
+
+impl Wire {
+    /// Put `payload` bytes from `src` to `dst` on the wire as `messages`
+    /// messages, ready at `ready`; the wire interval of the attempt that
+    /// got through.
+    fn send(
+        &mut self,
+        machine: &mut Machine,
+        (src, dst): (usize, usize),
+        payload: u64,
+        messages: u64,
+        ready: SimTime,
+    ) -> Result<Interval, FabricError> {
+        let d = machine.transmit(&Send {
+            src,
+            dst,
+            payload,
+            messages,
+            ready,
+            efficiency: self.efficiency,
+            faults: self.faults,
+        })?;
+        self.retries += u64::from(d.attempts - 1);
+        Ok(d.interval)
+    }
 }
 
 /// Pipeline-chunked transfer of `bytes` from `src` to `dst`, every chunk
 /// (one wire message each) ready at `at`; returns the last delivery time.
-fn chunked<E>(
+fn chunked(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
-    send: &mut impl ChunkSend<E>,
-    (src, dst): (usize, usize),
+    wire: &mut Wire,
+    pair: (usize, usize),
     bytes: u64,
     at: SimTime,
-) -> Result<SimTime, E> {
+) -> Result<SimTime, FabricError> {
     let mut remaining = bytes;
     let mut last = at;
     while remaining > 0 {
         let this = remaining.min(cfg.chunk_bytes);
-        last = last.max(send(machine, src, dst, this, 1, at)?.end);
+        last = last.max(wire.send(machine, pair, this, 1, at)?.end);
         remaining -= this;
     }
     Ok(last)
@@ -205,15 +95,15 @@ fn chunked<E>(
 /// The direct schedule restricted to the pairs `pair` admits: each device
 /// pushes its per-destination segment straight to the peer, chunked; the
 /// self segment is a device-local copy.
-fn pairwise<E>(
+fn pairwise(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
-    send: &mut impl ChunkSend<E>,
+    wire: &mut Wire,
     pair: impl Fn(usize, usize) -> bool,
-) -> Result<(), E> {
+) -> Result<(), FabricError> {
     let n = t0.len();
     for src in 0..n {
         for dst in (0..n).filter(|&dst| pair(src, dst)) {
@@ -221,7 +111,7 @@ fn pairwise<E>(
             let end = if dst == src {
                 t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
             } else {
-                chunked(machine, cfg, send, (src, dst), bytes, t0[src])?
+                chunked(machine, cfg, wire, (src, dst), bytes, t0[src])?
             };
             done[dst] = done[dst].max(end);
             done[src] = done[src].max(end);
@@ -231,16 +121,16 @@ fn pairwise<E>(
 }
 
 /// Pairwise schedule over every device pair.
-fn direct_schedule<E>(
+fn direct_schedule(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-    send: &mut impl ChunkSend<E>,
-) -> Result<Vec<SimTime>, E> {
+    wire: &mut Wire,
+) -> Result<Vec<SimTime>, FabricError> {
     let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
     let mut done = vec![SimTime::ZERO; t0.len()];
-    pairwise(machine, cfg, send_bytes, &t0, &mut done, send, |_, _| true)?;
+    pairwise(machine, cfg, send_bytes, &t0, &mut done, wire, |_, _| true)?;
     Ok(done)
 }
 
@@ -254,23 +144,23 @@ fn direct_schedule<E>(
 /// the destination gateway scatters each source-node's bundle to its final
 /// devices over the crossbar. On a single-node topology this is exactly
 /// [`direct_schedule`], bit for bit.
-fn hierarchical_schedule<E>(
+fn hierarchical_schedule(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-    send: &mut impl ChunkSend<E>,
-) -> Result<Vec<SimTime>, E> {
+    wire: &mut Wire,
+) -> Result<Vec<SimTime>, FabricError> {
     let topo = machine.topology().clone();
     if topo.nodes() == 1 {
-        return direct_schedule(machine, cfg, send_bytes, ready, send);
+        return direct_schedule(machine, cfg, send_bytes, ready, wire);
     }
     let n = machine.n_gpus();
     let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
     let mut done = vec![SimTime::ZERO; n];
 
     // Intra-node traffic and self-copies: the direct schedule within a node.
-    pairwise(machine, cfg, send_bytes, &t0, &mut done, send, |s, d| {
+    pairwise(machine, cfg, send_bytes, &t0, &mut done, wire, |s, d| {
         topo.same_node(s, d)
     })?;
 
@@ -282,7 +172,7 @@ fn hierarchical_schedule<E>(
     // ratchet a gateway's injection horizon with one pair's late scatter
     // before the reverse pair's gather was even issued, serializing
     // traffic that physically overlaps.
-    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, send)?;
+    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, wire)?;
     // Inter-node transfers, earliest-ready first — the order a real NIC
     // would drain its send queue.
     pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
@@ -290,7 +180,7 @@ fn hierarchical_schedule<E>(
         // Blame: the aggregate transfer is gated by the gather hop landing
         // on the source gateway, not by the gateway's own kernel.
         blame_gate_on_inbound(machine, p.gw_s);
-        let arrive = chunked(machine, cfg, send, (p.gw_s, p.gw_d), p.total, p.agg_ready)?;
+        let arrive = chunked(machine, cfg, wire, (p.gw_s, p.gw_d), p.total, p.agg_ready)?;
         done[p.gw_s] = done[p.gw_s].max(arrive);
         p.arrive = arrive;
     }
@@ -308,7 +198,7 @@ fn hierarchical_schedule<E>(
             let end = if d == p.gw_d {
                 p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
             } else {
-                chunked(machine, cfg, send, (p.gw_d, d), bytes, p.arrive)?
+                chunked(machine, cfg, wire, (p.gw_d, d), bytes, p.arrive)?
             };
             done[p.gw_d] = done[p.gw_d].max(end);
             done[d] = done[d].max(end);
@@ -347,14 +237,14 @@ struct PairPlan {
 /// Phase one of the hierarchical schedule: every source forwards its
 /// cross-node segments to its node's gateway. Returns one [`PairPlan`] per
 /// ordered node pair with traffic.
-fn gather_phase<E>(
+fn gather_phase(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
-    send: &mut impl ChunkSend<E>,
-) -> Result<Vec<PairPlan>, E> {
+    wire: &mut Wire,
+) -> Result<Vec<PairPlan>, FabricError> {
     let topo = machine.topology().clone();
     let n = machine.n_gpus();
     let nodes = topo.nodes();
@@ -385,7 +275,7 @@ fn gather_phase<E>(
                 let arrive = if src == gw_s {
                     t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
                 } else {
-                    chunked(machine, cfg, send, (src, gw_s), bytes, t0[src])?
+                    chunked(machine, cfg, wire, (src, gw_s), bytes, t0[src])?
                 };
                 done[src] = done[src].max(arrive);
                 agg_ready = agg_ready.max(arrive);
@@ -410,13 +300,13 @@ fn gather_phase<E>(
 /// Ring schedule: `n − 1` neighbor steps; parcels hop until they reach their
 /// destination. Total wire volume exceeds the direct schedule (multi-hop),
 /// which is why NCCL prefers peer-to-peer on a crossbar.
-fn ring_schedule<E>(
+fn ring_schedule(
     machine: &mut Machine,
     cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
-    send: &mut impl ChunkSend<E>,
-) -> Result<Vec<SimTime>, E> {
+    wire: &mut Wire,
+) -> Result<Vec<SimTime>, FabricError> {
     let n = machine.n_gpus();
     if n == 1 {
         return Ok(vec![ready[0] + cfg.call_overhead]);
@@ -449,7 +339,7 @@ fn ring_schedule<E>(
                 continue;
             }
             let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let iv = send(machine, src, next, bytes, cfg.n_chunks(bytes), t[src])?;
+            let iv = wire.send(machine, (src, next), bytes, cfg.n_chunks(bytes), t[src])?;
             done[src] = done[src].max(iv.end);
             arrive_time[next] = arrive_time[next].max(iv.end);
             arriving[next].extend(parcels);
@@ -479,76 +369,31 @@ mod tests {
         vec![SimTime::ZERO; n]
     }
 
-    /// The reference semantics: output[j] = concat_i input[i].chunk(j).
-    fn reference_equal(inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let n = inputs.len();
-        let per = inputs[0].len() / n;
-        (0..n)
-            .map(|dst| {
-                let mut out = Vec::new();
-                for input in inputs {
-                    out.extend_from_slice(&input[dst * per..(dst + 1) * per]);
-                }
-                out
-            })
-            .collect()
+    /// A fault-blind all-to-all of `bytes`.
+    fn a2a(
+        m: &mut Machine,
+        cfg: &CollectiveConfig,
+        bytes: &[Vec<u64>],
+        at: &[SimTime],
+    ) -> WorkHandle {
+        all_to_all(m, cfg, bytes, at, Faults::Ignore).expect("an ignored fault plan books")
     }
 
-    #[test]
-    fn equal_split_matches_reference() {
-        let n = 4;
-        let mut m = Machine::new(MachineConfig::dgx_v100(n));
-        let inputs: Vec<Vec<f32>> = (0..n)
-            .map(|i| (0..8).map(|k| (i * 100 + k) as f32).collect())
-            .collect();
-        let (out, work) =
-            all_to_all_single(&mut m, &CollectiveConfig::default(), &inputs, &ready(n));
-        assert_eq!(out, reference_equal(&inputs));
-        assert!(work.all_done() > SimTime::ZERO);
-    }
-
-    #[test]
-    fn two_gpu_swap() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0, 7.0, 8.0]];
-        let (out, _) = all_to_all_single(&mut m, &CollectiveConfig::default(), &inputs, &ready(2));
-        assert_eq!(out[0], vec![1.0, 2.0, 5.0, 6.0]);
-        assert_eq!(out[1], vec![3.0, 4.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    fn varied_splits() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        // Device 0 sends 1 element to itself, 3 to device 1.
-        // Device 1 sends 2 to device 0, 0 to itself.
-        let inputs = vec![vec![10.0, 20.0, 30.0, 40.0], vec![50.0, 60.0]];
-        let counts = vec![vec![1, 3], vec![2, 0]];
-        let (out, _) = all_to_all_varied(
-            &mut m,
-            &CollectiveConfig::default(),
-            &inputs,
-            &counts,
-            &ready(2),
-        );
-        assert_eq!(out[0], vec![10.0, 50.0, 60.0]);
-        assert_eq!(out[1], vec![20.0, 30.0, 40.0]);
+    /// `per` bytes between every ordered pair of `n` devices, self included.
+    fn uniform(n: usize, per: u64) -> Vec<Vec<u64>> {
+        vec![vec![per; n]; n]
     }
 
     #[test]
     fn ring_moves_more_bytes_than_direct() {
         let n = 4;
-        let inputs: Vec<Vec<f32>> = (0..n).map(|_| vec![1.0f32; 4096]).collect();
+        let bytes = uniform(n, 4096);
         let mut md = Machine::new(MachineConfig::dgx_v100(n));
-        let (out_d, _) =
-            all_to_all_single(&mut md, &CollectiveConfig::default(), &inputs, &ready(n));
+        a2a(&mut md, &CollectiveConfig::default(), &bytes, &ready(n));
         let mut mr = Machine::new(MachineConfig::dgx_v100(n));
-        let (out_r, _) = all_to_all_single(
-            &mut mr,
-            &CollectiveConfig::default().with_algorithm(Algorithm::Ring),
-            &inputs,
-            &ready(n),
-        );
-        assert_eq!(out_d, out_r, "algorithms must agree functionally");
+        let ring = CollectiveConfig::default().with_algorithm(Algorithm::Ring);
+        a2a(&mut mr, &ring, &bytes, &ready(n));
+        assert_eq!(md.traffic_stats().payload_bytes, 12 * 4096);
         assert!(
             mr.traffic_stats().payload_bytes > md.traffic_stats().payload_bytes,
             "ring multi-hop must move more total bytes"
@@ -558,16 +403,10 @@ mod tests {
     #[test]
     fn single_device_is_local_copy_only() {
         let mut m = Machine::new(MachineConfig::dgx_v100(1));
-        let inputs = vec![vec![1.0, 2.0]];
         for alg in [Algorithm::Direct, Algorithm::Ring] {
-            let (out, work) = all_to_all_single(
-                &mut m,
-                &CollectiveConfig::default().with_algorithm(alg),
-                &inputs,
-                &ready(1),
-            );
-            assert_eq!(out[0], inputs[0]);
-            assert!(work.all_done() >= SimTime::ZERO + CollectiveConfig::default().call_overhead);
+            let cfg = CollectiveConfig::default().with_algorithm(alg);
+            let work = a2a(&mut m, &cfg, &uniform(1, 8), &ready(1));
+            assert!(work.all_done() >= SimTime::ZERO + cfg.call_overhead);
         }
         assert_eq!(m.traffic_stats().messages, 0, "no wire traffic on 1 GPU");
     }
@@ -575,14 +414,9 @@ mod tests {
     #[test]
     fn completion_respects_ready_times() {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![0.0f32; 1024], vec![0.0f32; 1024]];
         let late = SimTime::from_ms(5);
-        let (_, work) = all_to_all_single(
-            &mut m,
-            &CollectiveConfig::default(),
-            &inputs,
-            &[late, SimTime::ZERO],
-        );
+        let cfg = CollectiveConfig::default();
+        let work = a2a(&mut m, &cfg, &uniform(2, 2048), &[late, SimTime::ZERO]);
         // Device 1 can't have the data destined from device 0 before `late`.
         assert!(work.done_at(1) > late);
     }
@@ -590,23 +424,37 @@ mod tests {
     #[test]
     fn chunking_splits_messages() {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![0.0f32; 2048], vec![0.0f32; 2048]];
         let cfg = CollectiveConfig::default().with_chunk_bytes(1024);
-        let (_, _) = all_to_all_single(&mut m, &cfg, &inputs, &ready(2));
-        // Each device sends 1024 elements = 4096 bytes = 4 chunks.
+        a2a(&mut m, &cfg, &uniform(2, 4096), &ready(2));
+        // Each device sends 4096 bytes = 4 chunks.
         assert_eq!(m.traffic_stats().messages, 8);
     }
 
     #[test]
-    fn try_timed_without_faults_matches_timed() {
+    #[allow(deprecated)]
+    fn the_forward_pinned_by_the_benchmark_is_all_to_all() {
         let n = 4;
-        let bytes: Vec<Vec<u64>> = (0..n).map(|_| vec![1 << 16; n]).collect();
+        let bytes = uniform(n, 1 << 16);
+        let cfg = CollectiveConfig::default();
+        let mut m1 = Machine::new(MachineConfig::dgx_v100(n));
+        let a = a2a(&mut m1, &cfg, &bytes, &ready(n));
+        let mut m2 = Machine::new(MachineConfig::dgx_v100(n));
+        let b = crate::compat::all_to_all_timed(&mut m2, &cfg, &bytes, &ready(n));
+        assert_eq!(a.all_done(), b.all_done());
+        assert_eq!(m1.traffic_stats(), m2.traffic_stats());
+    }
+
+    #[test]
+    fn a_retrying_all_to_all_on_a_clean_fabric_is_the_fault_blind_one() {
+        let n = 4;
+        let bytes = uniform(n, 1 << 16);
         for alg in [Algorithm::Direct, Algorithm::Ring] {
             let cfg = CollectiveConfig::default().with_algorithm(alg);
             let mut m1 = Machine::new(MachineConfig::dgx_v100(n));
-            let a = all_to_all_timed(&mut m1, &cfg, &bytes, &ready(n));
+            let a = a2a(&mut m1, &cfg, &bytes, &ready(n));
             let mut m2 = Machine::new(MachineConfig::dgx_v100(n));
-            let b = try_all_to_all_timed(&mut m2, &cfg, &bytes, &ready(n)).expect("clean");
+            let retry = Faults::Retry(cfg.retry);
+            let b = all_to_all(&mut m2, &cfg, &bytes, &ready(n), retry).expect("clean");
             for dev in 0..n {
                 assert_eq!(a.done_at(dev), b.done_at(dev), "{alg:?} dev {dev}");
             }
@@ -616,18 +464,19 @@ mod tests {
     }
 
     #[test]
-    fn try_timed_survives_chaos() {
+    fn a_retrying_all_to_all_survives_chaos() {
         use gpusim::{FaultPlan, FaultSpec};
         let n = 4;
-        let bytes: Vec<Vec<u64>> = (0..n).map(|_| vec![1 << 18; n]).collect();
+        let bytes = uniform(n, 1 << 18);
         // A moderately hostile fabric: the collective must either complete
         // (possibly with retries) or fail with a typed error — never panic.
         let mut completions = 0;
         let mut total_retries = 0;
+        let cfg = CollectiveConfig::default();
         for seed in 0..20u64 {
             let mut m = Machine::new(MachineConfig::dgx_v100(n));
             m.install_faults(FaultPlan::generate(seed, n, FaultSpec::chaos(0.8)));
-            match try_all_to_all_timed(&mut m, &CollectiveConfig::default(), &bytes, &ready(n)) {
+            match all_to_all(&mut m, &cfg, &bytes, &ready(n), Faults::Retry(cfg.retry)) {
                 Ok(w) => {
                     completions += 1;
                     total_retries += w.retries();
@@ -655,9 +504,9 @@ mod tests {
                 })
                 .collect();
             let mut md = Machine::new(MachineConfig::dgx_v100(n));
-            let d = all_to_all_timed(&mut md, &CollectiveConfig::default(), &bytes, &ready(n));
+            let d = a2a(&mut md, &CollectiveConfig::default(), &bytes, &ready(n));
             let mut mh = Machine::new(MachineConfig::dgx_v100(n));
-            let h = all_to_all_timed(
+            let h = a2a(
                 &mut mh,
                 &CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical),
                 &bytes,
@@ -675,9 +524,9 @@ mod tests {
         let n = 4;
         let bytes: Vec<Vec<u64>> = (0..n).map(|_| vec![100_000; n]).collect();
         let mut md = Machine::new(MachineConfig::dgx_v100(n));
-        let d = all_to_all_timed(&mut md, &CollectiveConfig::default(), &bytes, &ready(n));
+        let d = a2a(&mut md, &CollectiveConfig::default(), &bytes, &ready(n));
         let mut mh = Machine::new(MachineConfig::dgx_v100(n));
-        let h = all_to_all_timed(
+        let h = a2a(
             &mut mh,
             &CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical),
             &bytes,
@@ -690,24 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_functionally_matches_direct_on_pods() {
-        let mut md = Machine::new(MachineConfig::pod_v100(2, 2));
-        let mut mh = Machine::new(MachineConfig::pod_v100(2, 2));
-        let inputs: Vec<Vec<f32>> = (0..4)
-            .map(|i| (0..8).map(|k| (i * 100 + k) as f32).collect())
-            .collect();
-        let (out_d, _) =
-            all_to_all_single(&mut md, &CollectiveConfig::default(), &inputs, &ready(4));
-        let (out_h, _) = all_to_all_single(
-            &mut mh,
-            &CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical),
-            &inputs,
-            &ready(4),
-        );
-        assert_eq!(out_d, out_h, "schedules must agree functionally");
-    }
-
-    #[test]
     fn hierarchical_sends_one_inter_node_transfer_per_node_pair() {
         // 2 nodes x 2 GPUs, small per-pair segments: the direct schedule
         // crosses the slow tier once per cross-node GPU pair (8 messages);
@@ -716,10 +547,10 @@ mod tests {
         let count_inter = |m: &Machine| m.metrics().counter("fabric_tier_messages", 1, 0);
         let mut md = Machine::new(MachineConfig::pod_v100(2, 2));
         md.enable_telemetry();
-        let _ = all_to_all_timed(&mut md, &CollectiveConfig::default(), &bytes, &ready(4));
+        let _ = a2a(&mut md, &CollectiveConfig::default(), &bytes, &ready(4));
         let mut mh = Machine::new(MachineConfig::pod_v100(2, 2));
         mh.enable_telemetry();
-        let h = all_to_all_timed(
+        let h = a2a(
             &mut mh,
             &CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical),
             &bytes,
@@ -740,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn try_hierarchical_without_faults_matches_timed() {
+    fn a_retrying_hierarchical_on_a_clean_fabric_is_the_fault_blind_one() {
         // Timing, traffic and the recorded cause chain (gather → aggregate
         // → scatter) must not depend on which entry drove the schedule.
         for (nodes, per_node) in [(2usize, 4usize), (2, 2)] {
@@ -749,10 +580,11 @@ mod tests {
             let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
             let mut m1 = Machine::new(MachineConfig::pod_v100(nodes, per_node));
             m1.enable_blame();
-            let a = all_to_all_timed(&mut m1, &cfg, &bytes, &ready(n));
+            let a = a2a(&mut m1, &cfg, &bytes, &ready(n));
             let mut m2 = Machine::new(MachineConfig::pod_v100(nodes, per_node));
             m2.enable_blame();
-            let b = try_all_to_all_timed(&mut m2, &cfg, &bytes, &ready(n)).expect("clean");
+            let b = all_to_all(&mut m2, &cfg, &bytes, &ready(n), Faults::Retry(cfg.retry))
+                .expect("clean");
             for dev in 0..n {
                 assert_eq!(a.done_at(dev), b.done_at(dev), "dev {dev}");
             }
@@ -776,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn try_hierarchical_survives_tiered_chaos() {
+    fn a_retrying_hierarchical_survives_tiered_chaos() {
         use gpusim::{FaultPlan, FaultSpec};
         let bytes: Vec<Vec<u64>> = (0..4).map(|_| vec![1 << 18; 4]).collect();
         let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
@@ -790,34 +622,11 @@ mod tests {
                 FaultSpec::none(),
                 FaultSpec::chaos(0.8),
             ));
-            match try_all_to_all_timed(&mut m, &cfg, &bytes, &ready(4)) {
+            match all_to_all(&mut m, &cfg, &bytes, &ready(4), Faults::Retry(cfg.retry)) {
                 Ok(_) => completions += 1,
                 Err(e) => assert!(matches!(e, FabricError::RetryExhausted { .. })),
             }
         }
         assert!(completions > 0, "some seeds must complete");
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn unbalanced_equal_split_panics() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![0.0f32; 3], vec![0.0f32; 3]];
-        let _ = all_to_all_single(&mut m, &CollectiveConfig::default(), &inputs, &ready(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the whole input")]
-    fn bad_counts_panic() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let inputs = vec![vec![0.0f32; 4], vec![0.0f32; 4]];
-        let counts = vec![vec![1, 1], vec![2, 2]];
-        let _ = all_to_all_varied(
-            &mut m,
-            &CollectiveConfig::default(),
-            &inputs,
-            &counts,
-            &ready(2),
-        );
     }
 }

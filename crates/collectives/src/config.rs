@@ -36,7 +36,8 @@ pub struct CollectiveConfig {
     /// GPU stores do not; 0.45 is calibrated from the paper's measured
     /// baseline communication phase (DESIGN.md §4).
     pub protocol_efficiency: f64,
-    /// Retry schedule the fallible (`try_`) collectives use per chunk.
+    /// Retry schedule of a collective whose chunks meet the fault plan
+    /// with `Faults::Retry`.
     pub retry: RetryPolicy,
 }
 

@@ -4,7 +4,8 @@ use desim::SimTime;
 use gpusim::Machine;
 
 /// Completion record of an asynchronous collective — the analogue of the
-/// request object returned by `all_to_all_single(..., async_op=True)`.
+/// request object returned by `all_to_all_single(..., async_op=True)` (see
+/// [`crate::all_to_all`]).
 #[derive(Clone, Debug)]
 pub struct WorkHandle {
     device_done: Vec<SimTime>,
@@ -12,25 +13,17 @@ pub struct WorkHandle {
 }
 
 impl WorkHandle {
-    /// Build from per-device completion instants.
-    pub fn new(device_done: Vec<SimTime>) -> Self {
-        WorkHandle {
-            device_done,
-            retries: 0,
-        }
-    }
-
-    /// Build from per-device completion instants plus the number of chunk
-    /// retries the fallible collective paths performed.
-    pub fn with_retries(device_done: Vec<SimTime>, retries: u64) -> Self {
+    /// Build from per-device completion instants and the number of chunk
+    /// retries the collective took.
+    pub fn new(device_done: Vec<SimTime>, retries: u64) -> Self {
         WorkHandle {
             device_done,
             retries,
         }
     }
 
-    /// Chunk retries performed while completing this collective (0 on the
-    /// infallible paths or a clean fabric).
+    /// Chunk retries performed while completing this collective (0 when it
+    /// met the fault plan with `Faults::Ignore` or ran on a clean fabric).
     pub fn retries(&self) -> u64 {
         self.retries
     }
@@ -64,7 +57,7 @@ mod tests {
 
     #[test]
     fn done_and_all_done() {
-        let w = WorkHandle::new(vec![SimTime::from_us(5), SimTime::from_us(9)]);
+        let w = WorkHandle::new(vec![SimTime::from_us(5), SimTime::from_us(9)], 0);
         assert_eq!(w.done_at(0), SimTime::from_us(5));
         assert_eq!(w.done_at(1), SimTime::from_us(9));
         assert_eq!(w.all_done(), SimTime::from_us(9));
@@ -73,7 +66,7 @@ mod tests {
     #[test]
     fn wait_adds_sync_overhead_and_respects_at() {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let w = WorkHandle::new(vec![SimTime::from_us(5), SimTime::from_us(9)]);
+        let w = WorkHandle::new(vec![SimTime::from_us(5), SimTime::from_us(9)], 0);
         let sync = m.spec(0).stream_sync;
         assert_eq!(w.wait(&mut m, 0, SimTime::ZERO), SimTime::from_us(5) + sync);
         // Caller arrives later than completion: wait starts from `at`.

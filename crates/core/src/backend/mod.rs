@@ -21,6 +21,8 @@ pub use single::{execute_batch, ArrivalLog, BatchRun, Degrade, Exchange, Planned
 pub(crate) use single::{Emission, Pass, Tail};
 
 pub use crate::cache::{HotCachePlanner, HotReplicas, HotRowCache, IndexDedupMap};
+#[allow(deprecated)]
+pub use crate::compat::{BaselineBackend, PgasFusedBackend, ResilientBackend, RetrievalBackend};
 
 use std::sync::{Arc, OnceLock};
 
@@ -55,22 +57,6 @@ pub struct BackendResult {
     pub report: RunReport,
     /// Final-batch outputs per device (functional mode only).
     pub outputs: Option<Vec<Tensor>>,
-}
-
-/// The closed loop as a trait object; [`Backend`] is its one implementor.
-pub trait RetrievalBackend {
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
-    /// Execute `cfg.n_batches` forward passes on `machine`.
-    ///
-    /// The machine should be freshly constructed: the run starts at t = 0
-    /// and the report embeds the machine's whole-run traffic statistics.
-    fn run(
-        &self,
-        machine: &mut gpusim::Machine,
-        cfg: &EmbLayerConfig,
-        mode: ExecMode,
-    ) -> BackendResult;
 }
 
 /// Fraction of peak HBM bandwidth a random-row gather kernel sustains.
@@ -355,6 +341,17 @@ impl Backend {
         }
     }
 
+    /// PGAS fused with cross-node stores routed through the per-node
+    /// gateway proxy under the `flush` policy ([`Exchange::Gateway`]). On a
+    /// single-node topology it is the flat backend, bit for bit.
+    pub fn gateway(flush: AggregatorConfig) -> Self {
+        let pgas = PgasConfig::default();
+        Backend {
+            exchange: Exchange::Gateway(GatewayConfig { pgas, flush }),
+            policy: None,
+        }
+    }
+
     /// This backend under `policy`.
     pub fn with_policy(self, policy: ResiliencePolicy) -> Self {
         Backend {
@@ -418,6 +415,16 @@ impl Backend {
         outs
     }
 
+    /// [`Backend::run_resilient`] without the policy's books.
+    pub fn run(
+        &self,
+        machine: &mut Machine,
+        cfg: &EmbLayerConfig,
+        mode: ExecMode,
+    ) -> BackendResult {
+        self.run_resilient(machine, cfg, mode).result
+    }
+
     /// Execute `cfg.n_batches` batches on `machine` back to back from t =
     /// 0, cycling through the distinct batches [`prepare_batches`] plans,
     /// and report, with the policy's books (empty without a policy). The
@@ -447,68 +454,6 @@ impl Backend {
             result: BackendResult { report, outputs },
             resilience: books,
         }
-    }
-}
-
-impl RetrievalBackend for Backend {
-    fn name(&self) -> &'static str {
-        Backend::name(self)
-    }
-
-    fn run(&self, machine: &mut Machine, cfg: &EmbLayerConfig, mode: ExecMode) -> BackendResult {
-        self.run_resilient(machine, cfg, mode).result
-    }
-}
-
-/// The baseline backend by name: [`BaselineBackend::new`] is
-/// [`Backend::baseline`].
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineBackend;
-
-impl BaselineBackend {
-    /// [`Backend::baseline`].
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Backend {
-        Backend::baseline()
-    }
-}
-
-/// The PGAS fused backend by name: [`PgasFusedBackend::new`] is
-/// [`Backend::pgas`].
-#[derive(Clone, Copy, Debug)]
-pub struct PgasFusedBackend;
-
-impl PgasFusedBackend {
-    /// [`Backend::pgas`].
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Backend {
-        Backend::pgas()
-    }
-
-    /// PGAS fused with cross-node stores routed through the per-node
-    /// gateway proxy under the `flush` policy ([`Exchange::Gateway`]). On a
-    /// single-node topology it is the flat backend, bit for bit.
-    pub fn with_gateway(flush: AggregatorConfig) -> Backend {
-        Backend {
-            exchange: Exchange::Gateway(GatewayConfig {
-                pgas: PgasConfig::default(),
-                flush,
-            }),
-            policy: None,
-        }
-    }
-}
-
-/// The resilient backend by name: [`ResilientBackend::new`] is PGAS fused
-/// under the default [`ResiliencePolicy`].
-#[derive(Clone, Copy, Debug)]
-pub struct ResilientBackend;
-
-impl ResilientBackend {
-    /// [`Backend::pgas`] under the default [`ResiliencePolicy`].
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Backend {
-        Backend::pgas().with_policy(ResiliencePolicy::default())
     }
 }
 
@@ -759,7 +704,7 @@ mod tests {
     #[test]
     fn gateway_is_identical_on_single_node_and_coalesces_on_pods() {
         let cfg = closed_cfg(4);
-        let gateway = PgasFusedBackend::with_gateway(AggregatorConfig::default());
+        let gateway = Backend::gateway(AggregatorConfig::default());
         // Single node: the proxy has nothing to stage — reports match the
         // flat backend exactly.
         let flat = run(
@@ -828,6 +773,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn the_constructors_by_name_are_the_backends() {
         assert_eq!(BaselineBackend::new().name(), "baseline");
         assert_eq!(PgasFusedBackend::new().name(), "pgas-fused");
@@ -837,5 +783,12 @@ mod tests {
             PgasFusedBackend::with_gateway(AggregatorConfig::default()).exchange,
             Exchange::Gateway(_)
         ));
+        let cfg = closed_cfg(2);
+        let by_trait: &dyn RetrievalBackend = &Backend::pgas();
+        assert_eq!(by_trait.name(), "pgas-fused");
+        let fabric = || MachineConfig::dgx_v100(2);
+        let a = by_trait.run(&mut Machine::new(fabric()), &cfg, ExecMode::Timing);
+        let b = run(Backend::pgas(), fabric(), &cfg, ExecMode::Timing);
+        assert_eq!(a.report.total, b.report.total);
     }
 }

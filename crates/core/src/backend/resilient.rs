@@ -207,7 +207,7 @@ pub(crate) fn apply_fill(fill: DegradedFill, out: &mut Tensor, degraded: u64, di
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{prepare_batches, Backend, ExecMode, PlannedBatch, RetrievalBackend};
+    use crate::backend::{prepare_batches, Backend, ExecMode, PlannedBatch};
     use crate::EmbLayerConfig;
     use gpusim::{FaultPlan, FaultSpec, MachineConfig};
 

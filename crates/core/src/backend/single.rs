@@ -19,8 +19,10 @@ use std::sync::{Arc, OnceLock};
 
 use desim::{Dur, SimTime};
 use gpusim::{GpuSpec, KernelRun, KernelShape, Machine, SendTrain};
-use pgas_rt::{GatewayConfig, GatewayPut, OneSided, PgasConfig};
-use simccl::{try_all_to_all_timed, CollectiveConfig};
+use pgas_rt::{
+    coalesce_rows, Delivery, FabricError, Faults, GatewayConfig, GatewayPut, OneSided, PgasConfig,
+};
+use simccl::{all_to_all, CollectiveConfig};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 
 use crate::arena;
@@ -708,8 +710,8 @@ pub enum Exchange {
     /// a remote node into one aggregate message per destination node
     /// (flushed on size/age), scattered intra-node by the destination
     /// gateway. On a single-node topology every put bypasses the proxy, so
-    /// this is bit-identical to [`Exchange::OneSided`]. The proxy has no
-    /// fallible API: its wire path ignores fault plans and deadlines.
+    /// this is bit-identical to [`Exchange::OneSided`]. The proxy is
+    /// fault-blind: its puts pass [`Faults::Ignore`] and it has no deadline.
     Gateway(GatewayConfig),
 }
 
@@ -733,9 +735,9 @@ pub struct Degrade<'a> {
 /// Execute one batch at `start` over `exchange` — the single per-batch entry
 /// point every closed loop, the serving layer and the pipeline engine drive.
 ///
-/// Always fault-aware: transfers go through the fallible fabric APIs, which
-/// on a machine without a non-trivial fault plan are exactly the infallible
-/// ones, so a clean fabric is simply the zero-fault case. Blame spans, trace
+/// Fault-aware: collective chunks and one-sided puts meet the fault plan
+/// with [`Faults::Retry`] (a clean fabric books them on the first attempt)
+/// and the gateway proxy with [`Faults::Ignore`]. Blame spans, trace
 /// flows and telemetry are recorded whenever the machine has them on.
 /// `log` (reset to this batch) receives the output-availability schedule
 /// and `degrade` the degradation policy and books; both are pure
@@ -951,7 +953,8 @@ impl<'a, 'r> Batch<'a, 'r> {
         } else {
             self.pb.byte_matrix()
         };
-        let work = match try_all_to_all_timed(self.machine, cc, bytes, &self.k_end) {
+        let retry = Faults::Retry(cc.retry);
+        let work = match all_to_all(self.machine, cc, bytes, &self.k_end, retry) {
             Ok(work) => work,
             Err(e) => {
                 // The collective itself exhausted its retries: all of this
@@ -1105,7 +1108,10 @@ impl<'a, 'r> Batch<'a, 'r> {
             let mut ends = Vec::with_capacity(if recording { releases.len() } else { 0 });
             let mut os = OneSided::with_config(self.machine, pgas);
             for &(ready, dst, rows) in releases.iter() {
-                let Ok(put) = os.try_put_rows_nbi(src, dst, rows, row_bytes, ready) else {
+                let batch = coalesce_rows(rows, row_bytes, pgas.max_payload);
+                let put = os.put(src, dst, batch, ready, Faults::Retry(pgas.retry));
+                count_put(&mut self.degrade, &put);
+                let Ok(put) = put else {
                     // Retry budget exhausted: only these rows degrade.
                     shed(&mut self.degrade, dst, rows);
                     continue;
@@ -1135,12 +1141,6 @@ impl<'a, 'r> Batch<'a, 'r> {
                     }
                 }
             }
-            if let Some(g) = &mut self.degrade {
-                let st = os.retry_stats();
-                g.report.retried_puts += st.retried_puts;
-                g.report.retries += st.retries;
-                g.report.exhausted_puts += st.exhausted;
-            }
             if recording {
                 // One send per release and every offset in range, or none.
                 let train = os.machine().finish_train();
@@ -1150,22 +1150,17 @@ impl<'a, 'r> Batch<'a, 'r> {
                     let _ = sched.deliveries.set(Deliveries { key, ends, train });
                 }
             }
-            let k_end = k.end();
-            let mut abandoned = false;
-            fences.at[src] = match deadline {
-                None => os.quiet(src, k_end),
-                Some(dl) => os.try_quiet(src, k_end, dl).unwrap_or_else(|_| {
-                    abandoned = true;
-                    dl
-                }),
-            };
-            if abandoned {
+            // A fence past the deadline is abandoned at the deadline.
+            let quiet = os.quiet(src, k.end());
+            let abandoned = deadline.filter(|&dl| quiet > dl);
+            fences.at[src] = abandoned.unwrap_or(quiet);
+            if abandoned.is_some() {
                 self.missed_deadline = true;
                 for (dst, &late) in late_by_dst.iter().enumerate() {
                     shed(&mut self.degrade, dst, late);
                 }
             }
-            self.blame_fence(&mut fences, src, abandoned);
+            self.blame_fence(&mut fences, src, abandoned.is_some());
         }
         arena::put_u64(late_by_dst);
         arena::put_release(releases);
@@ -1416,6 +1411,20 @@ fn sync_span(
     cause: Option<usize>,
 ) -> usize {
     b.record(BlameCategory::Sync, lane, from, from, to, cause, false)
+}
+
+/// Account a retried put's attempts: one delivered after retries, or one
+/// that spent its budget (every attempt past the first is a retry).
+fn count_put(degrade: &mut Option<Degrade<'_>>, put: &Result<Delivery, FabricError>) {
+    let Some(g) = degrade else { return };
+    let attempts = match put {
+        Ok(d) => d.attempts,
+        Err(FabricError::RetryExhausted { attempts, .. }) => *attempts,
+        Err(_) => 1,
+    };
+    g.report.retried_puts += u64::from(put.is_ok() && attempts > 1);
+    g.report.exhausted_puts += u64::from(put.is_err());
+    g.report.retries += u64::from(attempts - 1);
 }
 
 /// Account `rows` pooled rows bound for `dst` as served from the fill.
@@ -1916,6 +1925,35 @@ mod tests {
             }
             assert!(log.gate(d, 0) < log.gate(d, 7), "dev {d}: one instant");
         }
+    }
+
+    #[test]
+    fn the_gateway_is_blind_to_link_faults() {
+        // A link-only plan (flaps, drops, delays, degradation; no
+        // stragglers, no device loss) leaves a gateway batch exactly as on
+        // a clean machine: its puts pass `Faults::Ignore`. A flat one-sided
+        // batch on the same plan retries, which shows the plan is live.
+        let cfg = tiny_cfg(4);
+        let spec = gpusim::FaultSpec {
+            straggler_prob: 0.0,
+            ..gpusim::FaultSpec::chaos(1.0)
+        };
+        let start = SimTime::from_us(50);
+        let batch = |exchange: Exchange, faulty: bool| {
+            let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+            if faulty {
+                m.install_faults(gpusim::FaultPlan::generate(11, 4, spec));
+            }
+            let pb = planned(&m, &cfg, 0);
+            let mut log = ArrivalLog::gated(8);
+            let run = execute_batch(&mut m, &exchange, &pb, start, Some(&mut log), None);
+            let gates: Vec<SimTime> = (0..32).map(|i| log.gate(i / 8, i % 8)).collect();
+            (run, m.traffic_stats(), gates)
+        };
+        let gateway = Exchange::Gateway(GatewayConfig::default());
+        assert_eq!(batch(gateway, true), batch(gateway, false));
+        let flat = Exchange::OneSided(PgasConfig::default());
+        assert_ne!(batch(flat, true), batch(flat, false));
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod backend;
 pub mod backward;
 mod batch;
 mod cache;
+pub mod compat;
 mod config;
 mod hash;
 pub mod kernels;

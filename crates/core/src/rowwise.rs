@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn rowwise_moves_same_wire_volume_as_tablewise() {
-        use crate::backend::{BaselineBackend, RetrievalBackend};
+        use crate::backend::Backend;
         let cfg = tiny(2);
         let mut mrw = Machine::new(MachineConfig::dgx_v100(2));
         let rw = rowwise_baseline_forward(
@@ -302,7 +302,7 @@ mod tests {
             ExecMode::Timing,
         );
         let mut mtw = Machine::new(MachineConfig::dgx_v100(2));
-        let tw = BaselineBackend::new().run(&mut mtw, &cfg, ExecMode::Timing);
+        let tw = Backend::baseline().run(&mut mtw, &cfg, ExecMode::Timing);
         // Partial rows for remote minibatches == pooled rows for remote
         // minibatches when every device holds partials for all features.
         assert_eq!(

@@ -1,9 +1,7 @@
 //! Property-based tests for the embedding-retrieval structures.
 
 use desim::Dur;
-use emb_retrieval::backend::{
-    plain_plan, plan_for_batch, ExecMode, ResiliencePolicy, ResilientBackend,
-};
+use emb_retrieval::backend::{plain_plan, plan_for_batch, Backend, ExecMode, ResiliencePolicy};
 use emb_retrieval::{
     hash_to_row, EmbLayerConfig, EmbeddingShard, EmbeddingTableSpec, ForwardPlan,
     IndexDistribution, IndexHasher, PoolingOp, Sharding, SparseBatch, SparseBatchSpec,
@@ -186,7 +184,7 @@ proptest! {
         let run = || {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.install_faults(FaultPlan::generate(seed, 2, FaultSpec::chaos(intensity)));
-            let backend = ResilientBackend::new().with_policy(ResiliencePolicy {
+            let backend = Backend::pgas().with_policy(ResiliencePolicy {
                 batch_deadline: Some(Dur::from_us(deadline_us)),
                 ..ResiliencePolicy::default()
             });

@@ -23,7 +23,7 @@ use std::cell::Cell;
 use desim::{Dur, SimTime};
 use emb_retrieval::backend::{
     compute_pooled_rows_into, execute_batch, materialize_shards, plan_for_batch, ArrivalLog,
-    BaselineBackend, Exchange, ExecMode, PgasFusedBackend, PlannedBatch, RetrievalBackend, Weights,
+    Backend, Exchange, ExecMode, PlannedBatch, Weights,
 };
 use emb_retrieval::backward::pgas_backward;
 use emb_retrieval::{arena, EmbLayerConfig, ForwardPlan, SparseBatch};
@@ -288,7 +288,7 @@ fn a_functional_run_holds_no_table() {
         .num_threads(1)
         .build()
         .expect("build thread pool");
-    let backends: [&dyn RetrievalBackend; 2] = [&BaselineBackend::new(), &PgasFusedBackend::new()];
+    let backends: [&Backend; 2] = [&Backend::baseline(), &Backend::pgas()];
     for backend in backends {
         let (outputs, grown) = peak_growth(|| {
             pool.install(|| {

@@ -37,12 +37,6 @@ use telemetry::causal::BlameCategory;
 use crate::pipeline::ratio;
 use crate::{DenseBatch, Dlrm, InferencePipeline};
 
-/// The retrieval backend feeding the executed engine, by the name the
-/// engine's callers use: `EngineBackend::{baseline, pgas}` are the paper's
-/// two systems. The engine runs each batch through
-/// [`Backend::run_batch`], so any exchange and policy works.
-pub type EngineBackend = Backend;
-
 /// Report of one executed run, with the serial-analytic total of the *same*
 /// EMB chain alongside so speedup is measured against an identical baseline.
 #[derive(Clone, Debug)]
@@ -237,7 +231,7 @@ impl<'a> PipelineEngine<'a> {
 mod tests {
     use super::*;
     use crate::DlrmConfig;
-    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend, ResiliencePolicy};
+    use emb_retrieval::backend::{Backend, ResiliencePolicy};
     use gpusim::MachineConfig;
 
     fn model(g: usize) -> Dlrm {
@@ -250,18 +244,18 @@ mod tests {
         let mut m = Machine::new(MachineConfig::dgx_v100(model.cfg.emb.n_gpus));
         let p = InferencePipeline::new(model);
         if pgas {
-            p.run(&mut m, &PgasFusedBackend::new(), mode)
+            p.run(&mut m, &Backend::pgas(), mode)
         } else {
-            p.run(&mut m, &BaselineBackend::new(), mode)
+            p.run(&mut m, &Backend::baseline(), mode)
         }
     }
 
     fn executed(model: &Dlrm, pgas: bool, mode: ExecMode) -> ExecutedReport {
         let mut m = Machine::new(MachineConfig::dgx_v100(model.cfg.emb.n_gpus));
         let be = if pgas {
-            EngineBackend::pgas()
+            Backend::pgas()
         } else {
-            EngineBackend::baseline()
+            Backend::baseline()
         };
         PipelineEngine::new(model).run(&mut m, &be, mode)
     }
@@ -330,17 +324,15 @@ mod tests {
     fn finer_chunking_never_slows_the_schedule() {
         let m = model(2);
         let mut m1 = Machine::new(MachineConfig::dgx_v100(2));
-        let c1 = PipelineEngine::new(&m).with_chunks(1).run(
-            &mut m1,
-            &EngineBackend::pgas(),
-            ExecMode::Timing,
-        );
+        let c1 =
+            PipelineEngine::new(&m)
+                .with_chunks(1)
+                .run(&mut m1, &Backend::pgas(), ExecMode::Timing);
         let mut m8 = Machine::new(MachineConfig::dgx_v100(2));
-        let c8 = PipelineEngine::new(&m).with_chunks(8).run(
-            &mut m8,
-            &EngineBackend::pgas(),
-            ExecMode::Timing,
-        );
+        let c8 =
+            PipelineEngine::new(&m)
+                .with_chunks(8)
+                .run(&mut m8, &Backend::pgas(), ExecMode::Timing);
         assert!(
             c8.total <= c1.total,
             "8 chunks {} vs 1 {}",
@@ -371,12 +363,12 @@ mod tests {
         let m = model(2);
         let mut mach = Machine::new(MachineConfig::dgx_v100(2));
         mach.enable_telemetry();
-        let e = PipelineEngine::new(&m).run(&mut mach, &EngineBackend::pgas(), ExecMode::Timing);
+        let e = PipelineEngine::new(&m).run(&mut mach, &Backend::pgas(), ExecMode::Timing);
         assert!(mach.metrics().counter("kernels_launched", 0, 0) > 0);
         assert!(e.bubble_fraction > 0.0, "head streams must show bubbles");
         // A fresh silent machine matches.
         let mut quiet = Machine::new(MachineConfig::dgx_v100(2));
-        let q = PipelineEngine::new(&m).run(&mut quiet, &EngineBackend::pgas(), ExecMode::Timing);
+        let q = PipelineEngine::new(&m).run(&mut quiet, &Backend::pgas(), ExecMode::Timing);
         assert_eq!(q.total, e.total);
         assert_eq!(q.emb.total, e.emb.total);
     }
@@ -386,7 +378,7 @@ mod tests {
         let m = model(2);
         let mut mach = Machine::new(MachineConfig::dgx_v100(3));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            PipelineEngine::new(&m).run(&mut mach, &EngineBackend::baseline(), ExecMode::Timing)
+            PipelineEngine::new(&m).run(&mut mach, &Backend::baseline(), ExecMode::Timing)
         }));
         assert!(r.is_err());
     }
@@ -398,7 +390,7 @@ mod tests {
         // pinned here so refactors keep the comparison honest.
         let m = model(4);
         let mut mm = Machine::new(MachineConfig::dgx_v100(4));
-        let s = InferencePipeline::new(&m).run(&mut mm, &BaselineBackend::new(), ExecMode::Timing);
+        let s = InferencePipeline::new(&m).run(&mut mm, &Backend::baseline(), ExecMode::Timing);
         let e = executed(&m, false, ExecMode::Timing);
         assert_eq!(e.serial_total, s.total);
         assert_eq!(e.top_mlp_per_batch, s.top_mlp_per_batch);

@@ -16,6 +16,7 @@
 
 #![warn(missing_docs)]
 
+pub mod compat;
 mod data;
 mod engine;
 mod interaction;
@@ -23,8 +24,10 @@ mod mlp;
 mod model;
 mod pipeline;
 
+#[allow(deprecated)]
+pub use compat::EngineBackend;
 pub use data::DenseBatch;
-pub use engine::{EngineBackend, ExecutedReport, PipelineEngine};
+pub use engine::{ExecutedReport, PipelineEngine};
 pub use interaction::interact;
 pub use mlp::{Linear, Mlp};
 pub use model::{Dlrm, DlrmConfig};

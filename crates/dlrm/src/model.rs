@@ -115,7 +115,7 @@ impl Dlrm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emb_retrieval::backend::{BaselineBackend, ExecMode, RetrievalBackend};
+    use emb_retrieval::backend::{Backend, ExecMode};
     use gpusim::{Machine, MachineConfig};
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
         let cfg = DlrmConfig::tiny(2);
         let model = Dlrm::new(cfg.clone());
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let emb_out = BaselineBackend::new()
+        let emb_out = Backend::baseline()
             .run(&mut m, &cfg.emb, ExecMode::Functional)
             .outputs
             .unwrap();

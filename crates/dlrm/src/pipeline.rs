@@ -193,7 +193,7 @@ impl<'a> InferencePipeline<'a> {
 mod tests {
     use super::*;
     use crate::DlrmConfig;
-    use emb_retrieval::backend::{BaselineBackend, PgasFusedBackend, ResilientBackend};
+    use emb_retrieval::backend::{Backend, ResiliencePolicy};
     use gpusim::MachineConfig;
 
     fn run(pgas: bool, mode: ExecMode) -> PipelineReport {
@@ -202,9 +202,9 @@ mod tests {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let pipeline = InferencePipeline::new(&model);
         if pgas {
-            pipeline.run(&mut m, &PgasFusedBackend::new(), mode)
+            pipeline.run(&mut m, &Backend::pgas(), mode)
         } else {
-            pipeline.run(&mut m, &BaselineBackend::new(), mode)
+            pipeline.run(&mut m, &Backend::baseline(), mode)
         }
     }
 
@@ -250,9 +250,13 @@ mod tests {
         let model = Dlrm::new(cfg);
         let pipeline = InferencePipeline::new(&model);
         let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-        let p = pipeline.run(&mut mp, &PgasFusedBackend::new(), ExecMode::Timing);
+        let p = pipeline.run(&mut mp, &Backend::pgas(), ExecMode::Timing);
         let mut mr = Machine::new(MachineConfig::dgx_v100(2));
-        let r = pipeline.run(&mut mr, &ResilientBackend::new(), ExecMode::Timing);
+        let r = pipeline.run(
+            &mut mr,
+            &Backend::pgas().with_policy(ResiliencePolicy::default()),
+            ExecMode::Timing,
+        );
         assert_eq!(r.total, p.total);
         assert_eq!(r.emb.total, p.emb.total);
         assert!(p.resilience.is_none());
@@ -268,11 +272,10 @@ mod tests {
         for seed in 0..8u64 {
             let mut m = Machine::new(MachineConfig::dgx_v100(2));
             m.install_faults(FaultPlan::generate(seed, 2, FaultSpec::chaos(0.9)));
-            let backend =
-                ResilientBackend::new().with_policy(emb_retrieval::backend::ResiliencePolicy {
-                    batch_deadline: Some(Dur::from_ms(2)),
-                    ..Default::default()
-                });
+            let backend = Backend::pgas().with_policy(ResiliencePolicy {
+                batch_deadline: Some(Dur::from_ms(2)),
+                ..Default::default()
+            });
             let r = pipeline.run(&mut m, &backend, ExecMode::Functional);
             let preds = r.predictions.expect("inference must always return");
             assert_eq!(preds.len(), 2);
@@ -295,7 +298,7 @@ mod tests {
         // The closed-loop report's per-batch MLP costs come from the same
         // entry point.
         let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
-        let r = pipeline.run(&mut m2, &BaselineBackend::new(), ExecMode::Timing);
+        let r = pipeline.run(&mut m2, &Backend::baseline(), ExecMode::Timing);
         assert_eq!(r.top_mlp_per_batch, full.top_mlp);
         assert_eq!(r.head_per_batch, full.head);
         // A smaller closed batch costs no more than a full one.
@@ -332,8 +335,7 @@ mod tests {
         cfg.emb.n_batches = 0;
         let model = Dlrm::new(cfg);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let r =
-            InferencePipeline::new(&model).run(&mut m, &BaselineBackend::new(), ExecMode::Timing);
+        let r = InferencePipeline::new(&model).run(&mut m, &Backend::baseline(), ExecMode::Timing);
         assert_eq!(r.total, Dur::ZERO);
         assert_eq!(r.emb_fraction(), 0.0);
         assert!(r.emb_fraction().is_finite());

@@ -11,8 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use desim::Dur;
-use dlrm_model::{Dlrm, DlrmConfig, EngineBackend, InferencePipeline, Linear, Mlp, PipelineEngine};
-use emb_retrieval::backend::{ExecMode, PgasFusedBackend};
+use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline, Linear, Mlp, PipelineEngine};
+use emb_retrieval::backend::{Backend, ExecMode};
 use gpusim::{GpuSpec, Machine, MachineConfig};
 use rayon::ThreadPoolBuilder;
 use simtensor::Tensor;
@@ -78,10 +78,9 @@ fn run_timing(model: &Dlrm) -> [u64; 2] {
     let fabric =
         MachineConfig::dgx_v100(model.cfg.emb.n_gpus).with_traffic_bucket(Dur::from_ms(1000));
     let mut m = Machine::new(fabric.clone());
-    let executed = PipelineEngine::new(model).run(&mut m, &EngineBackend::pgas(), ExecMode::Timing);
+    let executed = PipelineEngine::new(model).run(&mut m, &Backend::pgas(), ExecMode::Timing);
     let mut m = Machine::new(fabric);
-    let serial =
-        InferencePipeline::new(model).run(&mut m, &PgasFusedBackend::new(), ExecMode::Timing);
+    let serial = InferencePipeline::new(model).run(&mut m, &Backend::pgas(), ExecMode::Timing);
     [executed.total.as_ns(), serial.total.as_ns()]
 }
 

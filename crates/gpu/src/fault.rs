@@ -34,8 +34,8 @@ use std::fmt;
 use crate::Topology;
 
 /// Errors surfaced by the fabric and the layers above it. This is the shared
-/// taxonomy: `pgas-rt` and `simccl` re-export it so retries, deadlines and
-/// failover all speak the same language.
+/// taxonomy: `pgas-rt` and `simccl` re-export it so retries and failover
+/// speak the same language.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FabricError {
     /// The directed link was down when the send was attempted. `up_at` is
@@ -59,14 +59,6 @@ pub enum FabricError {
         dst: usize,
         /// Detection time (end of the wasted wire interval).
         at: SimTime,
-    },
-    /// An operation did not complete by its deadline. `completes_at` is when
-    /// it would have completed, so callers can report the margin.
-    Timeout {
-        /// The deadline that was missed.
-        deadline: SimTime,
-        /// When the operation actually completes.
-        completes_at: SimTime,
     },
     /// A retry loop gave up. Wraps the error from the final attempt.
     RetryExhausted {
@@ -104,15 +96,6 @@ impl fmt::Display for FabricError {
             FabricError::MessageDropped { src, dst, at } => {
                 write!(f, "message {src}->{dst} dropped at {at:?}")
             }
-            FabricError::Timeout {
-                deadline,
-                completes_at,
-            } => {
-                write!(
-                    f,
-                    "deadline {deadline:?} missed (completes at {completes_at:?})"
-                )
-            }
             FabricError::RetryExhausted { attempts, last } => {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }
@@ -132,21 +115,35 @@ impl FabricError {
         match self {
             FabricError::LinkDown { at, .. } => *at,
             FabricError::MessageDropped { at, .. } => *at,
-            FabricError::Timeout { deadline, .. } => *deadline,
             FabricError::RetryExhausted { last, .. } => last.observed_at(),
             FabricError::DeviceLost { at, .. } => *at,
         }
     }
 
     /// True for faults a bounded retry can reasonably clear (transient drops
-    /// and down windows with a known end); false for deadline misses and
-    /// device loss (a dead shard is a failover problem, not a retry one).
+    /// and down windows with a known end); false for device loss (a dead
+    /// shard is a failover problem, not a retry one).
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
             FabricError::LinkDown { .. } | FabricError::MessageDropped { .. }
         )
     }
+}
+
+/// How a transfer meets the machine's fault plan: every layer that reaches
+/// the wire takes one and passes it down to [`crate::Machine::transmit`].
+/// Without an active plan all three book the transfer on its first attempt.
+#[derive(Clone, Copy, Debug)]
+pub enum Faults {
+    /// Book the transfer whatever the plan says: fault-blind by design
+    /// (the gateway proxy, the fault-blind collective).
+    Ignore,
+    /// One attempt, which errs on a down link or a dropped message.
+    Once,
+    /// Retry down links and dropped messages under the policy; err with
+    /// [`FabricError::RetryExhausted`] once its attempts are spent.
+    Retry(RetryPolicy),
 }
 
 /// Capped exponential backoff for retrying transient fabric faults. All
@@ -977,12 +974,6 @@ mod tests {
         assert!(e.is_retryable());
         assert_eq!(e.observed_at(), SimTime::from_us(5));
         assert!(format!("{e}").contains("0->1"));
-        let t = FabricError::Timeout {
-            deadline: SimTime::from_us(7),
-            completes_at: SimTime::from_us(11),
-        };
-        assert!(!t.is_retryable());
-        assert_eq!(t.observed_at(), SimTime::from_us(7));
         let r = FabricError::RetryExhausted {
             attempts: 3,
             last: Box::new(e.clone()),

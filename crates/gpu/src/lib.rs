@@ -22,17 +22,21 @@
 //! [`desim::TimeSeries`] buckets to regenerate the paper's Figures 7 and 10.
 //!
 //! ```
-//! use gpusim::{Machine, MachineConfig, KernelShape};
+//! use gpusim::{Faults, KernelShape, Machine, MachineConfig, Send};
 //! use desim::SimTime;
 //!
 //! let mut m = Machine::new(MachineConfig::dgx_v100(2));
 //! let run = m.run_kernel(0, KernelShape::memory_bound(1024, 64 * 1024), SimTime::ZERO);
-//! let xfer = m.send(0, 1, 1 << 20, 1, run.interval.end);
+//! let s = Send { src: 0, dst: 1, payload: 1 << 20, messages: 1, ready: run.interval.end,
+//!                efficiency: 1.0, faults: Faults::Ignore };
+//! let xfer = m.transmit(&s)?.interval;
 //! assert!(xfer.end > run.interval.end);
+//! # Ok::<(), gpusim::FabricError>(())
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod compat;
 mod fault;
 mod kernel;
 mod machine;
@@ -42,11 +46,11 @@ mod topology;
 mod trace;
 
 pub use fault::{
-    FabricError, FaultEvent, FaultKind, FaultPlan, FaultSpec, FaultWindow, LinkState, MessageFault,
-    RetryPolicy,
+    FabricError, FaultEvent, FaultKind, FaultPlan, FaultSpec, FaultWindow, Faults, LinkState,
+    MessageFault, RetryPolicy,
 };
 pub use kernel::{KernelRun, KernelShape};
-pub use machine::{Machine, MachineConfig, SendTrain, TrafficStats};
+pub use machine::{Delivery, Machine, MachineConfig, Send, SendTrain, TrafficStats};
 pub use spec::GpuSpec;
 pub use stream::{Event, StageChunk, StreamId};
 pub use topology::{LinkSpec, NoLink, Topology};

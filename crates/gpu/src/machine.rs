@@ -4,7 +4,7 @@ use desim::{Dur, Interval, Resource, SimTime, Spread, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
 
-use crate::fault::{FabricError, FaultKind, FaultPlan, LinkState, MessageFault, RetryPolicy};
+use crate::fault::{FabricError, FaultKind, FaultPlan, Faults, LinkState, MessageFault};
 use crate::{GpuSpec, KernelRun, KernelShape, LinkSpec, Topology};
 
 /// Everything needed to instantiate a [`Machine`].
@@ -216,6 +216,36 @@ impl SendTrain {
     }
 }
 
+/// One transfer for [`Machine::transmit`]: `payload` bytes from `src` to
+/// `dst` as `messages` wire messages, ready at `ready`, at wire efficiency
+/// `efficiency` in `(0, 1]`, meeting the fault plan as `faults` says.
+#[derive(Clone, Copy, Debug)]
+pub struct Send {
+    /// Sending device.
+    pub src: usize,
+    /// Receiving device, never `src`.
+    pub dst: usize,
+    /// Payload bytes.
+    pub payload: u64,
+    /// Wire messages the payload travels as (each pays the link's header).
+    pub messages: u64,
+    /// When the bytes are ready to leave.
+    pub ready: SimTime,
+    /// Divides the link time: 1.0 for stores, less for collective chunks.
+    pub efficiency: f64,
+    /// How the installed fault plan is met.
+    pub faults: Faults,
+}
+
+/// Record of a delivered transfer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Delivery {
+    /// Wire interval of the attempt that succeeded.
+    pub interval: Interval,
+    /// Total attempts (1 = clean first try).
+    pub attempts: u32,
+}
+
 /// A deterministic simulated multi-GPU machine.
 ///
 /// All operations take explicit "ready" times and return the interval the
@@ -397,8 +427,8 @@ impl Machine {
         self.faults.as_ref()
     }
 
-    /// True if a non-trivial fault plan is installed — otherwise every
-    /// fallible fabric call is exactly its infallible counterpart.
+    /// True if a non-trivial fault plan is installed — otherwise
+    /// [`Machine::transmit`] books every transfer on its first attempt.
     pub fn faults_active(&self) -> bool {
         self.faults.as_ref().is_some_and(|p| !p.is_trivial())
     }
@@ -736,29 +766,14 @@ impl Machine {
         }
     }
 
-    /// Transfer `payload` bytes from `src` to `dst` as `n_messages` messages,
-    /// entering the wire no earlier than `ready` (+ link latency). The link
-    /// serializes transfers FIFO in call order; the source's injection port
-    /// additionally caps its aggregate outbound rate across all peers.
-    pub fn send(
+    /// Book a transfer on the fabric, whatever a fault plan says: its wire
+    /// interval. Inlined into both of [`Machine::transmit`]'s paths:
+    /// outlined, it cost about 10 % of a clean send (≈ 3 of 29 ns on a
+    /// shared 2-core x86-64 host).
+    #[inline(always)]
+    fn book(
         &mut self,
-        src: usize,
-        dst: usize,
-        payload: u64,
-        n_messages: u64,
-        ready: SimTime,
-    ) -> Interval {
-        self.send_throttled(src, dst, payload, n_messages, ready, 1.0)
-    }
-
-    /// [`Machine::send`] with a wire-efficiency factor in `(0, 1]`: the
-    /// transfer's link time is divided by `efficiency`. Collective libraries
-    /// use this to model protocol/staging overhead (e.g. NCCL's internal
-    /// buffer copies) that one-sided stores do not pay.
-    pub fn send_throttled(
-        &mut self,
-        src: usize,
-        dst: usize,
+        (src, dst): (usize, usize),
         payload: u64,
         n_messages: u64,
         ready: SimTime,
@@ -873,8 +888,8 @@ impl Machine {
         idle && !observed && !self.faults_active()
     }
 
-    /// Start recording `src`'s sends, made through [`Machine::send`] and
-    /// friends as always, as a [`SendTrain`] with its origin at `origin` (say
+    /// Start recording `src`'s sends, made through [`Machine::transmit`] as
+    /// always, as a [`SendTrain`] with its origin at `origin` (say
     /// the start of the kernel that issues them). Returns whether a recording
     /// began; when it did, [`Machine::finish_train`] must end it.
     pub fn record_train(&mut self, src: usize, origin: SimTime) -> bool {
@@ -932,152 +947,99 @@ impl Machine {
         true
     }
 
-    /// Fault-aware [`Machine::send`]: fails if the directed link is inside a
-    /// down window at the attempted injection time, consumes wire time then
-    /// fails if the message is sampled as dropped, stretches wire time while
-    /// inside a bandwidth-degradation window, and adds sampled jitter to
-    /// delayed messages. With no (or a trivial) fault plan installed this is
-    /// exactly `Ok(self.send(..))` — bit-identical timing.
-    pub fn try_send(
-        &mut self,
-        src: usize,
-        dst: usize,
-        payload: u64,
-        n_messages: u64,
-        ready: SimTime,
-    ) -> Result<Interval, FabricError> {
-        self.try_send_throttled(src, dst, payload, n_messages, ready, 1.0)
-    }
-
-    /// Fault-aware [`Machine::send_throttled`]; see [`Machine::try_send`].
-    pub fn try_send_throttled(
-        &mut self,
-        src: usize,
-        dst: usize,
-        payload: u64,
-        n_messages: u64,
-        ready: SimTime,
-        efficiency: f64,
-    ) -> Result<Interval, FabricError> {
-        if !self.faults_active() {
-            return Ok(self.send_throttled(src, dst, payload, n_messages, ready, efficiency));
+    /// Put `s` on the wire: the one entry to the fabric. The link serializes
+    /// transfers FIFO in call order, the source's injection port caps its
+    /// aggregate outbound rate, and the bytes enter a link latency after
+    /// `s.ready`. With [`Faults::Ignore`], or no (or a trivial) fault plan,
+    /// the transfer is booked on its first attempt. Otherwise an attempt
+    /// fails on a down link, or consumes its wire time and fails when its
+    /// message is dropped; a degraded link stretches it and a delayed message
+    /// adds jitter. [`Faults::Retry`] retries both failures with capped
+    /// exponential backoff in simulated time, inline (so transfers to one
+    /// destination never reorder), and errs with
+    /// [`FabricError::RetryExhausted`] once the budget is spent.
+    pub fn transmit(&mut self, s: &Send) -> Result<Delivery, FabricError> {
+        if matches!(s.faults, Faults::Ignore) || !self.faults_active() {
+            let interval = self.book((s.src, s.dst), s.payload, s.messages, s.ready, s.efficiency);
+            return Ok(Delivery {
+                interval,
+                attempts: 1,
+            });
         }
+        let (src, dst) = (s.src, s.dst);
         assert_ne!(src, dst, "send to self does not touch the fabric");
-        let link = *self.cfg.topology.link(src, dst);
-        let attempt_at = ready + link.latency;
-        // Decide the message's fate up front (link state at the attempted
-        // injection instant; per-pair sampling stream), then run the normal
-        // timing path with the degradation folded into the efficiency.
-        let (bw_factor, fate) = {
-            // faults_active() above guarantees the plan is present.
-            let Some(plan) = self.faults.as_mut() else {
-                unreachable!("faults_active() checked above")
-            };
-            match plan.link_state(src, dst, attempt_at) {
-                LinkState::Down { up_at } => {
-                    return Err(FabricError::LinkDown {
-                        src,
-                        dst,
-                        at: attempt_at,
-                        up_at,
-                    });
-                }
-                LinkState::Up { bw_factor } => (bw_factor, plan.sample_message(src, dst)),
-            }
-        };
-        let eff = if bw_factor < 1.0 {
-            efficiency * bw_factor
-        } else {
-            efficiency
-        };
-        let iv = self.send_throttled(src, dst, payload, n_messages, ready, eff);
-        match fate {
-            MessageFault::None => Ok(iv),
-            MessageFault::Delay(jitter) => {
-                let iv = Interval {
-                    start: iv.start,
-                    end: iv.end + jitter,
-                };
-                self.sent_upto[src] = self.sent_upto[src].max(iv.end);
-                self.bump(iv.end);
-                Ok(iv)
-            }
-            // The dropped message already consumed its wire interval (it was
-            // transmitted, then lost); the caller retries from `iv.end`.
-            MessageFault::Drop => Err(FabricError::MessageDropped {
-                src,
-                dst,
-                at: iv.end,
-            }),
-        }
-    }
-
-    /// [`Machine::try_send_throttled`] wrapped in a retry loop under
-    /// `policy`: link-down and dropped-message faults are retried with
-    /// capped exponential backoff (deterministic, in simulated time),
-    /// waiting out a down window when its end is known. Returns the
-    /// successful wire interval and the number of attempts it took;
-    /// exhaustion yields [`FabricError::RetryExhausted`].
-    ///
-    /// The loop runs inline, so two calls for the same destination can
-    /// never reorder relative to each other.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_send_retry(
-        &mut self,
-        src: usize,
-        dst: usize,
-        payload: u64,
-        n_messages: u64,
-        ready: SimTime,
-        efficiency: f64,
-        policy: RetryPolicy,
-    ) -> Result<(Interval, u32), FabricError> {
-        let mut attempt = 1u32;
-        let mut at = ready;
+        let (mut ready, mut attempts) = (s.ready, 1u32);
         loop {
-            match self.try_send_throttled(src, dst, payload, n_messages, at, efficiency) {
-                Ok(iv) => return Ok((iv, attempt)),
-                Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
-                    // Retry `ready` feeds the link-latency offset again, so
-                    // back out the latency the next attempt will re-add.
-                    let link_latency = self.cfg.topology.link(src, dst).latency;
-                    let next = policy.next_attempt_at(&e, attempt);
-                    if let Some(b) = &mut self.blame {
-                        // The backoff window is a span in its own right:
-                        // the eventual wire span chains through it (the
-                        // retry re-anchors the device cause below), so
-                        // fault-induced waits bill `Retry` on the path.
-                        let failed_at = match &e {
-                            FabricError::LinkDown { at, .. }
-                            | FabricError::MessageDropped { at, .. } => *at,
-                            _ => next,
-                        };
-                        let cause = b.device_cause(src as u32);
-                        let rid = b.record(
-                            BlameCategory::Retry,
-                            Lane::Link(src as u32, dst as u32),
-                            failed_at,
-                            failed_at,
-                            next,
-                            cause,
-                            false,
-                        );
-                        b.set_device_cause(src as u32, Some(rid));
+            // The link's state at the injection instant and the message's
+            // sampled fate decide an attempt up front; a degraded link
+            // stretches the booking through its efficiency.
+            let link_latency = self.cfg.topology.link(src, dst).latency;
+            let at = ready + link_latency;
+            let Some(plan) = self.faults.as_mut() else {
+                unreachable!("only a machine with active faults attempts")
+            };
+            let e = match plan.link_state(src, dst, at) {
+                LinkState::Down { up_at } => FabricError::LinkDown {
+                    src,
+                    dst,
+                    at,
+                    up_at,
+                },
+                LinkState::Up { bw_factor } => {
+                    let fate = plan.sample_message(src, dst);
+                    let eff = s.efficiency * bw_factor.min(1.0);
+                    let interval = self.book((src, dst), s.payload, s.messages, ready, eff);
+                    match fate {
+                        MessageFault::None => return Ok(Delivery { interval, attempts }),
+                        MessageFault::Delay(jitter) => {
+                            let end = interval.end + jitter;
+                            self.sent_upto[src] = self.sent_upto[src].max(end);
+                            self.bump(end);
+                            let interval = Interval { end, ..interval };
+                            return Ok(Delivery { interval, attempts });
+                        }
+                        // Transmitted, then lost: the wire time is spent.
+                        MessageFault::Drop => {
+                            let at = interval.end;
+                            FabricError::MessageDropped { src, dst, at }
+                        }
                     }
-                    at = if next.as_ns() >= link_latency.as_ns() {
-                        next - link_latency
-                    } else {
-                        SimTime::ZERO
-                    };
-                    attempt += 1;
                 }
-                Err(e) => {
-                    return Err(FabricError::RetryExhausted {
-                        attempts: attempt,
-                        last: Box::new(e),
-                    })
-                }
+            };
+            let Faults::Retry(policy) = s.faults else {
+                return Err(e);
+            };
+            if !e.is_retryable() || attempts >= policy.max_attempts {
+                let last = Box::new(e);
+                return Err(FabricError::RetryExhausted { attempts, last });
             }
+            let next = policy.next_attempt_at(&e, attempts);
+            if let Some(b) = &mut self.blame {
+                // The backoff window is a span in its own right: the
+                // eventual wire span chains through it (the retry re-anchors
+                // the device cause below), so fault-induced waits bill
+                // `Retry` on the path.
+                let failed_at = e.observed_at();
+                let cause = b.device_cause(src as u32);
+                let rid = b.record(
+                    BlameCategory::Retry,
+                    Lane::Link(src as u32, dst as u32),
+                    failed_at,
+                    failed_at,
+                    next,
+                    cause,
+                    false,
+                );
+                b.set_device_cause(src as u32, Some(rid));
+            }
+            // A retry's `ready` feeds the link-latency offset again, so back
+            // out the latency the next attempt will re-add.
+            ready = if next.as_ns() >= link_latency.as_ns() {
+                next - link_latency
+            } else {
+                SimTime::ZERO
+            };
+            attempts += 1;
         }
     }
 
@@ -1147,6 +1109,53 @@ mod tests {
         Machine::new(MachineConfig::dgx_v100(n))
     }
 
+    /// A full-efficiency transfer meeting the plan as `faults` says.
+    fn wire(
+        src: usize,
+        dst: usize,
+        payload: u64,
+        messages: u64,
+        ready: SimTime,
+        faults: Faults,
+    ) -> Send {
+        let efficiency = 1.0;
+        Send {
+            src,
+            dst,
+            payload,
+            messages,
+            ready,
+            efficiency,
+            faults,
+        }
+    }
+
+    /// A fault-blind transfer's wire interval.
+    fn send(
+        m: &mut Machine,
+        src: usize,
+        dst: usize,
+        payload: u64,
+        messages: u64,
+        ready: SimTime,
+    ) -> Interval {
+        let s = wire(src, dst, payload, messages, ready, Faults::Ignore);
+        m.transmit(&s).expect("an ignored plan books").interval
+    }
+
+    /// One attempt's wire interval, or its fault.
+    fn try_send(
+        m: &mut Machine,
+        src: usize,
+        dst: usize,
+        payload: u64,
+        messages: u64,
+        ready: SimTime,
+    ) -> Result<Interval, FabricError> {
+        m.transmit(&wire(src, dst, payload, messages, ready, Faults::Once))
+            .map(|d| d.interval)
+    }
+
     #[test]
     fn kernels_serialize_on_a_stream() {
         let mut m = machine(1);
@@ -1177,7 +1186,7 @@ mod tests {
     fn send_includes_latency_and_headers() {
         let mut m = machine(2);
         let link = *m.topology().link(0, 1);
-        let iv = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
+        let iv = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
         assert_eq!(iv.start, SimTime::ZERO + link.latency);
         assert_eq!(iv.duration(), link.wire_time(1 << 20, 1));
         let stats = m.traffic_stats();
@@ -1262,9 +1271,9 @@ mod tests {
     #[test]
     fn links_serialize_but_distinct_sources_are_independent() {
         let mut m = machine(3);
-        let a = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
-        let b = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
-        let c = m.send(2, 1, 1 << 20, 1, SimTime::ZERO);
+        let a = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
+        let b = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
+        let c = send(&mut m, 2, 1, 1 << 20, 1, SimTime::ZERO);
         assert!(b.start >= a.end, "same link serializes");
         assert_eq!(c.start, a.start, "distinct sources run in parallel");
     }
@@ -1274,8 +1283,8 @@ mod tests {
         // GPUs 0 and 1 (node 0) each send one large message to node 1:
         // distinct pair links, but the shared egress NIC serializes them.
         let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
-        let a = m.send(0, 2, 4 << 20, 1, SimTime::ZERO);
-        let b = m.send(1, 3, 4 << 20, 1, SimTime::ZERO);
+        let a = send(&mut m, 0, 2, 4 << 20, 1, SimTime::ZERO);
+        let b = send(&mut m, 1, 3, 4 << 20, 1, SimTime::ZERO);
         assert!(
             b.start >= a.end,
             "shared NIC must serialize cross-node sends"
@@ -1283,8 +1292,8 @@ mod tests {
         // Intra-node traffic from the same two sources is untouched by the
         // NIC and overlaps freely.
         let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
-        let a = m.send(0, 1, 4 << 20, 1, SimTime::ZERO);
-        let b = m.send(1, 0, 4 << 20, 1, SimTime::ZERO);
+        let a = send(&mut m, 0, 1, 4 << 20, 1, SimTime::ZERO);
+        let b = send(&mut m, 1, 0, 4 << 20, 1, SimTime::ZERO);
         assert_eq!(a.start, b.start, "crossbar pairs stay independent");
     }
 
@@ -1294,8 +1303,8 @@ mod tests {
         // horizons, so EXT-2's executed numbers are unchanged by the NIC.
         let mut m = Machine::new(MachineConfig::multi_node_v100(2, 1));
         let link = *m.topology().link(0, 1);
-        let a = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
-        let b = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
+        let a = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
+        let b = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
         assert_eq!(a.start, SimTime::ZERO + link.latency);
         assert_eq!(a.duration(), link.wire_time(1 << 20, 1));
         assert_eq!(b.start, a.end, "back-to-back messages abut exactly");
@@ -1310,8 +1319,8 @@ mod tests {
         let run = || {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
             m.enable_telemetry();
-            m.send(0, 1, 4096, 2, SimTime::ZERO);
-            let inter = m.send(0, 2, 8192, 3, SimTime::ZERO);
+            send(&mut m, 0, 1, 4096, 2, SimTime::ZERO);
+            let inter = send(&mut m, 0, 2, 8192, 3, SimTime::ZERO);
             (m, inter)
         };
         let (m, inter) = run();
@@ -1330,8 +1339,8 @@ mod tests {
         // Two transfers from the same source to different peers share the
         // injection port: the second enters its (idle) link late.
         let mut m = machine(3);
-        let a = m.send(0, 1, 1 << 20, 1, SimTime::ZERO);
-        let c = m.send(0, 2, 1 << 20, 1, SimTime::ZERO);
+        let a = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
+        let c = send(&mut m, 0, 2, 1 << 20, 1, SimTime::ZERO);
         assert!(c.start > a.start, "fan-out must be injection-limited");
         // But still faster than full serialization on one link.
         assert!(c.start < a.end);
@@ -1340,9 +1349,14 @@ mod tests {
     #[test]
     fn throttled_send_is_slower() {
         let mut m1 = machine(2);
-        let full = m1.send_throttled(0, 1, 1 << 20, 1, SimTime::ZERO, 1.0);
+        let full = wire(0, 1, 1 << 20, 1, SimTime::ZERO, Faults::Ignore);
+        let half = Send {
+            efficiency: 0.5,
+            ..full
+        };
+        let full = m1.transmit(&full).expect("booked").interval;
         let mut m2 = machine(2);
-        let half = m2.send_throttled(0, 1, 1 << 20, 1, SimTime::ZERO, 0.5);
+        let half = m2.transmit(&half).expect("booked").interval;
         let r = half.duration().as_secs_f64() / full.duration().as_secs_f64();
         assert!((r - 2.0).abs() < 0.05, "ratio {r}");
     }
@@ -1351,15 +1365,19 @@ mod tests {
     #[should_panic(expected = "out of (0, 1]")]
     fn bad_efficiency_panics() {
         let mut m = machine(2);
-        m.send_throttled(0, 1, 10, 1, SimTime::ZERO, 0.0);
+        let s = wire(0, 1, 10, 1, SimTime::ZERO, Faults::Ignore);
+        let _ = m.transmit(&Send {
+            efficiency: 0.0,
+            ..s
+        });
     }
 
     #[test]
     fn many_small_messages_cost_more_wire_time() {
         let mut m1 = machine(2);
-        let big = m1.send(0, 1, 1 << 20, 1, SimTime::ZERO);
+        let big = send(&mut m1, 0, 1, 1 << 20, 1, SimTime::ZERO);
         let mut m2 = machine(2);
-        let small = m2.send(0, 1, 1 << 20, 4096, SimTime::ZERO);
+        let small = send(&mut m2, 0, 1, 1 << 20, 4096, SimTime::ZERO);
         assert!(small.duration() > big.duration());
         assert!(m2.traffic_stats().header_overhead() > m1.traffic_stats().header_overhead());
     }
@@ -1367,7 +1385,7 @@ mod tests {
     #[test]
     fn quiet_reflects_outstanding_sends() {
         let mut m = machine(2);
-        let iv = m.send(0, 1, 1 << 24, 1, SimTime::ZERO);
+        let iv = send(&mut m, 0, 1, 1 << 24, 1, SimTime::ZERO);
         assert_eq!(m.quiet(0, SimTime::ZERO), iv.end);
         assert_eq!(m.quiet(1, SimTime::ZERO), SimTime::ZERO);
         // Quiet can't go backwards in time.
@@ -1379,13 +1397,13 @@ mod tests {
     fn traffic_series_records_payload_only_and_only_when_observed() {
         let mut m = machine(2);
         m.enable_telemetry();
-        m.send(0, 1, 1000, 10, SimTime::ZERO);
+        send(&mut m, 0, 1, 1000, 10, SimTime::ZERO);
         let total: f64 = m.traffic_between(0, 1).total();
         assert!((total - 1000.0).abs() < 1e-6);
         assert_eq!(m.total_traffic().total(), total);
         assert_eq!(m.traffic_between(1, 0).total(), 0.0);
         let mut unobserved = machine(2);
-        unobserved.send(0, 1, 1000, 10, SimTime::ZERO);
+        send(&mut unobserved, 0, 1, 1000, 10, SimTime::ZERO);
         assert!(unobserved.traffic_between(0, 1).buckets().is_empty());
         assert!(unobserved.total_traffic().buckets().is_empty());
         assert_eq!(unobserved.traffic_stats(), m.traffic_stats());
@@ -1467,7 +1485,7 @@ mod tests {
         let mut sent = 0u64;
         for src in 0..n {
             for dst in (0..n).filter(|&d| d != src) {
-                m.send(src, dst, 4096, 1, SimTime::from_us(1_000_000));
+                send(&mut m, src, dst, 4096, 1, SimTime::from_us(1_000_000));
                 sent += 4096;
             }
         }
@@ -1516,7 +1534,7 @@ mod tests {
         assert!(m.trace().is_none());
         m.enable_trace();
         let run = m.run_kernel(0, KernelShape::memory_bound(10, 1 << 16), SimTime::ZERO);
-        m.send(0, 1, 4096, 2, run.interval.end);
+        send(&mut m, 0, 1, 4096, 2, run.interval.end);
         m.run_kernel_varied(1, &[Dur::from_us(1)], SimTime::ZERO);
         let t = m.trace().unwrap();
         assert_eq!(t.len(), 3);
@@ -1527,7 +1545,8 @@ mod tests {
     }
 
     #[test]
-    fn try_send_without_plan_matches_send() {
+    #[allow(deprecated)]
+    fn the_forwards_pinned_by_the_benchmark_are_transmit() {
         let mut m1 = machine(2);
         let a = m1.send(0, 1, 1 << 20, 4, SimTime::ZERO);
         let mut m2 = machine(2);
@@ -1550,10 +1569,8 @@ mod tests {
             assert_eq!(a.interval, b.interval);
             assert_eq!(a.block_ends, b.block_ends);
         }
-        let a = m1.try_send(0, 1, 1 << 20, 8, SimTime::ZERO).expect("clean");
-        let b = m2
-            .try_send(0, 1, 1 << 20, 8, SimTime::ZERO)
-            .expect("trivial plan");
+        let a = try_send(&mut m1, 0, 1, 1 << 20, 8, SimTime::ZERO).expect("clean");
+        let b = try_send(&mut m2, 0, 1, 1 << 20, 8, SimTime::ZERO).expect("trivial plan");
         assert_eq!(a, b);
         assert_eq!(m2.straggler_factor(0), 1.0);
         assert_eq!(
@@ -1580,7 +1597,7 @@ mod tests {
             assert!(seed < 10_000, "no flap found covering the probe instant");
         };
         m.install_faults(plan);
-        match m.try_send(0, 1, 4096, 1, SimTime::from_us(50)) {
+        match try_send(&mut m, 0, 1, 4096, 1, SimTime::from_us(50)) {
             Err(crate::FabricError::LinkDown {
                 src: 0,
                 dst: 1,
@@ -1621,8 +1638,8 @@ mod tests {
         let mut m = machine(2);
         m.install_faults(plan);
         let mut clean = machine(2);
-        let base = clean.send(0, 1, 1 << 20, 1, SimTime::from_us(50));
-        match m.try_send(0, 1, 1 << 20, 1, SimTime::from_us(50)) {
+        let base = send(&mut clean, 0, 1, 1 << 20, 1, SimTime::from_us(50));
+        match try_send(&mut m, 0, 1, 1 << 20, 1, SimTime::from_us(50)) {
             Ok(iv) => {
                 let ratio = iv.duration().as_secs_f64() / base.duration().as_secs_f64();
                 // Wire time stretched by at least 1/bw_factor (jitter may add
@@ -1700,7 +1717,7 @@ mod tests {
     #[should_panic(expected = "send to self")]
     fn self_send_panics() {
         let mut m = machine(2);
-        m.send(1, 1, 10, 1, SimTime::ZERO);
+        send(&mut m, 1, 1, 10, 1, SimTime::ZERO);
     }
 
     #[test]

@@ -1,8 +1,50 @@
 //! Property-based tests for the GPU machine model.
 
 use desim::{Dur, Interval, SimTime, TimeSeries};
-use gpusim::{FaultPlan, FaultSpec, KernelShape, Machine, MachineConfig, SendTrain};
+use gpusim::{
+    FabricError, FaultPlan, FaultSpec, Faults, KernelShape, Machine, MachineConfig, Send, SendTrain,
+};
 use proptest::prelude::*;
+
+/// `payload` bytes from `src` to `dst` as `messages` messages at full
+/// efficiency, meeting the plan as `faults` says.
+fn transmit(
+    m: &mut Machine,
+    (src, dst): (usize, usize),
+    payload: u64,
+    messages: u64,
+    ready: SimTime,
+    faults: Faults,
+) -> Result<Interval, FabricError> {
+    let efficiency = 1.0;
+    let s = Send {
+        src,
+        dst,
+        payload,
+        messages,
+        ready,
+        efficiency,
+        faults,
+    };
+    m.transmit(&s).map(|d| d.interval)
+}
+
+/// A fault-blind transfer's wire interval.
+fn send(m: &mut Machine, src: usize, dst: usize, payload: u64, msgs: u64, at: SimTime) -> Interval {
+    transmit(m, (src, dst), payload, msgs, at, Faults::Ignore).expect("an ignored plan books")
+}
+
+/// One attempt's wire interval, or its fault.
+fn try_send(
+    m: &mut Machine,
+    src: usize,
+    dst: usize,
+    payload: u64,
+    msgs: u64,
+    at: SimTime,
+) -> Result<Interval, FabricError> {
+    transmit(m, (src, dst), payload, msgs, at, Faults::Once)
+}
 
 /// `(destination offset from the source, payload, messages, ready offset
 /// from the origin in ns)`: one send of a train.
@@ -26,7 +68,7 @@ fn send_each(m: &mut Machine, src: usize, origin: SimTime, sends: &[Planned]) {
     let n = m.n_gpus();
     for &(off, payload, msgs, ready) in sends {
         let dst = (src + 1 + off % (n - 1)) % n;
-        m.send(src, dst, payload, msgs, origin + Dur::from_ns(ready));
+        send(m, src, dst, payload, msgs, origin + Dur::from_ns(ready));
     }
 }
 
@@ -63,7 +105,7 @@ fn fabric_state(m: &mut Machine) -> impl PartialEq + std::fmt::Debug {
 fn probe_links(m: &mut Machine, at: SimTime) -> Vec<Interval> {
     let n = m.n_gpus();
     let pairs = (0..n * n).filter(|p| p / n != p % n);
-    pairs.map(|p| m.send(p / n, p % n, 4096, 3, at)).collect()
+    pairs.map(|p| send(m, p / n, p % n, 4096, 3, at)).collect()
 }
 
 proptest! {
@@ -77,7 +119,7 @@ proptest! {
         let mut total = 0u64;
         let mut msgs = 0u64;
         for (payload, n_msgs, ready_us) in sends {
-            let iv = m.send(0, 1, payload, n_msgs, SimTime::from_us(ready_us));
+            let iv = send(&mut m, 0, 1, payload, n_msgs, SimTime::from_us(ready_us));
             prop_assert!(iv.start >= prev_end);
             prev_end = iv.end;
             total += payload;
@@ -121,7 +163,7 @@ proptest! {
         let mut dense = vec![TimeSeries::new(bucket); 16];
         for (src, off, payload, n_msgs, ready_us) in sends {
             let dst = (src + off) % 4;
-            let iv = m.send(src, dst, payload, n_msgs, SimTime::from_us(ready_us));
+            let iv = send(&mut m, src, dst, payload, n_msgs, SimTime::from_us(ready_us));
             dense[src * 4 + dst].add_spread(iv.start, iv.end, payload as f64);
         }
         let bits = |ts: &TimeSeries| -> Vec<u64> {
@@ -153,9 +195,9 @@ proptest! {
     #[test]
     fn more_messages_never_faster(payload in 1u64..10_000_000, k in 2u64..1000) {
         let mut m1 = Machine::new(MachineConfig::dgx_v100(2));
-        let one = m1.send(0, 1, payload, 1, SimTime::ZERO);
+        let one = send(&mut m1, 0, 1, payload, 1, SimTime::ZERO);
         let mut m2 = Machine::new(MachineConfig::dgx_v100(2));
-        let many = m2.send(0, 1, payload, k, SimTime::ZERO);
+        let many = send(&mut m2, 0, 1, payload, k, SimTime::ZERO);
         prop_assert!(many.duration() >= one.duration());
     }
 
@@ -189,7 +231,7 @@ proptest! {
             let outcomes: Vec<_> = sends
                 .iter()
                 .map(|&(payload, n_msgs, ready_us)| {
-                    m.try_send(0, 1, payload, n_msgs, SimTime::from_us(ready_us))
+                    try_send(&mut m, 0, 1, payload, n_msgs, SimTime::from_us(ready_us))
                         .map(|iv| (iv.start, iv.end))
                         .map_err(|e| e.to_string())
                 })
@@ -216,8 +258,8 @@ proptest! {
         faulty.install_faults(FaultPlan::generate(99, 2, FaultSpec::chaos(0.0)));
         for &(payload, n_msgs, ready_us) in &sends {
             let at = SimTime::from_us(ready_us);
-            let a = clean.send(0, 1, payload, n_msgs, at);
-            let b = faulty.try_send(0, 1, payload, n_msgs, at).expect("trivial plan");
+            let a = send(&mut clean, 0, 1, payload, n_msgs, at);
+            let b = try_send(&mut faulty, 0, 1, payload, n_msgs, at).expect("trivial plan");
             prop_assert_eq!(a, b);
         }
     }
@@ -232,7 +274,7 @@ proptest! {
             latest = latest.max(r.interval.end);
         }
         for _ in 0..n_sends {
-            let iv = m.send(0, 1, 4096, 4, SimTime::ZERO);
+            let iv = send(&mut m, 0, 1, 4096, 4, SimTime::ZERO);
             latest = latest.max(iv.end);
         }
         prop_assert_eq!(m.finish_time(), latest);
@@ -449,7 +491,7 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
         None,
     );
     let busy =
-        |m: &mut Machine, dst: usize, bytes: u64| _ = m.send(1, dst, bytes, 1, SimTime::ZERO);
+        |m: &mut Machine, dst: usize, bytes: u64| _ = send(m, 1, dst, bytes, 1, SimTime::ZERO);
     // A port this slow is busy for a millisecond per KiB while the link is
     // not; one this fast is never busy while the link is for 40 ms.
     refused(
@@ -504,9 +546,9 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
     // Sends a train cannot hold end the recording without one.
     type Spoil = fn(&mut Machine, SimTime);
     let spoilers: [(&str, Spoil); 2] = [
-        ("another source's", |m, at| _ = m.send(0, 2, 512, 2, at)),
+        ("another source's", |m, at| _ = send(m, 0, 2, 512, 2, at)),
         ("one requested before the origin", |m, at| {
-            _ = m.send(1, 2, 512, 2, at - Dur::from_us(2))
+            _ = send(m, 1, 2, 512, 2, at - Dur::from_us(2))
         }),
     ];
     for (why, spoil) in spoilers {

@@ -13,11 +13,23 @@
 //! [`GatewayPut`] is bit-identical to a plain [`OneSided`].
 
 use desim::{Dur, Interval, SimTime};
-use gpusim::Machine;
+use gpusim::{Faults, Machine};
 use telemetry::causal::{BlameCategory, Lane};
 
 use crate::coalesce::{coalesce_rows, CoalescedBatch};
 use crate::ops::{OneSided, PgasConfig};
+
+/// Every put the proxy makes: [`Faults::Ignore`], fault-blind by design.
+fn fault_blind(
+    os: &mut OneSided,
+    src: usize,
+    dst: usize,
+    batch: CoalescedBatch,
+    at: SimTime,
+) -> Interval {
+    let put = os.put(src, dst, batch, at, Faults::Ignore);
+    put.expect("an ignored fault plan books").interval
+}
 
 /// Flush policy of a staging buffer (the paper's §V aggregator).
 #[derive(Clone, Copy, Debug)]
@@ -146,7 +158,8 @@ impl<'m> GatewayPut<'m> {
     ) -> Interval {
         let topo = self.os.machine().topology();
         if topo.same_node(src, dst) {
-            return self.os.put_rows_nbi(src, dst, rows, row_bytes, ready);
+            let batch = coalesce_rows(rows, row_bytes, self.os.config().max_payload);
+            return fault_blind(&mut self.os, src, dst, batch, ready);
         }
         let dst_node = topo.node_of(dst);
         let idx = src * self.nodes + dst_node;
@@ -234,11 +247,6 @@ impl<'m> GatewayPut<'m> {
         self.os.quiet(src, at.max(self.last_delivery[src]))
     }
 
-    /// Barrier across all PEs, delegated to the wrapped [`OneSided`].
-    pub fn barrier_all(&mut self, times: &[SimTime]) -> SimTime {
-        self.os.barrier_all(times)
-    }
-
     /// Ship one staged buffer: a single aggregate message from the origin to
     /// the destination node's gateway, then per-destination scatter
     /// forwarding from the gateway over the intra-node crossbar (on the
@@ -275,7 +283,7 @@ impl<'m> GatewayPut<'m> {
             );
             b.set_device_cause(src as u32, Some(staging));
         }
-        let inter = self.os.put_batch_nbi(src, gw, batch, at);
+        let inter = fault_blind(&mut self.os, src, gw, batch, at);
         let agg_span = self.os.machine().blame_last_span(); // None when off
         if let Some(b) = self.os.machine().blame_mut() {
             b.set_device_cause(src as u32, prev_cause);
@@ -341,6 +349,7 @@ mod oracle {
     use gpusim::Machine;
     use telemetry::causal::{BlameCategory, Lane};
 
+    use super::fault_blind;
     use super::{AggregatorConfig, GatewayConfig};
     use crate::coalesce::{coalesce_rows, CoalescedBatch};
     use crate::ops::OneSided;
@@ -419,7 +428,8 @@ mod oracle {
             ready: SimTime,
         ) -> Interval {
             if self.os.machine().topology().same_node(src, dst) {
-                return self.os.put_rows_nbi(src, dst, rows, row_bytes, ready);
+                let batch = coalesce_rows(rows, row_bytes, self.os.config().max_payload);
+                return fault_blind(&mut self.os, src, dst, batch, ready);
             }
             let dst_node = self.os.machine().topology().node_of(dst);
             self.rows_staged += rows;
@@ -566,7 +576,7 @@ mod oracle {
                 );
                 b.set_device_cause(src as u32, Some(staging));
             }
-            let inter = self.os.put_batch_nbi(src, gw, batch, at);
+            let inter = fault_blind(&mut self.os, src, gw, batch, at);
             let agg_span = if blame_on {
                 self.os.machine().blame_last_span()
             } else {
@@ -657,7 +667,13 @@ mod tests {
             let src = (i % 4) as usize;
             let dst = ((i + 1) % 4) as usize;
             let at = SimTime::ZERO + Dur::from_ns(10 * i);
-            a.push(direct.put_rows_nbi(src, dst, 3, 256, at));
+            a.push(super::fault_blind(
+                &mut direct,
+                src,
+                dst,
+                coalesce_rows(3, 256, 256),
+                at,
+            ));
             b.push(gw.put_rows_nbi(src, dst, 3, 256, at));
         }
         assert_eq!(a, b);
@@ -808,7 +824,8 @@ mod tests {
         flat_m.enable_telemetry();
         let mut flat = OneSided::new(&mut flat_m);
         for i in 0..rows {
-            flat.put_rows_nbi(0, 2, 1, 256, SimTime::ZERO + Dur::from_ns(i));
+            let batch = coalesce_rows(1, 256, 256);
+            super::fault_blind(&mut flat, 0, 2, batch, SimTime::ZERO + Dur::from_ns(i));
         }
         let flat_msgs = flat_m.metrics().counter("fabric_tier_messages", 1, 0);
 

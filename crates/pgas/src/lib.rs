@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod coalesce;
+pub mod compat;
 mod gateway;
 mod heap;
 mod ops;
@@ -37,8 +38,9 @@ mod ops;
 pub use coalesce::{coalesce_rows, coalesce_rows_many, CoalescedBatch};
 pub use gateway::{AggregatorConfig, GatewayConfig, GatewayPut};
 pub use heap::{SegmentId, SymmetricHeap};
-pub use ops::{Delivery, OneSided, PgasConfig, RetryStats};
+pub use ops::{OneSided, PgasConfig};
 
-/// The shared fault taxonomy and retry schedule, re-exported so PGAS
-/// callers need not depend on `gpusim` directly.
-pub use gpusim::{FabricError, RetryPolicy};
+/// The shared fault taxonomy, fault handling, delivery record and retry
+/// schedule, re-exported so PGAS callers need not depend on `gpusim`
+/// directly.
+pub use gpusim::{Delivery, FabricError, Faults, RetryPolicy};

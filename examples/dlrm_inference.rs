@@ -9,7 +9,7 @@
 
 use pgas_embedding::dlrm::{Dlrm, DlrmConfig, InferencePipeline};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{BaselineBackend, ExecMode, PgasFusedBackend};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 
 fn main() {
     let gpus = 4;
@@ -29,9 +29,9 @@ fn main() {
     );
 
     let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
-    let base = pipeline.run(&mut m, &BaselineBackend::new(), ExecMode::Functional);
+    let base = pipeline.run(&mut m, &Backend::baseline(), ExecMode::Functional);
     let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
-    let pgas = pipeline.run(&mut m, &PgasFusedBackend::new(), ExecMode::Functional);
+    let pgas = pipeline.run(&mut m, &Backend::pgas(), ExecMode::Functional);
 
     println!(
         "baseline pipeline: {} total | EMB stage {} ({:.0}% of total)",

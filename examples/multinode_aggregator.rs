@@ -9,7 +9,7 @@
 //! ```
 
 use pgas_embedding::desim::{Dur, SimTime};
-use pgas_embedding::gpusim::{Machine, MachineConfig};
+use pgas_embedding::gpusim::{Faults, Machine, MachineConfig, Send};
 use pgas_embedding::pgas::{GatewayConfig, GatewayPut};
 
 fn main() {
@@ -22,8 +22,17 @@ fn main() {
     let step = Dur::from_ns(span.as_ns() / rows);
     let mut naive_end = SimTime::ZERO;
     for i in 0..rows {
-        let iv = naive.send(0, 1, 256, 1, SimTime::ZERO + step * i);
-        naive_end = naive_end.max(iv.end);
+        let row = Send {
+            src: 0,
+            dst: 1,
+            payload: 256,
+            messages: 1,
+            ready: SimTime::ZERO + step * i,
+            efficiency: 1.0,
+            faults: Faults::Ignore,
+        };
+        let put = naive.transmit(&row).expect("an ignored fault plan books");
+        naive_end = naive_end.max(put.interval.end);
     }
 
     // --- Aggregated: 64 KiB flushes, 50 µs max wait. ---

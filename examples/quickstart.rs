@@ -7,9 +7,7 @@
 //! ```
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
-};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::{reference::reference_forward, EmbLayerConfig, SparseBatch};
 
 fn main() {
@@ -31,7 +29,7 @@ fn main() {
 
     // --- Baseline: lookup kernel -> all_to_all_single -> sync + unpack. ---
     let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let baseline = BaselineBackend::new().run(&mut m, &cfg, ExecMode::Functional);
+    let baseline = Backend::baseline().run(&mut m, &cfg, ExecMode::Functional);
     let b = &baseline.report;
     println!(
         "baseline:   {:>10} total  (compute {}, comm {}, sync+unpack {})",
@@ -40,7 +38,7 @@ fn main() {
 
     // --- PGAS fused: one-sided 256 B writes from inside the kernel. ---
     let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let pgas = PgasFusedBackend::new().run(&mut m, &cfg, ExecMode::Functional);
+    let pgas = Backend::pgas().run(&mut m, &cfg, ExecMode::Functional);
     let p = &pgas.report;
     println!(
         "pgas-fused: {:>10} total  (communication hidden inside the kernel)",

@@ -6,7 +6,7 @@
 //! ```
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{ExecMode, PgasFusedBackend, RetrievalBackend};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::{EmbLayerConfig, InputPartition, Sharding, SparseBatch};
 
 fn main() {
@@ -47,9 +47,7 @@ fn main() {
 
     println!("\n== does placement change retrieval time? (uniform inputs: no) ==");
     let mut m = Machine::new(MachineConfig::dgx_v100(gpus));
-    let r = PgasFusedBackend::new()
-        .run(&mut m, &cfg, ExecMode::Timing)
-        .report;
+    let r = Backend::pgas().run(&mut m, &cfg, ExecMode::Timing).report;
     println!(
         "  table-wise block: EMB stage {} over {} batches ({} per batch)",
         r.total,

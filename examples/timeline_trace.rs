@@ -18,9 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
-};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::EmbLayerConfig;
 
 fn parse_out_dir() -> PathBuf {
@@ -50,7 +48,7 @@ fn main() {
     m.enable_trace();
     m.enable_telemetry();
     m.enable_blame();
-    BaselineBackend::new().run(&mut m, &cfg, ExecMode::Timing);
+    Backend::baseline().run(&mut m, &cfg, ExecMode::Timing);
     m.trace_counter_tracks();
     m.blame_trace_lanes();
     let baseline = m.trace().unwrap();
@@ -71,7 +69,7 @@ fn main() {
     m.enable_trace();
     m.enable_telemetry();
     m.enable_blame();
-    PgasFusedBackend::new().run(&mut m, &cfg, ExecMode::Timing);
+    Backend::pgas().run(&mut m, &cfg, ExecMode::Timing);
     m.trace_counter_tracks();
     m.blame_trace_lanes();
     let pgas = m.trace().unwrap();
@@ -104,7 +102,7 @@ fn main() {
     m.enable_telemetry();
     pgas_embedding::dlrm::PipelineEngine::new(&model).run(
         &mut m,
-        &pgas_embedding::dlrm::EngineBackend::pgas(),
+        &Backend::pgas(),
         ExecMode::Timing,
     );
     m.trace_counter_tracks();

@@ -4,7 +4,7 @@
 use pgas_embedding::dlrm::{Dlrm, DlrmConfig, InferencePipeline};
 use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_embedding::pgas::PgasConfig;
-use pgas_embedding::retrieval::backend::{BaselineBackend, ExecMode, PgasFusedBackend};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::backward::{
     baseline_backward, pgas_backward, reference_backward, sgd_update,
 };
@@ -118,9 +118,9 @@ fn pipeline_four_gpus_functional_and_timed() {
     let model = Dlrm::new(cfg);
     let pipeline = InferencePipeline::new(&model);
     let mut mb = Machine::new(MachineConfig::dgx_v100(4));
-    let b = pipeline.run(&mut mb, &BaselineBackend::new(), ExecMode::Functional);
+    let b = pipeline.run(&mut mb, &Backend::baseline(), ExecMode::Functional);
     let mut mp = Machine::new(MachineConfig::dgx_v100(4));
-    let p = pipeline.run(&mut mp, &PgasFusedBackend::new(), ExecMode::Functional);
+    let p = pipeline.run(&mut mp, &Backend::pgas(), ExecMode::Functional);
     assert!(p.total <= b.total);
     let (bp, pp) = (b.predictions.unwrap(), p.predictions.unwrap());
     assert_eq!(bp.len(), 4);

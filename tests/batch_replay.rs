@@ -20,7 +20,9 @@
 //! machines that refuse every replay.
 
 use pgas_embedding::desim::{Dur, Interval, SimTime};
-use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig, TrafficStats};
+use pgas_embedding::gpusim::{
+    FaultPlan, FaultSpec, Faults, Machine, MachineConfig, Send, TrafficStats,
+};
 use pgas_embedding::pgas::PgasConfig;
 use pgas_embedding::retrieval::backend::{
     execute_batch, plan_for_batch, ArrivalLog, BatchRun, Exchange, ExecMode, PlannedBatch,
@@ -140,14 +142,35 @@ impl Wire {
     }
 }
 
+/// A fault-blind transfer of `payload` bytes as `messages` messages.
+fn send(
+    m: &mut Machine,
+    (src, dst): (usize, usize),
+    payload: u64,
+    messages: u64,
+    ready: SimTime,
+) -> Interval {
+    let (efficiency, faults) = (1.0, Faults::Ignore);
+    let s = Send {
+        src,
+        dst,
+        payload,
+        messages,
+        ready,
+        efficiency,
+        faults,
+    };
+    m.transmit(&s)
+        .expect("an ignored fault plan books")
+        .interval
+}
+
 /// A send on every link and a kernel on every device, wanted from `at` on:
 /// when they start shows when ports, links and streams were free.
 fn probe(m: &mut Machine, at: SimTime) -> Vec<Interval> {
     let n = m.n_gpus();
     let pairs = (0..n * n).map(|p| (p / n, p % n)).filter(|(s, d)| s != d);
-    let mut probes: Vec<_> = pairs
-        .map(|(src, dst)| m.send(src, dst, 4096, 2, at))
-        .collect();
+    let mut probes: Vec<_> = pairs.map(|pair| send(m, pair, 4096, 2, at)).collect();
     for d in 0..n {
         let run = m.run_kernel_varied(d, &[Dur::from_us(1)], SimTime::ZERO);
         probes.push(run.interval);
@@ -160,7 +183,7 @@ fn drive(sc: &Scenario, shared: Option<&PlannedBatch>) -> Seen {
     let mut m = sc.machine();
     let n = m.n_gpus();
     for &(src, dst, payload, msgs, ready) in &sc.prior {
-        m.send(src, dst, payload, msgs, SimTime::from_ns(ready));
+        send(&mut m, (src, dst), payload, msgs, SimTime::from_ns(ready));
     }
     let exchange = Exchange::OneSided(sc.pgas);
     let policy = ResiliencePolicy {
@@ -430,7 +453,7 @@ fn run_pass(pass: usize, m: &mut Machine, cfg: &EmbLayerConfig) -> RunReport {
 fn pass_seen(pass: usize, sc: &Scenario) -> ((String, Wire, Vec<Interval>), Vec<u64>) {
     let mut m = sc.machine();
     for &(src, dst, payload, msgs, ready) in &sc.prior {
-        m.send(src, dst, payload, msgs, SimTime::from_ns(ready));
+        send(&mut m, (src, dst), payload, msgs, SimTime::from_ns(ready));
     }
     let r = run_pass(pass, &mut m, &sc.cfg);
     let comm: Vec<u64> = r

@@ -11,8 +11,7 @@
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
 use pgas_embedding::retrieval::backend::{
-    plan_with_planner, BaselineBackend, ExecMode, HotCachePlanner, PgasFusedBackend,
-    ResilientBackend, RetrievalBackend,
+    plan_with_planner, Backend, ExecMode, HotCachePlanner, ResiliencePolicy,
 };
 use pgas_embedding::retrieval::{EmbLayerConfig, IndexDistribution, PoolingOp, SparseBatch};
 use proptest::prelude::*;
@@ -42,7 +41,7 @@ fn cached_cfg(gpus: usize, pooling: PoolingOp, cache_rows: u64, dedup: bool) -> 
 }
 
 /// Flattened functional outputs of `backend` under `cfg`.
-fn functional_outputs(backend: &(dyn RetrievalBackend + Sync), cfg: &EmbLayerConfig) -> Vec<f32> {
+fn functional_outputs(backend: &Backend, cfg: &EmbLayerConfig) -> Vec<f32> {
     let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
     backend
         .run(&mut m, cfg, ExecMode::Functional)
@@ -70,10 +69,13 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 /// wrapper on a clean fabric), at pool widths 1/2/4/8.
 #[test]
 fn cached_outputs_bit_identical_to_uncached_at_every_width() {
-    let backends: [(&str, &(dyn RetrievalBackend + Sync)); 3] = [
-        ("baseline", &BaselineBackend::new()),
-        ("pgas", &PgasFusedBackend::new()),
-        ("resilient", &ResilientBackend::new()),
+    let backends: [(&str, &Backend); 3] = [
+        ("baseline", &Backend::baseline()),
+        ("pgas", &Backend::pgas()),
+        (
+            "resilient",
+            &Backend::pgas().with_policy(ResiliencePolicy::default()),
+        ),
     ];
     for pooling in [PoolingOp::Sum, PoolingOp::Mean, PoolingOp::Max] {
         for (name, backend) in backends {
@@ -105,10 +107,7 @@ fn dedup_never_increases_messages_bytes_or_time() {
         let (mut plain, mut deduped) = (plain, deduped);
         plain.cache_rows_scale = 0.0;
         deduped.cache_rows_scale = 0.0;
-        for backend in [
-            &BaselineBackend::new() as &(dyn RetrievalBackend + Sync),
-            &PgasFusedBackend::new(),
-        ] {
+        for backend in [&Backend::baseline(), &Backend::pgas()] {
             let mut m0 = Machine::new(MachineConfig::dgx_v100(gpus));
             let r0 = backend.run(&mut m0, &plain, ExecMode::Timing).report;
             let mut m1 = Machine::new(MachineConfig::dgx_v100(gpus));
@@ -147,12 +146,12 @@ fn heavy_skew_headline_speedup_holds() {
         c
     };
     let mut m0 = Machine::new(MachineConfig::dgx_v100(4));
-    let t0 = PgasFusedBackend::new()
+    let t0 = Backend::pgas()
         .run(&mut m0, &plain, ExecMode::Timing)
         .report
         .total;
     let mut m1 = Machine::new(MachineConfig::dgx_v100(4));
-    let t1 = PgasFusedBackend::new()
+    let t1 = Backend::pgas()
         .run(&mut m1, &cached, ExecMode::Timing)
         .report
         .total;
@@ -237,21 +236,21 @@ proptest! {
         plain.hot_cache_rows = 0;
         plain.dedup = false;
         for backend in [
-            &BaselineBackend::new() as &(dyn RetrievalBackend + Sync),
-            &PgasFusedBackend::new(),
+            &Backend::baseline(),
+            &Backend::pgas(),
         ] {
             let reference = functional_outputs(backend, &plain);
             let cached = functional_outputs(backend, &cfg);
             assert_bits_eq(&reference, &cached, backend.name());
         }
         let mut m0 = Machine::new(MachineConfig::dgx_v100(gpus));
-        let plain_msgs = PgasFusedBackend::new()
+        let plain_msgs = Backend::pgas()
             .run(&mut m0, &plain, ExecMode::Timing)
             .report
             .traffic
             .messages;
         let mut m1 = Machine::new(MachineConfig::dgx_v100(gpus));
-        let cached_msgs = PgasFusedBackend::new()
+        let cached_msgs = Backend::pgas()
             .run(&mut m1, &cfg, ExecMode::Timing)
             .report
             .traffic

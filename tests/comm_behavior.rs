@@ -4,9 +4,7 @@
 
 use bench_harness::{comm_volume_strong_4gpu, comm_volume_weak_2gpu};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
-};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::EmbLayerConfig;
 use pgas_embedding::simccl::CollectiveConfig;
 
@@ -21,13 +19,11 @@ fn both_backends_move_identical_payload() {
     for gpus in 2..=4 {
         let cfg = tiny(gpus);
         let mut mb = Machine::new(MachineConfig::dgx_v100(gpus));
-        let b = BaselineBackend::new()
+        let b = Backend::baseline()
             .run(&mut mb, &cfg, ExecMode::Timing)
             .report;
         let mut mp = Machine::new(MachineConfig::dgx_v100(gpus));
-        let p = PgasFusedBackend::new()
-            .run(&mut mp, &cfg, ExecMode::Timing)
-            .report;
+        let p = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing).report;
         assert_eq!(
             b.traffic.payload_bytes, p.traffic.payload_bytes,
             "same layout conversion, same bytes (g={gpus})"
@@ -44,7 +40,7 @@ fn both_backends_move_identical_payload() {
 fn pgas_messages_are_row_sized() {
     let cfg = tiny(2);
     let mut m = Machine::new(MachineConfig::dgx_v100(2));
-    let t = PgasFusedBackend::new()
+    let t = Backend::pgas()
         .run(&mut m, &cfg, ExecMode::Timing)
         .report
         .traffic;
@@ -57,7 +53,7 @@ fn pgas_messages_are_row_sized() {
 fn baseline_messages_are_chunk_sized() {
     let cfg = tiny(2);
     let mut m = Machine::new(MachineConfig::dgx_v100(2));
-    let t = BaselineBackend::new()
+    let t = Backend::baseline()
         .run(&mut m, &cfg, ExecMode::Timing)
         .report
         .traffic;
@@ -74,13 +70,11 @@ fn baseline_messages_are_chunk_sized() {
 fn pgas_pays_more_header_overhead_but_less_time() {
     let cfg = tiny(2);
     let mut mb = Machine::new(MachineConfig::dgx_v100(2));
-    let b = BaselineBackend::new()
+    let b = Backend::baseline()
         .run(&mut mb, &cfg, ExecMode::Timing)
         .report;
     let mut mp = Machine::new(MachineConfig::dgx_v100(2));
-    let p = PgasFusedBackend::new()
-        .run(&mut mp, &cfg, ExecMode::Timing)
-        .report;
+    let p = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing).report;
     assert!(p.traffic.header_overhead() > 5.0 * b.traffic.header_overhead());
     assert!(p.total < b.total);
 }
@@ -115,11 +109,9 @@ fn single_gpu_is_silent() {
     for backend in [true, false] {
         let mut m = Machine::new(MachineConfig::dgx_v100(1));
         let r = if backend {
-            PgasFusedBackend::new()
-                .run(&mut m, &cfg, ExecMode::Timing)
-                .report
+            Backend::pgas().run(&mut m, &cfg, ExecMode::Timing).report
         } else {
-            BaselineBackend::new()
+            Backend::baseline()
                 .run(&mut m, &cfg, ExecMode::Timing)
                 .report
         };

@@ -6,21 +6,19 @@
 //! materializes whole tables.
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
-};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::{
     reference::reference_forward, EmbLayerConfig, PoolingOp, SparseBatch,
 };
 
 fn check(cfg: &EmbLayerConfig) {
     let mut mb = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let base = BaselineBackend::new()
+    let base = Backend::baseline()
         .run(&mut mb, cfg, ExecMode::Functional)
         .outputs
         .unwrap();
     let mut mp = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-    let pgas = PgasFusedBackend::new()
+    let pgas = Backend::pgas()
         .run(&mut mp, cfg, ExecMode::Functional)
         .outputs
         .unwrap();

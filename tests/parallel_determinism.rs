@@ -10,7 +10,7 @@ use pgas_embedding::gpusim::{Machine, MachineConfig};
 use pgas_embedding::pgas::{coalesce_rows, coalesce_rows_many, CoalescedBatch};
 use pgas_embedding::retrieval::backend::{
     compute_pooled_rows, exchange_and_unpack, materialize_shards, scatter_via_symmetric_heap,
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
+    Backend, ExecMode,
 };
 use pgas_embedding::retrieval::{
     EmbLayerConfig, EmbeddingShard, ForwardPlan, IndexDistribution, PoolingOp, SparseBatch,
@@ -140,7 +140,7 @@ fn pgas_aggregation_bit_identical_across_widths() {
 #[test]
 fn end_to_end_batch_bit_identical_across_widths() {
     let cfg = EmbLayerConfig::paper_weak_scaling(2).scaled_down(1024);
-    fn run_functional(backend: &(impl RetrievalBackend + Sync), cfg: &EmbLayerConfig) -> Vec<f32> {
+    fn run_functional(backend: &Backend, cfg: &EmbLayerConfig) -> Vec<f32> {
         let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
         backend
             .run(&mut m, cfg, ExecMode::Functional)
@@ -151,10 +151,10 @@ fn end_to_end_batch_bit_identical_across_widths() {
             .collect()
     }
     check_widths("end-to-end batch (pgas)", || {
-        run_functional(&PgasFusedBackend::new(), &cfg)
+        run_functional(&Backend::pgas(), &cfg)
     });
     check_widths("end-to-end batch (baseline)", || {
-        run_functional(&BaselineBackend::new(), &cfg)
+        run_functional(&Backend::baseline(), &cfg)
     });
 }
 

@@ -3,13 +3,9 @@
 //! to the serial pipeline, and its executed total must sit between the
 //! per-stream critical-path lower bound and the analytic serial schedule.
 
-use pgas_embedding::dlrm::{
-    Dlrm, DlrmConfig, EngineBackend, ExecutedReport, InferencePipeline, PipelineEngine,
-};
+use pgas_embedding::dlrm::{Dlrm, DlrmConfig, ExecutedReport, InferencePipeline, PipelineEngine};
 use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    forget_prepared, BaselineBackend, ExecMode, PgasFusedBackend,
-};
+use pgas_embedding::retrieval::backend::{forget_prepared, Backend, ExecMode};
 use pgas_embedding::retrieval::EmbLayerConfig;
 use proptest::prelude::*;
 
@@ -34,22 +30,18 @@ fn executed_predictions_bit_identical_to_serial_pipeline() {
         for pgas in [false, true] {
             let (mut ms, mut me) = machines_for(&model.cfg);
             let serial = if pgas {
-                InferencePipeline::new(&model).run(
-                    &mut ms,
-                    &PgasFusedBackend::new(),
-                    ExecMode::Functional,
-                )
+                InferencePipeline::new(&model).run(&mut ms, &Backend::pgas(), ExecMode::Functional)
             } else {
                 InferencePipeline::new(&model).run(
                     &mut ms,
-                    &BaselineBackend::new(),
+                    &Backend::baseline(),
                     ExecMode::Functional,
                 )
             };
             let be = if pgas {
-                EngineBackend::pgas()
+                Backend::pgas()
             } else {
-                EngineBackend::baseline()
+                Backend::baseline()
             };
             let exec = PipelineEngine::new(&model).run(&mut me, &be, ExecMode::Functional);
             let (sp, ep) = (serial.predictions.unwrap(), exec.predictions.unwrap());
@@ -75,9 +67,9 @@ fn executed_schedule_strictly_beats_serial_on_multi_batch_runs() {
     let mut totals = Vec::new();
     for pgas in [false, true] {
         let be = if pgas {
-            EngineBackend::pgas()
+            Backend::pgas()
         } else {
-            EngineBackend::baseline()
+            Backend::baseline()
         };
         let (mut m, _) = machines_for(&model.cfg);
         let e = PipelineEngine::new(&model).run(&mut m, &be, ExecMode::Timing);
@@ -124,7 +116,7 @@ fn executed_reports_do_not_depend_on_where_the_gates_came_from() {
         let mut m = Machine::new(MachineConfig::dgx_v100(4));
         setup(&mut m);
         let engine = PipelineEngine::new(&model).with_chunks(chunks);
-        engine.run(&mut m, &EngineBackend::pgas(), ExecMode::Timing)
+        engine.run(&mut m, &Backend::pgas(), ExecMode::Timing)
     };
     let plain = |_: &mut Machine| {};
     forget_prepared();
@@ -209,7 +201,7 @@ proptest! {
     fn executed_total_is_bounded_by_serial_and_critical_path(cfg in dlrm_strategy()) {
         let model = Dlrm::new(cfg);
         for pgas in [false, true] {
-            let be = if pgas { EngineBackend::pgas() } else { EngineBackend::baseline() };
+            let be = if pgas { Backend::pgas() } else { Backend::baseline() };
             let (mut m, _) = machines_for(&model.cfg);
             let e = PipelineEngine::new(&model).run(&mut m, &be, ExecMode::Timing);
             prop_assert!(

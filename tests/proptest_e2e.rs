@@ -3,9 +3,7 @@
 //! hold for arbitrary configurations.
 
 use pgas_embedding::gpusim::{Machine, MachineConfig};
-use pgas_embedding::retrieval::backend::{
-    BaselineBackend, ExecMode, PgasFusedBackend, RetrievalBackend,
-};
+use pgas_embedding::retrieval::backend::{Backend, ExecMode};
 use pgas_embedding::retrieval::{
     reference::reference_forward, EmbLayerConfig, IndexDistribution, PoolingOp, SparseBatch,
 };
@@ -61,12 +59,12 @@ proptest! {
     #[test]
     fn backends_match_reference(cfg in cfg_strategy()) {
         let mut mb = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let base = BaselineBackend::new()
+        let base = Backend::baseline()
             .run(&mut mb, &cfg, ExecMode::Functional)
             .outputs
             .unwrap();
         let mut mp = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let pgas = PgasFusedBackend::new()
+        let pgas = Backend::pgas()
             .run(&mut mp, &cfg, ExecMode::Functional)
             .outputs
             .unwrap();
@@ -84,9 +82,9 @@ proptest! {
     #[test]
     fn timing_reports_consistent(cfg in cfg_strategy()) {
         let mut mb = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let b = BaselineBackend::new().run(&mut mb, &cfg, ExecMode::Timing).report;
+        let b = Backend::baseline().run(&mut mb, &cfg, ExecMode::Timing).report;
         let mut mp = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let p = PgasFusedBackend::new().run(&mut mp, &cfg, ExecMode::Timing).report;
+        let p = Backend::pgas().run(&mut mp, &cfg, ExecMode::Timing).report;
         prop_assert_eq!(b.total, b.breakdown.total());
         prop_assert_eq!(p.total, p.breakdown.total());
         prop_assert!(!b.breakdown.compute.is_zero());
@@ -100,9 +98,9 @@ proptest! {
         let mut more = cfg.clone();
         more.n_batches = cfg.n_batches + 2;
         let mut m1 = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let t1 = PgasFusedBackend::new().run(&mut m1, &cfg, ExecMode::Timing).report.total;
+        let t1 = Backend::pgas().run(&mut m1, &cfg, ExecMode::Timing).report.total;
         let mut m2 = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
-        let t2 = PgasFusedBackend::new().run(&mut m2, &more, ExecMode::Timing).report.total;
+        let t2 = Backend::pgas().run(&mut m2, &more, ExecMode::Timing).report.total;
         prop_assert!(t2 > t1);
     }
 }

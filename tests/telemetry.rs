@@ -24,12 +24,11 @@ use std::collections::BTreeSet;
 use bench_harness::{netutil_sweep, Params, EXPERIMENTS};
 use desim::{Dur, SimTime};
 use emb_serve::{ControlConfig, Controller, EmbServer, ServeBackendKind, ServeConfig};
-use pgas_embedding::dlrm::{Dlrm, DlrmConfig, EngineBackend, PipelineEngine};
+use pgas_embedding::dlrm::{Dlrm, DlrmConfig, PipelineEngine};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
 use pgas_embedding::pgas::{GatewayConfig, PgasConfig};
 use pgas_embedding::retrieval::backend::{
-    execute_batch, plan_for_batch, BaselineBackend, Exchange, ExecMode, PgasFusedBackend,
-    PlannedBatch, ResilientBackend, RetrievalBackend,
+    execute_batch, plan_for_batch, Backend, Exchange, ExecMode, PlannedBatch, ResiliencePolicy,
 };
 use pgas_embedding::retrieval::backward::{baseline_backward, pgas_backward};
 use pgas_embedding::retrieval::rowwise::{rowwise_baseline_forward, rowwise_pgas_forward};
@@ -56,10 +55,10 @@ fn at_width<T>(threads: usize, f: impl Fn() -> T + Sync) -> T {
 #[test]
 fn telemetry_is_off_by_default_and_enabling_it_perturbs_nothing() {
     let cfg = workload();
-    let backends: [&dyn RetrievalBackend; 3] = [
-        &BaselineBackend::new(),
-        &PgasFusedBackend::new(),
-        &ResilientBackend::new(),
+    let backends: [&Backend; 3] = [
+        &Backend::baseline(),
+        &Backend::pgas(),
+        &Backend::pgas().with_policy(ResiliencePolicy::default()),
     ];
     for b in backends {
         let mut off = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
@@ -116,7 +115,7 @@ fn snapshots_are_bit_identical_across_thread_widths() {
     let eval = || {
         let mut m = Machine::new(MachineConfig::dgx_v100(cfg.n_gpus));
         m.enable_telemetry();
-        PgasFusedBackend::new().run(&mut m, &cfg, ExecMode::Timing);
+        Backend::pgas().run(&mut m, &cfg, ExecMode::Timing);
         m.metrics().snapshot()
     };
     let (s1, s4) = (at_width(1, eval), at_width(4, eval));
@@ -220,8 +219,7 @@ fn every_recorded_metric_has_a_reader() {
 
     // The three exchanges: collective and flat one-sided on a crossbar, the
     // gateway on a pod where rows cross nodes.
-    let closed_loops: [&dyn RetrievalBackend; 2] =
-        [&BaselineBackend::new(), &PgasFusedBackend::new()];
+    let closed_loops: [&Backend; 2] = [&Backend::baseline(), &Backend::pgas()];
     for b in closed_loops {
         let mut m = observed(MachineConfig::dgx_v100(cfg.n_gpus));
         b.run(&mut m, &cfg, ExecMode::Timing);
@@ -279,7 +277,7 @@ fn every_recorded_metric_has_a_reader() {
     // The executed DLRM pipeline.
     let model = Dlrm::new(DlrmConfig::tiny(2));
     let mut m = observed(MachineConfig::dgx_v100(2));
-    PipelineEngine::new(&model).run(&mut m, &EngineBackend::pgas(), ExecMode::Timing);
+    PipelineEngine::new(&model).run(&mut m, &Backend::pgas(), ExecMode::Timing);
     names.extend(recorded_names(&m));
 
     let keepers = BTreeSet::from([
