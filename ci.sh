@@ -113,7 +113,7 @@ same_as_results() {
 # every bag), are gated here without a second run.
 same_as_results "$d" table1.csv BENCH_table1.json fig5.csv fig6.csv \
     table2.csv BENCH_table2.json fig8.csv fig9.csv fig7.csv fig10.csv \
-    backward.csv multinode.csv ablation-msgsize.csv ablation-sharding.csv \
+    backward.csv ablation-msgsize.csv ablation-sharding.csv \
     whatif.csv ablation-zipf.csv
 # Full scale, one experiment per invocation: observers on (pods, netutil,
 # blame), then shared plans under faults (chaos), under serving (serve),

@@ -7,7 +7,7 @@ use emb_retrieval::backend::{
 };
 use emb_retrieval::backward::{baseline_backward, pgas_backward};
 use emb_retrieval::{EmbLayerConfig, InputPartition, RunReport, Sharding, SparseBatch};
-use gpusim::{FaultPlan, FaultSpec, Faults, Machine, MachineConfig, Send};
+use gpusim::{FaultPlan, FaultSpec, Faults, Machine, MachineConfig};
 use pgas_rt::{coalesce_rows, AggregatorConfig, GatewayConfig, GatewayPut, OneSided, PgasConfig};
 use rayon::par_cells;
 use simccl::{all_to_all, Algorithm, CollectiveConfig};
@@ -556,63 +556,6 @@ pub fn backward_comparison(gpus: usize, scale: usize, batches: usize) -> RunPair
         gpus,
         baseline,
         pgas,
-    }
-}
-
-/// Result of the multi-node aggregator experiment.
-#[derive(Clone, Debug)]
-pub struct MultinodeResult {
-    /// Wire time for naive per-row messages crossing the node boundary.
-    pub naive: Dur,
-    /// Wire time with the aggregator.
-    pub aggregated: Dur,
-    /// Naive message count.
-    pub naive_messages: u64,
-    /// Aggregated message count.
-    pub aggregated_messages: u64,
-}
-
-/// **EXT-2** — multi-node: per-row one-sided writes vs the §V aggregator on
-/// an InfiniBand-connected pair of nodes. Streams `rows` 256 B rows whose
-/// ready times are spread over `span`.
-pub fn multinode_aggregator(rows: u64, span: Dur) -> MultinodeResult {
-    let mk = || Machine::new(MachineConfig::multi_node_v100(2, 1));
-    let step = Dur::from_ns((span.as_ns() / rows.max(1)).max(1));
-
-    let mut naive = mk();
-    let mut last = SimTime::ZERO;
-    for i in 0..rows {
-        let row = Send {
-            src: 0,
-            dst: 1,
-            payload: 256,
-            messages: 1,
-            ready: SimTime::ZERO + step * i,
-            efficiency: 1.0,
-            faults: Faults::Ignore,
-        };
-        let put = naive.transmit(&row).expect("an ignored fault plan books");
-        last = last.max(put.interval.end);
-    }
-    let naive_end = last - SimTime::ZERO;
-
-    // The destination is its node's gateway, so a flush is the whole
-    // delivery: no scatter hop follows it.
-    let mut agg_m = mk();
-    let mut gw = GatewayPut::new(&mut agg_m, GatewayConfig::default());
-    let mut last = SimTime::ZERO;
-    for i in 0..rows {
-        let iv = gw.put_rows_nbi(0, 1, 1, 256, SimTime::ZERO + step * i);
-        last = last.max(iv.end);
-    }
-    for iv in gw.drain(SimTime::ZERO + span) {
-        last = last.max(iv.end);
-    }
-    MultinodeResult {
-        naive: naive_end,
-        aggregated: last - SimTime::ZERO,
-        naive_messages: naive.traffic_stats().messages,
-        aggregated_messages: agg_m.traffic_stats().messages,
     }
 }
 
@@ -1643,29 +1586,6 @@ mod tests {
         assert_eq!(r.at(1).gpus, 1);
         assert!(r.geomean_speedup() > 0.0);
         assert!(r.weak_factor(2, true) > 0.0);
-    }
-
-    #[test]
-    fn multinode_aggregator_wins_when_link_saturates() {
-        // 10 k × 256 B rows generated over 50 µs: the naive scheme's header
-        // overhead saturates the IB link; the aggregator amortizes it.
-        let r = multinode_aggregator(10_000, Dur::from_us(50));
-        assert!(r.aggregated_messages < r.naive_messages / 10);
-        assert!(
-            r.aggregated < r.naive,
-            "aggregated {} vs naive {}",
-            r.aggregated,
-            r.naive
-        );
-    }
-
-    #[test]
-    fn aggregator_costs_latency_on_an_idle_link() {
-        // With rows trickling in slowly the link never saturates, so
-        // aggregation only delays delivery — the known trade-off.
-        let r = multinode_aggregator(1_000, Dur::from_ms(5));
-        assert!(r.aggregated >= r.naive);
-        assert!(r.aggregated_messages < r.naive_messages);
     }
 
     #[test]

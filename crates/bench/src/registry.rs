@@ -18,10 +18,10 @@ use crate::doc::Layout::{Expanded, Inline};
 use crate::doc::{claim, fixed, float, nested, plain, text, Cell, Doc, Item};
 use crate::{
     adapt_sweep, backward_comparison, blame_sweep, chaos_sweep, comm_volume_strong_4gpu,
-    comm_volume_weak_2gpu, message_size_ablation, multinode_aggregator, netutil_sweep,
-    pipeline_sweep, pods_sweep, serve_load_sweep, sharding_ablation, skew_sweep, strong_scaling,
-    weak_scaling, whatif_projection, zipf_ablation, BlameResult, CommVolumeResult, LinkUtilStats,
-    RunPair, ScalingResult,
+    comm_volume_weak_2gpu, message_size_ablation, netutil_sweep, pipeline_sweep, pods_sweep,
+    serve_load_sweep, sharding_ablation, skew_sweep, strong_scaling, weak_scaling,
+    whatif_projection, zipf_ablation, BlameResult, CommVolumeResult, LinkUtilStats, RunPair,
+    ScalingResult,
 };
 
 /// What one `reproduce` invocation asks of an experiment (the CLI flags).
@@ -97,12 +97,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         in_all: true,
         run: run_backward,
         about: "EXT-1 backward-pass extension",
-    },
-    Experiment {
-        names: &["multinode"],
-        in_all: true,
-        run: run_multinode,
-        about: "EXT-2 aggregator on InfiniBand",
     },
     Experiment {
         names: &["ablation-msgsize"],
@@ -327,22 +321,6 @@ fn run_backward(p: &Params) -> Vec<Doc> {
     let rows = (2..=p.gpus).map(|g| pair_cells(plain("gpus", g), &pair(g)));
     let title = "EXT-1: EMB backward pass (gradient exchange)";
     csv_doc("backward", title, rows.collect())
-}
-
-fn run_multinode(_: &Params) -> Vec<Doc> {
-    let rows = [(10_000u64, 50u64), (10_000, 500), (100_000, 500)].map(|(rows, span_us)| {
-        let r = multinode_aggregator(rows, Dur::from_us(span_us));
-        vec![
-            plain("rows", rows),
-            plain("span_us", span_us),
-            fixed("naive_us", us(r.naive), 1),
-            fixed("aggregated_us", us(r.aggregated), 1),
-            plain("naive_msgs", r.naive_messages),
-            plain("agg_msgs", r.aggregated_messages),
-        ]
-    });
-    let title = "EXT-2: multi-node aggregator (IB link)";
-    csv_doc("multinode", title, rows.to_vec())
 }
 
 fn run_msgsize(p: &Params) -> Vec<Doc> {

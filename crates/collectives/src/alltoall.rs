@@ -251,13 +251,13 @@ fn gather_phase(
     let mut pairs = Vec::new();
     for sn in 0..nodes {
         let src_members: Vec<usize> = topo.node_members(sn).collect();
-        let gw_s = src_members[0];
+        let gw_s = topo.gateway_of(src_members[0]);
         for dn in 0..nodes {
             if dn == sn {
                 continue;
             }
             let dst_members: Vec<usize> = topo.node_members(dn).collect();
-            let gw_d = dst_members[0];
+            let gw_d = topo.gateway_of(dst_members[0]);
             let mut per_dst = vec![0u64; n];
             let mut total = 0u64;
             let mut agg_ready = SimTime::ZERO;

@@ -480,8 +480,6 @@ pub struct ArrivalLog {
     /// entries are pushed at [`ArrivalLog::finish`], and only if the batch's
     /// gates cannot be read off the plan.
     replayed: Vec<(usize, SimTime)>,
-    /// Merge buffer of [`sort_by_runs`].
-    scratch: Vec<(SimTime, u64)>,
 }
 
 /// A plan gate of a destination no row reaches: [`SimTime::ZERO`], not an
@@ -567,7 +565,7 @@ impl ArrivalLog {
     fn settle(&mut self) {
         let k = self.chunks;
         for (a, &total) in self.arrivals.iter_mut().zip(&self.totals) {
-            sort_by_runs(a, &mut self.scratch);
+            a.sort_unstable();
             let (mut cum, mut at, mut entries) = (0, SimTime::ZERO, a.iter());
             for c in 0..k {
                 if total > 0 {
@@ -609,71 +607,6 @@ impl ArrivalLog {
     pub fn gate(&self, dst: usize, c: usize) -> SimTime {
         self.gates[dst * self.chunks + c]
     }
-}
-
-/// Sort a destination's entries `v` through `scratch` (kept by the
-/// caller). They are one long ascending run per source link and a stretch
-/// of short ones, the local retirements: every stretch of runs shorter than
-/// 32 is sorted in place, then adjacent runs are merged pairwise until one
-/// is left — two passes over four links' runs — and once `scratch` has
-/// grown nothing is allocated (`sort()` allocates a buffer per call).
-fn sort_by_runs(v: &mut [(SimTime, u64)], scratch: &mut Vec<(SimTime, u64)>) {
-    const SHORT: usize = 32;
-    let run_end = |s: &[(SimTime, u64)], i: usize| {
-        i + 1 + s[i..].windows(2).take_while(|w| w[0] <= w[1]).count()
-    };
-    let n = v.len();
-    let mut i = 0;
-    while i < n {
-        let mut j = run_end(v, i);
-        if j - i < SHORT {
-            while j < n {
-                let next = run_end(v, j);
-                if next - j >= SHORT {
-                    break;
-                }
-                j = next;
-            }
-            v[i..j].sort_unstable();
-        }
-        i = j;
-    }
-    if n == 0 || run_end(v, 0) == n {
-        return;
-    }
-    if scratch.len() < n {
-        scratch.resize(n, (SimTime::ZERO, 0));
-    }
-    let (mut from, mut to, mut in_scratch) = (v, &mut scratch[..n], false);
-    while run_end(from, 0) < n {
-        let mut i = 0;
-        while i < n {
-            let mid = run_end(from, i);
-            let end = if mid < n { run_end(from, mid) } else { mid };
-            merge(&from[i..mid], &from[mid..end], &mut to[i..end]);
-            i = end;
-        }
-        std::mem::swap(&mut from, &mut to);
-        in_scratch = !in_scratch;
-    }
-    if in_scratch {
-        to.copy_from_slice(from);
-    }
-}
-
-/// Merge the ascending `a` and `b` into `out`, branch-free: an entry's
-/// order is one integer, its instant then its rows.
-fn merge(a: &[(SimTime, u64)], b: &[(SimTime, u64)], out: &mut [(SimTime, u64)]) {
-    let key = |&(t, rows): &(SimTime, u64)| u128::from(t.as_ns()) << 64 | u128::from(rows);
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        let take_b = key(&b[y]) < key(&a[x]);
-        out[x + y] = if take_b { b[y] } else { a[x] };
-        x += usize::from(!take_b);
-        y += usize::from(take_b);
-    }
-    let rest = if x < a.len() { &a[x..] } else { &b[y..] };
-    out[x + y..].copy_from_slice(rest);
 }
 
 /// Timing of one executed batch.
@@ -1883,23 +1816,6 @@ mod tests {
             }
             let gates = pb.gates.get().expect("kept by the second batch");
             prop_assert_eq!(gates.offsets.len(), g * chunks);
-        }
-
-        /// Sorting by runs is a sort, whatever the runs.
-        #[test]
-        fn sort_by_runs_sorts(
-            runs in proptest::collection::vec((0u64..1000, 1usize..80, 0u64..4), 0..12),
-        ) {
-            let mut v = Vec::new();
-            for (from, len, step) in runs {
-                let at = |i: u64| SimTime::from_ns(from + i * step);
-                v.extend((0..len as u64).map(|i| (at(i), i % 3)));
-            }
-            let mut expected = v.clone();
-            expected.sort_unstable();
-            let mut scratch = Vec::new();
-            sort_by_runs(&mut v, &mut scratch);
-            proptest::prop_assert_eq!(v, expected);
         }
     }
 

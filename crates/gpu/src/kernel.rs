@@ -97,51 +97,6 @@ pub struct KernelRun {
     pub resident: u32,
 }
 
-impl KernelRun {
-    /// Build the wave-model run for `shape` starting execution at `start`.
-    pub fn wave_model(shape: &KernelShape, spec: &GpuSpec, start: SimTime) -> KernelRun {
-        Self::wave_model_scaled(shape, spec, start, 1.0)
-    }
-
-    /// [`KernelRun::wave_model`] with every block time multiplied by `slow`
-    /// (a straggler factor, `>= 1`). `slow == 1.0` takes the exact unscaled
-    /// path — no float round-trip — so healthy runs are bit-identical.
-    pub fn wave_model_scaled(
-        shape: &KernelShape,
-        spec: &GpuSpec,
-        start: SimTime,
-        slow: f64,
-    ) -> KernelRun {
-        assert!(
-            slow.is_finite() && slow >= 1.0,
-            "straggler factor {slow} must be >= 1"
-        );
-        if shape.blocks == 0 {
-            return KernelRun {
-                interval: Interval { start, end: start },
-                block_ends: Vec::new(),
-                resident: 1,
-            };
-        }
-        let resident = KernelShape::effective_resident(shape.blocks, spec.max_resident_blocks());
-        let mut tau = shape.block_time(spec, resident);
-        if slow != 1.0 {
-            tau = tau * slow;
-        }
-        let mut block_ends = Vec::with_capacity(shape.blocks as usize);
-        for b in 0..shape.blocks {
-            let wave = b / resident as u64;
-            block_ends.push(start + tau * (wave + 1));
-        }
-        let end = block_ends.last().copied().unwrap_or(start);
-        KernelRun {
-            interval: Interval { start, end },
-            block_ends,
-            resident,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,62 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn wave_model_block_ends_are_waves() {
-        let s = spec();
-        let shape = KernelShape::memory_bound(10, 1 << 16);
-        let run = KernelRun::wave_model(&shape, &s, SimTime::from_us(5));
-        assert_eq!(run.block_ends.len(), 10);
-        assert_eq!(run.resident, 10);
-        // All in one wave: identical retirement.
-        assert!(run.block_ends.iter().all(|&t| t == run.block_ends[0]));
-        assert_eq!(run.interval.end, run.block_ends[9]);
-        assert_eq!(run.interval.start, SimTime::from_us(5));
-    }
-
-    #[test]
-    fn wave_model_multi_wave() {
-        let mut s = spec();
-        s.sm_count = 1;
-        s.max_blocks_per_sm = 4; // resident = 4
-        let shape = KernelShape::memory_bound(10, 1 << 16);
-        let run = KernelRun::wave_model(&shape, &s, SimTime::ZERO);
-        assert_eq!(run.resident, 4);
-        // Waves: blocks 0-3, 4-7, 8-9.
-        assert!(run.block_ends[3] == run.block_ends[0]);
-        assert!(run.block_ends[4] > run.block_ends[3]);
-        assert!(run.block_ends[8] > run.block_ends[7]);
-        assert_eq!(run.interval.end, run.block_ends[9]);
-    }
-
-    #[test]
-    fn scaled_wave_model_stretches_blocks() {
-        let s = spec();
-        let shape = KernelShape::memory_bound(10, 1 << 16);
-        let clean = KernelRun::wave_model(&shape, &s, SimTime::ZERO);
-        let slow = KernelRun::wave_model_scaled(&shape, &s, SimTime::ZERO, 1.5);
-        let ratio = slow.interval.end.as_ns() as f64 / clean.interval.end.as_ns() as f64;
-        assert!((ratio - 1.5).abs() < 1e-4, "ratio {ratio}");
-        // Factor 1.0 must be bit-identical to the unscaled path.
-        let one = KernelRun::wave_model_scaled(&shape, &s, SimTime::ZERO, 1.0);
-        assert_eq!(one.interval, clean.interval);
-        assert_eq!(one.block_ends, clean.block_ends);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be >= 1")]
-    fn speedup_factor_rejected() {
-        let s = spec();
-        let shape = KernelShape::memory_bound(1, 256);
-        let _ = KernelRun::wave_model_scaled(&shape, &s, SimTime::ZERO, 0.5);
-    }
-
-    #[test]
     fn empty_kernel_is_instant() {
         let s = spec();
         let shape = KernelShape::memory_bound(0, 0);
         assert_eq!(shape.duration(&s), Dur::ZERO);
-        let run = KernelRun::wave_model(&shape, &s, SimTime::from_ns(7));
-        assert_eq!(run.interval.start, run.interval.end);
-        assert!(run.block_ends.is_empty());
     }
 }

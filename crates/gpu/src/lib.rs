@@ -22,11 +22,16 @@
 //! [`desim::TimeSeries`] buckets to regenerate the paper's Figures 7 and 10.
 //!
 //! ```
-//! use gpusim::{Faults, KernelShape, Machine, MachineConfig, Send};
+//! use gpusim::{Faults, GpuSpec, KernelShape, Machine, MachineConfig, Send};
 //! use desim::SimTime;
 //!
 //! let mut m = Machine::new(MachineConfig::dgx_v100(2));
-//! let run = m.run_kernel(0, KernelShape::memory_bound(1024, 64 * 1024), SimTime::ZERO);
+//! // A gather kernel of 1024 equal blocks, each at its wave-model time.
+//! let (shape, spec) = (KernelShape::memory_bound(1024, 64 * 1024), GpuSpec::v100());
+//! let resident = KernelShape::effective_resident(shape.blocks, spec.max_resident_blocks());
+//! let blocks = vec![shape.block_time(&spec, resident); 1024];
+//! let run = m.run_kernel_varied(0, &blocks, SimTime::ZERO);
+//! assert_eq!(run.interval.end, run.interval.start + shape.duration(&spec));
 //! let s = Send { src: 0, dst: 1, payload: 1 << 20, messages: 1, ready: run.interval.end,
 //!                efficiency: 1.0, faults: Faults::Ignore };
 //! let xfer = m.transmit(&s)?.interval;

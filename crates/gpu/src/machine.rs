@@ -28,26 +28,11 @@ impl MachineConfig {
         }
     }
 
-    /// A multi-node V100 cluster (NVLink within a node, InfiniBand across)
-    /// for the paper's §V multi-node extension.
-    pub fn multi_node_v100(nodes: usize, per_node: usize) -> Self {
-        MachineConfig {
-            specs: vec![GpuSpec::v100(); nodes * per_node],
-            topology: Topology::multi_node(
-                nodes,
-                per_node,
-                LinkSpec::nvlink_v100(),
-                LinkSpec::infiniband(),
-            ),
-            traffic_bucket: Dur::from_us(50),
-        }
-    }
-
     /// A scale-out pod of V100 nodes: NVLink crossbar within a node, a
     /// RoCE/IB NIC tier across nodes ([`LinkSpec::roce`] — lower bandwidth,
     /// higher latency, and a steep per-message cost). The EXT-11 execution
-    /// fabric: unlike `multi_node_v100`'s analytic IB preset, this tier is
-    /// message-rate-limited, which is where flat per-row PGAS stores invert.
+    /// fabric: the tier is message-rate-limited, which is where flat per-row
+    /// PGAS stores invert.
     pub fn pod_v100(nodes: usize, per_node: usize) -> Self {
         MachineConfig {
             specs: vec![GpuSpec::v100(); nodes * per_node],
@@ -560,20 +545,10 @@ impl Machine {
         &self.cfg.topology
     }
 
-    /// Launch `shape` on `dev`'s default stream, not before `ready`.
-    /// Pays the launch overhead, then executes the wave model.
-    pub fn run_kernel(&mut self, dev: usize, shape: KernelShape, ready: SimTime) -> KernelRun {
-        let slow = self.straggler_factor(dev);
-        let spec = &self.cfg.specs[dev];
-        let start = self.streams[dev].max(ready) + spec.kernel_launch;
-        let run = KernelRun::wave_model_scaled(&shape, spec, start, slow);
-        self.note_kernel(dev, Some(shape.blocks), ready, run.interval);
-        run
-    }
-
-    /// Like [`Machine::run_kernel`] but with an explicit per-block duration
-    /// list (used when block costs vary, e.g. sampled pooling factors).
-    /// Blocks are dispatched in order onto `resident` wave slots.
+    /// Launch a kernel of `block_durations.len()` blocks on `dev`'s default
+    /// stream, not before `ready`: pays the launch overhead, then dispatches
+    /// the blocks in order onto `resident` wave slots (equal durations are
+    /// [`KernelShape`]'s wave model; sampled pooling factors vary them).
     pub fn run_kernel_varied(
         &mut self,
         dev: usize,
@@ -589,7 +564,7 @@ impl Machine {
             resident: 1,
         };
         if !block_durations.is_empty() {
-            run.resident = crate::KernelShape::effective_resident(
+            run.resident = KernelShape::effective_resident(
                 block_durations.len() as u64,
                 spec.max_resident_blocks(),
             );
@@ -1143,6 +1118,15 @@ mod tests {
         m.transmit(&s).expect("an ignored plan books").interval
     }
 
+    /// `shape` on `dev`'s default stream from time zero, every block at its
+    /// wave-model time.
+    fn launch(m: &mut Machine, dev: usize, shape: KernelShape) -> KernelRun {
+        let spec = m.spec(dev);
+        let resident = KernelShape::effective_resident(shape.blocks, spec.max_resident_blocks());
+        let blocks = vec![shape.block_time(spec, resident); shape.blocks as usize];
+        m.run_kernel_varied(dev, &blocks, SimTime::ZERO)
+    }
+
     /// One attempt's wire interval, or its fault.
     fn try_send(
         m: &mut Machine,
@@ -1160,8 +1144,8 @@ mod tests {
     fn kernels_serialize_on_a_stream() {
         let mut m = machine(1);
         let shape = KernelShape::memory_bound(100, 1 << 16);
-        let a = m.run_kernel(0, shape, SimTime::ZERO);
-        let b = m.run_kernel(0, shape, SimTime::ZERO);
+        let a = launch(&mut m, 0, shape);
+        let b = launch(&mut m, 0, shape);
         assert!(b.interval.start >= a.interval.end);
         assert_eq!(m.finish_time(), b.interval.end);
     }
@@ -1170,15 +1154,15 @@ mod tests {
     fn kernels_on_different_devices_overlap() {
         let mut m = machine(2);
         let shape = KernelShape::memory_bound(100, 1 << 16);
-        let a = m.run_kernel(0, shape, SimTime::ZERO);
-        let b = m.run_kernel(1, shape, SimTime::ZERO);
+        let a = launch(&mut m, 0, shape);
+        let b = launch(&mut m, 1, shape);
         assert_eq!(a.interval, b.interval);
     }
 
     #[test]
     fn launch_overhead_is_charged() {
         let mut m = machine(1);
-        let run = m.run_kernel(0, KernelShape::memory_bound(1, 256), SimTime::ZERO);
+        let run = launch(&mut m, 0, KernelShape::memory_bound(1, 256));
         assert_eq!(run.interval.start, SimTime::ZERO + m.spec(0).kernel_launch);
     }
 
@@ -1199,7 +1183,7 @@ mod tests {
     fn aux_streams_overlap_the_default_stream_and_serialize_internally() {
         let mut m = machine(1);
         let s = m.add_stream(0);
-        let k = m.run_kernel(0, KernelShape::memory_bound(100, 1 << 20), SimTime::ZERO);
+        let k = launch(&mut m, 0, KernelShape::memory_bound(100, 1 << 20));
         let a = m.run_on_stream(s, "head", Dur::from_us(50), crate::Event::READY);
         let b = m.run_on_stream(s, "head", Dur::from_us(50), crate::Event::READY);
         // Aux kernel a starts at launch overhead, regardless of the busy
@@ -1300,8 +1284,8 @@ mod tests {
     #[test]
     fn single_gpu_nodes_see_identical_timing_with_and_without_nic() {
         // On a 2x1 fabric the NIC and the (only) pair link have identical
-        // horizons, so EXT-2's executed numbers are unchanged by the NIC.
-        let mut m = Machine::new(MachineConfig::multi_node_v100(2, 1));
+        // horizons, so a lone cross-node stream is unchanged by the NIC.
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 1));
         let link = *m.topology().link(0, 1);
         let a = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
         let b = send(&mut m, 0, 1, 1 << 20, 1, SimTime::ZERO);
@@ -1497,7 +1481,7 @@ mod tests {
     #[test]
     fn stream_sync_adds_overhead() {
         let mut m = machine(1);
-        let run = m.run_kernel(0, KernelShape::memory_bound(10, 1 << 16), SimTime::ZERO);
+        let run = launch(&mut m, 0, KernelShape::memory_bound(10, 1 << 16));
         let t = m.stream_sync(0, SimTime::ZERO);
         assert_eq!(t, run.interval.end + m.spec(0).stream_sync);
     }
@@ -1507,18 +1491,6 @@ mod tests {
         let mut m = machine(2);
         let t = m.barrier(&[SimTime::from_us(3), SimTime::from_us(9)]);
         assert_eq!(t, SimTime::from_us(9));
-    }
-
-    #[test]
-    fn varied_kernel_matches_uniform_when_equal() {
-        let mut m1 = machine(1);
-        let shape = KernelShape::memory_bound(50, 1 << 16);
-        let tau = shape.block_time(m1.spec(0), 50);
-        let uniform = m1.run_kernel(0, shape, SimTime::ZERO);
-        let mut m2 = machine(1);
-        let varied = m2.run_kernel_varied(0, &vec![tau; 50], SimTime::ZERO);
-        assert_eq!(uniform.interval.end, varied.interval.end);
-        assert_eq!(varied.block_ends.len(), 50);
     }
 
     #[test]
@@ -1533,7 +1505,7 @@ mod tests {
         let mut m = machine(2);
         assert!(m.trace().is_none());
         m.enable_trace();
-        let run = m.run_kernel(0, KernelShape::memory_bound(10, 1 << 16), SimTime::ZERO);
+        let run = launch(&mut m, 0, KernelShape::memory_bound(10, 1 << 16));
         send(&mut m, 0, 1, 4096, 2, run.interval.end);
         m.run_kernel_varied(1, &[Dur::from_us(1)], SimTime::ZERO);
         let t = m.trace().unwrap();
@@ -1564,8 +1536,8 @@ mod tests {
         m2.install_faults(crate::FaultPlan::generate(42, 4, crate::FaultSpec::none()));
         let shape = KernelShape::memory_bound(200, 1 << 16);
         for dev in 0..4 {
-            let a = m1.run_kernel(dev, shape, SimTime::ZERO);
-            let b = m2.run_kernel(dev, shape, SimTime::ZERO);
+            let a = launch(&mut m1, dev, shape);
+            let b = launch(&mut m2, dev, shape);
             assert_eq!(a.interval, b.interval);
             assert_eq!(a.block_ends, b.block_ends);
         }
@@ -1674,9 +1646,9 @@ mod tests {
         m.install_faults(plan);
         let mut clean = machine(2);
         let shape = KernelShape::memory_bound(100, 1 << 16);
-        let slow = m.run_kernel(0, shape, SimTime::ZERO);
-        let healthy = m.run_kernel(1, shape, SimTime::ZERO);
-        let base = clean.run_kernel(0, shape, SimTime::ZERO);
+        let slow = launch(&mut m, 0, shape);
+        let healthy = launch(&mut m, 1, shape);
+        let base = launch(&mut clean, 0, shape);
         assert_eq!(healthy.interval, base.interval, "non-straggler unaffected");
         let ratio = slow.interval.duration().as_secs_f64() / base.interval.duration().as_secs_f64();
         assert!(

@@ -1,13 +1,13 @@
 //! Auxiliary compute streams and event gating.
 //!
-//! The default per-device stream ([`crate::Machine::run_kernel`]) serializes
-//! every kernel on a device — the right model for the retrieval backends'
-//! bulk-synchronous batch loop, but too coarse for an *executed* pipeline
-//! schedule where the interaction/MLP head of batch `k-1` must overlap the
-//! embedding stage of batch `k`. This module adds the CUDA-stream analogue:
-//! any number of additional per-device streams, each a [`desim::Resource`]
-//! that serializes its own kernels while running concurrently with the
-//! default stream and with every other stream.
+//! The default per-device stream ([`crate::Machine::run_kernel_varied`])
+//! serializes every kernel on a device — the right model for the retrieval
+//! backends' bulk-synchronous batch loop, but too coarse for an *executed*
+//! pipeline schedule where the interaction/MLP head of batch `k-1` must
+//! overlap the embedding stage of batch `k`. This module adds the CUDA-stream
+//! analogue: any number of additional per-device streams, each a
+//! [`desim::Resource`] that serializes its own kernels while running
+//! concurrently with the default stream and with every other stream.
 //!
 //! Dependencies are expressed as [`Event`]s — simulation instants a kernel
 //! (or one chunk of a chunked kernel) must wait for before executing, the

@@ -29,17 +29,6 @@ impl LinkSpec {
         }
     }
 
-    /// An inter-node fabric (IB EDR-class effective rate for small/medium
-    /// RDMA writes): 6 GB/s, 4.5 µs, bigger headers. Used by the multi-node
-    /// aggregator extension (paper §V).
-    pub fn infiniband() -> Self {
-        LinkSpec {
-            bandwidth: 6e9,
-            latency: Dur::from_us(4) + Dur::from_ns(500),
-            header_bytes: 64,
-        }
-    }
-
     /// A RoCE/IB scale-out NIC as the pod fabric sees it: 5 GB/s sustained
     /// per direction, ~6 µs one-sided write latency, and a large
     /// per-message cost. `header_bytes` here folds the whole per-WQE
@@ -112,7 +101,7 @@ impl Topology {
     }
 
     /// `nodes` nodes of `per_node` GPUs each: intra-node pairs use `intra`,
-    /// inter-node pairs use `inter`. Used by the multi-node extension.
+    /// inter-node pairs use `inter`: the pod fabrics of EXT-11.
     pub fn multi_node(nodes: usize, per_node: usize, intra: LinkSpec, inter: LinkSpec) -> Self {
         assert!(nodes >= 1 && per_node >= 1);
         let n = nodes * per_node;
@@ -249,7 +238,7 @@ mod tests {
     #[test]
     fn multi_node_distinguishes_links() {
         let intra = LinkSpec::nvlink_v100();
-        let inter = LinkSpec::infiniband();
+        let inter = LinkSpec::roce();
         let t = Topology::multi_node(2, 2, intra, inter);
         assert_eq!(t.n_gpus(), 4);
         assert_eq!(t.node_of(0), 0);
@@ -263,13 +252,11 @@ mod tests {
 
     #[test]
     fn presets_ordering() {
-        // NVLink beats the inter-node fabric on both axes.
-        assert!(LinkSpec::nvlink_v100().bandwidth > LinkSpec::infiniband().bandwidth);
-        assert!(LinkSpec::nvlink_v100().latency < LinkSpec::infiniband().latency);
-        // The pod NIC is the slowest tier and the most header-dominated.
-        assert!(LinkSpec::roce().bandwidth < LinkSpec::infiniband().bandwidth);
-        assert!(LinkSpec::roce().latency > LinkSpec::infiniband().latency);
-        assert!(LinkSpec::roce().header_bytes > LinkSpec::infiniband().header_bytes);
+        // NVLink beats the pod NIC on every axis: the NIC is the slower
+        // tier and the header-dominated one.
+        assert!(LinkSpec::nvlink_v100().bandwidth > LinkSpec::roce().bandwidth);
+        assert!(LinkSpec::nvlink_v100().latency < LinkSpec::roce().latency);
+        assert!(LinkSpec::nvlink_v100().header_bytes < LinkSpec::roce().header_bytes);
     }
 
     #[test]

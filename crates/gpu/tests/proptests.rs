@@ -201,17 +201,26 @@ proptest! {
         prop_assert!(many.duration() >= one.duration());
     }
 
-    /// The wave model's last block end equals the closed-form duration.
+    /// Equal blocks at their wave-model time retire in waves of
+    /// `resident`, and the kernel ends at its closed-form duration.
     #[test]
-    fn wave_model_agrees_with_duration(blocks in 1u64..10_000, bytes in 256u64..1_000_000) {
-        let spec = gpusim::GpuSpec::v100();
+    fn uniform_blocks_end_at_the_closed_form_duration(
+        blocks in 1u64..10_000,
+        bytes in 256u64..1_000_000,
+        ready_ns in 0u64..1_000_000,
+    ) {
+        let mut m = Machine::new(MachineConfig::dgx_v100(1));
+        let spec = m.spec(0).clone();
         let shape = KernelShape::memory_bound(blocks, bytes);
-        let run = gpusim::KernelRun::wave_model(&shape, &spec, SimTime::ZERO);
-        let d = shape.duration(&spec);
-        prop_assert_eq!(run.interval.end - run.interval.start, d);
-        // Block ends are non-decreasing in block index.
-        for w in run.block_ends.windows(2) {
-            prop_assert!(w[1] >= w[0]);
+        let resident = KernelShape::effective_resident(blocks, spec.max_resident_blocks());
+        let tau = shape.block_time(&spec, resident);
+        let run = m.run_kernel_varied(0, &vec![tau; blocks as usize], SimTime::from_ns(ready_ns));
+        prop_assert_eq!(run.interval.start, SimTime::from_ns(ready_ns) + spec.kernel_launch);
+        prop_assert_eq!(run.interval.end, run.interval.start + shape.duration(&spec));
+        prop_assert_eq!(run.resident, resident);
+        for (b, &end) in run.block_ends.iter().enumerate() {
+            let wave = b as u64 / resident as u64;
+            prop_assert_eq!(end, run.interval.start + tau * (wave + 1));
         }
     }
 
@@ -270,7 +279,7 @@ proptest! {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let mut latest = SimTime::ZERO;
         for i in 0..n_kernels {
-            let r = m.run_kernel(i % 2, KernelShape::memory_bound(10, 1 << 12), SimTime::ZERO);
+            let r = m.run_kernel_varied(i % 2, &[Dur::from_us(3); 10], SimTime::ZERO);
             latest = latest.max(r.interval.end);
         }
         for _ in 0..n_sends {
@@ -529,7 +538,7 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
     refused(
         "peers on another node",
         dgx(),
-        MachineConfig::multi_node_v100(2, 2),
+        MachineConfig::pod_v100(2, 2),
         &idle,
         Some(false),
     );

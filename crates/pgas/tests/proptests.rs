@@ -159,7 +159,7 @@ proptest! {
         }
     }
 
-    /// The §V aggregator never loses or duplicates a row on the IB preset:
+    /// The §V aggregator never loses or duplicates a row on a 2 × 2 pod:
     /// wire payload == staged payload plus the same-node rows that bypass
     /// staging, and every flush is exactly one inter-node message, for any
     /// store schedule and thresholds.
@@ -169,7 +169,7 @@ proptest! {
         wait_us in 1u64..200,
         stores in prop::collection::vec((0usize..3, 0u64..500), 1..200),
     ) {
-        let mut m = Machine::new(MachineConfig::multi_node_v100(2, 2));
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
         let mut gw = GatewayPut::new(&mut m, GatewayConfig {
             pgas: PgasConfig::default(),
             flush: AggregatorConfig {

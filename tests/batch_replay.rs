@@ -423,15 +423,15 @@ fn refused_under_a_second_runtime_config() {
 #[test]
 fn refused_on_a_second_fabric_of_equal_gpus() {
     // Recorded on a 4-GPU crossbar, executed on two nodes of two: same
-    // GPUs, but half the peers sit behind InfiniBand and a NIC.
+    // GPUs, but half the peers sit behind a RoCE NIC.
     let mut sc = Scenario::dgx(4);
-    sc.fabric = MachineConfig::multi_node_v100(2, 2);
+    sc.fabric = MachineConfig::pod_v100(2, 2);
     let seen = replayed_equals_executed(&sc);
     assert_ne!(seen.arrivals, clean().arrivals);
     // And the other way round: a plan that met the two-node fabric first
     // (where nothing can be recorded) still executes right on the crossbar.
     let mut sc = Scenario::dgx(4);
-    sc.recorded_on = MachineConfig::multi_node_v100(2, 2);
+    sc.recorded_on = MachineConfig::pod_v100(2, 2);
     assert_eq!(replayed_equals_executed(&sc), clean());
 }
 
