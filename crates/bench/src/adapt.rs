@@ -31,9 +31,7 @@ use emb_retrieval::backend::{
     execute_batch, plan_for_batch, Backend, DegradedFill, Exchange, PlannedBatch, ResiliencePolicy,
 };
 use emb_retrieval::{EmbLayerConfig, SparseBatch};
-use emb_serve::{
-    ControlConfig, ControlReport, Controller, EmbServer, ServeBackendKind, ServeConfig,
-};
+use emb_serve::{ControlReport, Controller, EmbServer, ServeBackendKind, ServeConfig};
 use gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_rt::PgasConfig;
 use rayon::par_cells;
@@ -333,11 +331,7 @@ fn run_cell(
         let server = EmbServer::new(scfg);
         let rep = if policy == "adaptive" {
             let c = ctrl.get_or_insert_with(|| {
-                Controller::new(
-                    ControlConfig::for_slo(y.slo, &server.config().batcher),
-                    &server.config().batcher,
-                    server.config().emb.hot_cache_rows,
-                )
+                Controller::new(&server.config().batcher, server.config().emb.hot_cache_rows)
             });
             server.run_controlled(&mut machine, c)
         } else {

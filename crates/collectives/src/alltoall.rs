@@ -608,20 +608,14 @@ mod tests {
     }
 
     #[test]
-    fn a_retrying_hierarchical_survives_tiered_chaos() {
+    fn a_retrying_hierarchical_survives_pod_chaos() {
         use gpusim::{FaultPlan, FaultSpec};
         let bytes: Vec<Vec<u64>> = (0..4).map(|_| vec![1 << 18; 4]).collect();
         let cfg = CollectiveConfig::default().with_algorithm(Algorithm::Hierarchical);
         let mut completions = 0;
         for seed in 0..20u64 {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
-            let topo = m.topology().clone();
-            m.install_faults(FaultPlan::generate_tiered(
-                seed,
-                &topo,
-                FaultSpec::none(),
-                FaultSpec::chaos(0.8),
-            ));
+            m.install_faults(FaultPlan::generate(seed, 4, FaultSpec::chaos(0.8)));
             match all_to_all(&mut m, &cfg, &bytes, &ready(4), Faults::Retry(cfg.retry)) {
                 Ok(_) => completions += 1,
                 Err(e) => assert!(matches!(e, FabricError::RetryExhausted { .. })),

@@ -278,22 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn resilient_backend_survives_tiered_chaos_on_pods() {
-        // Chaos concentrated on the inter-node tier (the intra crossbar
-        // stays clean): every seed must complete all batches without
-        // panicking, and at least one seed must actually exercise the
-        // degradation machinery.
+    fn resilient_backend_survives_chaos_on_pods() {
+        // Chaos on both tiers of a pod: every seed must complete all
+        // batches without panicking, and at least one seed must actually
+        // exercise the degradation machinery.
         let cfg = tiny_cfg(4);
         let mut perturbed = 0u64;
         for seed in 0..8u64 {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
-            let topo = m.topology().clone();
-            m.install_faults(FaultPlan::generate_tiered(
-                seed,
-                &topo,
-                FaultSpec::chaos(0.1),
-                FaultSpec::chaos(0.9),
-            ));
+            m.install_faults(FaultPlan::generate(seed, 4, FaultSpec::chaos(0.9)));
             let r = resilient().run_resilient(&mut m, &cfg, ExecMode::Timing);
             assert_eq!(r.resilience.batch_latencies.len(), cfg.n_batches);
             assert!(r.result.report.total > desim::Dur::ZERO);
@@ -303,7 +296,7 @@ mod tests {
         }
         assert!(
             perturbed > 0,
-            "chaos(0.9) on the inter-node tier must perturb at least one run"
+            "chaos(0.9) on a pod must perturb at least one run"
         );
     }
 

@@ -14,46 +14,11 @@ pub enum PoolingOp {
 }
 
 impl PoolingOp {
-    /// Pool `rows.len()` rows of width `dim` into `out` (length `dim`).
-    /// An empty bag yields zeros (the paper's NULL-input case).
-    pub fn pool(&self, rows: &[&[f32]], out: &mut [f32]) {
-        let dim = out.len();
-        if rows.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        // Initialize once, per mode: zeros for accumulation, -inf for max.
-        match self {
-            PoolingOp::Sum | PoolingOp::Mean => {
-                out.fill(0.0);
-                for row in rows {
-                    debug_assert_eq!(row.len(), dim);
-                    for (o, &x) in out.iter_mut().zip(*row) {
-                        *o += x;
-                    }
-                }
-                if *self == PoolingOp::Mean {
-                    let inv = 1.0 / rows.len() as f32;
-                    for o in out.iter_mut() {
-                        *o *= inv;
-                    }
-                }
-            }
-            PoolingOp::Max => {
-                out.fill(f32::NEG_INFINITY);
-                for row in rows {
-                    debug_assert_eq!(row.len(), dim);
-                    for (o, &x) in out.iter_mut().zip(*row) {
-                        *o = o.max(x);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Incremental variant used by streaming kernels: fold `row` into `acc`,
-    /// where `count` is the number of rows folded so far *including* this
-    /// one. Call [`PoolingOp::finish`] after the last row.
+    /// Fold `row` into `acc`, where `count` is the number of rows folded
+    /// so far *including* this one. Start from a zeroed `acc` and call
+    /// [`PoolingOp::finish`] after the last row; an empty bag stays zeros
+    /// (the paper's NULL-input case). `kernels::pool_bag` is the hot path;
+    /// this is the reference it is tested against.
     pub fn accumulate(&self, acc: &mut [f32], row: &[f32], count: usize) {
         match self {
             PoolingOp::Sum | PoolingOp::Mean => {
@@ -88,15 +53,18 @@ impl PoolingOp {
 mod tests {
     use super::*;
 
-    fn pool(op: PoolingOp, rows: &[&[f32]]) -> Vec<f32> {
-        let mut out = vec![0.0; rows.first().map_or(2, |r| r.len())];
-        op.pool(rows, &mut out);
-        out
+    fn pooled(op: PoolingOp, rows: &[&[f32]]) -> Vec<f32> {
+        let mut acc = vec![0.0; rows.first().map_or(2, |r| r.len())];
+        for (i, r) in rows.iter().enumerate() {
+            op.accumulate(&mut acc, r, i + 1);
+        }
+        op.finish(&mut acc, rows.len());
+        acc
     }
 
     #[test]
     fn sum_pools_elementwise() {
-        let out = pool(
+        let out = pooled(
             PoolingOp::Sum,
             &[&[1.0, 2.0], &[10.0, 20.0], &[100.0, 200.0]],
         );
@@ -105,50 +73,27 @@ mod tests {
 
     #[test]
     fn mean_divides_by_bag_size() {
-        let out = pool(PoolingOp::Mean, &[&[1.0, 2.0], &[3.0, 6.0]]);
+        let out = pooled(PoolingOp::Mean, &[&[1.0, 2.0], &[3.0, 6.0]]);
         assert_eq!(out, vec![2.0, 4.0]);
     }
 
     #[test]
     fn max_takes_elementwise_max() {
-        let out = pool(PoolingOp::Max, &[&[1.0, 9.0], &[5.0, 2.0]]);
+        let out = pooled(PoolingOp::Max, &[&[1.0, 9.0], &[5.0, 2.0]]);
         assert_eq!(out, vec![5.0, 9.0]);
     }
 
     #[test]
     fn empty_bag_yields_zeros() {
         for op in [PoolingOp::Sum, PoolingOp::Mean, PoolingOp::Max] {
-            let mut out = vec![7.0, 7.0];
-            op.pool(&[], &mut out);
-            assert_eq!(out, vec![0.0, 0.0], "op {op:?}");
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let rows: Vec<Vec<f32>> = vec![
-            vec![1.0, -2.0, 3.0],
-            vec![4.0, 5.0, -6.0],
-            vec![-7.0, 8.0, 9.0],
-        ];
-        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        for op in [PoolingOp::Sum, PoolingOp::Mean, PoolingOp::Max] {
-            let batch = pool(op, &refs);
-            let mut acc = vec![0.0; 3];
-            for (i, r) in refs.iter().enumerate() {
-                op.accumulate(&mut acc, r, i + 1);
-            }
-            op.finish(&mut acc, refs.len());
-            for (a, b) in acc.iter().zip(&batch) {
-                assert!((a - b).abs() < 1e-6, "op {op:?}: {acc:?} vs {batch:?}");
-            }
+            assert_eq!(pooled(op, &[]), vec![0.0, 0.0], "op {op:?}");
         }
     }
 
     #[test]
     fn single_row_bag_is_identity_for_all_ops() {
         for op in [PoolingOp::Sum, PoolingOp::Mean, PoolingOp::Max] {
-            let out = pool(op, &[&[3.5, -1.5]]);
+            let out = pooled(op, &[&[3.5, -1.5]]);
             assert_eq!(out, vec![3.5, -1.5]);
         }
     }

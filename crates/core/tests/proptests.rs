@@ -170,8 +170,9 @@ proptest! {
     }
 
     /// The whole resilient retrieval run is a pure function of the chaos
-    /// seed: same seed ⇒ bit-identical functional outputs, timings and
-    /// resilience counters across two independent runs.
+    /// seed: same seed ⇒ bit-identical functional outputs, timings,
+    /// resilience books and machine finish time across two independent
+    /// runs.
     #[test]
     fn identical_chaos_seed_identical_retrieval(
         seed in 0u64..200,
@@ -202,7 +203,11 @@ proptest! {
                 r.resilience.degraded_rows,
                 r.resilience.retries,
                 r.resilience.batch_latencies,
-                m.faults().expect("plan installed").fingerprint(),
+                r.resilience.exhausted_puts,
+                r.resilience.failover_at,
+                r.resilience.degraded_by_dst,
+                r.resilience.replica_rows,
+                m.finish_time(),
             )
         };
         let a = run();

@@ -18,20 +18,19 @@
 //!   times (clock throttling, ECC scrubbing, noisy neighbours).
 //!
 //! Everything is derived deterministically from the seed: window placement
-//! uses one PRNG stream per directed link, per-message sampling uses one
-//! stream per directed link advanced once per message, and straggler factors
-//! use a per-GPU stream. Two runs with the same seed and the same call
-//! sequence therefore inject bit-identical faults; the running
-//! [`FaultPlan::fingerprint`] hash makes that property cheap to assert.
+//! uses one `rand::rngs::StdRng` stream per directed link, per-message
+//! sampling uses one stream per directed link advanced once per message, and
+//! straggler factors use a per-GPU stream. Two runs with the same seed and
+//! the same call sequence therefore inject bit-identical faults.
 //!
 //! A plan whose spec is all zeros ([`FaultSpec::none`]) is *trivial*: the
 //! machine bypasses every fault code path and timing is bit-identical to a
 //! run with no plan installed.
 
 use desim::{Dur, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt;
-
-use crate::Topology;
 
 /// Errors surfaced by the fabric and the layers above it. This is the shared
 /// taxonomy: `pgas-rt` and `simccl` re-export it so retries and failover
@@ -353,74 +352,37 @@ pub enum MessageFault {
     Delay(Dur),
 }
 
-/// One injected fault event, recorded for traces and determinism checks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultEvent {
-    /// A message on `src -> dst` was dropped.
-    Dropped {
-        /// Source GPU.
-        src: usize,
-        /// Destination GPU.
-        dst: usize,
-        /// Per-pair message sequence number at the time of the drop.
-        seq: u64,
-    },
-    /// A message on `src -> dst` was delayed by `jitter`.
-    Delayed {
-        /// Source GPU.
-        src: usize,
-        /// Destination GPU.
-        dst: usize,
-        /// Per-pair message sequence number at the time of the delay.
-        seq: u64,
-        /// Sampled jitter.
-        jitter: Dur,
-    },
-}
-
-/// SplitMix64: tiny, fast, and good enough for fault sampling. Kept local so
-/// `gpusim` stays dependency-free.
-#[derive(Clone, Copy, Debug)]
-struct Stream(u64);
+/// One PRNG stream of a plan: the workspace's `StdRng`, with the uniform
+/// draws fault sampling takes.
+#[derive(Clone, Debug)]
+struct Stream(StdRng);
 
 impl Stream {
-    fn new(seed: u64) -> Self {
-        Stream(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Uniform in `[0, 1)`.
     fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.0.gen_range(0.0..1.0)
     }
 
     fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 
+    /// Uniform in `[lo, hi]`; a zero span returns `lo` without a draw.
     fn uniform_dur(&mut self, lo: Dur, hi: Dur) -> Dur {
-        let span = hi.as_ns().saturating_sub(lo.as_ns());
-        if span == 0 {
+        if hi.as_ns() <= lo.as_ns() {
             return lo;
         }
-        Dur::from_ns(lo.as_ns() + self.next_u64() % (span + 1))
+        Dur::from_ns(self.0.gen_range(lo.as_ns()..=hi.as_ns()))
     }
 }
 
 /// Mix a seed with a stream label so each link/GPU gets its own independent
 /// PRNG stream.
 fn substream(seed: u64, label: u64) -> Stream {
-    let mut s = Stream::new(seed ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut s = StdRng::seed_from_u64(seed ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // Burn one draw so adjacent labels decorrelate immediately.
-    s.next_u64();
-    s
+    s.advance(1);
+    Stream(s)
 }
 
 /// A fully materialized fault schedule for one machine.
@@ -439,12 +401,6 @@ pub struct FaultPlan {
     straggler: Vec<f64>,
     /// Per ordered pair message-sampling stream.
     msg_streams: Vec<Stream>,
-    /// Per ordered pair message counter (sequence numbers in events).
-    msg_seq: Vec<u64>,
-    /// Injected per-message events, in injection order.
-    events: Vec<FaultEvent>,
-    /// Running hash over every sampled decision.
-    digest: u64,
 }
 
 impl FaultPlan {
@@ -452,84 +408,42 @@ impl FaultPlan {
     /// straggler factors and all per-message sampling derive only from
     /// `seed` and `spec`.
     pub fn generate(seed: u64, n_gpus: usize, spec: FaultSpec) -> Self {
-        Self::generate_with(seed, n_gpus, spec, |_, _| &spec)
-    }
-
-    /// Materialize a plan for a two-tier pod topology: link windows
-    /// (degradation + flaps) on intra-node pairs come from `intra`, on
-    /// inter-node pairs from `inter` — so the slow scale-out tier can
-    /// degrade and flap independently of the in-node crossbar. Device-level
-    /// faults (message drops/delays, stragglers, whole-device loss) come
-    /// from `intra`, the node-local spec. Window placement stays per-pair
-    /// substream-seeded, so with `intra == inter` the plan is bit-identical
-    /// to [`FaultPlan::generate`] on the same GPU count.
-    pub fn generate_tiered(
-        seed: u64,
-        topology: &Topology,
-        intra: FaultSpec,
-        inter: FaultSpec,
-    ) -> Self {
-        Self::generate_with(seed, topology.n_gpus(), intra, |src, dst| {
-            if topology.same_node(src, dst) {
-                &intra
-            } else {
-                &inter
-            }
-        })
-    }
-
-    /// Shared generation core: `spec_for(src, dst)` picks the window spec of
-    /// each directed pair; `base` drives everything non-pair-specific. The
-    /// plan is trivial only when `base` *and* every pair spec inject nothing.
-    fn generate_with<'s>(
-        seed: u64,
-        n_gpus: usize,
-        base: FaultSpec,
-        spec_for: impl Fn(usize, usize) -> &'s FaultSpec,
-    ) -> Self {
         assert!(n_gpus >= 1, "fault plan needs at least one GPU");
         assert!(
-            base.drop_prob >= 0.0 && base.drop_prob <= 1.0,
+            spec.drop_prob >= 0.0 && spec.drop_prob <= 1.0,
             "drop_prob out of [0, 1]"
         );
         assert!(
-            base.delay_prob >= 0.0 && base.delay_prob + base.drop_prob <= 1.0,
+            spec.delay_prob >= 0.0 && spec.delay_prob + spec.drop_prob <= 1.0,
             "drop_prob + delay_prob must stay within [0, 1]"
         );
         let n = n_gpus;
-        let spec = base;
-        let mut trivial = base.is_none();
+        let trivial = spec.is_none();
         let mut windows = vec![Vec::new(); n * n];
         let mut msg_streams = Vec::with_capacity(n * n);
+        let horizon_s = spec.horizon.as_secs_f64();
         for src in 0..n {
             for dst in 0..n {
                 let pair = (src * n + dst) as u64;
                 msg_streams.push(substream(seed, 0x4D53_0000 | pair));
-                if src == dst {
-                    continue;
-                }
-                let pair_spec = spec_for(src, dst);
-                trivial &= pair_spec.is_none();
-                if pair_spec.is_none() {
+                if src == dst || trivial {
                     continue;
                 }
                 let mut s = substream(seed, 0x574E_0000 | pair);
                 let mut w = Vec::new();
-                let horizon_s = pair_spec.horizon.as_secs_f64();
-                for _ in 0..sample_count(&mut s, pair_spec.degrade_rate * horizon_s) {
-                    let start = s.uniform_dur(Dur::ZERO, pair_spec.horizon);
-                    let len = s.uniform_dur(pair_spec.degrade_window.0, pair_spec.degrade_window.1);
-                    let factor =
-                        s.uniform_f64(pair_spec.degrade_factor.0, pair_spec.degrade_factor.1);
+                for _ in 0..sample_count(&mut s, spec.degrade_rate * horizon_s) {
+                    let start = s.uniform_dur(Dur::ZERO, spec.horizon);
+                    let len = s.uniform_dur(spec.degrade_window.0, spec.degrade_window.1);
+                    let factor = s.uniform_f64(spec.degrade_factor.0, spec.degrade_factor.1);
                     w.push(FaultWindow {
                         start: SimTime::ZERO + start,
                         end: SimTime::ZERO + start + len,
                         kind: FaultKind::Degraded(factor),
                     });
                 }
-                for _ in 0..sample_count(&mut s, pair_spec.flap_rate * horizon_s) {
-                    let start = s.uniform_dur(Dur::ZERO, pair_spec.horizon);
-                    let len = s.uniform_dur(pair_spec.flap_window.0, pair_spec.flap_window.1);
+                for _ in 0..sample_count(&mut s, spec.flap_rate * horizon_s) {
+                    let start = s.uniform_dur(Dur::ZERO, spec.horizon);
+                    let len = s.uniform_dur(spec.flap_window.0, spec.flap_window.1);
                     w.push(FaultWindow {
                         start: SimTime::ZERO + start,
                         end: SimTime::ZERO + start + len,
@@ -556,7 +470,6 @@ impl FaultPlan {
         // device-loss-free spec bit-identical.
         let mut dev_windows = vec![Vec::new(); n];
         if !trivial && spec.device_loss_rate > 0.0 {
-            let horizon_s = spec.horizon.as_secs_f64();
             for (dev, wins) in dev_windows.iter_mut().enumerate() {
                 let mut s = substream(seed, 0x4445_0000 | dev as u64);
                 for _ in 0..sample_count(&mut s, spec.device_loss_rate * horizon_s) {
@@ -580,9 +493,6 @@ impl FaultPlan {
             dev_windows,
             straggler,
             msg_streams,
-            msg_seq: vec![0; n * n],
-            events: Vec::new(),
-            digest: seed ^ 0xC0FF_EE00_D15E_A5ED,
         }
     }
 
@@ -703,75 +613,19 @@ impl FaultPlan {
     /// pair's private stream, so interleaving across pairs cannot perturb
     /// another pair's decisions.
     pub fn sample_message(&mut self, src: usize, dst: usize) -> MessageFault {
-        let pair = src * self.n + dst;
-        let seq = self.msg_seq[pair];
-        self.msg_seq[pair] += 1;
         if self.trivial || (self.spec.drop_prob == 0.0 && self.spec.delay_prob == 0.0) {
             return MessageFault::None;
         }
-        let s = &mut self.msg_streams[pair];
+        let s = &mut self.msg_streams[src * self.n + dst];
         let u = s.next_f64();
         if u < self.spec.drop_prob {
-            self.events.push(FaultEvent::Dropped { src, dst, seq });
-            self.mix(1, pair as u64, seq);
             MessageFault::Drop
         } else if u < self.spec.drop_prob + self.spec.delay_prob {
-            let jitter = s.uniform_dur(self.spec.delay.0, self.spec.delay.1);
-            self.events.push(FaultEvent::Delayed {
-                src,
-                dst,
-                seq,
-                jitter,
-            });
-            self.mix(2, pair as u64 ^ jitter.as_ns(), seq);
-            MessageFault::Delay(jitter)
+            MessageFault::Delay(s.uniform_dur(self.spec.delay.0, self.spec.delay.1))
         } else {
             MessageFault::None
         }
     }
-
-    /// Every injected per-message event so far, in injection order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Running hash over the plan's schedule and every injected event. Two
-    /// runs with the same seed, spec and call sequence produce the same
-    /// fingerprint — the determinism property tests assert exactly this.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = self.digest;
-        for (i, ws) in self.windows.iter().enumerate() {
-            for w in ws {
-                h = mix64(h ^ (i as u64) ^ w.start.as_ns().rotate_left(17) ^ w.end.as_ns());
-                if let FaultKind::Degraded(f) = w.kind {
-                    h = mix64(h ^ f.to_bits());
-                }
-            }
-        }
-        for (dev, f) in self.straggler.iter().enumerate() {
-            h = mix64(h ^ (dev as u64) ^ f.to_bits());
-        }
-        for (dev, ws) in self.dev_windows.iter().enumerate() {
-            for w in ws {
-                h = mix64(
-                    h ^ (dev as u64).rotate_left(8)
-                        ^ w.start.as_ns().rotate_left(17)
-                        ^ w.end.as_ns(),
-                );
-            }
-        }
-        h
-    }
-
-    fn mix(&mut self, tag: u64, a: u64, b: u64) {
-        self.digest = mix64(self.digest ^ tag.rotate_left(48) ^ a.rotate_left(24) ^ b);
-    }
-}
-
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic "Poisson-ish" count: `floor(expected)` plus a Bernoulli
@@ -795,20 +649,17 @@ mod tests {
 
     #[test]
     fn same_seed_same_plan() {
-        let a = chaos_plan(7);
-        let b = chaos_plan(7);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        for src in 0..4 {
-            for dst in 0..4 {
-                assert_eq!(a.windows(src, dst), b.windows(src, dst));
-            }
-            assert_eq!(a.straggler_factor(src), b.straggler_factor(src));
+        for spec in [FaultSpec::chaos(0.5), FaultSpec::storm(0.5)] {
+            assert_eq!(golden_record(7, spec), golden_record(7, spec));
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        assert_ne!(chaos_plan(1).fingerprint(), chaos_plan(2).fingerprint());
+        let a = golden_record(1, FaultSpec::chaos(0.5));
+        let b = golden_record(2, FaultSpec::chaos(0.5));
+        assert_ne!(a.1, b.1, "link windows");
+        assert_ne!(a.6, b.6, "message fates");
     }
 
     #[test]
@@ -825,8 +676,124 @@ mod tests {
             }
             assert_eq!(p.straggler_factor(src), 1.0);
         }
-        assert_eq!(p.sample_message(0, 1), MessageFault::None);
-        assert!(p.events().is_empty());
+        for _ in 0..100 {
+            assert_eq!(p.sample_message(0, 1), MessageFault::None);
+        }
+    }
+
+    /// FNV-1a over 64-bit words: the golden test's compact record.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    fn window_words(ws: &[FaultWindow]) -> impl Iterator<Item = u64> + '_ {
+        ws.iter().flat_map(|w| {
+            let kind = match w.kind {
+                FaultKind::Down => u64::MAX,
+                FaultKind::Degraded(f) => f.to_bits(),
+            };
+            [w.start.as_ns(), w.end.as_ns(), kind]
+        })
+    }
+
+    /// What the determinism and golden tests compare of
+    /// `generate(seed, 4, spec)`: link window count and fold, device window
+    /// count and fold, straggler factor bits, and the (drops, delays) count
+    /// and fold of the first 64 fates of every directed pair.
+    type Golden = (usize, u64, usize, u64, [u64; 4], [usize; 2], u64);
+
+    fn golden_record(seed: u64, spec: FaultSpec) -> Golden {
+        let mut p = FaultPlan::generate(seed, 4, spec);
+        let pairs: Vec<(usize, usize)> = (0..4)
+            .flat_map(|s| (0..4).map(move |d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .collect();
+        let n_windows = pairs.iter().map(|&(s, d)| p.windows(s, d).len()).sum();
+        let windows = fnv(pairs
+            .iter()
+            .flat_map(|&(s, d)| window_words(p.windows(s, d))));
+        let n_dev = (0..4).map(|d| p.device_windows(d).len()).sum();
+        let dev = fnv((0..4).flat_map(|d| window_words(p.device_windows(d))));
+        let straggler = [0, 1, 2, 3].map(|d| p.straggler_factor(d).to_bits());
+        let mut counts = [0usize; 2];
+        let mut fates = Vec::new();
+        for &(s, d) in &pairs {
+            for _ in 0..64 {
+                fates.push(match p.sample_message(s, d) {
+                    MessageFault::None => 0,
+                    MessageFault::Drop => {
+                        counts[0] += 1;
+                        1
+                    }
+                    MessageFault::Delay(j) => {
+                        counts[1] += 1;
+                        2 + j.as_ns()
+                    }
+                });
+            }
+        }
+        (
+            n_windows,
+            windows,
+            n_dev,
+            dev,
+            straggler,
+            counts,
+            fnv(fates),
+        )
+    }
+
+    #[test]
+    fn chaos_and_storm_plans_are_pinned() {
+        // Captured while the plan streams ran their own SplitMix64, before
+        // they drew from `rand::rngs::StdRng`: the chaos and adapt
+        // artifacts hold only while no window, factor or fate moves.
+        let one = 1.0f64.to_bits();
+        let empty = fnv([]);
+        let pinned: [(u64, Golden, u64); 2] = [
+            (
+                3,
+                (
+                    660,
+                    13686671934828929661,
+                    0,
+                    empty,
+                    [one, 4607498368794156295, one, one],
+                    [8, 30],
+                    12858683018718129911,
+                ),
+                15602869528589518810,
+            ),
+            (
+                10,
+                (
+                    660,
+                    4929320570940803124,
+                    0,
+                    empty,
+                    [one, 4607940517179371116, one, one],
+                    [6, 3],
+                    9053542059693499497,
+                ),
+                5559883324114306654,
+            ),
+        ];
+        for (seed, chaos, storm_dev) in pinned {
+            assert_eq!(
+                golden_record(seed, FaultSpec::chaos(0.5)),
+                chaos,
+                "chaos, seed {seed}"
+            );
+            // The storm is chaos plus 12 device outages.
+            let storm = (chaos.0, chaos.1, 12, storm_dev, chaos.4, chaos.5, chaos.6);
+            assert_eq!(
+                golden_record(seed, FaultSpec::storm(0.5)),
+                storm,
+                "storm, seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -898,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn drops_and_delays_occur_and_are_recorded() {
+    fn drops_and_delays_occur() {
         let mut p = FaultPlan::generate(13, 2, FaultSpec::chaos(1.0));
         let mut drops = 0;
         let mut delays = 0;
@@ -914,7 +881,6 @@ mod tests {
         }
         assert!(drops > 0, "2% drop over 2000 messages should fire");
         assert!(delays > drops, "5% delay should outnumber 2% drop");
-        assert_eq!(p.events().len(), drops + delays);
     }
 
     #[test]
@@ -1026,68 +992,11 @@ mod tests {
             outages > 0,
             "30/s over a 200 ms horizon should schedule outages"
         );
-        // Schedules with and without device loss fingerprint differently.
-        assert_ne!(chaos.fingerprint(), storm.fingerprint());
         // And the storm itself is deterministic.
-        assert_eq!(
-            storm.fingerprint(),
-            FaultPlan::generate(7, 4, FaultSpec::storm(0.5)).fingerprint()
-        );
-    }
-
-    #[test]
-    fn tiered_with_equal_specs_matches_generate() {
-        use crate::LinkSpec;
-        // On any topology, identical per-tier specs must reproduce the flat
-        // generator bit for bit — the pod fault path is a strict extension.
-        for topo in [
-            Topology::crossbar(4, LinkSpec::nvlink_v100()),
-            Topology::multi_node(2, 2, LinkSpec::nvlink_v100(), LinkSpec::roce()),
-        ] {
-            let spec = FaultSpec::chaos(0.5);
-            let flat = FaultPlan::generate(21, topo.n_gpus(), spec);
-            let tiered = FaultPlan::generate_tiered(21, &topo, spec, spec);
-            assert_eq!(flat.fingerprint(), tiered.fingerprint());
-            for src in 0..topo.n_gpus() {
-                for dst in 0..topo.n_gpus() {
-                    assert_eq!(flat.windows(src, dst), tiered.windows(src, dst));
-                }
-                assert_eq!(flat.straggler_factor(src), tiered.straggler_factor(src));
-            }
-            assert_eq!(flat.is_trivial(), tiered.is_trivial());
+        let again = FaultPlan::generate(7, 4, FaultSpec::storm(0.5));
+        for dev in 0..4 {
+            assert_eq!(storm.device_windows(dev), again.device_windows(dev));
         }
-    }
-
-    #[test]
-    fn tiered_faults_only_hit_the_requested_tier() {
-        use crate::LinkSpec;
-        let topo = Topology::multi_node(2, 2, LinkSpec::nvlink_v100(), LinkSpec::roce());
-        // Clean crossbar, chaotic scale-out tier.
-        let p = FaultPlan::generate_tiered(5, &topo, FaultSpec::none(), FaultSpec::chaos(1.0));
-        assert!(!p.is_trivial());
-        let mut inter_windows = 0;
-        for src in 0..4 {
-            for dst in 0..4 {
-                if src == dst {
-                    continue;
-                }
-                if topo.same_node(src, dst) {
-                    assert!(
-                        p.windows(src, dst).is_empty(),
-                        "intra pair {src}->{dst} must stay clean"
-                    );
-                } else {
-                    inter_windows += p.windows(src, dst).len();
-                }
-            }
-        }
-        assert!(inter_windows > 0, "chaos(1.0) must schedule inter windows");
-        // The flipped assignment faults only the crossbar.
-        let q = FaultPlan::generate_tiered(5, &topo, FaultSpec::chaos(1.0), FaultSpec::none());
-        for (src, dst) in [(0usize, 2usize), (1, 3), (2, 0)] {
-            assert!(q.windows(src, dst).is_empty());
-        }
-        assert!(!q.windows(0, 1).is_empty() || !q.windows(2, 3).is_empty());
     }
 
     #[test]

@@ -51,8 +51,8 @@ mod topology;
 mod trace;
 
 pub use fault::{
-    FabricError, FaultEvent, FaultKind, FaultPlan, FaultSpec, FaultWindow, Faults, LinkState,
-    MessageFault, RetryPolicy,
+    FabricError, FaultKind, FaultPlan, FaultSpec, FaultWindow, Faults, LinkState, MessageFault,
+    RetryPolicy,
 };
 pub use kernel::{KernelRun, KernelShape};
 pub use machine::{Delivery, Machine, MachineConfig, Send, SendTrain, TrafficStats};

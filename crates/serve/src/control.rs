@@ -15,22 +15,27 @@
 //! * **Failover ladder** — [`Tier::Pgas`] → [`Tier::Resilient`] →
 //!   [`Tier::Baseline`], stepping down after a configured number of
 //!   consecutive unhealthy ticks and stepping back up after a healthy
-//!   window ([`ControlConfig::failover_after`] / `failback_after`).
-//! * **Per-link circuit breakers** — a directed link that flaps more than
-//!   [`ControlConfig::breaker_flaps`] times within a tick window (or is
-//!   observed hard-down) trips its breaker open; after
-//!   [`ControlConfig::breaker_cooldown_ticks`] the breaker goes half-open
-//!   and a probe tick decides whether to close it or re-trip.
-//! * **Dynamic micro-batch deadline** — halves toward
-//!   [`ControlConfig::min_deadline`] while observed worst-case batch
-//!   latency breaches the SLO, doubles back toward `max_deadline` once the
-//!   fabric is healthy and latency has headroom.
+//!   window (`FAILOVER_AFTER` / `FAILBACK_AFTER` ticks).
+//! * **Per-link circuit breakers** — a directed link that flaps
+//!   `BREAKER_FLAPS` times within a tick window (or is observed hard-down)
+//!   trips its breaker open; after `BREAKER_COOLDOWN_TICKS` the breaker
+//!   goes half-open and a probe tick decides whether to close it or
+//!   re-trip.
+//! * **Dynamic micro-batch deadline** — halves toward a quarter of the
+//!   batcher's starting deadline while observed worst-case batch latency
+//!   breaches the SLO, doubles back toward four times it once the fabric
+//!   is healthy and latency has headroom. The SLO is the server's
+//!   (`ServeConfig::slo`), passed to every [`Controller::tick`].
 //! * **Graduated load shedding** — the admission queue bound steps through
 //!   4×/2×/1× `max_batch` as severity rises (one level per tick, so a
 //!   single noisy tick cannot slam the queue shut).
 //! * **Online hot-cache resizing** — when the measured hot-set hit
 //!   fraction drifts past grow/shrink thresholds, the replica cache doubles
 //!   or halves (healthy fabric only; resizing mid-incident would churn).
+//!
+//! The tunables are the constants below; the controller has no settable
+//! knob beyond its starting point (the batcher config and the hot-cache
+//! size) and the SLO.
 //!
 //! On a clean fabric the controller is a strict no-op: breakers never
 //! trip, the tier stays [`Tier::Pgas`], and the serving path is
@@ -93,56 +98,22 @@ enum Breaker {
     HalfOpen,
 }
 
-/// Controller tunables. [`ControlConfig::for_slo`] derives sensible
-/// defaults from the serving SLO.
-#[derive(Clone, Copy, Debug)]
-pub struct ControlConfig {
-    /// The per-request latency SLO the controller defends.
-    pub slo: Dur,
-    /// Floor for the dynamic micro-batch close deadline.
-    pub min_deadline: Dur,
-    /// Ceiling for the dynamic micro-batch close deadline.
-    pub max_deadline: Dur,
-    /// New flaps within one tick window that trip a link's breaker.
-    pub breaker_flaps: usize,
-    /// Ticks a tripped breaker stays open before going half-open.
-    pub breaker_cooldown_ticks: u32,
-    /// Consecutive unhealthy ticks before stepping the ladder down.
-    pub failover_after: u32,
-    /// Consecutive healthy ticks before stepping the ladder back up.
-    pub failback_after: u32,
-    /// Put retries within one tick window that count as a retry storm.
-    pub retry_storm: u64,
-    /// Admission queue bound at shed level 0 (level 1 halves it, level 2
-    /// quarters it).
-    pub base_queue_bound: usize,
-    /// Grow the hot cache when the measured hit fraction reaches this.
-    pub cache_grow_hit: f64,
-    /// Shrink the hot cache when the measured hit fraction falls to this.
-    pub cache_shrink_hit: f64,
-    /// Hard ceiling on hot-cache rows per remote table.
-    pub max_cache_rows: u64,
-}
-
-impl ControlConfig {
-    /// Defaults derived from the SLO and the batcher's starting point.
-    pub fn for_slo(slo: Dur, batcher: &BatcherConfig) -> Self {
-        ControlConfig {
-            slo,
-            min_deadline: batcher.close_deadline / 4,
-            max_deadline: batcher.close_deadline * 4,
-            breaker_flaps: 2,
-            breaker_cooldown_ticks: 8,
-            failover_after: 2,
-            failback_after: 16,
-            retry_storm: 64,
-            base_queue_bound: batcher.queue_bound,
-            cache_grow_hit: 0.45,
-            cache_shrink_hit: 0.15,
-            max_cache_rows: 1 << 20,
-        }
-    }
-}
+/// New flaps within one tick window that trip a link's breaker.
+const BREAKER_FLAPS: usize = 2;
+/// Ticks a tripped breaker stays open before going half-open.
+const BREAKER_COOLDOWN_TICKS: u32 = 8;
+/// Consecutive unhealthy ticks before stepping the ladder down.
+const FAILOVER_AFTER: u32 = 2;
+/// Consecutive healthy ticks before stepping the ladder back up.
+const FAILBACK_AFTER: u32 = 16;
+/// Put retries within one tick window that count as a retry storm.
+const RETRY_STORM: u64 = 64;
+/// Grow the hot cache when the measured hit fraction reaches this.
+const CACHE_GROW_HIT: f64 = 0.45;
+/// Shrink the hot cache when the measured hit fraction falls to this.
+const CACHE_SHRINK_HIT: f64 = 0.15;
+/// Hard ceiling on hot-cache rows per remote table.
+const MAX_CACHE_ROWS: u64 = 1 << 20;
 
 /// What the controller saw this tick (assembled by the serving loop from
 /// the same quantities the EXT-10 metrics export).
@@ -202,7 +173,12 @@ pub struct ControlReport {
 /// phase boundaries without referencing absolute time.
 #[derive(Clone, Debug)]
 pub struct Controller {
-    cfg: ControlConfig,
+    /// Floor and ceiling of the dynamic micro-batch close deadline.
+    min_deadline: Dur,
+    max_deadline: Dur,
+    /// Admission queue bound at shed level 0 (level 1 halves it, level 2
+    /// quarters it).
+    base_queue_bound: usize,
     /// Directed-link breakers, `src * n + dst` (diagonal unused).
     breakers: Vec<Breaker>,
     n: usize,
@@ -217,10 +193,13 @@ pub struct Controller {
 
 impl Controller {
     /// A controller starting from the batcher's configured deadline and
-    /// queue bound and the workload's configured hot-cache size.
-    pub fn new(cfg: ControlConfig, batcher: &BatcherConfig, hot_cache_rows: u64) -> Self {
+    /// queue bound and the workload's configured hot-cache size. The
+    /// deadline moves within a quarter to four times its starting value.
+    pub fn new(batcher: &BatcherConfig, hot_cache_rows: u64) -> Self {
         Controller {
-            cfg,
+            min_deadline: batcher.close_deadline / 4,
+            max_deadline: batcher.close_deadline * 4,
+            base_queue_bound: batcher.queue_bound,
             breakers: Vec::new(),
             n: 0,
             tier: Tier::Pgas,
@@ -231,11 +210,6 @@ impl Controller {
             cache_rows: hot_cache_rows,
             report: ControlReport::default(),
         }
-    }
-
-    /// The controller's tunables.
-    pub fn config(&self) -> &ControlConfig {
-        &self.cfg
     }
 
     /// Current rung of the failover ladder.
@@ -253,15 +227,22 @@ impl Controller {
         Decision {
             tier: self.tier,
             close_deadline: self.deadline,
-            queue_bound: (self.cfg.base_queue_bound >> self.shed_level).max(1),
+            queue_bound: (self.base_queue_bound >> self.shed_level).max(1),
             hot_cache_rows: self.cache_rows,
         }
     }
 
-    /// Evaluate one control tick at simulated instant `now` and return the
-    /// policy to apply. Deterministic: depends only on the fault plan
-    /// installed on `machine`, the signals, and the controller's own state.
-    pub fn tick(&mut self, machine: &Machine, now: SimTime, sig: &TickSignals) -> Decision {
+    /// Evaluate one control tick at simulated instant `now` against the
+    /// per-request latency `slo` and return the policy to apply.
+    /// Deterministic: depends only on the fault plan installed on
+    /// `machine`, the SLO, the signals, and the controller's own state.
+    pub fn tick(
+        &mut self,
+        machine: &Machine,
+        now: SimTime,
+        slo: Dur,
+        sig: &TickSignals,
+    ) -> Decision {
         self.report.ticks += 1;
         let n = machine.n_gpus();
         if self.n != n {
@@ -270,7 +251,7 @@ impl Controller {
         }
 
         let (device_lost, any_open) = self.probe_fabric(machine, now);
-        let storm = sig.retries_delta >= self.cfg.retry_storm || sig.exhausted_delta > 0;
+        let storm = sig.retries_delta >= RETRY_STORM || sig.exhausted_delta > 0;
         let healthy = !device_lost && !any_open && !storm;
 
         // Failover ladder: consecutive-tick counters, reset on every
@@ -278,7 +259,7 @@ impl Controller {
         if healthy {
             self.unhealthy_ticks = 0;
             self.healthy_ticks += 1;
-            if self.healthy_ticks >= self.cfg.failback_after && self.tier != Tier::Pgas {
+            if self.healthy_ticks >= FAILBACK_AFTER && self.tier != Tier::Pgas {
                 self.tier = self.tier.up();
                 self.report.failbacks += 1;
                 self.healthy_ticks = 0;
@@ -286,7 +267,7 @@ impl Controller {
         } else {
             self.healthy_ticks = 0;
             self.unhealthy_ticks += 1;
-            if self.unhealthy_ticks >= self.cfg.failover_after && self.tier != Tier::Baseline {
+            if self.unhealthy_ticks >= FAILOVER_AFTER && self.tier != Tier::Baseline {
                 self.tier = self.tier.down();
                 self.report.failovers += 1;
                 self.unhealthy_ticks = 0;
@@ -295,14 +276,14 @@ impl Controller {
 
         // Dynamic micro-batch deadline: tighten while the worst observed
         // latency breaches the SLO, relax once there is ample headroom.
-        if sig.worst_latency > self.cfg.slo {
-            let next = (self.deadline / 2).max(self.cfg.min_deadline);
+        if sig.worst_latency > slo {
+            let next = (self.deadline / 2).max(self.min_deadline);
             if next != self.deadline {
                 self.deadline = next;
                 self.report.deadline_changes += 1;
             }
-        } else if healthy && sig.worst_latency > Dur::ZERO && sig.worst_latency < self.cfg.slo / 2 {
-            let next = (self.deadline * 2).min(self.cfg.max_deadline);
+        } else if healthy && sig.worst_latency > Dur::ZERO && sig.worst_latency < slo / 2 {
+            let next = (self.deadline * 2).min(self.max_deadline);
             if next != self.deadline {
                 self.deadline = next;
                 self.report.deadline_changes += 1;
@@ -312,9 +293,9 @@ impl Controller {
         // Graduated shedding: desired severity from health + backlog,
         // moved one level per tick.
         let backlog = sig.queued;
-        let want: u8 = if (!healthy && backlog >= self.cfg.base_queue_bound / 2) || device_lost {
+        let want: u8 = if (!healthy && backlog >= self.base_queue_bound / 2) || device_lost {
             2
-        } else if !healthy || backlog >= self.cfg.base_queue_bound / 2 {
+        } else if !healthy || backlog >= self.base_queue_bound / 2 {
             1
         } else {
             0
@@ -333,11 +314,10 @@ impl Controller {
         // serving lost shards).
         if healthy && self.cache_rows > 0 {
             if let Some(hit) = sig.measured_hit {
-                if hit >= self.cfg.cache_grow_hit && self.cache_rows * 2 <= self.cfg.max_cache_rows
-                {
+                if hit >= CACHE_GROW_HIT && self.cache_rows * 2 <= MAX_CACHE_ROWS {
                     self.cache_rows *= 2;
                     self.report.cache_resizes += 1;
-                } else if hit <= self.cfg.cache_shrink_hit && self.cache_rows >= 2 {
+                } else if hit <= CACHE_SHRINK_HIT && self.cache_rows >= 2 {
                     self.cache_rows /= 2;
                     self.report.cache_resizes += 1;
                 }
@@ -373,10 +353,10 @@ impl Controller {
                 let flaps = fp.flap_count(s, d, now);
                 self.breakers[idx] = match self.breakers[idx] {
                     Breaker::Closed { flap_baseline } => {
-                        if down || flaps.saturating_sub(flap_baseline) >= self.cfg.breaker_flaps {
+                        if down || flaps.saturating_sub(flap_baseline) >= BREAKER_FLAPS {
                             self.report.breaker_trips += 1;
                             Breaker::Open {
-                                remaining: self.cfg.breaker_cooldown_ticks,
+                                remaining: BREAKER_COOLDOWN_TICKS,
                             }
                         } else {
                             Breaker::Closed { flap_baseline }
@@ -396,7 +376,7 @@ impl Controller {
                         if down {
                             self.report.breaker_trips += 1;
                             Breaker::Open {
-                                remaining: self.cfg.breaker_cooldown_ticks,
+                                remaining: BREAKER_COOLDOWN_TICKS,
                             }
                         } else {
                             // Probe succeeded: close with a fresh flap
@@ -430,9 +410,11 @@ mod tests {
         }
     }
 
+    /// The SLO the unit tests steer against.
+    const SLO: Dur = Dur::from_ms(1);
+
     fn ctl() -> Controller {
-        let b = base_batcher();
-        Controller::new(ControlConfig::for_slo(Dur::from_ms(1), &b), &b, 0)
+        Controller::new(&base_batcher(), 0)
     }
 
     #[test]
@@ -441,7 +423,7 @@ mod tests {
         let mut c = ctl();
         let mut t = SimTime::ZERO;
         for _ in 0..200 {
-            let d = c.tick(&m, t, &TickSignals::default());
+            let d = c.tick(&m, t, SLO, &TickSignals::default());
             assert_eq!(d.tier, Tier::Pgas);
             t += Dur::from_us(100);
         }
@@ -464,7 +446,7 @@ mod tests {
         let mut c = ctl();
         let mut t = SimTime::ZERO;
         for _ in 0..400 {
-            c.tick(&m, t, &TickSignals::default());
+            c.tick(&m, t, SLO, &TickSignals::default());
             t += Dur::from_us(500);
         }
         let r = c.report();
@@ -486,14 +468,14 @@ mod tests {
         };
         let mut t = SimTime::ZERO;
         for _ in 0..2 {
-            c.tick(&m, t, &storm);
+            c.tick(&m, t, SLO, &storm);
             t += Dur::from_us(100);
         }
         assert_eq!(c.tier(), Tier::Resilient, "storm steps down one rung");
         assert_eq!(c.report().breaker_trips, 0, "no link state, no trips");
         // Two more storm ticks earn the next rung independently.
         for _ in 0..2 {
-            c.tick(&m, t, &storm);
+            c.tick(&m, t, SLO, &storm);
             t += Dur::from_us(100);
         }
         assert_eq!(c.tier(), Tier::Baseline);
@@ -503,31 +485,30 @@ mod tests {
     fn deadline_halves_under_breach_and_recovers() {
         let m = Machine::new(MachineConfig::dgx_v100(2));
         let mut c = ctl();
-        let slo = c.config().slo;
         let d0 = c.decision().close_deadline;
         let breach = TickSignals {
-            worst_latency: slo * 4,
+            worst_latency: SLO * 4,
             ..TickSignals::default()
         };
-        let d1 = c.tick(&m, SimTime::ZERO, &breach).close_deadline;
+        let d1 = c.tick(&m, SimTime::ZERO, SLO, &breach).close_deadline;
         assert_eq!(d1, d0 / 2);
         // Floor is respected.
         let mut t = SimTime::ZERO;
         for _ in 0..16 {
             t += Dur::from_us(100);
-            c.tick(&m, t, &breach);
+            c.tick(&m, t, SLO, &breach);
         }
-        assert_eq!(c.decision().close_deadline, c.config().min_deadline);
+        assert_eq!(c.decision().close_deadline, d0 / 4);
         // Healthy + headroom doubles back up to the ceiling.
         let calm = TickSignals {
-            worst_latency: slo / 8,
+            worst_latency: SLO / 8,
             ..TickSignals::default()
         };
         for _ in 0..16 {
             t += Dur::from_us(100);
-            c.tick(&m, t, &calm);
+            c.tick(&m, t, SLO, &calm);
         }
-        assert_eq!(c.decision().close_deadline, c.config().max_deadline);
+        assert_eq!(c.decision().close_deadline, d0 * 4);
         assert!(c.report().deadline_changes > 0);
     }
 
@@ -543,28 +524,27 @@ mod tests {
             retries_delta: 1_000_000,
             ..TickSignals::default()
         };
-        let d1 = c.tick(&m, SimTime::ZERO, &bad);
+        let d1 = c.tick(&m, SimTime::ZERO, SLO, &bad);
         assert_eq!(d1.queue_bound, q0 / 2);
-        let d2 = c.tick(&m, SimTime::ZERO + Dur::from_us(100), &bad);
+        let d2 = c.tick(&m, SimTime::ZERO + Dur::from_us(100), SLO, &bad);
         assert_eq!(d2.queue_bound, q0 / 4);
         // Recovery walks back up one level at a time.
         let calm = TickSignals::default();
-        let d3 = c.tick(&m, SimTime::ZERO + Dur::from_us(200), &calm);
+        let d3 = c.tick(&m, SimTime::ZERO + Dur::from_us(200), SLO, &calm);
         assert_eq!(d3.queue_bound, q0 / 2);
-        let d4 = c.tick(&m, SimTime::ZERO + Dur::from_us(300), &calm);
+        let d4 = c.tick(&m, SimTime::ZERO + Dur::from_us(300), SLO, &calm);
         assert_eq!(d4.queue_bound, q0);
     }
 
     #[test]
     fn cache_resizes_track_measured_hit() {
         let m = Machine::new(MachineConfig::dgx_v100(2));
-        let b = base_batcher();
-        let mut c = Controller::new(ControlConfig::for_slo(Dur::from_ms(1), &b), &b, 1024);
+        let mut c = Controller::new(&base_batcher(), 1024);
         let hot = TickSignals {
             measured_hit: Some(0.6),
             ..TickSignals::default()
         };
-        assert_eq!(c.tick(&m, SimTime::ZERO, &hot).hot_cache_rows, 2048);
+        assert_eq!(c.tick(&m, SimTime::ZERO, SLO, &hot).hot_cache_rows, 2048);
         let cold = TickSignals {
             measured_hit: Some(0.05),
             ..TickSignals::default()
@@ -572,7 +552,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for _ in 0..2 {
             t += Dur::from_us(100);
-            c.tick(&m, t, &cold);
+            c.tick(&m, t, SLO, &cold);
         }
         assert_eq!(c.decision().hot_cache_rows, 512);
         assert_eq!(c.report().cache_resizes, 3);

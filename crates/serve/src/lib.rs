@@ -42,7 +42,7 @@ mod server;
 mod slo;
 
 pub use batcher::{BatcherConfig, ClosedBatch, MicroBatcher};
-pub use control::{ControlConfig, ControlReport, Controller, Decision, TickSignals, Tier};
+pub use control::{ControlReport, Controller, Decision, TickSignals, Tier};
 pub use request::{forget_memoized, ArrivalProcess, Bags, PoolWindow, Request, RequestGenerator};
 pub use server::{EmbServer, ServeBackendKind, ServeConfig, ServeError, ServeReport};
 pub use slo::LatencyStats;

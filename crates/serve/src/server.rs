@@ -320,7 +320,7 @@ impl EmbServer {
         let mut slo_viol_time = Dur::ZERO;
 
         while let Some(closed) = batcher.next_batch(t_free) {
-            if let Some(c) = ctrl.as_deref_mut() {
+            if let (Some(c), Some(slo)) = (ctrl.as_deref_mut(), ctrl_slo) {
                 // One control tick per closed batch, before execution. The
                 // retry/exhausted totals come from the resilience books,
                 // whatever observes the machine; the tick sees what they
@@ -337,7 +337,7 @@ impl EmbServer {
                     measured_hit: last_hit,
                 };
                 let prev = c.decision();
-                let d = c.tick(machine, closed.close_at, &sig);
+                let d = c.tick(machine, closed.close_at, slo, &sig);
                 worst_since_tick = Dur::ZERO;
                 if d.close_deadline != prev.close_deadline || d.queue_bound != prev.queue_bound {
                     let mut bc = batcher.config();
@@ -593,20 +593,38 @@ mod tests {
 
     #[test]
     fn controlled_run_without_slo_is_a_typed_error() {
-        use crate::control::ControlConfig;
         let cfg = serve_cfg(ServeBackendKind::Resilient, 1e5);
         assert!(cfg.slo.is_none());
-        let mut ctrl = Controller::new(
-            ControlConfig::for_slo(Dur::from_ms(1), &cfg.batcher),
-            &cfg.batcher,
-            cfg.emb.hot_cache_rows,
-        );
+        let mut ctrl = Controller::new(&cfg.batcher, cfg.emb.hot_cache_rows);
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         let err = EmbServer::new(cfg)
             .run_controlled(&mut m, &mut ctrl)
             .unwrap_err();
         assert!(matches!(err, ServeError::MissingSlo));
         assert!(err.to_string().contains("cfg.slo"));
+    }
+
+    #[test]
+    fn the_controller_steers_against_the_servers_slo() {
+        // One trace, two SLOs: a breached SLO halves the close deadline
+        // down to its floor, an ample one doubles it up to its ceiling.
+        let controlled = |slo: Dur| {
+            let mut cfg = serve_cfg(ServeBackendKind::PgasFused, 1e5);
+            cfg.slo = Some(slo);
+            let d0 = cfg.batcher.close_deadline;
+            let mut ctrl = Controller::new(&cfg.batcher, cfg.emb.hot_cache_rows);
+            let mut m = Machine::new(MachineConfig::dgx_v100(2));
+            let r = EmbServer::new(cfg)
+                .run_controlled(&mut m, &mut ctrl)
+                .unwrap();
+            assert!(r.control.unwrap().deadline_changes > 0, "slo {slo:?}");
+            (ctrl.decision().close_deadline, d0, r.batches)
+        };
+        let (tight, d0, tight_batches) = controlled(Dur::from_us(50));
+        let (loose, _, loose_batches) = controlled(Dur::from_ms(100));
+        assert_eq!(tight, d0 / 4);
+        assert_eq!(loose, d0 * 4);
+        assert_ne!(tight_batches, loose_batches);
     }
 
     #[test]

@@ -247,8 +247,7 @@ impl BlameVec {
 }
 
 /// The extracted critical path of one batch: its blame vector plus the
-/// gap-free segment list it was summed from (newest segments last), and
-/// the request trace id active when the batch completed (0 if none).
+/// gap-free segment list it was summed from (newest segments last).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchBlame {
     /// Batch window start.
@@ -259,9 +258,6 @@ pub struct BatchBlame {
     pub vec: BlameVec,
     /// The path as a partition of `[start, end]`, in time order.
     pub segments: Vec<Segment>,
-    /// Trace id ([`SpanGraph::set_trace`]) linking this batch to a serving
-    /// request, 0 when unset.
-    pub trace_id: u64,
 }
 
 /// Append-only span graph plus the cursor state the instrumentation hooks
@@ -280,7 +276,6 @@ pub struct SpanGraph {
     device_cause: BTreeMap<u32, usize>,
     pending_cause: Option<usize>,
     kind: Option<BlameCategory>,
-    trace_id: u64,
     batches: Vec<BatchBlame>,
 }
 
@@ -400,11 +395,6 @@ impl SpanGraph {
         self.last_outbound.get(&src).copied()
     }
 
-    /// Set the request trace id stamped onto subsequently closed batches.
-    pub fn set_trace(&mut self, id: u64) {
-        self.trace_id = id;
-    }
-
     /// Walk backward from `terminal` and close the batch window
     /// `[start, end]`: extracts the critical path, stores its
     /// [`BatchBlame`], and resets the per-batch cursor state (pending
@@ -422,7 +412,6 @@ impl SpanGraph {
             end,
             vec,
             segments,
-            trace_id: self.trace_id,
         });
         self.pending_cause = None;
         self.kind = None;

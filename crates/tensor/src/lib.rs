@@ -30,4 +30,4 @@ mod tensor;
 
 pub use init::XavierUniform;
 pub use shape::Shape;
-pub use tensor::{Tensor, TensorView, TensorViewMut};
+pub use tensor::Tensor;

@@ -1,4 +1,4 @@
-//! The dense tensor type and borrowed views.
+//! The dense tensor type.
 
 use crate::Shape;
 
@@ -57,11 +57,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A 1-D tensor `[0, 1, ..., n-1]` as f32.
-    pub fn arange(n: usize) -> Self {
-        Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n])
-    }
-
     /// Tensor shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -92,12 +87,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// Mutable element at a multi-dimensional index.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
-    }
-
     /// Reinterpret with a new shape of identical element count.
     pub fn reshape(mut self, dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
@@ -123,14 +112,6 @@ impl Tensor {
         assert_eq!(self.shape.ndim(), 2, "row_mut() requires a 2-D tensor");
         let cols = self.shape.dim(1);
         &mut self.data[i * cols..(i + 1) * cols]
-    }
-
-    /// An immutable borrowed view of the whole tensor.
-    pub fn view(&self) -> TensorView<'_> {
-        TensorView {
-            shape: self.shape.clone(),
-            data: &self.data,
-        }
     }
 
     /// Maximum absolute elementwise difference to another tensor of the same
@@ -161,71 +142,6 @@ impl std::fmt::Debug for Tensor {
     }
 }
 
-/// Borrowed immutable view with its own shape (e.g. a reshaped window).
-pub struct TensorView<'a> {
-    shape: Shape,
-    data: &'a [f32],
-}
-
-impl<'a> TensorView<'a> {
-    /// View over a borrowed slice with an explicit shape.
-    pub fn new(data: &'a [f32], dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(data.len(), shape.numel(), "view length mismatch");
-        TensorView { shape, data }
-    }
-
-    /// View shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-    /// Dimension extents.
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-    /// Flat storage.
-    pub fn data(&self) -> &'a [f32] {
-        self.data
-    }
-    /// Element at a multi-dimensional index.
-    pub fn at(&self, index: &[usize]) -> f32 {
-        self.data[self.shape.offset(index)]
-    }
-    /// Copy into an owned tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(self.data.to_vec(), self.shape.dims())
-    }
-}
-
-/// Borrowed mutable view with its own shape.
-pub struct TensorViewMut<'a> {
-    shape: Shape,
-    data: &'a mut [f32],
-}
-
-impl<'a> TensorViewMut<'a> {
-    /// Mutable view over a borrowed slice with an explicit shape.
-    pub fn new(data: &'a mut [f32], dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(data.len(), shape.numel(), "view length mismatch");
-        TensorViewMut { shape, data }
-    }
-
-    /// View shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-    /// Flat storage.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        self.data
-    }
-    /// Mutable element at a multi-dimensional index.
-    pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
-        let off = self.shape.offset(index);
-        &mut self.data[off]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +151,6 @@ mod tests {
         assert_eq!(Tensor::zeros(&[2, 3]).data(), &[0.0; 6]);
         assert_eq!(Tensor::ones(&[4]).data(), &[1.0; 4]);
         assert_eq!(Tensor::full(&[2], 7.5).data(), &[7.5, 7.5]);
-        assert_eq!(Tensor::arange(3).data(), &[0.0, 1.0, 2.0]);
         let i = Tensor::eye(3);
         assert_eq!(i.at(&[0, 0]), 1.0);
         assert_eq!(i.at(&[0, 1]), 0.0);
@@ -251,9 +166,8 @@ mod tests {
     #[test]
     fn indexing_round_trip() {
         let mut t = Tensor::zeros(&[2, 3]);
-        *t.at_mut(&[1, 2]) = 42.0;
+        t.data_mut()[5] = 42.0;
         assert_eq!(t.at(&[1, 2]), 42.0);
-        assert_eq!(t.data()[5], 42.0);
     }
 
     #[test]
@@ -272,24 +186,6 @@ mod tests {
     #[should_panic(expected = "changes element count")]
     fn reshape_checks_numel() {
         let _ = Tensor::zeros(&[2, 3]).reshape(&[4, 2]);
-    }
-
-    #[test]
-    fn views() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
-        let v = t.view();
-        assert_eq!(v.at(&[1, 0]), 3.0);
-        assert_eq!(v.to_tensor(), t);
-        let data = [1.0, 2.0, 3.0, 4.0];
-        let v2 = TensorView::new(&data, &[2, 2]);
-        assert_eq!(v2.at(&[1, 1]), 4.0);
-        assert_eq!(v2.dims(), &[2, 2]);
-
-        let mut buf = vec![0.0; 4];
-        let mut vm = TensorViewMut::new(&mut buf, &[2, 2]);
-        *vm.at_mut(&[0, 1]) = 5.0;
-        assert_eq!(vm.shape().numel(), 4);
-        assert_eq!(buf[1], 5.0);
     }
 
     #[test]

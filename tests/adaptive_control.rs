@@ -14,7 +14,7 @@
 
 use bench_harness::{run_pair, scaled};
 use desim::Dur;
-use emb_serve::{ControlConfig, Controller, EmbServer, ServeBackendKind, ServeConfig, ServeReport};
+use emb_serve::{Controller, EmbServer, ServeBackendKind, ServeConfig, ServeReport};
 use pgas_embedding::gpusim::{FaultPlan, FaultSpec, Machine, MachineConfig};
 use pgas_embedding::retrieval::EmbLayerConfig;
 use proptest::prelude::*;
@@ -85,11 +85,7 @@ fn run_observed(seed: u64, stormy: bool, telemetry: bool) -> ServeReport {
         machine.enable_telemetry();
     }
     let server = EmbServer::new(cfg);
-    let mut ctrl = Controller::new(
-        ControlConfig::for_slo(slo, &server.config().batcher),
-        &server.config().batcher,
-        server.config().emb.hot_cache_rows,
-    );
+    let mut ctrl = Controller::new(&server.config().batcher, server.config().emb.hot_cache_rows);
     server
         .run_controlled(&mut machine, &mut ctrl)
         .expect("controlled run starts")

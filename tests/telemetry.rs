@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 
 use bench_harness::{netutil_sweep, Params, EXPERIMENTS};
 use desim::{Dur, SimTime};
-use emb_serve::{ControlConfig, Controller, EmbServer, ServeBackendKind, ServeConfig};
+use emb_serve::{Controller, EmbServer, ServeBackendKind, ServeConfig};
 use pgas_embedding::dlrm::{Dlrm, DlrmConfig, PipelineEngine};
 use pgas_embedding::gpusim::{Machine, MachineConfig};
 use pgas_embedding::pgas::{GatewayConfig, PgasConfig};
@@ -263,11 +263,7 @@ fn every_recorded_metric_has_a_reader() {
     EmbServer::new(scfg.clone()).run(&mut m).expect("serves");
     names.extend(recorded_names(&m));
     scfg.slo = Some(Dur::from_ms(5));
-    let mut ctrl = Controller::new(
-        ControlConfig::for_slo(Dur::from_ms(5), &scfg.batcher),
-        &scfg.batcher,
-        emb.hot_cache_rows,
-    );
+    let mut ctrl = Controller::new(&scfg.batcher, emb.hot_cache_rows);
     let mut m = observed(MachineConfig::dgx_v100(emb.n_gpus));
     EmbServer::new(scfg)
         .run_controlled(&mut m, &mut ctrl)
