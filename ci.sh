@@ -17,10 +17,10 @@
 # (it exits 1 naming the claim), so nothing here re-reads a
 # BENCH_*.json; the shell only compares the artifacts that have no smoke
 # parameters with the committed results/, byte for byte (which also pins
-# "observability is inert when off"). The observer-on artifacts (pods,
-# netutil, blame: telemetry timelines and blame vectors) get the same byte
-# gate from three full-scale runs, about 3 + 0.3 + 6 s; so do the four
-# artifacts that lean hardest on shared plans: chaos (stragglers and link
+# "observability is inert when off"). The pod sweep and the observer-on
+# artifacts (netutil, blame: telemetry timelines and blame vectors) get the
+# same byte gate from three full-scale runs, about 0.15 + 0.3 + 6 s; so do
+# the four artifacts that lean hardest on shared plans: chaos (stragglers and link
 # faults over shared PlannedBatches, i.e. the per-device schedule store and
 # its refusals, about 2 s), serve (the request pool and the memoized
 # canonical plans, about 6 s), adapt (the controlled serving path: tier

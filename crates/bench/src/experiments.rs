@@ -679,7 +679,6 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
     };
 
     let mut fm = Machine::new(MachineConfig::pod_v100(nodes, per_node));
-    fm.enable_telemetry();
     let mut pgas_flat = Dur::ZERO;
     {
         let mut os = OneSided::with_config(&mut fm, pcfg);
@@ -692,10 +691,9 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
             pgas_flat = pgas_flat.max(os.quiet(src, SimTime::ZERO) - SimTime::ZERO);
         }
     }
-    let flat_inter_messages = fm.metrics().counter("fabric_tier_messages", 1, 0);
+    let flat_inter_messages = fm.traffic_stats().inter_node_messages;
 
     let mut gm = Machine::new(MachineConfig::pod_v100(nodes, per_node));
-    gm.enable_telemetry();
     let mut pgas_gateway = Dur::ZERO;
     {
         let mut gw = GatewayPut::new(&mut gm, GatewayConfig { pgas: pcfg, flush });
@@ -709,7 +707,7 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
             pgas_gateway = pgas_gateway.max(gw.quiet(src, SimTime::ZERO) - SimTime::ZERO);
         }
     }
-    let gateway_inter_messages = gm.metrics().counter("fabric_tier_messages", 1, 0);
+    let gateway_inter_messages = gm.traffic_stats().inter_node_messages;
 
     PodCell {
         nodes,
@@ -1569,6 +1567,26 @@ mod tests {
             assert!(c.blame.total_ns() > 0);
             assert!(c.folded.contains("critical_path;"));
             assert!(c.exposed_share() >= 0.0 && c.exposed_share() <= 1.0);
+        }
+    }
+
+    #[test]
+    fn pod_cells_count_inter_node_messages_unobserved() {
+        // On unobserved machines, flat puts cross the slow tier once per
+        // row of every cross-node pair, and the gateway's flushes do not
+        // depend on the row size.
+        let (nodes, per_node, pair_bytes) = (2, 4, 64 << 10);
+        let cross_pairs = (nodes * per_node * (nodes - 1) * per_node) as u64;
+        let r = pods_sweep(&[(nodes, per_node)], &[64, 256], pair_bytes);
+        for c in &r.cells {
+            let rows = pair_bytes / u64::from(c.row_bytes);
+            assert_eq!(
+                c.flat_inter_messages,
+                cross_pairs * rows,
+                "{} B",
+                c.row_bytes
+            );
+            assert_eq!(c.gateway_inter_messages, 32, "{} B", c.row_bytes);
         }
     }
 

@@ -3,6 +3,7 @@
 use desim::{Interval, SimTime};
 use gpusim::{FabricError, Faults, Machine, Send};
 
+use crate::config::CHUNK_BYTES;
 use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle};
 
 /// PyTorch-style `all_to_all_single` on the wire: `send_bytes[i][j]` bytes
@@ -76,7 +77,6 @@ impl Wire {
 /// (one wire message each) ready at `at`; returns the last delivery time.
 fn chunked(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     wire: &mut Wire,
     pair: (usize, usize),
     bytes: u64,
@@ -85,7 +85,7 @@ fn chunked(
     let mut remaining = bytes;
     let mut last = at;
     while remaining > 0 {
-        let this = remaining.min(cfg.chunk_bytes);
+        let this = remaining.min(CHUNK_BYTES);
         last = last.max(wire.send(machine, pair, this, 1, at)?.end);
         remaining -= this;
     }
@@ -97,7 +97,6 @@ fn chunked(
 /// self segment is a device-local copy.
 fn pairwise(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
@@ -111,7 +110,7 @@ fn pairwise(
             let end = if dst == src {
                 t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
             } else {
-                chunked(machine, cfg, wire, (src, dst), bytes, t0[src])?
+                chunked(machine, wire, (src, dst), bytes, t0[src])?
             };
             done[dst] = done[dst].max(end);
             done[src] = done[src].max(end);
@@ -130,7 +129,7 @@ fn direct_schedule(
 ) -> Result<Vec<SimTime>, FabricError> {
     let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
     let mut done = vec![SimTime::ZERO; t0.len()];
-    pairwise(machine, cfg, send_bytes, &t0, &mut done, wire, |_, _| true)?;
+    pairwise(machine, send_bytes, &t0, &mut done, wire, |_, _| true)?;
     Ok(done)
 }
 
@@ -160,7 +159,7 @@ fn hierarchical_schedule(
     let mut done = vec![SimTime::ZERO; n];
 
     // Intra-node traffic and self-copies: the direct schedule within a node.
-    pairwise(machine, cfg, send_bytes, &t0, &mut done, wire, |s, d| {
+    pairwise(machine, send_bytes, &t0, &mut done, wire, |s, d| {
         topo.same_node(s, d)
     })?;
 
@@ -172,7 +171,7 @@ fn hierarchical_schedule(
     // ratchet a gateway's injection horizon with one pair's late scatter
     // before the reverse pair's gather was even issued, serializing
     // traffic that physically overlaps.
-    let mut pairs = gather_phase(machine, cfg, send_bytes, &t0, &mut done, wire)?;
+    let mut pairs = gather_phase(machine, send_bytes, &t0, &mut done, wire)?;
     // Inter-node transfers, earliest-ready first — the order a real NIC
     // would drain its send queue.
     pairs.sort_by_key(|p| (p.agg_ready, p.gw_s, p.gw_d));
@@ -180,7 +179,7 @@ fn hierarchical_schedule(
         // Blame: the aggregate transfer is gated by the gather hop landing
         // on the source gateway, not by the gateway's own kernel.
         blame_gate_on_inbound(machine, p.gw_s);
-        let arrive = chunked(machine, cfg, wire, (p.gw_s, p.gw_d), p.total, p.agg_ready)?;
+        let arrive = chunked(machine, wire, (p.gw_s, p.gw_d), p.total, p.agg_ready)?;
         done[p.gw_s] = done[p.gw_s].max(arrive);
         p.arrive = arrive;
     }
@@ -198,7 +197,7 @@ fn hierarchical_schedule(
             let end = if d == p.gw_d {
                 p.arrive + d2d_copy_time(bytes, machine.spec(d).mem_bw)
             } else {
-                chunked(machine, cfg, wire, (p.gw_d, d), bytes, p.arrive)?
+                chunked(machine, wire, (p.gw_d, d), bytes, p.arrive)?
             };
             done[p.gw_d] = done[p.gw_d].max(end);
             done[d] = done[d].max(end);
@@ -239,7 +238,6 @@ struct PairPlan {
 /// ordered node pair with traffic.
 fn gather_phase(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     t0: &[SimTime],
     done: &mut [SimTime],
@@ -275,7 +273,7 @@ fn gather_phase(
                 let arrive = if src == gw_s {
                     t0[src] + d2d_copy_time(bytes, machine.spec(src).mem_bw)
                 } else {
-                    chunked(machine, cfg, wire, (src, gw_s), bytes, t0[src])?
+                    chunked(machine, wire, (src, gw_s), bytes, t0[src])?
                 };
                 done[src] = done[src].max(arrive);
                 agg_ready = agg_ready.max(arrive);
@@ -424,9 +422,9 @@ mod tests {
     #[test]
     fn chunking_splits_messages() {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
-        let cfg = CollectiveConfig::default().with_chunk_bytes(1024);
-        a2a(&mut m, &cfg, &uniform(2, 4096), &ready(2));
-        // Each device sends 4096 bytes = 4 chunks.
+        let cfg = CollectiveConfig::default();
+        a2a(&mut m, &cfg, &uniform(2, 4 * CHUNK_BYTES), &ready(2));
+        // Each device sends 16 MiB = 4 chunks.
         assert_eq!(m.traffic_stats().messages, 8);
     }
 
@@ -453,7 +451,7 @@ mod tests {
             let mut m1 = Machine::new(MachineConfig::dgx_v100(n));
             let a = a2a(&mut m1, &cfg, &bytes, &ready(n));
             let mut m2 = Machine::new(MachineConfig::dgx_v100(n));
-            let retry = Faults::Retry(cfg.retry);
+            let retry = Faults::Retry;
             let b = all_to_all(&mut m2, &cfg, &bytes, &ready(n), retry).expect("clean");
             for dev in 0..n {
                 assert_eq!(a.done_at(dev), b.done_at(dev), "{alg:?} dev {dev}");
@@ -476,7 +474,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut m = Machine::new(MachineConfig::dgx_v100(n));
             m.install_faults(FaultPlan::generate(seed, n, FaultSpec::chaos(0.8)));
-            match all_to_all(&mut m, &cfg, &bytes, &ready(n), Faults::Retry(cfg.retry)) {
+            match all_to_all(&mut m, &cfg, &bytes, &ready(n), Faults::Retry) {
                 Ok(w) => {
                     completions += 1;
                     total_retries += w.retries();
@@ -544,7 +542,7 @@ mod tests {
         // crosses the slow tier once per cross-node GPU pair (8 messages);
         // the hierarchical one crosses once per ordered node pair (2).
         let bytes: Vec<Vec<u64>> = (0..4).map(|_| vec![1024; 4]).collect();
-        let count_inter = |m: &Machine| m.metrics().counter("fabric_tier_messages", 1, 0);
+        let count_inter = |m: &Machine| m.traffic_stats().inter_node_messages;
         let mut md = Machine::new(MachineConfig::pod_v100(2, 2));
         md.enable_telemetry();
         let _ = a2a(&mut md, &CollectiveConfig::default(), &bytes, &ready(4));
@@ -583,8 +581,7 @@ mod tests {
             let a = a2a(&mut m1, &cfg, &bytes, &ready(n));
             let mut m2 = Machine::new(MachineConfig::pod_v100(nodes, per_node));
             m2.enable_blame();
-            let b = all_to_all(&mut m2, &cfg, &bytes, &ready(n), Faults::Retry(cfg.retry))
-                .expect("clean");
+            let b = all_to_all(&mut m2, &cfg, &bytes, &ready(n), Faults::Retry).expect("clean");
             for dev in 0..n {
                 assert_eq!(a.done_at(dev), b.done_at(dev), "dev {dev}");
             }
@@ -616,7 +613,7 @@ mod tests {
         for seed in 0..20u64 {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
             m.install_faults(FaultPlan::generate(seed, 4, FaultSpec::chaos(0.8)));
-            match all_to_all(&mut m, &cfg, &bytes, &ready(4), Faults::Retry(cfg.retry)) {
+            match all_to_all(&mut m, &cfg, &bytes, &ready(4), Faults::Retry) {
                 Ok(_) => completions += 1,
                 Err(e) => assert!(matches!(e, FabricError::RetryExhausted { .. })),
             }

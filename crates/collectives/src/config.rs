@@ -1,7 +1,10 @@
 //! Collective configuration.
 
 use desim::Dur;
-use gpusim::RetryPolicy;
+
+/// Pipeline chunk size in bytes: a collective's transfer is split into
+/// messages of at most this size (NCCL's default buffer is 4 MiB).
+pub(crate) const CHUNK_BYTES: u64 = 4 << 20;
 
 /// Which communication schedule a collective uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,9 +26,6 @@ pub enum Algorithm {
 pub struct CollectiveConfig {
     /// Schedule to use.
     pub algorithm: Algorithm,
-    /// Pipeline chunk size in bytes; a transfer is split into messages of at
-    /// most this size (NCCL's default buffer is 4 MiB).
-    pub chunk_bytes: u64,
     /// CPU-side cost of triggering the collective (argument marshalling,
     /// enqueueing the NCCL kernel). Part of the paper's "communication
     /// control path" overhead.
@@ -36,19 +36,14 @@ pub struct CollectiveConfig {
     /// GPU stores do not; 0.45 is calibrated from the paper's measured
     /// baseline communication phase (DESIGN.md §4).
     pub protocol_efficiency: f64,
-    /// Retry schedule of a collective whose chunks meet the fault plan
-    /// with `Faults::Retry`.
-    pub retry: RetryPolicy,
 }
 
 impl Default for CollectiveConfig {
     fn default() -> Self {
         CollectiveConfig {
             algorithm: Algorithm::Direct,
-            chunk_bytes: 4 << 20,
             call_overhead: Dur::from_us(15),
             protocol_efficiency: 0.45,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -60,16 +55,10 @@ impl CollectiveConfig {
         self
     }
 
-    /// Override the chunk size. Panics on zero.
-    pub fn with_chunk_bytes(mut self, c: u64) -> Self {
-        assert!(c > 0, "chunk_bytes must be positive");
-        self.chunk_bytes = c;
-        self
-    }
-
-    /// Number of messages a `bytes`-sized transfer becomes.
+    /// Number of messages a `bytes`-sized transfer becomes (4 MiB chunks,
+    /// NCCL's default buffer).
     pub fn n_chunks(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.chunk_bytes).max(1)
+        bytes.div_ceil(CHUNK_BYTES).max(1)
     }
 }
 
@@ -78,25 +67,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_direct_4mib() {
-        let c = CollectiveConfig::default();
-        assert_eq!(c.algorithm, Algorithm::Direct);
-        assert_eq!(c.chunk_bytes, 4 << 20);
+    fn default_is_direct() {
+        assert_eq!(CollectiveConfig::default().algorithm, Algorithm::Direct);
     }
 
     #[test]
     fn n_chunks_rounds_up() {
-        let c = CollectiveConfig::default().with_chunk_bytes(100);
+        let c = CollectiveConfig::default();
         assert_eq!(c.n_chunks(0), 1);
         assert_eq!(c.n_chunks(1), 1);
-        assert_eq!(c.n_chunks(100), 1);
-        assert_eq!(c.n_chunks(101), 2);
-        assert_eq!(c.n_chunks(1000), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_chunk_panics() {
-        let _ = CollectiveConfig::default().with_chunk_bytes(0);
+        assert_eq!(c.n_chunks(CHUNK_BYTES), 1);
+        assert_eq!(c.n_chunks(CHUNK_BYTES + 1), 2);
+        assert_eq!(c.n_chunks(10 * CHUNK_BYTES), 10);
     }
 }

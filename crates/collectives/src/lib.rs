@@ -32,9 +32,9 @@ pub use compat::all_to_all_timed;
 pub use config::{Algorithm, CollectiveConfig};
 pub use work::WorkHandle;
 
-/// The shared fault taxonomy, fault handling and retry schedule, re-exported
-/// so collective callers need not depend on `gpusim` directly.
-pub use gpusim::{FabricError, Faults, RetryPolicy};
+/// The shared fault taxonomy and fault handling, re-exported so collective
+/// callers need not depend on `gpusim` directly.
+pub use gpusim::{FabricError, Faults};
 
 use desim::Dur;
 

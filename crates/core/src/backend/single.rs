@@ -886,8 +886,7 @@ impl<'a, 'r> Batch<'a, 'r> {
         } else {
             self.pb.byte_matrix()
         };
-        let retry = Faults::Retry(cc.retry);
-        let work = match all_to_all(self.machine, cc, bytes, &self.k_end, retry) {
+        let work = match all_to_all(self.machine, cc, bytes, &self.k_end, Faults::Retry) {
             Ok(work) => work,
             Err(e) => {
                 // The collective itself exhausted its retries: all of this
@@ -1042,7 +1041,7 @@ impl<'a, 'r> Batch<'a, 'r> {
             let mut os = OneSided::with_config(self.machine, pgas);
             for &(ready, dst, rows) in releases.iter() {
                 let batch = coalesce_rows(rows, row_bytes, pgas.max_payload);
-                let put = os.put(src, dst, batch, ready, Faults::Retry(pgas.retry));
+                let put = os.put(src, dst, batch, ready, Faults::Retry);
                 count_put(&mut self.degrade, &put);
                 let Ok(put) = put else {
                     // Retry budget exhausted: only these rows degrade.
@@ -1510,13 +1509,11 @@ mod tests {
         cfg.n_batches = 1;
         cfg.distinct_batches = 1;
         let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
-        m.enable_telemetry();
         let pb = planned(&m, &cfg, 0);
         let flat = run(&mut m, pgas(), &pb, SimTime::ZERO);
-        let flat_msgs = m.metrics().counter("fabric_tier_messages", 1, 0);
+        let flat_msgs = m.traffic_stats().inter_node_messages;
 
         let mut m2 = Machine::new(MachineConfig::pod_v100(2, 2));
-        m2.enable_telemetry();
         // Short age bound so late stragglers still overlap the kernel.
         let gw_cfg = GatewayConfig {
             pgas: PgasConfig::default(),
@@ -1526,7 +1523,7 @@ mod tests {
             },
         };
         let gw = run(&mut m2, Exchange::Gateway(gw_cfg), &pb, SimTime::ZERO);
-        let gw_msgs = m2.metrics().counter("fabric_tier_messages", 1, 0);
+        let gw_msgs = m2.traffic_stats().inter_node_messages;
 
         assert!(
             gw_msgs < flat_msgs / 10,
@@ -1919,14 +1916,10 @@ mod tests {
         let sent = m.traffic_stats().messages;
         assert!(offer(&mut m, first.end, recorded));
         assert!(m.traffic_stats().messages > sent, "booked nothing");
-        // Fence and barrier costs and the retry policy come after delivery.
+        // Fence and barrier costs come after delivery.
         let later = PgasConfig {
             quiet_overhead: Dur::from_us(7),
             barrier_overhead: Dur::ZERO,
-            retry: gpusim::RetryPolicy {
-                max_attempts: 1,
-                ..recorded.retry
-            },
             ..recorded
         };
         let at = m.finish_time();

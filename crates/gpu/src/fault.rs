@@ -140,56 +140,41 @@ pub enum Faults {
     Ignore,
     /// One attempt, which errs on a down link or a dropped message.
     Once,
-    /// Retry down links and dropped messages under the policy; err with
-    /// [`FabricError::RetryExhausted`] once its attempts are spent.
-    Retry(RetryPolicy),
+    /// Retry down links and dropped messages with capped exponential
+    /// backoff (five attempts; 5 µs doubling to at most 80 µs between
+    /// them); err with [`FabricError::RetryExhausted`] once they are spent.
+    Retry,
 }
 
-/// Capped exponential backoff for retrying transient fabric faults. All
-/// delays are simulated time, so retry schedules are fully deterministic.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts before giving up (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Dur,
-    /// Backoff ceiling (the exponential doubling stops here).
-    pub max_backoff: Dur,
-}
+/// Total attempts of a [`Faults::Retry`] transfer, the first included.
+pub(crate) const RETRY_ATTEMPTS: u32 = 5;
+/// Backoff before the first retry.
+const BASE_BACKOFF: Dur = Dur::from_us(5);
+/// Backoff ceiling (the exponential doubling stops here).
+const MAX_BACKOFF: Dur = Dur::from_us(80);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: Dur::from_us(5),
-            max_backoff: Dur::from_us(80),
+/// Backoff before retry number `retry` (1-based): `BASE_BACKOFF *
+/// 2^(retry-1)`, capped at `MAX_BACKOFF`. All delays are simulated time, so
+/// retry schedules are fully deterministic.
+fn backoff(retry: u32) -> Dur {
+    let mut b = BASE_BACKOFF;
+    for _ in 1..retry {
+        if b >= MAX_BACKOFF {
+            break;
         }
+        b = (b * 2).min(MAX_BACKOFF);
     }
+    b.min(MAX_BACKOFF)
 }
 
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): `base * 2^(retry-1)`,
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Dur {
-        let mut b = self.base_backoff;
-        for _ in 1..retry {
-            if b >= self.max_backoff {
-                break;
-            }
-            b = (b * 2).min(self.max_backoff);
-        }
-        b.min(self.max_backoff)
-    }
-
-    /// Earliest instant a retry may be attempted after failing with `err`:
-    /// past a down window's end when known, plus the capped backoff.
-    pub fn next_attempt_at(&self, err: &FabricError, retry: u32) -> SimTime {
-        let floor = match err {
-            FabricError::LinkDown { up_at, .. } => *up_at,
-            other => other.observed_at(),
-        };
-        floor + self.backoff(retry)
-    }
+/// Earliest instant retry number `retry` may be attempted after failing
+/// with `err`: past a down window's end when known, plus the capped backoff.
+pub(crate) fn next_attempt_at(err: &FabricError, retry: u32) -> SimTime {
+    let floor = match err {
+        FabricError::LinkDown { up_at, .. } => *up_at,
+        other => other.observed_at(),
+    };
+    floor + backoff(retry)
 }
 
 /// Generation parameters for a [`FaultPlan`]. Rates are per link (or per
@@ -794,6 +779,13 @@ mod tests {
                 "storm, seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn backoff_is_capped_exponential() {
+        let us = [5, 10, 20, 40, 80, 80].map(Dur::from_us);
+        assert_eq!((1..=6).map(backoff).collect::<Vec<_>>(), us);
+        assert_eq!(backoff(100), MAX_BACKOFF);
     }
 
     #[test]

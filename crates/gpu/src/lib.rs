@@ -52,7 +52,6 @@ mod trace;
 
 pub use fault::{
     FabricError, FaultKind, FaultPlan, FaultSpec, FaultWindow, Faults, LinkState, MessageFault,
-    RetryPolicy,
 };
 pub use kernel::{KernelRun, KernelShape};
 pub use machine::{Delivery, Machine, MachineConfig, Send, SendTrain, TrafficStats};

@@ -4,7 +4,10 @@ use desim::{Dur, Interval, Resource, SimTime, Spread, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
 
-use crate::fault::{FabricError, FaultKind, FaultPlan, Faults, LinkState, MessageFault};
+use crate::fault::{
+    next_attempt_at, FabricError, FaultKind, FaultPlan, Faults, LinkState, MessageFault,
+    RETRY_ATTEMPTS,
+};
 use crate::{GpuSpec, KernelRun, KernelShape, LinkSpec, Topology};
 
 /// Everything needed to instantiate a [`Machine`].
@@ -62,6 +65,9 @@ pub struct TrafficStats {
     pub header_bytes: u64,
     /// Number of messages.
     pub messages: u64,
+    /// Of those, messages between GPUs on different nodes: on a pod
+    /// topology, the slow tier's message count.
+    pub inter_node_messages: u64,
 }
 
 impl TrafficStats {
@@ -69,6 +75,7 @@ impl TrafficStats {
         self.payload_bytes += more.payload_bytes;
         self.header_bytes += more.header_bytes;
         self.messages += more.messages;
+        self.inter_node_messages += more.inter_node_messages;
     }
 
     /// Fraction of wire bytes that were protocol overhead.
@@ -313,10 +320,12 @@ impl Machine {
 
     /// Start recording telemetry into an opt-in [`Registry`], with timeline
     /// buckets matching the machine's `traffic_bucket`: the machine counts
-    /// sends, kernel launches and inter-node messages, and keeps per-link
-    /// busy and stall timelines and the per-pair payload series
-    /// ([`Machine::traffic_between`]). Telemetry never perturbs simulated timing;
-    /// with it off (the default) the hot paths do not allocate.
+    /// sends and kernel launches, and keeps per-link busy and stall
+    /// timelines and the per-pair payload series
+    /// ([`Machine::traffic_between`]). Message counts, per fabric tier too,
+    /// are in [`Machine::traffic_stats`], observed or not. Telemetry never
+    /// perturbs simulated timing; with it off (the default) the hot paths
+    /// do not allocate.
     pub fn enable_telemetry(&mut self) {
         self.metrics = Registry::enabled(self.cfg.traffic_bucket);
     }
@@ -340,12 +349,6 @@ impl Machine {
     /// never perturbs simulated timing.
     pub fn enable_blame(&mut self) {
         self.blame = Some(SpanGraph::new());
-    }
-
-    /// Whether blame recording is active.
-    #[inline]
-    pub fn blame_enabled(&self) -> bool {
-        self.blame.is_some()
     }
 
     /// The recorded span graph, if [`Machine::enable_blame`] was called.
@@ -791,6 +794,7 @@ impl Machine {
             payload_bytes: payload,
             header_bytes,
             messages: n_messages,
+            inter_node_messages: if same_node { 0 } else { n_messages },
         };
         if let Some((origin, train)) = &mut self.recording {
             let at = *origin;
@@ -830,11 +834,6 @@ impl Machine {
             self.traffic[src * n + dst].deposit(bucket, iv.start, iv.end, payload as f64);
             let (si, di) = (src as u32, dst as u32);
             self.metrics.incr("fabric_sends", si, di);
-            // Messages per fabric tier (0 = intra-node, 1 = inter-node): on
-            // a pod topology this is the slow-tier message count.
-            let tier = u32::from(!same_node);
-            self.metrics
-                .add("fabric_tier_messages", tier, 0, n_messages);
             // Busy-time over the wire interval: bucket_value / bucket_ns is
             // this link's utilization in that bucket.
             self.metrics.span("link_busy_ns", si, di, iv.start, iv.end);
@@ -981,14 +980,14 @@ impl Machine {
                     }
                 }
             };
-            let Faults::Retry(policy) = s.faults else {
+            if !matches!(s.faults, Faults::Retry) {
                 return Err(e);
-            };
-            if !e.is_retryable() || attempts >= policy.max_attempts {
+            }
+            if !e.is_retryable() || attempts >= RETRY_ATTEMPTS {
                 let last = Box::new(e);
                 return Err(FabricError::RetryExhausted { attempts, last });
             }
-            let next = policy.next_attempt_at(&e, attempts);
+            let next = next_attempt_at(&e, attempts);
             if let Some(b) = &mut self.blame {
                 // The backoff window is a span in its own right: the
                 // eventual wire span chains through it (the retry re-anchors
@@ -1295,11 +1294,21 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_splits_messages_by_fabric_tier() {
-        // One intra-node and one inter-node transfer on a 2x2 pod: the
-        // messages split across the tier labels (tier 0 = intra, 1 =
-        // inter), each send is counted on its link, and the snapshot is
-        // bit-identical across identical runs.
+    fn traffic_stats_split_messages_by_fabric_tier() {
+        // One intra-node and one inter-node transfer on an unobserved 2x2
+        // pod: both count as messages, the second's as inter-node ones too.
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+        send(&mut m, 0, 1, 4096, 2, SimTime::ZERO);
+        send(&mut m, 0, 2, 8192, 3, SimTime::ZERO);
+        let t = m.traffic_stats();
+        assert_eq!((t.messages, t.inter_node_messages), (5, 3));
+        assert!(!m.metrics().is_enabled());
+    }
+
+    #[test]
+    fn telemetry_counts_sends_per_link() {
+        // Each send is counted on its link, its wire interval is the link's
+        // busy time, and the snapshot is bit-identical across identical runs.
         let run = || {
             let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
             m.enable_telemetry();
@@ -1309,13 +1318,56 @@ mod tests {
         };
         let (m, inter) = run();
         let reg = m.metrics();
-        assert_eq!(reg.counter("fabric_tier_messages", 0, 0), 2);
-        assert_eq!(reg.counter("fabric_tier_messages", 1, 0), 3);
         assert_eq!(reg.counter("fabric_sends", 0, 1), 1);
         assert_eq!(reg.counter("fabric_sends", 0, 2), 1);
         let busy = reg.timeline("link_busy_ns", 0, 2).unwrap().total();
         assert!((busy - inter.duration().as_ns() as f64).abs() < 1.0);
         assert_eq!(reg.snapshot(), run().0.metrics().snapshot());
+    }
+
+    #[test]
+    fn inter_node_messages_count_every_booked_cross_node_attempt() {
+        // On a 2x2 pod, node 1's GPUs send to node 0 while GPU 1 sends to
+        // GPU 0. The two streams share no port, NIC or link, and fault
+        // fates are drawn per pair, so each meets the plan alike whether
+        // the other runs or not.
+        let run = |faults: Faults, intra: bool, inter: bool| {
+            let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+            m.install_faults(FaultPlan::generate(5, 4, crate::FaultSpec::chaos(0.8)));
+            for i in 0..300u64 {
+                let at = SimTime::ZERO + Dur::from_us(2 * i);
+                let cross = (2 + i as usize % 2, i as usize % 2);
+                for (on, (src, dst)) in [(intra, (1, 0)), (inter, cross)] {
+                    if on {
+                        let _ = m.transmit(&wire(src, dst, 4096, 1, at, faults));
+                    }
+                }
+            }
+            m.traffic_stats()
+        };
+        let blind = run(Faults::Ignore, true, true);
+        assert_eq!((blind.messages, blind.inter_node_messages), (600, 300));
+        let both = run(Faults::Retry, true, true);
+        let inter = run(Faults::Retry, false, true);
+        let intra = run(Faults::Retry, true, false);
+        assert!(inter.messages > 300, "no dropped attempt was retried");
+        assert_eq!(inter.inter_node_messages, inter.messages);
+        assert_eq!(intra.inter_node_messages, 0);
+        assert_eq!(both.inter_node_messages, inter.messages);
+        assert_eq!(both.messages, inter.messages + intra.messages);
+
+        // A replayed train never leaves its node.
+        let mut m = Machine::new(MachineConfig::pod_v100(2, 2));
+        send(&mut m, 0, 2, 4096, 3, SimTime::ZERO);
+        let origin = m.finish_time();
+        assert!(m.record_train(1, origin));
+        send(&mut m, 1, 0, 4096, 2, origin);
+        let train = m.finish_train().expect("an intra-node train");
+        let before = m.traffic_stats();
+        assert!(m.replay_train(&train, m.finish_time()));
+        let after = m.traffic_stats();
+        assert_eq!(after.messages, before.messages + 2);
+        assert_eq!(after.inter_node_messages, 3);
     }
 
     #[test]

@@ -565,7 +565,6 @@ mod oracle {
             // around the put and restore it after.
             let stage_oldest = stage.oldest;
             let mut prev_cause = None;
-            let blame_on = self.os.machine().blame_enabled();
             if let Some(b) = self.os.machine().blame_mut() {
                 prev_cause = b.device_cause(src as u32);
                 let staging = b.record(
@@ -580,11 +579,7 @@ mod oracle {
                 b.set_device_cause(src as u32, Some(staging));
             }
             let inter = fault_blind(&mut self.os, src, gw, batch, at);
-            let agg_span = if blame_on {
-                self.os.machine().blame_last_span()
-            } else {
-                None
-            };
+            let agg_span = self.os.machine().blame_last_span(); // None when off
             if let Some(b) = self.os.machine().blame_mut() {
                 b.set_device_cause(src as u32, prev_cause);
             }
@@ -695,7 +690,6 @@ mod tests {
     #[test]
     fn cross_node_traffic_ships_as_one_message_per_flush() {
         let mut m = pod(2, 2);
-        m.enable_telemetry();
         let mut gw = GatewayPut::new(&mut m, GatewayConfig::default());
         // 64 small rows from GPU 0 to GPUs 2 and 3 (node 1): all staged,
         // nothing on the slow wire yet.
@@ -712,8 +706,7 @@ mod tests {
         assert!(quiet >= drained[0].end);
         let m = gw.machine();
         // Exactly one message crossed the inter-node tier.
-        assert_eq!(m.metrics().counter("fabric_tier_messages", 1, 0), 1);
-        assert_eq!(m.metrics().counter("gateway_flushes", 0, 1), 1);
+        assert_eq!(m.traffic_stats().inter_node_messages, 1);
     }
 
     #[test]
@@ -824,22 +817,20 @@ mod tests {
     fn fewer_inter_node_messages_than_flat_puts() {
         let rows = 256u64;
         let mut flat_m = pod(2, 2);
-        flat_m.enable_telemetry();
         let mut flat = OneSided::new(&mut flat_m);
         for i in 0..rows {
             let batch = coalesce_rows(1, 256, 256);
             super::fault_blind(&mut flat, 0, 2, batch, SimTime::ZERO + Dur::from_ns(i));
         }
-        let flat_msgs = flat_m.metrics().counter("fabric_tier_messages", 1, 0);
+        let flat_msgs = flat_m.traffic_stats().inter_node_messages;
 
         let mut gw_m = pod(2, 2);
-        gw_m.enable_telemetry();
         let mut gw = GatewayPut::new(&mut gw_m, GatewayConfig::default());
         for i in 0..rows {
             gw.put_rows_nbi(0, 2, 1, 256, SimTime::ZERO + Dur::from_ns(i));
         }
         gw.drain(SimTime::ZERO + Dur::from_us(1));
-        let gw_msgs = gw_m.metrics().counter("fabric_tier_messages", 1, 0);
+        let gw_msgs = gw_m.traffic_stats().inter_node_messages;
         assert!(
             gw_msgs * 32 <= flat_msgs,
             "gateway must collapse per-row messages: {gw_msgs} vs {flat_msgs}"

@@ -40,7 +40,6 @@ pub use gateway::{AggregatorConfig, GatewayConfig, GatewayPut};
 pub use heap::{SegmentId, SymmetricHeap};
 pub use ops::{OneSided, PgasConfig};
 
-/// The shared fault taxonomy, fault handling, delivery record and retry
-/// schedule, re-exported so PGAS callers need not depend on `gpusim`
-/// directly.
-pub use gpusim::{Delivery, FabricError, Faults, RetryPolicy};
+/// The shared fault taxonomy, fault handling and delivery record,
+/// re-exported so PGAS callers need not depend on `gpusim` directly.
+pub use gpusim::{Delivery, FabricError, Faults};

@@ -1,7 +1,7 @@
 //! Timed one-sided operations over the simulated fabric.
 
 use desim::{Dur, Interval, SimTime};
-use gpusim::{Delivery, FabricError, Faults, Machine, RetryPolicy, Send};
+use gpusim::{Delivery, FabricError, Faults, Machine, Send};
 
 use crate::CoalescedBatch;
 
@@ -19,9 +19,6 @@ pub struct PgasConfig {
     pub quiet_overhead: Dur,
     /// Cost of `barrier_all` beyond the max of participant times.
     pub barrier_overhead: Dur,
-    /// Retry schedule of a put that meets the fault plan with
-    /// [`Faults::Retry`].
-    pub retry: RetryPolicy,
 }
 
 impl Default for PgasConfig {
@@ -31,7 +28,6 @@ impl Default for PgasConfig {
             issue_overhead: Dur::from_ns(20),
             quiet_overhead: Dur::from_us(2),
             barrier_overhead: Dur::from_us(3),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -238,26 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Dur::from_us(5),
-            max_backoff: Dur::from_us(30),
-        };
-        assert_eq!(p.backoff(1), Dur::from_us(5));
-        assert_eq!(p.backoff(2), Dur::from_us(10));
-        assert_eq!(p.backoff(3), Dur::from_us(20));
-        assert_eq!(p.backoff(4), Dur::from_us(30), "capped");
-        assert_eq!(p.backoff(10), Dur::from_us(30));
-    }
-
-    #[test]
     fn a_retrying_put_on_a_clean_fabric_is_the_fault_blind_put() {
         let mut m1 = machine(2);
         let a = put_ignoring(&mut OneSided::new(&mut m1), 0, 1, 100, 256, SimTime::ZERO);
         let mut m2 = machine(2);
         let mut os = OneSided::new(&mut m2);
-        let retry = Faults::Retry(RetryPolicy::default());
+        let retry = Faults::Retry;
         let d = put_rows(&mut os, (0, 1), 100, 256, SimTime::ZERO, retry).expect("clean fabric");
         assert_eq!(d.interval, a);
         assert_eq!(d.attempts, 1);
@@ -282,7 +264,7 @@ mod tests {
         m.install_faults(plan.clone());
         let mut os = OneSided::new(&mut m);
         // One coalesced message (256 B) so the sampled drop hits this put.
-        let retry = Faults::Retry(RetryPolicy::default());
+        let retry = Faults::Retry;
         let d = put_rows(&mut os, (0, 1), 1, 256, SimTime::ZERO, retry)
             .expect("retry should clear a transient drop");
         assert!(d.attempts >= 2, "first attempt was dropped");

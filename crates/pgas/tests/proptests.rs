@@ -113,7 +113,7 @@ proptest! {
         let mut m = Machine::new(MachineConfig::dgx_v100(2));
         m.install_faults(FaultPlan::generate(seed, 2, spec));
         let mut os = OneSided::new(&mut m);
-        let retry = Faults::Retry(PgasConfig::default().retry);
+        let retry = Faults::Retry;
         let mut last_ok_end = SimTime::ZERO;
         for &(rows, t_us) in &puts {
             if let Ok(d) = put_rows(&mut os, rows, SimTime::from_us(t_us), retry) {
@@ -211,7 +211,6 @@ proptest! {
     ) {
         let n = nodes * per_node;
         let mut m = Machine::new(MachineConfig::pod_v100(nodes, per_node));
-        m.enable_telemetry();
         let topo = m.topology().clone();
         let mut gw = GatewayPut::new(&mut m, GatewayConfig::default());
         let mut t = SimTime::ZERO;
@@ -240,6 +239,6 @@ proptest! {
             prop_assert!(gw.quiet(src, t) >= t);
         }
         drop(gw);
-        prop_assert_eq!(m.metrics().counter("fabric_tier_messages", 1, 0), flushes);
+        prop_assert_eq!(m.traffic_stats().inter_node_messages, flushes);
     }
 }

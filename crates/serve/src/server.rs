@@ -1,11 +1,10 @@
-//! The serving loop: drive a retrieval backend (and optionally the full
-//! DLRM pipeline) one closed batch at a time on the simulated clock.
+//! The serving loop: drive a retrieval backend one closed batch at a time
+//! on the simulated clock.
 
 use std::fmt;
 use std::sync::Arc;
 
 use desim::{Dur, SimTime};
-use dlrm_model::{Dlrm, DlrmConfig, InferencePipeline};
 use emb_retrieval::backend::{
     plain_plan, prepare_batches, Backend, DegradedFill, ExecMode, PlannedBatch, ResiliencePolicy,
     ResilienceReport,
@@ -58,9 +57,6 @@ pub struct ServeConfig {
     pub n_requests: usize,
     /// Arrival-time seed (sparse content comes from `emb`'s batch seeds).
     pub seed: u64,
-    /// Extend every closed batch into a full DLRM inference pass (top MLP
-    /// overlapped with retrieval, then interaction + bottom MLP).
-    pub with_pipeline: bool,
     /// Per-request latency SLO the run is accounted against. `None` (the
     /// default) skips all SLO accounting and leaves the serving loop
     /// bit-identical to its pre-SLO behavior. Required for
@@ -101,7 +97,6 @@ impl ServeConfig {
             process: ArrivalProcess::Poisson { rate_qps },
             n_requests,
             seed,
-            with_pipeline: false,
             slo: None,
         }
     }
@@ -293,15 +288,6 @@ impl EmbServer {
         let mut emb = cfg.emb.clone();
 
         let mut resilience = ResilienceReport::default();
-        let pipeline_model = cfg.with_pipeline.then(|| {
-            Dlrm::new(DlrmConfig {
-                n_dense: 13,
-                top_hidden: vec![512, 256],
-                bottom_hidden: vec![512, 256],
-                emb: cfg.emb.clone(),
-                seed: 0xD12A,
-            })
-        });
 
         let mut latency = LatencyStats::new();
         let mut batch_service = LatencyStats::new();
@@ -367,24 +353,14 @@ impl EmbServer {
             // to the uncontrolled PGAS path.
             let backend = ctrl_slo.map_or(cfg.backend, |slo| tier_backend(tier, slo));
             let run = backend.run_batch(machine, &pb, closed.close_at, None, &mut resilience);
-            // The retrieval occupies the machine; the MLP head (if any)
-            // runs on separate streams and only extends request latency.
             t_free = run.end;
-            let completion = match &pipeline_model {
-                None => run.end,
-                Some(model) => {
-                    let costs =
-                        InferencePipeline::new(model).batch_costs(machine, closed.requests.len());
-                    closed.close_at + costs.completion(run.service())
-                }
-            };
-            end = end.max(completion);
+            end = end.max(run.end);
             batch_service.record(run.service());
             fill_sum += closed.requests.len() as f64 / cfg.batcher.max_batch as f64;
             batches += 1;
             let mut breached = false;
             for r in &closed.requests {
-                let l = completion - r.arrival;
+                let l = run.end - r.arrival;
                 latency.record(l);
                 worst_since_tick = worst_since_tick.max(l);
                 if let Some(slo) = cfg.slo {
@@ -398,7 +374,7 @@ impl EmbServer {
             if breached {
                 // The whole in-flight window of a breaching batch counts
                 // as violating time.
-                slo_viol_time += completion - closed.close_at;
+                slo_viol_time += run.end - closed.close_at;
             }
         }
 
@@ -625,18 +601,6 @@ mod tests {
         assert_eq!(tight, d0 / 4);
         assert_eq!(loose, d0 * 4);
         assert_ne!(tight_batches, loose_batches);
-    }
-
-    #[test]
-    fn pipeline_extension_only_lengthens_latency() {
-        let emb_only = run(serve_cfg(ServeBackendKind::PgasFused, 2e5));
-        let mut cfg = serve_cfg(ServeBackendKind::PgasFused, 2e5);
-        cfg.with_pipeline = true;
-        let full = run(cfg);
-        assert_eq!(full.served, emb_only.served, "batching must not change");
-        assert!(full.latency.p50() > emb_only.latency.p50());
-        // Retrieval service time itself is untouched by the MLP extension.
-        assert_eq!(full.batch_service.p50(), emb_only.batch_service.p50());
     }
 
     #[test]

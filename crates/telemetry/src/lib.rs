@@ -1,8 +1,11 @@
 //! # telemetry — deterministic, opt-in observability for the simulation stack
 //!
 //! A metrics registry the fabric, the PGAS runtime and the collectives record
-//! into. It holds what some artifact, benchmark count or trace reads, and
-//! nothing else. Three properties drive the design:
+//! into. It holds what some benchmark count or trace reads, and what the
+//! network-utilization artifact reads, and nothing else: a count a result
+//! table prints is not an observation, so message totals, per fabric tier
+//! too, are `gpusim::TrafficStats` fields that every machine keeps. Three
+//! properties drive the design:
 //!
 //! 1. **Opt-in, zero-cost when off.** Every registry starts
 //!    [`Registry::disabled`]; each recording method is a single branch on
@@ -49,7 +52,7 @@ use desim::{Dur, SimTime, TimeSeries};
 pub struct MetricKey {
     /// Static metric name, e.g. `"link_busy_ns"`.
     pub name: &'static str,
-    /// First numeric label (source device, device id, or tier).
+    /// First numeric label (source device or device id, or 0 when unused).
     pub i: u32,
     /// Second numeric label (destination device or node, or 0 when unused).
     pub j: u32,

@@ -283,8 +283,6 @@ fn every_recorded_metric_has_a_reader() {
         "pgas_puts_issued",
         "gateway_flushes",
         "collective_calls",
-        // The inter-node message columns of `pods.csv`.
-        "fabric_tier_messages",
         // `netutil.csv` and the trace utilization tracks.
         "link_busy_ns",
         // The trace queue-depth tracks.
