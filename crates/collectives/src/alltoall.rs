@@ -337,7 +337,13 @@ fn ring_schedule(
                 continue;
             }
             let bytes: u64 = parcels.iter().map(|&(_, b)| b).sum();
-            let iv = wire.send(machine, (src, next), bytes, cfg.n_chunks(bytes), t[src])?;
+            let iv = wire.send(
+                machine,
+                (src, next),
+                bytes,
+                CollectiveConfig::n_chunks(bytes),
+                t[src],
+            )?;
             done[src] = done[src].max(iv.end);
             arrive_time[next] = arrive_time[next].max(iv.end);
             arriving[next].extend(parcels);

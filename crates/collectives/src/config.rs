@@ -57,7 +57,7 @@ impl CollectiveConfig {
 
     /// Number of messages a `bytes`-sized transfer becomes (4 MiB chunks,
     /// NCCL's default buffer).
-    pub fn n_chunks(&self, bytes: u64) -> u64 {
+    pub fn n_chunks(bytes: u64) -> u64 {
         bytes.div_ceil(CHUNK_BYTES).max(1)
     }
 }
@@ -73,11 +73,11 @@ mod tests {
 
     #[test]
     fn n_chunks_rounds_up() {
-        let c = CollectiveConfig::default();
-        assert_eq!(c.n_chunks(0), 1);
-        assert_eq!(c.n_chunks(1), 1);
-        assert_eq!(c.n_chunks(CHUNK_BYTES), 1);
-        assert_eq!(c.n_chunks(CHUNK_BYTES + 1), 2);
-        assert_eq!(c.n_chunks(10 * CHUNK_BYTES), 10);
+        let n_chunks = CollectiveConfig::n_chunks;
+        assert_eq!(n_chunks(0), 1);
+        assert_eq!(n_chunks(1), 1);
+        assert_eq!(n_chunks(CHUNK_BYTES), 1);
+        assert_eq!(n_chunks(CHUNK_BYTES + 1), 2);
+        assert_eq!(n_chunks(10 * CHUNK_BYTES), 10);
     }
 }

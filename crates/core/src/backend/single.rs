@@ -188,11 +188,9 @@ const UNPACK_BW: f64 = 26e9;
 /// one-sided exchanges so both put identical traffic on the wire, and the
 /// only builder: `PlannedBatch::releases_into` calls it once per device and
 /// replays the result, or per batch for a straggling device. `resident` and
-/// `block_ends` are the kernel execution's ([`gpusim::KernelRun`]).
-/// Takes a caller-provided buffer (cleared first) rather than returning a
-/// fresh map: a reused sorted `Vec` keeps the per-batch path
-/// allocation-free and the merge pass a flat scan instead of per-entry
-/// tree rebalancing.
+/// `block_ends` are the kernel execution's ([`gpusim::KernelRun`]). Takes a
+/// caller-provided buffer (cleared first): a reused `Vec` keeps the
+/// per-batch path allocation-free and the merge pass a flat scan.
 fn stream_releases_into(
     dp: &DevicePlan,
     durs: &[Dur],
@@ -203,11 +201,13 @@ fn stream_releases_into(
     releases.clear();
     let waves = (dp.blocks.len() as u64).div_ceil(resident.max(1) as u64);
     let subs = (32 / waves.max(1)).clamp(1, 32);
+    let (mut first, mut last, mut top_dst) = (SimTime::MAX, SimTime::ZERO, 0);
     for ((blk, end), &tau) in dp.blocks.iter().zip(block_ends).zip(durs) {
         for &(dst, rows) in dp.dest_rows(blk) {
             if dst == dp.device {
                 continue;
             }
+            top_dst = top_dst.max(dst);
             let k = subs.min(rows);
             let base = rows / k;
             let rem = rows % k;
@@ -217,11 +217,20 @@ fn stream_releases_into(
                     continue;
                 }
                 let ready = end - tau * (k - 1 - s) * (1.0 / k as f64);
+                (first, last) = (first.min(ready), last.max(ready));
                 releases.push((ready, dst, part));
             }
         }
     }
-    releases.sort_unstable_by_key(|a| (a.0, a.1));
+    if releases.len() > 1 {
+        let dst_bits = usize::BITS - top_dst.leading_zeros();
+        let span_bits = u64::BITS - (last - first).as_ns().leading_zeros();
+        assert!(
+            span_bits + dst_bits <= u64::BITS,
+            "release key overflows u64"
+        );
+        radix_sort_releases(releases, first, dst_bits, span_bits + dst_bits);
+    }
     releases.dedup_by(|b, a| {
         if a.0 == b.0 && a.1 == b.1 {
             a.2 += b.2;
@@ -230,6 +239,60 @@ fn stream_releases_into(
             false
         }
     });
+}
+
+/// Radix digit width: 11 bits sort a kernel of up to 2²⁵ ns (33 ms) on four
+/// GPUs in three passes, where bytes take four.
+const DIGIT_BITS: u32 = 11;
+
+/// Sort `releases` by `(instant, destination)` in linear time: an LSD radix
+/// sort over the packed u64 key `(instant - first) << dst_bits |
+/// destination`, `key_bits` wide, [`DIGIT_BITS`] a pass, skipping a digit
+/// every key shares. `first` is the earliest instant and every destination
+/// is below `2^dst_bits`. The sort is stable and equal keys are merged
+/// after, so it leaves what a comparison sort on `(instant, destination)`
+/// leaves for the merge. The ping-pong buffer is the arena's.
+fn radix_sort_releases(
+    releases: &mut Vec<arena::Release>,
+    first: SimTime,
+    dst_bits: u32,
+    key_bits: u32,
+) {
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    let key = |&(t, dst, _): &arena::Release| ((t - first).as_ns() << dst_bits) | dst as u64;
+    let digit = |r: &arena::Release, pass: usize| {
+        (key(r) >> (pass as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1)
+    };
+    let passes = key_bits.div_ceil(DIGIT_BITS) as usize;
+    let mut counts = arena::take_u64();
+    counts.resize(passes * BUCKETS, 0);
+    for r in releases.iter() {
+        for (pass, c) in counts.chunks_exact_mut(BUCKETS).enumerate() {
+            c[digit(r, pass)] += 1;
+        }
+    }
+    let n = releases.len();
+    let mut from = std::mem::take(releases);
+    let mut to = arena::take_release();
+    to.resize(n, (SimTime::ZERO, 0, 0));
+    for (pass, c) in counts.chunks_exact_mut(BUCKETS).enumerate() {
+        if c.contains(&(n as u64)) {
+            continue;
+        }
+        let mut at = 0;
+        for slot in c.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        for r in &from {
+            let d = digit(r, pass);
+            to[c[d] as usize] = *r;
+            c[d] += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    *releases = from;
+    arena::put_release(to);
+    arena::put_u64(counts);
 }
 
 impl PlannedBatch {
@@ -315,15 +378,20 @@ impl PlannedBatch {
                 }
             }
         };
+        let mut built = false;
         let stored = k.recorded().then(|| {
             self.schedules[dp.device].releases.get_or_init(|| {
                 build(out);
+                built = true;
                 let stored = out.iter();
                 stored
                     .map(|&(t, dst, rows)| Some((offset(t, k.start)?, dst as u32, rows)))
                     .collect()
             })
         });
+        if built {
+            return;
+        }
         let Some(stored) = stored.and_then(Option::as_ref) else {
             return build(out);
         };
@@ -1669,6 +1737,85 @@ mod tests {
             m.install_faults(gpusim::FaultPlan::generate(seed, g, spec));
         }
         m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The release order is the comparison sort's: `stream_releases_into`
+        /// is its sub-releases, built here from the plan on their own, sorted
+        /// with `sort_unstable_by_key((ready, dst))` and equal keys merged.
+        /// Device 0's kernel runs as one wave (32 sub-releases a block), as
+        /// many (one a block) or as a few; its first block, repeated last,
+        /// straddles two mini-batches and meets itself at equal instants;
+        /// and `far` blocks put offsets past `u32`, so the key's instant
+        /// takes more than 32 of its bits.
+        #[test]
+        fn releases_are_ordered_as_the_comparison_sort_orders_them(
+            g in 2usize..6,
+            waves in 0usize..3,
+            blocks in proptest::collection::vec((0usize..6, 1u64..80, 0usize..3, 0usize..3), 1..100),
+            far in proptest::prelude::any::<bool>(),
+            start_ns in 0u64..1_000_000,
+        ) {
+            use proptest::prelude::*;
+            let mut blocks = blocks;
+            blocks.insert(0, (1, 40, 2, 0));
+            blocks.push(blocks[0]);
+            if waves == 1 {
+                let cycle = blocks.clone();
+                blocks.extend(cycle.iter().cycle().take(40));
+            }
+            let mut dp = DevicePlan::new(0, vec![0], blocks.len(), blocks.len());
+            for &(dst, rows, straddle, _) in &blocks {
+                let dst = dst % g;
+                // Rows for `dst` and, straddling, for the mini-batch after it.
+                let to = [(dst, rows), (dst + 1, rows / 2 + 1)];
+                let to = to.into_iter().take(1 + usize::from(straddle > 0 && dst + 1 < g));
+                dp.push_block(0, rows as u32, rows, to);
+            }
+            let resident = match waves {
+                0 => blocks.len(),
+                1 => 1,
+                _ => 1 + blocks.len() / 3,
+            };
+            let taus = [1_000u64, 1_000, 2_500].map(|ns| Dur::from_ns(if far { ns * 5_000_000 } else { ns }));
+            let durs: Vec<Dur> = blocks.iter().map(|b| taus[b.3]).collect();
+            let start = SimTime::from_ns(start_ns);
+            let mut sms = desim::MultiResource::new(resident);
+            let ends: Vec<SimTime> = durs.iter().map(|&d| sms.acquire(start, d).end).collect();
+
+            let mut built = Vec::new();
+            stream_releases_into(&dp, &durs, resident as u32, ends.iter().copied(), &mut built);
+
+            let subs = (32 / blocks.len().div_ceil(resident) as u64).clamp(1, 32);
+            let mut oracle: Vec<arena::Release> = Vec::new();
+            for ((blk, &end), &tau) in dp.blocks.iter().zip(&ends).zip(&durs) {
+                for &(dst, rows) in dp.dest_rows(blk).iter().filter(|r| r.0 != 0) {
+                    let k = subs.min(rows);
+                    for s in 0..k {
+                        let part = rows / k + u64::from(s < rows % k);
+                        let ready = end - tau * (k - 1 - s) * (1.0 / k as f64);
+                        oracle.push((ready, dst, part));
+                    }
+                }
+            }
+            let unmerged = oracle.len();
+            oracle.sort_unstable_by_key(|a| (a.0, a.1));
+            oracle.dedup_by(|b, a| {
+                let same = (a.0, a.1) == (b.0, b.1);
+                if same {
+                    a.2 += b.2;
+                }
+                same
+            });
+            prop_assert_eq!(&built, &oracle);
+            prop_assert_eq!(subs, [32, 1, subs][waves]);
+            // The repeated first block ends with it on one wave: merged.
+            prop_assert!(waves != 0 || oracle.len() < unmerged);
+            let keyed = oracle.iter().all(|r| offset(r.0, start).is_some());
+            prop_assert_eq!(keyed, !far);
+        }
     }
 
     proptest::proptest! {

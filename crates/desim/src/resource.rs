@@ -44,6 +44,7 @@ impl Resource {
     }
 
     /// Request `service` time starting no earlier than `arrive`.
+    #[inline]
     pub fn acquire(&mut self, arrive: SimTime, service: Dur) -> Interval {
         let start = self.free_at.max(arrive);
         let end = start + service;
@@ -63,6 +64,27 @@ impl Resource {
             self.free_at = origin + (train.free_at - SimTime::ZERO);
             self.busy += train.busy;
             self.jobs += train.jobs;
+        }
+    }
+
+    /// The jobs served since this resource was `earlier`, as the train
+    /// [`Resource::book_train`] takes with its origin at `origin`: idle at
+    /// time zero, then as if it served them that long after zero. `earlier`
+    /// must be idle at `origin` and every job since must have arrived no
+    /// earlier than it, so they were served as from idle.
+    pub fn train_since(&self, earlier: &Resource, origin: SimTime) -> Resource {
+        let jobs = self.jobs - earlier.jobs;
+        if jobs == 0 {
+            return Resource::new();
+        }
+        debug_assert!(
+            earlier.free_at <= origin,
+            "train recorded on a busy resource"
+        );
+        Resource {
+            free_at: SimTime::ZERO + (self.free_at - origin),
+            busy: self.busy - earlier.busy,
+            jobs,
         }
     }
 
@@ -168,11 +190,18 @@ mod tests {
             each.acquire(SimTime::from_ns(100 + at), Dur::from_ns(d));
             train.acquire(SimTime::from_ns(at), Dur::from_ns(d));
         }
+        let since = each.train_since(&whole, SimTime::from_ns(100));
         whole.book_train(SimTime::from_ns(100), &train);
         whole.book_train(SimTime::from_ns(7), &Resource::new());
         assert_eq!(whole.free_at(), each.free_at());
         assert_eq!(whole.busy_time(), each.busy_time());
         assert_eq!(whole.jobs_served(), each.jobs_served());
+        // Read off by difference, the train is the one served from idle.
+        assert_eq!(since.free_at(), train.free_at());
+        assert_eq!(since.busy_time(), train.busy_time());
+        assert_eq!(since.jobs_served(), train.jobs_served());
+        let idle = each.train_since(&each, SimTime::from_ns(1));
+        assert_eq!((idle.free_at(), idle.jobs_served()), (SimTime::ZERO, 0));
     }
 
     #[test]

@@ -51,14 +51,17 @@ impl SimTime {
         self.0 as f64 / 1e3
     }
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
     /// Span since an earlier instant. Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> Dur {
         assert!(
             earlier.0 <= self.0,
@@ -130,12 +133,14 @@ impl Dur {
 
 impl Add<Dur> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: Dur) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<Dur> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         *self = *self + rhs;
     }
@@ -143,6 +148,7 @@ impl AddAssign<Dur> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = Dur;
+    #[inline]
     fn sub(self, rhs: SimTime) -> Dur {
         self.since(rhs)
     }
@@ -150,6 +156,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Sub<Dur> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: Dur) -> SimTime {
         assert!(
             self.0 >= rhs.0,
@@ -161,12 +168,14 @@ impl Sub<Dur> for SimTime {
 
 impl Add for Dur {
     type Output = Dur;
+    #[inline]
     fn add(self, rhs: Dur) -> Dur {
         Dur(self.0.checked_add(rhs.0).expect("Dur overflow"))
     }
 }
 
 impl AddAssign for Dur {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         *self = *self + rhs;
     }
@@ -174,6 +183,7 @@ impl AddAssign for Dur {
 
 impl Sub for Dur {
     type Output = Dur;
+    #[inline]
     fn sub(self, rhs: Dur) -> Dur {
         assert!(self.0 >= rhs.0, "Dur underflow: {self:?} - {rhs:?}");
         Dur(self.0 - rhs.0)
@@ -188,6 +198,7 @@ impl SubAssign for Dur {
 
 impl Mul<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, rhs: u64) -> Dur {
         Dur(self.0.checked_mul(rhs).expect("Dur overflow"))
     }
@@ -195,6 +206,7 @@ impl Mul<u64> for Dur {
 
 impl Mul<f64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, rhs: f64) -> Dur {
         assert!(rhs.is_finite() && rhs >= 0.0, "Dur * {rhs}: invalid factor");
         Dur(round_to_u64(self.0 as f64 * rhs))
@@ -242,6 +254,7 @@ impl fmt::Display for Dur {
 /// the truncation `t` and the fraction `x - t` are exact, so comparing the
 /// fraction with one half rounds half away from zero; from 2^53 up every
 /// `f64` is an integer and the (saturating) cast is it.
+#[inline]
 fn round_to_u64(x: f64) -> u64 {
     debug_assert!(x.is_finite() && x >= 0.0, "round_to_u64({x})");
     let t = x as u64;

@@ -78,6 +78,16 @@ impl TrafficStats {
         self.inter_node_messages += more.inter_node_messages;
     }
 
+    /// What was counted since the counters read `earlier`.
+    fn since(self, earlier: TrafficStats) -> TrafficStats {
+        TrafficStats {
+            payload_bytes: self.payload_bytes - earlier.payload_bytes,
+            header_bytes: self.header_bytes - earlier.header_bytes,
+            messages: self.messages - earlier.messages,
+            inter_node_messages: self.inter_node_messages - earlier.inter_node_messages,
+        }
+    }
+
     /// Fraction of wire bytes that were protocol overhead.
     pub fn header_overhead(&self) -> f64 {
         let total = self.payload_bytes + self.header_bytes;
@@ -175,37 +185,19 @@ impl SendTrain {
     pub fn sends(&self) -> u64 {
         self.injection.jobs_served()
     }
+}
 
-    /// Take in an intra-node send requested at or after `origin`, booked on
-    /// the injection port over `inj_iv` and on the link to `dst` (free at
-    /// `link_free` before) over `link_iv`. False if a train cannot hold it.
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        origin: SimTime,
-        (src, dst): (usize, usize),
-        link: &LinkSpec,
-        link_free: SimTime,
-        link_iv: Interval,
-        inj_iv: Interval,
-        sent: TrafficStats,
-    ) -> bool {
-        let rel = |t: SimTime| SimTime::ZERO + (t - origin);
-        let at = self.links.iter().position(|l| l.0 == dst);
-        let at = at.unwrap_or_else(|| {
-            self.links.push((dst, *link, Resource::new()));
-            self.links.len() - 1
-        });
-        let held = &mut self.links[at].2;
-        // Another source's, or a link still busy at the origin.
-        if src != self.src || (held.jobs_served() == 0 && link_free > origin) {
-            return false;
-        }
-        held.acquire(rel(link_iv.start), link_iv.duration());
-        self.injection.acquire(rel(inj_iv.start), inj_iv.duration());
-        self.stats.add(sent);
-        true
-    }
+/// A recording under way ([`Machine::record_train`]): its source and origin,
+/// the source's injection port and outbound links and the traffic counters
+/// as they stood when it began, and whether every send since is one a train
+/// can hold. The train is what those resources have served since.
+struct Recording {
+    src: usize,
+    origin: SimTime,
+    injection: Resource,
+    links: Vec<Resource>,
+    stats: TrafficStats,
+    held: bool,
 }
 
 /// One transfer for [`Machine::transmit`]: `payload` bytes from `src` to
@@ -269,9 +261,8 @@ pub struct Machine {
     traffic: Vec<PairTraffic>,
     /// Latest send-completion per source device (for PGAS `quiet`).
     sent_upto: Vec<SimTime>,
-    /// The train being recorded and its origin ([`Machine::record_train`]);
-    /// the train is dropped by the first send that breaks its conditions.
-    recording: Option<(SimTime, Option<SendTrain>)>,
+    /// The recording under way, if any ([`Machine::record_train`]).
+    recording: Option<Recording>,
     stats: TrafficStats,
     horizon: SimTime,
     trace: Option<crate::TraceLog>,
@@ -784,7 +775,6 @@ impl Machine {
             self.nics[node].acquire(inj_iv.start, wire)
         });
         let wire_from = nic.map_or(inj_iv.start, |nic_iv| nic_iv.start);
-        let link_free = self.links[src * n + dst].free_at();
         let link_iv = self.links[src * n + dst].acquire(wire_from, wire);
         let iv = Interval {
             start: link_iv.start,
@@ -796,16 +786,8 @@ impl Machine {
             messages: n_messages,
             inter_node_messages: if same_node { 0 } else { n_messages },
         };
-        if let Some((origin, train)) = &mut self.recording {
-            let at = *origin;
-            let held = same_node && requested >= at;
-            let pair = (src, dst);
-            if !train
-                .as_mut()
-                .is_some_and(|t| held && t.push(at, pair, &link, link_free, link_iv, inj_iv, sent))
-            {
-                *train = None;
-            }
+        if let Some(r) = &mut self.recording {
+            r.held &= src == r.src && same_node && requested >= r.origin;
         }
         if let Some(b) = &mut self.blame {
             let cat = if same_node {
@@ -869,23 +851,46 @@ impl Machine {
     pub fn record_train(&mut self, src: usize, origin: SimTime) -> bool {
         let may = self.train_may_start(src, origin);
         if may {
-            let train = SendTrain {
+            let n = self.n_gpus();
+            self.recording = Some(Recording {
                 src,
-                inj_bw: self.cfg.specs[src].inj_bw,
-                injection: Resource::new(),
-                links: Vec::new(),
-                stats: TrafficStats::default(),
-            };
-            self.recording = Some((origin, Some(train)));
+                origin,
+                injection: self.injection[src].clone(),
+                links: self.links[src * n..][..n].to_vec(),
+                stats: self.stats,
+                held: true,
+            });
         }
         may
     }
 
-    /// End the recording: the train, unless a send since was not one a train
-    /// can hold (another source's, one that left the node, one requested
-    /// before the origin or on a link still busy there).
+    /// End the recording: the train, read off by how far the source's port,
+    /// its links and the traffic counters moved since it began, unless a send
+    /// since was not one a train can hold (another source's, one that left
+    /// the node or was requested before the origin) or one used a link still
+    /// busy at the origin.
     pub fn finish_train(&mut self) -> Option<SendTrain> {
-        self.recording.take().and_then(|(_, train)| train)
+        let r = self.recording.take().filter(|r| r.held)?;
+        let (n, src, origin) = (self.n_gpus(), r.src, r.origin);
+        let now = &self.links[src * n..][..n];
+        let mut links = Vec::new();
+        for (dst, (before, after)) in r.links.iter().zip(now).enumerate() {
+            if after.jobs_served() == before.jobs_served() {
+                continue;
+            }
+            if before.free_at() > origin {
+                return None;
+            }
+            let spec = *self.cfg.topology.link(src, dst);
+            links.push((dst, spec, after.train_since(before, origin)));
+        }
+        Some(SendTrain {
+            src,
+            inj_bw: self.cfg.specs[src].inj_bw,
+            injection: self.injection[src].train_since(&r.injection, origin),
+            links,
+            stats: self.stats.since(r.stats),
+        })
     }
 
     /// Book `train` again with its origin at `origin`, once per resource it

@@ -340,6 +340,46 @@ proptest! {
         prop_assert!(replayed.total_traffic().buckets().is_empty());
     }
 
+    /// A train is recorded by difference: on a machine whose source port
+    /// and links carried earlier traffic, through before the origin, the
+    /// same sends make the train a fresh machine records. Both hold as many
+    /// sends, and booked at another origin both leave the same fabric state
+    /// and answer the same probe on every link.
+    #[test]
+    fn recording_subtracts_earlier_traffic(
+        n in 2usize..6,
+        src in 0usize..6,
+        own in planned_sends(),
+        earlier in prop::collection::vec((0usize..6, planned_sends()), 0..3),
+        gap in 0u64..200_000,
+        replayed_at in 0u64..1_000_000,
+        sends in planned_sends(),
+    ) {
+        let src = src % n;
+        let cfg = || MachineConfig::dgx_v100(n);
+        let mut used = Machine::new(cfg());
+        send(&mut used, src, (src + 1) % n, 4096, 2, SimTime::ZERO);
+        send_each(&mut used, src, SimTime::ZERO, &own);
+        for (from, sends) in &earlier {
+            send_each(&mut used, from % n, SimTime::ZERO, sends);
+        }
+        let origin = used.finish_time() + Dur::from_ns(gap);
+        prop_assert!(used.record_train(src, origin));
+        send_each(&mut used, src, origin, &sends);
+        let after_use = used.finish_train().expect("the earlier traffic is through");
+        let fresh = record(cfg(), src, origin, &sends).expect("an idle machine records");
+        prop_assert_eq!(after_use.sends(), sends.len() as u64);
+        prop_assert_eq!(after_use.sends(), fresh.sends());
+
+        let at = SimTime::from_ns(replayed_at);
+        let booked = |train: &SendTrain| {
+            let mut m = Machine::new(cfg());
+            assert!(m.replay_train(train, at), "an idle machine books a train");
+            (fabric_state(&mut m), m.finish_time(), probe_links(&mut m, at))
+        };
+        prop_assert_eq!(booked(&after_use), booked(&fresh));
+    }
+
     /// A kernel launched by its known length is the kernel dispatched block
     /// by block: same interval, stream, horizon, telemetry and trace event —
     /// and on a straggling device the known length is refused.
@@ -520,6 +560,23 @@ fn a_train_is_refused_unless_the_fabric_is_idle_clean_and_the_same() {
         with_injection(1e15),
         &|m| busy(m, 3, 1 << 30),
         Some(false),
+    );
+    // A link busy at the origin that the train never uses spoils nothing:
+    // the train is recorded there and booked there again.
+    let clear: Vec<Planned> = sends.iter().filter(|s| s.0 != 3).copied().collect();
+    let busy_elsewhere = || {
+        let mut m = Machine::new(with_injection(1e15));
+        busy(&mut m, 2, 1 << 30);
+        m
+    };
+    let mut m = busy_elsewhere();
+    assert!(m.record_train(1, origin));
+    send_each(&mut m, 1, origin, &clear);
+    let train = m.finish_train().expect("busy link unused: recorded");
+    assert_eq!(train.sends(), clear.len() as u64);
+    assert!(
+        busy_elsewhere().replay_train(&train, origin),
+        "busy link unused: booked"
     );
     // The fabric is compared bitwise. These machines record trains of their
     // own, unless a send leaves the node.

@@ -61,7 +61,7 @@ fn baseline_messages_are_chunk_sized() {
     // pairs its equal share in whole chunks, each one a message well above
     // the PGAS row size.
     let per_pair = t.payload_bytes / (2 * cfg.n_batches as u64);
-    let chunks = CollectiveConfig::default().n_chunks(per_pair);
+    let chunks = CollectiveConfig::n_chunks(per_pair);
     assert_eq!(t.messages, 2 * cfg.n_batches as u64 * chunks);
     assert!(t.payload_bytes / t.messages > 1024);
 }
