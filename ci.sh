@@ -4,9 +4,10 @@
 # Formatting, release build, rustdoc with warnings denied (so a doc link to
 # a deleted or private item fails here), the full test suite under a
 # 1-thread and a 4-thread worker pool (the parallel engine's determinism
-# contract), clippy,
-# the benchmark package's own tests and smoke run (so a refactor that breaks
-# the API surface benchmark/ pins fails here, not at the benchmark gate),
+# contract), clippy, a grep that keeps `unsafe` inside the two stand-in
+# crates that need it, the benchmark package's own tests and smoke run (so a
+# refactor that breaks the API surface benchmark/ pins fails here, not at the
+# benchmark gate),
 # then every experiment of `reproduce` (`all`, then `skew`) at smoke scale,
 # with `all --smoke` run a second time on a one-thread pool and `diff -r`'d
 # against the default width (sweep cells are the only parallel unit, and
@@ -78,6 +79,15 @@ awk '
     }
     END { exit bad }
 ' crates/*/src/compat.rs
+# `unsafe` stays in the two stand-in crates that need it: rand (the call into
+# its AVX-512 fill kernel, where `clippy::undocumented_unsafe_blocks` makes the
+# clippy steps above fail on a block with no `// SAFETY:` comment) and rayon
+# (the pool's type-erased tasks). Fail here if it appears anywhere else.
+if grep -rnw --include='*.rs' unsafe crates/*/src src |
+    grep -v -e '^crates/rand/src/' -e '^crates/rayon/src/' >&2; then
+    echo "ci: unsafe outside crates/rand/src and crates/rayon/src" >&2
+    exit 1
+fi
 # The benchmark is its own package (own workspace, path deps on crates/*):
 # build it against this tree, run its unit tests and one smoke pass.
 cargo test --manifest-path benchmark/Cargo.toml --offline

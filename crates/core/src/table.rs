@@ -1,6 +1,6 @@
 //! Embedding tables and per-device shards.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use simtensor::Tensor;
 
 /// A lookup named a feature whose table is not resident in this shard —
@@ -78,8 +78,9 @@ impl EmbeddingShard {
 
     /// Row `row` of [`EmbeddingShard::init_table`] into `out` (`spec.dim`
     /// wide), bit for bit, without the table: the init stream is jumped to
-    /// the row's first element in O(1) and draws its `dim` values exactly
-    /// as `Tensor::rand_uniform` does.
+    /// the row's first element in O(1) and fills its `dim` values with
+    /// `StdRng::fill_uniform`, which writes what `Tensor::rand_uniform`'s
+    /// per-draw `gen_range` writes.
     pub fn init_row(
         feature: usize,
         row: usize,
@@ -91,12 +92,7 @@ impl EmbeddingShard {
         let (stream, bound) = init_stream(feature, spec, seed);
         let mut rng = StdRng::seed_from_u64(stream);
         rng.advance((row * spec.dim) as u64);
-        out.fill_with(|| {
-            // Emits nothing but keeps the loop scalar: with no 64-bit vector
-            // multiply (baseline x86-64), vectorized SplitMix64 is ≈ 1.5× slower.
-            std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
-            rng.gen_range(-bound..=bound)
-        });
+        rng.fill_uniform(-bound, bound, out);
     }
 
     /// Table spec shared by every table in this shard.
