@@ -660,7 +660,6 @@ fn pod_cell(nodes: usize, per_node: usize, row_bytes: u32, pair_bytes: u64) -> P
     // one giant end-of-stream drain.
     let pcfg = PgasConfig {
         max_payload: row_bytes,
-        ..PgasConfig::default()
     };
     let flush = AggregatorConfig::default();
     let chunk = (flush.flush_bytes / (4 * row_bytes as u64)).max(1);
@@ -755,10 +754,7 @@ pub fn message_size_ablation(gpus: usize, scale: usize, batches: usize) -> Vec<M
     par_cells(payloads.len(), |i| {
         let max_payload = payloads[i];
         let backend = Backend {
-            exchange: Exchange::OneSided(PgasConfig {
-                max_payload,
-                ..PgasConfig::default()
-            }),
+            exchange: Exchange::OneSided(PgasConfig { max_payload }),
             policy: None,
         };
         let mut m = Machine::new(MachineConfig::dgx_v100(gpus));

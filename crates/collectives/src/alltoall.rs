@@ -3,7 +3,7 @@
 use desim::{Interval, SimTime};
 use gpusim::{FabricError, Faults, Machine, Send};
 
-use crate::config::CHUNK_BYTES;
+use crate::config::{CALL_OVERHEAD, CHUNK_BYTES, PROTOCOL_EFFICIENCY};
 use crate::{d2d_copy_time, Algorithm, CollectiveConfig, WorkHandle};
 
 /// PyTorch-style `all_to_all_single` on the wire: `send_bytes[i][j]` bytes
@@ -23,26 +23,19 @@ pub fn all_to_all(
     for (i, row) in send_bytes.iter().enumerate() {
         assert_eq!(row.len(), n, "send_bytes[{i}] must have {n} columns");
     }
-    let mut wire = Wire {
-        efficiency: cfg.protocol_efficiency,
-        faults,
-        retries: 0,
-    };
+    let mut wire = Wire { faults, retries: 0 };
     let done = match cfg.algorithm {
-        Algorithm::Direct => direct_schedule(machine, cfg, send_bytes, ready, &mut wire),
-        Algorithm::Ring => ring_schedule(machine, cfg, send_bytes, ready, &mut wire),
-        Algorithm::Hierarchical => {
-            hierarchical_schedule(machine, cfg, send_bytes, ready, &mut wire)
-        }
+        Algorithm::Direct => direct_schedule(machine, send_bytes, ready, &mut wire),
+        Algorithm::Ring => ring_schedule(machine, send_bytes, ready, &mut wire),
+        Algorithm::Hierarchical => hierarchical_schedule(machine, send_bytes, ready, &mut wire),
     }?;
     machine.metrics_mut().incr("collective_calls", 0, 0);
     Ok(WorkHandle::new(done, wire.retries))
 }
 
-/// What one call's transfers share: the wire efficiency, how they meet the
-/// fault plan, and the retries they have taken.
+/// What one call's transfers share: how they meet the fault plan, and the
+/// retries they have taken.
 struct Wire {
-    efficiency: f64,
     faults: Faults,
     retries: u64,
 }
@@ -65,7 +58,7 @@ impl Wire {
             payload,
             messages,
             ready,
-            efficiency: self.efficiency,
+            efficiency: PROTOCOL_EFFICIENCY,
             faults: self.faults,
         })?;
         self.retries += u64::from(d.attempts - 1);
@@ -122,12 +115,11 @@ fn pairwise(
 /// Pairwise schedule over every device pair.
 fn direct_schedule(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
     wire: &mut Wire,
 ) -> Result<Vec<SimTime>, FabricError> {
-    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
+    let t0: Vec<SimTime> = ready.iter().map(|&r| r + CALL_OVERHEAD).collect();
     let mut done = vec![SimTime::ZERO; t0.len()];
     pairwise(machine, send_bytes, &t0, &mut done, wire, |_, _| true)?;
     Ok(done)
@@ -145,17 +137,16 @@ fn direct_schedule(
 /// [`direct_schedule`], bit for bit.
 fn hierarchical_schedule(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
     wire: &mut Wire,
 ) -> Result<Vec<SimTime>, FabricError> {
     let topo = machine.topology().clone();
     if topo.nodes() == 1 {
-        return direct_schedule(machine, cfg, send_bytes, ready, wire);
+        return direct_schedule(machine, send_bytes, ready, wire);
     }
     let n = machine.n_gpus();
-    let t0: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
+    let t0: Vec<SimTime> = ready.iter().map(|&r| r + CALL_OVERHEAD).collect();
     let mut done = vec![SimTime::ZERO; n];
 
     // Intra-node traffic and self-copies: the direct schedule within a node.
@@ -300,15 +291,11 @@ fn gather_phase(
 /// which is why NCCL prefers peer-to-peer on a crossbar.
 fn ring_schedule(
     machine: &mut Machine,
-    cfg: &CollectiveConfig,
     send_bytes: &[Vec<u64>],
     ready: &[SimTime],
     wire: &mut Wire,
 ) -> Result<Vec<SimTime>, FabricError> {
     let n = machine.n_gpus();
-    if n == 1 {
-        return Ok(vec![ready[0] + cfg.call_overhead]);
-    }
     // Parcels held at each rank: (dst, bytes).
     let mut held: Vec<Vec<(usize, u64)>> = (0..n)
         .map(|src| {
@@ -319,7 +306,7 @@ fn ring_schedule(
                 .collect()
         })
         .collect();
-    let mut t: Vec<SimTime> = ready.iter().map(|&r| r + cfg.call_overhead).collect();
+    let mut t: Vec<SimTime> = ready.iter().map(|&r| r + CALL_OVERHEAD).collect();
     let mut done = t.clone();
     // Local self-copy happens immediately.
     for src in 0..n {
@@ -406,13 +393,20 @@ mod tests {
 
     #[test]
     fn single_device_is_local_copy_only() {
-        let mut m = Machine::new(MachineConfig::dgx_v100(1));
-        for alg in [Algorithm::Direct, Algorithm::Ring] {
+        // 8 MiB stays on the device: both schedules charge the copy.
+        let bytes = uniform(1, 8 << 20);
+        let done = [Algorithm::Direct, Algorithm::Ring].map(|alg| {
+            let mut m = Machine::new(MachineConfig::dgx_v100(1));
             let cfg = CollectiveConfig::default().with_algorithm(alg);
-            let work = a2a(&mut m, &cfg, &uniform(1, 8), &ready(1));
-            assert!(work.all_done() >= SimTime::ZERO + cfg.call_overhead);
-        }
-        assert_eq!(m.traffic_stats().messages, 0, "no wire traffic on 1 GPU");
+            let work = a2a(&mut m, &cfg, &bytes, &ready(1));
+            assert_eq!(m.traffic_stats().messages, 0, "no wire traffic on 1 GPU");
+            work.all_done()
+        });
+        assert!(
+            done[0] > SimTime::ZERO + CALL_OVERHEAD,
+            "the copy is charged"
+        );
+        assert_eq!(done[0], done[1], "Direct and Ring");
     }
 
     #[test]

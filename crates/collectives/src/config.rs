@@ -21,29 +21,29 @@ pub enum Algorithm {
     Hierarchical,
 }
 
-/// Tuning knobs shared by all collectives.
+/// CPU-side cost of triggering a collective (argument marshalling,
+/// enqueueing the NCCL kernel). Part of the paper's "communication control
+/// path" overhead.
+pub const CALL_OVERHEAD: Dur = Dur::from_us(15);
+
+/// Wire efficiency of the collective's transport relative to raw one-sided
+/// stores, in `(0, 1]`. NCCL's transfers pay internal staging copies,
+/// protocol handshakes and bidirectional contention that direct GPU stores
+/// do not; 0.45 is calibrated from the paper's measured baseline
+/// communication phase (DESIGN.md §4).
+pub const PROTOCOL_EFFICIENCY: f64 = 0.45;
+
+/// The collectives' one setting that callers vary.
 #[derive(Clone, Copy, Debug)]
 pub struct CollectiveConfig {
     /// Schedule to use.
     pub algorithm: Algorithm,
-    /// CPU-side cost of triggering the collective (argument marshalling,
-    /// enqueueing the NCCL kernel). Part of the paper's "communication
-    /// control path" overhead.
-    pub call_overhead: Dur,
-    /// Wire efficiency of the collective's transport relative to raw
-    /// one-sided stores, in `(0, 1]`. NCCL's transfers pay internal staging
-    /// copies, protocol handshakes and bidirectional contention that direct
-    /// GPU stores do not; 0.45 is calibrated from the paper's measured
-    /// baseline communication phase (DESIGN.md §4).
-    pub protocol_efficiency: f64,
 }
 
 impl Default for CollectiveConfig {
     fn default() -> Self {
         CollectiveConfig {
             algorithm: Algorithm::Direct,
-            call_overhead: Dur::from_us(15),
-            protocol_efficiency: 0.45,
         }
     }
 }

@@ -29,7 +29,7 @@ mod work;
 pub use alltoall::all_to_all;
 #[allow(deprecated)]
 pub use compat::all_to_all_timed;
-pub use config::{Algorithm, CollectiveConfig};
+pub use config::{Algorithm, CollectiveConfig, CALL_OVERHEAD, PROTOCOL_EFFICIENCY};
 pub use work::WorkHandle;
 
 /// The shared fault taxonomy and fault handling, re-exported so collective

@@ -64,6 +64,18 @@ pub struct BackendResult {
 /// throughput (and the paper's sub-peak `ncu` numbers).
 pub(crate) const GATHER_EFFICIENCY: f64 = 0.65;
 
+/// `blocks` gather blocks of `bytes` of global-memory traffic each, derated
+/// by [`GATHER_EFFICIENCY`]; a block's 8 dependent accesses are its latency
+/// floor. The one shape every lookup kernel is costed by.
+pub(crate) fn gather_shape(blocks: u64, bytes: u64) -> KernelShape {
+    KernelShape {
+        blocks,
+        bytes_per_block: (bytes as f64 / GATHER_EFFICIENCY).round() as u64,
+        flops_per_block: 0,
+        dependent_accesses: 8,
+    }
+}
+
 /// Per-block service durations of the lookup kernel for one device.
 ///
 /// A block's global-memory traffic is its embedding-row reads
@@ -89,15 +101,7 @@ pub(crate) fn lookup_block_durations(
     }
     let resident = KernelShape::effective_resident(n_blocks, spec.max_resident_blocks());
     let row_bytes = plan.row_bytes() as u64;
-    let block_time = |bytes: u64| {
-        let shape = KernelShape {
-            blocks: 1,
-            bytes_per_block: (bytes as f64 / GATHER_EFFICIENCY).round() as u64,
-            flops_per_block: 0,
-            dependent_accesses: 8,
-        };
-        shape.block_time(spec, resident)
-    };
+    let block_time = |bytes: u64| gather_shape(1, bytes).block_time(spec, resident);
     let mut durs: Vec<Dur> = (dp.blocks.iter().enumerate())
         .map(|(i, b)| {
             let bytes = match dp.cache_stats.get(i) {
@@ -790,5 +794,130 @@ mod tests {
         let a = by_trait.run(&mut Machine::new(fabric()), &cfg, ExecMode::Timing);
         let b = run(Backend::pgas(), fabric(), &cfg, ExecMode::Timing);
         assert_eq!(a.report.total, b.report.total);
+    }
+
+    /// DESIGN.md §4's calibration table, rendered from the values the model
+    /// runs on: a constant and the row that documents it cannot drift apart.
+    /// The Basis column is DESIGN.md's own prose.
+    #[test]
+    fn design_calibration_table_is_the_code() {
+        use gpusim::LinkSpec;
+        let (gpu, link) = (GpuSpec::v100(), LinkSpec::nvlink_v100());
+        let gbs = |bw: f64| format!("{} GB/s", bw / 1e9);
+        let dur = |d: Dur| match d.as_ns() {
+            ns if ns < 1000 => format!("{ns} ns"),
+            ns => format!("{} µs", ns as f64 / 1e3),
+        };
+        let at = |path: &str| format!("`{path}`");
+        let v100 = |field: &str| at(&format!("GpuSpec::v100().{field}"));
+        let nvlink = |field: &str| at(&format!("LinkSpec::nvlink_v100().{field}"));
+        let gather = format!("{GATHER_EFFICIENCY} × peak");
+        let protocol = format!("{} × link", simccl::PROTOCOL_EFFICIENCY);
+        let code = [
+            ("HBM2 peak bandwidth", gbs(gpu.mem_bw), v100("mem_bw")),
+            (
+                "Gather-kernel efficiency",
+                gather,
+                at("emb_retrieval::backend::GATHER_EFFICIENCY"),
+            ),
+            (
+                "Occupancy saturation",
+                format!("{} resident blocks", gpu.blocks_to_saturate),
+                v100("blocks_to_saturate"),
+            ),
+            (
+                "Per-pair one-sided store bandwidth",
+                gbs(link.bandwidth),
+                nvlink("bandwidth"),
+            ),
+            (
+                "NCCL protocol efficiency",
+                protocol,
+                at("simccl::PROTOCOL_EFFICIENCY"),
+            ),
+            (
+                "Unpack throughput",
+                gbs(single::UNPACK_BW),
+                at("emb_retrieval::backend::single::UNPACK_BW"),
+            ),
+            ("Per-GPU injection port", gbs(gpu.inj_bw), v100("inj_bw")),
+            (
+                "Header bytes",
+                format!("{} B", link.header_bytes),
+                nvlink("header_bytes"),
+            ),
+            (
+                "Kernel launch",
+                dur(gpu.kernel_launch),
+                v100("kernel_launch"),
+            ),
+            ("Stream sync", dur(gpu.stream_sync), v100("stream_sync")),
+            ("Memory latency", dur(gpu.mem_latency), v100("mem_latency")),
+            ("Link latency", dur(link.latency), nvlink("latency")),
+            (
+                "NCCL call",
+                dur(simccl::CALL_OVERHEAD),
+                at("simccl::CALL_OVERHEAD"),
+            ),
+            (
+                "Put issue",
+                dur(pgas_rt::ISSUE_OVERHEAD),
+                at("pgas_rt::ISSUE_OVERHEAD"),
+            ),
+            (
+                "Quiet",
+                dur(pgas_rt::QUIET_OVERHEAD),
+                at("pgas_rt::QUIET_OVERHEAD"),
+            ),
+            (
+                "Barrier",
+                dur(pgas_rt::BARRIER_OVERHEAD),
+                at("pgas_rt::BARRIER_OVERHEAD"),
+            ),
+        ];
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).expect("DESIGN.md at the workspace root");
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("4. "))
+            .expect("a §4");
+        let documented: Vec<Vec<&str>> = (section.lines())
+            .filter_map(|l| l.strip_prefix("| ")?.strip_suffix(" |"))
+            .map(|l| l.splitn(4, " | ").collect())
+            .filter(|cells: &Vec<&str>| cells.len() == 4 && cells[0] != "Constant")
+            .collect();
+        let row = |name: &str| documented.iter().find(|cells| cells[0] == name);
+        let mut wrong = Vec::new();
+        for (name, value, place) in &code {
+            match row(name) {
+                None => wrong.push(format!("row `{name}` is missing from DESIGN.md")),
+                Some(cells) if (cells[1], cells[2]) != (value, place) => wrong.push(format!(
+                    "row `{name}`: DESIGN.md has \"{} | {}\", the code \"{value} | {place}\"",
+                    cells[1], cells[2]
+                )),
+                Some(_) => {}
+            }
+        }
+        for cells in documented
+            .iter()
+            .filter(|c| !code.iter().any(|r| r.0 == c[0]))
+        {
+            wrong.push(format!(
+                "row `{}` of DESIGN.md is no constant in the code",
+                cells[0]
+            ));
+        }
+        let table: String = (code.iter())
+            .map(|(name, value, place)| {
+                let basis = row(name).map_or("?", |cells| cells[3]);
+                format!("| {name} | {value} | {place} | {basis} |\n")
+            })
+            .collect();
+        assert!(
+            wrong.is_empty(),
+            "DESIGN.md §4 differs from the code:\n{}\n\nthe table to paste:\n\
+             | Constant | Value | Where | Basis |\n|---|---|---|---|\n{table}",
+            wrong.join("\n")
+        );
     }
 }

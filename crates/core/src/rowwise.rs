@@ -26,14 +26,14 @@
 //! paper's two backends.
 
 use desim::Dur;
-use gpusim::{KernelShape, Machine};
+use gpusim::Machine;
 use pgas_rt::{PgasConfig, SymmetricHeap};
 use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
 use crate::backend::{
-    execute_batch, run_batches, BackendResult, Emission, Exchange, ExecMode, Pass, PlannedBatch,
-    Tail,
+    execute_batch, gather_shape, run_batches, BackendResult, Emission, Exchange, ExecMode, Pass,
+    PlannedBatch, Tail,
 };
 use crate::{
     EmbLayerConfig, EmbeddingTableSpec, ForwardPlan, IndexHasher, PoolingOp, Sharding, SparseBatch,
@@ -162,12 +162,7 @@ pub(crate) fn rowwise_planned(machine: &Machine, cfg: &EmbLayerConfig) -> Planne
     let mean_pool = (cfg.pooling_min + cfg.pooling_max) as f64 / 2.0;
     let lookups_per_block = (cfg.bags_per_block as f64 * mean_pool / n as f64).ceil() as u64;
     let bytes = lookups_per_block * (row_bytes + 8) + cfg.bags_per_block as u64 * row_bytes;
-    let lookup = |blocks: usize| KernelShape {
-        blocks: blocks as u64,
-        bytes_per_block: (bytes as f64 / crate::backend::GATHER_EFFICIENCY).round() as u64,
-        flops_per_block: 0,
-        dependent_accesses: 8,
-    };
+    let lookup = |blocks: usize| gather_shape(blocks as u64, bytes);
     let durations = (plan.devices.iter())
         .map(|dp| Tail::of(lookup(dp.blocks.len()), machine.spec(dp.device)).durations())
         .collect();

@@ -639,6 +639,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ISSUE_OVERHEAD;
     use gpusim::MachineConfig;
     use proptest::prelude::*;
 
@@ -751,7 +752,7 @@ mod tests {
         // The buffer left when its timer fired (oldest + max_wait), not when
         // the late row showed up.
         let latency = m.topology().link(0, 2).latency;
-        let fired = SimTime::ZERO + Dur::from_us(5) + cfg.pgas.issue_overhead;
+        let fired = SimTime::ZERO + Dur::from_us(5) + ISSUE_OVERHEAD;
         assert_eq!(iv.start, fired + latency);
     }
 
@@ -772,7 +773,7 @@ mod tests {
         let early = gw.drain_src(1, SimTime::ZERO + Dur::from_us(2));
         let late = gw.drain_src(0, SimTime::ZERO + Dur::from_us(20));
         let latency = m.topology().link(0, 2).latency;
-        let wire = |at: SimTime| at + cfg.pgas.issue_overhead + latency;
+        let wire = |at: SimTime| at + ISSUE_OVERHEAD + latency;
         assert_eq!(late[0].start, wire(SimTime::ZERO + Dur::from_us(5)));
         assert_eq!(early[0].start, wire(SimTime::ZERO + Dur::from_us(2)));
     }

@@ -38,7 +38,7 @@ mod ops;
 pub use coalesce::{coalesce_rows, coalesce_rows_many, CoalescedBatch};
 pub use gateway::{AggregatorConfig, GatewayConfig, GatewayPut};
 pub use heap::{SegmentId, SymmetricHeap};
-pub use ops::{OneSided, PgasConfig};
+pub use ops::{OneSided, PgasConfig, BARRIER_OVERHEAD, ISSUE_OVERHEAD, QUIET_OVERHEAD};
 
 /// The shared fault taxonomy, fault handling and delivery record,
 /// re-exported so PGAS callers need not depend on `gpusim` directly.

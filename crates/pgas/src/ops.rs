@@ -5,30 +5,26 @@ use gpusim::{Delivery, FabricError, Faults, Machine, Send};
 
 use crate::CoalescedBatch;
 
-/// Tunables of the PGAS runtime's timing model.
+/// GPU-side cost for a thread to issue a one-sided write (address
+/// translation + store to the remote aperture). Charged per message on the
+/// issuing kernel's critical path.
+pub const ISSUE_OVERHEAD: Dur = Dur::from_ns(20);
+/// Cost of `quiet` (waiting for write visibility) beyond drain time.
+pub const QUIET_OVERHEAD: Dur = Dur::from_us(2);
+/// Cost of `barrier_all` beyond the max of participant times.
+pub const BARRIER_OVERHEAD: Dur = Dur::from_us(3);
+
+/// The PGAS runtime's one setting that callers vary.
 #[derive(Clone, Copy, Debug)]
 pub struct PgasConfig {
     /// Maximum coalesced wire payload per message (NVLink write-combining
     /// granularity). The paper's Fig. 7/10 count volume in 256-byte units.
     pub max_payload: u32,
-    /// GPU-side cost for a thread to issue a one-sided write (address
-    /// translation + store to the remote aperture). Charged per message on
-    /// the issuing kernel's critical path.
-    pub issue_overhead: Dur,
-    /// Cost of `quiet` (waiting for write visibility) beyond drain time.
-    pub quiet_overhead: Dur,
-    /// Cost of `barrier_all` beyond the max of participant times.
-    pub barrier_overhead: Dur,
 }
 
 impl Default for PgasConfig {
     fn default() -> Self {
-        PgasConfig {
-            max_payload: 256,
-            issue_overhead: Dur::from_ns(20),
-            quiet_overhead: Dur::from_us(2),
-            barrier_overhead: Dur::from_us(3),
-        }
+        PgasConfig { max_payload: 256 }
     }
 }
 
@@ -94,7 +90,7 @@ impl<'m> OneSided<'m> {
             dst,
             payload: batch.payload,
             messages: batch.messages,
-            ready: ready + self.cfg.issue_overhead * batch.messages,
+            ready: ready + ISSUE_OVERHEAD * batch.messages,
             efficiency: 1.0,
             faults,
         })
@@ -103,15 +99,15 @@ impl<'m> OneSided<'m> {
     /// `quiet` on `src`: returns when every message `src` has issued is
     /// delivered, observed no earlier than `at`. It only *observes*
     /// deliveries, so with nothing outstanding it completes at
-    /// `at + quiet_overhead` whatever the links' state.
+    /// `at + QUIET_OVERHEAD` whatever the links' state.
     pub fn quiet(&mut self, src: usize, at: SimTime) -> SimTime {
-        self.machine.quiet(src, at) + self.cfg.quiet_overhead
+        self.machine.quiet(src, at) + QUIET_OVERHEAD
     }
 
     /// Global barrier: all PEs proceed at the max of their times plus the
     /// barrier cost.
     pub fn barrier_all(&mut self, times: &[SimTime]) -> SimTime {
-        self.machine.barrier(times) + self.cfg.barrier_overhead
+        self.machine.barrier(times) + BARRIER_OVERHEAD
     }
 }
 
@@ -176,16 +172,12 @@ mod tests {
 
     #[test]
     fn issue_overhead_delays_wire_entry() {
-        let cfg = PgasConfig {
-            issue_overhead: Dur::from_ns(100),
-            ..PgasConfig::default()
-        };
         let mut m = machine(2);
         let link_latency = m.topology().link(0, 1).latency;
-        let mut os = OneSided::with_config(&mut m, cfg);
+        let mut os = OneSided::new(&mut m);
         let iv = put_ignoring(&mut os, 0, 1, 10, 256, SimTime::ZERO);
-        // 10 messages × 100 ns issue + link latency before first byte.
-        assert_eq!(iv.start, SimTime::from_ns(1000) + link_latency);
+        // 10 messages' issue + link latency before first byte.
+        assert_eq!(iv.start, SimTime::ZERO + ISSUE_OVERHEAD * 10 + link_latency);
     }
 
     #[test]
@@ -194,10 +186,10 @@ mod tests {
         let mut os = OneSided::new(&mut m);
         let iv = put_ignoring(&mut os, 0, 1, 10_000, 256, SimTime::ZERO);
         let q = os.quiet(0, SimTime::ZERO);
-        assert_eq!(q, iv.end + PgasConfig::default().quiet_overhead);
+        assert_eq!(q, iv.end + QUIET_OVERHEAD);
         // A PE with nothing outstanding pays only the overhead.
         let q1 = os.quiet(1, SimTime::ZERO);
-        assert_eq!(q1, SimTime::ZERO + PgasConfig::default().quiet_overhead);
+        assert_eq!(q1, SimTime::ZERO + QUIET_OVERHEAD);
     }
 
     #[test]
@@ -205,10 +197,7 @@ mod tests {
         let mut m = machine(2);
         let mut os = OneSided::new(&mut m);
         let t = os.barrier_all(&[SimTime::from_us(1), SimTime::from_us(4)]);
-        assert_eq!(
-            t,
-            SimTime::from_us(4) + PgasConfig::default().barrier_overhead
-        );
+        assert_eq!(t, SimTime::from_us(4) + BARRIER_OVERHEAD);
     }
 
     #[test]
@@ -302,7 +291,6 @@ mod tests {
         // No puts issued: quiet completes at `at + overhead` even though the
         // chaos plan has links flapping — quiet observes, it does not send.
         let at = SimTime::from_us(40);
-        let overhead = PgasConfig::default().quiet_overhead;
-        assert_eq!(os.quiet(0, at), at + overhead);
+        assert_eq!(os.quiet(0, at), at + QUIET_OVERHEAD);
     }
 }

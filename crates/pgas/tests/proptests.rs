@@ -4,7 +4,7 @@ use desim::{Dur, SimTime};
 use gpusim::{FaultPlan, FaultSpec, Faults, Machine, MachineConfig};
 use pgas_rt::{
     coalesce_rows, AggregatorConfig, Delivery, FabricError, GatewayConfig, GatewayPut, OneSided,
-    PgasConfig, SymmetricHeap,
+    PgasConfig, SymmetricHeap, QUIET_OVERHEAD,
 };
 use proptest::prelude::*;
 
@@ -140,7 +140,7 @@ proptest! {
         }
     }
 
-    /// A `quiet` with nothing outstanding completes at `at + quiet_overhead`
+    /// A `quiet` with nothing outstanding completes at `at + QUIET_OVERHEAD`
     /// immediately, no matter how broken the fabric is: quiet only observes
     /// deliveries, it never touches the links.
     #[test]
@@ -153,7 +153,7 @@ proptest! {
         m.install_faults(FaultPlan::generate(seed, 4, FaultSpec::chaos(intensity)));
         let mut os = OneSided::new(&mut m);
         let at = SimTime::from_us(at_us);
-        let expect = at + PgasConfig::default().quiet_overhead;
+        let expect = at + QUIET_OVERHEAD;
         for src in 0..4 {
             prop_assert_eq!(os.quiet(src, at), expect);
         }

@@ -188,15 +188,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Served fraction of generated requests.
-    pub fn goodput(&self) -> f64 {
-        if self.generated == 0 {
-            0.0
-        } else {
-            self.served as f64 / self.generated as f64
-        }
-    }
-
     /// Whether the run met `slo` at p99 without shedding or timing out
     /// anything — the sweep's "sustained" criterion.
     pub fn sustains(&self, slo: Dur) -> bool {
@@ -424,7 +415,7 @@ impl EmbServer {
         let n = emb.batch_size;
         let reqs = &closed.requests;
         let aligned = reqs.len() == n
-            && reqs[0].id % n as u64 == 0
+            && reqs[0].id.is_multiple_of(n as u64)
             && reqs.windows(2).all(|w| w[1].id == w[0].id + 1);
         if aligned {
             let (which, _) = generator.deal_of(reqs[0].id);

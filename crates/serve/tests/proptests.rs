@@ -132,7 +132,7 @@ proptest! {
             _ => reqs[a % (3 * n - g)..][..1 + b % (g - 1)].to_vec(),
         };
         let bags = cfg.n_features * window.len().max(g);
-        cfg.bags_per_block = (bpb..).find(|k| bags % k != 0).unwrap_or(bpb);
+        cfg.bags_per_block = (bpb..).find(|&k| !bags.is_multiple_of(k)).unwrap_or(bpb);
         assert_window_plans_like_the_oracle(&cfg, &window)?;
     }
 
