@@ -33,9 +33,7 @@ use simccl::CollectiveConfig;
 use simtensor::Tensor;
 
 use crate::memo::Memo;
-use crate::{
-    DevicePlan, EmbLayerConfig, ForwardPlan, PlanInput, RunReport, SparseBatch, TimeBreakdown,
-};
+use crate::{EmbLayerConfig, ForwardPlan, PlanInput, RunReport, SparseBatch, TimeBreakdown};
 
 /// Whether a run executes the lookups and produces outputs, or only times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,13 +68,25 @@ pub(crate) const GATHER_EFFICIENCY: f64 = 0.65;
 pub(crate) fn gather_shape(blocks: u64, bytes: u64) -> KernelShape {
     KernelShape {
         blocks,
-        bytes_per_block: (bytes as f64 / GATHER_EFFICIENCY).round() as u64,
+        bytes_per_block: round_u64(bytes as f64 / GATHER_EFFICIENCY),
         flops_per_block: 0,
         dependent_accesses: 8,
     }
 }
 
-/// Per-block service durations of the lookup kernel for one device.
+/// `x.round() as u64`, for every `x`, without a call into libm: below 2⁵³
+/// the fraction `x - trunc(x)` is exact, and above it `x` is whole.
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x < 9_007_199_254_740_992.0 && x - t as f64 >= 0.5 {
+        t + 1
+    } else {
+        t
+    }
+}
+
+/// Per-block service durations of the lookup kernel of every device of
+/// `plan`, `[device][block]`, on GPUs of `spec(device)`.
 ///
 /// A block's global-memory traffic is its embedding-row reads
 /// (`lookups × row_bytes`), its index reads (8 B each) and its pooled-row
@@ -89,37 +99,95 @@ pub(crate) fn gather_shape(blocks: u64, bytes: u64) -> KernelShape {
 /// plan has `imported_bags`, the extra blocks that compute them from local
 /// replicas are appended after the regular blocks (index reads + pooled-row
 /// writes only; replica reads are hot by construction).
-pub(crate) fn lookup_block_durations(
-    dp: &DevicePlan,
+///
+/// On a plain device a full block's duration is a function of its lookups
+/// alone for one GPU and resident count, so it is computed once per
+/// distinct lookup count, into a table spanning the plain devices' range of
+/// full-block lookups when that range is at most [`TABLE_SPAN_PER_BLOCK`]
+/// times their block count, and shared by the devices it holds for. A
+/// partial block, a wider range, an annotated device and import blocks take
+/// the formula.
+pub(crate) fn lookup_block_durations<'s>(
     plan: &ForwardPlan,
-    spec: &GpuSpec,
-) -> Vec<Dur> {
-    let import_blocks = dp.imported_bags.len().div_ceil(plan.bags_per_block);
-    let n_blocks = (dp.blocks.len() + import_blocks) as u64;
-    if n_blocks == 0 {
-        return Vec::new();
-    }
-    let resident = KernelShape::effective_resident(n_blocks, spec.max_resident_blocks());
+    spec: impl Fn(usize) -> &'s GpuSpec,
+) -> Vec<Vec<Dur>> {
     let row_bytes = plan.row_bytes() as u64;
-    let block_time = |bytes: u64| gather_shape(1, bytes).block_time(spec, resident);
-    let mut durs: Vec<Dur> = (dp.blocks.iter().enumerate())
-        .map(|(i, b)| {
-            let bytes = match dp.cache_stats.get(i) {
-                Some(s) => s.hbm_fetches * row_bytes + s.lookups * 8 + s.n_bags as u64 * row_bytes,
-                None => {
-                    // Row reads that hit in L2 never reach HBM (skewed inputs).
-                    let hbm_reads = (b.lookups as f64 * (1.0 - plan.cache_hit)).round() as u64;
-                    hbm_reads * row_bytes + b.lookups * 8 + b.n_bags as u64 * row_bytes
+    let full = u32::try_from(plan.bags_per_block).ok();
+    let range = full_block_range(plan);
+    // Raw ns from lookups `lo` on, 0 until computed (a duration that is 0 is
+    // just computed again), for the GPU and resident count it was filled for.
+    let mut table: Vec<u64> = Vec::new();
+    let mut filled_for: Option<(&GpuSpec, u32)> = None;
+    let mut durations = Vec::with_capacity(plan.devices.len());
+    for dp in &plan.devices {
+        let import_blocks = dp.imported_bags.len().div_ceil(plan.bags_per_block);
+        let n_blocks = dp.blocks.len() + import_blocks;
+        let mut durs: Vec<Dur> = Vec::with_capacity(n_blocks);
+        if n_blocks == 0 {
+            durations.push(durs);
+            continue;
+        }
+        let spec = spec(dp.device);
+        let resident = KernelShape::effective_resident(n_blocks as u64, spec.max_resident_blocks());
+        let block_time = |bytes: u64| gather_shape(1, bytes).block_time(spec, resident);
+        let plain = |lookups: u64, n_bags: u32| {
+            // Row reads that hit in L2 never reach HBM (skewed inputs).
+            let hbm_reads = round_u64(lookups as f64 * (1.0 - plan.cache_hit));
+            block_time(hbm_reads * row_bytes + lookups * 8 + n_bags as u64 * row_bytes)
+        };
+        if !dp.cache_stats.is_empty() {
+            let blocks = dp.blocks.iter().enumerate();
+            durs.extend(blocks.map(|(i, b)| match dp.cache_stats.get(i) {
+                Some(s) => block_time(
+                    s.hbm_fetches * row_bytes + s.lookups * 8 + s.n_bags as u64 * row_bytes,
+                ),
+                None => plain(b.lookups, b.n_bags),
+            }));
+        } else if let Some((lo, span)) = range {
+            if filled_for != Some((spec, resident)) {
+                table.clear();
+                table.resize(span, 0);
+                filled_for = Some((spec, resident));
+            }
+            durs.extend(dp.blocks.iter().map(|b| {
+                if Some(b.n_bags) != full {
+                    return plain(b.lookups, b.n_bags);
                 }
-            };
-            block_time(bytes)
-        })
-        .collect();
-    for chunk in dp.imported_bags.chunks(plan.bags_per_block) {
-        let lookups: u64 = chunk.iter().map(|b| b.lookups as u64).sum();
-        durs.push(block_time(lookups * 8 + chunk.len() as u64 * row_bytes));
+                let slot = &mut table[(b.lookups - lo) as usize];
+                if *slot == 0 {
+                    *slot = plain(b.lookups, b.n_bags).as_ns();
+                }
+                Dur::from_ns(*slot)
+            }));
+        } else {
+            durs.extend(dp.blocks.iter().map(|b| plain(b.lookups, b.n_bags)));
+        }
+        for chunk in dp.imported_bags.chunks(plan.bags_per_block) {
+            let lookups: u64 = chunk.iter().map(|b| b.lookups as u64).sum();
+            durs.push(block_time(lookups * 8 + chunk.len() as u64 * row_bytes));
+        }
+        durations.push(durs);
     }
-    durs
+    durations
+}
+
+/// How wide the range of full-block lookups may be, per block, for
+/// [`lookup_block_durations`] to tabulate it: a table a few slots a block
+/// wide costs less to fill than the formula once a block.
+const TABLE_SPAN_PER_BLOCK: usize = 4;
+
+/// The lowest lookup count of a full block on `plan`'s plain devices and the
+/// width of their range, when [`lookup_block_durations`] tabulates it.
+fn full_block_range(plan: &ForwardPlan) -> Option<(u64, usize)> {
+    let full = u32::try_from(plan.bags_per_block).ok()?;
+    let plain = plan.devices.iter().filter(|dp| dp.cache_stats.is_empty());
+    let blocks = plain.flat_map(|dp| &dp.blocks).filter(|b| b.n_bags == full);
+    let (mut lo, mut hi, mut count) = (u64::MAX, 0, 0);
+    for b in blocks {
+        (lo, hi, count) = (lo.min(b.lookups), hi.max(b.lookups), count + 1);
+    }
+    let span = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+    (span <= TABLE_SPAN_PER_BLOCK * count).then_some((lo, span))
 }
 
 /// The distinct input batches a run cycles through, and their plans.
@@ -549,8 +617,8 @@ mod tests {
     fn durations_cover_every_block_and_are_positive() {
         let plan = tiny_plan();
         let spec = GpuSpec::v100();
-        for dp in &plan.devices {
-            let durs = lookup_block_durations(dp, &plan, &spec);
+        let all = lookup_block_durations(&plan, |_| &spec);
+        for (dp, durs) in plan.devices.iter().zip(all) {
             assert_eq!(durs.len(), dp.blocks.len());
             assert!(durs.iter().all(|d| !d.is_zero()));
         }
@@ -561,13 +629,159 @@ mod tests {
         let plan = tiny_plan();
         let spec = GpuSpec::v100();
         let dp = &plan.devices[0];
-        let durs = lookup_block_durations(dp, &plan, &spec);
-        for (blk, d) in dp.blocks.iter().zip(&durs) {
-            for (blk2, d2) in dp.blocks.iter().zip(&durs) {
+        let durs = &lookup_block_durations(&plan, |_| &spec)[0];
+        for (blk, d) in dp.blocks.iter().zip(durs) {
+            for (blk2, d2) in dp.blocks.iter().zip(durs) {
                 if blk.lookups > blk2.lookups + 8 {
                     assert!(d >= d2, "more lookups should not be faster");
                 }
             }
+        }
+    }
+
+    /// One device's durations as [`lookup_block_durations`] computed them before
+    /// the table, the formula once a block with libm's `round`: the oracle the
+    /// table and [`round_u64`] are held to.
+    fn lookup_block_durations_per_block(
+        dp: &crate::DevicePlan,
+        plan: &ForwardPlan,
+        spec: &GpuSpec,
+    ) -> Vec<Dur> {
+        let import_blocks = dp.imported_bags.len().div_ceil(plan.bags_per_block);
+        let n_blocks = (dp.blocks.len() + import_blocks) as u64;
+        if n_blocks == 0 {
+            return Vec::new();
+        }
+        let resident = KernelShape::effective_resident(n_blocks, spec.max_resident_blocks());
+        let row_bytes = plan.row_bytes() as u64;
+        let block_time = |bytes: u64| {
+            let shape = KernelShape {
+                bytes_per_block: (bytes as f64 / GATHER_EFFICIENCY).round() as u64,
+                ..gather_shape(1, 0)
+            };
+            shape.block_time(spec, resident)
+        };
+        let mut durs: Vec<Dur> = (dp.blocks.iter().enumerate())
+            .map(|(i, b)| {
+                let bytes = match dp.cache_stats.get(i) {
+                    Some(s) => {
+                        s.hbm_fetches * row_bytes + s.lookups * 8 + s.n_bags as u64 * row_bytes
+                    }
+                    None => {
+                        let hbm_reads = (b.lookups as f64 * (1.0 - plan.cache_hit)).round() as u64;
+                        hbm_reads * row_bytes + b.lookups * 8 + b.n_bags as u64 * row_bytes
+                    }
+                };
+                block_time(bytes)
+            })
+            .collect();
+        for chunk in dp.imported_bags.chunks(plan.bags_per_block) {
+            let lookups: u64 = chunk.iter().map(|b| b.lookups as u64).sum();
+            durs.push(block_time(lookups * 8 + chunk.len() as u64 * row_bytes));
+        }
+        durs
+    }
+
+    /// The durations, shared table and all, equal the per-block formula
+    /// `Dur` for `Dur`: plain plans with a partial last block at three
+    /// cache-hit fractions, a partial block as heavy as a full one, a
+    /// device whose GPU differs, a range too wide to tabulate, and an
+    /// annotated plan with import blocks.
+    #[test]
+    fn duration_table_equals_the_per_block_formula() {
+        let v100 = GpuSpec::v100();
+        let slower = GpuSpec {
+            mem_bw: v100.mem_bw / 2.0,
+            ..v100
+        };
+        let check = |plan: &ForwardPlan, specs: [&GpuSpec; 4], label: &str| {
+            let got = lookup_block_durations(plan, |d| specs[d]);
+            assert_eq!(got.len(), plan.devices.len());
+            for (dp, durs) in plan.devices.iter().zip(&got) {
+                let want = lookup_block_durations_per_block(dp, plan, specs[dp.device]);
+                assert_eq!(*durs, want, "{label}: device {}", dp.device);
+            }
+        };
+        let batch = |n: usize, pooling_max: u32, seed: u64| {
+            let spec = SparseBatchSpec {
+                batch_size: n,
+                n_features: 8,
+                pooling_min: 1,
+                pooling_max,
+                index_space: 1000,
+                distribution: IndexDistribution::Uniform,
+            };
+            SparseBatch::generate_counts_only(&spec, seed)
+        };
+        let sharding = Sharding::table_wise_block(8, 4);
+        // 8 features of 1 000 samples over 4 devices, 128 bags a block: each
+        // device's last block holds 80 bags.
+        for (cache_hit, seed) in [(0.0, 1), (0.35, 2), (0.9, 3)] {
+            let mut plan =
+                ForwardPlan::build(&batch(1000, 4, seed), &sharding, 64, PoolingOp::Sum, 128);
+            plan.cache_hit = cache_hit;
+            assert!(full_block_range(&plan).is_some(), "tabulated");
+            assert!(plan
+                .devices
+                .iter()
+                .all(|dp| dp.blocks.last().unwrap().n_bags == 80));
+            check(&plan, [&v100; 4], &format!("plain, cache_hit {cache_hit}"));
+            check(&plan, [&v100, &v100, &slower, &v100], "device 2 slower");
+            // A partial block whose lookups a full block has too, first on
+            // device 1 and last on device 3.
+            let heavy = plan.devices[1].blocks[3].lookups;
+            let dp = &mut plan.devices[1];
+            dp.blocks.insert(0, dp.blocks[0]);
+            (dp.blocks[0].n_bags, dp.blocks[0].lookups) = (100, heavy);
+            let dp = &mut plan.devices[3];
+            dp.push_block(0, 127, heavy, []);
+            check(&plan, [&v100; 4], "partial blocks as heavy as full ones");
+        }
+        // Pooling up to 4 000 spreads 16 blocks' lookups past the bound.
+        let wide = ForwardPlan::build(&batch(1000, 4000, 4), &sharding, 64, PoolingOp::Sum, 128);
+        assert_eq!(full_block_range(&wide), None, "untabulated");
+        check(&wide, [&v100; 4], "wide");
+        // Measured cache stats and import blocks.
+        let mut cfg = EmbLayerConfig::paper_weak_scaling(4).scaled_down(512);
+        cfg.distribution = IndexDistribution::Zipf { exponent: 1.2 };
+        cfg.hot_cache_rows = 512;
+        cfg.dedup = true;
+        let b = SparseBatch::generate(&cfg.batch_spec(), cfg.batch_seed(0));
+        let annotated = plan_for_batch(&cfg, &b, &v100);
+        assert!(annotated
+            .devices
+            .iter()
+            .all(|dp| !dp.cache_stats.is_empty()));
+        assert!(annotated
+            .devices
+            .iter()
+            .any(|dp| !dp.imported_bags.is_empty()));
+        assert_eq!(full_block_range(&annotated), None, "no plain device");
+        check(&annotated, [&v100; 4], "annotated");
+    }
+
+    #[test]
+    fn rounding_without_libm_is_rounds() {
+        let halves = [0.5, 1.5, 2.5, 0.49999999999999994, 4503599627370495.5];
+        let edges = [
+            0.0,
+            -0.0,
+            -0.7,
+            -2.5,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            9007199254740993.0,
+        ];
+        for x in halves.into_iter().chain(edges) {
+            assert_eq!(round_u64(x), x.round() as u64, "{x}");
+        }
+        let mut x = 1.0f64;
+        while x < 1e19 {
+            for y in [x, x * 1.37, x + 0.5, x - 0.5, x * 0.999] {
+                assert_eq!(round_u64(y), y.round() as u64, "{y}");
+            }
+            x *= 1.9;
         }
     }
 

@@ -32,7 +32,9 @@ use crate::{DevicePlan, ForwardPlan, TimeBreakdown};
 
 /// A batch plus everything precomputed for executing it on a machine:
 /// per-device block durations and the all-to-all byte matrix. Build once,
-/// execute many times (the closed loop cycles a small pool of these).
+/// execute many times (the closed loop cycles a small pool of these): the
+/// first executions leave a record per device that later ones replay. A plan
+/// its owner executes once ([`PlannedBatch::once`]) keeps none.
 #[derive(Clone, Debug)]
 pub struct PlannedBatch {
     plan: Arc<ForwardPlan>,
@@ -42,7 +44,8 @@ pub struct PlannedBatch {
     byte_matrix: Vec<Vec<u64>>,
     /// What the pass does around the exchange.
     pass: Pass,
-    /// Per device, what its first executions left on record.
+    /// Per device, what its first executions left on record; empty on a
+    /// plan executed once, which records nothing.
     schedules: Vec<DeviceSchedule>,
     /// The arrival gates of a batch whose every device replays, from the
     /// first gated log to meet one: GPUs × chunks × 8 bytes.
@@ -202,23 +205,20 @@ fn stream_releases_into(
     let waves = (dp.blocks.len() as u64).div_ceil(resident.max(1) as u64);
     let subs = (32 / waves.max(1)).clamp(1, 32);
     let (mut first, mut last, mut top_dst) = (SimTime::MAX, SimTime::ZERO, 0);
+    let mut offsets = [Dur::ZERO; 32];
     for ((blk, end), &tau) in dp.blocks.iter().zip(block_ends).zip(durs) {
         for &(dst, rows) in dp.dest_rows(blk) {
             if dst == dp.device {
                 continue;
             }
             top_dst = top_dst.max(dst);
+            // Destinations are zero-free: `k` ≥ 1 and every part ≥ 1.
             let k = subs.min(rows);
-            let base = rows / k;
-            let rem = rows % k;
-            for s in 0..k {
-                let part = base + u64::from(s < rem);
-                if part == 0 {
-                    continue;
-                }
-                let ready = end - tau * (k - 1 - s) * (1.0 / k as f64);
+            let (base, rem) = (rows / k, rows % k);
+            for (s, &offset) in (0..k).zip(sub_release_offsets(tau, k, &mut offsets)) {
+                let ready = end - offset;
                 (first, last) = (first.min(ready), last.max(ready));
-                releases.push((ready, dst, part));
+                releases.push((ready, dst, base + u64::from(s < rem)));
             }
         }
     }
@@ -239,6 +239,28 @@ fn stream_releases_into(
             false
         }
     });
+}
+
+/// How long before a block's end each of its `k` (1 to 32) sub-releases
+/// enters the wire, in sub-release order: `tau · (k−1−s)` scaled by `1/k`,
+/// rounded as `Dur × f64` rounds. With `k` a power of two and `tau · k`
+/// below 2⁵³ that product is exact, so its rounding (half up) is integer
+/// arithmetic and no float is formed.
+fn sub_release_offsets(tau: Dur, k: u64, out: &mut [Dur; 32]) -> &[Dur] {
+    let out = &mut out[..k as usize];
+    let steps = (0..k).rev().zip(out.iter_mut());
+    if k.is_power_of_two() && tau.as_ns() < (1 << 53) / k {
+        let shift = k.trailing_zeros() + 1;
+        for (j, o) in steps {
+            *o = Dur::from_ns((2 * tau.as_ns() * j + k) >> shift);
+        }
+    } else {
+        let inv = 1.0 / k as f64;
+        for (j, o) in steps {
+            *o = tau * j * inv;
+        }
+    }
+    out
 }
 
 /// Radix digit width: 11 bits sort a kernel of up to 2²⁵ ns (33 ms) on four
@@ -302,11 +324,7 @@ impl PlannedBatch {
     pub fn new(machine: &Machine, plan: impl Into<Arc<ForwardPlan>>) -> Self {
         let plan = plan.into();
         let n = plan.n_devices;
-        let durations = plan
-            .devices
-            .iter()
-            .map(|dp| lookup_block_durations(dp, &plan, machine.spec(dp.device)))
-            .collect();
+        let durations = lookup_block_durations(&plan, |d| machine.spec(d));
         // Rearrangement touches every *received* byte twice (read
         // source-major, write [mb, S, dim]); the local chunk was already
         // written in place by the lookup kernel. The byte matrix's inbound
@@ -330,6 +348,23 @@ impl PlannedBatch {
         })
     }
 
+    /// [`PlannedBatch::new`] for a plan its owner executes once, as serving
+    /// does a window no canonical plan covers: it keeps no per-device record,
+    /// so an execution launches its kernels block by block into a run of its
+    /// own, builds its releases straight into the batch's buffer and records
+    /// no deliveries. Every execution is timed as a recording plan's first.
+    pub fn once(machine: &Machine, plan: impl Into<Arc<ForwardPlan>>) -> Self {
+        PlannedBatch {
+            schedules: Vec::new(),
+            ..Self::new(machine, plan)
+        }
+    }
+
+    /// Device `d`'s record, `None` on a plan executed once.
+    fn schedule(&self, d: usize) -> Option<&DeviceSchedule> {
+        self.schedules.get(d)
+    }
+
     /// `plan` with its kernels' block `durations` and the pass `pass` makes of
     /// the all-to-all byte matrix. A pass whose collective form launches a
     /// kernel that is not the plan's blocks (`durations[d]` of another
@@ -344,7 +379,10 @@ impl PlannedBatch {
         let byte_matrix: Vec<Vec<u64>> = plan
             .devices
             .iter()
-            .map(|dp| (0..n).map(|g| dp.rows_to(g) * row_bytes).collect())
+            .map(|dp| {
+                let rows = dp.rows_to_each(n).into_iter();
+                rows.map(|r| r * row_bytes).collect()
+            })
             .collect();
         PlannedBatch {
             schedules: vec![DeviceSchedule::default(); plan.devices.len()],
@@ -379,8 +417,9 @@ impl PlannedBatch {
             }
         };
         let mut built = false;
-        let stored = k.recorded().then(|| {
-            self.schedules[dp.device].releases.get_or_init(|| {
+        let record = self.schedule(dp.device).filter(|_| k.recorded());
+        let stored = record.map(|sched| {
+            sched.releases.get_or_init(|| {
                 build(out);
                 built = true;
                 let stored = out.iter();
@@ -881,8 +920,8 @@ impl<'a, 'r> Batch<'a, 'r> {
             ready = up_at;
         }
         let pb = self.pb;
-        let (durs, record) = (&pb.durations()[d], &pb.schedules[d].kernel);
-        let timed = record.get().and_then(|k| {
+        let (durs, record) = (&pb.durations()[d], pb.schedule(d).map(|s| &s.kernel));
+        let timed = record.and_then(OnceLock::get).and_then(|k| {
             let length = k.interval.duration();
             let at = self
                 .machine
@@ -892,10 +931,9 @@ impl<'a, 'r> Batch<'a, 'r> {
         let (start, run) = timed.unwrap_or_else(|| {
             let run = self.machine.run_kernel_varied(d, durs, ready);
             let start = run.interval.start;
-            if self.machine.straggler_factor(d) == 1.0 {
-                (start, Cow::Borrowed(record.get_or_init(|| run)))
-            } else {
-                (start, Cow::Owned(run))
+            match record.filter(|_| self.machine.straggler_factor(d) == 1.0) {
+                Some(record) => (start, Cow::Borrowed(record.get_or_init(|| run))),
+                None => (start, Cow::Owned(run)),
             }
         });
         let launched = Launched { start, run };
@@ -1098,13 +1136,16 @@ impl<'a, 'r> Batch<'a, 'r> {
                 late_by_dst.resize(n, 0);
             }
             self.pb.releases_into(dp, &k, &mut releases);
-            // Leave the deliveries on record, if they are not yet and the
-            // machine agrees to record the sends as a train.
-            let sched = &self.pb.schedules[src];
-            let recording = matches!(sched.releases.get(), Some(Some(_)))
-                && k.recorded()
-                && sched.deliveries.get().is_none()
-                && self.machine.record_train(src, k.start);
+            // Leave the deliveries on record, if the plan keeps one, they
+            // are not on it yet and the machine agrees to record the sends
+            // as a train.
+            let record = self.pb.schedule(src).filter(|s| {
+                matches!(s.releases.get(), Some(Some(_)))
+                    && k.recorded()
+                    && s.deliveries.get().is_none()
+            });
+            let record = record.filter(|_| self.machine.record_train(src, k.start));
+            let recording = record.is_some();
             let mut ends = Vec::with_capacity(if recording { releases.len() } else { 0 });
             let mut os = OneSided::with_config(self.machine, pgas);
             for &(ready, dst, rows) in releases.iter() {
@@ -1141,7 +1182,7 @@ impl<'a, 'r> Batch<'a, 'r> {
                     }
                 }
             }
-            if recording {
+            if let Some(sched) = record {
                 // One send per release and every offset in range, or none.
                 let train = os.machine().finish_train();
                 let whole = ends.len() == releases.len();
@@ -1177,7 +1218,9 @@ impl<'a, 'r> Batch<'a, 'r> {
     /// logged are the record's ([`PlannedBatch::log_recorded`]). False:
     /// nothing happened.
     fn replay_deliveries(&mut self, src: usize, k: &Launched<'_>, pgas: &PgasConfig) -> bool {
-        let sched = &self.pb.schedules[src];
+        let Some(sched) = self.pb.schedule(src) else {
+            return false;
+        };
         let (Some(Some(_)), Some(d)) = (sched.releases.get(), sched.deliveries.get()) else {
             return false;
         };
@@ -1822,17 +1865,41 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sub_release_offsets_are_the_float_products() {
+        let mut out = [Dur::ZERO; 32];
+        let edge = |k: u64| (1u64 << 53) / k;
+        for k in 1..=32u64 {
+            let taus = (0..3000).chain([edge(k) - 1, edge(k), edge(k) + 1, 1 << 58]);
+            for tau in taus.chain((0..40).map(|i| 7_919 * i * i + 1)) {
+                let tau = Dur::from_ns(tau);
+                let want: Vec<Dur> = (0..k)
+                    .map(|s| tau * (k - 1 - s) * (1.0 / k as f64))
+                    .collect();
+                assert_eq!(
+                    sub_release_offsets(tau, k, &mut out),
+                    want,
+                    "tau {tau:?} k {k}"
+                );
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(18))]
 
         /// Replaying the stored release schedule is indistinguishable from
-        /// rebuilding it: one shared `PlannedBatch` executed at three
-        /// starts equals a freshly built one per execution — `BatchRun`,
-        /// `ArrivalLog` entry for entry and traffic statistics (an
-        /// unobserved machine keeps no payload series) — on a clean machine,
-        /// under chaos, and with stragglers (which bypass the store); for
-        /// the table-wise forward, the row-wise forward and the backward
-        /// pass, whose stores leave at block retirement, unmerged.
+        /// rebuilding it, and a plan executed once is a recording plan's
+        /// first execution: one shared `PlannedBatch` executed at three
+        /// starts, a freshly built one per execution and one that keeps no
+        /// record (`PlannedBatch::once`'s) executed at the same starts all
+        /// give the same `BatchRun`, `ArrivalLog` entry for entry and
+        /// traffic statistics (an unobserved machine keeps no payload
+        /// series) — over the one-sided, gateway and collective exchanges,
+        /// on a clean machine, under chaos, and with stragglers (which
+        /// bypass the store); for the table-wise forward, the row-wise
+        /// forward and the backward pass, whose stores leave at block
+        /// retirement, unmerged. The once-plan holds no record after.
         #[test]
         fn stored_schedule_replays_what_a_fresh_build_computes(
             g in 2usize..5,
@@ -1850,32 +1917,60 @@ mod tests {
                 1 => crate::rowwise::rowwise_planned(m, cfg),
                 _ => crate::backward::backward_planned(m, planned(m, cfg, seed_idx).plan(), true),
             };
+            let once = |m: &Machine, cfg: &EmbLayerConfig| match pass {
+                0 => PlannedBatch::once(m, Arc::clone(&planned(m, cfg, 0).plan)),
+                _ => PlannedBatch {
+                    schedules: Vec::new(),
+                    ..planned(m, cfg, 0)
+                },
+            };
             let stragglers = gpusim::FaultSpec {
                 straggler_prob: 0.6,
                 straggler_factor: (1.2, 1.6),
                 ..gpusim::FaultSpec::none()
             };
+            let exchanges = [pgas(), Exchange::Gateway(GatewayConfig::default()), baseline()];
             for faults in [None, Some(gpusim::FaultSpec::chaos(0.5)), Some(stragglers)] {
-                for exchange in [pgas(), Exchange::Gateway(GatewayConfig::default())] {
+                for exchange in exchanges {
                     let mut shared_m = faulty_machine(g, faults, seed);
                     let mut fresh_m = faulty_machine(g, faults, seed);
+                    let mut once_m = faulty_machine(g, faults, seed);
                     let shared = planned(&shared_m, &cfg, 0);
-                    let (mut shared_log, mut fresh_log) = (ArrivalLog::new(), ArrivalLog::new());
+                    let once_pb = once(&once_m, &cfg);
+                    let mut logs = [ArrivalLog::new(), ArrivalLog::new(), ArrivalLog::new()];
+                    let [shared_log, fresh_log, once_log] = &mut logs;
                     let mut at = SimTime::ZERO;
                     for _ in 0..3 {
                         let fresh = planned(&fresh_m, &cfg, 0);
                         let a = execute_batch(
-                            &mut shared_m, &exchange, &shared, at, Some(&mut shared_log), None,
+                            &mut shared_m, &exchange, &shared, at, Some(&mut *shared_log), None,
                         );
                         let b = execute_batch(
-                            &mut fresh_m, &exchange, &fresh, at, Some(&mut fresh_log), None,
+                            &mut fresh_m, &exchange, &fresh, at, Some(&mut *fresh_log), None,
+                        );
+                        let c = execute_batch(
+                            &mut once_m, &exchange, &once_pb, at, Some(&mut *once_log), None,
                         );
                         prop_assert_eq!(a, b);
+                        prop_assert_eq!(a, c);
                         prop_assert_eq!(&shared_log.arrivals, &fresh_log.arrivals);
+                        prop_assert_eq!(&shared_log.arrivals, &once_log.arrivals);
                         at = a.end + Dur::from_ns(gap_ns);
                     }
                     prop_assert_eq!(shared_m.traffic_stats(), fresh_m.traffic_stats());
+                    prop_assert_eq!(shared_m.traffic_stats(), once_m.traffic_stats());
                     prop_assert!(shared_m.total_traffic().buckets().is_empty());
+                    prop_assert!(once_pb.schedules.is_empty(), "the once-plan keeps no record");
+                    prop_assert!(once_pb.gates.get().is_none());
+                    if matches!(exchange, Exchange::Collective(_)) {
+                        // The kernels are on record, and nothing else.
+                        for (d, sched) in shared.schedules.iter().enumerate() {
+                            let healthy = shared_m.straggler_factor(d) == 1.0;
+                            prop_assert_eq!(sched.kernel.get().is_some(), healthy);
+                            prop_assert!(sched.releases.get().is_none());
+                        }
+                        continue;
+                    }
                     // Exactly the healthy devices went through the store
                     // (deliveries: where every peer shares the node and no
                     // fault plan is active), and what it hands out at yet

@@ -21,6 +21,21 @@ pub trait PlanInput {
     /// Sum of the pooling factors of `feature`'s `len` consecutive samples
     /// starting at `sample`.
     fn lookups_in(&self, feature: usize, sample: usize, len: usize) -> usize;
+
+    /// Push onto `out` the lookups of `feature`'s samples cut into
+    /// consecutive pieces: samples `0..head` first (no piece when `head` is
+    /// 0, all samples when it is past the batch), then `piece` samples at a
+    /// time to the end of the batch, the last piece possibly shorter. One
+    /// [`PlanInput::lookups_in`] call a piece unless an input sums its pieces
+    /// in one pass.
+    fn lookups_by_piece(&self, feature: usize, head: usize, piece: usize, out: &mut Vec<u64>) {
+        let n = self.batch_size();
+        let (mut lo, mut hi) = (0, if head > 0 { head.min(n) } else { piece.min(n) });
+        while lo < n {
+            out.push(self.lookups_in(feature, lo, hi - lo) as u64);
+            (lo, hi) = (hi, (hi + piece).min(n));
+        }
+    }
 }
 
 impl PlanInput for SparseBatch {
@@ -200,6 +215,16 @@ impl DevicePlan {
             .map(|&(_, r)| r)
             .sum()
     }
+
+    /// [`DevicePlan::rows_to`] of every destination below `n_devices`, in
+    /// one pass over the blocks.
+    pub(crate) fn rows_to_each(&self, n_devices: usize) -> Vec<u64> {
+        let mut rows = vec![0; n_devices];
+        for &(d, r) in &self.dests {
+            rows[d] += r;
+        }
+        rows
+    }
 }
 
 /// The complete forward-pass decomposition.
@@ -251,9 +276,9 @@ impl ForwardPlan {
     /// size does not divide evenly, mini-batches follow the ceil-split
     /// convention (first devices get `⌈N/G⌉` samples).
     ///
-    /// Costs O(blocks + features) [`PlanInput::lookups_in`] calls, not
-    /// O(bags): the timing model consumes pooling-factor sums per block,
-    /// never per-bag state.
+    /// Costs one [`PlanInput::lookups_by_piece`] call a feature, not a
+    /// visit per bag: the timing model consumes pooling-factor sums per
+    /// block, never per-bag state.
     pub fn build(
         batch: &(impl PlanInput + Sync),
         sharding: &Sharding,
@@ -263,7 +288,8 @@ impl ForwardPlan {
     ) -> ForwardPlan {
         let n_devices = sharding.n_devices();
         let n = batch.batch_size();
-        assert!(bags_per_block >= 1, "bags_per_block must be >= 1");
+        let bpb = bags_per_block;
+        assert!(bpb >= 1, "bags_per_block must be >= 1");
         assert!(
             n >= n_devices,
             "batch size {n} smaller than device count {n_devices}"
@@ -272,33 +298,64 @@ impl ForwardPlan {
         let mb_sizes: Vec<usize> = (0..n_devices)
             .map(|d| n.saturating_sub(d * mb).min(mb))
             .collect();
-        // Each device's slice depends only on the shared batch/sharding.
+        // Per-block lookups of the device being built, and one feature's
+        // pieces of them: a head, then at most one a block.
+        let (mut lookups, mut pieces) = (Vec::new(), Vec::with_capacity(n.div_ceil(bpb) + 1));
         let devices = (0..n_devices)
             .map(|dev| {
                 let features = sharding.features_on(dev, batch.n_features());
                 let n_bags = features.len() * n;
-                let mut dp =
-                    DevicePlan::new(dev, features, n_bags, n_bags.div_ceil(bags_per_block));
-                // Rows per destination of the block being built; zeroed
-                // again as each block's destinations are read out of it.
+                let n_blocks = n_bags.div_ceil(bpb);
+                let mut dp = DevicePlan::new(dev, features, n_bags, n_blocks);
+                // A block is a run of consecutive local bags, i.e. one
+                // contiguous sample range per local feature it touches. A
+                // feature's ranges are its samples cut at block boundaries:
+                // first the rest of the block open at its first bag, then a
+                // block at a time; piece `i` adds to the `i`-th block from
+                // the open one.
+                lookups.clear();
+                lookups.resize(n_blocks, 0u64);
+                for (lf, &f) in dp.features.iter().enumerate() {
+                    let first = lf * n;
+                    pieces.clear();
+                    batch.lookups_by_piece(f, (bpb - first % bpb) % bpb, bpb, &mut pieces);
+                    for (sum, &piece) in lookups[first / bpb..].iter_mut().zip(&pieces) {
+                        *sum += piece;
+                    }
+                }
+                // Rows per destination of a block that spans features or
+                // mini-batches; zeroed again as its destinations are read
+                // out of it.
                 let mut rows_to = vec![0u64; n_devices];
-                let mut first = 0usize;
-                while first < n_bags {
-                    let count = bags_per_block.min(n_bags - first);
+                // The block's first sample within its feature, and that
+                // sample's owner, advanced block by block: the common block
+                // costs no division.
+                let (mut lo, mut owner) = (0, 0);
+                for (b, &lookups) in lookups.iter().enumerate() {
+                    let first = b * bpb;
+                    let count = bpb.min(n_bags - first);
                     let end = first + count;
-                    // A block is a run of consecutive local bags, i.e. one
-                    // contiguous sample range per local feature it touches:
-                    // its lookups are a CSR offset difference per range, its
-                    // destinations the overlap of that range with the
-                    // mini-batch strides. No bag is visited.
-                    let mut lookups = 0u64;
+                    let single = lo + count <= n.min((owner + 1) * mb);
+                    let dst = owner;
+                    lo += count;
+                    while lo >= n {
+                        (lo, owner) = (lo - n, 0);
+                    }
+                    while lo >= (owner + 1) * mb {
+                        owner += 1;
+                    }
+                    if single {
+                        // One feature's samples, one owner: the common block.
+                        dp.push_block(first, count as u32, lookups, [(dst, count as u64)]);
+                        continue;
+                    }
+                    // Its destinations are the overlap of each sample range
+                    // with the mini-batch strides.
                     let (mut dst_lo, mut dst_hi) = (n_devices, 0);
-                    let lf0 = first / n;
-                    for (lf, &f) in (lf0..).zip(&dp.features[lf0..=(end - 1) / n]) {
+                    for lf in first / n..=(end - 1) / n {
                         // Samples `lo..hi` of local feature `lf`.
                         let lo = first.max(lf * n) - lf * n;
                         let hi = end.min((lf + 1) * n) - lf * n;
-                        lookups += batch.lookups_in(f, lo, hi - lo) as u64;
                         let (d0, d1) = (lo / mb, (hi - 1) / mb);
                         for (dst, rows) in (d0..).zip(&mut rows_to[d0..=d1]) {
                             *rows += (hi.min((dst + 1) * mb) - lo.max(dst * mb)) as u64;
@@ -312,7 +369,6 @@ impl ForwardPlan {
                         .map(|dst| (dst, std::mem::take(&mut rows_to[dst])))
                         .filter(|&(_, rows)| rows > 0);
                     dp.push_block(first, count as u32, lookups, dests);
-                    first = end;
                 }
                 dp.shrink_to_fit();
                 dp

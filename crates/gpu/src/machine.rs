@@ -1,5 +1,8 @@
 //! The machine: devices + fabric + measurement.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use desim::{Dur, Interval, Resource, SimTime, Spread, TimeSeries};
 use telemetry::causal::{BlameCategory, Lane, SpanGraph};
 use telemetry::Registry;
@@ -562,15 +565,11 @@ impl Machine {
                 block_durations.len() as u64,
                 spec.max_resident_blocks(),
             );
-            // Greedy earliest-slot dispatch, like the hardware's block scheduler.
-            let mut slots = desim::MultiResource::new(run.resident as usize);
-            for &d in block_durations {
-                // Straggler scaling only when active: factor 1.0 must not take
-                // the float path, so healthy runs stay bit-identical.
-                let d = if slow != 1.0 { d * slow } else { d };
-                run.block_ends.push(slots.acquire(start, d).end);
-            }
-            run.interval.end = slots.all_free();
+            // Straggler scaling only when active: factor 1.0 must not take
+            // the float path, so healthy runs stay bit-identical.
+            let durs = block_durations.iter();
+            let durs = durs.map(|&d| if slow != 1.0 { d * slow } else { d });
+            run.interval.end = dispatch(start, run.resident as usize, durs, &mut run.block_ends);
         }
         let blocks = block_durations.len() as u64;
         self.note_kernel(dev, (blocks > 0).then_some(blocks), ready, run.interval);
@@ -1078,6 +1077,34 @@ impl Machine {
     fn bump(&mut self, t: SimTime) {
         self.horizon = self.horizon.max(t);
     }
+}
+
+/// Greedy earliest-slot dispatch of blocks all ready at `start` onto
+/// `resident` identical slots, like the hardware's block scheduler: each
+/// block's end pushed onto `ends`, in block order; returns the last end.
+/// The first `resident` blocks start at `start` on idle slots; each later
+/// one replaces the earliest slot end in place, which is where it starts.
+/// Slots are anonymous, so this is `desim::MultiResource::acquire(start, d)`
+/// per block on a fresh station, end for end.
+fn dispatch(
+    start: SimTime,
+    resident: usize,
+    mut durs: impl Iterator<Item = Dur>,
+    ends: &mut Vec<SimTime>,
+) -> SimTime {
+    let first = ends.len();
+    ends.extend(durs.by_ref().take(resident).map(|d| start + d));
+    let mut last = ends[first..].iter().copied().max().unwrap_or(start);
+    let mut slots: BinaryHeap<Reverse<SimTime>> =
+        ends[first..].iter().copied().map(Reverse).collect();
+    for d in durs {
+        let mut earliest = slots.peek_mut().expect("a block fills every slot first");
+        let end = earliest.0 + d;
+        *earliest = Reverse(end);
+        ends.push(end);
+        last = last.max(end);
+    }
+    last
 }
 
 #[cfg(test)]

@@ -224,6 +224,57 @@ proptest! {
         }
     }
 
+    /// Dispatch puts the first wave straight onto idle slots and each later
+    /// block in place of the earliest slot end: every block end, the kernel
+    /// end and the resident count are those of `MultiResource`'s pop-and-push
+    /// loop over the same blocks, kept here as the oracle. At most 1–64
+    /// resident blocks or the paper-weak 1 167; block counts below, at and
+    /// above that; equal, zero and varied durations.
+    #[test]
+    fn first_wave_dispatch_is_the_greedy_heaps(
+        small in 1u32..65,
+        paper in any::<bool>(),
+        shape in 0usize..3,
+        extra in 0u64..5_000,
+        kind in 0usize..3,
+        seed in any::<u64>(),
+        ready_ns in 0u64..1_000_000,
+    ) {
+        let max = if paper { 1_167 } else { small };
+        let blocks = match shape {
+            0 => 1 + extra % u64::from(max),
+            1 => u64::from(max),
+            _ => u64::from(max) + 1 + extra % (7 * u64::from(max)),
+        };
+        let mut x = seed;
+        let mut draw = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 27)
+        };
+        let tau = draw() % 5_000;
+        let durs: Vec<Dur> = (0..blocks)
+            .map(|_| Dur::from_ns(match kind {
+                0 => tau,
+                1 => 0,
+                _ => draw() % 5_000 * u64::from(draw() % 8 != 0),
+            }))
+            .collect();
+        let mut cfg = MachineConfig::dgx_v100(1);
+        (cfg.specs[0].sm_count, cfg.specs[0].max_blocks_per_sm) = (max, 1);
+        let mut m = Machine::new(cfg);
+        let run = m.run_kernel_varied(0, &durs, SimTime::from_ns(ready_ns));
+
+        let resident = KernelShape::effective_resident(blocks, max);
+        let start = SimTime::from_ns(ready_ns) + m.spec(0).kernel_launch;
+        let mut slots = desim::MultiResource::new(resident as usize);
+        let ends: Vec<SimTime> = durs.iter().map(|&d| slots.acquire(start, d).end).collect();
+        prop_assert_eq!(run.resident, resident);
+        prop_assert_eq!(run.interval.start, start);
+        prop_assert_eq!(&run.block_ends, &ends);
+        prop_assert_eq!(run.interval.end, slots.all_free());
+    }
+
     /// The same fault seed yields the same plan, the same message fates and
     /// the same send outcomes — the whole chaos run is a pure function of
     /// `(seed, spec, call sequence)`.

@@ -238,14 +238,50 @@ impl PlanInput for PoolWindow<'_> {
         overlapping
             .map(|r| {
                 let (lo, hi) = (sample.max(r.start), end.min(r.start + r.len));
-                let at = feature * r.stride + r.col + (lo - r.start);
-                r.sizes[at..at + (hi - lo)]
-                    .iter()
-                    .map(|&b| b as usize)
-                    .sum::<usize>()
+                lane_sum(&r.sizes_of(feature)[lo - r.start..hi - r.start])
             })
-            .sum()
+            .sum::<u64>() as usize
     }
+
+    /// One walk over the runs in sample order, each piece summed from the
+    /// run slices it covers; the pieces past the last request are empty.
+    fn lookups_by_piece(&self, feature: usize, head: usize, piece: usize, out: &mut Vec<u64>) {
+        let n = self.batch_size;
+        // The current piece ends at sample `bound`; `at` is the next sample.
+        let mut bound = if head > 0 { head.min(n) } else { piece.min(n) };
+        let (mut at, mut sum) = (0, 0u64);
+        for r in &self.runs {
+            let mut rest = r.sizes_of(feature);
+            while !rest.is_empty() {
+                let (part, tail) = rest.split_at((bound - at).min(rest.len()));
+                (sum, at, rest) = (sum + lane_sum(part), at + part.len(), tail);
+                if at == bound {
+                    out.push(std::mem::take(&mut sum));
+                    bound = (bound + piece).min(n);
+                }
+            }
+        }
+        while at < n {
+            out.push(std::mem::take(&mut sum));
+            (at, bound) = (bound, (bound + piece).min(n));
+        }
+    }
+}
+
+impl Run<'_> {
+    /// The run's bag sizes of `feature`, one a sample.
+    fn sizes_of(&self, feature: usize) -> &[u16] {
+        &self.sizes[feature * self.stride + self.col..][..self.len]
+    }
+}
+
+/// The sum of `sizes`, added in `u32` lanes the compiler vectorizes: a lane
+/// takes 2¹⁶ bag sizes before it could overflow.
+fn lane_sum(sizes: &[u16]) -> u64 {
+    let chunks = sizes.chunks(1 << 16);
+    chunks
+        .map(|c| u64::from(c.iter().map(|&b| u32::from(b)).sum::<u32>()))
+        .sum()
 }
 
 /// Seeded open-loop request source.
@@ -466,6 +502,24 @@ mod tests {
                         .sum();
                     assert_eq!(w.lookups_in(f, lo, hi - lo), want as usize);
                 }
+            }
+            // One walk for every piece equals a `lookups_in` call a piece.
+            for (head, piece) in (0..18).flat_map(|h| (1..18).map(move |p| (h, p))) {
+                let (mut walked, mut each) = (Vec::new(), Vec::new());
+                w.lookups_by_piece(f, head, piece, &mut walked);
+                let (mut lo, mut hi) = (
+                    0,
+                    if head > 0 {
+                        head.min(16)
+                    } else {
+                        piece.min(16)
+                    },
+                );
+                while lo < 16 {
+                    each.push(w.lookups_in(f, lo, hi - lo) as u64);
+                    (lo, hi) = (hi, (hi + piece).min(16));
+                }
+                assert_eq!(walked, each, "feature {f}, head {head}, piece {piece}");
             }
         }
         let mut short = window.clone();

@@ -434,10 +434,11 @@ impl EmbServer {
         // plan splits samples across devices and needs at least one per
         // device). Requests carry bag *sizes* only, so there are no raw
         // indices to profile: fresh batches always run with plain
-        // (uncached, undeduped) accounting.
+        // (uncached, undeduped) accounting. The window is executed once, so
+        // its plan keeps no record for a later execution.
         let window = PoolWindow::new(reqs, emb.n_features, emb.n_gpus)?;
         let plan = plain_plan(emb, &window, machine.spec(0));
-        Ok(Planned::Fresh(PlannedBatch::new(machine, plan)))
+        Ok(Planned::Fresh(PlannedBatch::once(machine, plan)))
     }
 }
 
@@ -448,7 +449,7 @@ impl EmbServer {
 enum Planned<'a> {
     /// A canonical plan, served by reference.
     Cached(&'a PlannedBatch),
-    /// A plan assembled for this specific (partial) window.
+    /// A plan assembled for this specific (partial) window, executed once.
     Fresh(PlannedBatch),
 }
 
